@@ -286,10 +286,19 @@ func writeTraceFile(path string, tr *loadgen.Trace) error {
 	return f.Close()
 }
 
+// cacheHitText formats Report.CacheHit, whose -1 means the run saw no
+// cache lookups to take a rate of (cache disabled, or no /metrics).
+func cacheHitText(rate float64) string {
+	if rate < 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.0f%%", rate*100)
+}
+
 func printSummary(res *loadgen.RunResult, report *loadgen.Report) {
-	fmt.Printf("%d requests in %s: %.1f rps, %d errors (%.2f%%), %d shed, cache hit %.0f%%\n",
+	fmt.Printf("%d requests in %s: %.1f rps, %d errors (%.2f%%), %d shed, cache hit %s\n",
 		res.Requests, res.Duration.Round(time.Millisecond), res.ThroughputRPS(),
-		res.Errors, res.ErrorRate()*100, res.Shed, report.CacheHit*100)
+		res.Errors, res.ErrorRate()*100, res.Shed, cacheHitText(report.CacheHit))
 	if res.ShedServer > 0 || res.Timeouts > 0 || res.Degraded > 0 {
 		fmt.Printf("overload: %d shed by server (503), %d deadline-exceeded (504), %d degraded (brownout)",
 			res.ShedServer, res.Timeouts, res.Degraded)

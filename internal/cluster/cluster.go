@@ -3,7 +3,7 @@
 // shards while keeping every answer bitwise-identical to a
 // single-process store.
 //
-// The design partitions the *similarity index* and replicates the
+// The design partitions the *similarity index* and shares the
 // *models*:
 //
 //   - Each shard owns a contiguous candidate range [Lo, Hi) of the
@@ -12,11 +12,13 @@
 //     column slice (pathsim.RangeIndex) — the one artifact whose memory
 //     and scan cost grow with the network. Gram-eligible paths never
 //     materialize the full commuting matrix on a shard.
-//   - The ranking and clustering models (PageRank, HITS, RankClus,
-//     NetClus) are deterministic functions of (seed, spec, delta
-//     history), so every shard holds an identical replica (Models);
-//     rank queries scatter over owned id ranges and merge, cluster
-//     reads route to any one replica via a Policy.
+//   - The network and the models over it (PageRank, HITS, RankClus,
+//     NetClus) are one immutable generation (Models) per write, built
+//     once and shared by pointer among in-process shards. Being
+//     deterministic in (seed, spec, delta history), a shard that cannot
+//     share — replaying its log, or behind a future process boundary —
+//     rebuilds a bit-identical replica. Rank queries scatter over owned
+//     id ranges and merge, cluster reads route to one shard via a Policy.
 //
 // TopK/BatchTopK queries scatter to all shards — every shard scans its
 // slice of the query's row and returns a local top-k — and the
@@ -24,10 +26,10 @@
 // single-index scan uses (pathsim.MergeTopK), which is what makes the
 // merged answer bitwise-equal, tie order included.
 //
-// Writes (Ingest/Rebuild) fan out shard 0 first: shards are
-// deterministic replicas, so shard 0 acts as the validation gate — if
-// it rejects a batch nothing has changed anywhere, and if it accepts,
-// the remaining shards cannot fail differently. Each shard publishes
+// Writes (Ingest/Rebuild) fan out shard 0 first: every shard applies
+// the same write to the same state, so shard 0 acts as the validation
+// gate — if it rejects a batch nothing has changed anywhere, and if it
+// accepts, the remaining shards cannot fail differently. Each shard publishes
 // its new generation atomically, retaining the previous one so reads
 // at the prior epoch keep answering during the fan-out window; the
 // coordinator's epoch advances only after every shard has published.

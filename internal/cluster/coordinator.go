@@ -26,6 +26,7 @@ import (
 type Coordinator struct {
 	part   Partition
 	shards []Shard
+	spans  []string // "shard<i>": per-shard trace span names
 	policy Policy
 
 	mu    sync.Mutex   // serializes write fan-out
@@ -45,7 +46,10 @@ func NewCoordinator(shards []Shard, part Partition, policy Policy) *Coordinator 
 	if policy == nil {
 		policy = &RoundRobin{}
 	}
-	c := &Coordinator{part: part, shards: shards, policy: policy}
+	c := &Coordinator{part: part, shards: shards, spans: make([]string, len(shards)), policy: policy}
+	for i := range c.spans {
+		c.spans[i] = fmt.Sprintf("shard%d", i)
+	}
 	minEp := shards[0].Epoch()
 	for _, sh := range shards[1:] {
 		minEp = min(minEp, sh.Epoch())
@@ -56,14 +60,20 @@ func NewCoordinator(shards []Shard, part Partition, policy Policy) *Coordinator 
 
 // NewLocalCluster builds n in-process shards over the partition,
 // materializes their first generation from seed, and returns the
-// coordinator — the `hinet serve -shards N` construction path.
+// coordinator — the `hinet serve -shards N` construction path. The
+// shards share one build memo, so every write fanned out through the
+// coordinator builds its models once and all n shards hold the same
+// *Models.
 func NewLocalCluster(n int, part Partition, spec ModelSpec, policy Policy, seed int64) (*Coordinator, error) {
 	if part.Shards() != n {
 		return nil, fmt.Errorf("cluster: partition has %d ranges for %d shards", part.Shards(), n)
 	}
 	shards := make([]Shard, n)
+	memo := &builds{}
 	for i := range shards {
-		shards[i] = NewLocalShard(i, part, spec)
+		sh := NewLocalShard(i, part, spec)
+		sh.memo = memo
+		shards[i] = sh
 	}
 	c := NewCoordinator(shards, part, policy)
 	if _, err := c.Rebuild(seed); err != nil {
@@ -97,49 +107,48 @@ func (c *Coordinator) Routed() uint64 { return c.routed.Load() }
 // inflightOf adapts the shard stats to the Policy load signal.
 func (c *Coordinator) inflightOf(i int) int64 { return c.shards[i].Stats().Inflight }
 
-// scatter runs fn against every shard concurrently at the given epoch
-// and reports per-shard wall times. The first error wins (client
-// errors take priority, so a bad path is always reported as such);
-// partial results are discarded on error.
-func (c *Coordinator) scatter(ctx context.Context, epoch int64, fn func(i int, sh Shard) error) ([]time.Duration, error) {
+// scatter runs fn against every shard concurrently under a "scatter"
+// span of tr, adding one timed child span per shard after the gather
+// (obs.Trace is not concurrent-safe). The last shard runs on the
+// calling goroutine, so a fan-out costs one goroutine fewer than it has
+// shards and a 1-shard coordinator none. On success the scatter span is
+// returned still open, for the caller to chain its merge span onto. The
+// first error wins (client errors take priority, so a bad path is
+// always reported as such) and closes the span; partial results are
+// discarded on error.
+func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh Shard) error) (int, error) {
 	c.scatters.Add(1)
+	sp := tr.Start("scatter")
 	durs := make([]time.Duration, len(c.shards))
 	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh Shard) {
-			defer wg.Done()
-			start := time.Now()
-			errs[i] = fn(i, sh)
-			durs[i] = time.Since(start)
-		}(i, sh)
+	run := func(i int) {
+		start := time.Now()
+		errs[i] = fn(i, c.shards[i])
+		durs[i] = time.Since(start)
 	}
+	last := len(c.shards) - 1
+	var wg sync.WaitGroup
+	for i := 0; i < last; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	run(last)
 	wg.Wait()
 	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
+	for i, err := range errs {
+		tr.AddTimed(sp, c.spans[i], durs[i])
 		var ce *ClientError
-		if errors.As(err, &ce) {
-			return durs, err
-		}
-		if first == nil {
+		if err != nil && (first == nil || errors.As(err, &ce) && !errors.As(first, &ce)) {
 			first = err
 		}
 	}
-	return durs, first
-}
-
-// addShardSpans attaches per-shard timings as children of the caller's
-// scatter span when the context carries a trace (obs.Trace is not
-// concurrent-safe, so timings are recorded after the gather, not from
-// inside the fan-out goroutines).
-func addShardSpans(tr *obs.Trace, parent int, durs []time.Duration) {
-	for i, d := range durs {
-		tr.AddTimed(parent, fmt.Sprintf("shard%d", i), d)
+	if first != nil {
+		tr.End(sp)
 	}
+	return sp, first
 }
 
 // TopKAt scatter-gathers a top-k query at a fixed epoch: every shard
@@ -148,16 +157,13 @@ func addShardSpans(tr *obs.Trace, parent int, durs []time.Duration) {
 // bitwise-identical to a single-process index at that epoch.
 func (c *Coordinator) TopKAt(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error) {
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("scatter")
 	partials := make([][]pathsim.Pair, len(c.shards))
-	durs, err := c.scatter(ctx, epoch, func(i int, sh Shard) error {
+	sp, err := c.scatter(tr, func(i int, sh Shard) error {
 		var err error
 		partials[i], err = sh.TopK(ctx, epoch, path, x, k)
 		return err
 	})
-	addShardSpans(tr, sp, durs)
 	if err != nil {
-		tr.End(sp)
 		return nil, err
 	}
 	sp = tr.Next(sp, "merge")
@@ -188,16 +194,13 @@ func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) ([]pathsi
 // slice, in parallel internally), then each query's partials merge.
 func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string, xs []int, k int) ([][]pathsim.Pair, error) {
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("scatter")
 	partials := make([][][]pathsim.Pair, len(c.shards))
-	durs, err := c.scatter(ctx, epoch, func(i int, sh Shard) error {
+	sp, err := c.scatter(tr, func(i int, sh Shard) error {
 		var err error
 		partials[i], err = sh.BatchTopK(ctx, epoch, path, xs, k)
 		return err
 	})
-	addShardSpans(tr, sp, durs)
 	if err != nil {
-		tr.End(sp)
 		return nil, err
 	}
 	sp = tr.Next(sp, "merge")
@@ -214,24 +217,21 @@ func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string,
 }
 
 // RankAt scatter-gathers the ranking metric at a fixed epoch: each
-// shard contributes the top-k of its owned id range of the (replica)
+// shard contributes the top-k of its owned id range of the generation's
 // score vector, and the merge reproduces the single-process
 // stats.TopK order exactly. Iteration metadata comes from shard 0's
-// replica (identical everywhere).
+// generation (identical everywhere).
 func (c *Coordinator) RankAt(ctx context.Context, epoch int64, metric string, k int) ([]pathsim.Pair, int, bool, error) {
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("scatter")
 	partials := make([][]pathsim.Pair, len(c.shards))
 	iters := make([]int, len(c.shards))
 	conv := make([]bool, len(c.shards))
-	durs, err := c.scatter(ctx, epoch, func(i int, sh Shard) error {
+	sp, err := c.scatter(tr, func(i int, sh Shard) error {
 		var err error
 		partials[i], iters[i], conv[i], err = sh.Rank(ctx, epoch, metric, k)
 		return err
 	})
-	addShardSpans(tr, sp, durs)
 	if err != nil {
-		tr.End(sp)
 		return nil, 0, false, err
 	}
 	sp = tr.Next(sp, "merge")
@@ -241,61 +241,57 @@ func (c *Coordinator) RankAt(ctx context.Context, epoch int64, metric string, k 
 }
 
 // ClustersAt routes a cluster-model read to one shard picked by the
-// routing policy (any replica answers identically).
+// routing policy (any shard answers identically).
 func (c *Coordinator) ClustersAt(ctx context.Context, epoch int64, algo string) (*core.Model, *netclus.Model, error) {
 	c.routed.Add(1)
 	i := c.policy.Pick("clusters|"+algo, len(c.shards), c.inflightOf)
 	tr := obs.FromContext(ctx)
-	sp := tr.Start(fmt.Sprintf("shard%d", i))
+	sp := tr.Start(c.spans[i])
 	rc, nc, err := c.shards[i].Clusters(ctx, epoch)
 	tr.End(sp)
 	return rc, nc, err
 }
 
-// Ingest fans a delta batch out to every shard, shard 0 first: shards
-// are deterministic replicas, so shard 0 is the validation gate — a
-// rejected batch changes nothing anywhere, and once shard 0 accepts,
-// the rest cannot fail differently. The cluster epoch advances only
-// after every shard has published the new generation; reads at the
-// previous epoch keep answering from retained generations throughout
-// the fan-out window.
-func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
+// fanOut applies one write to every shard, shard 0 first: every shard
+// applies it to the same state, so shard 0 is the validation gate — a
+// rejected write changes nothing anywhere, and once shard 0 accepts,
+// the rest cannot fail differently (in-process they receive the very
+// models shard 0 built). The cluster epoch advances only after every
+// shard has published the new generation; reads at the previous epoch
+// keep answering from retained generations throughout the window.
+func (c *Coordinator) fanOut(what string, write func(Shard) (int64, error)) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	minEp, sum, err := c.shards[0].Ingest(deltas, refreshModels)
-	if err != nil {
-		return 0, sum, err
-	}
-	for _, sh := range c.shards[1:] {
-		ep, _, err := sh.Ingest(deltas, refreshModels)
+	var minEp int64
+	for i, sh := range c.shards {
+		ep, err := write(sh)
 		if err != nil {
-			return 0, sum, fmt.Errorf("cluster: shard %d diverged on ingest accepted by shard 0: %w", sh.ID(), err)
+			if i > 0 {
+				err = fmt.Errorf("cluster: shard %d diverged on %s accepted by shard 0: %w", sh.ID(), what, err)
+			}
+			return 0, err
 		}
-		minEp = min(minEp, ep)
-	}
-	c.epoch.Store(minEp)
-	return minEp, sum, nil
-}
-
-// Rebuild fans a fresh-generation build out to every shard (shard 0
-// first, same protocol as Ingest) and advances the cluster epoch once
-// all have published.
-func (c *Coordinator) Rebuild(seed int64) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	minEp, err := c.shards[0].Rebuild(seed)
-	if err != nil {
-		return 0, err
-	}
-	for _, sh := range c.shards[1:] {
-		ep, err := sh.Rebuild(seed)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: shard %d diverged on rebuild accepted by shard 0: %w", sh.ID(), err)
+		if i == 0 || ep < minEp {
+			minEp = ep
 		}
-		minEp = min(minEp, ep)
 	}
 	c.epoch.Store(minEp)
 	return minEp, nil
+}
+
+// Ingest fans a delta batch out to every shard as one new generation.
+func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
+	var sum ingest.Summary
+	epoch, err := c.fanOut("ingest", func(sh Shard) (ep int64, err error) {
+		ep, sum, err = sh.Ingest(deltas, refreshModels)
+		return ep, err
+	})
+	return epoch, sum, err
+}
+
+// Rebuild fans a fresh-generation build from seed out to every shard.
+func (c *Coordinator) Rebuild(seed int64) (int64, error) {
+	return c.fanOut("rebuild", func(sh Shard) (int64, error) { return sh.Rebuild(seed) })
 }
 
 // Stats returns every shard's stats, in shard order — the partition

@@ -1,12 +1,13 @@
-// LocalShard: the in-process Shard implementation. One shard owns a
-// replica of the model set plus the column slice of the similarity
-// index for its candidate range; generations publish atomically behind
-// an atomic pointer (the PR 5 snapshot-store discipline), each
-// retaining its predecessor so reads at the previous epoch keep
-// answering through a write fan-out window. Every write is appended to
-// a replayable log, so Restart can rebuild the exact current state
-// from scratch — the recovery story a remote shard process will need,
-// exercised by the race suite.
+// LocalShard: the in-process Shard implementation. One shard owns the
+// column slice of the similarity index for its candidate range, over a
+// model set built once per write and shared with its sibling shards
+// (the build memo); generations publish atomically behind an atomic
+// pointer (the PR 5 snapshot-store discipline), each retaining its
+// predecessor so reads at the previous epoch keep answering through a
+// write fan-out window. Every write is appended to a replayable log,
+// so Restart can rebuild the exact current state from scratch, alone —
+// the recovery story a remote shard process will need, exercised by
+// the race suite.
 
 package cluster
 
@@ -38,6 +39,7 @@ const maxRangeIndexes = 64
 type generation struct {
 	epoch  int64
 	models *Models
+	op     *writeOp                   // the write that produced models
 	def    *pathsim.RangeIndex        // default-path slice, built eagerly at publish
 	prev   atomic.Pointer[generation] // immediately previous generation (nil beyond that)
 
@@ -45,7 +47,11 @@ type generation struct {
 	rangeCount atomic.Int32
 }
 
-// writeOp is one replayable entry of the shard's write log.
+// writeOp is one write, allocated once and shared by every shard that
+// applies it: the entry of each shard's replayable log and, by pointer,
+// the identity of the model state it produced. An entry is created on
+// top of exactly one parent entry and replayed only in log order, so
+// equal entries mean equal histories and, by determinism, equal bits.
 type writeOp struct {
 	rebuildSeed int64 // valid when rebuild is true
 	rebuild     bool
@@ -53,16 +59,56 @@ type writeOp struct {
 	refresh     bool
 }
 
+// run executes the write against prev (which a rebuild ignores).
+func (op *writeOp) run(prev *Models, spec ModelSpec) (*Models, ingest.Summary, error) {
+	if op.rebuild {
+		return BuildModels(op.rebuildSeed, spec), ingest.Summary{}, nil
+	}
+	return IngestModels(prev, op.deltas, op.refresh, spec)
+}
+
+// builds is the build memo the shards of one in-process cluster share:
+// it remembers the last write and its models, so of N shards applying
+// one write to the same parent state the first builds and the rest
+// receive the same *Models. mu is held across the build (singleflight).
+type builds struct {
+	mu     sync.Mutex
+	parent *writeOp // entry that produced the state op was applied to (nil: none)
+	op     *writeOp
+	models *Models
+	sum    ingest.Summary
+}
+
+// apply returns the log entry and models for op applied to prev, the
+// state parent produced. The batch is cloned once, into the shared
+// entry. A validation error is not remembered.
+func (b *builds) apply(parent *writeOp, prev *Models, op writeOp, spec ModelSpec) (*writeOp, *Models, ingest.Summary, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if last := b.op; last != nil && b.parent == parent && last.rebuild == op.rebuild &&
+		last.rebuildSeed == op.rebuildSeed && last.refresh == op.refresh && slices.Equal(last.deltas, op.deltas) {
+		return last, b.models, b.sum, nil
+	}
+	m, sum, err := op.run(prev, spec)
+	if err != nil {
+		return nil, nil, sum, err
+	}
+	op.deltas = slices.Clone(op.deltas)
+	b.parent, b.op, b.models, b.sum = parent, &op, m, sum
+	return b.op, m, sum, nil
+}
+
 // LocalShard implements Shard in-process.
 type LocalShard struct {
 	id   int
 	part Partition
 	spec ModelSpec
+	memo *builds // shared with the sibling shards of a NewLocalCluster
 
 	mu      sync.Mutex // serializes writes, the log, and Restart
 	gen     atomic.Pointer[generation]
 	epoch   atomic.Int64 // last published epoch; never decreases, even mid-Restart
-	baseOps []writeOp    // write log since the last full rebuild
+	baseOps []*writeOp   // write log since the last full rebuild (entries shared across shards)
 	base    int64        // epoch the log replays from (epoch before baseOps[0])
 
 	inflight atomic.Int64
@@ -71,10 +117,11 @@ type LocalShard struct {
 
 // NewLocalShard returns shard id of the partition, empty until the
 // first Rebuild. The spec's SkipPathSim is forced on — a shard never
-// materializes the full similarity index.
+// materializes the full similarity index. A shard built here builds
+// its models alone; NewLocalCluster gives its shards one shared memo.
 func NewLocalShard(id int, part Partition, spec ModelSpec) *LocalShard {
 	spec.SkipPathSim = true
-	return &LocalShard{id: id, part: part, spec: spec}
+	return &LocalShard{id: id, part: part, spec: spec, memo: &builds{}}
 }
 
 // ID implements Shard.
@@ -94,8 +141,9 @@ func (sh *LocalShard) boundsFor(endpoint hin.Type, dim int) (lo, hi int) {
 	return evenRange(sh.id, sh.part.Shards(), dim)
 }
 
-// newGeneration builds the publishable state around a model set.
-func (sh *LocalShard) newGeneration(m *Models, epoch int64, prev *generation) (*generation, error) {
+// newGeneration builds the publishable state around a model set: the
+// shard's slice of the default index, cut from the (shared) network.
+func (sh *LocalShard) newGeneration(m *Models, op *writeOp, epoch int64, prev *generation) (*generation, error) {
 	endpoint := PathAPVPA[len(PathAPVPA)-1]
 	lo, hi := sh.boundsFor(endpoint, m.Corpus.Net.Count(endpoint))
 	def, err := pathsim.NewRangeIndexCtx(context.Background(), m.Corpus.Net, PathAPVPA, lo, hi)
@@ -105,7 +153,7 @@ func (sh *LocalShard) newGeneration(m *Models, epoch int64, prev *generation) (*
 	if prev != nil {
 		prev.prev.Store(nil) // retain exactly one predecessor
 	}
-	g := &generation{epoch: epoch, models: m, def: def}
+	g := &generation{epoch: epoch, models: m, op: op, def: def}
 	g.prev.Store(prev)
 	g.ranges.Store(PathAPVPA.String(), def)
 	g.rangeCount.Store(1)
@@ -118,45 +166,49 @@ func (sh *LocalShard) publish(g *generation) {
 	sh.epoch.Store(g.epoch)
 }
 
+// write applies op on top of the live generation (none before the
+// first rebuild) and publishes the result.
+func (sh *LocalShard) write(op writeOp) (int64, ingest.Summary, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur := sh.gen.Load()
+	var parent *writeOp
+	var prev *Models
+	if cur != nil {
+		parent, prev = cur.op, cur.models
+	} else if !op.rebuild {
+		return 0, ingest.Summary{}, fmt.Errorf("cluster: shard %d has no generation to ingest into", sh.id)
+	}
+	entry, m, sum, err := sh.memo.apply(parent, prev, op, sh.spec)
+	if err != nil {
+		return 0, sum, err
+	}
+	epoch := sh.epoch.Load() + 1
+	g, err := sh.newGeneration(m, entry, epoch, cur)
+	if err != nil {
+		return 0, sum, err
+	}
+	if op.rebuild {
+		sh.base, sh.baseOps = epoch-1, nil
+	}
+	sh.baseOps = append(sh.baseOps, entry)
+	sh.publish(g)
+	return epoch, sum, nil
+}
+
 // Rebuild implements Shard: a fresh generation from seed. The write
 // log restarts here — a rebuild's state does not depend on prior
 // history.
 func (sh *LocalShard) Rebuild(seed int64) (int64, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	epoch := sh.epoch.Load() + 1
-	g, err := sh.newGeneration(BuildModels(seed, sh.spec), epoch, sh.gen.Load())
-	if err != nil {
-		return 0, err
-	}
-	sh.base = epoch - 1
-	sh.baseOps = []writeOp{{rebuild: true, rebuildSeed: seed}}
-	sh.publish(g)
-	return epoch, nil
+	epoch, _, err := sh.write(writeOp{rebuild: true, rebuildSeed: seed})
+	return epoch, err
 }
 
 // Ingest implements Shard: all-or-nothing application of a delta
 // batch as a new generation. A validation error changes nothing and is
 // not logged.
 func (sh *LocalShard) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.gen.Load()
-	if cur == nil {
-		return 0, ingest.Summary{}, fmt.Errorf("cluster: shard %d has no generation to ingest into", sh.id)
-	}
-	m, sum, err := IngestModels(cur.models, deltas, refreshModels, sh.spec)
-	if err != nil {
-		return 0, sum, err
-	}
-	epoch := cur.epoch + 1
-	g, err := sh.newGeneration(m, epoch, cur)
-	if err != nil {
-		return 0, sum, err
-	}
-	sh.baseOps = append(sh.baseOps, writeOp{deltas: slices.Clone(deltas), refresh: refreshModels})
-	sh.publish(g)
-	return epoch, sum, nil
+	return sh.write(writeOp{deltas: deltas, refresh: refreshModels})
 }
 
 // Restart models a shard process restart: the live generation is
@@ -164,7 +216,9 @@ func (sh *LocalShard) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, 
 // published epoch counter never decreases), then the write log replays
 // from scratch and the rebuilt state publishes atomically. Because
 // every model build is deterministic, the recovered generation is
-// bit-identical to the one dropped, at the same epoch.
+// bit-identical to the one dropped, at the same epoch. The replay never
+// consults the build memo — recovering alone is the point — so the
+// shard holds a private model set until the next write.
 func (sh *LocalShard) Restart() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -176,24 +230,25 @@ func (sh *LocalShard) Restart() error {
 	var g *generation
 	var m *Models
 	for _, op := range sh.baseOps {
-		if op.rebuild {
-			m = BuildModels(op.rebuildSeed, sh.spec)
-		} else {
-			next, _, err := IngestModels(m, op.deltas, op.refresh, sh.spec)
-			if err != nil {
-				return fmt.Errorf("cluster: shard %d replay diverged: %w", sh.id, err)
-			}
-			m = next
+		var err error
+		if m, _, err = op.run(m, sh.spec); err != nil {
+			return fmt.Errorf("cluster: shard %d replay diverged: %w", sh.id, err)
 		}
 		epoch++
-		next, err := sh.newGeneration(m, epoch, g)
-		if err != nil {
+		if g, err = sh.newGeneration(m, op, epoch, g); err != nil {
 			return err
 		}
-		g = next
 	}
 	sh.publish(g)
 	return nil
+}
+
+// enter counts one read in — callers defer inflight.Add(-1) — and
+// resolves the generation it asked for.
+func (sh *LocalShard) enter(epoch int64) (*generation, error) {
+	sh.inflight.Add(1)
+	sh.queries.Add(1)
+	return sh.genAt(epoch)
 }
 
 // genAt resolves the generation serving the requested epoch: the
@@ -252,10 +307,8 @@ func (sh *LocalShard) rangeFor(ctx context.Context, g *generation, spec string) 
 
 // TopK implements Shard.
 func (sh *LocalShard) TopK(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error) {
-	sh.inflight.Add(1)
+	g, err := sh.enter(epoch)
 	defer sh.inflight.Add(-1)
-	sh.queries.Add(1)
-	g, err := sh.genAt(epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +321,8 @@ func (sh *LocalShard) TopK(ctx context.Context, epoch int64, path string, x, k i
 
 // BatchTopK implements Shard.
 func (sh *LocalShard) BatchTopK(ctx context.Context, epoch int64, path string, xs []int, k int) ([][]pathsim.Pair, error) {
-	sh.inflight.Add(1)
+	g, err := sh.enter(epoch)
 	defer sh.inflight.Add(-1)
-	sh.queries.Add(1)
-	g, err := sh.genAt(epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -287,10 +338,8 @@ func (sh *LocalShard) BatchTopK(ctx context.Context, epoch int64, path string, x
 // stats.TopK order (score descending, ties by lower id) so the merged
 // ranking is identical to the single-process one.
 func (sh *LocalShard) Rank(ctx context.Context, epoch int64, metric string, k int) ([]pathsim.Pair, int, bool, error) {
-	sh.inflight.Add(1)
+	g, err := sh.enter(epoch)
 	defer sh.inflight.Add(-1)
-	sh.queries.Add(1)
-	g, err := sh.genAt(epoch)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -320,22 +369,20 @@ func (sh *LocalShard) Rank(ctx context.Context, epoch int64, metric string, k in
 	return h, iters, converged, nil
 }
 
-// Clusters implements Shard: the replica clustering models at the
-// requested epoch (identical on every shard by determinism).
+// Clusters implements Shard: the generation's clustering models at the
+// requested epoch (identical on every shard).
 func (sh *LocalShard) Clusters(ctx context.Context, epoch int64) (*core.Model, *netclus.Model, error) {
-	sh.inflight.Add(1)
+	g, err := sh.enter(epoch)
 	defer sh.inflight.Add(-1)
-	sh.queries.Add(1)
-	g, err := sh.genAt(epoch)
 	if err != nil {
 		return nil, nil, err
 	}
 	return g.models.RankClus, g.models.NetClus, nil
 }
 
-// Models returns the live generation's model replica (nil before the
-// first write) — the hook the serving layer uses to render names and
-// cluster payloads without duplicating state access.
+// Models returns the live generation's model set (nil before the first
+// write, and while a Restart replays) — the hook an in-process serving
+// store publishes the cluster's shared generation through.
 func (sh *LocalShard) Models() *Models {
 	if g := sh.gen.Load(); g != nil {
 		return g.models

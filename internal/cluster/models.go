@@ -1,10 +1,11 @@
 // The shared model recipe: one deterministic function from (seed,
 // spec) — and, for incremental generations, the previous models plus a
 // delta batch — to the full artifact set a serving generation needs.
-// Both the single-process snapshot store (internal/serve) and every
-// cluster shard build through these two functions, which is what makes
-// shards exact replicas of the single-process store: same seed, same
-// spec, same delta history ⇒ bitwise-identical models.
+// The single-process snapshot store (internal/serve), an in-process
+// cluster's build memo and a restarting shard's replay all build
+// through these two functions: same seed, same spec, same delta
+// history ⇒ bitwise-identical models, so a shared generation and a
+// rebuilt replica are interchangeable.
 
 package cluster
 
@@ -45,7 +46,8 @@ type ModelSpec struct {
 }
 
 // Models is one generation's artifact set — everything a Snapshot
-// carries except the serving-layer memoization state.
+// carries except the serving-layer memoization state. Immutable: an
+// in-process cluster's shards and the store's snapshot share one.
 type Models struct {
 	Seed     int64
 	Corpus   *dblp.Corpus    // network + names + ground-truth areas
@@ -104,9 +106,9 @@ func BuildModels(seed int64, spec ModelSpec) *Models {
 // deltas). On a validation error the clone is discarded and prev is
 // untouched — ingestion is all-or-nothing.
 //
-// Determinism carries through: two replicas holding identical prev
-// models that apply the same batch produce identical next models,
-// which is the invariant the cluster's fan-out write path stands on.
+// Determinism carries through: identical prev models and the same
+// batch produce identical next models, which is the invariant the
+// cluster's build memo and shard replay stand on.
 func IngestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec ModelSpec) (*Models, ingest.Summary, error) {
 	net := prev.Corpus.Net.Clone()
 	sum, err := ingest.Apply(net, deltas, ingest.Options{})

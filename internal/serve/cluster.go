@@ -1,10 +1,10 @@
 // Sharded serving glue: when Options.Shards > 1 the server fronts an
 // in-process scatter-gather cluster (internal/cluster) instead of the
-// snapshot's own index. The store keeps materializing snapshots — every
-// shard is a deterministic replica of the same recipe, so the store's
-// artifacts double as the reference the sharded answers must be
-// bitwise-equal to — and the coordinator answers the kernel-shaped
-// surfaces (top-k, rank, clusters) from partitioned candidate ranges.
+// snapshot's own index. The cluster builds each generation once; the
+// store publishes that same generation as its snapshot (names, corpus
+// and model payloads render from it) without an index of its own, and
+// the coordinator answers the kernel-shaped surfaces (top-k, rank,
+// clusters) from partitioned candidate ranges.
 
 package serve
 
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"hinet/internal/cluster"
 	"hinet/internal/pathsim"
@@ -21,7 +22,7 @@ import (
 // clusterKernel adapts the scatter-gather coordinator to the batcher's
 // topKKernel: one coalesced batch becomes one BatchTopK fan-out at the
 // pinned epoch. Dim is the endpoint-type cardinality captured at
-// resolve time (the replica networks agree with the store's snapshot).
+// resolve time (the shards serve the snapshot's own network).
 type clusterKernel struct {
 	coord *cluster.Coordinator
 	path  string // resolved path spec ("" = prebuilt APVPA)
@@ -42,7 +43,7 @@ func (s *Server) defaultKernel(snap *Snapshot) (topKKernel, string) {
 	if s.coord != nil {
 		return clusterKernel{coord: s.coord, path: "", dim: snap.PathSim.Dim(), epoch: snap.Epoch}, pathAPVPA.String()
 	}
-	return snap.PathSim, pathAPVPA.String()
+	return snap.PathSim.Index, pathAPVPA.String()
 }
 
 // Coordinator exposes the scatter-gather tier (nil when unsharded);
@@ -131,18 +132,26 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	}
 }
 
-// clusterWrite runs the coordinator half of a write before the store
-// half, both under writeMu: the coordinator epoch therefore always
-// leads (or equals) the store epoch, so a snapshot's epoch is always
-// servable by the shards — current, or the retained previous
-// generation. Unsharded, it reduces to just the store call.
-func (s *Server) clusterWrite(coordFn func() error, storeFn func() error) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.coord != nil {
-		if err := coordFn(); err != nil {
-			return err
-		}
+// adopt runs one write of the sharded tier and publishes the generation
+// its shards now share — the same *cluster.Models, not a rebuild of it
+// — as the next snapshot. Both happen under the store lock, coordinator
+// first: the coordinator epoch therefore always leads (or equals) the
+// store epoch, so a snapshot's epoch is always servable by the shards —
+// current, or the retained previous generation.
+func (s *Server) adopt(write func() error) (*Snapshot, error) {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	start := time.Now()
+	if err := write(); err != nil {
+		return nil, err
 	}
-	return storeFn()
+	m := s.coord.Shard(0).(*cluster.LocalShard).Models()
+	if m == nil {
+		return nil, errNoSnapshot
+	}
+	nnz := 0
+	for _, st := range s.coord.Stats() {
+		nnz += st.NNZ
+	}
+	return s.store.publish(m, nnz, start), nil
 }

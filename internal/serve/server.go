@@ -58,6 +58,7 @@ import (
 	"hinet/internal/obs"
 	"hinet/internal/pathsim"
 	"hinet/internal/sparse"
+	"hinet/internal/stats"
 )
 
 // Options configures a Server.
@@ -161,8 +162,7 @@ type Server struct {
 	hs    *http.Server
 	ln    net.Listener
 
-	coord   *cluster.Coordinator // scatter-gather tier (nil when Shards <= 1)
-	writeMu sync.Mutex           // orders coordinator-first write fan-out against the store
+	coord *cluster.Coordinator // scatter-gather tier (nil when Shards <= 1)
 
 	shutOnce sync.Once
 	shutErr  error
@@ -200,26 +200,28 @@ func New(opts Options) *Server {
 	}
 	s.adm = newAdmission(opts.AdmissionFloor, opts.MaxConcurrent,
 		opts.SLOTargetP99, opts.ControlInterval, opts.BrownoutEnter, opts.BrownoutExit)
-	s.store.Rebuild(opts.Seed)
 	if opts.Shards > 1 {
-		// The sharded tier boots from the same seed and spec, so every
-		// shard is a replica of the store's generation; the partition
-		// balances per-shard candidate work by row nnz of the prebuilt
-		// index.
 		policy, err := cluster.NewPolicy(opts.ShardPolicy)
 		if err != nil {
 			panic("serve: " + err.Error())
 		}
-		snap := s.store.Current()
-		part := cluster.PartitionByNNZ(string(pathAPVPA[0]), snap.PathSim.Dim(),
-			opts.Shards, snap.PathSim.M.RowNNZ)
-		coord, err := cluster.NewLocalCluster(opts.Shards, part,
-			cluster.ModelSpec{Corpus: opts.Models.Corpus, K: opts.Models.K, Restarts: opts.Models.Restarts},
-			policy, opts.Seed)
-		if err != nil {
+		// The cluster builds the first generation once for all its shards
+		// and the store publishes that same generation. The partition
+		// balances candidate work by row nnz of the full default index,
+		// built over a throwaway corpus of the same seed: built through
+		// the serving network's engine, the full commuting matrix would
+		// stay cached there, read by no shard (docs/ARCHITECTURE.md).
+		if _, err := s.adopt(func() (err error) {
+			spec := s.store.spec()
+			full := pathsim.NewIndex(dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net, pathAPVPA)
+			part := cluster.PartitionByNNZ(string(pathAPVPA[0]), full.Dim(), opts.Shards, full.M.RowNNZ)
+			s.coord, err = cluster.NewLocalCluster(opts.Shards, part, spec, policy, opts.Seed)
+			return err
+		}); err != nil {
 			panic("serve: sharded boot: " + err.Error())
 		}
-		s.coord = coord
+	} else {
+		s.store.Rebuild(opts.Seed)
 	}
 	s.batch = newBatcher(opts.MaxBatch, opts.BatchWindow, opts.Chaos)
 	if opts.ControlInterval > 0 {
@@ -785,7 +787,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var converged bool
 	if s.coord != nil {
 		// Sharded: each shard contributes the top of its owned id range
-		// of the (replica) score vector; the merge reproduces the
+		// of the generation's score vector; the merge reproduces the
 		// single-process stats.TopK order exactly. The metric is
 		// validated here so a bad one never scatters (and the 400 bytes
 		// match the single-process switch below).
@@ -878,9 +880,10 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	}
 	c := snap.Corpus
 	// Cluster models are whole-model reads, so the sharded tier routes
-	// them to one replica by policy instead of scattering; the fetched
-	// models are bit-identical to the snapshot's own (deterministic
-	// recipe), so the rendering below is shared.
+	// them to one shard by policy instead of scattering; the fetched
+	// models are the snapshot's own generation (or, from a shard that
+	// has just replayed its log, a bit-identical rebuild of it), so the
+	// rendering below is shared.
 	rcm, ncm := snap.RankClus, snap.NetClus
 	if s.coord != nil {
 		switch algo {
@@ -1024,17 +1027,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var endpoint hin.Type
 	var dim int
 	if degraded {
-		// Brownout resolution never builds: already-materialized indexes
-		// only, even on a sharded server (the cache-only query path below
-		// never reaches a kernel anyway).
-		ix, ok := snap.PathIndexCached(q.Get("path"))
+		// Brownout resolution never builds: already-materialized paths
+		// only, and no kernel at all — the cache-only query path below
+		// never reaches one, and a sharded snapshot has no index to offer.
+		path, ok := snap.PathCached(q.Get("path"))
 		if !ok {
 			tr.Note("degraded-shed")
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
 			return
 		}
-		kern, pathKey, endpoint, dim = ix, ix.Path.String(), ix.Path[0], ix.Dim()
+		pathKey, endpoint = path.String(), path[0]
+		dim = snap.Corpus.Net.Count(endpoint)
 	} else if s.coord != nil {
 		// Sharded: the handler runs the same client-side validation the
 		// single-process resolve applies (identical error bytes), and the
@@ -1194,22 +1198,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sp = tr.Next(sp, "apply")
 	start := time.Now()
-	// Sharded: the fan-out runs before the store under writeMu (shard 0
-	// is the validation gate, and a shard rejection is byte-identical to
-	// the store's), so the coordinator epoch always leads the store's
-	// and every published snapshot epoch is servable by the shards.
+	// Sharded: the coordinator fans the batch out (shard 0 is the
+	// validation gate, and a shard rejection is byte-identical to the
+	// store's) and the store adopts the generation the shards built.
 	var snap *Snapshot
 	var sum ingest.Summary
-	err := s.clusterWrite(
-		func() error {
-			_, _, err := s.coord.Ingest(req.Deltas, req.RefreshModels)
-			return err
-		},
-		func() error {
+	var err error
+	if s.coord != nil {
+		snap, err = s.adopt(func() error {
 			var err error
-			snap, sum, err = s.store.Ingest(req.Deltas, req.RefreshModels)
+			_, sum, err = s.coord.Ingest(req.Deltas, req.RefreshModels)
 			return err
 		})
+	} else {
+		snap, sum, err = s.store.Ingest(req.Deltas, req.RefreshModels)
+	}
 	if err != nil {
 		s.ing.rejected.Add(1)
 		code := http.StatusBadRequest
@@ -1251,17 +1254,17 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	}
 	sp = tr.Next(sp, "rebuild")
 	var snap *Snapshot
-	if werr := s.clusterWrite(
-		func() error {
+	if s.coord != nil {
+		snap, err = s.adopt(func() error {
 			_, err := s.coord.Rebuild(int64(seed))
 			return err
-		},
-		func() error {
-			snap = s.store.Rebuild(int64(seed))
-			return nil
-		}); werr != nil {
-		httpError(w, http.StatusInternalServerError, "%v", werr)
-		return
+		})
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+	} else {
+		snap = s.store.Rebuild(int64(seed))
 	}
 	payload := map[string]any{
 		"epoch":         snap.Epoch,

@@ -18,22 +18,19 @@ import (
 	"time"
 
 	"hinet/internal/cluster"
-	"hinet/internal/core"
 	"hinet/internal/dblp"
+	"hinet/internal/hin"
 	"hinet/internal/ingest"
 	"hinet/internal/metapath"
-	"hinet/internal/netclus"
 	"hinet/internal/obs"
 	"hinet/internal/pathsim"
-	"hinet/internal/rank"
 )
 
 // Meta paths materialized at snapshot build time: APVPA (shared-venue
 // peers, the PathSim index) and APA (co-authorship, the square graph
 // PageRank and HITS run on). These alias internal/cluster's: the model
 // recipe itself lives there (cluster.BuildModels / cluster.IngestModels),
-// which is what makes cluster shards exact replicas of this store's
-// generations.
+// and a snapshot is a thin wrapper around one of its generations.
 var (
 	pathAPVPA = cluster.PathAPVPA
 	pathAPA   = cluster.PathAPA
@@ -44,16 +41,13 @@ var (
 // read it from any goroutine without locking.
 type Snapshot struct {
 	Epoch     int64         // generation counter, starts at 1
-	Seed      int64         // RNG seed the corpus and models were built from
 	BuiltAt   time.Time     // wall-clock time of the build
 	BuildTime time.Duration // how long materialization took
 
-	Corpus   *dblp.Corpus    // network + names + ground-truth areas
-	PageRank rank.Result     // PageRank over the co-author (APA) graph
-	HITS     rank.HITSResult // HITS over the same graph
-	RankClus *core.Model     // venue clusters (venue×author bipartite)
-	NetClus  *netclus.Model  // net-clusters of the paper star network
-	PathSim  *pathsim.Index  // prebuilt APVPA similarity index
+	// The generation's artifacts: Seed, Corpus, PageRank, HITS, RankClus,
+	// NetClus. On a sharded server, the very pointer every shard holds.
+	*cluster.Models
+	PathSim DefaultIndex // prebuilt APVPA similarity index (shadows Models.PathSim)
 
 	// paths memoizes pathsim indexes built on demand for arbitrary
 	// path= queries, keyed by resolved path string, holding at most
@@ -71,6 +65,23 @@ type Snapshot struct {
 
 // maxPathIndexes bounds Snapshot.paths (see its comment).
 const maxPathIndexes = 64
+
+// DefaultIndex is a snapshot's view of the default-path (APVPA)
+// similarity index. Unsharded, Index is the full prebuilt index. On a
+// sharded server the shards own it as column slices and Index is nil;
+// only its size is kept — dim is the endpoint type's count, nnz the sum
+// of the slices, which partition the columns exactly — so Dim and NNZ
+// read the same in both modes (/v1/stats, /metrics, the CLI banner).
+type DefaultIndex struct {
+	*pathsim.Index
+	dim, nnz int
+}
+
+// Dim returns the number of objects the index covers.
+func (d DefaultIndex) Dim() int { return d.dim }
+
+// NNZ returns the stored nonzeros of the index, across all shards.
+func (d DefaultIndex) NNZ() int { return d.nnz }
 
 // errNoSnapshot is returned by Ingest before the first Rebuild — the
 // one ingest failure that is the server's state, not the client's
@@ -92,7 +103,7 @@ func (s *Snapshot) PathIndex(ctx context.Context, spec string) (*pathsim.Index, 
 	tr := obs.FromContext(ctx)
 	if spec == "" {
 		tr.Note("prebuilt")
-		return s.PathSim, nil
+		return s.PathSim.Index, nil
 	}
 	path, err := s.Corpus.Net.ParseMetaPath(spec)
 	if err != nil {
@@ -121,23 +132,23 @@ func (s *Snapshot) PathIndex(ctx context.Context, spec string) (*pathsim.Index, 
 	return v.(*pathsim.Index), nil
 }
 
-// PathIndexCached resolves spec only against already-materialized
-// indexes — the prebuilt one or a previously built entry of the memo
-// map. This is the brownout resolution path: a degraded server must
-// not start new commuting-matrix materializations, so anything not
+// PathCached resolves spec only against already-materialized indexes
+// — the default path (prebuilt here, or held as slices by the shards)
+// or an entry of the memo map. This is the brownout resolution path: a
+// degraded server starts no materializations and answers from the
+// result cache alone, so it needs the path, not an index; anything not
 // already in memory reports false (and the caller sheds).
-func (s *Snapshot) PathIndexCached(spec string) (*pathsim.Index, bool) {
+func (s *Snapshot) PathCached(spec string) (hin.MetaPath, bool) {
 	if spec == "" {
-		return s.PathSim, true
+		return pathAPVPA, true
 	}
 	path, err := s.Corpus.Net.ParseMetaPath(spec)
 	if err != nil {
 		return nil, false
 	}
-	if v, ok := s.paths.Load(path.String()); ok {
-		return v.(*pathsim.Index), true
-	}
-	return nil, false
+	key := path.String()
+	_, ok := s.paths.Load(key)
+	return path, ok || key == pathAPVPA.String()
 }
 
 // ModelConfig controls what a snapshot materializes.
@@ -168,54 +179,35 @@ func (s *Store) spec() cluster.ModelSpec {
 	return cluster.ModelSpec{Corpus: s.cfg.Corpus, K: s.cfg.K, Restarts: s.cfg.Restarts}
 }
 
-// models views a snapshot as the shared recipe's artifact set, so
-// Ingest can hand it to cluster.IngestModels as the previous generation.
-func (snap *Snapshot) models() *cluster.Models {
-	return &cluster.Models{
-		Seed:     snap.Seed,
-		Corpus:   snap.Corpus,
-		PageRank: snap.PageRank,
-		HITS:     snap.HITS,
-		RankClus: snap.RankClus,
-		NetClus:  snap.NetClus,
-		PathSim:  snap.PathSim,
+// publish wraps a generation as the next snapshot and swaps it in.
+// shardNNZ is the default index's size when m does not carry one (a
+// sharded tier's generations). Callers hold mu.
+func (s *Store) publish(m *cluster.Models, shardNNZ int, start time.Time) *Snapshot {
+	snap := &Snapshot{BuiltAt: start, Models: m}
+	snap.PathSim = DefaultIndex{Index: m.PathSim, dim: m.Corpus.Net.Count(pathAPVPA[0]), nnz: shardNNZ}
+	if m.PathSim != nil {
+		snap.PathSim.nnz = m.PathSim.NNZ()
+		// Register the prebuilt index under its path key so
+		// path=A-P-V-P-A resolves to it instead of rebuilding.
+		snap.paths.Store(pathAPVPA.String(), m.PathSim)
+		snap.pathCount.Add(1)
 	}
-}
-
-// fromModels wraps a recipe artifact set in a Snapshot (epoch and
-// timings are the caller's).
-func fromModels(m *cluster.Models, builtAt time.Time) *Snapshot {
-	return &Snapshot{
-		Seed:     m.Seed,
-		BuiltAt:  builtAt,
-		Corpus:   m.Corpus,
-		PageRank: m.PageRank,
-		HITS:     m.HITS,
-		RankClus: m.RankClus,
-		NetClus:  m.NetClus,
-		PathSim:  m.PathSim,
-	}
+	snap.BuildTime = time.Since(start)
+	snap.Epoch = s.epoch.Add(1)
+	s.cur.Store(snap)
+	return snap
 }
 
 // Rebuild materializes a fresh snapshot from seed and atomically swaps
 // it in as the live generation. Concurrent queries keep reading the old
 // snapshot until the swap; concurrent Rebuild calls run one at a time.
 // The artifacts come from cluster.BuildModels — the same deterministic
-// recipe every shard of a sharded tier runs.
+// recipe a sharded tier builds its shared generation with.
 func (s *Store) Rebuild(seed int64) *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
 	start := time.Now()
-	snap := fromModels(cluster.BuildModels(seed, s.spec()), start)
-	snap.BuildTime = time.Since(start)
-	snap.Epoch = s.epoch.Add(1)
-	// Register the prebuilt index under its path key so
-	// path=A-P-V-P-A resolves to it instead of rebuilding.
-	snap.paths.Store(pathAPVPA.String(), snap.PathSim)
-	snap.pathCount.Add(1)
-	s.cur.Store(snap)
-	return snap
+	return s.publish(cluster.BuildModels(seed, s.spec()), 0, start)
 }
 
 // Ingest applies a delta batch as an incremental generation: the live
@@ -242,15 +234,9 @@ func (s *Store) Ingest(deltas []ingest.Delta, refreshModels bool) (*Snapshot, in
 		return nil, ingest.Summary{}, errNoSnapshot
 	}
 	start := time.Now()
-	m, sum, err := cluster.IngestModels(cur.models(), deltas, refreshModels, s.spec())
+	m, sum, err := cluster.IngestModels(cur.Models, deltas, refreshModels, s.spec())
 	if err != nil {
 		return nil, sum, err
 	}
-	snap := fromModels(m, start)
-	snap.BuildTime = time.Since(start)
-	snap.Epoch = s.epoch.Add(1)
-	snap.paths.Store(pathAPVPA.String(), snap.PathSim)
-	snap.pathCount.Add(1)
-	s.cur.Store(snap)
-	return snap, sum, nil
+	return s.publish(m, 0, start), sum, nil
 }
