@@ -4,17 +4,29 @@
 // entries unreachable; they age out of the LRU lists naturally instead
 // of requiring a flush. Sharding by key hash keeps lock contention flat
 // under concurrent load — each shard has its own mutex and its own
-// recency list.
+// recency list. Entries hold the kernel's answer, never rendered bytes:
+// a body is several times its pairs, and the cache is sized in entries.
 
 package serve
 
 import (
 	"container/list"
 	"sync"
+
+	"hinet/internal/pathsim"
 )
 
-// Cache is a sharded LRU map from string keys to opaque values. A nil
-// *Cache is valid and behaves as always-miss (caching disabled).
+// cacheKey identifies one top-k answer: the snapshot epoch it was
+// computed at, the resolved meta-path, the queried object and k. It is
+// comparable, so a lookup builds no string.
+type cacheKey struct {
+	epoch int64
+	path  string
+	x, k  int
+}
+
+// Cache is a sharded LRU map from top-k queries to their answers. A
+// nil *Cache is valid and behaves as always-miss (caching disabled).
 type Cache struct {
 	shards []cacheShard
 }
@@ -23,14 +35,14 @@ type cacheShard struct {
 	mu     sync.Mutex
 	cap    int
 	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
+	items  map[cacheKey]*list.Element
 	hits   uint64
 	misses uint64
 }
 
 type cacheEntry struct {
-	key string
-	val any
+	key cacheKey
+	val []pathsim.Pair
 }
 
 // NewCache returns a cache holding up to capacity entries across the
@@ -51,28 +63,31 @@ func NewCache(capacity, shards int) *Cache {
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[string]*list.Element, perShard)
+		// Not presized: a slot holds the whole 40-byte key, and maps
+		// presized for full capacity would park ~0.4 MiB in an empty
+		// default cache. The maps grow with occupancy instead.
+		c.shards[i].items = make(map[cacheKey]*list.Element)
 	}
 	return c
 }
 
-// fnv32a is the FNV-1a hash used to pick a shard.
-func fnv32a(s string) uint32 {
+// shard picks the key's shard by FNV-1a over the path's bytes, then
+// one round per numeric field.
+func (c *Cache) shard(key cacheKey) *cacheShard {
+	const prime = 16777619
 	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+	for i := 0; i < len(key.path); i++ {
+		h = (h ^ uint32(key.path[i])) * prime
 	}
-	return h
-}
-
-func (c *Cache) shard(key string) *cacheShard {
-	return &c.shards[fnv32a(key)%uint32(len(c.shards))]
+	for _, f := range [...]uint64{uint64(key.epoch), uint64(key.x), uint64(key.k)} {
+		h = (h ^ uint32(f) ^ uint32(f>>32)) * prime
+	}
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // Get returns the cached value and whether it was present, promoting
 // the entry to most-recently-used on a hit.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key cacheKey) ([]pathsim.Pair, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -90,7 +105,7 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put inserts or refreshes an entry, evicting the shard's
 // least-recently-used entry when the shard is full.
-func (c *Cache) Put(key string, val any) {
+func (c *Cache) Put(key cacheKey, val []pathsim.Pair) {
 	if c == nil {
 		return
 	}

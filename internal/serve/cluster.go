@@ -50,29 +50,25 @@ func (s *Server) defaultKernel(snap *Snapshot) (topKKernel, string) {
 // tests and the bench harness reach shards through it.
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
-// clusterStats is the /v1/stats "cluster" entry. Its key set and value
-// types are identical in both modes — the replay harness digests
-// response shapes, and a trace recorded single-process must replay
-// cleanly against a sharded server (and vice versa).
-func (s *Server) clusterStats(snap *Snapshot) map[string]any {
-	if s.coord == nil {
-		return map[string]any{
-			"shards":   1,
-			"epoch":    snap.Epoch,
-			"policy":   "none",
-			"skew":     1.0,
-			"scatters": uint64(0),
-			"routed":   uint64(0),
-		}
+// writeClusterStats renders the /v1/stats "cluster" entry. Its key set
+// and value types are identical in both modes — the replay harness
+// digests response shapes, and a trace recorded single-process must
+// replay cleanly against a sharded server (and vice versa).
+func (s *Server) writeClusterStats(w *jsonWriter, snap *Snapshot) {
+	shards, epoch, policy, skew := 1, snap.Epoch, "none", 1.0
+	var scatters, routed uint64
+	if s.coord != nil {
+		shards, epoch, policy, skew = s.coord.Shards(), s.coord.Epoch(), s.coord.PolicyName(), s.coord.Skew()
+		scatters, routed = s.coord.Scatters(), s.coord.Routed()
 	}
-	return map[string]any{
-		"shards":   s.coord.Shards(),
-		"epoch":    s.coord.Epoch(),
-		"policy":   s.coord.PolicyName(),
-		"skew":     s.coord.Skew(),
-		"scatters": s.coord.Scatters(),
-		"routed":   s.coord.Routed(),
-	}
+	w.beginObject()
+	w.key("epoch").integer(epoch)
+	w.key("policy").str(policy)
+	w.key("routed").unsigned(routed)
+	w.key("scatters").unsigned(scatters)
+	w.key("shards").integer(int64(shards))
+	w.key("skew").float(skew)
+	w.endObject()
 }
 
 // handleClusterShards serves the partition-skew view: per-shard epoch,
@@ -87,28 +83,35 @@ func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
 	sp := tr.Start("collect")
 	q := r.URL.Query()
 	stats := s.coord.Stats()
-	shards := make([]map[string]any, len(stats))
-	for i, st := range stats {
-		shards[i] = map[string]any{
-			"id":       st.ID,
-			"epoch":    st.Epoch,
-			"lo":       st.Lo,
-			"hi":       st.Hi,
-			"rows":     st.Rows,
-			"nnz":      st.NNZ,
-			"inflight": st.Inflight,
-			"queries":  st.Queries,
-		}
-	}
-	payload := map[string]any{
-		"shards":    shards,
-		"epoch":     s.coord.Epoch(),
-		"policy":    s.coord.PolicyName(),
-		"partition": s.coord.Partition().Bounds,
-		"skew":      s.coord.Skew(),
-	}
+	epoch, policy, bounds, skew := s.coord.Epoch(), s.coord.PolicyName(), s.coord.Partition().Bounds, s.coord.Skew()
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("epoch").integer(epoch)
+	jw.key("partition").beginArray()
+	for _, b := range bounds {
+		jw.integer(int64(b))
+	}
+	jw.endArray()
+	jw.key("policy").str(policy)
+	jw.key("shards").beginArray()
+	for _, st := range stats {
+		jw.beginObject()
+		jw.key("epoch").integer(st.Epoch)
+		jw.key("hi").integer(int64(st.Hi))
+		jw.key("id").integer(int64(st.ID))
+		jw.key("inflight").integer(st.Inflight)
+		jw.key("lo").integer(int64(st.Lo))
+		jw.key("nnz").integer(int64(st.NNZ))
+		jw.key("queries").unsigned(st.Queries)
+		jw.key("rows").integer(int64(st.Rows))
+		jw.endObject()
+	}
+	jw.endArray()
+	jw.key("skew").float(skew)
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 // writeClusterMetrics appends the hinet_cluster_* / hinet_shard_*

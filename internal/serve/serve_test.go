@@ -293,12 +293,17 @@ func TestRankEndpoint(t *testing.T) {
 
 func TestClustersEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{})
+	type row struct {
+		ID    int     `json:"id"`
+		Name  string  `json:"name"`
+		Score float64 `json:"score"`
+	}
 	var rc struct {
 		K        int     `json:"k"`
 		NMI      float64 `json:"nmi"`
 		Clusters []struct {
-			Venues  []scoredObject `json:"venues"`
-			Authors []scoredObject `json:"authors"`
+			Venues  []row `json:"venues"`
+			Authors []row `json:"authors"`
 		} `json:"clusters"`
 	}
 	if code := get(t, s, "GET", "/v1/clusters?algo=rankclus&top=3", &rc); code != 200 {

@@ -504,11 +504,13 @@ func (a *admission) shedFor(class string) {
 func (s *Server) shed(w http.ResponseWriter, class string) {
 	ms := s.adm.retryAfterMS()
 	w.Header().Set("Retry-After", strconv.Itoa((ms+999)/1000))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":          "overloaded",
-		"class":          class,
-		"retry_after_ms": ms,
-	})
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("class").str(class)
+	jw.key("error").str("overloaded")
+	jw.key("retry_after_ms").integer(int64(ms))
+	jw.endObject()
+	jw.send(w, http.StatusServiceUnavailable)
 }
 
 type statusRecorder struct {
@@ -532,27 +534,30 @@ func traceOf(w http.ResponseWriter) *obs.Trace {
 	return nil
 }
 
-// debugTrace echoes the request's own span tree into the payload when
-// the client asked for it with debug=1. The trace is still open — the
-// serialize span is rendered up to "now" — which is exactly what the
-// client can observe from inside the request.
-func debugTrace(q url.Values, tr *obs.Trace, payload map[string]any) map[string]any {
+// traceEcho writes the request's own span tree as the "trace" member
+// when the client asked for it with debug=1 — call it where "trace"
+// sorts among the body's keys. The trace is still open — the serialize
+// span is rendered up to "now" — which is exactly what the client can
+// observe from inside the request.
+func (w *jsonWriter) traceEcho(q url.Values, tr *obs.Trace) {
 	if tr != nil && q.Get("debug") == "1" {
-		payload["trace"] = tr.Snapshot()
+		w.key("trace").value(tr.Snapshot())
 	}
-	return payload
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// scored writes one (id, name, score) row of a ranked answer.
+func (w *jsonWriter) scored(id int, name string, score float64) {
+	w.beginObject()
+	w.key("id").integer(int64(id))
+	w.key("name").str(name)
+	w.key("score").float(score)
+	w.endObject()
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	jw := newJSONWriter()
+	jw.errorBody(fmt.Sprintf(format, args...))
+	jw.send(w, code)
 }
 
 // intParam parses an integer query parameter with a default. Handlers
@@ -570,13 +575,6 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// scoredObject is one (id, name, score) row of a JSON answer.
-type scoredObject struct {
-	ID    int     `json:"id"`
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
-}
-
 // topK is the shared cache→batcher query path, also driven directly by
 // the serving benchmarks. The query runs against kern (a single-process
 // index resolved from snap, or the scatter-gather coordinator pinned to
@@ -591,12 +589,11 @@ type scoredObject struct {
 // measured by the dispatcher.
 func (s *Server) topK(ctx context.Context, snap *Snapshot, kern topKKernel, pathKey string, x, k int) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
-	key := topKKey(snap.Epoch, pathKey, x, k)
 	sp := tr.Start("cache")
-	if v, ok := s.cache.Get(key); ok {
+	if pairs, ok := s.cache.Get(cacheKey{snap.Epoch, pathKey, x, k}); ok {
 		tr.Note("hit")
 		tr.End(sp)
-		return v.([]pathsim.Pair), snap.Epoch, true, nil
+		return pairs, snap.Epoch, true, nil
 	}
 	tr.Note("miss")
 	sp = tr.Next(sp, "batch")
@@ -611,7 +608,7 @@ func (s *Server) topK(ctx context.Context, snap *Snapshot, kern topKKernel, path
 	// before caching so one retained entry cannot pin its whole batch's
 	// backing array for the cache entry's lifetime.
 	pairs := slices.Clone(resp.pairs)
-	s.cache.Put(topKKey(resp.epoch, pathKey, x, k), pairs)
+	s.cache.Put(cacheKey{resp.epoch, pathKey, x, k}, pairs)
 	return pairs, resp.epoch, false, nil
 }
 
@@ -626,10 +623,6 @@ func (s *Server) TopK(ctx context.Context, x, k int) ([]pathsim.Pair, bool, erro
 	kern, pathKey := s.defaultKernel(snap)
 	pairs, _, hit, err := s.topK(ctx, snap, kern, pathKey, x, k)
 	return pairs, hit, err
-}
-
-func topKKey(epoch int64, path string, x, k int) string {
-	return fmt.Sprintf("topk|%d|%s|%d|%d", epoch, path, x, k)
 }
 
 // --- handlers --------------------------------------------------------
@@ -659,37 +652,40 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 		}
 		return out
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"slowest": render(log.Slowest()),
-		"recent":  render(log.Recent()),
-	})
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("recent").value(render(log.Recent()))
+	jw.key("slowest").value(render(log.Slowest()))
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
-// latencyStats summarizes request and stage latency quantiles for
+// writeLatency renders the request and stage latency quantiles of
 // /v1/stats. The key set is static — every endpoint and every declared
 // stage is always present, populated or not — so the response shape
 // never depends on which requests happened to arrive first (the replay
-// harness digests response shapes).
-func (s *Server) latencyStats() map[string]any {
-	quant := func(h *obs.Hist) map[string]any {
-		return map[string]any{
-			"count":  h.Count(),
-			"p50_us": float64(h.Quantile(0.50)) / 1e3,
-			"p95_us": float64(h.Quantile(0.95)) / 1e3,
-			"p99_us": float64(h.Quantile(0.99)) / 1e3,
-		}
+// harness digests response shapes). Families and Stages come sorted.
+func (s *Server) writeLatency(w *jsonWriter) {
+	quant := func(h *obs.Hist) {
+		w.key("count").unsigned(h.Count())
+		w.key("p50_us").float(float64(h.Quantile(0.50)) / 1e3)
+		w.key("p95_us").float(float64(h.Quantile(0.95)) / 1e3)
+		w.key("p99_us").float(float64(h.Quantile(0.99)) / 1e3)
 	}
-	out := make(map[string]any)
+	w.beginObject()
 	for _, f := range s.obs.Families() {
-		entry := quant(s.met.get(f.Name()).lat)
-		stages := make(map[string]any)
+		w.key(f.Name()).beginObject()
+		quant(s.met.get(f.Name()).lat)
+		w.key("stages").beginObject()
 		for _, stage := range f.Stages() {
-			stages[stage] = quant(f.Stage(stage))
+			w.key(stage).beginObject()
+			quant(f.Stage(stage))
+			w.endObject()
 		}
-		entry["stages"] = stages
-		out[f.Name()] = entry
+		w.endObject()
+		w.endObject()
 	}
-	return out
+	w.endObject()
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -701,66 +697,78 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	tr := traceOf(w)
 	sp := tr.Start("collect")
 	q := r.URL.Query()
-	objects := map[string]int{}
-	for _, t := range snap.Corpus.Net.Types() {
-		objects[string(t)] = snap.Corpus.Net.Count(t)
-	}
+	types := snap.Corpus.Net.Types()
+	slices.Sort(types)
 	es := snap.Engine().Stats()
-	payload := map[string]any{
-		"epoch":         snap.Epoch,
-		"seed":          snap.Seed,
-		"built_at":      snap.BuiltAt.UTC().Format(time.RFC3339Nano),
-		"build_seconds": snap.BuildTime.Seconds(),
-		"objects":       objects,
-		"pathsim": map[string]int{
-			"dim": snap.PathSim.Dim(),
-			"nnz": snap.PathSim.NNZ(),
-		},
-		"metapath": map[string]any{
-			"cache_hits":      es.Hits,
-			"cache_misses":    es.Misses,
-			"cache_entries":   es.Entries,
-			"products":        es.Products,
-			"gram_products":   es.Grams,
-			"transposes":      es.Transposes,
-			"product_seconds": es.ProductTime.Seconds(),
-			"gram_seconds":    es.GramTime.Seconds(),
-		},
-		"cache": s.cache.Stats(),
-		"ingest": map[string]any{
-			"batches":       s.ing.batches.Load(),
-			"deltas":        s.ing.deltas.Load(),
-			"rejected":      s.ing.rejected.Load(),
-			"apply_seconds": time.Duration(s.ing.nanos.Load()).Seconds(),
-		},
-		"batch": map[string]uint64{
-			"batches": s.batch.batches.Load(),
-			"queries": s.batch.queries.Load(),
-			"unique":  s.batch.unique.Load(),
-			"largest": uint64(s.batch.largest.Load()),
-		},
-		"latency":            s.latencyStats(),
-		"cluster":            s.clusterStats(snap),
-		"workers":            sparse.Parallelism(0),
-		"max_concurrent":     cap(s.adm.sem),
-		"admission_rejected": s.rejAd.Load(),
-		"admission": map[string]any{
-			"limit":              s.adm.Limit(),
-			"floor":              s.adm.floor,
-			"ceiling":            s.adm.ceil,
-			"inflight":           s.adm.inflight.Load(),
-			"degraded":           s.adm.Degraded(),
-			"windowed_p99_us":    float64(s.adm.windowedP99.Load()) / 1e3,
-			"slo_target_p99_us":  float64(s.adm.slo) / 1e3,
-			"shed_query":         s.adm.shedQuery.Load(),
-			"shed_write":         s.adm.shedWrite.Load(),
-			"brownouts":          s.adm.brownouts.Load(),
-			"degraded_responses": s.adm.degradedServed.Load(),
-			"timeouts":           s.adm.timeouts.Load(),
-		},
-	}
+	cs := s.cache.Stats()
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("admission").beginObject()
+	jw.key("brownouts").unsigned(s.adm.brownouts.Load())
+	jw.key("ceiling").integer(int64(s.adm.ceil))
+	jw.key("degraded").boolean(s.adm.Degraded())
+	jw.key("degraded_responses").unsigned(s.adm.degradedServed.Load())
+	jw.key("floor").integer(int64(s.adm.floor))
+	jw.key("inflight").integer(s.adm.inflight.Load())
+	jw.key("limit").integer(int64(s.adm.Limit()))
+	jw.key("shed_query").unsigned(s.adm.shedQuery.Load())
+	jw.key("shed_write").unsigned(s.adm.shedWrite.Load())
+	jw.key("slo_target_p99_us").float(float64(s.adm.slo) / 1e3)
+	jw.key("timeouts").unsigned(s.adm.timeouts.Load())
+	jw.key("windowed_p99_us").float(float64(s.adm.windowedP99.Load()) / 1e3)
+	jw.endObject()
+	jw.key("admission_rejected").unsigned(s.rejAd.Load())
+	jw.key("batch").beginObject()
+	jw.key("batches").unsigned(s.batch.batches.Load())
+	jw.key("largest").unsigned(uint64(s.batch.largest.Load()))
+	jw.key("queries").unsigned(s.batch.queries.Load())
+	jw.key("unique").unsigned(s.batch.unique.Load())
+	jw.endObject()
+	jw.key("build_seconds").float(snap.BuildTime.Seconds())
+	jw.key("built_at").str(snap.BuiltAt.UTC().Format(time.RFC3339Nano))
+	jw.key("cache").beginObject() // CacheStats field order
+	jw.key("hits").unsigned(cs.Hits)
+	jw.key("misses").unsigned(cs.Misses)
+	jw.key("entries").integer(int64(cs.Entries))
+	jw.key("shards").integer(int64(cs.Shards))
+	jw.endObject()
+	jw.key("cluster")
+	s.writeClusterStats(jw, snap)
+	jw.key("epoch").integer(snap.Epoch)
+	jw.key("ingest").beginObject()
+	jw.key("apply_seconds").float(time.Duration(s.ing.nanos.Load()).Seconds())
+	jw.key("batches").unsigned(s.ing.batches.Load())
+	jw.key("deltas").unsigned(s.ing.deltas.Load())
+	jw.key("rejected").unsigned(s.ing.rejected.Load())
+	jw.endObject()
+	jw.key("latency")
+	s.writeLatency(jw)
+	jw.key("max_concurrent").integer(int64(cap(s.adm.sem)))
+	jw.key("metapath").beginObject()
+	jw.key("cache_entries").integer(int64(es.Entries))
+	jw.key("cache_hits").unsigned(es.Hits)
+	jw.key("cache_misses").unsigned(es.Misses)
+	jw.key("gram_products").unsigned(es.Grams)
+	jw.key("gram_seconds").float(es.GramTime.Seconds())
+	jw.key("product_seconds").float(es.ProductTime.Seconds())
+	jw.key("products").unsigned(es.Products)
+	jw.key("transposes").unsigned(es.Transposes)
+	jw.endObject()
+	jw.key("objects").beginObject()
+	for _, t := range types {
+		jw.key(string(t)).integer(int64(snap.Corpus.Net.Count(t)))
+	}
+	jw.endObject()
+	jw.key("pathsim").beginObject()
+	jw.key("dim").integer(int64(snap.PathSim.Dim()))
+	jw.key("nnz").integer(int64(snap.PathSim.NNZ()))
+	jw.endObject()
+	jw.key("seed").integer(snap.Seed)
+	jw.traceEcho(q, tr)
+	jw.key("workers").integer(int64(sparse.Parallelism(0)))
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -778,8 +786,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	metric := q.Get("metric")
-	if metric == "" {
+	switch metric {
+	case "":
 		metric = "pagerank"
+	case "pagerank", "authority", "hub":
+	default:
+		httpError(w, http.StatusBadRequest, "unknown metric %q (want pagerank|authority|hub)", metric)
+		return
 	}
 	sp = tr.Next(sp, "rank")
 	var pairs []pathsim.Pair
@@ -788,15 +801,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		// Sharded: each shard contributes the top of its owned id range
 		// of the generation's score vector; the merge reproduces the
-		// single-process stats.TopK order exactly. The metric is
-		// validated here so a bad one never scatters (and the 400 bytes
-		// match the single-process switch below).
-		switch metric {
-		case "pagerank", "authority", "hub":
-		default:
-			httpError(w, http.StatusBadRequest, "unknown metric %q (want pagerank|authority|hub)", metric)
-			return
-		}
+		// single-process stats.TopK order exactly.
 		ctx := r.Context()
 		if tr != nil {
 			ctx = obs.WithTrace(ctx, tr)
@@ -834,9 +839,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		case "hub":
 			scores, iters, converged = snap.HITS.Hub, snap.HITS.Iterations, snap.HITS.Converged
 			ids = snap.HITS.TopHubs(top)
-		default:
-			httpError(w, http.StatusBadRequest, "unknown metric %q (want pagerank|authority|hub)", metric)
-			return
 		}
 		pairs = make([]pathsim.Pair, 0, len(ids))
 		for _, id := range ids {
@@ -844,20 +846,22 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sp = tr.Next(sp, "render")
-	rows := make([]scoredObject, 0, len(pairs))
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("converged").boolean(converged)
+	jw.key("epoch").integer(snap.Epoch)
+	jw.key("graph").str(pathAPA.String())
+	jw.key("iterations").integer(int64(iters))
+	jw.key("metric").str(metric)
+	jw.key("top").beginArray()
 	for _, p := range pairs {
-		rows = append(rows, scoredObject{ID: p.ID, Name: snap.Corpus.Net.Name(dblp.TypeAuthor, p.ID), Score: p.Score})
+		jw.scored(p.ID, snap.Corpus.Net.Name(dblp.TypeAuthor, p.ID), p.Score)
 	}
-	payload := map[string]any{
-		"metric":     metric,
-		"graph":      pathAPA.String(),
-		"epoch":      snap.Epoch,
-		"iterations": iters,
-		"converged":  converged,
-		"top":        rows,
-	}
+	jw.endArray()
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
@@ -875,8 +879,13 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo := q.Get("algo")
-	if algo == "" {
+	switch algo {
+	case "":
 		algo = "rankclus"
+	case "rankclus", "netclus":
+	default:
+		httpError(w, http.StatusBadRequest, "unknown algo %q (want rankclus|netclus)", algo)
+		return
 	}
 	c := snap.Corpus
 	// Cluster models are whole-model reads, so the sharded tier routes
@@ -886,12 +895,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	// rendering below is shared.
 	rcm, ncm := snap.RankClus, snap.NetClus
 	if s.coord != nil {
-		switch algo {
-		case "rankclus", "netclus":
-		default:
-			httpError(w, http.StatusBadRequest, "unknown algo %q (want rankclus|netclus)", algo)
-			return
-		}
 		ctx := r.Context()
 		if tr != nil {
 			ctx = obs.WithTrace(ctx, tr)
@@ -917,69 +920,62 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("algo").str(algo)
+	sp = tr.Next(sp, "cluster")
+	// rows writes one ranked member list of a cluster; the members of a
+	// cluster object go out in key order.
+	rows := func(t hin.Type, ids []int, scores []float64) {
+		jw.key(string(t) + "s").beginArray()
+		for _, id := range ids {
+			jw.scored(id, c.Net.Name(t, id), scores[id])
+		}
+		jw.endArray()
+	}
+	jw.key("clusters").beginArray()
 	switch algo {
 	case "rankclus":
 		m := rcm
-		sp = tr.Next(sp, "cluster")
-		clusters := make([]map[string]any, m.K)
 		for k := 0; k < m.K; k++ {
-			venues := make([]scoredObject, 0, top)
-			for _, v := range m.TopX(k, top) {
-				venues = append(venues, scoredObject{ID: v, Name: c.Net.Name(dblp.TypeVenue, v), Score: m.RankX[k][v]})
-			}
-			authors := make([]scoredObject, 0, top)
-			for _, a := range m.TopY(k, top) {
-				authors = append(authors, scoredObject{ID: a, Name: c.Net.Name(dblp.TypeAuthor, a), Score: m.RankY[k][a]})
-			}
-			clusters[k] = map[string]any{"id": k, "venues": venues, "authors": authors}
+			jw.beginObject()
+			rows(dblp.TypeAuthor, m.TopY(k, top), m.RankY[k])
+			jw.key("id").integer(int64(k))
+			rows(dblp.TypeVenue, m.TopX(k, top), m.RankX[k])
+			jw.endObject()
 		}
+		jw.endArray()
 		sp = tr.Next(sp, "score")
-		nmi := nmiAligned(c.VenueArea, m.Assign)
-		payload := map[string]any{
-			"algo":     algo,
-			"epoch":    snap.Epoch,
-			"k":        m.K,
-			"nmi":      nmi,
-			"clusters": clusters,
-		}
-		tr.Next(sp, "serialize")
-		writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+		snap.nmiRankClus.once.Do(func() { snap.nmiRankClus.venue = nmiAligned(c.VenueArea, m.Assign) })
+		jw.key("epoch").integer(snap.Epoch)
+		jw.key("k").integer(int64(m.K))
+		jw.key("nmi").float(snap.nmiRankClus.venue)
 	case "netclus":
 		m := ncm
-		sp = tr.Next(sp, "cluster")
-		// Attribute-type order matches Corpus.Star: author, venue, term.
-		attrs := []struct {
-			idx int
-			t   hin.Type
-		}{{0, dblp.TypeAuthor}, {1, dblp.TypeVenue}, {2, dblp.TypeTerm}}
-		clusters := make([]map[string]any, m.K)
+		// Attribute indexes follow Corpus.Star: 0 author, 1 venue, 2 term.
 		for k := 0; k < m.K; k++ {
-			entry := map[string]any{"id": k}
-			for _, at := range attrs {
-				rows := make([]scoredObject, 0, top)
-				for _, o := range m.TopAttr(at.idx, k, top) {
-					rows = append(rows, scoredObject{ID: o, Name: c.Net.Name(at.t, o), Score: m.RankDist[at.idx][k][o]})
-				}
-				entry[string(at.t)+"s"] = rows
-			}
-			clusters[k] = entry
+			jw.beginObject()
+			rows(dblp.TypeAuthor, m.TopAttr(0, k, top), m.RankDist[0][k])
+			jw.key("id").integer(int64(k))
+			rows(dblp.TypeTerm, m.TopAttr(2, k, top), m.RankDist[2][k])
+			rows(dblp.TypeVenue, m.TopAttr(1, k, top), m.RankDist[1][k])
+			jw.endObject()
 		}
+		jw.endArray()
 		sp = tr.Next(sp, "score")
-		nmiPaper := nmiAligned(c.PaperArea, m.AssignCenter)
-		nmiVenue := nmiAligned(c.VenueArea, m.AssignAttr(1))
-		payload := map[string]any{
-			"algo":      algo,
-			"epoch":     snap.Epoch,
-			"k":         m.K,
-			"nmi_paper": nmiPaper,
-			"nmi_venue": nmiVenue,
-			"clusters":  clusters,
-		}
-		tr.Next(sp, "serialize")
-		writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
-	default:
-		httpError(w, http.StatusBadRequest, "unknown algo %q (want rankclus|netclus)", algo)
+		snap.nmiNetClus.once.Do(func() {
+			snap.nmiNetClus.paper = nmiAligned(c.PaperArea, m.AssignCenter)
+			snap.nmiNetClus.venue = nmiAligned(c.VenueArea, m.AssignAttr(1))
+		})
+		jw.key("epoch").integer(snap.Epoch)
+		jw.key("k").integer(int64(m.K))
+		jw.key("nmi_paper").float(snap.nmiNetClus.paper)
+		jw.key("nmi_venue").float(snap.nmiNetClus.venue)
 	}
+	tr.Next(sp, "serialize")
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 // nmiAligned scores the overlap of a ground-truth labeling and a
@@ -1107,7 +1103,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// Cache-only: a hit serves (annotated), a miss sheds — the
 		// brownout's whole point is that no query reaches the kernels.
 		sp2 := tr.Start("cache")
-		v, ok := s.cache.Get(topKKey(snap.Epoch, pathKey, x, k))
+		cached, ok := s.cache.Get(cacheKey{snap.Epoch, pathKey, x, k})
 		if !ok {
 			tr.Note("miss")
 			tr.End(sp2)
@@ -1117,7 +1113,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.Note("hit")
 		tr.End(sp2)
-		pairs, epoch, hit = v.([]pathsim.Pair), snap.Epoch, true
+		pairs, epoch, hit = cached, snap.Epoch, true
 	} else if pairs, epoch, hit, err = s.topK(ctx, snap, kern, pathKey, x, k); err != nil {
 		var ce *cluster.ClientError
 		if errors.As(err, &ce) {
@@ -1143,24 +1139,29 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		source = "cache"
 	}
 	sp = tr.Next(sp, "render")
-	results := make([]scoredObject, len(pairs))
-	for i, p := range pairs {
-		results[i] = scoredObject{ID: p.ID, Name: snap.Corpus.Net.Name(endpoint, p.ID), Score: p.Score}
-	}
-	payload := map[string]any{
-		"query":   map[string]any{"id": x, "name": snap.Corpus.Net.Name(endpoint, x)},
-		"path":    pathKey,
-		"k":       k,
-		"epoch":   epoch,
-		"source":  source,
-		"results": results,
-	}
+	jw := newJSONWriter()
+	jw.beginObject()
 	if degraded {
 		s.adm.degradedServed.Add(1)
-		payload["degraded"] = true
+		jw.key("degraded").boolean(true)
 	}
+	jw.key("epoch").integer(epoch)
+	jw.key("k").integer(int64(k))
+	jw.key("path").str(pathKey)
+	jw.key("query").beginObject()
+	jw.key("id").integer(int64(x))
+	jw.key("name").str(snap.Corpus.Net.Name(endpoint, x))
+	jw.endObject()
+	jw.key("results").beginArray()
+	for _, p := range pairs {
+		jw.scored(p.ID, snap.Corpus.Net.Name(endpoint, p.ID), p.Score)
+	}
+	jw.endArray()
+	jw.key("source").str(source)
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 // ingestRequest is the POST /v1/ingest body: a delta batch plus
@@ -1225,13 +1226,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ing.batches.Add(1)
 	s.ing.deltas.Add(uint64(len(req.Deltas)))
 	s.ing.nanos.Add(int64(time.Since(start)))
-	payload := map[string]any{
-		"epoch":         snap.Epoch,
-		"applied":       sum,
-		"build_seconds": snap.BuildTime.Seconds(),
-	}
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("applied").beginObject() // ingest.Summary field order
+	jw.key("nodes_added").integer(int64(sum.NodesAdded))
+	jw.key("nodes_removed").integer(int64(sum.NodesRemoved))
+	jw.key("edges_added").integer(int64(sum.EdgesAdded))
+	jw.key("edges_removed").integer(int64(sum.EdgesRemoved))
+	jw.key("relations_touched").integer(int64(sum.Relations))
+	jw.endObject()
+	jw.key("build_seconds").float(snap.BuildTime.Seconds())
+	jw.key("epoch").integer(snap.Epoch)
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }
 
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
@@ -1266,11 +1275,13 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	} else {
 		snap = s.store.Rebuild(int64(seed))
 	}
-	payload := map[string]any{
-		"epoch":         snap.Epoch,
-		"seed":          snap.Seed,
-		"build_seconds": snap.BuildTime.Seconds(),
-	}
 	tr.Next(sp, "serialize")
-	writeJSON(w, http.StatusOK, debugTrace(q, tr, payload))
+	jw := newJSONWriter()
+	jw.beginObject()
+	jw.key("build_seconds").float(snap.BuildTime.Seconds())
+	jw.key("epoch").integer(snap.Epoch)
+	jw.key("seed").integer(snap.Seed)
+	jw.traceEcho(q, tr)
+	jw.endObject()
+	jw.send(w, http.StatusOK)
 }

@@ -61,6 +61,19 @@ type Snapshot struct {
 	// a stale-epoch index.
 	paths     sync.Map
 	pathCount atomic.Int32
+
+	// The clustering-quality scores /v1/clusters reports (eval.NMI over
+	// every venue, and for NetClus every paper) depend only on the
+	// generation, so each algorithm's are computed by the first request
+	// that asks and kept.
+	nmiRankClus, nmiNetClus nmiMemo
+}
+
+// nmiMemo holds one clustering model's NMI against the ground-truth
+// areas (RankClus clusters venues only).
+type nmiMemo struct {
+	once         sync.Once
+	paper, venue float64
 }
 
 // maxPathIndexes bounds Snapshot.paths (see its comment).
