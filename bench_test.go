@@ -921,8 +921,10 @@ func BenchmarkDeltaApply(b *testing.B) {
 
 // BenchmarkIngest measures the serving layer's two paths to a new
 // generation on the default DBLP-scale corpus: Store.Ingest of a 1%
-// paper-arrival batch (copy-on-write clone, merged relations, surviving
-// meta-path cache, warm-started PageRank, carried-over cluster models)
+// paper-arrival batch (copy-on-write clone, merged relations, meta-path
+// products patched from the previous generation's — or, past a quarter
+// of the rows dirty, rebuilt — warm-started PageRank and HITS,
+// carried-over cluster models)
 // versus the full Store.Rebuild that POST /v1/rebuild runs.
 func BenchmarkIngest(b *testing.B) {
 	store := serve.NewStore(serve.ModelConfig{})

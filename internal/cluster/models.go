@@ -98,9 +98,11 @@ func BuildModels(seed int64, spec ModelSpec) *Models {
 
 // IngestModels applies a delta batch to prev as an incremental
 // generation: the network is cloned copy-on-write (sharing link
-// storage, relation matrices and surviving meta-path materializations),
-// the deltas merge into the clone, and new models build from the
-// result — PageRank warm-started from the previous generation's
+// storage, relation matrices and meta-path materializations — those the
+// batch touches stay as patch bases), the deltas merge into the clone,
+// and new models build from the result — the co-author graph and the
+// similarity index patched row-incrementally by the meta-path engine,
+// PageRank and HITS warm-started from the previous generation's
 // scores. The clustering models are carried over unless refreshModels
 // is set (they summarize the corpus and drift only slowly under small
 // deltas). On a validation error the clone is discarded and prev is
@@ -121,7 +123,7 @@ func IngestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec 
 		Seed:     prev.Seed,
 		Corpus:   corpus,
 		PageRank: rank.PageRank(coauthor, rank.Options{Start: PadScores(prev.PageRank.Scores, coauthor.Rows())}),
-		HITS:     rank.HITS(coauthor, rank.Options{}),
+		HITS:     rank.HITS(coauthor, rank.Options{Start: PadScores(prev.HITS.Hub, coauthor.Rows())}),
 		RankClus: prev.RankClus,
 		NetClus:  prev.NetClus,
 	}

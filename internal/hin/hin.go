@@ -65,7 +65,8 @@ type Network struct {
 	// after a CommutingMatrix call can never serve stale products.
 	// Mutations invalidate selectively: only cached matrices and
 	// engine entries that read the touched relation (or a relation of
-	// a grown type) are dropped.
+	// a grown type) are withdrawn, and a withdrawn engine entry stays
+	// as the patch base of its own refresh.
 	version int64
 	engMu   sync.Mutex
 	eng     *metapath.Engine
@@ -138,9 +139,10 @@ func (n *Network) AddAnonymous(t Type, count int) int {
 // typeGrew reconciles the caches after Count(t) increased: cached
 // relation matrices touching t grow to the new dimensions (their
 // entries are unchanged — a fresh object has no links), and cached
-// meta-path products whose path mentions t are dropped, since their
-// dimensions are stale. The engine's surviving entries move to the new
-// epoch.
+// meta-path products whose path mentions t are invalidated, since
+// their dimensions are stale (the engine keeps them as patch bases: a
+// row past the old dimension is a dirty row). The engine's other
+// entries move to the new epoch.
 func (n *Network) typeGrew(t Type) {
 	n.relMu.Lock()
 	for k, m := range n.relCache {
@@ -154,8 +156,8 @@ func (n *Network) typeGrew(t Type) {
 
 // relationChanged reconciles the caches after links between a and b
 // changed in a way not already merged into the cached matrices: both
-// cached orientations are dropped, along with every cached meta-path
-// product that traverses the a-b relation.
+// cached orientations are dropped, and every cached meta-path product
+// that traverses the a-b relation is invalidated.
 func (n *Network) relationChanged(a, b Type) {
 	n.relMu.Lock()
 	delete(n.relCache, relationKey{a, b})
@@ -176,7 +178,7 @@ func pathHasPair(path []string, a, b string) bool {
 }
 
 // engInvalidate moves the engine's cache to the network's current
-// version, dropping entries that match drop. A nil engine has nothing
+// version, invalidating entries that match drop. A nil engine has nothing
 // cached, and a later PathEngine() call syncs it to the version.
 func (n *Network) engInvalidate(drop func(path []string) bool) {
 	n.engMu.Lock()
@@ -230,9 +232,10 @@ type EdgeDelta struct {
 // rebuild replays to the identical network) and merged into any cached
 // relation matrices via the sparse copy-on-write delta kernel —
 // O(batch + touched rows) instead of an O(links) rebuild. Cached
-// meta-path products that traverse the relation are invalidated; all
-// others survive. Endpoints out of range return an error before
-// anything is modified.
+// meta-path products that traverse the relation are invalidated — the
+// engine refreshes each, when next asked, by recomputing only the rows
+// the batch reached — and all others survive. Endpoints out of range
+// return an error before anything is modified.
 func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 	if len(deltas) == 0 {
 		return nil

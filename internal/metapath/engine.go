@@ -16,7 +16,10 @@
 //     half the path and half the final product's multiply work;
 //   - an epoch-aware materialization cache canonicalizes sub-paths (a
 //     path and its reverse share one entry, reached by a cheap
-//     transpose) and reuses every intermediate across queries.
+//     transpose) and reuses every intermediate across queries;
+//   - a product invalidated by a mutation is kept as a stale patch base
+//     and refreshed row-incrementally (patch.go): only the rows the
+//     changed operand rows reach are recomputed, the rest is copied.
 //
 // The engine sees the network through the Source interface, so this
 // package depends only on internal/sparse; internal/hin adapts its
@@ -55,8 +58,9 @@ type Source interface {
 	Relation(a, b string) *sparse.Matrix
 }
 
-// maxEntries bounds the materialization cache. Beyond it, new paths are
-// still answered but their matrices are not retained, so a server fed
+// maxEntries bounds the materialization cache, stale patch bases
+// included. Beyond it a new path first evicts a stale base and, with
+// none left, is still answered but not retained, so a server fed
 // adversarial path streams cannot grow memory without bound.
 const maxEntries = 256
 
@@ -65,10 +69,22 @@ const maxEntries = 256
 // (singleflight) instead of racing duplicate products. path is the
 // type sequence the entry was materialized for — selective
 // invalidation (Invalidate) matches against it.
+//
+// An entry also remembers what m was computed from: the operand
+// matrices and, for a planned product, the split point. Invalidate
+// marks a matching entry stale instead of deleting it; the next asker
+// replaces it with a fresh entry whose computation row-diffs the
+// current operands against the remembered ones and patches m (see
+// patch.go). stale and base are guarded by Engine.mu.
 type entry struct {
 	ready chan struct{}
 	path  []string
 	m     *sparse.Matrix
+
+	ops   [2]*sparse.Matrix // operands m was computed from; ops[1] only for a planned product
+	split int               // a planned product's split point
+	stale bool              // invalidated: m is a patch base, not an answer
+	base  *entry            // while in flight: the stale entry this one refreshes
 }
 
 // closedReady is the pre-closed channel entries adopted by CloneFor
@@ -82,14 +98,22 @@ var closedReady = func() chan struct{} {
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
 	Epoch       int64 // cache generation (the owning network's version)
-	Entries     int   // materialized matrices currently cached
+	Entries     int   // materialized matrices currently cached (stale patch bases not counted)
 	Hits        uint64
 	Misses      uint64
 	Products    uint64        // sparse products issued (planned splits)
 	Grams       uint64        // half-path Gram factorizations issued
 	Transposes  uint64        // reversed-orientation answers derived by transpose
-	ProductTime time.Duration // cumulative wall time inside Mul kernels
-	GramTime    time.Duration // cumulative wall time inside Gram kernels
+	ProductTime time.Duration // cumulative wall time materializing planned products
+	GramTime    time.Duration // cumulative wall time materializing Gram products
+
+	// The patch route's share of the above: products (either kind, and
+	// column slices) refreshed from a stale base, the rows recomputed
+	// for them, and the wall time that took. A patched Gram counts once
+	// in Grams and once here.
+	Patches     uint64
+	PatchedRows uint64
+	PatchTime   time.Duration
 }
 
 // Engine compiles, plans, materializes and caches meta-path commuting
@@ -108,12 +132,16 @@ type Engine struct {
 	products   atomic.Uint64
 	grams      atomic.Uint64
 	transposes atomic.Uint64
+	patches    atomic.Uint64
+	patchRows  atomic.Uint64
 
-	// Cumulative nanoseconds spent inside the product kernels — the
-	// "where does materialization time go" split the serving tier
-	// exports (planned splits vs. Gram factorizations).
+	// Cumulative nanoseconds spent materializing products — the "where
+	// does materialization time go" split the serving tier exports
+	// (planned splits vs. Gram factorizations, and the patch route's
+	// share of both).
 	productNS atomic.Int64
 	gramNS    atomic.Int64
+	patchNS   atomic.Int64
 }
 
 // New returns an engine over src with an empty cache at epoch 0.
@@ -136,20 +164,33 @@ func (e *Engine) SyncEpoch(v int64) {
 	e.mu.Unlock()
 }
 
-// Invalidate moves the cache to epoch v, dropping only the entries
+// Invalidate moves the cache to epoch v, withdrawing only the entries
 // whose path matches drop. This is the selective form of SyncEpoch the
 // incremental-ingestion path uses: a mutation confined to one relation
 // (or one grown type) invalidates exactly the sub-paths that read it,
-// and every other cached materialization survives the epoch move.
-// In-flight computations that match are detached from the cache; their
+// and every other cached materialization survives the epoch move. A
+// withdrawn entry stops being an answer but stays as a stale patch
+// base: its next asker recomputes only the rows the mutation reached.
+// In-flight computations that match are detached from the cache (the
+// base they were refreshing, if any, goes back in their place); their
 // waiters still receive the (pre-mutation) result, which is only safe
 // because owners never mutate concurrently with queries.
 func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 	e.mu.Lock()
 	e.epoch = v
 	for k, ent := range e.entries {
-		if drop(ent.path) {
-			delete(e.entries, k)
+		if !drop(ent.path) {
+			continue
+		}
+		select {
+		case <-ent.ready:
+			ent.stale = true
+		default:
+			if ent.base != nil {
+				e.entries[k] = ent.base
+			} else {
+				delete(e.entries, k)
+			}
 		}
 	}
 	e.mu.Unlock()
@@ -157,9 +198,11 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 
 // CloneFor returns a new engine over src at epoch v, seeded with every
 // *completed* cached materialization of the receiver (in-flight
-// computations are skipped, not awaited). Matrices are shared, not
-// copied — they are immutable — so cloning is O(entries). This is how
-// a copy-on-write network clone (hin.Network.Clone) carries the warm
+// computations are skipped, not awaited, and stale patch bases are left
+// behind — a base nobody refreshed during a whole generation is not
+// worth carrying into the next). Matrices are shared, not copied —
+// they are immutable — so cloning is O(entries). This is how a
+// copy-on-write network clone (hin.Network.Clone) carries the warm
 // materialization cache into its new generation; counters start at
 // zero.
 func (e *Engine) CloneFor(src Source, v int64) *Engine {
@@ -169,8 +212,8 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 	for k, ent := range e.entries {
 		select {
 		case <-ent.ready:
-			if ent.m != nil {
-				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m}
+			if !ent.stale {
+				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, ops: ent.ops, split: ent.split}
 			}
 		default:
 		}
@@ -179,8 +222,10 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 	return ne
 }
 
-// Reset drops every cached materialization (the benchmarks use this to
-// time cold planned evaluations).
+// Reset drops every cached materialization, stale patch bases included,
+// so the next evaluation of any path runs the full kernels (the
+// benchmarks time cold planned evaluations this way, and the
+// differential tests use it as the oracle for patched products).
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.entries = make(map[string]*entry)
@@ -190,7 +235,12 @@ func (e *Engine) Reset() {
 // Stats returns the current counter values.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	epoch, entries := e.epoch, len(e.entries)
+	epoch, entries := e.epoch, 0
+	for _, ent := range e.entries {
+		if !ent.stale {
+			entries++
+		}
+	}
 	e.mu.Unlock()
 	return Stats{
 		Epoch:       epoch,
@@ -202,6 +252,9 @@ func (e *Engine) Stats() Stats {
 		Transposes:  e.transposes.Load(),
 		ProductTime: time.Duration(e.productNS.Load()),
 		GramTime:    time.Duration(e.gramNS.Load()),
+		Patches:     e.patches.Load(),
+		PatchedRows: e.patchRows.Load(),
+		PatchTime:   time.Duration(e.patchNS.Load()),
 	}
 }
 
@@ -255,13 +308,13 @@ func (e *Engine) CommuteCtx(ctx context.Context, path []string) (*sparse.Matrix,
 func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, error) {
 	canon, rev := canonicalize(path)
 	if !rev {
-		return e.cached(ctx, path, e.compute)
+		return e.cached(ctx, join(path), path, e.compute)
 	}
 	// Reversed orientation: materialize the canonical orientation, then
 	// derive this one by a cheap O(nnz) transpose — also cached, so
 	// repeated reverse queries are pure lookups.
-	return e.cached(ctx, path, func(ctx context.Context, _ []string) (*sparse.Matrix, error) {
-		m, err := e.cached(ctx, canon, e.compute)
+	return e.cached(ctx, join(path), path, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
+		m, err := e.cached(ctx, join(canon), canon, e.compute)
 		if err != nil {
 			return nil, err
 		}
@@ -270,16 +323,19 @@ func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, err
 	})
 }
 
-// cached runs compute under a singleflight entry for path. When the
-// cache is full, the value is computed but not retained. A waiter whose
-// ctx dies while another goroutine computes abandons the wait (the
-// computation itself keeps running for the live callers); a computing
-// goroutine that fails — panic or cancellation — withdraws the entry so
-// later callers retry.
-func (e *Engine) cached(ctx context.Context, path []string, compute func(context.Context, []string) (*sparse.Matrix, error)) (*sparse.Matrix, error) {
-	key := join(path)
+// cached runs compute under a singleflight entry for key. compute
+// receives the entry being filled (to record what the result was
+// computed from) and, when the key held a stale entry, that entry as
+// its patch base. When the cache is full of fresh entries, the value
+// is computed but not retained. A waiter whose ctx dies while another
+// goroutine computes abandons the wait (the computation itself keeps
+// running for the live callers); a computing goroutine that fails —
+// panic or cancellation — withdraws its entry, putting the stale base
+// back if it had one, so later callers retry from the same place.
+func (e *Engine) cached(ctx context.Context, key string, path []string, compute func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error)) (*sparse.Matrix, error) {
 	e.mu.Lock()
-	if ent, ok := e.entries[key]; ok {
+	base := e.entries[key] // nil, or stale once the fresh case below is past
+	if ent := base; ent != nil && !ent.stale {
 		e.mu.Unlock()
 		if done := ctx.Done(); done != nil {
 			select {
@@ -293,35 +349,38 @@ func (e *Engine) cached(ctx context.Context, path []string, compute func(context
 		if ent.m == nil {
 			// The computing goroutine panicked (or was cancelled) and
 			// withdrew the entry; retry against the refreshed map.
-			return e.cached(ctx, path, compute)
+			return e.cached(ctx, key, path, compute)
 		}
 		e.hits.Add(1)
 		return ent.m, nil
 	}
 	e.misses.Add(1)
-	if len(e.entries) >= maxEntries {
+	ent := &entry{ready: make(chan struct{}), path: path, base: base}
+	if base == nil && len(e.entries) >= maxEntries && !e.evictStale() {
 		e.mu.Unlock()
-		return compute(ctx, path)
+		return compute(ctx, ent, nil)
 	}
-	ent := &entry{ready: make(chan struct{}), path: path}
 	e.entries[key] = ent
 	e.mu.Unlock()
 	defer func() {
-		if ent.m == nil {
-			// compute panicked or was cancelled: drop the entry so later
-			// calls retry, and release waiters (they observe the nil and
+		e.mu.Lock()
+		if ent.m == nil && e.entries[key] == ent {
+			// compute panicked or was cancelled: step aside so later calls
+			// retry, and release waiters (they observe the nil and
 			// recompute). The pointer check keeps a concurrent Invalidate
 			// + re-register under the same key from losing the fresh
 			// entry.
-			e.mu.Lock()
-			if e.entries[key] == ent {
+			if base != nil {
+				e.entries[key] = base
+			} else {
 				delete(e.entries, key)
 			}
-			e.mu.Unlock()
 		}
+		ent.base = nil // a completed entry must not pin the matrix it replaced
+		e.mu.Unlock()
 		close(ent.ready)
 	}()
-	m, err := compute(ctx, path)
+	m, err := compute(ctx, ent, base)
 	if err != nil {
 		return nil, err
 	}
@@ -329,11 +388,27 @@ func (e *Engine) cached(ctx context.Context, path []string, compute func(context
 	return m, nil
 }
 
+// evictStale drops one stale patch base to make room for a new path,
+// reporting whether there was one. Callers hold mu.
+func (e *Engine) evictStale() bool {
+	for k, ent := range e.entries {
+		if ent.stale {
+			delete(e.entries, k)
+			return true
+		}
+	}
+	return false
+}
+
 // compute evaluates a validated path with the planner. Sub-chains
 // recurse through matrix(), so every intermediate lands in the cache
 // under its own canonical key and is shared across top-level paths
-// (e.g. A-P-V-P-A's half A-P-V also answers V-P-A requests).
-func (e *Engine) compute(ctx context.Context, path []string) (*sparse.Matrix, error) {
+// (e.g. A-P-V-P-A's half A-P-V also answers V-P-A requests) — and a
+// stale sub-chain is refreshed the same way before its consumer is.
+// With a base, the product is patched from it when the operand diff is
+// small (patch.go); either route produces the same bits.
+func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+	path := ent.path
 	rels := len(path) - 1
 	if rels == 1 {
 		return e.src.Relation(path[0], path[1]), nil
@@ -343,11 +418,14 @@ func (e *Engine) compute(ctx context.Context, path []string) (*sparse.Matrix, er
 		if err != nil {
 			return nil, err
 		}
+		ent.ops[0] = h
 		e.grams.Add(1)
 		start := time.Now()
-		m, err := h.GramCtx(ctx)
-		e.gramNS.Add(int64(time.Since(start)))
-		return m, err
+		defer func() { e.gramNS.Add(int64(time.Since(start))) }()
+		if m, err := e.patchGram(ctx, base, h, 0, h.Rows()); m != nil || err != nil {
+			return m, err
+		}
+		return h.GramCtx(ctx)
 	}
 	k, err := e.bestSplit(ctx, path)
 	if err != nil {
@@ -361,11 +439,14 @@ func (e *Engine) compute(ctx context.Context, path []string) (*sparse.Matrix, er
 	if err != nil {
 		return nil, err
 	}
+	ent.ops, ent.split = [2]*sparse.Matrix{left, right}, k
 	e.products.Add(1)
 	start := time.Now()
-	m, err := left.MulCtx(ctx, right)
-	e.productNS.Add(int64(time.Since(start)))
-	return m, err
+	defer func() { e.productNS.Add(int64(time.Since(start))) }()
+	if m, err := e.patchProduct(ctx, base, left, right, k); m != nil || err != nil {
+		return m, err
+	}
+	return left.MulCtx(ctx, right)
 }
 
 // CommuteColsCtx materializes columns [lo, hi) of the commuting matrix
@@ -379,34 +460,51 @@ func (e *Engine) compute(ctx context.Context, path []string) (*sparse.Matrix, er
 // to slicing a full CommuteCtx product: every output entry accumulates
 // the same k-terms in the same ascending order in either kernel, and
 // IEEE multiplication commutes exactly (see the sparse slice tests).
-// Non-Gram paths fall back to slicing the full (cached) product.
+// The slice is cached like any product (the caller's index and the
+// cache hold the same matrix, so nothing is resident twice) and
+// patched from its stale self after a mutation; a range that runs to
+// the end of the type is keyed open-ended, so the last shard's slice
+// is still its own patch base after the type grows, while any other
+// change of range starts cold. Non-Gram paths fall back to slicing the
+// full (cached) product.
 func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.Matrix, diag []float64, err error) {
 	if err := e.Validate(path); err != nil {
 		return nil, nil, err
 	}
-	if dim := e.src.Count(path[len(path)-1]); lo < 0 || hi < lo || hi > dim {
+	dim := e.src.Count(path[len(path)-1])
+	if lo < 0 || hi < lo || hi > dim {
 		return nil, nil, fmt.Errorf("metapath: column range [%d,%d) out of [0,%d)", lo, hi, dim)
 	}
-	rels := len(path) - 1
-	if gramEligible(path) {
-		h, err := e.matrix(ctx, path[:rels/2+1:rels/2+1])
+	if !gramEligible(path) {
+		m, err := e.matrix(ctx, path)
 		if err != nil {
 			return nil, nil, err
 		}
-		e.products.Add(1)
-		start := time.Now()
-		cols, err = h.MulCtx(ctx, h.RowSlice(lo, hi).Transpose())
-		e.productNS.Add(int64(time.Since(start)))
-		if err != nil {
-			return nil, nil, err
-		}
-		return cols, h.GramDiagonal(), nil
+		return m.ColSlice(lo, hi), m.Diagonal(), nil
 	}
-	m, err := e.matrix(ctx, path)
+	rels := len(path) - 1
+	h, err := e.matrix(ctx, path[:rels/2+1:rels/2+1])
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.ColSlice(lo, hi), m.Diagonal(), nil
+	key := fmt.Sprintf("%s[%d:%d)", join(path), lo, hi)
+	if hi == dim {
+		key = fmt.Sprintf("%s[%d:)", join(path), lo)
+	}
+	cols, err = e.cached(ctx, key, path, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+		ent.ops[0] = h
+		e.products.Add(1)
+		start := time.Now()
+		defer func() { e.productNS.Add(int64(time.Since(start))) }()
+		if m, err := e.patchGram(ctx, base, h, lo, hi); m != nil || err != nil {
+			return m, err
+		}
+		return h.MulCtx(ctx, h.RowSlice(lo, hi).Transpose())
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cols, h.GramDiagonal(), nil
 }
 
 // bestSplit returns the top-level split point (relations 0..k and

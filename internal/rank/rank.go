@@ -32,7 +32,8 @@ type Options struct {
 	// of the iterations, which is what the incremental ingestion path
 	// exploits. The vector is copied and L1-normalized; it is ignored
 	// when its length does not match the matrix or it has no positive
-	// mass, so callers can pass a stale vector unconditionally.
+	// mass, so callers can pass a stale vector unconditionally. HITS
+	// takes it as the initial hub vector (L2-normalized, same guard).
 	Start []float64
 }
 
@@ -171,7 +172,10 @@ func (h HITSResult) TopAuthorities(k int) []int { return stats.TopK(h.Authority,
 func (h HITSResult) TopHubs(k int) []int { return stats.TopK(h.Hub, k) }
 
 // HITS computes hub and authority scores by the mutual-reinforcement
-// iteration a ← Aᵀh, h ← Aa with L2 normalization each round.
+// iteration a ← Aᵀh, h ← Aa with L2 normalization each round, from the
+// uniform hub vector or, warm, from opt.Start (a previous solution's
+// hubs: the principal eigenvector the iteration converges to does not
+// depend on where it starts).
 func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	opt = opt.withDefaults()
 	n := adj.Rows()
@@ -186,6 +190,10 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	for i := range h {
 		h[i] = 1 / math.Sqrt(float64(n))
 		a[i] = h[i]
+	}
+	if len(opt.Start) == n && sparse.Norm2(opt.Start) > 0 {
+		copy(h, opt.Start)
+		normalize2(h)
 	}
 	prevA := make([]float64, n)
 	for it := 1; it <= opt.MaxIter; it++ {

@@ -8,13 +8,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
 	"hinet/internal/pathsim"
+	"hinet/internal/rank"
 	"hinet/internal/stats"
 )
 
@@ -145,6 +150,30 @@ func TestIngestEquivalentToRebuild(t *testing.T) {
 		if d < -1e-6 || d > 1e-6 {
 			t.Fatalf("PageRank diverged at %d: %g vs %g", i, a.PageRank.Scores[i], b.PageRank.Scores[i])
 		}
+	}
+	// HITS is warm-started from the previous epoch's hubs: same fixed
+	// point as the other store's and as a cold run, in fewer iterations.
+	cold := rank.HITS(a.Corpus.Net.CommutingMatrix(cluster.PathAPA), rank.Options{})
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"authority", a.HITS.Authority, b.HITS.Authority},
+		{"hub", a.HITS.Hub, b.HITS.Hub},
+		{"authority vs cold", a.HITS.Authority, cold.Authority},
+		{"hub vs cold", a.HITS.Hub, cold.Hub},
+	} {
+		if len(v.got) != len(v.want) {
+			t.Fatalf("HITS %s: %d vs %d scores", v.name, len(v.got), len(v.want))
+		}
+		for i := range v.got {
+			if d := v.got[i] - v.want[i]; d < -1e-6 || d > 1e-6 {
+				t.Fatalf("HITS %s diverged at %d: %g vs %g", v.name, i, v.got[i], v.want[i])
+			}
+		}
+	}
+	if !a.HITS.Converged || a.HITS.Iterations >= cold.Iterations {
+		t.Fatalf("warm HITS took %d iterations (converged=%v), cold takes %d", a.HITS.Iterations, a.HITS.Converged, cold.Iterations)
 	}
 }
 
@@ -292,5 +321,116 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 	}
 	if want := snap.PathSim.TopK(0, 5); !samePairs(pairs, want) {
 		t.Fatal("final answer does not match the live snapshot")
+	}
+}
+
+// TestUnrefreshedBaseIsDropped pins the one-generation retention rule
+// of stale patch bases: a product queried in one generation is patched,
+// not rebuilt, in the next; a product nobody asks for during a whole
+// generation is gone from the engine — and from the heap — after the
+// ingest that follows.
+func TestUnrefreshedBaseIsDropped(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap")
+	}
+	ctx := context.Background()
+	const spec = "A-P-T-P-A"
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// routes reports how many products a query of spec patched and how
+	// many Gram products it ran in all, on the live snapshot's engine.
+	routes := func(st *Store) (patched, grams uint64, ix *pathsim.Index) {
+		snap := st.Current()
+		before := snap.Engine().Stats()
+		ix, err := snap.PathIndex(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := snap.Engine().Stats()
+		return after.Patches - before.Patches, after.Grams - before.Grams, ix
+	}
+	// Three ingests; with query set, spec is materialized before the
+	// first and again right after it, then never.
+	var indexBytes int64
+	build := func(query bool) *Store {
+		st := NewStore(ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 200, Papers: 2000}})
+		st.Rebuild(1)
+		rng := stats.NewRNG(9)
+		for i := 0; i < 3; i++ {
+			if query && i == 0 {
+				routes(st)
+			}
+			if _, _, err := st.Ingest(ingest.SamplePapers(st.Current().Corpus, rng, 3), false); err != nil {
+				t.Fatal(err)
+			}
+			if query && i == 0 {
+				patched, _, ix := routes(st)
+				if patched < 2 { // the A-P-T product and its Gram
+					t.Fatalf("one ingest after a query, %s ran %d patches: its base was not kept", spec, patched)
+				}
+				indexBytes = int64(ix.NNZ()) * 12
+			}
+		}
+		return st
+	}
+	base := liveHeap()
+	plain := build(false)
+	plainHeap := liveHeap() - base
+	base = liveHeap()
+	queried := build(true)
+	queriedHeap := liveHeap() - base
+	t.Logf("live heap after 3 ingests: %.1f MiB never queried, %.1f MiB queried two generations ago (index %.1f MiB)",
+		float64(plainHeap)/(1<<20), float64(queriedHeap)/(1<<20), float64(indexBytes)/(1<<20))
+	if queriedHeap-plainHeap > indexBytes/4 {
+		t.Fatalf("a product last queried two generations ago still holds %d bytes (its index is %d)", queriedHeap-plainHeap, indexBytes)
+	}
+	if patched, grams, _ := routes(queried); patched != 0 || grams == 0 {
+		t.Fatalf("two generations on, %s ran %d patches over %d Gram products: the base should be gone and the build cold", spec, patched, grams)
+	}
+	runtime.KeepAlive(plain)
+}
+
+// TestIngestReportsPatchRoute: after an ingest /metrics says the write
+// patched its products (a server that silently fell back to cold
+// rebuilds reads 0 here), sharded or not, and /v1/stats keeps the
+// metapath key set its consumers digest.
+func TestIngestReportsPatchRoute(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		srv := newTestServer(t, Options{Shards: shards})
+		batch := ingest.SamplePapers(srv.Snapshot().Corpus, stats.NewRNG(5), 2)
+		if out, code := postIngest(t, srv, batch); code != http.StatusOK {
+			t.Fatalf("shards=%d: ingest returned %d: %v", shards, code, out)
+		}
+		_, metrics := do(t, srv, "GET", "/metrics", "")
+		for _, series := range []string{"hinet_metapath_patches_total", "hinet_metapath_patched_rows_total", "hinet_metapath_patch_seconds_total"} {
+			var v float64
+			i := strings.Index(metrics, series+" ")
+			if i < 0 {
+				t.Fatalf("shards=%d: /metrics lacks %s", shards, series)
+			}
+			if _, err := fmt.Sscan(metrics[i+len(series):], &v); err != nil || v <= 0 {
+				t.Fatalf("shards=%d: %s = %v (%v), want > 0 after an ingest", shards, series, v, err)
+			}
+		}
+		var st struct {
+			Metapath map[string]any `json:"metapath"`
+		}
+		if code := get(t, srv, "GET", "/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats = %d", code)
+		}
+		keys := make([]string, 0, len(st.Metapath))
+		for k := range st.Metapath {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		want := []string{"cache_entries", "cache_hits", "cache_misses", "gram_products", "gram_seconds", "product_seconds", "products", "transposes"}
+		if !slices.Equal(keys, want) {
+			t.Fatalf("shards=%d: /v1/stats metapath keys = %v, want %v", shards, keys, want)
+		}
 	}
 }

@@ -74,8 +74,10 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "hinet_pathsim_index_nnz %d\n", snap.PathSim.NNZ())
 
 		// Meta-path engine: materialization-cache effectiveness, how the
-		// planner is evaluating products, and where the product wall
-		// time goes (planned splits vs. Gram factorizations).
+		// planner is evaluating products, where the product wall time
+		// goes (planned splits vs. Gram factorizations), and how much of
+		// it took the patch route (a write that reads 0 patches rebuilt
+		// its products cold).
 		es := snap.Engine().Stats()
 		fmt.Fprintf(w, "hinet_metapath_cache_hits_total %d\n", es.Hits)
 		fmt.Fprintf(w, "hinet_metapath_cache_misses_total %d\n", es.Misses)
@@ -85,6 +87,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "hinet_metapath_transposes_total %d\n", es.Transposes)
 		fmt.Fprintf(w, "hinet_metapath_product_seconds_total %g\n", es.ProductTime.Seconds())
 		fmt.Fprintf(w, "hinet_metapath_gram_seconds_total %g\n", es.GramTime.Seconds())
+		fmt.Fprintf(w, "hinet_metapath_patches_total %d\n", es.Patches)
+		fmt.Fprintf(w, "hinet_metapath_patched_rows_total %d\n", es.PatchedRows)
+		fmt.Fprintf(w, "hinet_metapath_patch_seconds_total %g\n", es.PatchTime.Seconds())
 	}
 
 	names := make([]string, 0, len(s.met.endpoints))

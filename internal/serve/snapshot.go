@@ -227,9 +227,11 @@ func (s *Store) Rebuild(seed int64) *Snapshot {
 // network is cloned copy-on-write (the clone shares link storage,
 // relation matrices and meta-path materializations), the deltas merge
 // into the clone through internal/ingest, and a new snapshot is built
-// from the result — PageRank warm-started from the previous epoch's
-// scores, the PathSim index rebuilt from the engine's surviving
-// cached intermediates — then swapped in atomically. In-flight queries
+// from the result — PageRank and HITS warm-started from the previous
+// epoch's scores, the co-author graph and the PathSim index patched
+// row-incrementally from the previous epoch's matrices (a paper
+// arrival invalidates every cached product along "paper"; what the
+// clone carries is their patch bases) — then swapped in atomically. In-flight queries
 // keep reading the previous snapshot (whose network is never mutated)
 // until the swap; epochs come from the same counter as Rebuild, so
 // they stay strictly monotonic across mixed ingest/rebuild streams.
