@@ -710,7 +710,9 @@ func BenchmarkBatchTopK(b *testing.B) {
 		for _, k := range []int{10, 100} {
 			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					tc.ix.BatchTopK(queries, k)
+					if _, err := tc.ix.BatchTopKCtx(context.Background(), queries, k); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -764,7 +766,9 @@ func BenchmarkPathSimBatchTopK(b *testing.B) {
 	}
 	benchModes(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.BatchTopK(queries, 10)
+			if _, err := ix.BatchTopKCtx(context.Background(), queries, 10); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -920,29 +924,30 @@ func BenchmarkDeltaApply(b *testing.B) {
 }
 
 // BenchmarkIngest measures the serving layer's two paths to a new
-// generation on the default DBLP-scale corpus: Store.Ingest of a 1%
-// paper-arrival batch (copy-on-write clone, merged relations, meta-path
-// products patched from the previous generation's — or, past a quarter
-// of the rows dirty, rebuilt — warm-started PageRank and HITS,
-// carried-over cluster models)
-// versus the full Store.Rebuild that POST /v1/rebuild runs.
+// generation on the default DBLP-scale corpus: cluster.IngestModels of
+// a 1% paper-arrival batch (copy-on-write clone, merged relations,
+// meta-path products patched from the previous generation's — or, past
+// a quarter of the rows dirty, rebuilt — warm-started PageRank and
+// HITS, carried-over cluster models) versus the full
+// cluster.BuildModels that POST /v1/rebuild runs.
 func BenchmarkIngest(b *testing.B) {
-	store := serve.NewStore(serve.ModelConfig{})
-	store.Rebuild(1)
-	papers := store.Current().Corpus.Net.Count(dblp.TypePaper)
-	batch := ingest.SamplePapers(store.Current().Corpus, stats.NewRNG(77), papers/100)
+	spec := cluster.ModelSpec{}
+	m := cluster.BuildModels(1, spec)
+	papers := m.Corpus.Net.Count(dblp.TypePaper)
+	batch := ingest.SamplePapers(m.Corpus, stats.NewRNG(77), papers/100)
 	b.Run(fmt.Sprintf("delta-%dpapers", papers/100), func(b *testing.B) {
 		b.ReportMetric(float64(len(batch)), "deltas")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := store.Ingest(batch, false); err != nil {
+			var err error
+			if m, _, err = cluster.IngestModels(m, batch, false, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			store.Rebuild(int64(i + 2))
+			cluster.BuildModels(int64(i+2), spec)
 		}
 	})
 }

@@ -306,8 +306,8 @@ func runServe(f serveFlags) {
 	snap := s.Snapshot()
 	fmt.Printf("snapshot epoch %d built in %s (%d authors, pathsim nnz %d)\n",
 		snap.Epoch, snap.BuildTime.Round(time.Millisecond),
-		snap.PathSim.Dim(), snap.PathSim.NNZ())
-	if c := s.Coordinator(); c != nil {
+		snap.IndexDim, snap.IndexNNZ)
+	if c := s.Coordinator(); c.Shards() > 1 {
 		fmt.Printf("sharded tier: %d shards, policy %s, partition %v (skew %.2f)\n",
 			c.Shards(), c.PolicyName(), c.Partition().Bounds, c.Skew())
 	}

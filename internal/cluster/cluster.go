@@ -1,7 +1,8 @@
-// Package cluster is the sharded scatter-gather serving tier: it
-// splits the PathSim query plane of one logical snapshot across N
-// shards while keeping every answer bitwise-identical to a
-// single-process store.
+// Package cluster is the scatter-gather serving tier, the one kernel
+// and write surface internal/serve knows: it splits the PathSim query
+// plane of one logical snapshot across N shards while keeping every
+// answer bitwise-identical at any N. An unsharded server is the N = 1
+// case — one shard owning the whole candidate range.
 //
 // The design partitions the *similarity index* and shares the
 // *models*:
@@ -9,9 +10,10 @@
 //   - Each shard owns a contiguous candidate range [Lo, Hi) of the
 //     PathSim index's endpoint type, chosen by nnz-balanced row ranges
 //     of the commuting matrix (Partition), and holds only the matching
-//     column slice (pathsim.RangeIndex) — the one artifact whose memory
-//     and scan cost grow with the network. Gram-eligible paths never
-//     materialize the full commuting matrix on a shard.
+//     column range (a pathsim.Index over [Lo, Hi)) — the one artifact
+//     whose memory and scan cost grow with the network. Gram-eligible
+//     paths never materialize the full commuting matrix on a shard that
+//     owns less than all of it.
 //   - The network and the models over it (PageRank, HITS, RankClus,
 //     NetClus) are one immutable generation (Models) per write, built
 //     once and shared by pointer among in-process shards. Being
@@ -24,7 +26,9 @@
 // slice of the query's row and returns a local top-k — and the
 // coordinator merges the partials with the same bounded-heap order the
 // single-index scan uses (pathsim.MergeTopK), which is what makes the
-// merged answer bitwise-equal, tie order included.
+// merged answer bitwise-equal, tie order included. A meta-path's range
+// indexes are materialized by Resolve, on the asking request's
+// goroutine, before the first query over it.
 //
 // Writes (Ingest/Rebuild) fan out shard 0 first: every shard applies
 // the same write to the same state, so shard 0 acts as the validation
@@ -33,6 +37,8 @@
 // its new generation atomically, retaining the previous one so reads
 // at the prior epoch keep answering during the fan-out window; the
 // coordinator's epoch advances only after every shard has published.
+// Once whoever hands out epochs to readers has moved on too, it Trims
+// the shards and the previous generation's memory is released.
 //
 // Shards are addressed through the transport-agnostic Shard interface;
 // LocalShard is the in-process implementation (an HTTP/gRPC transport
@@ -41,6 +47,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"hinet/internal/core"
@@ -60,6 +67,12 @@ type Shard interface {
 	// Epoch returns the shard's current published epoch (0 before the
 	// first write).
 	Epoch() int64
+	// Resolve reports whether the shard already holds its range index of
+	// the meta-path (empty spec = the prebuilt default, always held) at
+	// epoch; when it does not and build is set, it materializes and
+	// memoizes the index before returning. A path the network's schema
+	// cannot back fails with a ClientError.
+	Resolve(ctx context.Context, epoch int64, path string, build bool) (held bool, err error)
 	// TopK answers a partial top-k query over the shard's candidate
 	// range of the given meta-path (empty spec = the prebuilt default).
 	TopK(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error)
@@ -77,6 +90,11 @@ type Shard interface {
 	Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error)
 	// Rebuild materializes a fresh generation from seed.
 	Rebuild(seed int64) (int64, error)
+	// Trim tells the shard that no new read will ask for a generation
+	// older than epoch, so it may stop retaining one. A reader still
+	// holding an older epoch gets an EpochError and starts over
+	// (RetryEvicted).
+	Trim(epoch int64)
 	// Stats reports the shard's partition geometry and load counters.
 	Stats() ShardStats
 }
@@ -113,3 +131,25 @@ type ClientError struct{ Err error }
 
 func (e *ClientError) Error() string { return e.Err.Error() }
 func (e *ClientError) Unwrap() error { return e.Err }
+
+// RetryEvicted runs read against the generation at and, when the shards
+// no longer retain it — they keep the current generation and, until
+// trimmed, one predecessor, so writes landing between a caller's load
+// of at and its read can evict it: an EpochError — against whatever
+// load then returns, as long as that moved on, at most twice. It is the
+// one place a read is retried; T is whatever pins the generation for
+// the caller (the cluster epoch, or a serving snapshot).
+func RetryEvicted[T comparable](at T, load func() T, read func(T) error) error {
+	for attempt := 0; ; attempt++ {
+		err := read(at)
+		var ee *EpochError
+		if err == nil || attempt == 2 || !errors.As(err, &ee) {
+			return err
+		}
+		fresh := load()
+		if fresh == at {
+			return err
+		}
+		at = fresh
+	}
+}

@@ -111,7 +111,8 @@ func (c *Coordinator) inflightOf(i int) int64 { return c.shards[i].Stats().Infli
 // span of tr, adding one timed child span per shard after the gather
 // (obs.Trace is not concurrent-safe). The last shard runs on the
 // calling goroutine, so a fan-out costs one goroutine fewer than it has
-// shards and a 1-shard coordinator none. On success the scatter span is
+// shards; a one-shard cluster has nothing to fan out and runs fn
+// inline, with no gather bookkeeping. On success the scatter span is
 // returned still open, for the caller to chain its merge span onto. The
 // first error wins (client errors take priority, so a bad path is
 // always reported as such) and closes the span; partial results are
@@ -119,6 +120,15 @@ func (c *Coordinator) inflightOf(i int) int64 { return c.shards[i].Stats().Infli
 func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh Shard) error) (int, error) {
 	c.scatters.Add(1)
 	sp := tr.Start("scatter")
+	if len(c.shards) == 1 {
+		start := time.Now()
+		err := fn(0, c.shards[0])
+		tr.AddTimed(sp, c.spans[0], time.Since(start))
+		if err != nil {
+			tr.End(sp)
+		}
+		return sp, err
+	}
 	durs := make([]time.Duration, len(c.shards))
 	errs := make([]error, len(c.shards))
 	run := func(i int) {
@@ -151,6 +161,36 @@ func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh Shard) error) (in
 	return sp, first
 }
 
+// ResolveAt makes a meta-path servable at a fixed epoch and reports
+// whether every shard already held its range index of it. When some do
+// not and build is set, the shards materialize theirs concurrently, on
+// the caller's goroutine and its fan-out — the cold build of a path
+// never runs inside a later query's scatter, where it would stall
+// whoever dispatches kernels. Without build nothing is materialized:
+// the answer says whether queries over the path would find it built.
+func (c *Coordinator) ResolveAt(ctx context.Context, epoch int64, path string, build bool) (bool, error) {
+	held := true
+	for _, sh := range c.shards {
+		h, err := sh.Resolve(ctx, epoch, path, false)
+		if err != nil {
+			return false, err
+		}
+		held = held && h
+	}
+	if held || !build {
+		return held, nil
+	}
+	tr := obs.FromContext(ctx)
+	sp, err := c.scatter(tr, func(_ int, sh Shard) error {
+		_, err := sh.Resolve(ctx, epoch, path, true)
+		return err
+	})
+	if err == nil {
+		tr.End(sp)
+	}
+	return false, err
+}
+
 // TopKAt scatter-gathers a top-k query at a fixed epoch: every shard
 // scans its candidate slice of the query's row, and the partials merge
 // under the single-index order (pathsim.MergeTopK), yielding an answer
@@ -172,21 +212,18 @@ func (c *Coordinator) TopKAt(ctx context.Context, epoch int64, path string, x, k
 	return merged, nil
 }
 
-// TopK is TopKAt at the current cluster epoch, retrying once if a
-// write advanced the cluster mid-flight.
-func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) ([]pathsim.Pair, int64, error) {
-	for attempt := 0; ; attempt++ {
-		epoch := c.epoch.Load()
-		pairs, err := c.TopKAt(ctx, epoch, path, x, k)
-		if err == nil {
-			return pairs, epoch, nil
-		}
-		var ee *EpochError
-		if attempt < 2 && errors.As(err, &ee) && c.epoch.Load() != epoch {
-			continue
-		}
+// TopK is TopKAt at the current cluster epoch, retried if writes
+// advance the cluster past it mid-flight.
+func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []pathsim.Pair, epoch int64, err error) {
+	err = RetryEvicted(c.epoch.Load(), c.epoch.Load, func(at int64) (err error) {
+		epoch = at
+		pairs, err = c.TopKAt(ctx, at, path, x, k)
+		return err
+	})
+	if err != nil {
 		return nil, 0, err
 	}
+	return pairs, epoch, nil
 }
 
 // BatchTopKAt is the batched scatter-gather: the whole query batch
@@ -204,13 +241,16 @@ func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string,
 		return nil, err
 	}
 	sp = tr.Next(sp, "merge")
-	out := make([][]pathsim.Pair, len(xs))
-	parts := make([][]pathsim.Pair, len(c.shards))
-	for q := range xs {
-		for i := range c.shards {
-			parts[i] = partials[i][q]
+	out := partials[0] // one shard's partials are the answers
+	if len(c.shards) > 1 {
+		out = make([][]pathsim.Pair, len(xs))
+		parts := make([][]pathsim.Pair, len(c.shards))
+		for q := range xs {
+			for i := range c.shards {
+				parts[i] = partials[i][q]
+			}
+			out[q] = pathsim.MergeTopK(parts, k, nil)
 		}
-		out[q] = pathsim.MergeTopK(parts, k, nil)
 	}
 	tr.End(sp)
 	return out, nil
@@ -292,6 +332,14 @@ func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, 
 // Rebuild fans a fresh-generation build from seed out to every shard.
 func (c *Coordinator) Rebuild(seed int64) (int64, error) {
 	return c.fanOut("rebuild", func(sh Shard) (int64, error) { return sh.Rebuild(seed) })
+}
+
+// Trim releases, on every shard, the generations older than epoch: the
+// caller has stopped handing older epochs to new readers.
+func (c *Coordinator) Trim(epoch int64) {
+	for _, sh := range c.shards {
+		sh.Trim(epoch)
+	}
 }
 
 // Stats returns every shard's stats, in shard order — the partition

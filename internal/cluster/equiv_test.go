@@ -107,7 +107,10 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 		if err != nil {
 			t.Fatalf("%s: BatchTopK: %v", label, err)
 		}
-		wantBatch := full.BatchTopK(xs, k)
+		wantBatch, err := full.BatchTopKCtx(ctx, xs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range xs {
 			pairsEqual(t, wantBatch[i], batch[i], fmt.Sprintf("%s BatchTopK[%d]", label, i))
 		}

@@ -3,11 +3,11 @@
 // model set built once per write and shared with its sibling shards
 // (the build memo); generations publish atomically behind an atomic
 // pointer (the PR 5 snapshot-store discipline), each retaining its
-// predecessor so reads at the previous epoch keep answering through a
-// write fan-out window. Every write is appended to a replayable log,
-// so Restart can rebuild the exact current state from scratch, alone —
-// the recovery story a remote shard process will need, exercised by
-// the race suite.
+// predecessor — until the next write or a Trim — so reads at the
+// previous epoch keep answering through a write fan-out window. Every
+// write is appended to a replayable log over a checkpoint, so Restart
+// can rebuild the exact current state alone — the recovery story a
+// remote shard process will need, exercised by the race suite.
 
 package cluster
 
@@ -26,11 +26,17 @@ import (
 	"hinet/internal/stats"
 )
 
-// maxRangeIndexes bounds a generation's memoized per-path range
-// indexes, mirroring the single-process snapshot's index memo cap: an
-// adversarial stream of distinct paths cannot grow shard memory
-// without bound (beyond the cap, indexes are rebuilt per request).
-const maxRangeIndexes = 64
+// maxPathIndexes bounds a generation's memoized per-path range
+// indexes: an adversarial stream of distinct paths cannot grow shard
+// memory without bound (beyond the cap, indexes are rebuilt per
+// request — correct, just uncached; the commuting matrices behind them
+// live in the network's meta-path engine, which has the matching
+// maxEntries cap, so such a rebuild is a diagonal extraction).
+const maxPathIndexes = 64
+
+// maxLogOps bounds the write log: once it holds this many entries the
+// next write folds them into a checkpoint (see LocalShard.write).
+const maxLogOps = 64
 
 // generation is one published shard state. Immutable after publish
 // except the ranges memo (concurrent-safe, append-only) and prev,
@@ -40,10 +46,10 @@ type generation struct {
 	epoch  int64
 	models *Models
 	op     *writeOp                   // the write that produced models
-	def    *pathsim.RangeIndex        // default-path slice, built eagerly at publish
+	def    *pathsim.Index             // default-path range, built eagerly at publish
 	prev   atomic.Pointer[generation] // immediately previous generation (nil beyond that)
 
-	ranges     sync.Map // path string → *pathsim.RangeIndex
+	ranges     sync.Map // path string → *pathsim.Index
 	rangeCount atomic.Int32
 }
 
@@ -105,11 +111,17 @@ type LocalShard struct {
 	spec ModelSpec
 	memo *builds // shared with the sibling shards of a NewLocalCluster
 
-	mu      sync.Mutex // serializes writes, the log, and Restart
-	gen     atomic.Pointer[generation]
-	epoch   atomic.Int64 // last published epoch; never decreases, even mid-Restart
-	baseOps []*writeOp   // write log since the last full rebuild (entries shared across shards)
-	base    int64        // epoch the log replays from (epoch before baseOps[0])
+	mu    sync.Mutex // serializes writes, the log, and Restart
+	gen   atomic.Pointer[generation]
+	epoch atomic.Int64 // last published epoch; never decreases, even mid-Restart
+
+	// The replayable state: a checkpoint — the models published at epoch
+	// base, nil when the log opens with a rebuild, which needs none — and
+	// the writes applied since (entries shared across shards), at most
+	// maxLogOps of them.
+	checkpoint *Models
+	base       int64
+	baseOps    []*writeOp
 
 	inflight atomic.Int64
 	queries  atomic.Uint64
@@ -142,7 +154,7 @@ func (sh *LocalShard) boundsFor(endpoint hin.Type, dim int) (lo, hi int) {
 }
 
 // newGeneration builds the publishable state around a model set: the
-// shard's slice of the default index, cut from the (shared) network.
+// shard's range of the default index, cut from the (shared) network.
 func (sh *LocalShard) newGeneration(m *Models, op *writeOp, epoch int64, prev *generation) (*generation, error) {
 	endpoint := PathAPVPA[len(PathAPVPA)-1]
 	lo, hi := sh.boundsFor(endpoint, m.Corpus.Net.Count(endpoint))
@@ -167,7 +179,12 @@ func (sh *LocalShard) publish(g *generation) {
 }
 
 // write applies op on top of the live generation (none before the
-// first rebuild) and publishes the result.
+// first rebuild) and publishes the result. The log restarts at a
+// rebuild, whose state depends on no history, and when it is full: the
+// models of the generation this write supersedes — in hand, nothing is
+// rebuilt — become the checkpoint the log replays from (checkpointOf),
+// so between rebuilds a shard keeps at most maxLogOps batches and one
+// model set, without its products, beyond the generations it serves.
 func (sh *LocalShard) write(op writeOp) (int64, ingest.Summary, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -189,16 +206,30 @@ func (sh *LocalShard) write(op writeOp) (int64, ingest.Summary, error) {
 		return 0, sum, err
 	}
 	if op.rebuild {
-		sh.base, sh.baseOps = epoch-1, nil
+		sh.checkpoint, sh.base, sh.baseOps = nil, epoch-1, nil
+	} else if len(sh.baseOps) >= maxLogOps {
+		sh.checkpoint, sh.base, sh.baseOps = checkpointOf(prev), epoch-1, nil
 	}
 	sh.baseOps = append(sh.baseOps, entry)
 	sh.publish(g)
 	return epoch, sum, nil
 }
 
-// Rebuild implements Shard: a fresh generation from seed. The write
-// log restarts here — a rebuild's state does not depend on prior
-// history.
+// checkpointOf returns m as a replay base: the same models over a
+// copy-on-write clone of the network whose meta-path engine is empty.
+// A checkpoint therefore pins its generation's relations and score
+// vectors but none of its materialized products — the similarity index
+// among them, most of a generation's memory; a replay recomputes those
+// cold, which yields the same bits as the patches the live chain took.
+func checkpointOf(m *Models) *Models {
+	net := m.Corpus.Net.Clone()
+	net.PathEngine().Reset()
+	cp := *m
+	cp.Corpus = m.Corpus.WithNetwork(net)
+	return &cp
+}
+
+// Rebuild implements Shard: a fresh generation from seed.
 func (sh *LocalShard) Rebuild(seed int64) (int64, error) {
 	epoch, _, err := sh.write(writeOp{rebuild: true, rebuildSeed: seed})
 	return epoch, err
@@ -214,7 +245,7 @@ func (sh *LocalShard) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, 
 // Restart models a shard process restart: the live generation is
 // dropped (reads fail with an EpochError while the shard is down — the
 // published epoch counter never decreases), then the write log replays
-// from scratch and the rebuilt state publishes atomically. Because
+// over its checkpoint and the rebuilt state publishes atomically. Because
 // every model build is deterministic, the recovered generation is
 // bit-identical to the one dropped, at the same epoch. The replay never
 // consults the build memo — recovering alone is the point — so the
@@ -228,7 +259,7 @@ func (sh *LocalShard) Restart() error {
 	sh.gen.Store(nil)
 	epoch := sh.base
 	var g *generation
-	var m *Models
+	m := sh.checkpoint
 	for _, op := range sh.baseOps {
 		var err error
 		if m, _, err = op.run(m, sh.spec); err != nil {
@@ -241,6 +272,17 @@ func (sh *LocalShard) Restart() error {
 	}
 	sh.publish(g)
 	return nil
+}
+
+// Trim implements Shard: the live generation lets go of a predecessor
+// older than epoch, which the next write would otherwise drop — so a
+// process need not hold two generations between writes.
+func (sh *LocalShard) Trim(epoch int64) {
+	if g := sh.gen.Load(); g != nil {
+		if p := g.prev.Load(); p != nil && p.epoch < epoch {
+			g.prev.CompareAndSwap(p, nil)
+		}
+	}
 }
 
 // enter counts one read in — callers defer inflight.Add(-1) — and
@@ -267,25 +309,35 @@ func (sh *LocalShard) genAt(epoch int64) (*generation, error) {
 	return nil, &EpochError{Shard: sh.id, Want: epoch, Have: g.epoch}
 }
 
-// rangeFor resolves a client path spec against a generation's memoized
-// range indexes (empty spec = the eagerly built default slice),
-// building and capping like the single-process snapshot's index memo.
-func (sh *LocalShard) rangeFor(ctx context.Context, g *generation, spec string) (*pathsim.RangeIndex, error) {
+// held returns g's memoized range index for a path spec (empty = the
+// eagerly built default range), or nil and the parsed path to build it
+// from. The memo is keyed by resolved path string, so a spec already in
+// that spelling — what the serving layer sends — costs one lookup.
+func (sh *LocalShard) held(g *generation, spec string) (*pathsim.Index, hin.MetaPath, error) {
 	if spec == "" {
-		return g.def, nil
+		return g.def, nil, nil
 	}
-	net := g.models.Corpus.Net
-	path, err := net.ParseMetaPath(spec)
+	if v, ok := g.ranges.Load(spec); ok {
+		return v.(*pathsim.Index), nil, nil
+	}
+	path, err := g.models.Corpus.Net.ParseMetaPath(spec)
+	if err == nil {
+		err = pathsim.ValidatePath(path)
+	}
 	if err != nil {
-		return nil, &ClientError{Err: err}
+		return nil, nil, &ClientError{Err: err}
 	}
-	if err := pathsim.ValidatePath(path); err != nil {
-		return nil, &ClientError{Err: err}
+	if v, ok := g.ranges.Load(path.String()); ok {
+		return v.(*pathsim.Index), nil, nil
 	}
-	key := path.String()
-	if v, ok := g.ranges.Load(key); ok {
-		return v.(*pathsim.RangeIndex), nil
-	}
+	return nil, path, nil
+}
+
+// build materializes the shard's range index of path over g's network
+// and memoizes it, up to maxPathIndexes per generation. The memo dies
+// with the generation, so a write can never serve a stale-epoch index.
+func (sh *LocalShard) build(ctx context.Context, g *generation, path hin.MetaPath) (*pathsim.Index, error) {
+	net := g.models.Corpus.Net
 	endpoint := path[len(path)-1]
 	lo, hi := sh.boundsFor(endpoint, net.Count(endpoint))
 	ix, err := pathsim.NewRangeIndexCtx(ctx, net, path, lo, hi)
@@ -295,14 +347,38 @@ func (sh *LocalShard) rangeFor(ctx context.Context, g *generation, spec string) 
 		}
 		return nil, &ClientError{Err: err}
 	}
-	if g.rangeCount.Load() >= maxRangeIndexes {
+	if g.rangeCount.Load() >= maxPathIndexes {
 		return ix, nil
 	}
-	v, loaded := g.ranges.LoadOrStore(key, ix)
+	v, loaded := g.ranges.LoadOrStore(path.String(), ix)
 	if !loaded {
 		g.rangeCount.Add(1)
 	}
-	return v.(*pathsim.RangeIndex), nil
+	return v.(*pathsim.Index), nil
+}
+
+// rangeFor resolves a path spec to the shard's range index over g,
+// memoized or built now.
+func (sh *LocalShard) rangeFor(ctx context.Context, g *generation, spec string) (*pathsim.Index, error) {
+	ix, path, err := sh.held(g, spec)
+	if ix != nil || err != nil {
+		return ix, err
+	}
+	return sh.build(ctx, g, path)
+}
+
+// Resolve implements Shard.
+func (sh *LocalShard) Resolve(ctx context.Context, epoch int64, path string, build bool) (bool, error) {
+	g, err := sh.genAt(epoch)
+	if err != nil {
+		return false, err
+	}
+	ix, parsed, err := sh.held(g, path)
+	if ix != nil || err != nil || !build {
+		return ix != nil, err
+	}
+	_, err = sh.build(ctx, g, parsed)
+	return false, err
 }
 
 // TopK implements Shard.
@@ -357,15 +433,15 @@ func (sh *LocalShard) Rank(ctx context.Context, epoch int64, metric string, k in
 	default:
 		return nil, 0, false, &ClientError{Err: fmt.Errorf("unknown metric %q (want pagerank|authority|hub)", metric)}
 	}
-	lo, hi := sh.boundsFor(PathAPA[0], len(scores))
-	if k < 0 {
-		k = 0
+	var h []pathsim.Pair
+	if k > 0 { // a bounded selection needs k ≥ 1
+		lo, hi := sh.boundsFor(PathAPA[0], len(scores))
+		h = make([]pathsim.Pair, 0, min(k, hi-lo))
+		for id := lo; id < hi; id++ {
+			h = stats.BoundedOffer(h, k, pathsim.Pair{ID: id, Score: scores[id]}, pathsim.WorsePair)
+		}
+		slices.SortFunc(h, pathsim.ComparePairs)
 	}
-	h := make([]pathsim.Pair, 0, min(k, hi-lo))
-	for id := lo; id < hi; id++ {
-		h = stats.BoundedOffer(h, k, pathsim.Pair{ID: id, Score: scores[id]}, pathsim.WorsePair)
-	}
-	slices.SortFunc(h, pathsim.ComparePairs)
 	return h, iters, converged, nil
 }
 

@@ -6,12 +6,15 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
+	"hinet/internal/pathsim"
 )
 
 func localShards(c *Coordinator) []*LocalShard {
@@ -170,5 +173,117 @@ func TestBuildMemoConcurrentAndDivergent(t *testing.T) {
 	}
 	if !has(shards[0], "x") || has(shards[0], "y") || !has(shards[1], "y") || has(shards[1], "x") {
 		t.Fatal("a shard received models built on another history")
+	}
+}
+
+// TestWriteLogBounded: the replayable log never outgrows maxLogOps —
+// a full log folds into a checkpoint of the generation the shard was
+// retaining anyway — and a restart from checkpoint + log still
+// reproduces the live generation bit for bit.
+func TestWriteLogBounded(t *testing.T) {
+	spec := testSpec()
+	part := Partition{Of: string(dblp.TypeAuthor), Bounds: []int{0, 0}}
+	c, err := NewLocalCluster(1, part, spec, nil, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := localShards(c)[0]
+	net := sh.Models().Corpus.Net
+	authors, papers := net.Count(dblp.TypeAuthor), net.Count(dblp.TypePaper)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 5000; i += 2 {
+		// One delta per write: an edge appears, then goes again, so the
+		// network stays the size it was.
+		edge := ingest.Delta{Op: ingest.OpAddEdge,
+			SrcType: string(dblp.TypePaper), Src: net.Name(dblp.TypePaper, rng.Intn(papers)),
+			DstType: string(dblp.TypeAuthor), Dst: net.Name(dblp.TypeAuthor, rng.Intn(authors))}
+		for _, op := range []ingest.Op{ingest.OpAddEdge, ingest.OpRemoveEdge} {
+			edge.Op = op
+			if _, _, err := c.Ingest([]ingest.Delta{edge}, false); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			if n := len(sh.baseOps); n > maxLogOps {
+				t.Fatalf("after %d writes the log holds %d entries, bound is %d", i+2, n, maxLogOps)
+			}
+		}
+	}
+	if sh.checkpoint == nil || sh.base+int64(len(sh.baseOps)) != sh.Epoch() {
+		t.Fatalf("log of %d entries over a checkpoint at epoch %d does not reach epoch %d", len(sh.baseOps), sh.base, sh.Epoch())
+	}
+
+	ctx, epoch := context.Background(), c.Epoch()
+	type answers struct {
+		rows  [][]pathsim.Pair
+		ranks [][]pathsim.Pair
+	}
+	read := func() (a answers) {
+		for x := 0; x < authors; x++ {
+			row, err := c.TopKAt(ctx, epoch, "", x, authors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.rows = append(a.rows, row)
+		}
+		for _, metric := range []string{"pagerank", "authority", "hub"} {
+			top, _, _, err := c.RankAt(ctx, epoch, metric, authors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.ranks = append(a.ranks, top)
+		}
+		return a
+	}
+	live, before := read(), sh.Models()
+	if err := sh.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if sh.Epoch() != epoch || sh.Models() == before {
+		t.Fatalf("restart: epoch %d (want %d), replayed privately: %v", sh.Epoch(), epoch, sh.Models() != before)
+	}
+	replayed := read()
+	for x := range live.rows {
+		pairsEqual(t, live.rows[x], replayed.rows[x], fmt.Sprintf("row %d after restart", x))
+	}
+	for i := range live.ranks {
+		pairsEqual(t, live.ranks[i], replayed.ranks[i], "rank after restart")
+	}
+}
+
+// TestRetryEvicted pins the one retry loop: only an EpochError is
+// retried, only while the generation the caller pins keeps moving, and
+// at most twice.
+func TestRetryEvicted(t *testing.T) {
+	evicted := &EpochError{Shard: 1, Want: 1, Have: 3}
+	other := fmt.Errorf("boom")
+	for _, tc := range []struct {
+		name   string
+		errs   []error // what successive reads return
+		moves  int     // how many loads return a new generation
+		reads  int
+		wantAt int64
+		want   error
+	}{
+		{name: "first read answers", errs: []error{nil}, moves: 9, reads: 1, wantAt: 1},
+		{name: "evicted once", errs: []error{evicted, nil}, moves: 9, reads: 2, wantAt: 2},
+		{name: "evicted twice", errs: []error{evicted, evicted, nil}, moves: 9, reads: 3, wantAt: 3},
+		{name: "gives up after two retries", errs: []error{evicted, evicted, evicted, nil}, moves: 9, reads: 3, wantAt: 3, want: evicted},
+		{name: "generation did not move", errs: []error{evicted, nil}, moves: 0, reads: 1, wantAt: 1, want: evicted},
+		{name: "other errors are final", errs: []error{other, nil}, moves: 9, reads: 1, wantAt: 1, want: other},
+	} {
+		live, reads, at := int64(1), 0, int64(0)
+		err := RetryEvicted(live, func() int64 {
+			if tc.moves > 0 {
+				tc.moves--
+				live++
+			}
+			return live
+		}, func(epoch int64) error {
+			at = epoch
+			reads++
+			return tc.errs[reads-1]
+		})
+		if err != tc.want || reads != tc.reads || at != tc.wantAt {
+			t.Errorf("%s: err %v after %d reads, last at %d; want %v after %d, at %d", tc.name, err, reads, at, tc.want, tc.reads, tc.wantAt)
+		}
 	}
 }

@@ -465,8 +465,9 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 // patched from its stale self after a mutation; a range that runs to
 // the end of the type is keyed open-ended, so the last shard's slice
 // is still its own patch base after the type grows, while any other
-// change of range starts cold. Non-Gram paths fall back to slicing the
-// full (cached) product.
+// change of range starts cold. The whole range [0, dim) is the path's
+// own product — the very matrix CommuteCtx returns, under its cache
+// entry — and non-Gram paths slice that (cached) product.
 func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.Matrix, diag []float64, err error) {
 	if err := e.Validate(path); err != nil {
 		return nil, nil, err
@@ -475,10 +476,13 @@ func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) 
 	if lo < 0 || hi < lo || hi > dim {
 		return nil, nil, fmt.Errorf("metapath: column range [%d,%d) out of [0,%d)", lo, hi, dim)
 	}
-	if !gramEligible(path) {
+	if whole := lo == 0 && hi == dim; whole || !gramEligible(path) {
 		m, err := e.matrix(ctx, path)
 		if err != nil {
 			return nil, nil, err
+		}
+		if whole {
+			return m, m.Diagonal(), nil
 		}
 		return m.ColSlice(lo, hi), m.Diagonal(), nil
 	}

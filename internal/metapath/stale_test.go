@@ -3,6 +3,7 @@ package metapath
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -301,5 +302,60 @@ func TestColumnRangeChangeStartsCold(t *testing.T) {
 	cols(0, 14)
 	if d := e.Stats().Patches - before; d != 0 {
 		t.Fatalf("a changed range was patched (%d patches); it must build cold", d)
+	}
+}
+
+// TestWholeColumnRangeIsThePathItself: columns [0, dim) are the path's
+// own product — the pointer CommuteCtx returns, under its cache entry,
+// so a one-shard server holds nothing twice — before and after the type
+// grows, when it is patched as the full product is.
+func TestWholeColumnRangeIsThePathItself(t *testing.T) {
+	s := staleSource()
+	e := New(s)
+	ctx := context.Background()
+	check := func(dim int) {
+		t.Helper()
+		full, err := e.CommuteCtx(ctx, staleAPVPA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := e.Stats().Entries
+		cols, diag, err := e.CommuteColsCtx(ctx, staleAPVPA, 0, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cols != full {
+			t.Fatal("the whole column range is a different matrix from the path's product")
+		}
+		if got := e.Stats().Entries; got != entries {
+			t.Fatalf("the whole column range grew the cache from %d to %d entries", entries, got)
+		}
+		want := coldCommute(t, s, staleAPVPA)
+		sameBits(t, "whole range", cols, want)
+		for i, v := range want.Diagonal() {
+			if math.Float64bits(diag[i]) != math.Float64bits(v) {
+				t.Fatalf("diagonal[%d] = %v, want %v", i, diag[i], v)
+			}
+		}
+	}
+	check(40)
+	// Asked first through the range form, it is still the path's entry.
+	e.Reset()
+	cols, _, err := e.CommuteColsCtx(ctx, staleAPVPA, 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, _ := e.CommuteCtx(ctx, staleAPVPA); full != cols {
+		t.Fatal("CommuteCtx rebuilt a product the whole column range had cached")
+	}
+
+	s.counts["A"] = 42
+	ap := [2]string{"A", "P"}
+	s.rels[ap] = s.rels[ap].Grow(42, 60).ApplyDelta([]sparse.Coord{{Row: 41, Col: 4, Val: 1}})
+	e.Invalidate(1, func(path []string) bool { return true })
+	before := e.Stats().Patches
+	check(42)
+	if d := e.Stats().Patches - before; d != 2 { // A-P-V and its Gram
+		t.Fatalf("%d patches after the type grew, want 2", d)
 	}
 }

@@ -6,11 +6,15 @@ import (
 	"testing"
 )
 
-// TestBatchTopKCtxMatchesBatchTopK: a live context is a no-op.
+// TestBatchTopKCtxMatchesBatchTopK: a live context is a no-op — the
+// batch answers what the per-query kernel does.
 func TestBatchTopKCtxMatchesBatchTopK(t *testing.T) {
 	ix := NewIndex(toyNet(), apvpa)
 	queries := []int{0, 1, 2, 3}
-	want := ix.BatchTopK(queries, 3)
+	want := make([][]Pair, len(queries))
+	for i, x := range queries {
+		want[i] = ix.TopK(x, 3)
+	}
 	got, err := ix.BatchTopKCtx(context.Background(), queries, 3)
 	if err != nil {
 		t.Fatalf("BatchTopKCtx: %v", err)

@@ -23,25 +23,46 @@ import (
 	"hinet/internal/stats"
 )
 
-// Index is a prepared PathSim index for one symmetric meta path: the
-// commuting matrix plus its diagonal. Build it once (the commuting
-// matrix product is the expensive part) and answer any number of Sim /
-// TopK / BatchTopK queries against it concurrently — all query methods
-// are read-only, so an Index is safe for unsynchronized sharing, which
-// is how the serving layer (internal/serve) holds one per snapshot.
+// Index is a prepared PathSim index for one symmetric meta path over
+// the candidate range [Lo, Hi) of the path's endpoint type: columns
+// [Lo, Hi) of the commuting matrix plus its full diagonal. It answers
+// queries for ANY object x, restricted to the candidates it owns; the
+// full index is simply the range [0, Dim), and a shard of the serving
+// tier (internal/cluster) holds a narrower one. A narrower range carries
+// the exact float64 entries of the full matrix (sparse.Matrix.ColSlice
+// preserves values; the engine's range build reproduces them bitwise,
+// see metapath.Engine.CommuteColsCtx), so its answers are the full
+// index's answers filtered to the range and MergeTopK reassembles the
+// global answer exactly.
+//
+// Build it once (the commuting matrix product is the expensive part)
+// and answer any number of Sim / TopK / BatchTopKCtx queries against it
+// concurrently — all query methods are read-only, so an Index is safe
+// for unsynchronized sharing.
 type Index struct {
-	Path hin.MetaPath
-	M    *sparse.Matrix
-	diag []float64
+	Path   hin.MetaPath
+	M      *sparse.Matrix // Dim × (Hi-Lo): columns [Lo, Hi) of the commuting matrix
+	diag   []float64      // full diagonal (PathSim denominators for every object)
+	lo, hi int
 }
 
-// Dim returns the number of objects the index covers (the order of the
-// commuting matrix).
+// Dim returns the number of objects the path's endpoint type has — the
+// valid query-id range, which is NOT restricted to [Lo, Hi).
 func (ix *Index) Dim() int { return ix.M.Rows() }
 
-// NNZ returns the stored nonzeros of the commuting matrix — the memory
-// and scan cost the prebuilt index pays to make queries row-local.
+// NNZ returns the stored nonzeros of the index — the memory and scan
+// cost it pays to make queries row-local (and, for a shard's range, the
+// partition-skew signal).
 func (ix *Index) NNZ() int { return ix.M.NNZ() }
+
+// Lo returns the first candidate id the index owns.
+func (ix *Index) Lo() int { return ix.lo }
+
+// Hi returns one past the last candidate id the index owns.
+func (ix *Index) Hi() int { return ix.hi }
+
+// Rows returns the number of candidate objects the index owns.
+func (ix *Index) Rows() int { return ix.hi - ix.lo }
 
 // NewIndex builds the commuting matrix for a symmetric meta path via
 // the network's meta-path engine (planned order, Gram factorization,
@@ -86,45 +107,53 @@ func NewIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath) (*Index
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Path: path, M: m, diag: m.Diagonal()}, nil
+	return &Index{Path: path, M: m, diag: m.Diagonal(), hi: m.Rows()}, nil
 }
 
-// NewIndexFromMatrix wraps a precomputed commuting matrix (must be
-// square; callers guarantee it corresponds to a symmetric path). It
-// panics on non-square input; NewIndexFromMatrixE returns an error.
-func NewIndexFromMatrix(m *sparse.Matrix, path hin.MetaPath) *Index {
-	ix, err := NewIndexFromMatrixE(m, path)
+// NewRangeIndexCtx builds the [lo, hi) range of a PathSim index over a
+// symmetric meta path without materializing the full commuting matrix
+// for Gram-factorable paths (the common case): the engine multiplies
+// the cached half-path product against its own row slice and derives
+// the full diagonal from per-row norms. Entries are bitwise-identical
+// to slicing a full NewIndexCtx build, and [0, Dim) is that build.
+func NewRangeIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath, lo, hi int) (*Index, error) {
+	if err := ValidatePath(path); err != nil {
+		return nil, err
+	}
+	cols, diag, err := n.CommutingColsCtx(ctx, path, lo, hi)
 	if err != nil {
-		panic("pathsim: " + err.Error())
+		return nil, err
 	}
-	return ix
+	return &Index{Path: path, M: cols, diag: diag, lo: lo, hi: hi}, nil
 }
 
-// NewIndexFromMatrixE wraps a precomputed commuting matrix, returning
-// an error when it is not square.
-func NewIndexFromMatrixE(m *sparse.Matrix, path hin.MetaPath) (*Index, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("commuting matrix must be square, got %dx%d", m.Rows(), m.Cols())
+// Range narrows the index to the candidate range [lo, hi), which must
+// lie inside its own — the reference constructor the equivalence tests
+// compare the engine-built ranges against, and the cheap path when a
+// wider index already exists. The diagonal is shared (it is immutable).
+func (ix *Index) Range(lo, hi int) (*Index, error) {
+	if lo < ix.lo || hi < lo || hi > ix.hi {
+		return nil, fmt.Errorf("range [%d,%d) out of [%d,%d)", lo, hi, ix.lo, ix.hi)
 	}
-	return &Index{Path: path, M: m, diag: m.Diagonal()}, nil
+	return &Index{Path: ix.Path, M: ix.M.ColSlice(lo-ix.lo, hi-ix.lo), diag: ix.diag, lo: lo, hi: hi}, nil
 }
 
-// inRange reports whether x is a valid object id for this index. Query
+// inRange reports whether x is a valid query id for this index. Query
 // methods treat out-of-range ids as "no results" rather than panicking,
 // so a stray client id can never take down a serving process.
 func (ix *Index) inRange(x int) bool { return x >= 0 && x < ix.M.Rows() }
 
-// Sim returns the PathSim score s(x, y) ∈ [0, 1]. Out-of-range ids
-// score 0.
+// Sim returns the PathSim score s(x, y) ∈ [0, 1] for a candidate y in
+// [Lo, Hi). Out-of-range ids (either side) score 0.
 func (ix *Index) Sim(x, y int) float64 {
-	if !ix.inRange(x) || !ix.inRange(y) {
+	if !ix.inRange(x) || y < ix.lo || y >= ix.hi {
 		return 0
 	}
 	den := ix.diag[x] + ix.diag[y]
 	if den == 0 {
 		return 0
 	}
-	return 2 * ix.M.At(x, y) / den
+	return 2 * ix.M.At(x, y-ix.lo) / den
 }
 
 // Pair is a scored query answer.
@@ -158,17 +187,22 @@ func ComparePairs(a, b Pair) int {
 
 // topKInto is TopK writing its heap (and result) into dst's backing
 // array: a bounded partial selection (stats.BoundedOffer min-heap,
-// worst at root). The surviving ≤ k pairs are then sorted, which
-// reproduces the full-sort-then-truncate order exactly — ties included
-// — at O(m·log k) instead of O(m·log m) for a population-m row, with
-// no candidate buffer proportional to the row size.
+// worst at root) over the query's row, candidates ascending. The
+// surviving ≤ k pairs are then sorted, which reproduces the
+// full-sort-then-truncate order exactly — ties included — at
+// O(m·log k) instead of O(m·log m) for a population-m row, with no
+// candidate buffer proportional to the row size. The entries a
+// narrower range visits are exactly the full row-scan's entries with
+// Lo ≤ y < Hi, in the same relative order and with the same float64
+// scores, so its result is the full answer filtered to the range.
 func (ix *Index) topKInto(x, k int, dst []Pair) []Pair {
 	if !ix.inRange(x) || k <= 0 {
 		return nil
 	}
 	h := dst[:0]
 	dx := ix.diag[x]
-	ix.M.Row(x, func(y int, v float64) {
+	ix.M.Row(x, func(yl int, v float64) {
+		y := ix.lo + yl
 		if y == x || v == 0 {
 			return
 		}
@@ -182,16 +216,16 @@ func (ix *Index) topKInto(x, k int, dst []Pair) []Pair {
 	return h
 }
 
-// TopK returns the k most PathSim-similar objects to x (excluding x),
-// descending, ties by id. Only objects sharing at least one path
-// instance with x can score above 0, so the scan touches just row x;
-// a bounded heap selects the k best without sorting the whole row.
-// An out-of-range x returns no results.
+// TopK returns the k most PathSim-similar candidates to x among
+// [Lo, Hi) (excluding x), global ids, descending, ties by id. Only
+// objects sharing at least one path instance with x can score above 0,
+// so the scan touches just row x; a bounded heap selects the k best
+// without sorting the whole row. An out-of-range x returns no results.
 func (ix *Index) TopK(x, k int) []Pair {
 	return ix.topKInto(x, k, nil)
 }
 
-// BatchTopK answers one TopK query per entry of xs, fanning the
+// BatchTopKCtx answers one TopK query per entry of xs, fanning the
 // queries out over the shared sparse worker pool. Queries only read the
 // immutable commuting matrix, so they parallelize perfectly; this is
 // the bulk entry point for serving many similarity queries at once.
@@ -207,20 +241,14 @@ func (ix *Index) TopK(x, k int) []Pair {
 // medium batches of dense-row queries cross the pool's serial
 // threshold as their real cost warrants. Out-of-range entries of xs
 // yield empty result slices, like TopK.
-func (ix *Index) BatchTopK(xs []int, k int) [][]Pair {
-	out, _ := ix.BatchTopKCtx(context.Background(), xs, k)
-	return out
-}
-
-// BatchTopKCtx is BatchTopK with cooperative cancellation: the query
-// fan-out polls ctx between blocks (sparse.ParRangeCtx), so a batch
+//
+// The fan-out polls ctx between blocks (sparse.ParRangeCtx), so a batch
 // whose callers have all given up stops burning pool workers. On
-// cancellation it returns ctx.Err() and the partial results must be
-// discarded. With a non-cancelable ctx it is exactly BatchTopK.
+// cancellation it returns ctx.Err() and no results.
 func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, error) {
 	out := make([][]Pair, len(xs))
 	rows := ix.M.Rows()
-	if k <= 0 || rows == 0 {
+	if k <= 0 || rows == 0 || ix.Rows() == 0 {
 		return out, nil
 	}
 	offsets := make([]int, len(xs)+1)
@@ -247,20 +275,47 @@ func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, e
 	return out, nil
 }
 
-// AllScores materializes the full similarity row of x (dense), useful
-// for metric comparison against baselines. An out-of-range x returns
-// nil.
+// AllScores materializes the similarity row of x (dense over every
+// object; candidates outside [Lo, Hi) score 0), useful for metric
+// comparison against baselines. An out-of-range x returns nil.
 func (ix *Index) AllScores(x int) []float64 {
 	if !ix.inRange(x) {
 		return nil
 	}
 	scores := make([]float64, ix.M.Rows())
-	ix.M.Row(x, func(y int, v float64) {
+	ix.M.Row(x, func(yl int, v float64) {
+		y := ix.lo + yl
 		den := ix.diag[x] + ix.diag[y]
 		if den > 0 {
 			scores[y] = 2 * v / den
 		}
 	})
-	scores[x] = 1
+	if x >= ix.lo && x < ix.hi {
+		scores[x] = 1
+	}
 	return scores
+}
+
+// MergeTopK merges per-range partial top-k lists into the global
+// top-k, writing into dst's backing array: bounded-heap selection over
+// the concatenation under WorsePair, sorted with ComparePairs. Any
+// global top-k member ranks within the top k of its own range, so as
+// long as every partial was selected with the same k over disjoint
+// covering ranges, the merge reproduces a single-index TopK exactly —
+// scores bitwise, tie order included (the order is strict and total,
+// and partial scores are float64-identical to full-scan scores). A
+// single part is already that answer and is returned as is (cut to k),
+// not copied.
+func MergeTopK(parts [][]Pair, k int, dst []Pair) []Pair {
+	if len(parts) == 1 {
+		return parts[0][:min(len(parts[0]), max(k, 0))]
+	}
+	h := dst[:0]
+	for _, part := range parts {
+		for _, p := range part {
+			h = stats.BoundedOffer(h, k, p, WorsePair)
+		}
+	}
+	slices.SortFunc(h, ComparePairs)
+	return h
 }

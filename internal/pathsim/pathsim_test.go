@@ -115,15 +115,6 @@ func TestAsymmetricPathPanics(t *testing.T) {
 	NewIndex(toyNet(), hin.MetaPath{"author", "paper", "venue"})
 }
 
-func TestNewIndexFromMatrixValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-square matrix should panic")
-		}
-	}()
-	NewIndexFromMatrix(sparse.NewFromCoords(2, 3, nil), apvpa)
-}
-
 func TestOnDBLPCorpusSameAreaPeers(t *testing.T) {
 	c := dblp.Generate(stats.NewRNG(1), dblp.Config{
 		VenuesPerArea:  3,
@@ -172,7 +163,7 @@ func TestBatchTopKMatchesTopK(t *testing.T) {
 	}
 	check := func() {
 		t.Helper()
-		batch := ix.BatchTopK(queries, 5)
+		batch := batchTopK(ix, queries, 5)
 		if len(batch) != len(queries) {
 			t.Fatalf("BatchTopK returned %d results for %d queries", len(batch), len(queries))
 		}

@@ -74,8 +74,8 @@ func TestRangeTopKMergeMatchesFull(t *testing.T) {
 		for _, parts := range []int{1, 2, 3, 8} {
 			for _, skewed := range []bool{false, true} {
 				ranges := cutRanges(rng, dim, parts, skewed)
-				slices := make([]*RangeIndex, parts)
-				built := make([]*RangeIndex, parts)
+				slices := make([]*Index, parts)
+				built := make([]*Index, parts)
 				for i, r := range ranges {
 					var err error
 					if slices[i], err = full.Range(r[0], r[1]); err != nil {
@@ -93,7 +93,7 @@ func TestRangeTopKMergeMatchesFull(t *testing.T) {
 					for trial := 0; trial < 15; trial++ {
 						x := rng.Intn(dim)
 						want := full.TopK(x, k)
-						for name, ixs := range map[string][]*RangeIndex{"slice": slices, "engine": built} {
+						for name, ixs := range map[string][]*Index{"slice": slices, "engine": built} {
 							partials := make([][]Pair, parts)
 							for i, ix := range ixs {
 								partials[i] = ix.TopK(x, k)
@@ -128,7 +128,7 @@ func TestRangeBatchTopKMatchesSingles(t *testing.T) {
 	}
 	xs := []int{-1, 0, dim / 3, dim - 1, dim, dim / 2}
 	for _, k := range []int{0, 5, dim} {
-		batch := ix.BatchTopK(xs, k)
+		batch := batchTopK(ix, xs, k)
 		for i, x := range xs {
 			pairsBitwiseEqual(t, ix.TopK(x, k), batch[i], "batch entry")
 		}
@@ -171,5 +171,32 @@ func TestRangeOutOfBounds(t *testing.T) {
 	}
 	if _, err := NewRangeIndexCtx(context.Background(), toyNet(), hin.MetaPath{"author", "paper"}, 0, 1); err == nil {
 		t.Fatal("asymmetric path should fail validation")
+	}
+}
+
+// TestMergeTopKOnePart: a single part is already the answer — the merge
+// hands it back as is, tie order and score bits included, not a
+// re-heaped copy — cut to k.
+func TestMergeTopKOnePart(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ix := tieHeavyIndex(rng, 120, 6)
+	ties := false
+	for x := 0; x < ix.Dim(); x++ {
+		part := ix.TopK(x, 20)
+		for i := 1; i < len(part); i++ {
+			ties = ties || part[i].Score == part[i-1].Score
+		}
+		got := MergeTopK([][]Pair{part}, 20, nil)
+		pairsBitwiseEqual(t, part, got, "one part")
+		if len(part) > 0 && &got[0] != &part[0] {
+			t.Fatal("one-part merge copied the part")
+		}
+		pairsBitwiseEqual(t, ix.TopK(x, 3), MergeTopK([][]Pair{part}, 3, nil), "one part cut to k")
+	}
+	if !ties {
+		t.Fatal("fixture produced no tied scores")
+	}
+	if got := MergeTopK([][]Pair{ix.TopK(0, 5)}, 0, nil); len(got) != 0 {
+		t.Fatalf("k=0 merge returned %v", got)
 	}
 }

@@ -4,6 +4,7 @@
 package pathsim
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -41,23 +42,30 @@ func refTopK(ix *Index, x, k int) []Pair {
 	return out
 }
 
-// tieHeavyIndex builds an index over a random 0/1 bipartite incidence's
-// Gram matrix: integer path counts and uniform diagonals produce many
-// exactly-equal scores, stressing the tie-ordering contract.
-func tieHeavyIndex(rng *rand.Rand, n, features int) *Index {
-	var entries []sparse.Coord
-	for r := 0; r < n; r++ {
-		deg := 1 + rng.Intn(4)
-		for i := 0; i < deg; i++ {
-			entries = append(entries, sparse.Coord{Row: r, Col: rng.Intn(features), Val: 1})
-		}
-	}
-	m := sparse.NewFromCoords(n, features, entries).Gram()
-	ix, err := NewIndexFromMatrixE(m, hin.MetaPath{"x", "f", "x"})
+// batchTopK is BatchTopKCtx under a context that never dies.
+func batchTopK(ix *Index, xs []int, k int) [][]Pair {
+	out, err := ix.BatchTopKCtx(context.Background(), xs, k)
 	if err != nil {
 		panic(err)
 	}
-	return ix
+	return out
+}
+
+// tieHeavyIndex builds an index over a random 0/1 bipartite incidence's
+// Gram matrix (the x-f-x path of a two-type network): integer path
+// counts and uniform diagonals produce many exactly-equal scores,
+// stressing the tie-ordering contract.
+func tieHeavyIndex(rng *rand.Rand, n, features int) *Index {
+	net := hin.NewNetwork()
+	net.AddAnonymous("x", n)
+	net.AddAnonymous("f", features)
+	for r := 0; r < n; r++ {
+		deg := 1 + rng.Intn(4)
+		for i := 0; i < deg; i++ {
+			net.AddLink("x", r, "f", rng.Intn(features), 1)
+		}
+	}
+	return NewIndex(net, hin.MetaPath{"x", "f", "x"})
 }
 
 // TestTopKHeapMatchesFullSort pins the heap selection against the
@@ -112,7 +120,7 @@ func TestBatchTopKArena(t *testing.T) {
 	ix := tieHeavyIndex(rng, 60, 8)
 	queries := []int{-5, 0, 7, 59, 60, 1000, 12, 7}
 	for _, k := range []int{1, 3, 100} {
-		batch := ix.BatchTopK(queries, k)
+		batch := batchTopK(ix, queries, k)
 		for i, q := range queries {
 			want := ix.TopK(q, k)
 			if len(batch[i]) != len(want) {
@@ -127,7 +135,7 @@ func TestBatchTopKArena(t *testing.T) {
 	}
 	// k<=0 batches return empty per-query slices.
 	for _, k := range []int{0, -1} {
-		for i, r := range ix.BatchTopK(queries, k) {
+		for i, r := range batchTopK(ix, queries, k) {
 			if len(r) != 0 {
 				t.Fatalf("k=%d query %d returned %v", k, i, r)
 			}
@@ -149,7 +157,7 @@ func TestBatchTopKSteadyStateAllocs(t *testing.T) {
 	sparse.Parallelism(1) // serial: the parallel fan-out adds pool bookkeeping
 	defer sparse.Parallelism(old)
 	allocs := testing.AllocsPerRun(20, func() {
-		ix.BatchTopK(queries, 10)
+		batchTopK(ix, queries, 10)
 	})
 	if allocs > 4 {
 		t.Errorf("BatchTopK allocates %.0f times per batch, want ≤ 4", allocs)

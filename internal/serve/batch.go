@@ -1,7 +1,7 @@
 // Micro-batching queue for top-k similarity queries. Concurrent
 // requests funnel into one dispatcher goroutine that coalesces them
-// into a single pathsim.BatchTopK call, which fans the batch out over
-// the sparse worker pool. Coalescing is "natural" by default: while one
+// into a single batched kernel call (topKKernel, cluster.go), which
+// fans the batch out over the shards and the sparse worker pool. Coalescing is "natural" by default: while one
 // batch computes, new arrivals pile up in the queue and form the next
 // batch, so an idle server adds no latency and a loaded server batches
 // automatically. An optional window keeps a batch open a little longer
@@ -30,22 +30,11 @@ import (
 
 var errShutdown = errors.New("serve: server is shutting down")
 
-// topKKernel is what the batcher dispatches a coalesced batch against:
-// a single-process *pathsim.Index, or the sharded tier's scatter-gather
-// coordinator (clusterKernel). Either way one call answers the whole
-// deduplicated batch.
-type topKKernel interface {
-	Dim() int
-	BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]pathsim.Pair, error)
-}
-
 type topKReq struct {
-	ctx     context.Context // caller's context: deadline + disconnect signal
-	x, k    int
-	kern    topKKernel // kernel the query runs against
-	pathKey string     // resolved path string (group + cache key component)
-	epoch   int64      // epoch of the snapshot the kernel belongs to
-	out     chan topKResp
+	ctx  context.Context // caller's context: deadline + disconnect signal
+	x, k int
+	kern topKKernel // what the query runs against: (epoch, path) groups a batch
+	out  chan topKResp
 }
 
 type topKResp struct {
@@ -92,7 +81,7 @@ func newBatcher(maxBatch int, window time.Duration, inj *chaos.Injector) *batche
 // calls it each tick to widen batches while the limit is depressed.
 func (b *batcher) setWindow(d time.Duration) { b.windowNS.Store(int64(d)) }
 
-// TopK submits one query against req.ix and blocks until its batch is
+// TopK submits one query against req.kern and blocks until its batch is
 // answered, the context is canceled, or the batcher shuts down.
 func (b *batcher) TopK(ctx context.Context, req topKReq) (topKResp, error) {
 	if err := ctx.Err(); err != nil {
@@ -220,7 +209,7 @@ func (b *batcher) flush(batch []topKReq) {
 	groups := make(map[string][]topKReq)
 	order := make([]string, 0, 1)
 	for _, r := range batch {
-		key := fmt.Sprintf("%d|%s", r.epoch, r.pathKey)
+		key := fmt.Sprintf("%d|%s", r.kern.epoch, r.kern.path)
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
@@ -239,7 +228,7 @@ func (b *batcher) flush(batch []topKReq) {
 // askers.
 func (b *batcher) flushGroup(group []topKReq) {
 	kern := group[0].kern
-	n := kern.Dim()
+	n := kern.dim
 	xs := make([]int, 0, len(group))
 	slot := make(map[int]int, len(group)) // id → index in xs
 	live := make([]topKReq, 0, len(group))
@@ -293,7 +282,7 @@ func (b *batcher) flushGroup(group []topKReq) {
 		time.Sleep(d)
 	}
 	kstart := time.Now()
-	res, err := kern.BatchTopKCtx(kctx, xs, kmax)
+	res, err := kern.coord.BatchTopKAt(kctx, kern.epoch, kern.path, xs, kmax)
 	kernel := time.Since(kstart)
 	close(stop)
 	cancel()
@@ -316,7 +305,7 @@ func (b *batcher) flushGroup(group []topKReq) {
 		if r.k < len(pairs) {
 			pairs = pairs[:r.k]
 		}
-		r.out <- topKResp{pairs: pairs, epoch: r.epoch, batch: len(live), kernel: kernel}
+		r.out <- topKResp{pairs: pairs, epoch: kern.epoch, batch: len(live), kernel: kernel}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // under -race in CI; the assertions also pin answer sanity.
 func TestConcurrentTopKRace(t *testing.T) {
 	s := newTestServer(t, Options{Seed: 5})
-	dim := s.Snapshot().PathSim.Dim()
+	dim := s.Snapshot().IndexDim
 	ctx := context.Background()
 
 	const goroutines = 16
@@ -43,7 +43,9 @@ func TestConcurrentTopKRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.store.Rebuild(6)
+		if _, err := s.rebuild(6); err != nil {
+			t.Error(err)
+		}
 	}()
 	wg.Wait()
 	close(errs)
@@ -117,7 +119,7 @@ func TestBatcherMixedK(t *testing.T) {
 func TestBatcherRejectsBadIDs(t *testing.T) {
 	s := newTestServer(t, Options{})
 	ctx := context.Background()
-	for _, x := range []int{-1, s.Snapshot().PathSim.Dim()} {
+	for _, x := range []int{-1, s.Snapshot().IndexDim} {
 		if _, _, err := s.TopK(ctx, x, 5); err == nil {
 			t.Fatalf("id %d accepted", x)
 		}

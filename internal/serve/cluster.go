@@ -1,63 +1,49 @@
-// Sharded serving glue: when Options.Shards > 1 the server fronts an
-// in-process scatter-gather cluster (internal/cluster) instead of the
-// snapshot's own index. The cluster builds each generation once; the
-// store publishes that same generation as its snapshot (names, corpus
-// and model payloads render from it) without an index of its own, and
-// the coordinator answers the kernel-shaped surfaces (top-k, rank,
-// clusters) from partitioned candidate ranges.
+// Cluster glue: the server fronts an in-process scatter-gather cluster
+// (internal/cluster) of max(1, Options.Shards) shards — an unsharded
+// server is the one-shard case, not a different path. The cluster
+// builds each generation once; the store publishes that same generation
+// as its snapshot (names, corpus and model payloads render from it),
+// and the coordinator answers the kernel-shaped surfaces (top-k, rank,
+// clusters) from the shards' candidate ranges. Only what an operator
+// sees of the tier — /v1/cluster/shards, the hinet_cluster_* and
+// hinet_shard_* series, the /v1/stats "cluster" entry — depends on
+// whether there is more than one shard.
 
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
 	"hinet/internal/cluster"
-	"hinet/internal/pathsim"
+	"hinet/internal/ingest"
 )
 
-// clusterKernel adapts the scatter-gather coordinator to the batcher's
-// topKKernel: one coalesced batch becomes one BatchTopK fan-out at the
-// pinned epoch. Dim is the endpoint-type cardinality captured at
-// resolve time (the shards serve the snapshot's own network).
-type clusterKernel struct {
+// topKKernel is what the batcher dispatches a coalesced batch against:
+// one Coordinator.BatchTopKAt fan-out over a meta-path's range indexes
+// at a pinned epoch. dim is the endpoint-type cardinality captured at resolve time
+// (the shards serve the snapshot's own network).
+type topKKernel struct {
 	coord *cluster.Coordinator
-	path  string // resolved path spec ("" = prebuilt APVPA)
+	path  string // resolved path string: batch-group, cache and shard-memo key
 	dim   int
 	epoch int64
 }
 
-func (ck clusterKernel) Dim() int { return ck.dim }
-
-func (ck clusterKernel) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]pathsim.Pair, error) {
-	return ck.coord.BatchTopKAt(ctx, ck.epoch, ck.path, xs, k)
-}
-
-// defaultKernel is the kernel for the default (empty path=) query
-// surface: the coordinator when sharded, the snapshot's prebuilt index
-// otherwise.
-func (s *Server) defaultKernel(snap *Snapshot) (topKKernel, string) {
-	if s.coord != nil {
-		return clusterKernel{coord: s.coord, path: "", dim: snap.PathSim.Dim(), epoch: snap.Epoch}, pathAPVPA.String()
-	}
-	return snap.PathSim.Index, pathAPVPA.String()
-}
-
-// Coordinator exposes the scatter-gather tier (nil when unsharded);
-// tests and the bench harness reach shards through it.
+// Coordinator exposes the scatter-gather tier; tests and the CLI banner
+// reach shards through it.
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // writeClusterStats renders the /v1/stats "cluster" entry. Its key set
-// and value types are identical in both modes — the replay harness
-// digests response shapes, and a trace recorded single-process must
-// replay cleanly against a sharded server (and vice versa).
+// and value types are identical at every shard count — the replay
+// harness digests response shapes, and a trace recorded against one
+// shard must replay cleanly against three (and vice versa).
 func (s *Server) writeClusterStats(w *jsonWriter, snap *Snapshot) {
 	shards, epoch, policy, skew := 1, snap.Epoch, "none", 1.0
 	var scatters, routed uint64
-	if s.coord != nil {
+	if s.coord.Shards() > 1 {
 		shards, epoch, policy, skew = s.coord.Shards(), s.coord.Epoch(), s.coord.PolicyName(), s.coord.Skew()
 		scatters, routed = s.coord.Scatters(), s.coord.Routed()
 	}
@@ -72,10 +58,10 @@ func (s *Server) writeClusterStats(w *jsonWriter, snap *Snapshot) {
 }
 
 // handleClusterShards serves the partition-skew view: per-shard epoch,
-// candidate range, nnz, and load counters. Registered in both modes
-// (the endpoint set is fixed at boot); an unsharded server answers 404.
+// candidate range, nnz, and load counters. Registered at every shard
+// count (the endpoint set is fixed at boot); one shard answers 404.
 func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
-	if s.coord == nil {
+	if s.coord.Shards() <= 1 {
 		httpError(w, http.StatusNotFound, "server is not sharded (start with -shards N)")
 		return
 	}
@@ -118,7 +104,7 @@ func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
 // series to /metrics. Nothing is emitted unsharded — a scrape config
 // keyed on these series only ever sees them on a sharded process.
 func (s *Server) writeClusterMetrics(w io.Writer) {
-	if s.coord == nil {
+	if s.coord.Shards() <= 1 {
 		return
 	}
 	fmt.Fprintf(w, "hinet_cluster_shards %d\n", s.coord.Shards())
@@ -135,26 +121,53 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	}
 }
 
-// adopt runs one write of the sharded tier and publishes the generation
+// adopt runs one write of the cluster tier and publishes the generation
 // its shards now share — the same *cluster.Models, not a rebuild of it
-// — as the next snapshot. Both happen under the store lock, coordinator
-// first: the coordinator epoch therefore always leads (or equals) the
-// store epoch, so a snapshot's epoch is always servable by the shards —
-// current, or the retained previous generation.
-func (s *Server) adopt(write func() error) (*Snapshot, error) {
+// — as the next snapshot, at the epoch the write published. Both happen
+// under the store lock, coordinator first: the cluster epoch therefore
+// always leads (or equals) the snapshot's, so the live snapshot's epoch
+// is always servable by the shards — current, or the retained previous
+// generation. Once the new snapshot is live no new request can load the
+// old one, so the shards are told to let the previous generation go:
+// the process holds one generation between writes, and a request still
+// in flight on the old snapshot starts over on the new (Server.read).
+func (s *Server) adopt(write func() (int64, error)) (*Snapshot, error) {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
 	start := time.Now()
-	if err := write(); err != nil {
+	epoch, err := write()
+	if err != nil {
 		return nil, err
 	}
 	m := s.coord.Shard(0).(*cluster.LocalShard).Models()
 	if m == nil {
 		return nil, errNoSnapshot
 	}
-	nnz := 0
+	snap := &Snapshot{Epoch: epoch, BuiltAt: start, Models: m, IndexDim: m.Corpus.Net.Count(pathAPVPA[0])}
 	for _, st := range s.coord.Stats() {
-		nnz += st.NNZ
+		snap.IndexNNZ += st.NNZ
 	}
-	return s.store.publish(m, nnz, start), nil
+	snap.BuildTime = time.Since(start)
+	s.store.cur.Store(snap)
+	s.coord.Trim(epoch)
+	return snap, nil
+}
+
+// ingest applies a delta batch as an incremental generation (see
+// cluster.IngestModels): all-or-nothing — shard 0 is the validation
+// gate, and a rejected batch changes nothing — with in-flight queries
+// reading the previous snapshot, whose network is never mutated, until
+// the swap.
+func (s *Server) ingest(deltas []ingest.Delta, refreshModels bool) (*Snapshot, ingest.Summary, error) {
+	var sum ingest.Summary
+	snap, err := s.adopt(func() (epoch int64, err error) {
+		epoch, sum, err = s.coord.Ingest(deltas, refreshModels)
+		return epoch, err
+	})
+	return snap, sum, err
+}
+
+// rebuild materializes a fresh generation from seed and swaps it in.
+func (s *Server) rebuild(seed int64) (*Snapshot, error) {
+	return s.adopt(func() (int64, error) { return s.coord.Rebuild(seed) })
 }

@@ -110,30 +110,29 @@ func TestIngestEndpoint(t *testing.T) {
 }
 
 // TestIngestEquivalentToRebuild is the serving-level equivalence
-// check: a store that ingests delta batches ends with the same
-// network matrices and (within tolerance) the same PageRank as a
-// store that replays everything from scratch.
+// check: a generation chain that ingests delta batches ends with the
+// same network matrices and (within tolerance) the same PageRank as
+// one that replays everything from scratch.
 func TestIngestEquivalentToRebuild(t *testing.T) {
-	inc := NewStore(testConfig())
-	inc.Rebuild(1)
-	ref := NewStore(testConfig())
-	ref.Rebuild(1)
+	spec := testConfig().spec()
+	a := cluster.BuildModels(1, spec)
+	b := cluster.BuildModels(1, spec)
 
 	rng := stats.NewRNG(42)
 	var all []ingest.Delta
+	var err error
 	for batch := 0; batch < 3; batch++ {
-		ds := ingest.SamplePapers(inc.Current().Corpus, rng, 4)
-		if _, _, err := inc.Ingest(ds, false); err != nil {
+		ds := ingest.SamplePapers(a.Corpus, rng, 4)
+		if a, _, err = cluster.IngestModels(a, ds, false, spec); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, ds...)
 	}
-	// Replay the same deltas in one shot on the reference store.
-	if _, _, err := ref.Ingest(all, false); err != nil {
+	// Replay the same deltas in one shot on the reference chain.
+	if b, _, err = cluster.IngestModels(b, all, false, spec); err != nil {
 		t.Fatal(err)
 	}
 
-	a, b := inc.Current(), ref.Current()
 	if got, want := a.Corpus.Net.Count(dblp.TypePaper), b.Corpus.Net.Count(dblp.TypePaper); got != want {
 		t.Fatalf("paper counts %d vs %d", got, want)
 	}
@@ -215,7 +214,7 @@ func TestIngestInvalidatesCachedAnswers(t *testing.T) {
 	}
 	// And the fresh answer matches a direct index query on the new
 	// snapshot.
-	want := srv.Snapshot().PathSim.TopK(0, 5)
+	want := refIndex(t, srv.Snapshot(), "").TopK(0, 5)
 	if !samePairs(after, want) {
 		t.Fatalf("served %v, index says %v", after, want)
 	}
@@ -261,7 +260,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				cur := srv.store.Current()
 				ds := ingest.SamplePapers(cur.Corpus, rng, 2)
-				snap, _, err := srv.store.Ingest(ds, false)
+				snap, _, err := srv.ingest(ds, false)
 				if err != nil {
 					errs <- err
 					return
@@ -275,7 +274,11 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			snap := srv.store.Rebuild(int64(i + 2))
+			snap, err := srv.rebuild(int64(i + 2))
+			if err != nil {
+				errs <- err
+				return
+			}
 			observe(snap.Epoch)
 		}
 	}()
@@ -288,20 +291,30 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 				snap := srv.store.Current()
 				observe(snap.Epoch)
 				x := (g*13 + i) % authors
-				pairs, epoch, _, err := srv.topK(context.Background(), snap, snap.PathSim, snap.PathSim.Path.String(), x, 5)
+				// Read as the handlers do: a reader two writes overtook
+				// starts over from the then-live snapshot.
+				err := cluster.RetryEvicted(snap, srv.store.Current, func(snap *Snapshot) error {
+					pairs, epoch, _, err := srv.topK(context.Background(), srv.kernel(snap, pathAPVPAKey, snap.IndexDim), x, 5)
+					if err != nil {
+						return err
+					}
+					if epoch != snap.Epoch {
+						return fmt.Errorf("answer epoch %d for snapshot epoch %d", epoch, snap.Epoch)
+					}
+					// The served answer must equal the snapshot's own index
+					// answer — a stale cache entry from another epoch would
+					// differ whenever the graph changed.
+					ref, err := resolveRef(snap, "")
+					if err != nil {
+						return err
+					}
+					if want := ref.TopK(x, 5); !samePairs(pairs, want) {
+						return fmt.Errorf("stale answer for x=%d at epoch %d", x, snap.Epoch)
+					}
+					return nil
+				})
 				if err != nil {
 					errs <- err
-					return
-				}
-				if epoch != snap.Epoch {
-					errs <- fmt.Errorf("answer epoch %d for snapshot epoch %d", epoch, snap.Epoch)
-					return
-				}
-				// The served answer must equal the snapshot's own index
-				// answer — a stale cache entry from another epoch would
-				// differ whenever the graph changed.
-				if want := snap.PathSim.TopK(x, 5); !samePairs(pairs, want) {
-					errs <- fmt.Errorf("stale answer for x=%d at epoch %d", x, snap.Epoch)
 					return
 				}
 			}
@@ -315,11 +328,11 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 
 	// Quiesced: the live snapshot answers for itself.
 	snap := srv.Snapshot()
-	pairs, _, _, err := srv.topK(context.Background(), snap, snap.PathSim, snap.PathSim.Path.String(), 0, 5)
+	pairs, _, _, err := srv.topK(context.Background(), srv.kernel(snap, pathAPVPAKey, snap.IndexDim), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := snap.PathSim.TopK(0, 5); !samePairs(pairs, want) {
+	if want := refIndex(t, snap, "").TopK(0, 5); !samePairs(pairs, want) {
 		t.Fatal("final answer does not match the live snapshot")
 	}
 }
@@ -333,7 +346,6 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap")
 	}
-	ctx := context.Background()
 	const spec = "A-P-T-P-A"
 	liveHeap := func() int64 {
 		var ms runtime.MemStats
@@ -343,29 +355,27 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	// routes reports how many products a query of spec patched and how
-	// many Gram products it ran in all, on the live snapshot's engine.
-	routes := func(st *Store) (patched, grams uint64, ix *pathsim.Index) {
-		snap := st.Current()
+	// many Gram products it ran in all, on the live generation's engine.
+	routes := func(m *cluster.Models) (patched, grams uint64, ix *pathsim.Index) {
+		snap := &Snapshot{Models: m}
 		before := snap.Engine().Stats()
-		ix, err := snap.PathIndex(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix = refIndex(t, snap, spec)
 		after := snap.Engine().Stats()
 		return after.Patches - before.Patches, after.Grams - before.Grams, ix
 	}
 	// Three ingests; with query set, spec is materialized before the
 	// first and again right after it, then never.
 	var indexBytes int64
-	build := func(query bool) *Store {
-		st := NewStore(ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 200, Papers: 2000}})
-		st.Rebuild(1)
+	build := func(query bool) *cluster.Models {
+		mspec := ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 200, Papers: 2000}}.spec()
+		st := cluster.BuildModels(1, mspec)
 		rng := stats.NewRNG(9)
 		for i := 0; i < 3; i++ {
 			if query && i == 0 {
 				routes(st)
 			}
-			if _, _, err := st.Ingest(ingest.SamplePapers(st.Current().Corpus, rng, 3), false); err != nil {
+			var err error
+			if st, _, err = cluster.IngestModels(st, ingest.SamplePapers(st.Corpus, rng, 3), false, mspec); err != nil {
 				t.Fatal(err)
 			}
 			if query && i == 0 {

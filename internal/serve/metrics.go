@@ -71,7 +71,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, t := range types {
 			fmt.Fprintf(w, "hinet_snapshot_objects{type=%q} %d\n", string(t), snap.Corpus.Net.Count(t))
 		}
-		fmt.Fprintf(w, "hinet_pathsim_index_nnz %d\n", snap.PathSim.NNZ())
+		fmt.Fprintf(w, "hinet_pathsim_index_nnz %d\n", snap.IndexNNZ)
 
 		// Meta-path engine: materialization-cache effectiveness, how the
 		// planner is evaluating products, where the product wall time

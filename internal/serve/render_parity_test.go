@@ -175,7 +175,7 @@ func refStats(s *Server, snap *Snapshot) map[string]any {
 		"shards": 1, "epoch": snap.Epoch, "policy": "none", "skew": 1.0,
 		"scatters": uint64(0), "routed": uint64(0),
 	}
-	if s.coord != nil {
+	if s.coord.Shards() > 1 {
 		clusterStats = map[string]any{
 			"shards": s.coord.Shards(), "epoch": s.coord.Epoch(), "policy": s.coord.PolicyName(),
 			"skew": s.coord.Skew(), "scatters": s.coord.Scatters(), "routed": s.coord.Routed(),
@@ -192,7 +192,7 @@ func refStats(s *Server, snap *Snapshot) map[string]any {
 		"built_at":      snap.BuiltAt.UTC().Format(time.RFC3339Nano),
 		"build_seconds": snap.BuildTime.Seconds(),
 		"objects":       objects,
-		"pathsim":       map[string]int{"dim": snap.PathSim.Dim(), "nnz": snap.PathSim.NNZ()},
+		"pathsim":       map[string]int{"dim": snap.IndexDim, "nnz": snap.IndexNNZ},
 		"metapath": map[string]any{
 			"cache_hits":      es.Hits,
 			"cache_misses":    es.Misses,
@@ -307,11 +307,7 @@ func expect(t *testing.T, rec *httptest.ResponseRecorder, target string, code in
 
 func mustIndex(t *testing.T, snap *Snapshot, spec string) *pathsim.Index {
 	t.Helper()
-	ix, err := snap.PathIndex(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix
+	return refIndex(t, snap, spec)
 }
 
 // isolatedAuthor ingests one author with no papers and returns its id:
@@ -382,7 +378,7 @@ func TestRenderParityTopK(t *testing.T) {
 // pathErr is the error the snapshot's resolver reports for a bad spec.
 func pathErr(t *testing.T, snap *Snapshot, spec string) error {
 	t.Helper()
-	_, err := snap.PathIndex(context.Background(), spec)
+	_, err := resolveRef(snap, spec)
 	if err == nil {
 		t.Fatalf("path %q resolved", spec)
 	}
@@ -527,7 +523,7 @@ func TestRenderParityWrites(t *testing.T) {
 	expect(t, serveBody(t, s, "POST", "/v1/ingest", `{"deltas": [`), "truncated body", 400,
 		refError("invalid ingest body: %v", decodeErr(`{"deltas": [`)))
 	bad, _ := json.Marshal(ingestRequest{Deltas: []ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}})
-	_, _, verr := s.store.Ingest([]ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}, false)
+	_, _, verr := s.ingest([]ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}, false)
 	if verr == nil {
 		t.Fatal("unknown type ingested")
 	}

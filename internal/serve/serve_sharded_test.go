@@ -1,9 +1,10 @@
-// HTTP-layer parity for the sharded serving tier: a sharded server and
-// a single-process server booted from the same seed must answer every
-// query surface with byte-identical JSON — same ids, same tie order,
-// same float bits, same error strings — before and after an identical
-// ingest. (The coordinator-level bitwise suite lives in
-// internal/cluster; this pins the handler plumbing on top of it.)
+// HTTP-layer parity across shard counts: an unsharded server — a
+// one-shard cluster — and a 3-shard server booted from the same seed
+// must answer every query surface with byte-identical JSON — same ids,
+// same tie order, same float bits, same error strings — before and
+// after an identical ingest and rebuild. (The coordinator-level bitwise
+// suite lives in internal/cluster; this pins the handler plumbing on
+// top of it.)
 
 package serve
 
@@ -14,9 +15,11 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
+	"hinet/internal/obs"
 )
 
 // do runs one request (with optional body) and returns status + body.
@@ -31,8 +34,8 @@ func do(t *testing.T, s *Server, method, path, body string) (int, string) {
 func TestShardedServeParity(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4})
 	sharded := newTestServer(t, Options{Seed: 4, Shards: 3, ShardPolicy: "least-loaded"})
-	if sharded.Coordinator() == nil || sharded.Coordinator().Shards() != 3 {
-		t.Fatal("sharded server did not boot a 3-shard coordinator")
+	if single.Coordinator().Shards() != 1 || sharded.Coordinator().Shards() != 3 {
+		t.Fatal("servers did not boot a one-shard and a 3-shard coordinator")
 	}
 
 	name := url.QueryEscape(single.Snapshot().Corpus.Net.Name(dblp.TypeAuthor, 5))
@@ -42,6 +45,9 @@ func TestShardedServeParity(t *testing.T) {
 		"/v1/pathsim/topk?id=7&k=25", // repeat: cache hit on both sides
 		"/v1/pathsim/topk?path=A-P-A&id=3&k=10",
 		"/v1/pathsim/topk?path=A-P-V-P-A&id=3&k=10", // spelled-out default path
+		"/v1/pathsim/topk?path=A-P-T-P-A&id=1&k=8",
+		"/v1/pathsim/topk?path=V-P-A-P-V&id=0&k=3", // endpoint type the partition does not cut
+		"/v1/pathsim/topk?id=7&k=100000",           // k past the row population
 		"/v1/pathsim/topk?name=" + name + "&k=5",
 		"/v1/pathsim/topk?id=99999&k=5",        // 400: id out of range
 		"/v1/pathsim/topk?id=0&k=5&path=A-P",   // 400: asymmetric path
@@ -50,6 +56,7 @@ func TestShardedServeParity(t *testing.T) {
 		"/v1/rank?metric=authority&top=12",
 		"/v1/rank?metric=hub&top=12",
 		"/v1/rank?metric=hub&top=99999", // k past the vector length
+		"/v1/rank?metric=hub&top=0",     // empty selection
 		"/v1/rank?metric=bogus",         // 400: unknown metric
 		"/v1/clusters?algo=rankclus&top=4",
 		"/v1/clusters?algo=netclus&top=4",
@@ -150,7 +157,7 @@ func TestShardedServeParity(t *testing.T) {
 		}
 		totalNNZ += sh.NNZ
 	}
-	if want := sharded.Snapshot().PathSim.NNZ(); totalNNZ != want {
+	if want := sharded.Snapshot().IndexNNZ; totalNNZ != want {
 		t.Fatalf("per-shard nnz sums to %d, index has %d", totalNNZ, want)
 	}
 	if code, _ := do(t, single, "GET", "/v1/cluster/shards", ""); code != 404 {
@@ -202,4 +209,67 @@ func TestShardedServeParity(t *testing.T) {
 		t.Fatalf("coordinator epoch %d after rebuild, want 3", ep)
 	}
 	compare("epoch3")
+}
+
+// TestColdPathBuildOffDispatcher: the first query over a new meta-path
+// materializes it under its own request's resolve span, on that
+// request's goroutine — so default-path queries issued meanwhile are
+// answered while the build is still running, not queued behind it in
+// the batch dispatcher.
+func TestColdPathBuildOffDispatcher(t *testing.T) {
+	s := newTestServer(t, Options{Seed: 1, Shards: 3, CacheCapacity: -1, ControlInterval: -1,
+		Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}}})
+	cold := make(chan *obs.TraceJSON, 1)
+	go func() {
+		var body struct {
+			Trace *obs.TraceJSON `json:"trace"`
+		}
+		code, out := do(t, s, "GET", "/v1/pathsim/topk?path=A-P-T-P-A&id=0&k=10&debug=1", "")
+		if err := json.Unmarshal([]byte(out), &body); code != 200 || err != nil || body.Trace == nil {
+			t.Errorf("cold path query = %d (%v): %s", code, err, out)
+			body.Trace = &obs.TraceJSON{}
+		}
+		cold <- body.Trace
+	}()
+	// Default-path queries, back to back, until the cold one is done.
+	type span struct{ from, to time.Time }
+	var quick []span
+	var tr *obs.TraceJSON
+	for i := 0; tr == nil; i++ {
+		from := time.Now()
+		if code := get(t, s, "GET", "/v1/pathsim/topk?id="+itoa(i%4000)+"&k=10", nil); code != 200 {
+			t.Fatalf("default path query = %d", code)
+		}
+		quick = append(quick, span{from, time.Now()})
+		select {
+		case tr = <-cold:
+		default:
+		}
+	}
+	begin, err := time.Parse(time.RFC3339Nano, tr.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Stages {
+		if sp.Stage != "resolve" {
+			continue
+		}
+		if sp.Note != "built" {
+			t.Fatalf("resolve note = %q, want built", sp.Note)
+		}
+		from := begin.Add(time.Duration(sp.StartUS * 1e3))
+		to := from.Add(time.Duration(sp.DurUS * 1e3))
+		during := 0
+		for _, q := range quick {
+			if !q.from.Before(from) && !q.to.After(to) {
+				during++
+			}
+		}
+		t.Logf("cold build took %.1f ms under resolve; %d default-path queries started and finished inside it", sp.DurUS/1e3, during)
+		if during < 3 {
+			t.Fatalf("%d default-path queries completed during the %.1f ms cold build, want >= 3: it blocked them", during, sp.DurUS/1e3)
+		}
+		return
+	}
+	t.Fatal("cold path trace has no resolve span")
 }

@@ -24,6 +24,30 @@ func testConfig() ModelConfig {
 	}}
 }
 
+// resolveRef builds the reference PathSim index for a client path spec
+// ("" = the default path) over a snapshot's network: whole, through the
+// full commuting matrix, never through the shards.
+func resolveRef(snap *Snapshot, spec string) (*pathsim.Index, error) {
+	path := pathAPVPA
+	if spec != "" {
+		var err error
+		if path, err = snap.Corpus.Net.ParseMetaPath(spec); err != nil {
+			return nil, err
+		}
+	}
+	return pathsim.NewIndexCtx(context.Background(), snap.Corpus.Net, path)
+}
+
+// refIndex is resolveRef for specs that must resolve.
+func refIndex(t testing.TB, snap *Snapshot, spec string) *pathsim.Index {
+	t.Helper()
+	ix, err := resolveRef(snap, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	if opts.Models.Corpus.Papers == 0 {
@@ -231,13 +255,10 @@ func TestTopKInvalidPaths(t *testing.T) {
 func TestTopKOutOfRangeRegression(t *testing.T) {
 	s := newTestServer(t, Options{})
 	snap := s.Snapshot()
-	vpv, err := snap.PathIndex(context.Background(), "V-P-V")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vpv := refIndex(t, snap, "V-P-V")
 	x := vpv.Dim() // valid author id (80 authors), invalid venue id (6 venues)
-	if x >= snap.PathSim.Dim() {
-		t.Fatalf("test premise broken: %d venues >= %d authors", x, snap.PathSim.Dim())
+	if x >= snap.IndexDim {
+		t.Fatalf("test premise broken: %d venues >= %d authors", x, snap.IndexDim)
 	}
 	if code := get(t, s, "GET", "/v1/pathsim/topk?path=V-P-V&id="+itoa(x), nil); code != 400 {
 		t.Fatalf("out-of-range id for per-path index: code %d, want 400", code)
@@ -246,8 +267,8 @@ func TestTopKOutOfRangeRegression(t *testing.T) {
 	if got := vpv.TopK(x, 5); got != nil {
 		t.Fatalf("TopK out of range = %v, want nil", got)
 	}
-	if got := vpv.BatchTopK([]int{-1, x}, 5); len(got) != 2 || got[0] != nil || got[1] != nil {
-		t.Fatalf("BatchTopK out of range = %v", got)
+	if got, err := vpv.BatchTopKCtx(context.Background(), []int{-1, x}, 5); err != nil || len(got) != 2 || got[0] != nil || got[1] != nil {
+		t.Fatalf("BatchTopKCtx out of range = %v (%v)", got, err)
 	}
 }
 

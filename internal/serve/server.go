@@ -3,21 +3,28 @@
 // paper's "mine knowledge interactively" reading of ranking, clustering
 // and similarity search (§2, §4, §7b as query-time primitives).
 //
-// Three pieces cooperate:
+// Four pieces cooperate:
 //
-//   - a snapshot Store (snapshot.go) materializes immutable model
-//     artifacts — PageRank/HITS vectors, RankClus and NetClus cluster
-//     models, a prebuilt PathSim index — and swaps generations
-//     atomically, so rebuilds never block queries; each snapshot also
-//     carries its network's meta-path engine (internal/metapath), so
-//     /v1/pathsim/topk serves arbitrary path= meta-paths, planned and
-//     materialized on first use and answered from cache afterwards;
+//   - the cluster tier (internal/cluster, glued in by cluster.go) is the
+//     one kernel and write surface: max(1, Options.Shards) in-process
+//     shards behind a scatter-gather coordinator build each immutable
+//     generation once — PageRank/HITS vectors, RankClus and NetClus
+//     cluster models, the default PathSim index as per-shard column
+//     ranges — and answer top-k, rank and cluster reads from it; an
+//     unsharded server is the one-shard case of the same path. Each
+//     generation carries its network's meta-path engine
+//     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
+//     meta-paths, planned and materialized on first use and answered
+//     from the shards' memo afterwards;
+//   - a snapshot Store (snapshot.go) publishes each generation
+//     atomically for rendering (names, corpus, model payloads), so
+//     writes never block queries;
 //   - a sharded LRU Cache (cache.go) answers hot queries from memory,
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
 //   - a micro-batching queue (batch.go) coalesces concurrent top-k
-//     queries into per-(epoch, path) pathsim.BatchTopK calls that fan
-//     out over the shared sparse worker pool.
+//     queries into per-(epoch, path) batched kernel calls that fan out
+//     over the shards and the shared sparse worker pool.
 //
 // Every request is traced (internal/obs): the route wrapper mints one
 // span trace per request, handlers chain named stage spans through it,
@@ -30,7 +37,7 @@
 // /v1/pathsim/topk, /v1/cluster/shards, POST /v1/rebuild, POST
 // /v1/ingest, and /v1/debug/slowlog (plus /debug/pprof/* when
 // Options.Pprof is set).
-// See docs/ARCHITECTURE.md ("Serving layer") and the README quickstart.
+// See docs/ARCHITECTURE.md ("One serving path") and the README quickstart.
 package serve
 
 import (
@@ -67,11 +74,11 @@ type Options struct {
 	Seed   int64       // seed of the startup snapshot (default 1)
 	Models ModelConfig // snapshot contents (corpus size, cluster count)
 
-	// Sharded serving tier (internal/cluster): Shards > 1 partitions the
-	// PathSim candidate space over that many in-process shards behind a
-	// scatter-gather coordinator; answers are bitwise-identical to the
-	// single-process path. ShardPolicy picks the single-shard routing
-	// policy ("", "round-robin", "least-loaded", "key-affinity").
+	// Cluster tier (internal/cluster): the PathSim candidate space is
+	// partitioned over max(1, Shards) in-process shards behind a
+	// scatter-gather coordinator; answers are bitwise-identical at any
+	// count. ShardPolicy picks the single-shard routing policy ("",
+	// "round-robin", "least-loaded", "key-affinity").
 	Shards      int
 	ShardPolicy string
 
@@ -146,11 +153,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server wires the store, cache, batcher and admission controller
-// behind an http.Handler.
+// Server wires the cluster tier, store, cache, batcher and admission
+// controller behind an http.Handler.
 type Server struct {
 	opts  Options
-	store *Store
+	store Store
 	cache *Cache
 	batch *batcher
 	met   *metrics
@@ -162,7 +169,7 @@ type Server struct {
 	hs    *http.Server
 	ln    net.Listener
 
-	coord *cluster.Coordinator // scatter-gather tier (nil when Shards <= 1)
+	coord *cluster.Coordinator // scatter-gather tier: every kernel read and every write
 
 	shutOnce sync.Once
 	shutErr  error
@@ -193,35 +200,36 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:  opts,
-		store: NewStore(opts.Models),
 		cache: NewCache(opts.CacheCapacity, opts.CacheShards),
 		obs:   obs.NewRegistry(obs.Options{}),
 		mux:   http.NewServeMux(),
 	}
 	s.adm = newAdmission(opts.AdmissionFloor, opts.MaxConcurrent,
 		opts.SLOTargetP99, opts.ControlInterval, opts.BrownoutEnter, opts.BrownoutExit)
-	if opts.Shards > 1 {
-		policy, err := cluster.NewPolicy(opts.ShardPolicy)
-		if err != nil {
-			panic("serve: " + err.Error())
+	policy, err := cluster.NewPolicy(opts.ShardPolicy)
+	if err != nil {
+		panic("serve: " + err.Error())
+	}
+	// The cluster builds the first generation once for all its shards and
+	// the store publishes that same generation. One shard owns the whole
+	// candidate range — bounds [0, 0], the last shard absorbing the type.
+	// More balance candidate work by row nnz of the full default index,
+	// built over a throwaway corpus of the same seed: built through the
+	// serving network's engine, the full commuting matrix would stay
+	// cached there, read by no shard (docs/ARCHITECTURE.md).
+	spec, shards := opts.Models.spec(), max(1, opts.Shards)
+	part := cluster.Partition{Of: string(pathAPVPA[0]), Bounds: []int{0, 0}}
+	if shards > 1 {
+		full := pathsim.NewIndex(dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net, pathAPVPA)
+		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.M.RowNNZ)
+	}
+	if _, err := s.adopt(func() (epoch int64, err error) {
+		if s.coord, err = cluster.NewLocalCluster(shards, part, spec, policy, opts.Seed); err != nil {
+			return 0, err
 		}
-		// The cluster builds the first generation once for all its shards
-		// and the store publishes that same generation. The partition
-		// balances candidate work by row nnz of the full default index,
-		// built over a throwaway corpus of the same seed: built through
-		// the serving network's engine, the full commuting matrix would
-		// stay cached there, read by no shard (docs/ARCHITECTURE.md).
-		if _, err := s.adopt(func() (err error) {
-			spec := s.store.spec()
-			full := pathsim.NewIndex(dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net, pathAPVPA)
-			part := cluster.PartitionByNNZ(string(pathAPVPA[0]), full.Dim(), opts.Shards, full.M.RowNNZ)
-			s.coord, err = cluster.NewLocalCluster(opts.Shards, part, spec, policy, opts.Seed)
-			return err
-		}); err != nil {
-			panic("serve: sharded boot: " + err.Error())
-		}
-	} else {
-		s.store.Rebuild(opts.Seed)
+		return s.coord.Epoch(), nil
+	}); err != nil {
+		panic("serve: boot: " + err.Error())
 	}
 	s.batch = newBatcher(opts.MaxBatch, opts.BatchWindow, opts.Chaos)
 	if opts.ControlInterval > 0 {
@@ -252,9 +260,9 @@ func New(opts Options) *Server {
 	s.route("/healthz", classCritical, s.handleHealthz)
 	s.route("/metrics", classCritical, s.handleMetrics)
 	s.route("/v1/stats", classCheap, s.handleStats)
-	s.route("/v1/rank", classCheap, s.handleRank)
-	s.route("/v1/clusters", classCheap, s.handleClusters)
-	s.route("/v1/pathsim/topk", classQuery, s.handleTopK)
+	s.route("/v1/rank", classCheap, s.read(s.handleRank))
+	s.route("/v1/clusters", classCheap, s.read(s.handleClusters))
+	s.route("/v1/pathsim/topk", classQuery, s.read(s.handleTopK))
 	s.route("/v1/rebuild", classWrite, s.handleRebuild)
 	s.route("/v1/ingest", classWrite, s.handleIngest)
 	s.route("/v1/debug/slowlog", classCheap, s.handleSlowlog)
@@ -575,53 +583,80 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
+// read adapts a handler that reads the cluster tier at a snapshot's
+// epoch. The handler gets the live snapshot; if the shards have already
+// evicted that epoch it returns their EpochError before writing
+// anything, and runs again from the then-live snapshot
+// (cluster.RetryEvicted). Any error it returns unanswered is a 503.
+func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		snap := s.store.Current()
+		if snap == nil {
+			httpError(w, http.StatusServiceUnavailable, "no snapshot")
+			return
+		}
+		err := cluster.RetryEvicted(snap, s.store.Current, func(snap *Snapshot) error { return h(w, r, snap) })
+		if err != nil {
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
+		}
+	}
+}
+
+// kernel is the batched top-k kernel of a resolved path at snap's
+// generation; dim is the count of the path's endpoint type.
+func (s *Server) kernel(snap *Snapshot, pathKey string, dim int) topKKernel {
+	return topKKernel{coord: s.coord, path: pathKey, dim: dim, epoch: snap.Epoch}
+}
+
 // topK is the shared cache→batcher query path, also driven directly by
-// the serving benchmarks. The query runs against kern (a single-process
-// index resolved from snap, or the scatter-gather coordinator pinned to
-// snap's epoch); the cache key carries the snapshot epoch and the path,
-// so neither a rebuild nor a different path can ever serve a stale or
-// foreign answer. It returns the answer, the epoch it came from, and
-// whether it was a cache hit.
+// the serving benchmarks. The query runs against kern — the coordinator
+// pinned to a snapshot's epoch and a resolved path; the cache key
+// carries both, so neither a write nor a different path can ever serve
+// a stale or foreign answer. It returns the answer, the epoch it came
+// from, and whether it was a cache hit.
 //
 // A trace carried by ctx gets child spans under the caller's open span:
 // "cache" (noted hit/miss), then on a miss "batch" covering queue wait
-// plus compute, with a "kernel" child pinned to the BatchTopK wall time
-// measured by the dispatcher.
-func (s *Server) topK(ctx context.Context, snap *Snapshot, kern topKKernel, pathKey string, x, k int) ([]pathsim.Pair, int64, bool, error) {
+// plus compute, with a "kernel" child pinned to the batched kernel
+// call's wall time measured by the dispatcher.
+func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("cache")
-	if pairs, ok := s.cache.Get(cacheKey{snap.Epoch, pathKey, x, k}); ok {
+	key := cacheKey{kern.epoch, kern.path, x, k}
+	if pairs, ok := s.cache.Get(key); ok {
 		tr.Note("hit")
 		tr.End(sp)
-		return pairs, snap.Epoch, true, nil
+		return pairs, kern.epoch, true, nil
 	}
 	tr.Note("miss")
 	sp = tr.Next(sp, "batch")
-	resp, err := s.batch.TopK(ctx, topKReq{x: x, k: k, kern: kern, pathKey: pathKey, epoch: snap.Epoch})
+	resp, err := s.batch.TopK(ctx, topKReq{x: x, k: k, kern: kern})
 	if err != nil {
 		tr.End(sp)
 		return nil, 0, false, err
 	}
 	tr.AddTimed(sp, "kernel", resp.kernel)
 	tr.End(sp)
-	// Batch results alias one shared arena (pathsim.BatchTopK); clone
+	// Batch results alias one shared arena (pathsim.BatchTopKCtx); clone
 	// before caching so one retained entry cannot pin its whole batch's
 	// backing array for the cache entry's lifetime.
 	pairs := slices.Clone(resp.pairs)
-	s.cache.Put(cacheKey{resp.epoch, pathKey, x, k}, pairs)
+	s.cache.Put(key, pairs)
 	return pairs, resp.epoch, false, nil
 }
 
 // TopK is the exported form of the cached, batched query path, against
-// the current snapshot's prebuilt APVPA index (scatter-gathered across
-// the shards when the server is sharded).
-func (s *Server) TopK(ctx context.Context, x, k int) ([]pathsim.Pair, bool, error) {
+// the live generation's default (APVPA) index, scatter-gathered across
+// the shards.
+func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
 	snap := s.store.Current()
 	if snap == nil {
 		return nil, false, fmt.Errorf("no snapshot available")
 	}
-	kern, pathKey := s.defaultKernel(snap)
-	pairs, _, hit, err := s.topK(ctx, snap, kern, pathKey, x, k)
+	err = cluster.RetryEvicted(snap, s.store.Current, func(snap *Snapshot) (err error) {
+		pairs, _, hit, err = s.topK(ctx, s.kernel(snap, pathAPVPAKey, snap.IndexDim), x, k)
+		return err
+	})
 	return pairs, hit, err
 }
 
@@ -761,8 +796,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	jw.endObject()
 	jw.key("pathsim").beginObject()
-	jw.key("dim").integer(int64(snap.PathSim.Dim()))
-	jw.key("nnz").integer(int64(snap.PathSim.NNZ()))
+	jw.key("dim").integer(int64(snap.IndexDim))
+	jw.key("nnz").integer(int64(snap.IndexNNZ))
 	jw.endObject()
 	jw.key("seed").integer(snap.Seed)
 	jw.traceEcho(q, tr)
@@ -771,19 +806,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Current()
-	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot")
-		return
-	}
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
 	top, err := intParam(q, "top", 10)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
-		return
+		return nil
 	}
 	metric := q.Get("metric")
 	switch metric {
@@ -792,58 +822,20 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	case "pagerank", "authority", "hub":
 	default:
 		httpError(w, http.StatusBadRequest, "unknown metric %q (want pagerank|authority|hub)", metric)
-		return
+		return nil
 	}
 	sp = tr.Next(sp, "rank")
-	var pairs []pathsim.Pair
-	var iters int
-	var converged bool
-	if s.coord != nil {
-		// Sharded: each shard contributes the top of its owned id range
-		// of the generation's score vector; the merge reproduces the
-		// single-process stats.TopK order exactly.
-		ctx := r.Context()
-		if tr != nil {
-			ctx = obs.WithTrace(ctx, tr)
-		}
-		// Shards retain one previous generation, so two writes landing
-		// between the snapshot load above and the scatter can evict
-		// snap.Epoch; mirror Coordinator.TopK and retry once from a
-		// freshly loaded snapshot before giving up.
-		for attempt := 0; ; attempt++ {
-			var err error
-			pairs, iters, converged, err = s.coord.RankAt(ctx, snap.Epoch, metric, top)
-			if err == nil {
-				break
-			}
-			var ee *cluster.EpochError
-			if attempt == 0 && errors.As(err, &ee) {
-				if fresh := s.store.Current(); fresh != nil && fresh.Epoch != snap.Epoch {
-					snap = fresh
-					continue
-				}
-			}
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-	} else {
-		var scores []float64
-		var ids []int
-		switch metric {
-		case "pagerank":
-			scores, iters, converged = snap.PageRank.Scores, snap.PageRank.Iterations, snap.PageRank.Converged
-			ids = snap.PageRank.TopK(top)
-		case "authority":
-			scores, iters, converged = snap.HITS.Authority, snap.HITS.Iterations, snap.HITS.Converged
-			ids = snap.HITS.TopAuthorities(top)
-		case "hub":
-			scores, iters, converged = snap.HITS.Hub, snap.HITS.Iterations, snap.HITS.Converged
-			ids = snap.HITS.TopHubs(top)
-		}
-		pairs = make([]pathsim.Pair, 0, len(ids))
-		for _, id := range ids {
-			pairs = append(pairs, pathsim.Pair{ID: id, Score: scores[id]})
-		}
+	// Each shard contributes the top of its owned id range of the
+	// generation's score vector; the merge reproduces the stats.TopK
+	// order over the whole vector exactly.
+	ctx := r.Context()
+	if tr != nil {
+		ctx = obs.WithTrace(ctx, tr)
+	}
+	pairs, iters, converged, err := s.coord.RankAt(ctx, snap.Epoch, metric, top)
+	if err != nil {
+		tr.End(sp)
+		return err
 	}
 	sp = tr.Next(sp, "render")
 	jw := newJSONWriter()
@@ -862,21 +854,17 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
+	return nil
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Current()
-	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot")
-		return
-	}
+func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
 	top, err := intParam(q, "top", 5)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
-		return
+		return nil
 	}
 	algo := q.Get("algo")
 	switch algo {
@@ -885,40 +873,21 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	case "rankclus", "netclus":
 	default:
 		httpError(w, http.StatusBadRequest, "unknown algo %q (want rankclus|netclus)", algo)
-		return
+		return nil
 	}
 	c := snap.Corpus
-	// Cluster models are whole-model reads, so the sharded tier routes
+	// Cluster models are whole-model reads, so the coordinator routes
 	// them to one shard by policy instead of scattering; the fetched
 	// models are the snapshot's own generation (or, from a shard that
-	// has just replayed its log, a bit-identical rebuild of it), so the
-	// rendering below is shared.
-	rcm, ncm := snap.RankClus, snap.NetClus
-	if s.coord != nil {
-		ctx := r.Context()
-		if tr != nil {
-			ctx = obs.WithTrace(ctx, tr)
-		}
-		// Same eviction window as /v1/rank: two writes between the
-		// snapshot load and the routed read can evict snap.Epoch from
-		// the shards' retained generations, so retry once from a fresh
-		// snapshot before 503ing.
-		for attempt := 0; ; attempt++ {
-			var err error
-			rcm, ncm, err = s.coord.ClustersAt(ctx, snap.Epoch, algo)
-			if err == nil {
-				break
-			}
-			var ee *cluster.EpochError
-			if attempt == 0 && errors.As(err, &ee) {
-				if fresh := s.store.Current(); fresh != nil && fresh.Epoch != snap.Epoch {
-					snap, c = fresh, fresh.Corpus
-					continue
-				}
-			}
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
+	// has just replayed its log, a bit-identical rebuild of it).
+	ctx := r.Context()
+	if tr != nil {
+		ctx = obs.WithTrace(ctx, tr)
+	}
+	rcm, ncm, err := s.coord.ClustersAt(ctx, snap.Epoch, algo)
+	if err != nil {
+		tr.End(sp)
+		return err
 	}
 	jw := newJSONWriter()
 	jw.beginObject()
@@ -976,6 +945,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
+	return nil
 }
 
 // nmiAligned scores the overlap of a ground-truth labeling and a
@@ -988,12 +958,7 @@ func nmiAligned(truth, assign []int) float64 {
 	return eval.NMI(truth[:n], assign[:n])
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Current()
-	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot")
-		return
-	}
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
@@ -1004,7 +969,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	k, err := intParam(q, "k", 10)
 	if err != nil || k < 1 {
 		httpError(w, http.StatusBadRequest, "k must be a positive integer")
-		return
+		return nil
 	}
 	// Brownout: truncate k and answer from already-materialized state
 	// only — no index builds, no kernel dispatches (cache misses shed).
@@ -1012,65 +977,52 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if degraded && k > s.opts.BrownoutK {
 		k = s.opts.BrownoutK
 	}
-	// path= selects the meta-path; empty keeps the prebuilt APVPA
-	// index. The engine validates the spec — any parse/schema/symmetry
-	// problem is the client's, hence 400, and the snapshot memoizes the
-	// index so repeat queries pay one lookup (the resolve span's note
-	// says which way it went: prebuilt, cached, or built).
+	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
+	// Any parse/schema/symmetry problem is the client's, hence 400. The
+	// shards materialize their range indexes of a new path here, on this
+	// request's goroutine — never inside the batch dispatcher, where a
+	// cold build would stall every other query — and memoize them, so
+	// repeat queries pay one lookup per shard (the resolve span's note
+	// says which way it went: prebuilt, cached, or built). A degraded
+	// server starts no materializations: a path not already built sheds.
 	sp = tr.Next(sp, "resolve")
-	var kern topKKernel
-	var pathKey string
-	var endpoint hin.Type
-	var dim int
-	if degraded {
-		// Brownout resolution never builds: already-materialized paths
-		// only, and no kernel at all — the cache-only query path below
-		// never reaches one, and a sharded snapshot has no index to offer.
-		path, ok := snap.PathCached(q.Get("path"))
-		if !ok {
+	pathKey, endpoint := pathAPVPAKey, pathAPVPA[0]
+	if spec := q.Get("path"); spec == "" {
+		tr.Note("prebuilt")
+	} else {
+		held := false
+		path, err := snap.Corpus.Net.ParseMetaPath(spec)
+		if err == nil {
+			err = pathsim.ValidatePath(path)
+		}
+		if err == nil {
+			pathKey, endpoint = path.String(), path[0]
+			held, err = s.coord.ResolveAt(ctx, snap.Epoch, pathKey, !degraded)
+		}
+		var ee *cluster.EpochError
+		switch {
+		case errors.As(err, &ee):
+			tr.End(sp)
+			return err
+		case degraded && !held:
 			tr.Note("degraded-shed")
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
-			return
+			return nil
+		case err != nil && ctx.Err() != nil:
+			tr.Note("deadline")
+			httpError(w, http.StatusGatewayTimeout, "deadline exceeded while resolving path: %v", ctx.Err())
+			return nil
+		case err != nil:
+			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
+			return nil
+		case held:
+			tr.Note("cached")
+		default:
+			tr.Note("built")
 		}
-		pathKey, endpoint = path.String(), path[0]
-		dim = snap.Corpus.Net.Count(endpoint)
-	} else if s.coord != nil {
-		// Sharded: the handler runs the same client-side validation the
-		// single-process resolve applies (identical error bytes), and the
-		// shards materialize their range indexes lazily at query time —
-		// a schema error surfaces from the scatter as a ClientError and
-		// maps to the same 400 below.
-		if spec := q.Get("path"); spec == "" {
-			tr.Note("prebuilt")
-			kern, pathKey = s.defaultKernel(snap)
-			endpoint, dim = pathAPVPA[0], snap.PathSim.Dim()
-		} else {
-			path, perr := snap.Corpus.Net.ParseMetaPath(spec)
-			if perr == nil {
-				perr = pathsim.ValidatePath(path)
-			}
-			if perr != nil {
-				httpError(w, http.StatusBadRequest, "invalid path: %v", perr)
-				return
-			}
-			pathKey, endpoint = path.String(), path[0]
-			dim = snap.Corpus.Net.Count(endpoint)
-			kern = clusterKernel{coord: s.coord, path: pathKey, dim: dim, epoch: snap.Epoch}
-		}
-	} else {
-		ix, ierr := snap.PathIndex(ctx, q.Get("path"))
-		if ierr != nil {
-			if ctx.Err() != nil {
-				tr.Note("deadline")
-				httpError(w, http.StatusGatewayTimeout, "deadline exceeded while resolving path: %v", ctx.Err())
-				return
-			}
-			httpError(w, http.StatusBadRequest, "invalid path: %v", ierr)
-			return
-		}
-		kern, pathKey, endpoint, dim = ix, ix.Path.String(), ix.Path[0], ix.Dim()
 	}
+	dim := snap.Corpus.Net.Count(endpoint)
 	// The queried objects live at the path's endpoint type (author for
 	// the default APVPA). name= (author= kept as an alias) looks an
 	// object up by name within that type.
@@ -1082,18 +1034,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if name != "" {
 		if x = snap.Corpus.Net.Lookup(endpoint, name); x < 0 {
 			httpError(w, http.StatusNotFound, "unknown %s %q", endpoint, name)
-			return
+			return nil
 		}
 	} else {
 		x, err = intParam(q, "id", -1)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil
 		}
 	}
 	if x < 0 || x >= dim {
 		httpError(w, http.StatusBadRequest, "need id in [0,%d) or name=<%s name>", dim, endpoint)
-		return
+		return nil
 	}
 	sp = tr.Next(sp, "query")
 	var pairs []pathsim.Pair
@@ -1109,30 +1061,29 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			tr.End(sp2)
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
-			return
+			return nil
 		}
 		tr.Note("hit")
 		tr.End(sp2)
 		pairs, epoch, hit = cached, snap.Epoch, true
-	} else if pairs, epoch, hit, err = s.topK(ctx, snap, kern, pathKey, x, k); err != nil {
+	} else if pairs, epoch, hit, err = s.topK(ctx, s.kernel(snap, pathKey, dim), x, k); err != nil {
 		var ce *cluster.ClientError
-		if errors.As(err, &ce) {
-			// A shard rejected the query's meta-path (schema-less hop the
-			// client asked for): the client's error, same bytes as the
-			// single-process resolve would have produced.
-			httpError(w, http.StatusBadRequest, "invalid path: %v", ce.Err)
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		switch {
+		case errors.As(err, &ce):
+			// A shard rejected the query's meta-path after all (it was
+			// resolved above, so only past the shards' memo cap).
+			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// Partial-work accounting: the trace's open spans show the
 			// stage the deadline landed in; the note marks it for the
 			// slowlog.
 			tr.Note("deadline")
 			httpError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
-			return
+		default:
+			tr.End(sp)
+			return err
 		}
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return nil
 	}
 	source := "batch"
 	if hit {
@@ -1162,6 +1113,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
+	return nil
 }
 
 // ingestRequest is the POST /v1/ingest body: a delta batch plus
@@ -1199,21 +1151,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sp = tr.Next(sp, "apply")
 	start := time.Now()
-	// Sharded: the coordinator fans the batch out (shard 0 is the
-	// validation gate, and a shard rejection is byte-identical to the
-	// store's) and the store adopts the generation the shards built.
-	var snap *Snapshot
-	var sum ingest.Summary
-	var err error
-	if s.coord != nil {
-		snap, err = s.adopt(func() error {
-			var err error
-			_, sum, err = s.coord.Ingest(req.Deltas, req.RefreshModels)
-			return err
-		})
-	} else {
-		snap, sum, err = s.store.Ingest(req.Deltas, req.RefreshModels)
-	}
+	snap, sum, err := s.ingest(req.Deltas, req.RefreshModels)
 	if err != nil {
 		s.ing.rejected.Add(1)
 		code := http.StatusBadRequest
@@ -1262,18 +1200,10 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp = tr.Next(sp, "rebuild")
-	var snap *Snapshot
-	if s.coord != nil {
-		snap, err = s.adopt(func() error {
-			_, err := s.coord.Rebuild(int64(seed))
-			return err
-		})
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	} else {
-		snap = s.store.Rebuild(int64(seed))
+	snap, err := s.rebuild(int64(seed))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()

@@ -1,14 +1,15 @@
-// A sharded server builds one model generation per write: the shards
-// and the store's snapshot hold the same network, the snapshot carries
-// no index of its own, and everything that used to read that index —
-// stats, metrics, the brownout path — answers as the unsharded server
-// does.
+// A server builds one model generation per write, at any shard count:
+// the shards and the store's snapshot hold the same network, the
+// snapshot carries no index of its own, and everything that reads the
+// index's size or state — stats, metrics, the brownout path — answers
+// the same at one shard and at three.
 
 package serve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"regexp"
 	"runtime"
@@ -48,7 +49,7 @@ func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	if snap.Epoch != epoch || coord.Epoch() != epoch {
 		t.Fatalf("%s: store epoch %d, cluster epoch %d, want %d", label, snap.Epoch, coord.Epoch(), epoch)
 	}
-	if snap.Models.PathSim != nil || snap.PathSim.Index != nil {
+	if snap.Models.PathSim != nil {
 		t.Fatalf("%s: sharded snapshot carries a full index", label)
 	}
 	for i := 0; i < coord.Shards(); i++ {
@@ -56,6 +57,12 @@ func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 		if m != snap.Models || m.Corpus.Net != snap.Corpus.Net {
 			t.Fatalf("%s: shard %d holds its own model set", label, i)
 		}
+	}
+	// Between writes the process holds this generation only: the one it
+	// replaced was let go when the snapshot went live.
+	var evicted *cluster.EpochError
+	if _, err := coord.TopKAt(context.Background(), epoch-1, "", 0, 5); !errors.As(err, &evicted) {
+		t.Fatalf("%s: read at epoch %d = %v, want an EpochError (generation still retained)", label, epoch-1, err)
 	}
 }
 
@@ -66,7 +73,7 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 
 	// Read balance is unchanged: the bounds are the nnz partition of a
 	// full index over the same seed.
-	full := single.Snapshot().PathSim
+	full := refIndex(t, single.Snapshot(), "")
 	want := cluster.PartitionByNNZ(string(dblp.TypeAuthor), full.Dim(), 3, full.M.RowNNZ)
 	if got := sharded.Coordinator().Partition(); got.Of != want.Of || !slices.Equal(got.Bounds, want.Bounds) {
 		t.Fatalf("partition %v, want %v", got, want)
@@ -152,9 +159,10 @@ func TestShardedIndexSizeParity(t *testing.T) {
 	}
 }
 
-// TestShardedBrownoutParity: a degraded sharded server has no snapshot
-// index to resolve the default path against; it must still answer the
-// cache-only surfaces exactly as the unsharded degraded server does.
+// TestShardedBrownoutParity: a degraded server answers the cache-only
+// surfaces the same at one shard and at three — including a non-default
+// path materialized (and its answer cached) before the brownout, which
+// a sharded server used to shed for want of a snapshot-side path memo.
 func TestShardedBrownoutParity(t *testing.T) {
 	opts := Options{Seed: 4, MaxConcurrent: 4, SLOTargetP99: 10 * time.Millisecond,
 		ControlInterval: -1, BrownoutEnter: 2, BrownoutExit: 2, BrownoutK: 5}
@@ -162,7 +170,7 @@ func TestShardedBrownoutParity(t *testing.T) {
 	opts.Shards = 3
 	sharded := newTestServer(t, opts)
 	for _, s := range []*Server{single, sharded} {
-		for _, p := range []string{"/v1/pathsim/topk?id=0&k=5", "/v1/pathsim/topk?path=A-P-V-P-A&id=3&k=5"} {
+		for _, p := range []string{"/v1/pathsim/topk?id=0&k=5", "/v1/pathsim/topk?path=A-P-V-P-A&id=3&k=5", "/v1/pathsim/topk?path=A-P-T-P-A&id=2&k=5"} {
 			if code, out := do(t, s, "GET", p, ""); code != 200 {
 				t.Fatalf("prime %s = %d: %s", p, code, out)
 			}
@@ -187,6 +195,8 @@ func TestShardedBrownoutParity(t *testing.T) {
 		{"/v1/pathsim/topk?path=A-P-V-P-A&id=4&k=5", 503},   // spelled-out default, uncached
 		{"/v1/pathsim/topk?path=A-P-V-P-A&id=999&k=5", 400}, // id validation still precedes the cache
 		{"/v1/pathsim/topk?path=A-P-A&id=0&k=5", 503},       // never materialized
+		{"/v1/pathsim/topk?path=A-P-T-P-A&id=2&k=5", 200},   // materialized before the brownout, cached
+		{"/v1/pathsim/topk?path=A-P-T-P-A&id=3&k=5", 503},   // materialized, uncached
 	} {
 		c1, b1 := do(t, single, "GET", c.path, "")
 		c2, b2 := do(t, sharded, "GET", c.path, "")

@@ -307,7 +307,7 @@ func ArgMax(xs []float64) int {
 // candidate of a stream and sorting the survivors reproduces a full
 // sort-then-truncate top-k exactly — ties included, provided worse is a
 // strict total order. This is the one heap used by every top-k hot
-// path (stats.TopK, pathsim.TopK/BatchTopK).
+// path (stats.TopK, pathsim.TopK/BatchTopKCtx).
 func BoundedOffer[T any](h []T, k int, v T, worse func(a, b T) bool) []T {
 	if len(h) < k {
 		h = append(h, v)
