@@ -9,7 +9,7 @@
 //
 // The serving layer consumes an Injector through Options.Chaos
 // (internal/serve): request-path faults fire in the route wrapper
-// before admission, kernel delays fire in the batch dispatcher around
+// before admission, kernel delays fire in the batch leader just before
 // the BatchTopK call. All methods are nil-receiver-safe, so production
 // code paths carry no conditionals beyond a pointer check.
 package chaos

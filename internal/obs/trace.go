@@ -320,7 +320,7 @@ func (t *Trace) Note(note string) {
 
 // AddTimed records an already-measured child span of parent, ending
 // now and starting d earlier — how externally timed work (the batched
-// kernel call, measured by the dispatcher goroutine) is attributed to
+// kernel call, measured by the batch's leader) is attributed to
 // the request's trace.
 func (t *Trace) AddTimed(parent int, name string, d time.Duration) {
 	if t == nil || int(t.n) >= maxSpans {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +144,344 @@ func TestTopKContextCancel(t *testing.T) {
 	cancel()
 	if _, _, err := s.TopK(ctx, 0, 5); err == nil {
 		t.Fatal("canceled context accepted")
+	}
+}
+
+// holdSlots parks one chaos-delayed miss in every leader slot (ids 0, 1,
+// …) and returns once all slots are taken; wait blocks until they are
+// answered. The server must have been booted with slowChaos.
+func holdSlots(t *testing.T, s *Server) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < s.batch.slots; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := s.TopK(context.Background(), i, 5); err != nil {
+				t.Errorf("slot holder %d: %v", i, err)
+			}
+		}(i)
+	}
+	waitBatcher(t, s.batch, "every slot taken", func() bool { return s.batch.free == 0 })
+	return wg.Wait
+}
+
+// waitBatcher polls the batcher's locked state until cond holds.
+func waitBatcher(t *testing.T, b *batcher, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+		b.mu.Lock()
+		ok := cond()
+		b.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batcher never reached: %s", what)
+		}
+	}
+}
+
+// TestLeadersRunSideBySide: concurrent distinct misses, one per slot
+// (two at least), each lead their own kernel call, so all finish in
+// about one injected delay — behind a single dispatcher two took two —
+// and none of them rides in another's batch.
+func TestLeadersRunSideBySide(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const delay = 50 * time.Millisecond
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(delay)})
+	start := time.Now()
+	holdSlots(t, s)()
+	if d := time.Since(start); d >= 2*delay-10*time.Millisecond {
+		t.Errorf("%d distinct misses took %v with a %v kernel: they ran one after the other", s.batch.slots, d, delay)
+	}
+	if b, l := s.batch.batches.Load(), s.batch.largest.Load(); int(b) != s.batch.slots || l != 1 {
+		t.Errorf("batches = %d, largest = %d; want %d single-rider batches", b, l, s.batch.slots)
+	}
+}
+
+// TestBusySlotsCoalesce: requests that arrive while every slot computes
+// queue up and share one kernel call — mixed k trimmed per request,
+// duplicate ids computed once — at any slot count.
+func TestBusySlotsCoalesce(t *testing.T) {
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(40 * time.Millisecond)})
+	slots := s.batch.slots
+	wait := holdSlots(t, s)
+
+	ids := []int{20, 20, 21, 22, 23, 20, 24, 21}
+	lens := make([]int, len(ids))
+	var wg sync.WaitGroup
+	for i, x := range ids {
+		wg.Add(1)
+		go func(i, x int) {
+			defer wg.Done()
+			pairs, _, err := s.TopK(context.Background(), x, 3+6*(i%2))
+			if err != nil {
+				t.Errorf("follower %d: %v", i, err)
+			}
+			lens[i] = len(pairs)
+		}(i, x)
+	}
+	waitBatcher(t, s.batch, "every follower queued", func() bool { return len(s.batch.queue) == len(ids) })
+	wait()
+	wg.Wait()
+
+	b := s.batch
+	if got := int(b.batches.Load()) - slots; got >= len(ids) || got < 1 {
+		t.Errorf("%d queued requests took %d kernel calls, want fewer", len(ids), got)
+	}
+	if got, want := int(b.queries.Load()), slots+len(ids); got != want {
+		t.Errorf("queries = %d, want %d", got, want)
+	}
+	if got, want := int(b.unique.Load()), slots+5; got != want {
+		t.Errorf("unique = %d, want %d (duplicate ids share one computation)", got, want)
+	}
+	if b.largest.Load() < 2 {
+		t.Errorf("largest batch = %d, want >= 2", b.largest.Load())
+	}
+	for i, n := range lens {
+		if k := 3 + 6*(i%2); n == 0 || n > k {
+			t.Errorf("follower %d (k=%d) got %d pairs", i, k, n)
+		}
+	}
+	if lens[1] < lens[0] || lens[1] != lens[5] {
+		t.Errorf("same id at k=3/9/9 answered with %d/%d/%d pairs", lens[0], lens[1], lens[5])
+	}
+	waitBatcher(t, b, "every slot back", func() bool { return b.free == slots && len(b.queue) == 0 })
+}
+
+// TestExpiredFollowerIsDropped: a follower whose deadline passes while
+// it is queued returns at once, is not computed for, and leaves the
+// queue serving the follower behind it.
+func TestExpiredFollowerIsDropped(t *testing.T) {
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(40 * time.Millisecond)})
+	slots := s.batch.slots
+	wait := holdSlots(t, s)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	expired := make(chan error, 1)
+	go func() {
+		_, _, err := s.TopK(ctx, 30, 5)
+		expired <- err
+	}()
+	waitBatcher(t, s.batch, "first follower queued", func() bool { return len(s.batch.queue) == 1 })
+	alive := make(chan error, 1)
+	go func() {
+		_, _, err := s.TopK(context.Background(), 31, 5)
+		alive <- err
+	}()
+	if err := <-expired; err != context.DeadlineExceeded {
+		t.Errorf("expired follower: err = %v, want deadline exceeded", err)
+	}
+	if d := time.Since(start); d >= 40*time.Millisecond {
+		t.Errorf("expired follower returned after %v: it waited for a leader", d)
+	}
+	if err := <-alive; err != nil {
+		t.Errorf("follower behind the expired one: %v", err)
+	}
+	wait()
+	b := s.batch
+	waitBatcher(t, b, "every slot back", func() bool { return b.free == slots && len(b.queue) == 0 })
+	if got, want := int(b.unique.Load()), slots+1; got != want {
+		t.Errorf("unique = %d, want %d: the expired follower was computed for", got, want)
+	}
+}
+
+// TestArrivalJoinsOpenBatch: while a leader holds its batch open in the
+// window, an arrival joins it even though another slot is free.
+func TestArrivalJoinsOpenBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, BatchWindow: 50 * time.Millisecond})
+	var wg sync.WaitGroup
+	ask := func(x int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.TopK(context.Background(), x, 5); err != nil {
+				t.Errorf("id %d: %v", x, err)
+			}
+		}()
+	}
+	ask(1)
+	waitBatcher(t, s.batch, "a batch open", func() bool { return s.batch.open != nil })
+	ask(2)
+	wg.Wait()
+	if b, l := s.batch.batches.Load(), s.batch.largest.Load(); b != 1 || l != 2 {
+		t.Errorf("batches = %d, largest = %d; want one batch of two", b, l)
+	}
+}
+
+// batcherGoroutines counts live goroutines with a batcher frame on
+// their stack.
+func batcherGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "serve.(*batcher)") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBatcherLeavesNoGoroutines: an idle server has no batcher
+// goroutine, helpers end with the queue, and Shutdown — also one issued
+// mid-batch, which fails the queued followers — returns the process to
+// its pre-boot goroutine count.
+func TestBatcherLeavesNoGoroutines(t *testing.T) {
+	settle := func(what string, base int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before boot", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	// One throwaway boot starts whatever the process keeps for good (the
+	// sparse worker pool); the baseline is what is left after it.
+	warm := New(Options{Models: testConfig(), ControlInterval: -1})
+	if _, _, err := warm.TopK(context.Background(), 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	_ = warm.Shutdown(context.Background())
+	time.Sleep(10 * time.Millisecond)
+	base := runtime.NumGoroutine()
+
+	s := New(Options{Models: testConfig(), CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(30 * time.Millisecond)})
+	if n := batcherGoroutines(); n != 0 || runtime.NumGoroutine() > base {
+		t.Fatalf("idle booted server: %d batcher goroutines, %d goroutines against %d before boot", n, runtime.NumGoroutine(), base)
+	}
+	// A contended round: followers queue, a helper answers them and ends.
+	wait := holdSlots(t, s)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := s.TopK(context.Background(), 40+i, 5); err != nil {
+				t.Errorf("follower %d: %v", i, err)
+			}
+		}(i)
+	}
+	wait()
+	wg.Wait()
+	waitBatcher(t, s.batch, "every slot back", func() bool { return s.batch.free == s.batch.slots })
+	settle("after a contended round", base)
+	if n := batcherGoroutines(); n != 0 {
+		t.Fatalf("%d batcher goroutines outlived an empty queue", n)
+	}
+
+	// Shutdown mid-batch: the leaders finish, the queued follower fails.
+	wait = holdSlots(t, s)
+	queued := make(chan error, 1)
+	go func() {
+		_, _, err := s.TopK(context.Background(), 50, 5)
+		queued <- err
+	}()
+	waitBatcher(t, s.batch, "follower queued", func() bool { return len(s.batch.queue) == 1 })
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	s.batch.mu.Lock()
+	free := s.batch.free
+	s.batch.mu.Unlock()
+	if free != s.batch.slots {
+		t.Errorf("Shutdown returned with %d of %d slots back", free, s.batch.slots)
+	}
+	if err := <-queued; err != errShutdown {
+		t.Errorf("queued follower at shutdown: err = %v, want errShutdown", err)
+	}
+	wait()
+	settle("after Shutdown", base)
+}
+
+// TestTopKRacingShutdown: callers that race Shutdown get an answer or
+// errShutdown — none of them is left waiting on a reply nobody sends.
+func TestTopKRacingShutdown(t *testing.T) {
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1})
+	dim := s.Snapshot().IndexDim
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if _, _, err := s.TopK(context.Background(), (g+16*i)%dim, 5); err != nil {
+					if err != errShutdown {
+						t.Errorf("caller %d: %v", g, err)
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("callers still blocked 5s after Shutdown returned")
+	}
+}
+
+// TestShutdownClosesOpenWindow: Shutdown does not sit out a leader's
+// batch window; the leader computes its own answer and the slot returns.
+func TestShutdownClosesOpenWindow(t *testing.T) {
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, BatchWindow: time.Minute})
+	answered := make(chan error, 1)
+	go func() {
+		_, _, err := s.TopK(context.Background(), 1, 5)
+		answered <- err
+	}()
+	waitBatcher(t, s.batch, "a batch open", func() bool { return s.batch.open != nil })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown waited for the window: %v", err)
+	}
+	if err := <-answered; err != nil {
+		t.Errorf("leader of the open batch: %v", err)
+	}
+}
+
+// TestAbandonedBatchIsCancelled: once every rider of a shared batch has
+// gone, its kernel call is abandoned rather than served out.
+func TestAbandonedBatchIsCancelled(t *testing.T) {
+	s := newTestServer(t, Options{
+		CacheCapacity: -1, ControlInterval: -1,
+		BatchWindow: 100 * time.Millisecond, Chaos: slowChaos(2 * time.Second),
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, x := range []int{1, 2} {
+		wg.Add(1)
+		go func(x int) {
+			defer wg.Done()
+			if _, _, err := s.TopK(ctx, x, 5); err != context.Canceled {
+				t.Errorf("id %d: err = %v, want canceled", x, err)
+			}
+		}(x)
+	}
+	waitBatcher(t, s.batch, "both riders in one batch", func() bool {
+		return s.batch.open == nil && len(s.batch.queue) == 0 && s.batch.free == s.batch.slots-1
+	})
+	start := time.Now()
+	cancel()
+	wg.Wait()
+	waitBatcher(t, s.batch, "the slot back", func() bool { return s.batch.free == s.batch.slots })
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("abandoned batch held its slot for %v", d)
+	}
+	if n := s.batch.batches.Load(); n != 0 {
+		t.Errorf("batches = %d, want 0: the abandoned kernel call completed", n)
 	}
 }

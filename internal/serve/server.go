@@ -185,8 +185,8 @@ type ingestStats struct {
 }
 
 // New builds a server and materializes its first snapshot synchronously,
-// so the returned server is immediately healthy. Call Shutdown to
-// release the batcher goroutine.
+// so the returned server is immediately healthy. Call Shutdown to stop
+// the admission controller and fail whatever the batcher still queues.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	if opts.Workers > 0 {
@@ -297,8 +297,9 @@ func (s *Server) Start() (string, error) {
 }
 
 // Shutdown drains in-flight HTTP requests, stops the admission
-// controller, and drains the batching queue — every phase bounded by
-// ctx's deadline, so a wedged in-flight batch cannot hang the caller.
+// controller, fails the queued top-k followers and waits for the
+// batches in flight — every phase bounded by ctx's deadline, so a
+// wedged in-flight batch cannot hang the caller.
 // Safe to call whether or not Start was used; idempotent: the second
 // and later calls are no-ops returning the first call's error.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -618,7 +619,7 @@ func (s *Server) kernel(snap *Snapshot, pathKey string, dim int) topKKernel {
 // A trace carried by ctx gets child spans under the caller's open span:
 // "cache" (noted hit/miss), then on a miss "batch" covering queue wait
 // plus compute, with a "kernel" child pinned to the batched kernel
-// call's wall time measured by the dispatcher.
+// call's wall time measured by the batch's leader.
 func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("cache")
@@ -980,8 +981,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
 	// Any parse/schema/symmetry problem is the client's, hence 400. The
 	// shards materialize their range indexes of a new path here, on this
-	// request's goroutine — never inside the batch dispatcher, where a
-	// cold build would stall every other query — and memoize them, so
+	// request's goroutine — never inside a batch's kernel call, where a
+	// cold build would stall every rider of the batch — and memoize them, so
 	// repeat queries pay one lookup per shard (the resolve span's note
 	// says which way it went: prebuilt, cached, or built). A degraded
 	// server starts no materializations: a path not already built sheds.
