@@ -654,10 +654,10 @@ func BenchmarkRowNormalized(b *testing.B) {
 	}
 }
 
-// --- top-k selection: heap select vs row population ------------------
+// --- top-k selection vs row population --------------------------------
 
-// topKIndexes builds the two row-shape regimes the heap selection must
-// win on: the APVPA index (venue-mediated — authors of an area form a
+// topKIndexes builds the two row-shape regimes the selection must win
+// on: the APVPA index (venue-mediated — authors of an area form a
 // near-clique, so rows are dense) and the APA co-author index (rows
 // hold only direct collaborators, so they are sparse).
 func topKIndexes(b *testing.B) (dense, sparseIx *pathsim.Index) {
@@ -673,9 +673,9 @@ func topKIndexes(b *testing.B) (dense, sparseIx *pathsim.Index) {
 }
 
 // BenchmarkTopK measures single-query top-k selection at k well below
-// and near typical row populations, on dense and sparse rows. The heap
-// path is O(m·log k) per population-m row where the old full sort paid
-// O(m·log m) plus a candidate buffer per call.
+// and near typical row populations, on dense and sparse rows. The
+// threshold selection is O(m + k·log k) per population-m row where a
+// full sort pays O(m·log m).
 func BenchmarkTopK(b *testing.B) {
 	dense, sparseIx := topKIndexes(b)
 	for _, tc := range []struct {

@@ -24,9 +24,10 @@
 //
 // TopK/BatchTopK queries scatter to all shards — every shard scans its
 // slice of the query's row and returns a local top-k — and the
-// coordinator merges the partials with the same bounded-heap order the
-// single-index scan uses (pathsim.MergeTopK), which is what makes the
-// merged answer bitwise-equal, tie order included. A meta-path's range
+// coordinator merges the partials, each already sorted, in the order
+// the single-index scan selects by (pathsim.MergeTopK, a k-way merge),
+// which is what makes the merged answer bitwise-equal, tie order
+// included. A meta-path's range
 // indexes are materialized by Resolve, on the asking request's
 // goroutine, before the first query over it.
 //
@@ -142,8 +143,11 @@ func (e *ClientError) Unwrap() error { return e.Err }
 func RetryEvicted[T comparable](at T, load func() T, read func(T) error) error {
 	for attempt := 0; ; attempt++ {
 		err := read(at)
-		var ee *EpochError
-		if err == nil || attempt == 2 || !errors.As(err, &ee) {
+		if err == nil || attempt == 2 {
+			return err
+		}
+		// Declared past the common return: errors.As moves it to the heap.
+		if ee := (*EpochError)(nil); !errors.As(err, &ee) {
 			return err
 		}
 		fresh := load()

@@ -195,6 +195,14 @@ func (n *Network) Count(t Type) int { return len(n.names[t]) }
 // Name returns the name of object (t, id).
 func (n *Network) Name(t Type, id int) string { return n.names[t][id] }
 
+// Names returns the names of type t's objects, indexed by id — one type
+// lookup for a loop that names many objects. The slice is the network's
+// own (capacity-clipped): read it, do not write through it.
+func (n *Network) Names(t Type) []string {
+	ns := n.names[t]
+	return ns[:len(ns):len(ns)]
+}
+
 // Lookup returns the id of the named object of type t, or -1.
 func (n *Network) Lookup(t Type, name string) int {
 	if m, ok := n.index[t]; ok {

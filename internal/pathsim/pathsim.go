@@ -12,7 +12,6 @@
 package pathsim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -20,7 +19,6 @@ import (
 
 	"hinet/internal/hin"
 	"hinet/internal/sparse"
-	"hinet/internal/stats"
 )
 
 // Index is a prepared PathSim index for one symmetric meta path over
@@ -162,67 +160,43 @@ type Pair struct {
 	Score float64
 }
 
-// WorsePair reports whether a ranks strictly below b in the top-k
-// order (score descending, ties by ascending id): a loses on a lower
-// score, or on a higher id at an equal score. It is the strict total
-// order every top-k selection in this package uses with
-// stats.BoundedOffer; the cluster coordinator merges per-shard partial
-// answers under the same order, which is what makes merged results
-// bitwise-identical to single-index ones.
-func WorsePair(a, b Pair) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.ID > b.ID
-}
-
-// ComparePairs is the top-k output order for slices.SortFunc: score
-// descending, ties by ascending id — the sort dual of WorsePair.
-func ComparePairs(a, b Pair) int {
-	if a.Score != b.Score {
-		return cmp.Compare(b.Score, a.Score)
-	}
-	return cmp.Compare(a.ID, b.ID)
-}
-
-// topKInto is TopK writing its heap (and result) into dst's backing
-// array: a bounded partial selection (stats.BoundedOffer min-heap,
-// worst at root) over the query's row, candidates ascending. The
-// surviving ≤ k pairs are then sorted, which reproduces the
-// full-sort-then-truncate order exactly — ties included — at
-// O(m·log k) instead of O(m·log m) for a population-m row, with no
-// candidate buffer proportional to the row size. The entries a
-// narrower range visits are exactly the full row-scan's entries with
-// Lo ≤ y < Hi, in the same relative order and with the same float64
-// scores, so its result is the full answer filtered to the range.
-func (ix *Index) topKInto(x, k int, dst []Pair) []Pair {
+// topKInto is TopK with caller-supplied scratch, writing its result into
+// dst's backing array: one pass scores the candidates of row x into s,
+// then s selects (selection.topK). A narrower range scores exactly the
+// full row-scan's entries with Lo ≤ y < Hi, in the same ascending-id
+// order and with the same float64 scores, so its result is the full
+// answer filtered to the range.
+func (ix *Index) topKInto(s *selection, x, k int, dst []Pair) []Pair {
 	if !ix.inRange(x) || k <= 0 {
 		return nil
 	}
-	h := dst[:0]
+	cols, vals := ix.M.RowEntries(x)
+	s.reset(len(cols))
 	dx := ix.diag[x]
-	ix.M.Row(x, func(yl int, v float64) {
-		y := ix.lo + yl
+	for i, c := range cols {
+		y, v := ix.lo+int(c), vals[i]
 		if y == x || v == 0 {
-			return
+			continue
 		}
 		den := dx + ix.diag[y]
 		if den == 0 {
-			return
+			continue
 		}
-		h = stats.BoundedOffer(h, k, Pair{ID: y, Score: 2 * v / den}, WorsePair)
-	})
-	slices.SortFunc(h, ComparePairs)
-	return h
+		s.add(y, 2*v/den)
+	}
+	return s.topK(k, dst)
 }
 
 // TopK returns the k most PathSim-similar candidates to x among
 // [Lo, Hi) (excluding x), global ids, descending, ties by id. Only
 // objects sharing at least one path instance with x can score above 0,
-// so the scan touches just row x; a bounded heap selects the k best
-// without sorting the whole row. An out-of-range x returns no results.
+// so the scan touches just row x, and a threshold selection picks the k
+// best without sorting the whole row. An out-of-range x returns no
+// results.
 func (ix *Index) TopK(x, k int) []Pair {
-	return ix.topKInto(x, k, nil)
+	s := getSelection()
+	defer putSelection(s)
+	return ix.topKInto(s, x, k, nil)
 }
 
 // BatchTopKCtx answers one TopK query per entry of xs, fanning the
@@ -232,15 +206,16 @@ func (ix *Index) TopK(x, k int) []Pair {
 // All result slices are carved from one arena sized by each query's
 // true result bound — min(k, row population) — so a client-supplied
 // huge k cannot inflate the batch beyond its actual result mass, and
-// the heap selection works in place inside each query's segment: a
-// batch performs O(1) allocations regardless of batch size or row
+// each block of queries shares one pooled selection scratch: a batch
+// performs O(1) allocations regardless of batch size or row
 // population. (Result slices therefore share one backing array; copy a
 // slice before retaining it long-term, or the whole batch's arena
-// stays reachable.) The work estimate includes the per-query selection
-// (≈ m·log k on the row population m), not just the row scan, so
-// medium batches of dense-row queries cross the pool's serial
-// threshold as their real cost warrants. Out-of-range entries of xs
-// yield empty result slices, like TopK.
+// stays reachable.) The work estimate is the per-query cost — a few
+// passes over the row population m plus the k·log k sort of the
+// survivors — not just the row scan, so medium batches of dense-row
+// queries cross the pool's serial threshold as their real cost
+// warrants. Out-of-range entries of xs yield empty result slices, like
+// TopK.
 //
 // The fan-out polls ctx between blocks (sparse.ParRangeCtx), so a batch
 // whose callers have all given up stops burning pool workers. On
@@ -262,12 +237,15 @@ func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, e
 		offsets[i+1] = offsets[i] + need
 	}
 	arena := make([]Pair, offsets[len(xs)])
-	avg := ix.M.NNZ() / rows
-	perQuery := (1 + avg) * (1 + bits.Len(uint(min(k, rows))))
+	m := 1 + ix.M.NNZ()/rows
+	kept := min(k, m)
+	perQuery := 4*m + kept*bits.Len(uint(kept))
 	err := sparse.ParRangeCtx(ctx, len(xs), len(xs)*perQuery, func(lo, hi int) {
+		s := getSelection()
 		for i := lo; i < hi; i++ {
-			out[i] = ix.topKInto(xs[i], k, arena[offsets[i]:offsets[i]:offsets[i+1]])
+			out[i] = ix.topKInto(s, xs[i], k, arena[offsets[i]:offsets[i]:offsets[i+1]])
 		}
+		putSelection(s)
 	})
 	if err != nil {
 		return nil, err
@@ -297,10 +275,14 @@ func (ix *Index) AllScores(x int) []float64 {
 }
 
 // MergeTopK merges per-range partial top-k lists into the global
-// top-k, writing into dst's backing array: bounded-heap selection over
-// the concatenation under WorsePair, sorted with ComparePairs. Any
-// global top-k member ranks within the top k of its own range, so as
-// long as every partial was selected with the same k over disjoint
+// top-k, writing into dst's backing array (allocating only when it is
+// too small). Every part must already be in top-k order — TopK,
+// BatchTopKCtx, a shard's Rank and MergeTopK itself all return theirs
+// that way; builds with the race detector on check it and panic — so
+// this is a k-way merge: each output pair is the best of the parts'
+// heads, at most len(parts)·k comparisons, the parts left untouched.
+// Any global top-k member ranks within the top k of its own range, so
+// as long as every partial was selected with the same k over disjoint
 // covering ranges, the merge reproduces a single-index TopK exactly —
 // scores bitwise, tie order included (the order is strict and total,
 // and partial scores are float64-identical to full-scan scores). A
@@ -310,12 +292,32 @@ func MergeTopK(parts [][]Pair, k int, dst []Pair) []Pair {
 	if len(parts) == 1 {
 		return parts[0][:min(len(parts[0]), max(k, 0))]
 	}
-	h := dst[:0]
-	for _, part := range parts {
-		for _, p := range part {
-			h = stats.BoundedOffer(h, k, p, WorsePair)
+	n := 0
+	for i, part := range parts {
+		if raceEnabled && !slices.IsSortedFunc(part, ComparePairs) {
+			panic(fmt.Sprintf("pathsim: MergeTopK part %d is not in top-k order", i))
 		}
+		n += len(part)
 	}
-	slices.SortFunc(h, ComparePairs)
-	return h
+	n = min(n, k)
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]Pair, 0, n)
+	}
+	var few [8]int
+	next := few[:] // next[i] is the head of parts[i]; on the stack for up to 8 parts
+	if len(parts) > len(few) {
+		next = make([]int, len(parts))
+	}
+	for len(out) < n {
+		best, head := -1, Pair{}
+		for i, part := range parts {
+			if j := next[i]; j < len(part) && (best < 0 || before(part[j], head)) {
+				best, head = i, part[j]
+			}
+		}
+		out = append(out, head)
+		next[best]++
+	}
+	return out
 }

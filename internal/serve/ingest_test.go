@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hinet/internal/cluster"
 	"hinet/internal/dblp"
@@ -441,6 +442,73 @@ func TestIngestReportsPatchRoute(t *testing.T) {
 		want := []string{"cache_entries", "cache_hits", "cache_misses", "gram_products", "gram_seconds", "product_seconds", "products", "transposes"}
 		if !slices.Equal(keys, want) {
 			t.Fatalf("shards=%d: /v1/stats metapath keys = %v, want %v", shards, keys, want)
+		}
+	}
+}
+
+// TestReadsSurviveBackToBackWrites: a read is never answered 503 because
+// writes kept overtaking it. One goroutine posts ingests back to back,
+// one reads top-k — the prebuilt path, and one every write forces the
+// shards to re-materialize, whose reads take long enough for two writes
+// to land inside one — and every response on both sides is a 200. The
+// reader's last resort holds the store lock; the writer finishing its
+// fixed count of writes shows that never starves it.
+func TestReadsSurviveBackToBackWrites(t *testing.T) {
+	const writes = 40
+	for _, shards := range []int{1, 3} {
+		for _, path := range []string{"", "A-P-T-P-A"} {
+			t.Run(fmt.Sprintf("shards=%d/path=%q", shards, path), func(t *testing.T) {
+				// The admission controller is off: a brownout would shed
+				// requests on its own account.
+				srv := newTestServer(t, Options{Shards: shards, CacheCapacity: -1, ControlInterval: -1})
+				h := srv.Handler()
+				authors := srv.Snapshot().Corpus.Net.Count(dblp.TypeAuthor)
+				done := make(chan struct{})
+				var badWrite atomic.Value
+				go func() {
+					defer close(done)
+					rng := stats.NewRNG(9)
+					for i := 0; i < writes; i++ {
+						body, err := json.Marshal(map[string]any{"deltas": ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3)})
+						if err != nil {
+							badWrite.Store(err.Error())
+							return
+						}
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+						if rec.Code != http.StatusOK {
+							badWrite.Store(fmt.Sprintf("ingest %d: status %d: %s", i, rec.Code, rec.Body.String()))
+							return
+						}
+					}
+				}()
+				watchdog := time.After(2 * time.Minute)
+				reads := 0
+				for writing := true; writing; reads++ {
+					select {
+					case <-done:
+						writing = false
+					case <-watchdog:
+						t.Fatalf("writer still running after 2 minutes and %d reads", reads)
+					default:
+					}
+					target := fmt.Sprintf("/v1/pathsim/topk?id=%d&k=10", reads%authors)
+					if path != "" {
+						target += "&path=" + path
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+					if rec.Code != http.StatusOK {
+						t.Fatalf("read %d (%s): status %d: %s", reads, target, rec.Code, rec.Body.String())
+					}
+				}
+				if msg := badWrite.Load(); msg != nil {
+					t.Fatal(msg)
+				}
+				if got := srv.Snapshot().Epoch; got != 1+writes {
+					t.Fatalf("epoch %d after %d writes", got, writes)
+				}
+			})
 		}
 	}
 }

@@ -554,13 +554,29 @@ func (w *jsonWriter) traceEcho(q url.Values, tr *obs.Trace) {
 	}
 }
 
-// scored writes one (id, name, score) row of a ranked answer.
+// scored writes one (id, name, score) row of a ranked answer, as an
+// element of the open array. A hundred of these are most of a top-k
+// body, so the row is appended from its fixed layout — the three keys
+// are literals — not member by member through key.
 func (w *jsonWriter) scored(id int, name string, score float64) {
-	w.beginObject()
-	w.key("id").integer(int64(id))
-	w.key("name").str(name)
-	w.key("score").float(score)
-	w.endObject()
+	w.element()
+	w.buf = append(w.buf, '{')
+	w.depth++
+	w.newline()
+	w.buf = append(w.buf, `"id": `...)
+	w.buf = strconv.AppendInt(w.buf, int64(id), 10)
+	w.buf = append(w.buf, ',')
+	w.newline()
+	w.buf = append(w.buf, `"name": `...)
+	w.buf = appendJSONString(w.buf, name)
+	w.buf = append(w.buf, ',')
+	w.newline()
+	w.buf = append(w.buf, `"score": `...)
+	w.afterKey = true
+	w.float(score)
+	w.depth--
+	w.newline()
+	w.buf = append(w.buf, '}')
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -584,11 +600,35 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
+// readLive runs read against the live snapshot, and again from the
+// then-live one when the shards have already evicted that epoch
+// (cluster.RetryEvicted: an EpochError, up to three optimistic runs).
+// Writes can overtake every one of those — adopt trims the previous
+// generation the moment the next is live, and a read that resolves a
+// cold path takes milliseconds — so a read still evicted after them
+// runs once more holding the store lock, the lock adopt holds across
+// write, publish and trim: nothing can overtake that run. A writer
+// waits for at most one read; a reader that is not overtaken three
+// times in a row never touches the lock. An EpochError that survives
+// is a shard that cannot serve the live epoch, not a race with writes.
+func (s *Server) readLive(snap *Snapshot, read func(*Snapshot) error) error {
+	err := cluster.RetryEvicted(snap, s.store.Current, read)
+	if err == nil {
+		return nil
+	}
+	if ee := (*cluster.EpochError)(nil); errors.As(err, &ee) {
+		s.store.mu.Lock()
+		defer s.store.mu.Unlock()
+		err = read(s.store.Current())
+	}
+	return err
+}
+
 // read adapts a handler that reads the cluster tier at a snapshot's
 // epoch. The handler gets the live snapshot; if the shards have already
 // evicted that epoch it returns their EpochError before writing
-// anything, and runs again from the then-live snapshot
-// (cluster.RetryEvicted). Any error it returns unanswered is a 503.
+// anything, and runs again (readLive). Any error it returns unanswered
+// is a 503.
 func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.store.Current()
@@ -596,7 +636,7 @@ func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snaps
 			httpError(w, http.StatusServiceUnavailable, "no snapshot")
 			return
 		}
-		err := cluster.RetryEvicted(snap, s.store.Current, func(snap *Snapshot) error { return h(w, r, snap) })
+		err := s.readLive(snap, func(snap *Snapshot) error { return h(w, r, snap) })
 		if err != nil {
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		}
@@ -640,9 +680,13 @@ func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim
 	tr.End(sp)
 	// Batch results alias one shared arena (pathsim.BatchTopKCtx); clone
 	// before caching so one retained entry cannot pin its whole batch's
-	// backing array for the cache entry's lifetime.
-	pairs := slices.Clone(resp.pairs)
-	s.cache.Put(key, pairs)
+	// backing array for the cache entry's lifetime. Without a cache
+	// nothing outlives the request, and the arena's slice is the answer.
+	pairs := resp.pairs
+	if s.cache != nil {
+		pairs = slices.Clone(pairs)
+		s.cache.Put(key, pairs)
+	}
 	return pairs, resp.epoch, false, nil
 }
 
@@ -654,7 +698,7 @@ func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit 
 	if snap == nil {
 		return nil, false, fmt.Errorf("no snapshot available")
 	}
-	err = cluster.RetryEvicted(snap, s.store.Current, func(snap *Snapshot) (err error) {
+	err = s.readLive(snap, func(snap *Snapshot) (err error) {
 		pairs, _, hit, err = s.topK(ctx, s.kernel(snap, pathAPVPAKey, snap.IndexDim), x, k)
 		return err
 	})
@@ -847,8 +891,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	jw.key("iterations").integer(int64(iters))
 	jw.key("metric").str(metric)
 	jw.key("top").beginArray()
+	names := snap.Corpus.Net.Names(dblp.TypeAuthor)
 	for _, p := range pairs {
-		jw.scored(p.ID, snap.Corpus.Net.Name(dblp.TypeAuthor, p.ID), p.Score)
+		jw.scored(p.ID, names[p.ID], p.Score)
 	}
 	jw.endArray()
 	tr.Next(sp, "serialize")
@@ -898,8 +943,9 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 	// cluster object go out in key order.
 	rows := func(t hin.Type, ids []int, scores []float64) {
 		jw.key(string(t) + "s").beginArray()
+		names := c.Net.Names(t)
 		for _, id := range ids {
-			jw.scored(id, c.Net.Name(t, id), scores[id])
+			jw.scored(id, names[id], scores[id])
 		}
 		jw.endArray()
 	}
@@ -1100,13 +1146,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	jw.key("epoch").integer(epoch)
 	jw.key("k").integer(int64(k))
 	jw.key("path").str(pathKey)
+	names := snap.Corpus.Net.Names(endpoint)
 	jw.key("query").beginObject()
 	jw.key("id").integer(int64(x))
-	jw.key("name").str(snap.Corpus.Net.Name(endpoint, x))
+	jw.key("name").str(names[x])
 	jw.endObject()
 	jw.key("results").beginArray()
 	for _, p := range pairs {
-		jw.scored(p.ID, snap.Corpus.Net.Name(endpoint, p.ID), p.Score)
+		jw.scored(p.ID, names[p.ID], p.Score)
 	}
 	jw.endArray()
 	jw.key("source").str(source)

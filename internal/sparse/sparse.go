@@ -179,6 +179,15 @@ func (m *Matrix) Row(r int, f func(col int, val float64)) {
 	}
 }
 
+// RowEntries returns row r's stored column indices (ascending) and
+// values as views into the matrix's own arrays — what a kernel reads
+// when it cannot afford Row's call per entry. The matrix is immutable:
+// callers must not write through them.
+func (m *Matrix) RowEntries(r int) ([]int32, []float64) {
+	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+	return m.colIdx[lo:hi:hi], m.vals[lo:hi:hi]
+}
+
 // RowNNZ returns the number of stored entries in row r.
 func (m *Matrix) RowNNZ(r int) int { return m.rowPtr[r+1] - m.rowPtr[r] }
 

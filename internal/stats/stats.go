@@ -306,8 +306,11 @@ func ArgMax(xs []float64) int {
 // pre-sized buffer to select without allocating). Offering every
 // candidate of a stream and sorting the survivors reproduces a full
 // sort-then-truncate top-k exactly — ties included, provided worse is a
-// strict total order. This is the one heap used by every top-k hot
-// path (stats.TopK, pathsim.TopK/BatchTopKCtx).
+// strict total order. It suits k ≪ n — almost every candidate is turned
+// away by its one compare with the root — which is stats.TopK and a
+// shard's Rank over a dense score vector; PathSim rows, where k is a
+// sizeable share of the candidates, select by threshold instead
+// (internal/pathsim/select.go).
 func BoundedOffer[T any](h []T, k int, v T, worse func(a, b T) bool) []T {
 	if len(h) < k {
 		h = append(h, v)
