@@ -601,13 +601,14 @@ func (n *Network) CommutingMatrixCtx(ctx context.Context, p MetaPath) (*sparse.M
 	return n.PathEngine().CommuteCtx(ctx, fromMetaPath(p))
 }
 
-// CommutingColsCtx materializes columns [lo, hi) of the commuting
-// matrix along with its full diagonal — the range-restricted build the
-// sharded serving tier uses so each shard holds only its candidate
-// slice (see metapath.Engine.CommuteColsCtx for the bitwise-equality
+// CommutingViewCtx returns columns [lo, hi) of the commuting matrix as a
+// sparse.View, along with its full diagonal — the range-restricted build
+// the sharded serving tier uses so each shard holds only its candidate
+// slice, in the form a write can publish without copying it (see
+// metapath.Engine.CommuteViewCtx for both, and for the bitwise-equality
 // contract with the full product).
-func (n *Network) CommutingColsCtx(ctx context.Context, p MetaPath, lo, hi int) (*sparse.Matrix, []float64, error) {
-	return n.PathEngine().CommuteColsCtx(ctx, fromMetaPath(p), lo, hi)
+func (n *Network) CommutingViewCtx(ctx context.Context, p MetaPath, lo, hi int) (*sparse.View, []float64, error) {
+	return n.PathEngine().CommuteViewCtx(ctx, fromMetaPath(p), lo, hi)
 }
 
 // Projection builds the homogeneous weighted graph on type p[0] induced

@@ -19,7 +19,11 @@
 //     transpose) and reuses every intermediate across queries;
 //   - a product invalidated by a mutation is kept as a stale patch base
 //     and refreshed row-incrementally (patch.go): only the rows the
-//     changed operand rows reach are recomputed, the rest is copied.
+//     changed operand rows reach are recomputed, and the rest is copied
+//     — or, for a Gram product whose reader can take it that way, not
+//     copied at all: the entry answers as its base plus the recomputed
+//     rows (a sparse.View), and the copy runs once the overlay has
+//     outgrown its budget.
 //
 // The engine sees the network through the Source interface, so this
 // package depends only on internal/sparse; internal/hin adapts its
@@ -76,15 +80,44 @@ const maxEntries = 256
 // replaces it with a fresh entry whose computation row-diffs the
 // current operands against the remembered ones and patches m (see
 // patch.go). stale and base are guarded by Engine.mu.
+//
+// A deferred entry — a Gram product refreshed for a caller that reads
+// it through an overlay (CommuteViewCtx) — answers as view: m stays the
+// matrix the refresh started from, the view lists the rows that have
+// changed since m was built, and ops[0] is, as ever, the operand the
+// answer was computed from. The next refresh adds the rows that differ
+// from that operand to the view's and recomputes them all from m, so it
+// replaces the overlay instead of stacking one on it. A caller that
+// needs the product as one matrix finds such an entry unfit and
+// replaces it the way it would a stale one, with the overlay applied.
 type entry struct {
 	ready chan struct{}
 	path  []string
 	m     *sparse.Matrix
+	view  *sparse.View // deferred: m read through the pending patch
 
 	ops   [2]*sparse.Matrix // operands m was computed from; ops[1] only for a planned product
 	split int               // a planned product's split point
 	stale bool              // invalidated: m is a patch base, not an answer
-	base  *entry            // while in flight: the stale entry this one refreshes
+	base  *entry            // while in flight: the entry this one replaces (stale, or deferred and asked for as one matrix)
+}
+
+// done reports whether the entry's computation has finished.
+func (ent *entry) done() bool {
+	select {
+	case <-ent.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// gramBlock is the recomputed part of a Gram refresh, h[dirty,:]·hᵀ,
+// with what it was computed for (dirtyBlock).
+type gramBlock struct {
+	h     *sparse.Matrix
+	dirty []int
+	block *sparse.Matrix
 }
 
 // closedReady is the pre-closed channel entries adopted by CloneFor
@@ -114,6 +147,15 @@ type Stats struct {
 	Patches     uint64
 	PatchedRows uint64
 	PatchTime   time.Duration
+
+	// How the refreshed Gram products are held. A refresh for a reader
+	// of views leaves the base as it is and publishes the recomputed
+	// rows as an overlay; Compactions counts the times an overlay was
+	// applied instead — it had outgrown its budget, or a caller needed
+	// the product as one matrix — each of which copies the whole base
+	// once. OverlayRows is the widest overlay now pending, in rows.
+	Compactions uint64
+	OverlayRows int
 }
 
 // Engine compiles, plans, materializes and caches meta-path commuting
@@ -134,6 +176,9 @@ type Engine struct {
 	transposes atomic.Uint64
 	patches    atomic.Uint64
 	patchRows  atomic.Uint64
+	compacted  atomic.Uint64
+
+	block atomic.Pointer[gramBlock] // the last Gram refresh's recomputed block
 
 	// Cumulative nanoseconds spent materializing products — the "where
 	// does materialization time go" split the serving tier exports
@@ -172,9 +217,9 @@ func (e *Engine) SyncEpoch(v int64) {
 // withdrawn entry stops being an answer but stays as a stale patch
 // base: its next asker recomputes only the rows the mutation reached.
 // In-flight computations that match are detached from the cache (the
-// base they were refreshing, if any, goes back in their place); their
-// waiters still receive the (pre-mutation) result, which is only safe
-// because owners never mutate concurrently with queries.
+// entry they were replacing, if any, goes back in their place, stale);
+// their waiters still receive the (pre-mutation) result, which is only
+// safe because owners never mutate concurrently with queries.
 func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 	e.mu.Lock()
 	e.epoch = v
@@ -187,6 +232,7 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 			ent.stale = true
 		default:
 			if ent.base != nil {
+				ent.base.stale = true
 				e.entries[k] = ent.base
 			} else {
 				delete(e.entries, k)
@@ -200,7 +246,8 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 // *completed* cached materialization of the receiver (in-flight
 // computations are skipped, not awaited, and stale patch bases are left
 // behind — a base nobody refreshed during a whole generation is not
-// worth carrying into the next). Matrices are shared, not copied —
+// worth carrying into the next; a deferred entry is an answer and comes
+// along, base and overlay). Matrices are shared, not copied —
 // they are immutable — so cloning is O(entries). This is how a
 // copy-on-write network clone (hin.Network.Clone) carries the warm
 // materialization cache into its new generation; counters start at
@@ -213,7 +260,7 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 		select {
 		case <-ent.ready:
 			if !ent.stale {
-				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, ops: ent.ops, split: ent.split}
+				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, view: ent.view, ops: ent.ops, split: ent.split}
 			}
 		default:
 		}
@@ -230,15 +277,20 @@ func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.entries = make(map[string]*entry)
 	e.mu.Unlock()
+	e.block.Store(nil)
 }
 
 // Stats returns the current counter values.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	epoch, entries := e.epoch, 0
+	epoch, entries, overlay := e.epoch, 0, 0
 	for _, ent := range e.entries {
-		if !ent.stale {
-			entries++
+		if ent.stale {
+			continue
+		}
+		entries++
+		if ent.done() && ent.view != nil {
+			overlay = max(overlay, len(ent.view.Dirty()))
 		}
 	}
 	e.mu.Unlock()
@@ -255,6 +307,8 @@ func (e *Engine) Stats() Stats {
 		Patches:     e.patches.Load(),
 		PatchedRows: e.patchRows.Load(),
 		PatchTime:   time.Duration(e.patchNS.Load()),
+		Compactions: e.compacted.Load(),
+		OverlayRows: overlay,
 	}
 }
 
@@ -304,38 +358,58 @@ func (e *Engine) CommuteCtx(ctx context.Context, path []string) (*sparse.Matrix,
 	return e.matrix(ctx, path)
 }
 
-// matrix materializes a validated path through the cache.
+// matrix materializes a validated path through the cache, as one
+// matrix.
 func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, error) {
 	canon, rev := canonicalize(path)
+	var ent *entry
+	var err error
 	if !rev {
-		return e.cached(ctx, join(path), path, e.compute)
+		ent, err = e.product(ctx, path, false)
+	} else {
+		// Reversed orientation: materialize the canonical orientation, then
+		// derive this one by a cheap O(nnz) transpose — also cached, so
+		// repeated reverse queries are pure lookups.
+		ent, err = e.cached(ctx, join(path), path, false, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
+			c, err := e.product(ctx, canon, false)
+			if err != nil {
+				return nil, err
+			}
+			e.transposes.Add(1)
+			return c.m.Transpose(), nil
+		})
 	}
-	// Reversed orientation: materialize the canonical orientation, then
-	// derive this one by a cheap O(nnz) transpose — also cached, so
-	// repeated reverse queries are pure lookups.
-	return e.cached(ctx, join(path), path, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
-		m, err := e.cached(ctx, join(canon), canon, e.compute)
-		if err != nil {
-			return nil, err
-		}
-		e.transposes.Add(1)
-		return m.Transpose(), nil
+	if err != nil {
+		return nil, err
+	}
+	return ent.m, nil
+}
+
+// product returns the cache entry of a validated path in its cache
+// orientation, computed by the planner. With deferred set the caller
+// reads views, and a Gram product refreshed for it may come back as one.
+func (e *Engine) product(ctx context.Context, path []string, deferred bool) (*entry, error) {
+	return e.cached(ctx, join(path), path, deferred, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+		return e.compute(ctx, ent, base, deferred)
 	})
 }
 
-// cached runs compute under a singleflight entry for key. compute
-// receives the entry being filled (to record what the result was
-// computed from) and, when the key held a stale entry, that entry as
-// its patch base. When the cache is full of fresh entries, the value
-// is computed but not retained. A waiter whose ctx dies while another
+// cached runs compute under a singleflight entry for key and returns
+// the completed entry. compute receives the entry being filled (to
+// record what the result was computed from) and the entry it replaces,
+// its patch base: a stale one, or — when the caller does not read views
+// (deferred unset) — a deferred one, whose overlay the replacement
+// applies. When the cache is full of fresh entries, the value is
+// computed but not retained. A waiter whose ctx dies while another
 // goroutine computes abandons the wait (the computation itself keeps
 // running for the live callers); a computing goroutine that fails —
-// panic or cancellation — withdraws its entry, putting the stale base
-// back if it had one, so later callers retry from the same place.
-func (e *Engine) cached(ctx context.Context, key string, path []string, compute func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error)) (*sparse.Matrix, error) {
+// panic or cancellation — withdraws its entry, putting back the one it
+// was replacing, so later callers retry from the same place.
+func (e *Engine) cached(ctx context.Context, key string, path []string, deferred bool, compute func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error)) (*entry, error) {
 	e.mu.Lock()
-	base := e.entries[key] // nil, or stale once the fresh case below is past
-	if ent := base; ent != nil && !ent.stale {
+	base := e.entries[key]
+	unfit := func(ent *entry) bool { return !deferred && ent.view != nil }
+	if ent := base; ent != nil && !ent.stale && !(ent.done() && unfit(ent)) {
 		e.mu.Unlock()
 		if done := ctx.Done(); done != nil {
 			select {
@@ -346,19 +420,25 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, compute 
 		} else {
 			<-ent.ready
 		}
-		if ent.m == nil {
+		if ent.m == nil || unfit(ent) {
 			// The computing goroutine panicked (or was cancelled) and
-			// withdrew the entry; retry against the refreshed map.
-			return e.cached(ctx, key, path, compute)
+			// withdrew the entry, or it completed deferred under a caller
+			// that needs one matrix; retry against the refreshed map.
+			return e.cached(ctx, key, path, deferred, compute)
 		}
 		e.hits.Add(1)
-		return ent.m, nil
+		return ent, nil
 	}
 	e.misses.Add(1)
 	ent := &entry{ready: make(chan struct{}), path: path, base: base}
 	if base == nil && len(e.entries) >= maxEntries && !e.evictStale() {
 		e.mu.Unlock()
-		return compute(ctx, ent, nil)
+		m, err := compute(ctx, ent, nil)
+		if err != nil {
+			return nil, err
+		}
+		ent.m = m
+		return ent, nil
 	}
 	e.entries[key] = ent
 	e.mu.Unlock()
@@ -376,7 +456,7 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, compute 
 				delete(e.entries, key)
 			}
 		}
-		ent.base = nil // a completed entry must not pin the matrix it replaced
+		ent.base = nil // a completed entry must not pin the one it replaced
 		e.mu.Unlock()
 		close(ent.ready)
 	}()
@@ -385,7 +465,7 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, compute 
 		return nil, err
 	}
 	ent.m = m
-	return m, nil
+	return ent, nil
 }
 
 // evictStale drops one stale patch base to make room for a new path,
@@ -400,6 +480,13 @@ func (e *Engine) evictStale() bool {
 	return false
 }
 
+// halfOf returns the first half of a Gram-eligible path: the H of
+// M = H·Hᵀ.
+func halfOf(path []string) []string {
+	n := (len(path)-1)/2 + 1
+	return path[:n:n]
+}
+
 // compute evaluates a validated path with the planner. Sub-chains
 // recurse through matrix(), so every intermediate lands in the cache
 // under its own canonical key and is shared across top-level paths
@@ -407,14 +494,14 @@ func (e *Engine) evictStale() bool {
 // stale sub-chain is refreshed the same way before its consumer is.
 // With a base, the product is patched from it when the operand diff is
 // small (patch.go); either route produces the same bits.
-func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+func (e *Engine) compute(ctx context.Context, ent, base *entry, deferred bool) (*sparse.Matrix, error) {
 	path := ent.path
 	rels := len(path) - 1
 	if rels == 1 {
 		return e.src.Relation(path[0], path[1]), nil
 	}
 	if gramEligible(path) {
-		h, err := e.matrix(ctx, path[:rels/2+1:rels/2+1])
+		h, err := e.matrix(ctx, halfOf(path))
 		if err != nil {
 			return nil, err
 		}
@@ -422,7 +509,7 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 		e.grams.Add(1)
 		start := time.Now()
 		defer func() { e.gramNS.Add(int64(time.Since(start))) }()
-		if m, err := e.patchGram(ctx, base, h, 0, h.Rows()); m != nil || err != nil {
+		if m, err := e.patchGram(ctx, ent, base, h, 0, h.Rows(), deferred); m != nil || err != nil {
 			return m, err
 		}
 		return h.GramCtx(ctx)
@@ -469,6 +556,33 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 // own product — the very matrix CommuteCtx returns, under its cache
 // entry — and non-Gram paths slice that (cached) product.
 func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.Matrix, diag []float64, err error) {
+	v, diag, err := e.cols(ctx, path, lo, hi, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.Plain(), diag, nil
+}
+
+// CommuteViewCtx is CommuteColsCtx for a caller that reads the columns
+// row by row and can do so through a sparse.View: the form a write
+// wants, because a Gram product (or a column slice of one) refreshed
+// after a mutation then keeps its base as it is and carries the few
+// recomputed rows, and their mirror columns, as the view's overlay —
+// O(dirty rows · dim) per write where applying the patch copies the
+// whole product — until the overlay outgrows its budget
+// (overlayWorthwhile), when that refresh applies it and the result is
+// the new base. The rows read through the view are, bit for bit, the
+// rows of the matrix CommuteColsCtx returns; a product that is held as
+// one matrix — built cold, just compacted, not Gram-shaped, or already
+// materialized for another caller — comes back as a view with no
+// overlay.
+func (e *Engine) CommuteViewCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.View, diag []float64, err error) {
+	return e.cols(ctx, path, lo, hi, true)
+}
+
+// cols is CommuteColsCtx and CommuteViewCtx: with deferred unset the
+// view it returns has no overlay.
+func (e *Engine) cols(ctx context.Context, path []string, lo, hi int, deferred bool) (*sparse.View, []float64, error) {
 	if err := e.Validate(path); err != nil {
 		return nil, nil, err
 	}
@@ -476,39 +590,47 @@ func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) 
 	if lo < 0 || hi < lo || hi > dim {
 		return nil, nil, fmt.Errorf("metapath: column range [%d,%d) out of [0,%d)", lo, hi, dim)
 	}
-	if whole := lo == 0 && hi == dim; whole || !gramEligible(path) {
+	whole := lo == 0 && hi == dim
+	if !gramEligible(path) {
 		m, err := e.matrix(ctx, path)
 		if err != nil {
 			return nil, nil, err
 		}
 		if whole {
-			return m, m.Diagonal(), nil
+			return m.View(), m.Diagonal(), nil
 		}
-		return m.ColSlice(lo, hi), m.Diagonal(), nil
+		return m.ColSlice(lo, hi).View(), m.Diagonal(), nil
 	}
-	rels := len(path) - 1
-	h, err := e.matrix(ctx, path[:rels/2+1:rels/2+1])
+	h, err := e.matrix(ctx, halfOf(path))
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fmt.Sprintf("%s[%d:%d)", join(path), lo, hi)
-	if hi == dim {
-		key = fmt.Sprintf("%s[%d:)", join(path), lo)
-	}
-	cols, err = e.cached(ctx, key, path, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
-		ent.ops[0] = h
-		e.products.Add(1)
-		start := time.Now()
-		defer func() { e.productNS.Add(int64(time.Since(start))) }()
-		if m, err := e.patchGram(ctx, base, h, lo, hi); m != nil || err != nil {
-			return m, err
+	var ent *entry
+	if whole {
+		ent, err = e.product(ctx, path, deferred)
+	} else {
+		key := fmt.Sprintf("%s[%d:%d)", join(path), lo, hi)
+		if hi == dim {
+			key = fmt.Sprintf("%s[%d:)", join(path), lo)
 		}
-		return h.MulCtx(ctx, h.RowSlice(lo, hi).Transpose())
-	})
+		ent, err = e.cached(ctx, key, path, deferred, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+			ent.ops[0] = h
+			e.products.Add(1)
+			start := time.Now()
+			defer func() { e.productNS.Add(int64(time.Since(start))) }()
+			if m, err := e.patchGram(ctx, ent, base, h, lo, hi, deferred); m != nil || err != nil {
+				return m, err
+			}
+			return h.MulCtx(ctx, h.RowSlice(lo, hi).Transpose())
+		})
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return cols, h.GramDiagonal(), nil
+	if ent.view != nil {
+		return ent.view, h.GramDiagonal(), nil
+	}
+	return ent.m.View(), h.GramDiagonal(), nil
 }
 
 // bestSplit returns the top-level split point (relations 0..k and

@@ -14,6 +14,7 @@ package pathsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -37,21 +38,63 @@ import (
 // and answer any number of Sim / TopK / BatchTopKCtx queries against it
 // concurrently — all query methods are read-only, so an Index is safe
 // for unsynchronized sharing.
+//
+// An index a write refreshed may hold its columns as base + overlay
+// (NewRangeIndexCtx): the previous generation's matrix, shared by
+// pointer, and the few rows and columns the write changed. A query then
+// merges its one row from the two as it scores it (topKSpliced), and
+// scores exactly the entries — ids, order, value bits — the applied
+// patch would have stored, so every answer is the same; M is nil on
+// such an index.
 type Index struct {
 	Path   hin.MetaPath
-	M      *sparse.Matrix // Dim × (Hi-Lo): columns [Lo, Hi) of the commuting matrix
+	M      *sparse.Matrix // Dim × (Hi-Lo): columns [Lo, Hi) of the commuting matrix; nil when over holds them
+	over   *sparse.View   // the columns as base + overlay, or nil
 	diag   []float64      // full diagonal (PathSim denominators for every object)
 	lo, hi int
 }
 
 // Dim returns the number of objects the path's endpoint type has — the
 // valid query-id range, which is NOT restricted to [Lo, Hi).
-func (ix *Index) Dim() int { return ix.M.Rows() }
+func (ix *Index) Dim() int {
+	if ix.over != nil {
+		return ix.over.Rows()
+	}
+	return ix.M.Rows()
+}
 
 // NNZ returns the stored nonzeros of the index — the memory and scan
 // cost it pays to make queries row-local (and, for a shard's range, the
-// partition-skew signal).
-func (ix *Index) NNZ() int { return ix.M.NNZ() }
+// partition-skew signal). Exact and O(1), overlay or not.
+func (ix *Index) NNZ() int {
+	if ix.over != nil {
+		return ix.over.NNZ()
+	}
+	return ix.M.NNZ()
+}
+
+// RowNNZ returns the stored entries of row x: the candidates in
+// [Lo, Hi) that share a path instance with x.
+func (ix *Index) RowNNZ(x int) int {
+	if ix.over != nil {
+		return ix.over.RowNNZ(x)
+	}
+	return ix.M.RowNNZ(x)
+}
+
+// row returns row x's candidate columns (relative to Lo, ascending) and
+// values, assembled: the matrix's own arrays, or a copy when the row had
+// to be merged from base and overlay.
+func (ix *Index) row(x int) ([]int32, []float64) {
+	if ix.over == nil {
+		return ix.M.RowEntries(x)
+	}
+	row := ix.over.Row(x)
+	if !row.Spliced() {
+		return row.Cols, row.Vals
+	}
+	return row.AppendTo(nil, nil)
+}
 
 // Lo returns the first candidate id the index owns.
 func (ix *Index) Lo() int { return ix.lo }
@@ -113,25 +156,38 @@ func NewIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath) (*Index
 // for Gram-factorable paths (the common case): the engine multiplies
 // the cached half-path product against its own row slice and derives
 // the full diagonal from per-row norms. Entries are bitwise-identical
-// to slicing a full NewIndexCtx build, and [0, Dim) is that build.
+// to slicing a full NewIndexCtx build, and [0, Dim) is that build. This
+// is the serving constructor, and the one that takes the engine's
+// deferred form: over a network that was mutated since the range was
+// last built, the index comes back as base + overlay instead of a fresh
+// copy of every column (see Index).
 func NewRangeIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath, lo, hi int) (*Index, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
-	cols, diag, err := n.CommutingColsCtx(ctx, path, lo, hi)
+	cols, diag, err := n.CommutingViewCtx(ctx, path, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Path: path, M: cols, diag: diag, lo: lo, hi: hi}, nil
+	ix := &Index{Path: path, M: cols.Plain(), diag: diag, lo: lo, hi: hi}
+	if ix.M == nil {
+		ix.over = cols
+	}
+	return ix, nil
 }
 
 // Range narrows the index to the candidate range [lo, hi), which must
 // lie inside its own — the reference constructor the equivalence tests
 // compare the engine-built ranges against, and the cheap path when a
 // wider index already exists. The diagonal is shared (it is immutable).
+// An index held as base + overlay has no matrix to slice: build the
+// range with NewRangeIndexCtx.
 func (ix *Index) Range(lo, hi int) (*Index, error) {
 	if lo < ix.lo || hi < lo || hi > ix.hi {
 		return nil, fmt.Errorf("range [%d,%d) out of [%d,%d)", lo, hi, ix.lo, ix.hi)
+	}
+	if ix.over != nil {
+		return nil, fmt.Errorf("range [%d,%d) of an index held as base + overlay", lo, hi)
 	}
 	return &Index{Path: ix.Path, M: ix.M.ColSlice(lo-ix.lo, hi-ix.lo), diag: ix.diag, lo: lo, hi: hi}, nil
 }
@@ -139,7 +195,7 @@ func (ix *Index) Range(lo, hi int) (*Index, error) {
 // inRange reports whether x is a valid query id for this index. Query
 // methods treat out-of-range ids as "no results" rather than panicking,
 // so a stray client id can never take down a serving process.
-func (ix *Index) inRange(x int) bool { return x >= 0 && x < ix.M.Rows() }
+func (ix *Index) inRange(x int) bool { return x >= 0 && x < ix.Dim() }
 
 // Sim returns the PathSim score s(x, y) ∈ [0, 1] for a candidate y in
 // [Lo, Hi). Out-of-range ids (either side) score 0.
@@ -150,6 +206,9 @@ func (ix *Index) Sim(x, y int) float64 {
 	den := ix.diag[x] + ix.diag[y]
 	if den == 0 {
 		return 0
+	}
+	if ix.over != nil {
+		return 2 * ix.over.At(x, y-ix.lo) / den
 	}
 	return 2 * ix.M.At(x, y-ix.lo) / den
 }
@@ -170,7 +229,17 @@ func (ix *Index) topKInto(s *selection, x, k int, dst []Pair) []Pair {
 	if !ix.inRange(x) || k <= 0 {
 		return nil
 	}
-	cols, vals := ix.M.RowEntries(x)
+	var cols []int32
+	var vals []float64
+	if ix.over == nil {
+		cols, vals = ix.M.RowEntries(x)
+	} else {
+		row := ix.over.Row(x)
+		if row.Spliced() {
+			return ix.topKSpliced(s, x, k, dst, &row)
+		}
+		cols, vals = row.Cols, row.Vals // one stored row: the base's, or the overlay's in its place
+	}
 	s.reset(len(cols))
 	dx := ix.diag[x]
 	for i, c := range cols {
@@ -185,6 +254,50 @@ func (ix *Index) topKInto(s *selection, x, k int, dst []Pair) []Pair {
 		s.add(y, 2*v/den)
 	}
 	return s.topK(k, dst)
+}
+
+// topKSpliced is topKInto for a row the overlay reaches into: the same
+// pass over the same candidates in the same ascending-id order, except
+// that the row is merged as it is scored — the stored entries outside
+// the patched columns, the overlay's entries in them — instead of being
+// assembled first. (The scoring is written out twice: a call per
+// candidate costs more than the merge does.)
+func (ix *Index) topKSpliced(s *selection, x, k int, dst []Pair, row *sparse.Row) []Pair {
+	cols, vals := row.Cols, row.Vals[:len(row.Cols)]
+	s.reset(len(cols) + len(row.OverCols))
+	dx := ix.diag[x]
+	pos := 0
+	for j := 0; ; j++ {
+		// Stored entries up to the overlay's next, then that one.
+		next := int32(math.MaxInt32)
+		if j < len(row.OverCols) {
+			next = row.OverCols[j]
+		}
+		for ; pos < len(cols) && cols[pos] < next; pos++ {
+			c := cols[pos]
+			y, v := ix.lo+int(c), vals[pos]
+			if row.Superseded(c) || y == x || v == 0 {
+				continue
+			}
+			den := dx + ix.diag[y]
+			if den == 0 {
+				continue
+			}
+			s.add(y, 2*v/den)
+		}
+		if j == len(row.OverCols) {
+			return s.topK(k, dst)
+		}
+		y, v := ix.lo+int(next), row.OverVals[j]
+		if y == x || v == 0 {
+			continue
+		}
+		den := dx + ix.diag[y]
+		if den == 0 {
+			continue
+		}
+		s.add(y, 2*v/den)
+	}
 }
 
 // TopK returns the k most PathSim-similar candidates to x among
@@ -222,7 +335,7 @@ func (ix *Index) TopK(x, k int) []Pair {
 // cancellation it returns ctx.Err() and no results.
 func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, error) {
 	out := make([][]Pair, len(xs))
-	rows := ix.M.Rows()
+	rows := ix.Dim()
 	if k <= 0 || rows == 0 || ix.Rows() == 0 {
 		return out, nil
 	}
@@ -230,14 +343,17 @@ func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, e
 	for i, x := range xs {
 		need := 0
 		if x >= 0 && x < rows {
-			if need = ix.M.RowNNZ(x); need > k {
-				need = k
+			if ix.over != nil {
+				need = ix.over.RowCap(x) // a bound is enough, and does not walk the row
+			} else {
+				need = ix.M.RowNNZ(x)
 			}
+			need = min(need, k)
 		}
 		offsets[i+1] = offsets[i] + need
 	}
 	arena := make([]Pair, offsets[len(xs)])
-	m := 1 + ix.M.NNZ()/rows
+	m := 1 + ix.NNZ()/rows
 	kept := min(k, m)
 	perQuery := 4*m + kept*bits.Len(uint(kept))
 	err := sparse.ParRangeCtx(ctx, len(xs), len(xs)*perQuery, func(lo, hi int) {
@@ -260,14 +376,15 @@ func (ix *Index) AllScores(x int) []float64 {
 	if !ix.inRange(x) {
 		return nil
 	}
-	scores := make([]float64, ix.M.Rows())
-	ix.M.Row(x, func(yl int, v float64) {
-		y := ix.lo + yl
+	scores := make([]float64, ix.Dim())
+	cols, vals := ix.row(x)
+	for i, c := range cols {
+		y := ix.lo + int(c)
 		den := ix.diag[x] + ix.diag[y]
 		if den > 0 {
-			scores[y] = 2 * v / den
+			scores[y] = 2 * vals[i] / den
 		}
-	})
+	}
 	if x >= ix.lo && x < ix.hi {
 		scores[x] = 1
 	}

@@ -242,23 +242,27 @@ func TestMergeTopKRejectsUnsortedPart(t *testing.T) {
 }
 
 // TestTopKIntoSteadyStateAllocs: with warm scratch and a caller buffer,
-// a query allocates nothing.
+// a query allocates nothing — over one matrix, and over base + overlay,
+// where the row is merged as it is scored.
 func TestTopKIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	ix := tieHeavyIndex(rng, 200, 10)
-	s := new(selection)
-	dst := make([]Pair, 0, 10)
-	x := 0
-	query := func() {
-		if got := ix.topKInto(s, x%ix.Dim(), 10, dst); len(got) == 0 || &got[0] != &dst[:1][0] {
-			t.Fatalf("x=%d: result %v is not in the caller's buffer", x, got)
+	plain := tieHeavyIndex(rng, 200, 10)
+	over, _ := overlaid(t, plain, tieHeavyIndex(rng, 200, 10).M, []int{0, 9, 63, 64, 150})
+	for name, ix := range map[string]*Index{"one matrix": plain, "base + overlay": over} {
+		s := new(selection)
+		dst := make([]Pair, 0, 10)
+		x := 0
+		query := func() {
+			if got := ix.topKInto(s, x%ix.Dim(), 10, dst); len(got) == 0 || &got[0] != &dst[:1][0] {
+				t.Fatalf("%s: x=%d: result %v is not in the caller's buffer", name, x, got)
+			}
+			x++
 		}
-		x++
-	}
-	for i := 0; i < ix.Dim(); i++ {
-		query() // warm: the scratch grows to the widest row
-	}
-	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
-		t.Errorf("topKInto allocates %.1f times per query, want 0", allocs)
+		for i := 0; i < ix.Dim(); i++ {
+			query() // warm: the scratch grows to the widest row
+		}
+		if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+			t.Errorf("%s: topKInto allocates %.1f times per query, want 0", name, allocs)
+		}
 	}
 }

@@ -1,0 +1,203 @@
+// Serving across a compaction: a write publishes the similarity index
+// as base + overlay and every N-th write folds the overlay into a new
+// base (internal/metapath); nothing a client can read may tell the two
+// apart, or tell either from an index built cold.
+
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/url"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"hinet/internal/cluster"
+	"hinet/internal/dblp"
+	"hinet/internal/ingest"
+	"hinet/internal/stats"
+)
+
+// metricValue reads one unlabelled series off /metrics.
+func metricValue(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	_, metrics := do(t, s, "GET", "/metrics", "")
+	i := strings.Index(metrics, "\n"+series+" ")
+	if i < 0 {
+		t.Fatalf("/metrics lacks %s", series)
+	}
+	var v float64
+	if _, err := fmt.Sscan(metrics[i+len(series)+2:], &v); err != nil {
+		t.Fatalf("%s: %v", series, err)
+	}
+	return v
+}
+
+var volatileShardFields = regexp.MustCompile(`(?m)^\s*"(inflight|queries)": \d+,?\n`)
+
+// stableStats is the part of /v1/stats a generation determines: what
+// the index holds and how the cluster stands, without clocks and
+// traffic counters.
+func stableStats(t *testing.T, s *Server) string {
+	t.Helper()
+	var st struct {
+		Cluster struct {
+			Epoch  int64   `json:"epoch"`
+			Policy string  `json:"policy"`
+			Shards int     `json:"shards"`
+			Skew   float64 `json:"skew"`
+		} `json:"cluster"`
+		Epoch   int64          `json:"epoch"`
+		Objects map[string]int `json:"objects"`
+		PathSim map[string]int `json:"pathsim"`
+		Seed    int64          `json:"seed"`
+	}
+	if code := get(t, s, "GET", "/v1/stats", &st); code != 200 {
+		t.Fatalf("/v1/stats = %d", code)
+	}
+	out, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestIngestAcrossCompaction posts back-to-back 3-paper ingests until
+// an overlay has been compacted on either side of a shard restart, to a
+// live server and to a reference whose meta-path engine is emptied
+// before every write — so each of its generations is built cold from
+// the same deltas. After
+// every write the top-k answers over the prebuilt path and over one the
+// first reader materializes, /v1/cluster/shards and the stable part of
+// /v1/stats are byte-equal on the two, whichever of deferred and
+// compacted the live write was, and again after a shard restarted
+// between two compactions (its replay defers and compacts at other
+// writes than the live chain did). Readers run beside the writes.
+func TestIngestAcrossCompaction(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := Options{Seed: 3, Shards: shards, CacheCapacity: -1, ControlInterval: -1,
+				Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 300, Papers: 3000}}}
+			live, ref := newTestServer(t, opts), newTestServer(t, opts)
+			dim := live.Snapshot().IndexDim
+
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			var up sync.RWMutex // write-held while a shard is down: its reads answer 503 by design
+			for g := 0; g < 2; g++ {
+				readers.Add(1)
+				go func(g int) {
+					defer readers.Done()
+					for i := g; ; i += 2 {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						p := fmt.Sprintf("/v1/pathsim/topk?id=%d&k=20", (i*37)%dim)
+						if i%3 == 0 {
+							p += "&path=A-P-T-P-A"
+						}
+						up.RLock()
+						code, body := do(t, live, "GET", p, "")
+						up.RUnlock()
+						if code != 200 {
+							t.Errorf("reader: %s = %d: %s", p, code, body)
+							return
+						}
+					}
+				}(g)
+			}
+			defer func() {
+				close(stop)
+				readers.Wait()
+			}()
+
+			compare := func(stage string, names []string) {
+				t.Helper()
+				surfaces := []string{"/v1/cluster/shards"}
+				for _, spec := range []string{"", "&path=A-P-T-P-A"} {
+					for _, id := range []int{0, 7, dim / 2, dim - 1} {
+						surfaces = append(surfaces, fmt.Sprintf("/v1/pathsim/topk?id=%d&k=50%s", id, spec))
+					}
+					for _, name := range names { // rows the write replaced
+						surfaces = append(surfaces, "/v1/pathsim/topk?k=50&name="+url.QueryEscape(name)+spec)
+					}
+				}
+				for _, p := range surfaces {
+					c1, b1 := do(t, live, "GET", p, "")
+					c2, b2 := do(t, ref, "GET", p, "")
+					b1, b2 = volatileShardFields.ReplaceAllString(b1, ""), volatileShardFields.ReplaceAllString(b2, "")
+					if c1 != c2 || b1 != b2 || (c1 != 200 && p != "/v1/cluster/shards") {
+						t.Fatalf("%s: %s diverged\nlive (%d): %s\ncold (%d): %s", stage, p, c1, b1, c2, b2)
+					}
+				}
+				if s1, s2 := stableStats(t, live), stableStats(t, ref); s1 != s2 {
+					t.Fatalf("%s: /v1/stats diverged\nlive: %s\ncold: %s", stage, s1, s2)
+				}
+			}
+			compare("boot", nil)
+
+			rng := stats.NewRNG(21)
+			// before and after count the writes that compacted an overlay,
+			// on either side of the restart; a write that left one pending
+			// (the two can be different products of one write) is deferred.
+			before, after, deferred, restarted := 0, 0, 0, false
+			for write := 1; after == 0; write++ {
+				if write > 40 {
+					t.Fatalf("%d writes: %d compacted, %d deferred, restarted %v", write-1, before+after, deferred, restarted)
+				}
+				batch := ingest.SamplePapers(live.Snapshot().Corpus, rng, 3)
+				var names []string
+				for _, d := range batch {
+					if d.Op == ingest.OpAddEdge && d.DstType == string(dblp.TypeAuthor) {
+						names = append(names, d.Dst)
+					}
+				}
+				ref.Snapshot().Engine().Reset() // nothing to patch from: the reference builds this generation cold
+				for _, s := range []*Server{live, ref} {
+					if out, code := postIngest(t, s, batch); code != 200 {
+						t.Fatalf("write %d: ingest = %d: %v", write, code, out)
+					}
+				}
+				if cold := metricValue(t, ref, "hinet_metapath_patches_total"); cold != 0 {
+					t.Fatalf("write %d: the reference patched %v products: it is not a cold rebuild", write, cold)
+				}
+				stage := fmt.Sprintf("write %d", write)
+				compare(stage, names)
+				// Read after the comparison, which has had path=A-P-T-P-A
+				// refreshed too.
+				overlaid := metricValue(t, live, "hinet_metapath_overlay_rows") > 0
+				if overlaid {
+					deferred++
+				}
+				if metricValue(t, live, "hinet_metapath_compactions_total") > 0 {
+					if restarted {
+						after++
+					} else {
+						before++
+					}
+				}
+				// Between two compactions, while the live index is base +
+				// overlay: a restarted shard replays its log alone.
+				if before > 0 && overlaid && !restarted {
+					sh := live.Coordinator().Shard(min(1, shards-1)).(*cluster.LocalShard)
+					up.Lock()
+					err := sh.Restart()
+					up.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					restarted = true
+					compare(stage+", shard restarted", names)
+				}
+			}
+			t.Logf("writes that compacted: %d before the restart, %d after; that left an overlay pending: %d", before, after, deferred)
+			if deferred == 0 {
+				t.Fatal("no write was published as base + overlay")
+			}
+		})
+	}
+}

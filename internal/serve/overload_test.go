@@ -280,14 +280,16 @@ func TestShutdownBounded(t *testing.T) {
 	if err == nil {
 		t.Log("shutdown finished inside the deadline (kernel completed first)")
 	}
-	// Let the dispatcher drain before the test returns.
+	// Let the in-flight batch (its leader is the blocked request) finish
+	// before the test returns.
 	_ = s.Shutdown(context.Background())
 	time.Sleep(350 * time.Millisecond)
 }
 
 // TestClientDisconnectMidBatch: a client that vanishes while its query
 // is batched must not poison the shared batch result, leak its
-// admission slot, or wedge the dispatcher. Run under -race in CI.
+// admission slot, or wedge the batch its leader is running. Run under
+// -race in CI.
 func TestClientDisconnectMidBatch(t *testing.T) {
 	s := newTestServer(t, Options{ControlInterval: -1, Chaos: slowChaos(40 * time.Millisecond)})
 

@@ -215,7 +215,7 @@ func TestShardedServeParity(t *testing.T) {
 // materializes it under its own request's resolve span, on that
 // request's goroutine — so default-path queries issued meanwhile are
 // answered while the build is still running, not queued behind it in
-// the batch dispatcher.
+// a batch.
 func TestColdPathBuildOffDispatcher(t *testing.T) {
 	s := newTestServer(t, Options{Seed: 1, Shards: 3, CacheCapacity: -1, ControlInterval: -1,
 		Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}}})

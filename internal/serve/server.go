@@ -1212,6 +1212,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ing.batches.Add(1)
 	s.ing.deltas.Add(uint64(len(req.Deltas)))
 	s.ing.nanos.Add(int64(time.Since(start)))
+	if tr != nil {
+		// Which route the write's similarity index took: published as
+		// base + overlay, or an overlay folded into a new base (the one
+		// write in N that copies the whole index).
+		if es := snap.Engine().Stats(); es.Compactions > 0 {
+			tr.Note("compacted")
+		} else if es.OverlayRows > 0 {
+			tr.Note("deferred")
+		}
+	}
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()
 	jw.beginObject()

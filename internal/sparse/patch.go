@@ -5,10 +5,10 @@
 // carried over from the previous product. DirtyRows finds the changed
 // operand rows, GatherRows/RowsTouching assemble the small sub-problem
 // the ordinary Mul kernel recomputes, and PatchCtx splices the result
-// into a copy of the previous product — bulk copies for untouched
-// spans, row-block parallel on the shared pool, structure shared with
+// into a copy of the previous product — untouched rows in one copy
+// each, row-block parallel on the shared pool, structure shared with
 // the previous product when the pattern did not change (the ApplyDelta
-// contract).
+// contract). A View (view.go) reads the same result without the copy.
 
 package sparse
 
@@ -117,13 +117,18 @@ type Patch struct {
 	ColBlock  *Matrix
 }
 
-// PatchCtx returns the receiver with p applied, as a new matrix (the
-// receiver is never modified). Untouched entries are bulk-copied in
-// row blocks on the shared pool; when no row's column pattern changed
-// the result aliases the receiver's colIdx (and rowPtr, unless rows
-// were added) and only the value array is fresh. A cancelled ctx
-// returns ctx.Err() and a nil matrix.
-func (m *Matrix) PatchCtx(ctx context.Context, p Patch) (*Matrix, error) {
+// patcher is a Patch checked against the matrix it applies to and made
+// ready to apply one row at a time — what PatchCtx does to every row,
+// and a View to the row being read.
+type patcher struct {
+	Patch
+	marks []uint64 // the set PatchCols, one bit per result column
+	cols  *Matrix  // ColBlock with each entry under the column it is written to (Rows×Cols), sharing its values
+}
+
+// newPatcher panics unless p can be applied to m: dimensions that do not
+// shrink and fit an index, and blocks shaped by the lists they serve.
+func newPatcher(m *Matrix, p Patch) *patcher {
 	if p.Rows < m.rows || p.Cols < m.cols || p.Rows > maxDim || p.Cols > maxDim {
 		panic(fmt.Sprintf("sparse: Patch to %dx%d from %dx%d", p.Rows, p.Cols, m.rows, m.cols))
 	}
@@ -137,6 +142,112 @@ func (m *Matrix) PatchCtx(ctx context.Context, p Patch) (*Matrix, error) {
 	if !fits(p.RowBlock, len(p.Dirty), len(p.Dirty), p.Cols) || !fits(p.ColBlock, len(p.PatchCols), p.Rows, len(p.PatchCols)) {
 		panic("sparse: Patch block dimensions do not match its row and column lists")
 	}
+	pt := &patcher{Patch: p}
+	if len(p.PatchCols) > 0 {
+		pt.marks = make([]uint64, (p.Cols+63)/64)
+		for _, c := range p.PatchCols {
+			pt.marks[c>>6] |= 1 << (uint(c) & 63)
+		}
+		cb := p.ColBlock
+		pt.cols = &Matrix{rows: cb.rows, cols: p.Cols, rowPtr: cb.rowPtr, colIdx: make([]int32, len(cb.colIdx)), vals: cb.vals}
+		for i, j := range cb.colIdx {
+			pt.cols.colIdx[i] = int32(p.PatchCols[j]) // ascending in j, so rows stay sorted
+		}
+		pt.ColBlock = nil // read through cols from here on
+	}
+	return pt
+}
+
+// patched reports whether column c is one of PatchCols.
+func (p *patcher) patched(c int32) bool { return p.marks[c>>6]>>(uint(c)&63)&1 != 0 }
+
+// dirtyAt returns the RowBlock row that replaces row r, if one does.
+func (p *patcher) dirtyAt(r int) (int, bool) { return slices.BinarySearch(p.Dirty, r) }
+
+// reach returns non-dirty row r's patched-column entries (cols' row r)
+// and whether the patch can change the row at all: it writes those
+// entries, and it drops the row's own entries in patched columns — none
+// when the row, whose base columns are idx, spans no patched column.
+func (p *patcher) reach(r int, idx []int32) (touched bool, cidx []int32, cvals []float64) {
+	if p.cols == nil {
+		return false, nil, nil
+	}
+	cidx, cvals = p.cols.RowEntries(r)
+	if len(cidx) > 0 || len(idx) == 0 {
+		return len(cidx) > 0, cidx, cvals
+	}
+	a, _ := slices.BinarySearch(p.PatchCols, int(idx[0]))
+	return a < len(p.PatchCols) && p.PatchCols[a] <= int(idx[len(idx)-1]), cidx, cvals
+}
+
+// spliced returns how many entries a row reach found touched holds once
+// patched — its base entries outside the patched columns plus its
+// patched-column entries cidx — and whether its column pattern is still
+// idx: every entry it had in a patched column is written again, and
+// nothing else.
+func (p *patcher) spliced(idx, cidx []int32) (n int, same bool) {
+	had := 0
+	for _, c := range idx {
+		if p.patched(c) {
+			had++
+		}
+	}
+	same = had == len(cidx)
+	for i := 0; same && i < len(cidx); i++ {
+		_, same = slices.BinarySearch(idx, cidx[i])
+	}
+	return len(idx) - had + len(cidx), same
+}
+
+// splice writes a row reach found touched — base entries (idx, vals)
+// outside the patched columns, merged with its patched-column entries
+// (cidx, cvals) — into ov and, unless it is nil, oi, ascending by
+// column, and returns the number of entries written. One pass over the
+// row: its cost is the row's length, however many columns are patched.
+func (p *patcher) splice(idx []int32, vals []float64, cidx []int32, cvals []float64, oi []int32, ov []float64) int {
+	at, pos := 0, 0
+	vals = vals[:len(idx)]
+	for j := 0; j <= len(cidx); j++ {
+		// Base entries up to the row's next patched-column entry, then
+		// that entry; after the last one, the rest of the row.
+		next := int32(math.MaxInt32)
+		if j < len(cidx) {
+			next = cidx[j]
+		}
+		for ; pos < len(idx) && idx[pos] < next; pos++ {
+			if c := idx[pos]; !p.patched(c) {
+				if oi != nil {
+					oi[at] = c
+				}
+				ov[at] = vals[pos]
+				at++
+			}
+		}
+		if j < len(cidx) {
+			if oi != nil {
+				oi[at] = next
+			}
+			ov[at] = cvals[j]
+			at++
+		}
+	}
+	return at
+}
+
+// PatchCtx returns the receiver with p applied, as a new matrix (the
+// receiver is never modified). Rows are written in row blocks on the
+// shared pool — a row the patched columns cannot reach in one copy, the
+// others merged with their patched-column entries in one pass each —
+// and when no row's column pattern changed the result aliases the
+// receiver's colIdx (and rowPtr, unless rows were added) and only the
+// value array is fresh. A cancelled ctx returns ctx.Err() and a nil
+// matrix.
+func (m *Matrix) PatchCtx(ctx context.Context, p Patch) (*Matrix, error) {
+	return m.patch(ctx, newPatcher(m, p))
+}
+
+// patch is PatchCtx once the patch is checked and prepared.
+func (m *Matrix) patch(ctx context.Context, p *patcher) (*Matrix, error) {
 	done := ctxDone(ctx)
 	if chanClosed(done) {
 		return nil, ctx.Err()
@@ -193,103 +304,77 @@ func (m *Matrix) PatchCtx(ctx context.Context, p Patch) (*Matrix, error) {
 // patchJob is one PatchCtx call's shared state.
 type patchJob struct {
 	base    *Matrix
-	p       Patch
+	p       *patcher
 	out     *Matrix
 	fillIdx bool // colIdx is fresh (some pattern changed), so fill writes it
 }
 
-// baseRow returns the receiver's row r, empty for added rows.
-func (j *patchJob) baseRow(r int) (idx []int32, vals []float64) {
-	if r >= j.base.rows {
+// rowOrNone returns the receiver's row r, empty for a row past its last
+// (one a patch adds).
+func (m *Matrix) rowOrNone(r int) (idx []int32, vals []float64) {
+	if r >= m.rows {
 		return nil, nil
 	}
-	lo, hi := j.base.rowPtr[r], j.base.rowPtr[r+1]
-	return j.base.colIdx[lo:hi], j.base.vals[lo:hi]
+	return m.RowEntries(r)
 }
 
 // size stores the output length of rows [lo, hi) in out.rowPtr[r+1]
 // and reports whether every one keeps its base column pattern.
 func (j *patchJob) size(lo, hi int) (same bool) {
 	same = true
-	d, _ := slices.BinarySearch(j.p.Dirty, lo)
+	p := j.p
+	d, _ := slices.BinarySearch(p.Dirty, lo)
 	for r := lo; r < hi; r++ {
-		idx, _ := j.baseRow(r)
-		if d < len(j.p.Dirty) && j.p.Dirty[d] == r {
-			blo, bhi := j.p.RowBlock.rowPtr[d], j.p.RowBlock.rowPtr[d+1]
+		idx, _ := j.base.rowOrNone(r)
+		if d < len(p.Dirty) && p.Dirty[d] == r {
+			blo, bhi := p.RowBlock.rowPtr[d], p.RowBlock.rowPtr[d+1]
 			j.out.rowPtr[r+1] = bhi - blo
-			same = same && slices.Equal(idx, j.p.RowBlock.colIdx[blo:bhi])
+			same = same && slices.Equal(idx, p.RowBlock.colIdx[blo:bhi])
 			d++
 			continue
 		}
-		n := len(idx)
-		if j.p.ColBlock != nil {
-			clo, chi := j.p.ColBlock.rowPtr[r], j.p.ColBlock.rowPtr[r+1]
-			for pj, c := range j.p.PatchCols {
-				_, had := slices.BinarySearch(idx, int32(c))
-				has := clo < chi && int(j.p.ColBlock.colIdx[clo]) == pj
-				if has {
-					clo++
-				}
-				if had != has {
-					same = false
-					if has {
-						n++
-					} else {
-						n--
-					}
-				}
-			}
+		touched, cidx, _ := p.reach(r, idx)
+		if !touched {
+			j.out.rowPtr[r+1] = len(idx)
+			continue
 		}
+		n, kept := p.spliced(idx, cidx)
 		j.out.rowPtr[r+1] = n
+		same = same && kept
 	}
 	return same
 }
 
 // fill writes rows [lo, hi) of the output: block rows for dirty rows,
-// and for the rest the base row with the patched columns spliced in —
-// runs of kept entries between consecutive patched columns are copied
-// in bulk.
+// and for the rest the base row, as it is where the patch cannot reach
+// it and with the patched columns spliced in where it can.
 func (j *patchJob) fill(lo, hi int) {
-	out := j.out
-	put := func(at int, idx []int32, vals []float64) int {
+	out, p := j.out, j.p
+	put := func(at int, idx []int32, vals []float64) {
 		if j.fillIdx {
 			copy(out.colIdx[at:], idx)
 		}
 		copy(out.vals[at:], vals)
-		return at + len(vals)
 	}
-	d, _ := slices.BinarySearch(j.p.Dirty, lo)
+	d, _ := slices.BinarySearch(p.Dirty, lo)
 	for r := lo; r < hi; r++ {
 		at := out.rowPtr[r]
-		if d < len(j.p.Dirty) && j.p.Dirty[d] == r {
-			blo, bhi := j.p.RowBlock.rowPtr[d], j.p.RowBlock.rowPtr[d+1]
-			put(at, j.p.RowBlock.colIdx[blo:bhi], j.p.RowBlock.vals[blo:bhi])
+		if d < len(p.Dirty) && p.Dirty[d] == r {
+			blo, bhi := p.RowBlock.rowPtr[d], p.RowBlock.rowPtr[d+1]
+			put(at, p.RowBlock.colIdx[blo:bhi], p.RowBlock.vals[blo:bhi])
 			d++
 			continue
 		}
-		idx, vals := j.baseRow(r)
-		if j.p.ColBlock == nil {
+		idx, vals := j.base.rowOrNone(r)
+		touched, cidx, cvals := p.reach(r, idx)
+		if !touched {
 			put(at, idx, vals)
 			continue
 		}
-		pos := 0
-		clo, chi := j.p.ColBlock.rowPtr[r], j.p.ColBlock.rowPtr[r+1]
-		for pj, c := range j.p.PatchCols {
-			k, had := slices.BinarySearch(idx[pos:], int32(c))
-			at = put(at, idx[pos:pos+k], vals[pos:pos+k])
-			pos += k
-			if had {
-				pos++
-			}
-			if clo < chi && int(j.p.ColBlock.colIdx[clo]) == pj {
-				if j.fillIdx {
-					out.colIdx[at] = int32(c)
-				}
-				out.vals[at] = j.p.ColBlock.vals[clo]
-				at++
-				clo++
-			}
+		var oi []int32
+		if j.fillIdx {
+			oi = out.colIdx[at:]
 		}
-		put(at, idx[pos:], vals[pos:])
+		p.splice(idx, vals, cidx, cvals, oi, out.vals[at:])
 	}
 }
