@@ -65,12 +65,14 @@ type writeOp struct {
 	refresh     bool
 }
 
-// run executes the write against prev (which a rebuild ignores).
-func (op *writeOp) run(prev *Models, spec ModelSpec) (*Models, ingest.Summary, error) {
+// run executes the write against prev (which a rebuild ignores), with
+// the beside jobs run on the new network next to the model builds.
+func (op *writeOp) run(prev *Models, spec ModelSpec, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
 	if op.rebuild {
-		return BuildModels(op.rebuildSeed, spec), ingest.Summary{}, nil
+		m, err := buildModels(op.rebuildSeed, spec, beside...)
+		return m, ingest.Summary{}, err
 	}
-	return IngestModels(prev, op.deltas, op.refresh, spec)
+	return ingestModels(prev, op.deltas, op.refresh, spec, beside...)
 }
 
 // builds is the build memo the shards of one in-process cluster share:
@@ -86,16 +88,24 @@ type builds struct {
 }
 
 // apply returns the log entry and models for op applied to prev, the
-// state parent produced. The batch is cloned once, into the shared
-// entry. A validation error is not remembered.
-func (b *builds) apply(parent *writeOp, prev *Models, op writeOp, spec ModelSpec) (*writeOp, *Models, ingest.Summary, error) {
+// state parent produced, having run the beside jobs on the new network:
+// next to the model builds for the shard that builds, inline for one
+// that is handed its sibling's models. The batch is cloned once, into
+// the shared entry. A failed write — a validation error, a beside job's
+// error or panic — is not remembered.
+func (b *builds) apply(parent *writeOp, prev *Models, op writeOp, spec ModelSpec, beside ...func(*hin.Network) error) (*writeOp, *Models, ingest.Summary, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if last := b.op; last != nil && b.parent == parent && last.rebuild == op.rebuild &&
 		last.rebuildSeed == op.rebuildSeed && last.refresh == op.refresh && slices.Equal(last.deltas, op.deltas) {
+		for _, job := range beside {
+			if err := job(b.models.Corpus.Net); err != nil {
+				return nil, nil, b.sum, err
+			}
+		}
 		return last, b.models, b.sum, nil
 	}
-	m, sum, err := op.run(prev, spec)
+	m, sum, err := op.run(prev, spec, beside...)
 	if err != nil {
 		return nil, nil, sum, err
 	}
@@ -153,15 +163,23 @@ func (sh *LocalShard) boundsFor(endpoint hin.Type, dim int) (lo, hi int) {
 	return evenRange(sh.id, sh.part.Shards(), dim)
 }
 
-// newGeneration builds the publishable state around a model set: the
-// shard's range of the default index, cut from the (shared) network.
-func (sh *LocalShard) newGeneration(m *Models, op *writeOp, epoch int64, prev *generation) (*generation, error) {
-	endpoint := PathAPVPA[len(PathAPVPA)-1]
-	lo, hi := sh.boundsFor(endpoint, m.Corpus.Net.Count(endpoint))
-	def, err := pathsim.NewRangeIndexCtx(context.Background(), m.Corpus.Net, PathAPVPA, lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d default index: %w", sh.id, err)
+// defaultRange returns the job that cuts the shard's range of the
+// default index from a write's network into *def — what a generation
+// needs besides its models, built beside them (Models.fit).
+func (sh *LocalShard) defaultRange(def **pathsim.Index) func(*hin.Network) error {
+	return func(net *hin.Network) (err error) {
+		endpoint := PathAPVPA[len(PathAPVPA)-1]
+		lo, hi := sh.boundsFor(endpoint, net.Count(endpoint))
+		if *def, err = pathsim.NewRangeIndexCtx(context.Background(), net, PathAPVPA, lo, hi); err != nil {
+			return fmt.Errorf("cluster: shard %d default index: %w", sh.id, err)
+		}
+		return nil
 	}
+}
+
+// newGeneration wraps the publishable state around a model set and the
+// shard's range of the default index over its network.
+func (sh *LocalShard) newGeneration(m *Models, op *writeOp, def *pathsim.Index, epoch int64, prev *generation) *generation {
 	if prev != nil {
 		prev.prev.Store(nil) // retain exactly one predecessor
 	}
@@ -169,7 +187,7 @@ func (sh *LocalShard) newGeneration(m *Models, op *writeOp, epoch int64, prev *g
 	g.prev.Store(prev)
 	g.ranges.Store(PathAPVPA.String(), def)
 	g.rangeCount.Store(1)
-	return g, nil
+	return g
 }
 
 // publish swaps g in as the live generation. Callers hold mu.
@@ -185,7 +203,10 @@ func (sh *LocalShard) publish(g *generation) {
 // rebuilt — become the checkpoint the log replays from (checkpointOf),
 // so between rebuilds a shard keeps at most maxLogOps batches and one
 // model set, without its products, beyond the generations it serves.
-func (sh *LocalShard) write(op writeOp) (int64, ingest.Summary, error) {
+// The shard's range of the default index is built beside the models
+// (defaultRange), and so is any job in beside — the failure tests' way
+// in; nothing is logged or published unless all of it succeeds.
+func (sh *LocalShard) write(op writeOp, beside ...func(*hin.Network) error) (int64, ingest.Summary, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := sh.gen.Load()
@@ -196,15 +217,13 @@ func (sh *LocalShard) write(op writeOp) (int64, ingest.Summary, error) {
 	} else if !op.rebuild {
 		return 0, ingest.Summary{}, fmt.Errorf("cluster: shard %d has no generation to ingest into", sh.id)
 	}
-	entry, m, sum, err := sh.memo.apply(parent, prev, op, sh.spec)
+	var def *pathsim.Index
+	entry, m, sum, err := sh.memo.apply(parent, prev, op, sh.spec, append(beside, sh.defaultRange(&def))...)
 	if err != nil {
 		return 0, sum, err
 	}
 	epoch := sh.epoch.Load() + 1
-	g, err := sh.newGeneration(m, entry, epoch, cur)
-	if err != nil {
-		return 0, sum, err
-	}
+	g := sh.newGeneration(m, entry, def, epoch, cur)
 	if op.rebuild {
 		sh.checkpoint, sh.base, sh.baseOps = nil, epoch-1, nil
 	} else if len(sh.baseOps) >= maxLogOps {
@@ -261,14 +280,13 @@ func (sh *LocalShard) Restart() error {
 	var g *generation
 	m := sh.checkpoint
 	for _, op := range sh.baseOps {
+		var def *pathsim.Index
 		var err error
-		if m, _, err = op.run(m, sh.spec); err != nil {
+		if m, _, err = op.run(m, sh.spec, sh.defaultRange(&def)); err != nil {
 			return fmt.Errorf("cluster: shard %d replay diverged: %w", sh.id, err)
 		}
 		epoch++
-		if g, err = sh.newGeneration(m, op, epoch, g); err != nil {
-			return err
-		}
+		g = sh.newGeneration(m, op, def, epoch, g)
 	}
 	sh.publish(g)
 	return nil

@@ -10,6 +10,8 @@
 package cluster
 
 import (
+	"errors"
+
 	"hinet/internal/core"
 	"hinet/internal/dblp"
 	"hinet/internal/hin"
@@ -17,6 +19,7 @@ import (
 	"hinet/internal/netclus"
 	"hinet/internal/pathsim"
 	"hinet/internal/rank"
+	"hinet/internal/sparse"
 	"hinet/internal/stats"
 )
 
@@ -77,23 +80,15 @@ func (spec ModelSpec) clusterParams(c *dblp.Corpus) (k, restarts int) {
 // PathSim index. Deterministic: equal (seed, spec) always produce
 // identical artifacts, bit for bit.
 func BuildModels(seed int64, spec ModelSpec) *Models {
-	c := dblp.Generate(stats.NewRNG(seed), spec.Corpus)
-	k, restarts := spec.clusterParams(c)
-	coauthor := c.Net.CommutingMatrix(PathAPA)
-	m := &Models{
-		Seed:     seed,
-		Corpus:   c,
-		PageRank: rank.PageRank(coauthor, rank.Options{}),
-		HITS:     rank.HITS(coauthor, rank.Options{}),
-		RankClus: core.Run(stats.NewRNG(seed+1), c.VenueAuthorBipartite(),
-			core.Options{K: k, Method: core.AuthorityRanking, Restarts: restarts}),
-		NetClus: netclus.Run(stats.NewRNG(seed+2), c.Star(),
-			netclus.Options{K: k, Restarts: restarts}),
-	}
-	if !spec.SkipPathSim {
-		m.PathSim = pathsim.NewIndex(c.Net, PathAPVPA)
-	}
+	m, _ := buildModels(seed, spec) // no beside job, no error
 	return m
+}
+
+// buildModels is BuildModels with jobs to run beside the model builds
+// (see Models.fit).
+func buildModels(seed int64, spec ModelSpec, beside ...func(*hin.Network) error) (*Models, error) {
+	m := &Models{Seed: seed, Corpus: dblp.Generate(stats.NewRNG(seed), spec.Corpus)}
+	return m, m.fit(nil, true, spec, beside)
 }
 
 // IngestModels applies a delta batch to prev as an incremental
@@ -112,32 +107,70 @@ func BuildModels(seed int64, spec ModelSpec) *Models {
 // batch produce identical next models, which is the invariant the
 // cluster's build memo and shard replay stand on.
 func IngestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec ModelSpec) (*Models, ingest.Summary, error) {
+	return ingestModels(prev, deltas, refreshModels, spec)
+}
+
+// ingestModels is IngestModels with jobs to run beside the model builds
+// (see Models.fit). An error from one of them fails the write like a
+// validation error: nothing of it is kept.
+func ingestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec ModelSpec, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
 	net := prev.Corpus.Net.Clone()
 	sum, err := ingest.Apply(net, deltas, ingest.Options{})
 	if err != nil {
 		return nil, sum, err
 	}
-	corpus := prev.Corpus.WithNetwork(net)
-	coauthor := net.CommutingMatrix(PathAPA)
-	m := &Models{
-		Seed:     prev.Seed,
-		Corpus:   corpus,
-		PageRank: rank.PageRank(coauthor, rank.Options{Start: PadScores(prev.PageRank.Scores, coauthor.Rows())}),
-		HITS:     rank.HITS(coauthor, rank.Options{Start: PadScores(prev.HITS.Hub, coauthor.Rows())}),
-		RankClus: prev.RankClus,
-		NetClus:  prev.NetClus,
-	}
-	if refreshModels {
-		k, restarts := spec.clusterParams(corpus)
-		m.RankClus = core.Run(stats.NewRNG(prev.Seed+1), corpus.VenueAuthorBipartite(),
-			core.Options{K: k, Method: core.AuthorityRanking, Restarts: restarts})
-		m.NetClus = netclus.Run(stats.NewRNG(prev.Seed+2), corpus.Star(),
-			netclus.Options{K: k, Restarts: restarts})
-	}
-	if prev.PathSim != nil || !spec.SkipPathSim {
-		m.PathSim = pathsim.NewIndex(net, PathAPVPA)
+	m := &Models{Seed: prev.Seed, Corpus: prev.Corpus.WithNetwork(net), RankClus: prev.RankClus, NetClus: prev.NetClus}
+	if err := m.fit(prev, refreshModels, spec, beside); err != nil {
+		return nil, sum, err
 	}
 	return m, sum, nil
+}
+
+// fit computes the models of m's corpus — warm from prev's scores when
+// there is a prev, the clustering models only when asked — as a
+// fork–join of whole jobs on the sparse pool (sparse.Do): everything
+// here needs nothing but the network, so the co-author graph followed
+// by PageRank beside HITS, each clustering model, the full similarity
+// index and the caller's beside jobs (a shard's range of the default
+// index) run side by side, each on one core — on a graph of serving
+// size none of them is worth cutting into blocks — and m is complete
+// when fit returns. Each job owns the field it writes and every kernel
+// under it partitions by shape alone, so the result does not depend on
+// the schedule; at Parallelism 1 the jobs run in the order written.
+// Every job runs to its end; the beside jobs' errors come back joined.
+func (m *Models) fit(prev *Models, clusterings bool, spec ModelSpec, beside []func(*hin.Network) error) error {
+	net := m.Corpus.Net
+	jobs := []func(){func() {
+		coauthor := net.CommutingMatrix(PathAPA)
+		var pagerank, hubs []float64
+		if prev != nil {
+			pagerank = PadScores(prev.PageRank.Scores, coauthor.Rows())
+			hubs = PadScores(prev.HITS.Hub, coauthor.Rows())
+		}
+		sparse.Do(
+			func() { m.PageRank = rank.PageRank(coauthor, rank.Options{Start: pagerank}) },
+			func() { m.HITS = rank.HITS(coauthor, rank.Options{Start: hubs}) },
+		)
+	}}
+	if clusterings {
+		k, restarts := spec.clusterParams(m.Corpus)
+		jobs = append(jobs, func() {
+			m.RankClus = core.Run(stats.NewRNG(m.Seed+1), m.Corpus.VenueAuthorBipartite(),
+				core.Options{K: k, Method: core.AuthorityRanking, Restarts: restarts})
+		}, func() {
+			m.NetClus = netclus.Run(stats.NewRNG(m.Seed+2), m.Corpus.Star(),
+				netclus.Options{K: k, Restarts: restarts})
+		})
+	}
+	if !spec.SkipPathSim || prev != nil && prev.PathSim != nil {
+		jobs = append(jobs, func() { m.PathSim = pathsim.NewIndex(net, PathAPVPA) })
+	}
+	errs := make([]error, len(beside))
+	for i, job := range beside {
+		jobs = append(jobs, func() { errs[i] = job(net) })
+	}
+	sparse.Do(jobs...)
+	return errors.Join(errs...)
 }
 
 // PadScores returns scores extended with zeros to length n (ids are

@@ -205,3 +205,87 @@ func TestFailedFoldKeepsDeferredEntry(t *testing.T) {
 	}
 	sameBits(t, "fold after a failed one", m, coldCommute(t, s, staleAPVPA))
 }
+
+// editAP adds an author to the n-th paper and invalidates what reads the
+// A-P relation — the shape of an ingest, which dirties the co-author
+// graph and the similarity index at once.
+func editAP(e *Engine, s *hookSource, epoch int64, n int) {
+	key := [2]string{"A", "P"}
+	s.rels[key] = s.rels[key].ApplyDelta([]sparse.Coord{{Row: (7 * n) % wideAuthors, Col: n, Val: 1}})
+	e.Invalidate(epoch, func(path []string) bool { return pathHasPair(path, "A", "P") })
+}
+
+// TestGramBlockMemoHoldsBothProducts: a write refreshes two Gram
+// products side by side — A-P-A over A-P, and shard 0's slice of
+// A-P-V-P-A over A-P-V — and then the sibling shards' slices one after
+// the other. Whichever of the first two stores its block last, the
+// siblings cut theirs from the one A-P-V block: one block per product
+// per write.
+func TestGramBlockMemoHoldsBothProducts(t *testing.T) {
+	ctx := context.Background()
+	bounds := [][2]int{{0, 400}, {400, 800}, {800, wideAuthors}}
+	slice := func(t *testing.T, e *Engine, shard int) *sparse.View {
+		t.Helper()
+		v, _, err := e.CommuteViewCtx(ctx, staleAPVPA, bounds[shard][0], bounds[shard][1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	apa := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if _, err := e.CommuteCtx(ctx, staleAPA); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, order := range []string{"index first", "co-author graph first", "side by side"} {
+		t.Run(order, func(t *testing.T) {
+			s := wideSource()
+			e := New(s)
+			apa(t, e)
+			for shard := range bounds {
+				slice(t, e, shard)
+			}
+			editAP(e, s, 1, 3)
+			switch order {
+			case "index first":
+				slice(t, e, 0)
+				apa(t, e)
+			case "co-author graph first":
+				apa(t, e)
+				slice(t, e, 0)
+			default:
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					apa(t, e)
+				}()
+				slice(t, e, 0)
+				wg.Wait()
+			}
+			held := e.block.Load()
+			if held == nil || held[0] == nil || held[1] == nil || held[0].h == held[1].h {
+				t.Fatalf("after both refreshes the memo holds %+v, want one block per operand", held)
+			}
+			cold := coldCommute(t, s, staleAPVPA)
+			for shard := 1; shard < len(bounds); shard++ {
+				v := slice(t, e, shard)
+				if e.block.Load() != held {
+					t.Fatalf("shard %d recomputed a dirty block its sibling had computed", shard)
+				}
+				readsAs(t, "sibling slice", v, cold.ColSlice(bounds[shard][0], bounds[shard][1]))
+			}
+			sameBits(t, "co-author graph", mustCommute(t, e, staleAPA), coldCommute(t, s, staleAPA))
+		})
+	}
+}
+
+func mustCommute(t *testing.T, e *Engine, path []string) *sparse.Matrix {
+	t.Helper()
+	m, err := e.CommuteCtx(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}

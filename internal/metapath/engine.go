@@ -120,6 +120,14 @@ type gramBlock struct {
 	block *sparse.Matrix
 }
 
+// gramBlocks is the engine's memo of such blocks: one slot per operand,
+// for the last two operands refreshed, most recent first. Two, because
+// a write refreshes two Gram products side by side — the co-author
+// graph over A-P and the similarity index over A-P-V — and the one that
+// finishes last must not cost the other's later askers (the sibling
+// shards' slices) their block.
+type gramBlocks [2]*gramBlock
+
 // closedReady is the pre-closed channel entries adopted by CloneFor
 // share (their matrices are already materialized).
 var closedReady = func() chan struct{} {
@@ -178,7 +186,7 @@ type Engine struct {
 	patchRows  atomic.Uint64
 	compacted  atomic.Uint64
 
-	block atomic.Pointer[gramBlock] // the last Gram refresh's recomputed block
+	block atomic.Pointer[gramBlocks] // the last Gram refreshes' recomputed blocks, by operand
 
 	// Cumulative nanoseconds spent materializing products — the "where
 	// does materialization time go" split the serving tier exports

@@ -102,22 +102,42 @@ func overlayWorthwhile(pending, nnz int) bool { return pending*overlayShare <= n
 const overlayShare = 32
 
 // dirtyBlock returns h[dirty,:]·hᵀ, the block a Gram refresh writes.
-// The last one is kept, under the operand and the row list it was
-// computed for (not the operand the rows were diffed against, which it
-// would pin for a generation): the whole product and each shard's
-// column slice are refreshed one after the other, arrive at the same
-// rows, and cut what they own from the one block — and the one
-// transpose of h behind it.
+// It is kept, under the operand and the row list it was computed for
+// (not the operand the rows were diffed against, which it would pin for
+// a generation): the whole product and each shard's column slice are
+// refreshed one after the other, arrive at the same rows, and cut what
+// they own from the one block — and the one transpose of h behind it.
+// The memo holds a block per operand for the last two operands (see
+// gramBlocks), so a refresh of another product running beside this one
+// does not push it out.
 func (e *Engine) dirtyBlock(ctx context.Context, h *sparse.Matrix, dirty []int) (*sparse.Matrix, error) {
-	if last := e.block.Load(); last != nil && last.h == h && slices.Equal(last.dirty, dirty) {
-		return last.block, nil
+	if last := e.block.Load(); last != nil {
+		for _, b := range last {
+			if b != nil && b.h == h && slices.Equal(b.dirty, dirty) {
+				return b.block, nil
+			}
+		}
 	}
 	block, err := h.GatherRows(dirty).MulCtx(ctx, h.Transpose())
 	if err != nil {
 		return nil, err
 	}
-	e.block.Store(&gramBlock{h: h, dirty: dirty, block: block})
-	return block, nil
+	fresh := &gramBlock{h: h, dirty: dirty, block: block}
+	for {
+		last := e.block.Load()
+		next := &gramBlocks{fresh}
+		if last != nil {
+			// The operand's own previous block is replaced; otherwise the
+			// older of the two goes.
+			next[1] = last[0]
+			if last[0].h == h {
+				next[1] = last[1]
+			}
+		}
+		if e.block.CompareAndSwap(last, next) {
+			return block, nil
+		}
+	}
 }
 
 // patchGram refreshes columns [lo, hi) of H·Hᵀ — the whole product is

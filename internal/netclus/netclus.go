@@ -153,10 +153,14 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 	prev := make([]int, nd)
 
 	// Work estimate for one EM posterior pass: every link of every
-	// center object is scored against all k clusters.
+	// center object is scored against all k clusters, each score a
+	// math.Log behind two indirect loads — about logWork of the
+	// multiply-adds the pool's grain is counted in (≈ 24 ns against
+	// ≈ 2.6 ns a mat-vec entry, default corpus).
+	const logWork = 8
 	emWork := 0
 	for t := 0; t < nt; t++ {
-		emWork += star.Rel[t].NNZ() * k
+		emWork += star.Rel[t].NNZ() * k * logWork
 	}
 
 	for it := 1; it <= opt.MaxIter; it++ {

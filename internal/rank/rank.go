@@ -8,7 +8,8 @@
 // in internal/sparse; no external numeric library is used. The matrix
 // products and the element-wise/reduction loops of each iteration run
 // on sparse's shared parallel worker pool, so large networks use every
-// core while small test fixtures stay on the serial fast path.
+// core while a graph too small to be worth a hand-off (see
+// sparse.SerialThreshold) iterates on the goroutine that asked.
 package rank
 
 import (
@@ -27,13 +28,16 @@ type Options struct {
 	// Start warm-starts the power iteration from a previous solution
 	// instead of the restart distribution. The fixed point is the same
 	// — PageRank's stationary distribution does not depend on the
-	// starting vector — but starting near it (e.g. from the previous
-	// epoch's scores after a small delta batch) converges in a fraction
-	// of the iterations, which is what the incremental ingestion path
-	// exploits. The vector is copied and L1-normalized; it is ignored
-	// when its length does not match the matrix or it has no positive
-	// mass, so callers can pass a stale vector unconditionally. HITS
-	// takes it as the initial hub vector (L2-normalized, same guard).
+	// starting vector — and starting near it (e.g. from the previous
+	// epoch's scores after a small delta batch) usually converges in
+	// fewer iterations, which is what the incremental ingestion path
+	// exploits (not always: the error of a warm start may sit on a
+	// slowly decaying mode that a cold start barely excites;
+	// docs/ARCHITECTURE.md has the measured spread). The vector is
+	// copied and L1-normalized; it is ignored when its length does not
+	// match the matrix or it has no positive mass, so callers can pass a
+	// stale vector unconditionally. HITS takes it as the initial hub
+	// vector (L2-normalized, same guard).
 	Start []float64
 }
 
@@ -88,17 +92,19 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 	// normalized transition matrix (a full value-array copy), keep the
 	// inverse row sums and let MulVecTNorm apply them on the fly — the
 	// per-term products match RowNormalized().MulVecT bitwise. One
-	// sweep fills both vectors: rows summing to zero are the dangling
-	// rows, and get inv = 1 (left unnormalized, exactly like
-	// RowNormalized) while redistributing via the dangling mass.
+	// sweep fills both lists: rows summing to zero are the dangling
+	// rows — kept as an ascending id list, so an iteration sums their
+	// mass without scanning every row — and get inv = 1 (left
+	// unnormalized, exactly like RowNormalized) while redistributing via
+	// the dangling mass.
 	inv := make([]float64, n)
-	dangling := make([]bool, n)
+	var dangling []int
 	for r := 0; r < n; r++ {
 		if s := adj.RowSum(r); s != 0 {
 			inv[r] = 1 / s
 		} else {
 			inv[r] = 1
-			dangling[r] = true
+			dangling = append(dangling, r)
 		}
 	}
 	tele := make([]float64, n)
@@ -133,21 +139,27 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 		// next = d·(Pᵀx + danglingMass·tele) + (1-d)·tele, with
 		// P = diag(inv)·adj applied without materialization.
 		adj.MulVecTNorm(x, inv, next)
-		dm := sparse.ParReduce(n, n, func(lo, hi int) float64 {
+		dm := sparse.ParReduce(len(dangling), len(dangling), func(lo, hi int) float64 {
 			s := 0.0
-			for r := lo; r < hi; r++ {
-				if dangling[r] {
-					s += x[r]
-				}
+			for _, r := range dangling[lo:hi] {
+				s += x[r]
 			}
 			return s
 		})
-		sparse.ParRange(n, n, func(lo, hi int) {
+		// One pass finishes the update and takes the L∞ step from x in the
+		// same sweep (a max is order-independent, so blocks change no bit).
+		step := sparse.ParReduceMax(n, n, func(lo, hi int) float64 {
+			m := 0.0
 			for i := lo; i < hi; i++ {
-				next[i] = d*(next[i]+dm*tele[i]) + (1-d)*tele[i]
+				v := d*(next[i]+dm*tele[i]) + (1-d)*tele[i]
+				next[i] = v
+				if diff := math.Abs(x[i] - v); diff > m {
+					m = diff
+				}
 			}
+			return m
 		})
-		if sparse.MaxAbsDiff(x, next) < opt.Tolerance {
+		if step < opt.Tolerance {
 			copy(x, next)
 			return Result{Scores: x, Iterations: it, Converged: true}
 		}

@@ -2,19 +2,26 @@
 //
 // Every heavy kernel in this package (MulVec, MulVecT, Mul, Transpose,
 // RowNormalized) dispatches row blocks onto a shared worker pool sized
-// by GOMAXPROCS. Small operations — below a tunable amount of estimated
-// scalar work — run serially so tiny test matrices never pay scheduling
-// overhead. The same machinery is exported as ParRange / ParReduce /
-// ParReduceMax so the iterative algorithm packages (rank, simrank,
-// netclus, core, …) can parallelize their own element-wise and
-// reduction loops over the identical pool.
+// by GOMAXPROCS, under one rule (grainBlocks): a block must carry at
+// least SerialThreshold estimated scalar work, and an operation too
+// small for two such blocks runs inline on the goroutine that asked —
+// a hand-off to another core costs more than it saves below that. The
+// same machinery is exported as ParRange / ParReduce / ParReduceMax so
+// the iterative algorithm packages (rank, simrank, netclus, core, …)
+// can parallelize their own element-wise and reduction loops over the
+// identical pool, and as Do, which runs independent whole jobs side by
+// side on it — the coarse form: a caller with several things to compute
+// that each stay below the grain hands them over one job apiece instead
+// of cutting any of them up.
 //
 // Determinism: for a fixed Parallelism and SerialThreshold setting the
 // block partition of any given operation is a pure function of the
 // input shape, and block-local partial results are always combined in
 // block order. Runs are therefore reproducible; reductions may differ
 // from the serial order by floating-point rounding only (≤ 1e-12 in the
-// equivalence tests).
+// equivalence tests), and an operation below two grains is the serial
+// loop whatever the worker count. Jobs handed to Do each own their
+// result, so running them side by side changes no bit of any of them.
 
 package sparse
 
@@ -29,9 +36,13 @@ import (
 )
 
 const (
-	// defaultSerialThreshold is the minimum estimated scalar work
-	// (multiply-adds) before a kernel goes parallel.
-	defaultSerialThreshold = 1 << 15
+	// defaultSerialThreshold is the grain: the least estimated scalar
+	// work (multiply-adds) a block must carry, so an operation splits
+	// from twice this on. Derived from BenchmarkMatVecCrossover (table in
+	// docs/OPERATIONS.md): on the 2-core VM class the benchmark gates on,
+	// a mat-vec split in two loses to the serial loop up to 64 k stored
+	// entries and wins or ties from 128 k, at 4 000 and at 16 000 rows.
+	defaultSerialThreshold = 1 << 16
 	// blocksPerWorker oversubscribes blocks for load balance on skewed
 	// matrices.
 	blocksPerWorker = 4
@@ -41,10 +52,11 @@ const (
 
 var (
 	workerCap  atomic.Int64 // 0 ⇒ use GOMAXPROCS
-	workLimit  atomic.Int64 // serial-vs-parallel work threshold
+	workLimit  atomic.Int64 // SerialThreshold: the least work per block
 	sharedPool struct {
 		mu      sync.Mutex
-		tasks   chan func()
+		tasks   chan func() // a kernel's blocks: they only compute, so any waiter may run one
+		jobs    chan func() // Do's invitations to whole jobs: for idle workers only
 		started int
 	}
 )
@@ -81,9 +93,14 @@ func Parallelism(n int) int {
 	return effectiveWorkers()
 }
 
-// SerialThreshold sets the estimated-work cutoff below which kernels
-// stay serial when n > 0, and returns the current value. The unit is
-// scalar multiply-adds (≈ NNZ for mat-vec). SerialThreshold(0) queries.
+// SerialThreshold sets the grain of the parallel engine when n > 0 and
+// returns the current value: the least estimated work one block may
+// carry, so an operation stays serial — inline on its caller — below
+// twice this and is cut into at most work/n blocks above. The unit is
+// scalar multiply-adds (≈ NNZ for mat-vec). SerialThreshold(1) forces
+// every splittable operation through the pool, which is how the
+// equivalence tests drive the parallel paths. SerialThreshold(0)
+// queries.
 func SerialThreshold(n int) int {
 	if n > 0 {
 		workLimit.Store(int64(n))
@@ -102,47 +119,85 @@ func effectiveWorkers() int {
 	return w
 }
 
-func threshold() int {
-	return int(workLimit.Load())
+// grainBlocks is the engine's one dispatch rule: how many blocks an
+// operation of work estimated scalar operations over n independently
+// computable units (rows, elements, queries) is cut into —
+//
+//	min(workers·perWorker, work / SerialThreshold, n)
+//
+// — where fewer than two means one: the operation runs inline on its
+// caller and never reaches the pool. The grain keeps every block worth
+// its hand-off; the result depends on the shape and the two knobs only.
+func grainBlocks(n, work, perWorker int) int {
+	w := effectiveWorkers()
+	if w < 2 {
+		return 1
+	}
+	if b := min(w*perWorker, work/int(workLimit.Load()), n); b >= 2 {
+		return b
+	}
+	return 1
+}
+
+// splitBlocks is the rule for operations whose blocks share nothing:
+// blocksPerWorker per worker, which evens out skewed rows.
+func splitBlocks(n, work int) int {
+	return grainBlocks(n, work, blocksPerWorker)
+}
+
+// scratchBlocks is the rule for the kernels whose every block carries a
+// cols-sized dense accumulator or counter array (MulVecT, Transpose,
+// Mul, Gram): one block per worker — more would multiply scratch
+// residency, zeroing and the combine without improving balance — and
+// none at all unless the work dominates that dimension-proportional
+// overhead (wide, hollow matrices — e.g. per-cluster row restrictions
+// over a full attribute space — stay serial).
+func scratchBlocks(rows, work, cols int) int {
+	if work < 4*cols {
+		return 1
+	}
+	return grainBlocks(rows, work, 1)
 }
 
 // QueueDepth reports the number of tasks currently waiting on the
-// shared pool's queue — a point-in-time backlog gauge for /metrics. A
+// shared pool's queues — a point-in-time backlog gauge for /metrics. A
 // zero depth with busy workers is normal (runTasks callers help drain);
 // a persistently high depth means kernels are arriving faster than the
 // configured Parallelism can retire them.
 func QueueDepth() int {
 	sharedPool.mu.Lock()
-	t := sharedPool.tasks
-	sharedPool.mu.Unlock()
-	if t == nil {
-		return 0
-	}
-	return len(t)
+	defer sharedPool.mu.Unlock()
+	return len(sharedPool.tasks) + len(sharedPool.jobs)
 }
 
-// taskQueue returns the shared task channel, growing the pool to n
+// queues returns the shared pool's two channels, growing the pool to n
 // resident workers. Workers are cheap (blocked goroutines); each one
 // retires after a task if the Parallelism cap has dropped below its
 // id, so a lowered cap shrinks the pool (sharedPool.started always
 // equals the resident worker count).
-func taskQueue(n int) chan func() {
+func queues(n int) (tasks, jobs chan func()) {
 	sharedPool.mu.Lock()
 	if sharedPool.tasks == nil {
 		sharedPool.tasks = make(chan func(), maxParallelism)
+		sharedPool.jobs = make(chan func(), maxParallelism)
 	}
 	for sharedPool.started < n {
-		go poolWorker(sharedPool.started, sharedPool.tasks)
+		go poolWorker(sharedPool.started, sharedPool.tasks, sharedPool.jobs)
 		sharedPool.started++
 	}
-	t := sharedPool.tasks
+	tasks, jobs = sharedPool.tasks, sharedPool.jobs
 	sharedPool.mu.Unlock()
-	return t
+	return tasks, jobs
 }
 
-func poolWorker(id int, tasks chan func()) {
-	for f := range tasks {
-		f()
+func poolWorker(id int, tasks, jobs chan func()) {
+	for {
+		select {
+		case f := <-tasks:
+			f()
+		case f := <-jobs:
+			f()
+		}
 		if id >= effectiveWorkers() {
 			sharedPool.mu.Lock()
 			sharedPool.started--
@@ -152,52 +207,46 @@ func poolWorker(id int, tasks chan func()) {
 	}
 }
 
-// runTasks executes fn(0..count-1) on the shared pool and blocks until
-// all complete. The calling goroutine helps drain the queue while it
-// waits, so nested parallel kernels can never deadlock the pool: a
-// waiter either makes progress on queued work or observes completion.
-// A panic in any task is captured and re-raised on the calling
-// goroutine (first panic wins; the original stack is lost but the
-// value is preserved), matching the serial kernels' recoverability.
-func runTasks(count, workers int, fn func(i int)) {
-	if count == 1 {
-		fn(0)
-		return
-	}
-	tasks := taskQueue(workers)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	wg.Add(count)
-	for i := 0; i < count; i++ {
-		i := i
-		f := func() {
-			// LIFO defers: the recover runs before wg.Done, so the
-			// panicVal write happens-before wg.Wait's return.
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			fn(i)
+// group is one fork–join on the pool: what runTasks and Do wait for.
+type group struct {
+	wg        sync.WaitGroup
+	panicOnce sync.Once
+	panicVal  any
+}
+
+// run executes fn(i) as one member of the group, capturing a panic.
+func (g *group) run(fn func(i int), i int) {
+	// LIFO defers: the recover runs before wg.Done, so the panicVal
+	// write happens-before wg.Wait's return.
+	defer g.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			g.panicOnce.Do(func() { g.panicVal = r })
 		}
-		select {
-		case tasks <- f:
-		default:
-			f() // pool saturated: run inline
-		}
-	}
+	}()
+	fn(i)
+}
+
+// wait blocks until every member has finished, running queued block
+// tasks meanwhile, so nested parallel kernels can never deadlock the
+// pool: a waiter either makes progress on queued work or observes
+// completion. Block tasks only — they compute and return, whereas a
+// whole job (Do) may wait on a lock or an in-flight computation that
+// the waiting goroutine itself holds further down its stack. A panic in
+// any member is re-raised here (first panic wins; the original stack is
+// lost but the value is preserved), matching the serial kernels'
+// recoverability.
+func (g *group) wait(tasks chan func()) {
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
+		g.wg.Wait()
 		close(done)
 	}()
 	for {
 		select {
 		case <-done:
-			if panicVal != nil {
-				panic(panicVal)
+			if g.panicVal != nil {
+				panic(g.panicVal)
 			}
 			return
 		case f := <-tasks:
@@ -206,33 +255,91 @@ func runTasks(count, workers int, fn func(i int)) {
 	}
 }
 
-// serialDispatch is the shared gate for kernels whose parallel path
-// carries O(workers·cols) buffer overhead (MulVecT, Transpose, Mul):
-// serial when only one worker is configured, the estimated work is
-// below the threshold or dominated by the dimension-proportional
-// overhead, or there is at most one row to split.
-func serialDispatch(workers, work, cols, rows int) bool {
-	return workers <= 1 || work < threshold() || work < 4*cols || rows <= 1
+// runTasks executes fn(0..count-1) as block tasks on the shared pool
+// and blocks until all complete, the calling goroutine helping (see
+// group.wait). fn must only compute: it may call kernels and the Par
+// helpers, but not wait on other goroutines' work.
+func runTasks(count int, fn func(i int)) {
+	if count == 1 {
+		fn(0)
+		return
+	}
+	tasks, _ := queues(effectiveWorkers())
+	var g group
+	g.wg.Add(count)
+	for i := 0; i < count; i++ {
+		f := func() { g.run(fn, i) }
+		select {
+		case tasks <- f:
+		default:
+			f() // pool saturated: run inline
+		}
+	}
+	g.wait(tasks)
+}
+
+// Do runs independent whole jobs side by side on the shared pool and
+// returns once all have finished — the coarse counterpart of the block
+// kernels, for work that is several things to compute rather than one
+// big thing to cut up (a write's PageRank, HITS and index refresh). With
+// one job, or Parallelism 1, the jobs run inline on the caller in
+// argument order, so the worker cap governs Do exactly as it governs the
+// kernels. Otherwise the caller invites idle workers to the jobs and
+// works through them itself, in order, taking whichever nobody has
+// claimed yet: it never depends on a worker being free, so a job may
+// itself call kernels, the Par helpers or Do at any pool cap. Unlike a
+// kernel's blocks, a job is handed only to an idle worker, never to a
+// goroutine that is waiting in the middle of something else — a job may
+// take locks and wait on shared computations (the meta-path engine's
+// singleflight), and the waiter might be the one holding them. Jobs
+// must not share mutable state; the first panic among them is re-raised
+// on the caller after the rest have finished.
+func Do(jobs ...func()) {
+	workers := effectiveWorkers()
+	if len(jobs) < 2 || workers < 2 {
+		for _, job := range jobs {
+			job()
+		}
+		return
+	}
+	tasks, handoffs := queues(workers)
+	var g group
+	g.wg.Add(len(jobs))
+	var next atomic.Int64
+	run := func(i int) { jobs[i]() }
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			g.run(run, i)
+		}
+	}
+	// One invitation per job beyond the caller's own, as far as there are
+	// workers; one answered after the jobs are gone finds nothing to claim.
+	for i := 0; i < min(len(jobs)-1, workers); i++ {
+		select {
+		case handoffs <- claim:
+		default: // queue full: the caller gets to it
+		}
+	}
+	claim()
+	g.wait(tasks)
 }
 
 // scratchPool recycles the cols-sized accumulators of MulVecT's
-// parallel path so power iterations don't re-allocate every call.
+// parallel path so power iterations don't re-allocate every call. It
+// holds *[]float64: a slice stored by value is boxed on every Put.
 var scratchPool sync.Pool
 
-func getScratch(n int) []float64 {
-	if v := scratchPool.Get(); v != nil {
-		if buf := v.([]float64); cap(buf) >= n {
-			buf = buf[:n]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return buf
-		}
+func getScratch(n int) *[]float64 {
+	if buf, _ := scratchPool.Get().(*[]float64); buf != nil && cap(*buf) >= n {
+		*buf = (*buf)[:n]
+		clear(*buf)
+		return buf
 	}
-	return make([]float64, n)
+	buf := make([]float64, n)
+	return &buf
 }
 
-func putScratch(buf []float64) { scratchPool.Put(buf) }
+func putScratch(buf *[]float64) { scratchPool.Put(buf) }
 
 // spgemmScratch is the Gustavson working set of one mulRange/gramRange
 // call: a dense accumulator, its stamp array, and the touched-column
@@ -303,35 +410,22 @@ func putSpgemm(s *spgemmScratch, maxMark int) {
 	spgemmPool.Put(s)
 }
 
-// blockCount picks the number of contiguous blocks for an n-element
-// range, given the effective worker count.
-func blockCount(n, workers int) int {
-	b := workers * blocksPerWorker
-	if b > n {
-		b = n
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // ParRange runs body over contiguous sub-ranges of [0, n), in parallel
-// on the shared pool when the estimated scalar work is at or above the
-// serial threshold and more than one worker is configured; otherwise it
-// calls body(0, n) inline. Blocks are disjoint, so body may freely
-// write to per-index slots of shared slices.
+// on the shared pool when the estimated scalar work fills at least two
+// blocks of the SerialThreshold grain and more than one worker is
+// configured; otherwise it calls body(0, n) inline. Blocks are
+// disjoint, so body may freely write to per-index slots of shared
+// slices.
 func ParRange(n, work int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := effectiveWorkers()
-	if w <= 1 || work < threshold() {
+	blocks := splitBlocks(n, work)
+	if blocks == 1 {
 		body(0, n)
 		return
 	}
-	blocks := blockCount(n, w)
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		body(n*b/blocks, n*(b+1)/blocks)
 	})
 }
@@ -378,20 +472,20 @@ func ParRangeCtx(ctx context.Context, n, work int, body func(lo, hi int)) error 
 	if chanClosed(done) {
 		return ctx.Err()
 	}
-	w := effectiveWorkers()
-	blocks := blockCount(n, w)
-	if w <= 1 || work < threshold() {
-		// Serial path: still split into blocks so long ranges observe
-		// cancellation between chunks.
-		for b := 0; b < blocks; b++ {
+	blocks := splitBlocks(n, work)
+	if blocks == 1 {
+		// Inline, but still in chunks, so a long range observes
+		// cancellation between them.
+		chunks := min(effectiveWorkers()*blocksPerWorker, n)
+		for b := 0; b < chunks; b++ {
 			if chanClosed(done) {
 				return ctx.Err()
 			}
-			body(n*b/blocks, n*(b+1)/blocks)
+			body(n*b/chunks, n*(b+1)/chunks)
 		}
 		return nil
 	}
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		if chanClosed(done) {
 			return
 		}
@@ -409,18 +503,17 @@ func ParRangeCtx(ctx context.Context, n, work int, body func(lo, hi int)) error 
 // ParReduce sums f over block partitions of [0, n). Partial sums are
 // combined in block order, so results are reproducible for fixed
 // parallelism settings (they can differ from the serial sum by rounding
-// only). Below the threshold it returns f(0, n).
+// only). With too little work to split it returns f(0, n).
 func ParReduce(n, work int, f func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	w := effectiveWorkers()
-	if w <= 1 || work < threshold() {
+	blocks := splitBlocks(n, work)
+	if blocks == 1 {
 		return f(0, n)
 	}
-	blocks := blockCount(n, w)
 	partial := make([]float64, blocks)
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		partial[b] = f(n*b/blocks, n*(b+1)/blocks)
 	})
 	s := 0.0
@@ -438,13 +531,12 @@ func ParReduceMax(n, work int, f func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	w := effectiveWorkers()
-	if w <= 1 || work < threshold() {
+	blocks := splitBlocks(n, work)
+	if blocks == 1 {
 		return f(0, n)
 	}
-	blocks := blockCount(n, w)
 	partial := make([]float64, blocks)
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		partial[b] = f(n*b/blocks, n*(b+1)/blocks)
 	})
 	m := partial[0]
@@ -480,16 +572,16 @@ func (m *Matrix) rowBlockBounds(blocks int) []int {
 	return bounds
 }
 
-// forRowBlocks runs body over nnz-balanced row blocks of m, serially
-// when the work estimate is below threshold.
+// forRowBlocks runs body over nnz-balanced row blocks of m, inline when
+// the work estimate is too small to split.
 func (m *Matrix) forRowBlocks(work int, body func(lo, hi int)) {
-	w := effectiveWorkers()
-	if w <= 1 || work < threshold() || m.rows <= 1 {
+	blocks := splitBlocks(m.rows, work)
+	if blocks == 1 {
 		body(0, m.rows)
 		return
 	}
-	bounds := m.rowBlockBounds(blockCount(m.rows, w))
-	runTasks(len(bounds)-1, w, func(b int) {
+	bounds := m.rowBlockBounds(blocks)
+	runTasks(blocks, func(b int) {
 		if bounds[b] < bounds[b+1] {
 			body(bounds[b], bounds[b+1])
 		}

@@ -11,15 +11,7 @@ import (
 // the duration of a test and restores the previous knobs afterwards.
 func withParallel(t *testing.T, workers int, f func()) {
 	t.Helper()
-	oldW := Parallelism(0)
-	oldT := SerialThreshold(0)
-	Parallelism(workers)
-	SerialThreshold(1)
-	defer func() {
-		Parallelism(oldW)
-		SerialThreshold(oldT)
-	}()
-	f()
+	withKnobs(t, workers, 1, f)
 }
 
 // randomCSR builds a rows×cols matrix with ~avgNNZ entries per row,

@@ -256,18 +256,17 @@ func (m *Matrix) patch(ctx context.Context, p *patcher) (*Matrix, error) {
 
 	// Row blocks balanced by the receiver's nnz (the copy volume); rows
 	// added past its end ride with the last block.
-	w := effectiveWorkers()
 	bounds := []int{0, p.Rows}
-	if w > 1 && len(m.vals) >= threshold() && m.rows > 1 {
-		bounds = m.rowBlockBounds(blockCount(m.rows, w))
-		bounds[len(bounds)-1] = p.Rows
+	blocks := splitBlocks(m.rows, len(m.vals))
+	if blocks > 1 {
+		bounds = m.rowBlockBounds(blocks)
+		bounds[blocks] = p.Rows
 	}
-	blocks := len(bounds) - 1
 
 	// Pass one sizes every output row and notes whether any pattern
 	// changed; pass two fills.
 	same := make([]bool, blocks)
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		if !chanClosed(done) {
 			same[b] = j.size(bounds[b], bounds[b+1])
 		}
@@ -289,7 +288,7 @@ func (m *Matrix) patch(ctx context.Context, p *patcher) (*Matrix, error) {
 		out.colIdx = make([]int32, len(out.vals))
 		j.fillIdx = true
 	}
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		if !chanClosed(done) {
 			j.fill(bounds[b], bounds[b+1])
 		}

@@ -340,31 +340,25 @@ func (m *Matrix) mulVecTDispatch(x, inv, y []float64) []float64 {
 	} else if len(y) != m.cols {
 		panic("sparse: MulVecT output length mismatch")
 	}
-	// The parallel path pays O(workers·cols) for the per-block
-	// accumulators and their combine, so besides the usual threshold it
-	// requires the nnz work to dominate that dimension-proportional
-	// overhead (wide, hollow matrices — e.g. per-cluster row
-	// restrictions over a full attribute space — stay serial).
-	w := effectiveWorkers()
-	if serialDispatch(w, len(m.vals), m.cols, m.rows) {
+	// Each parallel block scatters into a cols-sized accumulator of its
+	// own (recycled via scratchPool), combined below.
+	blocks := scratchBlocks(m.rows, len(m.vals), m.cols)
+	if blocks == 1 {
 		m.mulVecTRange(x, inv, y, 0, m.rows, true)
 		return y
 	}
-	// One nnz-balanced block per worker (not oversubscribed: each block
-	// carries a cols-sized accumulator, recycled via scratchPool).
-	bounds := m.rowBlockBounds(min(w, m.rows))
-	blocks := len(bounds) - 1
-	partial := make([][]float64, blocks)
-	runTasks(blocks, w, func(b int) {
+	bounds := m.rowBlockBounds(blocks)
+	partial := make([]*[]float64, blocks)
+	runTasks(blocks, func(b int) {
 		buf := getScratch(m.cols)
-		m.mulVecTRange(x, inv, buf, bounds[b], bounds[b+1], false)
+		m.mulVecTRange(x, inv, *buf, bounds[b], bounds[b+1], false)
 		partial[b] = buf
 	})
 	ParRange(m.cols, blocks*m.cols, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			s := 0.0
-			for b := 0; b < blocks; b++ {
-				s += partial[b][c]
+			for _, buf := range partial {
+				s += (*buf)[c]
 			}
 			y[c] = s
 		}
@@ -427,17 +421,16 @@ func (m *Matrix) Transpose() *Matrix {
 		vals:   make([]float64, len(m.vals)),
 		unit:   m.unit, // a permutation of the same values
 	}
-	// Like MulVecT, the parallel path carries O(workers·cols) counter
-	// overhead, so wide hollow matrices stay on the serial algorithm.
-	w := effectiveWorkers()
-	if serialDispatch(w, len(m.vals), m.cols, m.rows) {
+	// Like MulVecT, every parallel block carries a cols-sized array (its
+	// column counters).
+	blocks := scratchBlocks(m.rows, len(m.vals), m.cols)
+	if blocks == 1 {
 		m.transposeSerial(t)
 		return t
 	}
-	bounds := m.rowBlockBounds(min(w, m.rows))
-	blocks := len(bounds) - 1
+	bounds := m.rowBlockBounds(blocks)
 	counts := make([][]int, blocks)
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		cnt := make([]int, m.cols)
 		for i := m.rowPtr[bounds[b]]; i < m.rowPtr[bounds[b+1]]; i++ {
 			cnt[m.colIdx[i]]++
@@ -455,7 +448,7 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 		t.rowPtr[c+1] = off
 	}
-	runTasks(blocks, w, func(b int) {
+	runTasks(blocks, func(b int) {
 		next := counts[b]
 		for r := bounds[b]; r < bounds[b+1]; r++ {
 			for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
@@ -669,10 +662,10 @@ func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 	if b.rows > 0 {
 		work = len(m.vals) * (1 + len(b.vals)/b.rows)
 	}
-	// Each parallel block carries cols-sized dense scratch, so wide
-	// products with little work stay serial (one scratch allocation).
-	w := effectiveWorkers()
-	if serialDispatch(w, work, b.cols, m.rows) {
+	// Each parallel block holds cols-sized dense scratch for the length
+	// of its mulRange call.
+	blocks := scratchBlocks(m.rows, work, b.cols)
+	if blocks == 1 {
 		part := m.mulRange(b, 0, m.rows, done)
 		if chanClosed(done) {
 			return nil, true
@@ -684,13 +677,9 @@ func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 		out.unit = allOnes(out.vals)
 		return out, false
 	}
-	// One nnz-balanced block per worker, not oversubscribed: each
-	// mulRange call holds cols-sized dense scratch, so extra blocks
-	// multiply scratch residency without improving balance.
-	bounds := m.rowBlockBounds(min(w, m.rows))
-	blocks := len(bounds) - 1
+	bounds := m.rowBlockBounds(blocks)
 	parts := make([]mulPart, blocks)
-	runTasks(blocks, w, func(bk int) {
+	runTasks(blocks, func(bk int) {
 		if chanClosed(done) {
 			return
 		}
@@ -715,7 +704,7 @@ func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 		}
 		off += len(p.vals)
 	}
-	runTasks(blocks, w, func(bk int) {
+	runTasks(blocks, func(bk int) {
 		copy(out.colIdx[offsets[bk]:], parts[bk].colIdx)
 		copy(out.vals[offsets[bk]:], parts[bk].vals)
 	})
@@ -847,18 +836,17 @@ func (m *Matrix) gram(done <-chan struct{}) (*Matrix, bool) {
 	if m.cols > 0 {
 		work = len(m.vals) * (1 + len(m.vals)/m.cols) / 2
 	}
-	w := effectiveWorkers()
 	var parts []mulPart
 	var bounds []int
-	if serialDispatch(w, work, m.rows, m.rows) {
+	if blocks := scratchBlocks(m.rows, work, m.rows); blocks == 1 {
 		parts = []mulPart{m.gramRange(t, 0, m.rows, done)}
 		bounds = []int{0, m.rows}
 	} else {
-		// One block per worker (each carries rows-sized dense scratch,
-		// like Mul), balanced by triangle work rather than raw nnz.
-		bounds = m.gramBlockBounds(min(w, m.rows))
-		parts = make([]mulPart, len(bounds)-1)
-		runTasks(len(parts), w, func(bk int) {
+		// Each block carries rows-sized dense scratch, like Mul's, and
+		// they are balanced by triangle work rather than raw nnz.
+		bounds = m.gramBlockBounds(blocks)
+		parts = make([]mulPart, blocks)
+		runTasks(blocks, func(bk int) {
 			if chanClosed(done) {
 				return
 			}
