@@ -449,7 +449,7 @@ func runPathSim(seed int64, topN int, spec string) {
 	if plan, err := c.Net.PathEngine().Plan(pathStrings(path)); err == nil {
 		fmt.Printf("plan: %s\n", plan)
 	}
-	ix, err := pathsim.NewIndexE(c.Net, path)
+	ix, err := pathsim.NewRangeIndexCtx(context.Background(), c.Net, path, 0, c.Net.Count(path[0]))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hinet pathsim: %v\n", err)
 		os.Exit(1)

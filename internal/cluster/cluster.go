@@ -8,12 +8,12 @@
 // *models*:
 //
 //   - Each shard owns a contiguous candidate range [Lo, Hi) of the
-//     PathSim index's endpoint type, chosen by nnz-balanced row ranges
-//     of the commuting matrix (Partition), and holds only the matching
-//     column range (a pathsim.Index over [Lo, Hi)) — the one artifact
-//     whose memory and scan cost grow with the network. Gram-eligible
-//     paths never materialize the full commuting matrix on a shard that
-//     owns less than all of it.
+//     PathSim index's endpoint type, chosen to balance scan work
+//     (Partition), and answers from a pathsim.Index over that range: the
+//     path's half-path factor W and its transpose, which the network's
+//     meta-path engine caches once and every shard holds by pointer. No
+//     shard, at any count, materializes the commuting matrix W·Wᵀ; a
+//     query accumulates its one row of it, cut to the shard's range.
 //   - The network and the models over it (PageRank, HITS, RankClus,
 //     NetClus) are one immutable generation (Models) per write, built
 //     once and shared by pointer among in-process shards. Being
@@ -22,8 +22,8 @@
 //     rebuilds a bit-identical replica. Rank queries scatter over owned
 //     id ranges and merge, cluster reads route to one shard via a Policy.
 //
-// TopK/BatchTopK queries scatter to all shards — every shard scans its
-// slice of the query's row and returns a local top-k — and the
+// TopK/BatchTopK queries scatter to all shards — every shard scores its
+// range of the query's row and returns a local top-k — and the
 // coordinator merges the partials, each already sorted, in the order
 // the single-index scan selects by (pathsim.MergeTopK, a k-way merge),
 // which is what makes the merged answer bitwise-equal, tie order
@@ -101,7 +101,8 @@ type Shard interface {
 }
 
 // ShardStats is one shard's observable state: partition geometry, the
-// default-path slice size (the skew signal), and load counters.
+// default-path index size (pathsim.Index.NNZ over the shard's range: the
+// skew signal), and load counters.
 type ShardStats struct {
 	ID       int    `json:"id"`
 	Epoch    int64  `json:"epoch"`

@@ -192,7 +192,7 @@ func (c *Coordinator) ResolveAt(ctx context.Context, epoch int64, path string, b
 }
 
 // TopKAt scatter-gathers a top-k query at a fixed epoch: every shard
-// scans its candidate slice of the query's row, and the partials merge
+// scores its candidate range of the query's row, and the partials merge
 // under the single-index order (pathsim.MergeTopK), yielding an answer
 // bitwise-identical to a single-process index at that epoch.
 func (c *Coordinator) TopKAt(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error) {

@@ -1,7 +1,7 @@
-// LocalShard: the in-process Shard implementation. One shard owns the
-// column slice of the similarity index for its candidate range, over a
-// model set built once per write and shared with its sibling shards
-// (the build memo); generations publish atomically behind an atomic
+// LocalShard: the in-process Shard implementation. One shard answers the
+// similarity index over its candidate range, from the half-path factor
+// of a network and model set built once per write and shared with its
+// sibling shards (the build memo); generations publish atomically behind an atomic
 // pointer (the PR 5 snapshot-store discipline), each retaining its
 // predecessor — until the next write or a Trim — so reads at the
 // previous epoch keep answering through a write fan-out window. Every
@@ -29,9 +29,9 @@ import (
 // maxPathIndexes bounds a generation's memoized per-path range
 // indexes: an adversarial stream of distinct paths cannot grow shard
 // memory without bound (beyond the cap, indexes are rebuilt per
-// request — correct, just uncached; the commuting matrices behind them
+// request — correct, just uncached; the half-path factors behind them
 // live in the network's meta-path engine, which has the matching
-// maxEntries cap, so such a rebuild is a diagonal extraction).
+// maxEntries cap, so such a rebuild is one pass over a factor).
 const maxPathIndexes = 64
 
 // maxLogOps bounds the write log: once it holds this many entries the
@@ -139,7 +139,7 @@ type LocalShard struct {
 
 // NewLocalShard returns shard id of the partition, empty until the
 // first Rebuild. The spec's SkipPathSim is forced on — a shard never
-// materializes the full similarity index. A shard built here builds
+// materializes the similarity index. A shard built here builds
 // its models alone; NewLocalCluster gives its shards one shared memo.
 func NewLocalShard(id int, part Partition, spec ModelSpec) *LocalShard {
 	spec.SkipPathSim = true
@@ -237,9 +237,9 @@ func (sh *LocalShard) write(op writeOp, beside ...func(*hin.Network) error) (int
 // checkpointOf returns m as a replay base: the same models over a
 // copy-on-write clone of the network whose meta-path engine is empty.
 // A checkpoint therefore pins its generation's relations and score
-// vectors but none of its materialized products — the similarity index
-// among them, most of a generation's memory; a replay recomputes those
-// cold, which yields the same bits as the patches the live chain took.
+// vectors but none of its materialized products; a replay recomputes
+// those cold, which yields the same bits as the patches the live chain
+// took.
 func checkpointOf(m *Models) *Models {
 	net := m.Corpus.Net.Clone()
 	net.PathEngine().Reset()

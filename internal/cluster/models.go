@@ -36,15 +36,15 @@ var (
 
 // ModelSpec controls what a generation materializes. It mirrors the
 // single-process store's model configuration; SkipPathSim is the shard
-// variant — shards never hold the full similarity index, only their
-// column slice, built separately from the same network.
+// variant — shards serve the similarity index from its factor, built
+// separately from the same network, and never hold it materialized.
 type ModelSpec struct {
 	Corpus   dblp.Config // corpus size/separability (zero value = library defaults)
 	K        int         // cluster count for RankClus/NetClus (0 = number of corpus areas)
 	Restarts int         // random restarts per clustering model (0 = 1)
 
 	// SkipPathSim leaves Models.PathSim nil. Shards set it: the full
-	// commuting matrix is exactly what sharding avoids materializing.
+	// commuting matrix is exactly what serving avoids materializing.
 	SkipPathSim bool
 }
 
@@ -58,7 +58,7 @@ type Models struct {
 	HITS     rank.HITSResult // HITS over the same graph
 	RankClus *core.Model     // venue clusters (venue×author bipartite)
 	NetClus  *netclus.Model  // net-clusters of the paper star network
-	PathSim  *pathsim.Index  // prebuilt APVPA index (nil with SkipPathSim)
+	PathSim  *pathsim.Index  // materialized APVPA index, the reference form (nil with SkipPathSim)
 }
 
 // clusterParams resolves the spec's clustering knobs against a corpus.
@@ -96,7 +96,8 @@ func buildModels(seed int64, spec ModelSpec, beside ...func(*hin.Network) error)
 // storage, relation matrices and meta-path materializations — those the
 // batch touches stay as patch bases), the deltas merge into the clone,
 // and new models build from the result — the co-author graph and the
-// similarity index patched row-incrementally by the meta-path engine,
+// similarity index's factor patched row-incrementally by the meta-path
+// engine,
 // PageRank and HITS warm-started from the previous generation's
 // scores. The clustering models are carried over unless refreshModels
 // is set (they summarize the corpus and drift only slowly under small
@@ -130,9 +131,9 @@ func ingestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec 
 // there is a prev, the clustering models only when asked — as a
 // fork–join of whole jobs on the sparse pool (sparse.Do): everything
 // here needs nothing but the network, so the co-author graph followed
-// by PageRank beside HITS, each clustering model, the full similarity
-// index and the caller's beside jobs (a shard's range of the default
-// index) run side by side, each on one core — on a graph of serving
+// by PageRank beside HITS, each clustering model, the materialized
+// similarity index (when the spec keeps one) and the caller's beside
+// jobs (a shard's range of the default index) run side by side, each on one core — on a graph of serving
 // size none of them is worth cutting into blocks — and m is complete
 // when fit returns. Each job owns the field it writes and every kernel
 // under it partitions by shape alone, so the result does not depend on

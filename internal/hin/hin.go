@@ -601,14 +601,14 @@ func (n *Network) CommutingMatrixCtx(ctx context.Context, p MetaPath) (*sparse.M
 	return n.PathEngine().CommuteCtx(ctx, fromMetaPath(p))
 }
 
-// CommutingViewCtx returns columns [lo, hi) of the commuting matrix as a
-// sparse.View, along with its full diagonal — the range-restricted build
-// the sharded serving tier uses so each shard holds only its candidate
-// slice, in the form a write can publish without copying it (see
-// metapath.Engine.CommuteViewCtx for both, and for the bitwise-equality
-// contract with the full product).
-func (n *Network) CommutingViewCtx(ctx context.Context, p MetaPath, lo, hi int) (*sparse.View, []float64, error) {
-	return n.PathEngine().CommuteViewCtx(ctx, fromMetaPath(p), lo, hi)
+// CommutingFactorCtx returns the half-path factor of a symmetric path
+// whose commuting matrix is a Gram product, M = W·Wᵀ: W and Wᵀ, both
+// cached (and after a mutation patched) by the engine like any product —
+// what the serving tier answers PathSim from without ever materializing
+// M (see metapath.Engine.FactorCtx). Both are nil for a path that is not
+// Gram-shaped.
+func (n *Network) CommutingFactorCtx(ctx context.Context, p MetaPath) (w, wt *sparse.Matrix, err error) {
+	return n.PathEngine().FactorCtx(ctx, fromMetaPath(p))
 }
 
 // Projection builds the homogeneous weighted graph on type p[0] induced

@@ -19,11 +19,7 @@
 //     transpose) and reuses every intermediate across queries;
 //   - a product invalidated by a mutation is kept as a stale patch base
 //     and refreshed row-incrementally (patch.go): only the rows the
-//     changed operand rows reach are recomputed, and the rest is copied
-//     — or, for a Gram product whose reader can take it that way, not
-//     copied at all: the entry answers as its base plus the recomputed
-//     rows (a sparse.View), and the copy runs once the overlay has
-//     outgrown its budget.
+//     changed operand rows reach are recomputed, and the rest is copied.
 //
 // The engine sees the network through the Source interface, so this
 // package depends only on internal/sparse; internal/hin adapts its
@@ -35,6 +31,7 @@ package metapath
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,53 +77,16 @@ const maxEntries = 256
 // replaces it with a fresh entry whose computation row-diffs the
 // current operands against the remembered ones and patches m (see
 // patch.go). stale and base are guarded by Engine.mu.
-//
-// A deferred entry — a Gram product refreshed for a caller that reads
-// it through an overlay (CommuteViewCtx) — answers as view: m stays the
-// matrix the refresh started from, the view lists the rows that have
-// changed since m was built, and ops[0] is, as ever, the operand the
-// answer was computed from. The next refresh adds the rows that differ
-// from that operand to the view's and recomputes them all from m, so it
-// replaces the overlay instead of stacking one on it. A caller that
-// needs the product as one matrix finds such an entry unfit and
-// replaces it the way it would a stale one, with the overlay applied.
 type entry struct {
 	ready chan struct{}
 	path  []string
 	m     *sparse.Matrix
-	view  *sparse.View // deferred: m read through the pending patch
 
 	ops   [2]*sparse.Matrix // operands m was computed from; ops[1] only for a planned product
 	split int               // a planned product's split point
 	stale bool              // invalidated: m is a patch base, not an answer
-	base  *entry            // while in flight: the entry this one replaces (stale, or deferred and asked for as one matrix)
+	base  *entry            // while in flight: the stale entry this one replaces
 }
-
-// done reports whether the entry's computation has finished.
-func (ent *entry) done() bool {
-	select {
-	case <-ent.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-// gramBlock is the recomputed part of a Gram refresh, h[dirty,:]·hᵀ,
-// with what it was computed for (dirtyBlock).
-type gramBlock struct {
-	h     *sparse.Matrix
-	dirty []int
-	block *sparse.Matrix
-}
-
-// gramBlocks is the engine's memo of such blocks: one slot per operand,
-// for the last two operands refreshed, most recent first. Two, because
-// a write refreshes two Gram products side by side — the co-author
-// graph over A-P and the similarity index over A-P-V — and the one that
-// finishes last must not cost the other's later askers (the sibling
-// shards' slices) their block.
-type gramBlocks [2]*gramBlock
 
 // closedReady is the pre-closed channel entries adopted by CloneFor
 // share (their matrices are already materialized).
@@ -148,22 +108,13 @@ type Stats struct {
 	ProductTime time.Duration // cumulative wall time materializing planned products
 	GramTime    time.Duration // cumulative wall time materializing Gram products
 
-	// The patch route's share of the above: products (either kind, and
-	// column slices) refreshed from a stale base, the rows recomputed
-	// for them, and the wall time that took. A patched Gram counts once
-	// in Grams and once here.
+	// The patch route's share of the above: products (either kind)
+	// refreshed from a stale base, the rows recomputed for them, and the
+	// wall time that took. A patched Gram counts once in Grams and once
+	// here.
 	Patches     uint64
 	PatchedRows uint64
 	PatchTime   time.Duration
-
-	// How the refreshed Gram products are held. A refresh for a reader
-	// of views leaves the base as it is and publishes the recomputed
-	// rows as an overlay; Compactions counts the times an overlay was
-	// applied instead — it had outgrown its budget, or a caller needed
-	// the product as one matrix — each of which copies the whole base
-	// once. OverlayRows is the widest overlay now pending, in rows.
-	Compactions uint64
-	OverlayRows int
 }
 
 // Engine compiles, plans, materializes and caches meta-path commuting
@@ -184,9 +135,6 @@ type Engine struct {
 	transposes atomic.Uint64
 	patches    atomic.Uint64
 	patchRows  atomic.Uint64
-	compacted  atomic.Uint64
-
-	block atomic.Pointer[gramBlocks] // the last Gram refreshes' recomputed blocks, by operand
 
 	// Cumulative nanoseconds spent materializing products — the "where
 	// does materialization time go" split the serving tier exports
@@ -254,8 +202,7 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 // *completed* cached materialization of the receiver (in-flight
 // computations are skipped, not awaited, and stale patch bases are left
 // behind — a base nobody refreshed during a whole generation is not
-// worth carrying into the next; a deferred entry is an answer and comes
-// along, base and overlay). Matrices are shared, not copied —
+// worth carrying into the next). Matrices are shared, not copied —
 // they are immutable — so cloning is O(entries). This is how a
 // copy-on-write network clone (hin.Network.Clone) carries the warm
 // materialization cache into its new generation; counters start at
@@ -268,7 +215,7 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 		select {
 		case <-ent.ready:
 			if !ent.stale {
-				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, view: ent.view, ops: ent.ops, split: ent.split}
+				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, ops: ent.ops, split: ent.split}
 			}
 		default:
 		}
@@ -285,20 +232,15 @@ func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.entries = make(map[string]*entry)
 	e.mu.Unlock()
-	e.block.Store(nil)
 }
 
 // Stats returns the current counter values.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	epoch, entries, overlay := e.epoch, 0, 0
+	epoch, entries := e.epoch, 0
 	for _, ent := range e.entries {
-		if ent.stale {
-			continue
-		}
-		entries++
-		if ent.done() && ent.view != nil {
-			overlay = max(overlay, len(ent.view.Dirty()))
+		if !ent.stale {
+			entries++
 		}
 	}
 	e.mu.Unlock()
@@ -315,8 +257,6 @@ func (e *Engine) Stats() Stats {
 		Patches:     e.patches.Load(),
 		PatchedRows: e.patchRows.Load(),
 		PatchTime:   time.Duration(e.patchNS.Load()),
-		Compactions: e.compacted.Load(),
-		OverlayRows: overlay,
 	}
 }
 
@@ -366,58 +306,38 @@ func (e *Engine) CommuteCtx(ctx context.Context, path []string) (*sparse.Matrix,
 	return e.matrix(ctx, path)
 }
 
-// matrix materializes a validated path through the cache, as one
-// matrix.
+// matrix materializes a validated path through the cache.
 func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, error) {
 	canon, rev := canonicalize(path)
-	var ent *entry
-	var err error
 	if !rev {
-		ent, err = e.product(ctx, path, false)
-	} else {
-		// Reversed orientation: materialize the canonical orientation, then
-		// derive this one by a cheap O(nnz) transpose — also cached, so
-		// repeated reverse queries are pure lookups.
-		ent, err = e.cached(ctx, join(path), path, false, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
-			c, err := e.product(ctx, canon, false)
-			if err != nil {
-				return nil, err
-			}
-			e.transposes.Add(1)
-			return c.m.Transpose(), nil
-		})
+		return e.cached(ctx, join(path), path, e.compute)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return ent.m, nil
-}
-
-// product returns the cache entry of a validated path in its cache
-// orientation, computed by the planner. With deferred set the caller
-// reads views, and a Gram product refreshed for it may come back as one.
-func (e *Engine) product(ctx context.Context, path []string, deferred bool) (*entry, error) {
-	return e.cached(ctx, join(path), path, deferred, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
-		return e.compute(ctx, ent, base, deferred)
+	// Reversed orientation: materialize the canonical orientation, then
+	// derive this one by a cheap O(nnz) transpose — also cached, so
+	// repeated reverse queries are pure lookups.
+	return e.cached(ctx, join(path), path, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
+		m, err := e.cached(ctx, join(canon), canon, e.compute)
+		if err != nil {
+			return nil, err
+		}
+		e.transposes.Add(1)
+		return m.Transpose(), nil
 	})
 }
 
-// cached runs compute under a singleflight entry for key and returns
-// the completed entry. compute receives the entry being filled (to
-// record what the result was computed from) and the entry it replaces,
-// its patch base: a stale one, or — when the caller does not read views
-// (deferred unset) — a deferred one, whose overlay the replacement
-// applies. When the cache is full of fresh entries, the value is
-// computed but not retained. A waiter whose ctx dies while another
+// cached runs compute under a singleflight entry for key. compute
+// receives the entry being filled (to record what the result was
+// computed from) and, when the key held a stale entry, that entry as
+// its patch base. When the cache is full of fresh entries, the value
+// is computed but not retained. A waiter whose ctx dies while another
 // goroutine computes abandons the wait (the computation itself keeps
 // running for the live callers); a computing goroutine that fails —
-// panic or cancellation — withdraws its entry, putting back the one it
-// was replacing, so later callers retry from the same place.
-func (e *Engine) cached(ctx context.Context, key string, path []string, deferred bool, compute func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error)) (*entry, error) {
+// panic or cancellation — withdraws its entry, putting the stale base
+// back if it had one, so later callers retry from the same place.
+func (e *Engine) cached(ctx context.Context, key string, path []string, compute func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error)) (*sparse.Matrix, error) {
 	e.mu.Lock()
-	base := e.entries[key]
-	unfit := func(ent *entry) bool { return !deferred && ent.view != nil }
-	if ent := base; ent != nil && !ent.stale && !(ent.done() && unfit(ent)) {
+	base := e.entries[key] // nil, or stale once the fresh case below is past
+	if ent := base; ent != nil && !ent.stale {
 		e.mu.Unlock()
 		if done := ctx.Done(); done != nil {
 			select {
@@ -428,25 +348,19 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, deferred
 		} else {
 			<-ent.ready
 		}
-		if ent.m == nil || unfit(ent) {
+		if ent.m == nil {
 			// The computing goroutine panicked (or was cancelled) and
-			// withdrew the entry, or it completed deferred under a caller
-			// that needs one matrix; retry against the refreshed map.
-			return e.cached(ctx, key, path, deferred, compute)
+			// withdrew the entry; retry against the refreshed map.
+			return e.cached(ctx, key, path, compute)
 		}
 		e.hits.Add(1)
-		return ent, nil
+		return ent.m, nil
 	}
 	e.misses.Add(1)
 	ent := &entry{ready: make(chan struct{}), path: path, base: base}
 	if base == nil && len(e.entries) >= maxEntries && !e.evictStale() {
 		e.mu.Unlock()
-		m, err := compute(ctx, ent, nil)
-		if err != nil {
-			return nil, err
-		}
-		ent.m = m
-		return ent, nil
+		return compute(ctx, ent, nil)
 	}
 	e.entries[key] = ent
 	e.mu.Unlock()
@@ -464,7 +378,7 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, deferred
 				delete(e.entries, key)
 			}
 		}
-		ent.base = nil // a completed entry must not pin the one it replaced
+		ent.base = nil // a completed entry must not pin the matrix it replaced
 		e.mu.Unlock()
 		close(ent.ready)
 	}()
@@ -473,7 +387,7 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, deferred
 		return nil, err
 	}
 	ent.m = m
-	return ent, nil
+	return m, nil
 }
 
 // evictStale drops one stale patch base to make room for a new path,
@@ -502,7 +416,7 @@ func halfOf(path []string) []string {
 // stale sub-chain is refreshed the same way before its consumer is.
 // With a base, the product is patched from it when the operand diff is
 // small (patch.go); either route produces the same bits.
-func (e *Engine) compute(ctx context.Context, ent, base *entry, deferred bool) (*sparse.Matrix, error) {
+func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
 	path := ent.path
 	rels := len(path) - 1
 	if rels == 1 {
@@ -517,7 +431,7 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry, deferred bool) (
 		e.grams.Add(1)
 		start := time.Now()
 		defer func() { e.gramNS.Add(int64(time.Since(start))) }()
-		if m, err := e.patchGram(ctx, ent, base, h, 0, h.Rows(), deferred); m != nil || err != nil {
+		if m, err := e.patchGram(ctx, base, h); m != nil || err != nil {
 			return m, err
 		}
 		return h.GramCtx(ctx)
@@ -544,101 +458,30 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry, deferred bool) (
 	return left.MulCtx(ctx, right)
 }
 
-// CommuteColsCtx materializes columns [lo, hi) of the commuting matrix
-// together with its full diagonal — the shard-local build of the
-// sharded PathSim tier (internal/cluster), where each shard owns a
-// candidate range but must score queries from the whole endpoint type.
-// For Gram-eligible paths it never materializes the full commuting
-// matrix: it multiplies the cached half-path product H against the
-// transpose of its own row slice (columns [lo, hi) of H·Hᵀ) and
-// derives the diagonal from per-row norms. Both are bitwise-identical
-// to slicing a full CommuteCtx product: every output entry accumulates
-// the same k-terms in the same ascending order in either kernel, and
-// IEEE multiplication commutes exactly (see the sparse slice tests).
-// The slice is cached like any product (the caller's index and the
-// cache hold the same matrix, so nothing is resident twice) and
-// patched from its stale self after a mutation; a range that runs to
-// the end of the type is keyed open-ended, so the last shard's slice
-// is still its own patch base after the type grows, while any other
-// change of range starts cold. The whole range [0, dim) is the path's
-// own product — the very matrix CommuteCtx returns, under its cache
-// entry — and non-Gram paths slice that (cached) product.
-func (e *Engine) CommuteColsCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.Matrix, diag []float64, err error) {
-	v, diag, err := e.cols(ctx, path, lo, hi, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.Plain(), diag, nil
-}
-
-// CommuteViewCtx is CommuteColsCtx for a caller that reads the columns
-// row by row and can do so through a sparse.View: the form a write
-// wants, because a Gram product (or a column slice of one) refreshed
-// after a mutation then keeps its base as it is and carries the few
-// recomputed rows, and their mirror columns, as the view's overlay —
-// O(dirty rows · dim) per write where applying the patch copies the
-// whole product — until the overlay outgrows its budget
-// (overlayWorthwhile), when that refresh applies it and the result is
-// the new base. The rows read through the view are, bit for bit, the
-// rows of the matrix CommuteColsCtx returns; a product that is held as
-// one matrix — built cold, just compacted, not Gram-shaped, or already
-// materialized for another caller — comes back as a view with no
-// overlay.
-func (e *Engine) CommuteViewCtx(ctx context.Context, path []string, lo, hi int) (cols *sparse.View, diag []float64, err error) {
-	return e.cols(ctx, path, lo, hi, true)
-}
-
-// cols is CommuteColsCtx and CommuteViewCtx: with deferred unset the
-// view it returns has no overlay.
-func (e *Engine) cols(ctx context.Context, path []string, lo, hi int, deferred bool) (*sparse.View, []float64, error) {
+// FactorCtx returns the half-path factor of a Gram-eligible path: h, the
+// very product compute multiplies into M = h·hᵀ, and hᵀ, the reversed
+// half — each the cache entry of its own path, so of the two one is a
+// relation or a planned product (patched from its stale self after a
+// mutation) and the other its O(nnz) transpose. A caller that reads M
+// one row at a time needs nothing else: row x is Σ_mid h[x,mid]·hᵀ[mid,·],
+// and summed in ascending mid every entry has the bits the Gram kernel
+// stores (it accumulates the same terms in the same order; see
+// patch.go). Both are nil for a path that is not Gram-eligible.
+func (e *Engine) FactorCtx(ctx context.Context, path []string) (h, ht *sparse.Matrix, err error) {
 	if err := e.Validate(path); err != nil {
 		return nil, nil, err
 	}
-	dim := e.src.Count(path[len(path)-1])
-	if lo < 0 || hi < lo || hi > dim {
-		return nil, nil, fmt.Errorf("metapath: column range [%d,%d) out of [0,%d)", lo, hi, dim)
-	}
-	whole := lo == 0 && hi == dim
 	if !gramEligible(path) {
-		m, err := e.matrix(ctx, path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if whole {
-			return m.View(), m.Diagonal(), nil
-		}
-		return m.ColSlice(lo, hi).View(), m.Diagonal(), nil
+		return nil, nil, nil
 	}
-	h, err := e.matrix(ctx, halfOf(path))
-	if err != nil {
+	half := halfOf(path)
+	if h, err = e.matrix(ctx, half); err != nil {
 		return nil, nil, err
 	}
-	var ent *entry
-	if whole {
-		ent, err = e.product(ctx, path, deferred)
-	} else {
-		key := fmt.Sprintf("%s[%d:%d)", join(path), lo, hi)
-		if hi == dim {
-			key = fmt.Sprintf("%s[%d:)", join(path), lo)
-		}
-		ent, err = e.cached(ctx, key, path, deferred, func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
-			ent.ops[0] = h
-			e.products.Add(1)
-			start := time.Now()
-			defer func() { e.productNS.Add(int64(time.Since(start))) }()
-			if m, err := e.patchGram(ctx, ent, base, h, lo, hi, deferred); m != nil || err != nil {
-				return m, err
-			}
-			return h.MulCtx(ctx, h.RowSlice(lo, hi).Transpose())
-		})
-	}
-	if err != nil {
+	if ht, err = e.matrix(ctx, reverseOf(half)); err != nil {
 		return nil, nil, err
 	}
-	if ent.view != nil {
-		return ent.view, h.GramDiagonal(), nil
-	}
-	return ent.m.View(), h.GramDiagonal(), nil
+	return h, ht, nil
 }
 
 // bestSplit returns the top-level split point (relations 0..k and
@@ -707,14 +550,16 @@ func canonicalize(path []string) (canon []string, reversed bool) {
 			return path, false
 		}
 	}
-	rev := make([]string, len(path))
-	for i, t := range path {
-		rev[len(path)-1-i] = t
-	}
-	if join(rev) < join(path) {
+	if rev := reverseOf(path); join(rev) < join(path) {
 		return rev, true
 	}
 	return path, false
+}
+
+func reverseOf(path []string) []string {
+	rev := slices.Clone(path)
+	slices.Reverse(rev)
+	return rev
 }
 
 func join(path []string) string { return strings.Join(path, "-") }

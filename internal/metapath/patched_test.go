@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
+	"hinet/internal/pathsim"
 	"hinet/internal/sparse"
 )
 
@@ -39,7 +41,10 @@ var watched = [][]string{
 	{tV, tP, tA},
 }
 
-var pathAPVPA = watched[3]
+var (
+	pathAPVPA  = watched[3]
+	indexAPVPA = hin.MetaPath{tA, tP, tV, tP, tA}
+)
 
 // world is the network under test plus the script interpreter's state.
 type world struct {
@@ -193,18 +198,42 @@ func (w *world) ranges(t *testing.T) [][2]int {
 	return out
 }
 
-// check compares every watched product and column slice of the live
-// engine against eng cold: a clone of the network whose engine is Reset
-// — so the live engine keeps its chain of patched-from-patched bases —
-// or, with resetLive, the live engine itself after Reset().
+// sameAnswers reports how got's answers differ from want's over the same
+// range — every similarity row (AllScores, which is Sim over the range)
+// and the top k of it for a few k, ids and score bits — or "". The two
+// may hold the index in different forms.
+func sameAnswers(got, want *pathsim.Index) string {
+	if got.Lo() != want.Lo() || got.Hi() != want.Hi() || got.Dim() != want.Dim() {
+		return fmt.Sprintf("range [%d,%d) of %d, want [%d,%d) of %d", got.Lo(), got.Hi(), got.Dim(), want.Lo(), want.Hi(), want.Dim())
+	}
+	for x := 0; x < want.Dim(); x++ {
+		g, w := got.AllScores(x), want.AllScores(x)
+		for y := range w {
+			if math.Float64bits(g[y]) != math.Float64bits(w[y]) {
+				return fmt.Sprintf("s(%d,%d) = %v, want %v", x, y, g[y], w[y])
+			}
+		}
+		for _, k := range []int{1, 7, want.Dim()} {
+			g, w := got.TopK(x, k), want.TopK(x, k)
+			if !slices.EqualFunc(g, w, func(p, q pathsim.Pair) bool {
+				return p.ID == q.ID && math.Float64bits(p.Score) == math.Float64bits(q.Score)
+			}) {
+				return fmt.Sprintf("TopK(%d, %d) = %v, want %v", x, k, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// check compares every watched product of the live engine, and the
+// default path's factor index over each column range, against eng cold:
+// a clone of the network whose engine is Reset — so the live engine
+// keeps its chain of patched-from-patched bases — or, with resetLive,
+// the live engine itself after Reset().
 func (w *world) check(t *testing.T, label string, resetLive bool) {
 	t.Helper()
 	ctx := context.Background()
 	live := w.net.PathEngine()
-	type slice struct {
-		cols *sparse.Matrix
-		diag []float64
-	}
 	got := make([]*sparse.Matrix, len(watched))
 	for i, p := range watched {
 		m, err := live.Commute(p)
@@ -214,19 +243,19 @@ func (w *world) check(t *testing.T, label string, resetLive bool) {
 		got[i] = m
 	}
 	ranges := w.ranges(t)
-	gotCols := make([]slice, len(ranges))
+	gotIx := make([]*pathsim.Index, len(ranges))
 	for i, r := range ranges {
-		cols, diag, err := live.CommuteColsCtx(ctx, pathAPVPA, r[0], r[1])
-		if err != nil {
-			t.Fatalf("%s: cols %v: %v", label, r, err)
+		var err error
+		if gotIx[i], err = pathsim.NewRangeIndexCtx(ctx, w.net, indexAPVPA, r[0], r[1]); err != nil {
+			t.Fatalf("%s: index %v: %v", label, r, err)
 		}
-		gotCols[i] = slice{cols, diag}
 	}
 
-	cold := live
+	coldNet := w.net
 	if !resetLive {
-		cold = w.net.Clone().PathEngine()
+		coldNet = w.net.Clone()
 	}
+	cold := coldNet.PathEngine()
 	cold.Reset()
 	for i, p := range watched {
 		want, err := cold.Commute(p)
@@ -237,22 +266,28 @@ func (w *world) check(t *testing.T, label string, resetLive bool) {
 			t.Fatalf("%s: patched %v differs from cold: %s", label, p, d)
 		}
 	}
+	full, err := pathsim.NewIndexCtx(ctx, coldNet, indexAPVPA)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range ranges {
-		cols, diag, err := cold.CommuteColsCtx(ctx, pathAPVPA, r[0], r[1])
+		want, err := pathsim.NewRangeIndexCtx(ctx, coldNet, indexAPVPA, r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := identical(gotCols[i].cols, cols); d != "" {
-			t.Fatalf("%s: patched columns %v differ from cold: %s", label, r, d)
+		if d := sameAnswers(gotIx[i], want); d != "" {
+			t.Fatalf("%s: index %v over the patched factor differs from cold: %s", label, r, d)
 		}
-		for j, v := range diag {
-			if math.Float64bits(gotCols[i].diag[j]) != math.Float64bits(v) {
-				t.Fatalf("%s: columns %v diagonal[%d] = %v, want %v", label, r, j, gotCols[i].diag[j], v)
-			}
+		if gotIx[i].NNZ() != want.NNZ() {
+			t.Fatalf("%s: index %v weighs %d, cold %d", label, r, gotIx[i].NNZ(), want.NNZ())
 		}
-		// The slice is also the full product's slice.
-		if d := identical(cols, got[3].ColSlice(r[0], r[1])); d != "" {
-			t.Fatalf("%s: columns %v differ from the full product's: %s", label, r, d)
+		// The range is also the full product's slice.
+		sliced, err := full.Range(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameAnswers(want, sliced); d != "" {
+			t.Fatalf("%s: index %v differs from the full product's columns: %s", label, r, d)
 		}
 	}
 }

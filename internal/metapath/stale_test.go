@@ -3,7 +3,6 @@ package metapath
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -214,11 +213,15 @@ func TestStaleBasesCountTowardBound(t *testing.T) {
 		defer e.mu.Unlock()
 		return len(e.entries)
 	}
-	// Column slices give hundreds of cheap distinct keys.
+	// Walks over the A-P-V schema give hundreds of cheap distinct keys:
+	// from P the i-th walk steps to A or V as the bits of i say.
 	ctx := context.Background()
 	slice := func(i int) {
-		lo := i % 40
-		if _, _, err := e.CommuteColsCtx(ctx, staleAPVPA, lo, lo+1+(i/40)%(40-lo)); err != nil {
+		path := []string{"A"}
+		for b := i + 1<<10; b > 1; b >>= 1 {
+			path = append(path, "P", "AV"[b&1:b&1+1])
+		}
+		if _, err := e.CommuteCtx(ctx, path); err != nil {
 			t.Fatal(err)
 		}
 		if n := held(); n > maxEntries {
@@ -257,105 +260,5 @@ func TestStaleBasesCountTowardBound(t *testing.T) {
 	}
 	if n := held(); n != maxEntries {
 		t.Fatalf("engine holds %d entries, bound is %d", n, maxEntries)
-	}
-}
-
-// TestColumnRangeChangeStartsCold: a slice is its own patch base only
-// over the same range, or when it ran to the end of the type and still
-// does after the type grew.
-func TestColumnRangeChangeStartsCold(t *testing.T) {
-	s := staleSource()
-	e := New(s)
-	ctx := context.Background()
-	cols := func(lo, hi int) *sparse.Matrix {
-		t.Helper()
-		m, _, err := e.CommuteColsCtx(ctx, staleAPVPA, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full := coldCommute(t, s, staleAPVPA)
-		sameBits(t, "slice", m, full.ColSlice(lo, hi))
-		return m
-	}
-	cols(0, 13)
-	cols(26, 40)
-	if again := cols(26, 40); again != cols(26, 40) {
-		t.Fatal("a repeated range must be a cache hit")
-	}
-
-	// The author type grows by two; one new author gets a paper.
-	s.counts["A"] = 42
-	ap := [2]string{"A", "P"}
-	s.rels[ap] = s.rels[ap].Grow(42, 60).ApplyDelta([]sparse.Coord{{Row: 41, Col: 4, Val: 1}})
-	e.Invalidate(1, func(path []string) bool { return true })
-
-	// Same range: patched. Open-ended before, open-ended still: patched.
-	// Plus the A-P-V product both share.
-	before := e.Stats().Patches
-	cols(0, 13)
-	cols(26, 42)
-	if d := e.Stats().Patches - before; d != 3 {
-		t.Fatalf("%d patches, want 3", d)
-	}
-	before = e.Stats().Patches
-	cols(26, 40) // no longer runs to the end: a different slice
-	cols(0, 14)
-	if d := e.Stats().Patches - before; d != 0 {
-		t.Fatalf("a changed range was patched (%d patches); it must build cold", d)
-	}
-}
-
-// TestWholeColumnRangeIsThePathItself: columns [0, dim) are the path's
-// own product — the pointer CommuteCtx returns, under its cache entry,
-// so a one-shard server holds nothing twice — before and after the type
-// grows, when it is patched as the full product is.
-func TestWholeColumnRangeIsThePathItself(t *testing.T) {
-	s := staleSource()
-	e := New(s)
-	ctx := context.Background()
-	check := func(dim int) {
-		t.Helper()
-		full, err := e.CommuteCtx(ctx, staleAPVPA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := e.Stats().Entries
-		cols, diag, err := e.CommuteColsCtx(ctx, staleAPVPA, 0, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cols != full {
-			t.Fatal("the whole column range is a different matrix from the path's product")
-		}
-		if got := e.Stats().Entries; got != entries {
-			t.Fatalf("the whole column range grew the cache from %d to %d entries", entries, got)
-		}
-		want := coldCommute(t, s, staleAPVPA)
-		sameBits(t, "whole range", cols, want)
-		for i, v := range want.Diagonal() {
-			if math.Float64bits(diag[i]) != math.Float64bits(v) {
-				t.Fatalf("diagonal[%d] = %v, want %v", i, diag[i], v)
-			}
-		}
-	}
-	check(40)
-	// Asked first through the range form, it is still the path's entry.
-	e.Reset()
-	cols, _, err := e.CommuteColsCtx(ctx, staleAPVPA, 0, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full, _ := e.CommuteCtx(ctx, staleAPVPA); full != cols {
-		t.Fatal("CommuteCtx rebuilt a product the whole column range had cached")
-	}
-
-	s.counts["A"] = 42
-	ap := [2]string{"A", "P"}
-	s.rels[ap] = s.rels[ap].Grow(42, 60).ApplyDelta([]sparse.Coord{{Row: 41, Col: 4, Val: 1}})
-	e.Invalidate(1, func(path []string) bool { return true })
-	before := e.Stats().Patches
-	check(42)
-	if d := e.Stats().Patches - before; d != 2 { // A-P-V and its Gram
-		t.Fatalf("%d patches after the type grew, want 2", d)
 	}
 }

@@ -14,7 +14,6 @@ package pathsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -23,77 +22,144 @@ import (
 )
 
 // Index is a prepared PathSim index for one symmetric meta path over
-// the candidate range [Lo, Hi) of the path's endpoint type: columns
-// [Lo, Hi) of the commuting matrix plus its full diagonal. It answers
+// the candidate range [Lo, Hi) of the path's endpoint type. It answers
 // queries for ANY object x, restricted to the candidates it owns; the
 // full index is simply the range [0, Dim), and a shard of the serving
-// tier (internal/cluster) holds a narrower one. A narrower range carries
-// the exact float64 entries of the full matrix (sparse.Matrix.ColSlice
-// preserves values; the engine's range build reproduces them bitwise,
-// see metapath.Engine.CommuteColsCtx), so its answers are the full
-// index's answers filtered to the range and MergeTopK reassembles the
-// global answer exactly.
+// tier (internal/cluster) holds a narrower one. A narrower range scores
+// the exact float64 entries of the full commuting matrix, so its answers
+// are the full index's answers filtered to the range and MergeTopK
+// reassembles the global answer exactly.
 //
-// Build it once (the commuting matrix product is the expensive part)
-// and answer any number of Sim / TopK / BatchTopKCtx queries against it
-// concurrently — all query methods are read-only, so an Index is safe
-// for unsynchronized sharing.
+// It comes in two forms that answer every query with the same bits:
 //
-// An index a write refreshed may hold its columns as base + overlay
-// (NewRangeIndexCtx): the previous generation's matrix, shared by
-// pointer, and the few rows and columns the write changed. A query then
-// merges its one row from the two as it scores it (topKSpliced), and
-// scores exactly the entries — ids, order, value bits — the applied
-// patch would have stored, so every answer is the same; M is nil on
-// such an index.
+//   - the factor form (NewRangeIndexCtx, what the server holds): the
+//     half-path product W and its transpose, both the meta-path engine's
+//     own cache entries and shared by every index over the network. The
+//     commuting matrix M = W·Wᵀ is never stored; a query accumulates its
+//     one row, Σ_mid W[x,mid]·Wᵀ[mid,·] in ascending mid over the columns
+//     in [Lo, Hi) — the terms, and the order, the Gram kernel sums a
+//     stored entry in — so what it scores is what the stored row holds.
+//     The index is as small as W and a write refreshes it by patching W.
+//   - the materialized form (NewIndexCtx and Range of it): columns
+//     [Lo, Hi) of M as a matrix, quadratic in what W summarizes. It is
+//     the reference the factor form is tested against, the form
+//     Models.PathSim and the experiments read M from, and the only form
+//     a symmetric path that is not Gram-shaped (an adjacent repeated
+//     type) has.
+//
+// All query methods are read-only, so an Index is safe for
+// unsynchronized sharing.
 type Index struct {
 	Path   hin.MetaPath
-	M      *sparse.Matrix // Dim × (Hi-Lo): columns [Lo, Hi) of the commuting matrix; nil when over holds them
-	over   *sparse.View   // the columns as base + overlay, or nil
+	M      *sparse.Matrix // materialized: Dim × (Hi-Lo), columns [Lo, Hi) of the commuting matrix; nil on a factor index
+	w, wt  *sparse.Matrix // factor: the half-path product (Dim × mids) and its transpose; nil on a materialized index
+	nnz    int            // NNZ()
 	diag   []float64      // full diagonal (PathSim denominators for every object)
 	lo, hi int
 }
 
 // Dim returns the number of objects the path's endpoint type has — the
 // valid query-id range, which is NOT restricted to [Lo, Hi).
-func (ix *Index) Dim() int {
-	if ix.over != nil {
-		return ix.over.Rows()
-	}
-	return ix.M.Rows()
-}
+func (ix *Index) Dim() int { return len(ix.diag) }
 
-// NNZ returns the stored nonzeros of the index — the memory and scan
-// cost it pays to make queries row-local (and, for a shard's range, the
-// partition-skew signal). Exact and O(1), overlay or not.
-func (ix *Index) NNZ() int {
-	if ix.over != nil {
-		return ix.over.NNZ()
-	}
-	return ix.M.NNZ()
-}
+// NNZ returns the size of the index as a scan sees it: the stored
+// nonzeros of a materialized index, and for a factor index, which
+// stores no product entry, the multiply-adds a scan of every row of its
+// range performs — Σ_mid nnz(Wᵀ[mid, Lo:Hi))·nnz(Wᵀ[mid, ·]). Either is
+// additive over disjoint ranges (so the partition-skew signal sums to
+// the whole) and O(1) to read.
+func (ix *Index) NNZ() int { return ix.nnz }
 
-// RowNNZ returns the stored entries of row x: the candidates in
-// [Lo, Hi) that share a path instance with x.
+// RowNNZ returns the stored entries of row x on a materialized index —
+// the candidates in [Lo, Hi) that share a path instance with x — and on
+// a factor index, which would have to accumulate the row to count them,
+// the Wᵀ entries x's mids reach: the multiply-adds of scanning row x
+// over the whole type, and a bound on its candidates in any range.
 func (ix *Index) RowNNZ(x int) int {
-	if ix.over != nil {
-		return ix.over.RowNNZ(x)
+	if ix.M != nil {
+		return ix.M.RowNNZ(x)
 	}
-	return ix.M.RowNNZ(x)
+	n := 0
+	mids, _ := ix.w.RowEntries(x)
+	for _, mid := range mids {
+		n += ix.wt.RowNNZ(int(mid))
+	}
+	return n
 }
 
-// row returns row x's candidate columns (relative to Lo, ascending) and
-// values, assembled: the matrix's own arrays, or a copy when the row had
-// to be merged from base and overlay.
-func (ix *Index) row(x int) ([]int32, []float64) {
-	if ix.over == nil {
-		return ix.M.RowEntries(x)
+// score offers the candidates of row x to s, in ascending id: the
+// stored entries of a materialized row, or, on a factor index, the row
+// accumulated — Σ_mid W[x,mid]·Wᵀ[mid,·] in ascending mid, each sorted
+// Wᵀ row cut to [Lo, Hi) — into s's dense accumulator and read back
+// through the bitmap of the columns touched, which leaves both zeroed
+// for the next row. (An entry that sums to exactly zero, which the
+// stored row drops, is skipped like any zero.)
+func (ix *Index) score(s *selection, x int) {
+	dx := ix.diag[x]
+	if ix.M != nil {
+		cols, vals := ix.M.RowEntries(x)
+		s.reset(len(cols))
+		for i, c := range cols {
+			ix.offer(s, x, ix.lo+int(c), dx, vals[i])
+		}
+		return
 	}
-	row := ix.over.Row(x)
-	if !row.Spliced() {
-		return row.Cols, row.Vals
+	n := ix.hi - ix.lo
+	acc, mask := s.span(n)
+	lo := int32(ix.lo)
+	mids, ws := ix.w.RowEntries(x)
+	for i, mid := range mids {
+		wv := ws[i]
+		ys, vs := ix.wt.RowEntries(int(mid))
+		if n != len(ix.diag) { // the whole range needs no cut
+			a, _ := slices.BinarySearch(ys, lo)
+			b, _ := slices.BinarySearch(ys, int32(ix.hi))
+			ys, vs = ys[a:b], vs[a:b]
+		}
+		vs = vs[:len(ys)]
+		// ys ascends, so neighbours share a mask word: its bits gather in a
+		// register and reach memory once per word, not once per entry.
+		word, set := int32(0), uint64(0)
+		for j, y := range ys {
+			c := y - lo
+			acc[c] += wv * vs[j]
+			if w := c >> 6; w != word {
+				mask[word] |= set
+				word, set = w, 0
+			}
+			set |= 1 << (uint(c) & 63)
+		}
+		mask[word] |= set
 	}
-	return row.AppendTo(nil, nil)
+	touched := 0
+	for _, word := range mask {
+		touched += bits.OnesCount64(word)
+	}
+	s.reset(touched)
+	for i, word := range mask {
+		if word == 0 {
+			continue
+		}
+		mask[i] = 0
+		for ; word != 0; word &= word - 1 {
+			c := i<<6 + bits.TrailingZeros64(word)
+			ix.offer(s, x, ix.lo+c, dx, acc[c])
+			acc[c] = 0
+		}
+	}
+}
+
+// offer scores candidate y of query x, whose commuting-matrix entry is
+// v, into s.
+func (ix *Index) offer(s *selection, x, y int, dx, v float64) {
+	if y == x || v == 0 {
+		return
+	}
+	den := dx + ix.diag[y]
+	if den == 0 {
+		return
+	}
+	s.add(y, 2*v/den)
 }
 
 // Lo returns the first candidate id the index owns.
@@ -105,10 +171,10 @@ func (ix *Index) Hi() int { return ix.hi }
 // Rows returns the number of candidate objects the index owns.
 func (ix *Index) Rows() int { return ix.hi - ix.lo }
 
-// NewIndex builds the commuting matrix for a symmetric meta path via
-// the network's meta-path engine (planned order, Gram factorization,
-// cached intermediates). It panics on invalid paths; NewIndexE returns
-// an error instead.
+// NewIndex builds the materialized index of a symmetric meta path: the
+// commuting matrix via the network's meta-path engine (planned order,
+// Gram factorization, cached intermediates). It panics on invalid paths;
+// NewIndexE returns an error instead.
 func NewIndex(n *hin.Network, path hin.MetaPath) *Index {
 	ix, err := NewIndexE(n, path)
 	if err != nil {
@@ -117,8 +183,7 @@ func NewIndex(n *hin.Network, path hin.MetaPath) *Index {
 	return ix
 }
 
-// NewIndexE is the non-panicking NewIndex: the constructor the serving
-// layer uses to turn client-supplied meta-paths into indexes (or 400s).
+// NewIndexE is the non-panicking NewIndex.
 func NewIndexE(n *hin.Network, path hin.MetaPath) (*Index, error) {
 	return NewIndexCtx(context.Background(), n, path)
 }
@@ -148,48 +213,54 @@ func NewIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath) (*Index
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Path: path, M: m, diag: m.Diagonal(), hi: m.Rows()}, nil
+	return &Index{Path: path, M: m, nnz: m.NNZ(), diag: m.Diagonal(), hi: m.Rows()}, nil
 }
 
-// NewRangeIndexCtx builds the [lo, hi) range of a PathSim index over a
-// symmetric meta path without materializing the full commuting matrix
-// for Gram-factorable paths (the common case): the engine multiplies
-// the cached half-path product against its own row slice and derives
-// the full diagonal from per-row norms. Entries are bitwise-identical
-// to slicing a full NewIndexCtx build, and [0, Dim) is that build. This
-// is the serving constructor, and the one that takes the engine's
-// deferred form: over a network that was mutated since the range was
-// last built, the index comes back as base + overlay instead of a fresh
-// copy of every column (see Index).
+// NewRangeIndexCtx is the serving constructor: the [lo, hi) range of
+// the index in factor form, which costs the half-path product (cached
+// by the engine, patched by it after a write) and one pass over it for
+// the diagonal — no commuting matrix, whatever the range. Every answer
+// is bitwise what NewIndexCtx followed by Range(lo, hi) answers. A
+// symmetric path that is not Gram-shaped has no factor and is built
+// exactly that way.
 func NewRangeIndexCtx(ctx context.Context, n *hin.Network, path hin.MetaPath, lo, hi int) (*Index, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
-	cols, diag, err := n.CommutingViewCtx(ctx, path, lo, hi)
+	w, wt, err := n.CommutingFactorCtx(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Path: path, M: cols.Plain(), diag: diag, lo: lo, hi: hi}
-	if ix.M == nil {
-		ix.over = cols
+	if w == nil {
+		full, err := NewIndexCtx(ctx, n, path)
+		if err != nil {
+			return nil, err
+		}
+		return full.Range(lo, hi)
 	}
-	return ix, nil
+	full := &Index{Path: path, w: w, wt: wt, diag: w.GramDiagonal(), hi: w.Rows()}
+	return full.Range(lo, hi)
 }
 
 // Range narrows the index to the candidate range [lo, hi), which must
-// lie inside its own — the reference constructor the equivalence tests
-// compare the engine-built ranges against, and the cheap path when a
-// wider index already exists. The diagonal is shared (it is immutable).
-// An index held as base + overlay has no matrix to slice: build the
-// range with NewRangeIndexCtx.
+// lie inside its own. The diagonal is shared (it is immutable), and so
+// is a factor; a materialized index copies the columns it keeps.
 func (ix *Index) Range(lo, hi int) (*Index, error) {
 	if lo < ix.lo || hi < lo || hi > ix.hi {
 		return nil, fmt.Errorf("range [%d,%d) out of [%d,%d)", lo, hi, ix.lo, ix.hi)
 	}
-	if ix.over != nil {
-		return nil, fmt.Errorf("range [%d,%d) of an index held as base + overlay", lo, hi)
+	out := &Index{Path: ix.Path, w: ix.w, wt: ix.wt, diag: ix.diag, lo: lo, hi: hi}
+	if ix.M != nil {
+		out.M = ix.M.ColSlice(lo-ix.lo, hi-ix.lo)
+		out.nnz = out.M.NNZ()
+		return out, nil
 	}
-	return &Index{Path: ix.Path, M: ix.M.ColSlice(lo-ix.lo, hi-ix.lo), diag: ix.diag, lo: lo, hi: hi}, nil
+	// Σ_mid nnz(Wᵀ[mid, lo:hi))·nnz(Wᵀ[mid, ·]), summed by candidate: each
+	// owned c contributes nnz(Wᵀ[mid, ·]) for every mid of its W row.
+	for c := lo; c < hi; c++ {
+		out.nnz += out.RowNNZ(c)
+	}
+	return out, nil
 }
 
 // inRange reports whether x is a valid query id for this index. Query
@@ -207,10 +278,26 @@ func (ix *Index) Sim(x, y int) float64 {
 	if den == 0 {
 		return 0
 	}
-	if ix.over != nil {
-		return 2 * ix.over.At(x, y-ix.lo) / den
+	if ix.M != nil {
+		return 2 * ix.M.At(x, y-ix.lo) / den
 	}
-	return 2 * ix.M.At(x, y-ix.lo) / den
+	// M[x][y] is W's rows x and y multiplied over the mids they share,
+	// ascending — the one entry of the accumulated row.
+	xm, xv := ix.w.RowEntries(x)
+	ym, yv := ix.w.RowEntries(y)
+	v := 0.0
+	for i, j := 0, 0; i < len(xm) && j < len(ym); {
+		switch {
+		case xm[i] < ym[j]:
+			i++
+		case xm[i] > ym[j]:
+			j++
+		default:
+			v += xv[i] * yv[j]
+			i, j = i+1, j+1
+		}
+	}
+	return 2 * v / den
 }
 
 // Pair is a scored query answer.
@@ -229,75 +316,8 @@ func (ix *Index) topKInto(s *selection, x, k int, dst []Pair) []Pair {
 	if !ix.inRange(x) || k <= 0 {
 		return nil
 	}
-	var cols []int32
-	var vals []float64
-	if ix.over == nil {
-		cols, vals = ix.M.RowEntries(x)
-	} else {
-		row := ix.over.Row(x)
-		if row.Spliced() {
-			return ix.topKSpliced(s, x, k, dst, &row)
-		}
-		cols, vals = row.Cols, row.Vals // one stored row: the base's, or the overlay's in its place
-	}
-	s.reset(len(cols))
-	dx := ix.diag[x]
-	for i, c := range cols {
-		y, v := ix.lo+int(c), vals[i]
-		if y == x || v == 0 {
-			continue
-		}
-		den := dx + ix.diag[y]
-		if den == 0 {
-			continue
-		}
-		s.add(y, 2*v/den)
-	}
+	ix.score(s, x)
 	return s.topK(k, dst)
-}
-
-// topKSpliced is topKInto for a row the overlay reaches into: the same
-// pass over the same candidates in the same ascending-id order, except
-// that the row is merged as it is scored — the stored entries outside
-// the patched columns, the overlay's entries in them — instead of being
-// assembled first. (The scoring is written out twice: a call per
-// candidate costs more than the merge does.)
-func (ix *Index) topKSpliced(s *selection, x, k int, dst []Pair, row *sparse.Row) []Pair {
-	cols, vals := row.Cols, row.Vals[:len(row.Cols)]
-	s.reset(len(cols) + len(row.OverCols))
-	dx := ix.diag[x]
-	pos := 0
-	for j := 0; ; j++ {
-		// Stored entries up to the overlay's next, then that one.
-		next := int32(math.MaxInt32)
-		if j < len(row.OverCols) {
-			next = row.OverCols[j]
-		}
-		for ; pos < len(cols) && cols[pos] < next; pos++ {
-			c := cols[pos]
-			y, v := ix.lo+int(c), vals[pos]
-			if row.Superseded(c) || y == x || v == 0 {
-				continue
-			}
-			den := dx + ix.diag[y]
-			if den == 0 {
-				continue
-			}
-			s.add(y, 2*v/den)
-		}
-		if j == len(row.OverCols) {
-			return s.topK(k, dst)
-		}
-		y, v := ix.lo+int(next), row.OverVals[j]
-		if y == x || v == 0 {
-			continue
-		}
-		den := dx + ix.diag[y]
-		if den == 0 {
-			continue
-		}
-		s.add(y, 2*v/den)
-	}
 }
 
 // TopK returns the k most PathSim-similar candidates to x among
@@ -314,10 +334,10 @@ func (ix *Index) TopK(x, k int) []Pair {
 
 // BatchTopKCtx answers one TopK query per entry of xs, fanning the
 // queries out over the shared sparse worker pool. Queries only read the
-// immutable commuting matrix, so they parallelize perfectly; this is
+// immutable index, so they parallelize perfectly; this is
 // the bulk entry point for serving many similarity queries at once.
 // All result slices are carved from one arena sized by each query's
-// true result bound — min(k, row population) — so a client-supplied
+// true result bound — min(k, Rows, RowNNZ) — so a client-supplied
 // huge k cannot inflate the batch beyond its actual result mass, and
 // each block of queries shares one pooled selection scratch: a batch
 // performs O(1) allocations regardless of batch size or row
@@ -343,12 +363,7 @@ func (ix *Index) BatchTopKCtx(ctx context.Context, xs []int, k int) ([][]Pair, e
 	for i, x := range xs {
 		need := 0
 		if x >= 0 && x < rows {
-			if ix.over != nil {
-				need = ix.over.RowCap(x) // a bound is enough, and does not walk the row
-			} else {
-				need = ix.M.RowNNZ(x)
-			}
-			need = min(need, k)
+			need = min(ix.RowNNZ(x), ix.Rows(), k)
 		}
 		offsets[i+1] = offsets[i] + need
 	}
@@ -377,13 +392,8 @@ func (ix *Index) AllScores(x int) []float64 {
 		return nil
 	}
 	scores := make([]float64, ix.Dim())
-	cols, vals := ix.row(x)
-	for i, c := range cols {
-		y := ix.lo + int(c)
-		den := ix.diag[x] + ix.diag[y]
-		if den > 0 {
-			scores[y] = 2 * vals[i] / den
-		}
+	for y := ix.lo; y < ix.hi; y++ {
+		scores[y] = ix.Sim(x, y)
 	}
 	if x >= ix.lo && x < ix.hi {
 		scores[x] = 1

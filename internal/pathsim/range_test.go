@@ -55,9 +55,10 @@ func cutRanges(rng *rand.Rand, dim, parts int, skew bool) [][2]int {
 
 // TestRangeTopKMergeMatchesFull is the core sharding equivalence
 // property: for random corpora, shard counts and partition shapes —
-// uniform and skewed, engine-built ranges and matrix slices alike —
-// merging per-range partial TopK answers must reproduce the full
-// index's answer bitwise, tie order included.
+// uniform and skewed, factor ranges and matrix slices alike — merging
+// per-range partial TopK answers must reproduce the full index's answer
+// bitwise, tie order included, and the factor ranges' sizes must add up
+// to the whole factor's.
 func TestRangeTopKMergeMatchesFull(t *testing.T) {
 	path := hin.MetaPath{dblp.TypeAuthor, dblp.TypePaper, dblp.TypeVenue, dblp.TypePaper, dblp.TypeAuthor}
 	for _, seed := range []int64{1, 7} {
@@ -70,12 +71,17 @@ func TestRangeTopKMergeMatchesFull(t *testing.T) {
 		})
 		full := NewIndex(c.Net, path)
 		dim := full.Dim()
+		factor, err := NewRangeIndexCtx(context.Background(), c.Net, path, 0, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(seed * 101))
 		for _, parts := range []int{1, 2, 3, 8} {
 			for _, skewed := range []bool{false, true} {
 				ranges := cutRanges(rng, dim, parts, skewed)
 				slices := make([]*Index, parts)
 				built := make([]*Index, parts)
+				stored, work := 0, 0
 				for i, r := range ranges {
 					var err error
 					if slices[i], err = full.Range(r[0], r[1]); err != nil {
@@ -84,16 +90,17 @@ func TestRangeTopKMergeMatchesFull(t *testing.T) {
 					if built[i], err = NewRangeIndexCtx(context.Background(), c.Net, path, r[0], r[1]); err != nil {
 						t.Fatal(err)
 					}
-					if slices[i].NNZ() != built[i].NNZ() {
-						t.Fatalf("seed %d parts %d range %v: engine build nnz %d, slice nnz %d",
-							seed, parts, r, built[i].NNZ(), slices[i].NNZ())
-					}
+					stored, work = stored+slices[i].NNZ(), work+built[i].NNZ()
+				}
+				if stored != full.NNZ() || work != factor.NNZ() {
+					t.Fatalf("seed %d parts %d: ranges hold %d entries and %d multiply-adds, the whole %d and %d",
+						seed, parts, stored, work, full.NNZ(), factor.NNZ())
 				}
 				for _, k := range []int{1, 10, dim} {
 					for trial := 0; trial < 15; trial++ {
 						x := rng.Intn(dim)
 						want := full.TopK(x, k)
-						for name, ixs := range map[string][]*Index{"slice": slices, "engine": built} {
+						for name, ixs := range map[string][]*Index{"slice": slices, "factor": built} {
 							partials := make([][]Pair, parts)
 							for i, ix := range ixs {
 								partials[i] = ix.TopK(x, k)

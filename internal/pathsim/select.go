@@ -56,6 +56,12 @@ type selection struct {
 	keys []float64 // their scores; the quickselect permutes this copy
 	nans []Pair    // candidates with a NaN score, ascending id
 	tmp  []Pair    // the sort's second buffer
+
+	// A factor index accumulates the query's row here before it is scored
+	// (Index.score): a dense accumulator and the bitmap of the columns
+	// touched, both all zero between rows.
+	acc  []float64
+	mask []uint64
 }
 
 // selections keeps released scratch for the next query: one per core
@@ -87,6 +93,15 @@ func putSelection(s *selection) {
 	case selections <- s:
 	default:
 	}
+}
+
+// span returns acc and mask sized for a row over n candidate columns
+// (the mask never empty, so a row with no entry still has a word).
+func (s *selection) span(n int) ([]float64, []uint64) {
+	if len(s.acc) < n || s.mask == nil {
+		s.acc, s.mask = make([]float64, n), make([]uint64, n/64+1)
+	}
+	return s.acc, s.mask[:n/64+1]
 }
 
 // reset empties the selection for a row of at most m candidates.

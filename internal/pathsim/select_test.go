@@ -242,13 +242,10 @@ func TestMergeTopKRejectsUnsortedPart(t *testing.T) {
 }
 
 // TestTopKIntoSteadyStateAllocs: with warm scratch and a caller buffer,
-// a query allocates nothing — over one matrix, and over base + overlay,
-// where the row is merged as it is scored.
+// a query allocates nothing — over the stored matrix, and over the
+// factor, where the row is accumulated before it is scored.
 func TestTopKIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	plain := tieHeavyIndex(rng, 200, 10)
-	over, _ := overlaid(t, plain, tieHeavyIndex(rng, 200, 10).M, []int{0, 9, 63, 64, 150})
-	for name, ix := range map[string]*Index{"one matrix": plain, "base + overlay": over} {
+	for name, ix := range bothForms(t, rand.New(rand.NewSource(37)), 200, 10) {
 		s := new(selection)
 		dst := make([]Pair, 0, 10)
 		x := 0

@@ -56,6 +56,23 @@ func batchTopK(ix *Index, xs []int, k int) [][]Pair {
 // counts and uniform diagonals produce many exactly-equal scores,
 // stressing the tie-ordering contract.
 func tieHeavyIndex(rng *rand.Rand, n, features int) *Index {
+	return NewIndex(tieHeavyNet(rng, n, features), tieHeavyPath)
+}
+
+var tieHeavyPath = hin.MetaPath{"x", "f", "x"}
+
+// bothForms returns the tie-heavy index materialized and as a factor.
+func bothForms(t *testing.T, rng *rand.Rand, n, features int) map[string]*Index {
+	t.Helper()
+	net := tieHeavyNet(rng, n, features)
+	factor, err := NewRangeIndexCtx(context.Background(), net, tieHeavyPath, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Index{"materialized": NewIndex(net, tieHeavyPath), "factor": factor}
+}
+
+func tieHeavyNet(rng *rand.Rand, n, features int) *hin.Network {
 	net := hin.NewNetwork()
 	net.AddAnonymous("x", n)
 	net.AddAnonymous("f", features)
@@ -65,7 +82,7 @@ func tieHeavyIndex(rng *rand.Rand, n, features int) *Index {
 			net.AddLink("x", r, "f", rng.Intn(features), 1)
 		}
 	}
-	return NewIndex(net, hin.MetaPath{"x", "f", "x"})
+	return net
 }
 
 // TestTopKHeapMatchesFullSort pins the heap selection against the
@@ -145,21 +162,21 @@ func TestBatchTopKArena(t *testing.T) {
 
 // TestBatchTopKSteadyStateAllocs pins the allocation discipline: one
 // batch call performs O(1) allocations (result header + arena),
-// independent of batch size and row population.
+// independent of batch size and row population, in either form.
 func TestBatchTopKSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	ix := tieHeavyIndex(rng, 200, 10)
-	queries := make([]int, 400)
-	for i := range queries {
-		queries[i] = i % ix.Dim()
-	}
 	old := sparse.Parallelism(0)
 	sparse.Parallelism(1) // serial: the parallel fan-out adds pool bookkeeping
 	defer sparse.Parallelism(old)
-	allocs := testing.AllocsPerRun(20, func() {
-		batchTopK(ix, queries, 10)
-	})
-	if allocs > 4 {
-		t.Errorf("BatchTopK allocates %.0f times per batch, want ≤ 4", allocs)
+	for name, ix := range bothForms(t, rand.New(rand.NewSource(37)), 200, 10) {
+		queries := make([]int, 400)
+		for i := range queries {
+			queries[i] = i % ix.Dim()
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			batchTopK(ix, queries, 10)
+		})
+		if allocs > 4 {
+			t.Errorf("%s: BatchTopK allocates %.0f times per batch, want ≤ 4", name, allocs)
+		}
 	}
 }

@@ -418,11 +418,6 @@ func TestIngestReportsPatchRoute(t *testing.T) {
 			t.Fatalf("shards=%d: ingest returned %d: %v", shards, code, out)
 		}
 		_, metrics := do(t, srv, "GET", "/metrics", "")
-		// A first ingest after boot defers (or, on a corpus this small,
-		// compacts at once): one of the two route series is positive too.
-		if metricValue(t, srv, "hinet_metapath_compactions_total")+metricValue(t, srv, "hinet_metapath_overlay_rows") <= 0 {
-			t.Fatalf("shards=%d: the ingest neither deferred nor compacted its index", shards)
-		}
 		for _, series := range []string{"hinet_metapath_patches_total", "hinet_metapath_patched_rows_total", "hinet_metapath_patch_seconds_total"} {
 			var v float64
 			i := strings.Index(metrics, series+" ")

@@ -90,8 +90,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "hinet_metapath_patches_total %d\n", es.Patches)
 		fmt.Fprintf(w, "hinet_metapath_patched_rows_total %d\n", es.PatchedRows)
 		fmt.Fprintf(w, "hinet_metapath_patch_seconds_total %g\n", es.PatchTime.Seconds())
-		fmt.Fprintf(w, "hinet_metapath_compactions_total %d\n", es.Compactions)
-		fmt.Fprintf(w, "hinet_metapath_overlay_rows %d\n", es.OverlayRows)
 	}
 
 	names := make([]string, 0, len(s.met.endpoints))

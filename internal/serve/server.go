@@ -9,7 +9,7 @@
 //     one kernel and write surface: max(1, Options.Shards) in-process
 //     shards behind a scatter-gather coordinator build each immutable
 //     generation once — PageRank/HITS vectors, RankClus and NetClus
-//     cluster models, the default PathSim index as per-shard column
+//     cluster models, the default PathSim index as per-shard candidate
 //     ranges — and answer top-k, rank and cluster reads from it; an
 //     unsharded server is the one-shard case of the same path. Each
 //     generation carries its network's meta-path engine
@@ -213,15 +213,20 @@ func New(opts Options) *Server {
 	// The cluster builds the first generation once for all its shards and
 	// the store publishes that same generation. One shard owns the whole
 	// candidate range — bounds [0, 0], the last shard absorbing the type.
-	// More balance candidate work by row nnz of the full default index,
-	// built over a throwaway corpus of the same seed: built through the
-	// serving network's engine, the full commuting matrix would stay
-	// cached there, read by no shard (docs/ARCHITECTURE.md).
+	// More balance the scan work of the default index — the entries of
+	// its factor's transpose that a candidate's mids reach, which is by
+	// symmetry what the shard owning the candidate scans for it — over a
+	// throwaway corpus of the same seed: the partition is part of the
+	// cluster's identity, fixed before its first generation is built.
 	spec, shards := opts.Models.spec(), max(1, opts.Shards)
 	part := cluster.Partition{Of: string(pathAPVPA[0]), Bounds: []int{0, 0}}
 	if shards > 1 {
-		full := pathsim.NewIndex(dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net, pathAPVPA)
-		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.M.RowNNZ)
+		net := dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net
+		full, err := pathsim.NewRangeIndexCtx(context.Background(), net, pathAPVPA, 0, net.Count(pathAPVPA[0]))
+		if err != nil {
+			panic("serve: boot: " + err.Error())
+		}
+		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.RowNNZ)
 	}
 	if _, err := s.adopt(func() (epoch int64, err error) {
 		if s.coord, err = cluster.NewLocalCluster(shards, part, spec, policy, opts.Seed); err != nil {
@@ -1212,16 +1217,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ing.batches.Add(1)
 	s.ing.deltas.Add(uint64(len(req.Deltas)))
 	s.ing.nanos.Add(int64(time.Since(start)))
-	if tr != nil {
-		// Which route the write's similarity index took: published as
-		// base + overlay, or an overlay folded into a new base (the one
-		// write in N that copies the whole index).
-		if es := snap.Engine().Stats(); es.Compactions > 0 {
-			tr.Note("compacted")
-		} else if es.OverlayRows > 0 {
-			tr.Note("deferred")
-		}
-	}
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()
 	jw.beginObject()

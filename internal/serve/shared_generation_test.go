@@ -21,6 +21,7 @@ import (
 	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
+	"hinet/internal/pathsim"
 )
 
 // ingestBody is a small valid batch against a server's current corpus.
@@ -71,10 +72,14 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	sharded := newTestServer(t, Options{Seed: 4, Shards: 3})
 	requireOneGeneration(t, sharded, 1, "boot")
 
-	// Read balance is unchanged: the bounds are the nnz partition of a
-	// full index over the same seed.
-	full := refIndex(t, single.Snapshot(), "")
-	want := cluster.PartitionByNNZ(string(dblp.TypeAuthor), full.Dim(), 3, full.M.RowNNZ)
+	// Read balance: the bounds partition the scan work of the served
+	// index over the same seed.
+	net := single.Snapshot().Corpus.Net
+	full, err := pathsim.NewRangeIndexCtx(context.Background(), net, pathAPVPA, 0, net.Count(dblp.TypeAuthor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cluster.PartitionByNNZ(string(dblp.TypeAuthor), full.Dim(), 3, full.RowNNZ)
 	if got := sharded.Coordinator().Partition(); got.Of != want.Of || !slices.Equal(got.Bounds, want.Bounds) {
 		t.Fatalf("partition %v, want %v", got, want)
 	}

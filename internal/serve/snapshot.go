@@ -2,7 +2,7 @@
 // generation of model artifacts — the corpus (names, ground truth),
 // ranking vectors and cluster models — as the cluster tier built it
 // (internal/cluster); the similarity index itself lives on the shards,
-// as column ranges. The Store holds the live snapshot behind an atomic
+// as candidate ranges over one shared factor. The Store holds the live snapshot behind an atomic
 // pointer: queries read it wait-free, a write builds a whole new
 // generation off to the side (Server.adopt) and swaps it in, so a write
 // never blocks or corrupts in-flight queries. Each generation carries
@@ -42,11 +42,12 @@ type Snapshot struct {
 
 	// The generation's artifacts: Seed, Corpus, PageRank, HITS, RankClus,
 	// NetClus — the very pointer every in-process shard holds. Its
-	// PathSim is nil: the shards own the default index as column ranges.
+	// PathSim is nil: the shards own the default index as candidate ranges.
 	*cluster.Models
 	// The default (APVPA) index's size: the endpoint type's count, and
-	// the stored nonzeros summed over the shards' ranges, which
-	// partition the columns exactly (/v1/stats, /metrics, the CLI banner).
+	// pathsim.Index.NNZ — the multiply-adds of scanning every row —
+	// summed over the shards' ranges, which partition the candidates
+	// exactly (/v1/stats, /metrics, the CLI banner).
 	IndexDim, IndexNNZ int
 
 	// The clustering-quality scores /v1/clusters reports (eval.NMI over

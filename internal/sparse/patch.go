@@ -8,7 +8,7 @@
 // into a copy of the previous product — untouched rows in one copy
 // each, row-block parallel on the shared pool, structure shared with
 // the previous product when the pattern did not change (the ApplyDelta
-// contract). A View (view.go) reads the same result without the copy.
+// contract).
 
 package sparse
 
@@ -118,8 +118,7 @@ type Patch struct {
 }
 
 // patcher is a Patch checked against the matrix it applies to and made
-// ready to apply one row at a time — what PatchCtx does to every row,
-// and a View to the row being read.
+// ready to apply one row at a time.
 type patcher struct {
 	Patch
 	marks []uint64 // the set PatchCols, one bit per result column
@@ -242,12 +241,8 @@ func (p *patcher) splice(idx []int32, vals []float64, cidx []int32, cvals []floa
 // receiver's colIdx (and rowPtr, unless rows were added) and only the
 // value array is fresh. A cancelled ctx returns ctx.Err() and a nil
 // matrix.
-func (m *Matrix) PatchCtx(ctx context.Context, p Patch) (*Matrix, error) {
-	return m.patch(ctx, newPatcher(m, p))
-}
-
-// patch is PatchCtx once the patch is checked and prepared.
-func (m *Matrix) patch(ctx context.Context, p *patcher) (*Matrix, error) {
+func (m *Matrix) PatchCtx(ctx context.Context, patch Patch) (*Matrix, error) {
+	p := newPatcher(m, patch)
 	done := ctxDone(ctx)
 	if chanClosed(done) {
 		return nil, ctx.Err()

@@ -88,9 +88,8 @@ func patchedGram(t *testing.T, old, h, cur *Matrix) *Matrix {
 
 // TestPatchMatchesColdKernels: for random operands and random edits of
 // them, a product patched from the pre-edit product is the CSR the cold
-// kernel builds from the edited operands — Gram, planned product and a
-// Gram's column slice; serial and forced-parallel; with and without
-// growth.
+// kernel builds from the edited operands — Gram and planned product;
+// serial and forced-parallel; with and without growth.
 func TestPatchMatchesColdKernels(t *testing.T) {
 	run := func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -104,38 +103,11 @@ func TestPatchMatchesColdKernels(t *testing.T) {
 
 		identical(t, "gram", patchedGram(t, h.Gram(), h, cur), cur.Gram())
 
-		// Column slice [lo, hi) of the Gram; a slice that ran to the end
-		// of the old matrix runs to the end of the new one.
-		lo := rng.Intn(rows)
-		hi := lo + rng.Intn(rows-lo+1)
-		if seed%5 == 0 {
-			hi = rows
-		}
-		curHi := hi
-		if hi == rows {
-			curHi = cur.rows
-		}
-		d := DirtyRows(h, cur)
-		block := cur.GatherRows(d).Mul(cur.Transpose())
-		a, _ := slices.BinarySearch(d, lo)
-		b, _ := slices.BinarySearch(d, curHi)
-		owned := make([]int, 0, b-a)
-		for _, r := range d[a:b] {
-			owned = append(owned, r-lo)
-		}
-		got, err := h.Mul(h.RowSlice(lo, hi).Transpose()).PatchCtx(context.Background(), Patch{
-			Rows: cur.rows, Cols: curHi - lo, Dirty: d, RowBlock: block.ColSlice(lo, curHi),
-			PatchCols: owned, ColBlock: block.RowSlice(a, b).Transpose()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		identical(t, "cols", got, cur.Mul(cur.RowSlice(lo, curHi).Transpose()))
-
 		// Planned product L·R with both operands edited.
 		right := randomCSR(rng, mid, 5+rng.Intn(20), 2)
 		curRight := mutate(rng, right, rng.Intn(3), cur.cols-mid, grow)
-		d = union(DirtyRows(h, cur), cur.RowsTouching(DirtyRows(right, curRight)))
-		got, err = h.Mul(right).PatchCtx(context.Background(), Patch{Rows: cur.rows, Cols: curRight.cols,
+		d := union(DirtyRows(h, cur), cur.RowsTouching(DirtyRows(right, curRight)))
+		got, err := h.Mul(right).PatchCtx(context.Background(), Patch{Rows: cur.rows, Cols: curRight.cols,
 			Dirty: d, RowBlock: cur.GatherRows(d).Mul(curRight)})
 		if err != nil {
 			t.Fatal(err)

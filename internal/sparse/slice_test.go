@@ -38,28 +38,6 @@ func matricesEqual(t *testing.T, want, got *Matrix, label string) {
 	}
 }
 
-func TestRowSliceMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
-		m := randomMatrix(rng, rows, cols, 0.2, trial%2 == 0)
-		lo := rng.Intn(rows + 1)
-		hi := lo + rng.Intn(rows-lo+1)
-		s := m.RowSlice(lo, hi)
-		if s.Rows() != hi-lo || s.Cols() != cols {
-			t.Fatalf("RowSlice dims %dx%d, want %dx%d", s.Rows(), s.Cols(), hi-lo, cols)
-		}
-		d, sd := m.Dense(), s.Dense()
-		for r := lo; r < hi; r++ {
-			for c := 0; c < cols; c++ {
-				if d[r][c] != sd[r-lo][c] {
-					t.Fatalf("RowSlice(%d,%d) entry (%d,%d) = %v, want %v", lo, hi, r-lo, c, sd[r-lo][c], d[r][c])
-				}
-			}
-		}
-	}
-}
-
 func TestColSliceMatchesColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
@@ -79,25 +57,6 @@ func TestColSliceMatchesColumns(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRowSliceMulMatchesGramRows is the bitwise contract the sharded
-// PathSim tier stands on: rows [lo, hi) of the Gram product G = H·Hᵀ,
-// computed as H·(H[lo:hi])ᵀ (the shard-local column-slice build), must
-// be float64-identical to slicing the fully materialized Gram — every
-// output entry accumulates over the same ascending-k sequence in both
-// kernels, and IEEE multiplication commutes exactly.
-func TestRowSliceMulMatchesGramRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(50), 1+rng.Intn(30)
-		h := randomMatrix(rng, rows, cols, 0.25, trial%2 == 0)
-		g := h.Gram()
-		lo := rng.Intn(rows + 1)
-		hi := lo + rng.Intn(rows-lo+1)
-		colsOfG := h.Mul(h.RowSlice(lo, hi).Transpose())
-		matricesEqual(t, g.ColSlice(lo, hi), colsOfG, "H·(H[lo:hi])ᵀ vs Gram column slice")
 	}
 }
 
@@ -122,8 +81,6 @@ func TestGramDiagonalMatchesGram(t *testing.T) {
 func TestSliceBoundsPanic(t *testing.T) {
 	m := NewFromDense([][]float64{{1, 0}, {0, 2}})
 	for _, f := range []func(){
-		func() { m.RowSlice(-1, 1) },
-		func() { m.RowSlice(1, 3) },
 		func() { m.ColSlice(-1, 1) },
 		func() { m.ColSlice(2, 1) },
 	} {

@@ -665,19 +665,10 @@ func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 	// Each parallel block holds cols-sized dense scratch for the length
 	// of its mulRange call.
 	blocks := scratchBlocks(m.rows, work, b.cols)
-	if blocks == 1 {
-		part := m.mulRange(b, 0, m.rows, done)
-		if chanClosed(done) {
-			return nil, true
-		}
-		out.colIdx, out.vals = part.colIdx, part.vals
-		for r, n := range part.rowNNZ {
-			out.rowPtr[r+1] = out.rowPtr[r] + n
-		}
-		out.unit = allOnes(out.vals)
-		return out, false
+	bounds := []int{0, m.rows}
+	if blocks > 1 {
+		bounds = m.rowBlockBounds(blocks)
 	}
-	bounds := m.rowBlockBounds(blocks)
 	parts := make([]mulPart, blocks)
 	runTasks(blocks, func(bk int) {
 		if chanClosed(done) {
@@ -688,6 +679,8 @@ func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 	if chanClosed(done) {
 		return nil, true
 	}
+	// The parts' arrays grew by append; the result — which the meta-path
+	// engine retains — is copied to its exact size, one block or many.
 	total := 0
 	for _, p := range parts {
 		total += len(p.vals)
@@ -903,34 +896,6 @@ func (m *Matrix) gram(done <-chan struct{}) (*Matrix, bool) {
 	}
 	out.unit = allOnes(out.vals)
 	return out, false
-}
-
-// RowSlice returns the sub-matrix of rows [lo, hi) as a zero-copy view:
-// the column and value arrays alias the receiver's storage (matrices
-// are immutable by convention, so aliasing is safe) and only the row
-// pointer is rebased — O(hi−lo) regardless of nnz. This is the
-// horizontal-partitioning primitive of the sharded serving tier: a
-// shard's slice of a half-path product feeds the same kernels as the
-// full matrix and, because the kernels accumulate per output entry in
-// ascending-k order, products of a slice are bitwise identical to the
-// matching rows of the full product.
-func (m *Matrix) RowSlice(lo, hi int) *Matrix {
-	if lo < 0 || hi < lo || hi > m.rows {
-		panic(fmt.Sprintf("sparse: RowSlice [%d,%d) out of %d rows", lo, hi, m.rows))
-	}
-	base, end := m.rowPtr[lo], m.rowPtr[hi]
-	rp := make([]int, hi-lo+1)
-	for r := lo; r <= hi; r++ {
-		rp[r-lo] = m.rowPtr[r] - base
-	}
-	return &Matrix{
-		rows:   hi - lo,
-		cols:   m.cols,
-		rowPtr: rp,
-		colIdx: m.colIdx[base:end:end],
-		vals:   m.vals[base:end:end],
-		unit:   m.unit || allOnes(m.vals[base:end]),
-	}
 }
 
 // ColSlice returns the sub-matrix of columns [lo, hi), rebased to start

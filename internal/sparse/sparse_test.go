@@ -159,6 +159,22 @@ func TestMulAgainstDense(t *testing.T) {
 	}
 }
 
+// TestMulResultSizedExactly: a product's arrays carry no append slack —
+// the engine retains them — on the serial path as on the parallel one.
+func TestMulResultSizedExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randomCSR(rng, 300, 200, 6), randomCSR(rng, 200, 250, 6)
+	check := func(label string) {
+		t.Helper()
+		m := a.Mul(b)
+		if m.NNZ() == 0 || cap(m.colIdx) != len(m.colIdx) || cap(m.vals) != len(m.vals) {
+			t.Fatalf("%s Mul: %d entries in arrays of cap %d and %d", label, m.NNZ(), cap(m.colIdx), cap(m.vals))
+		}
+	}
+	withKnobs(t, 1, SerialThreshold(0), func() { check("serial") })
+	withParallel(t, 4, func() { check("forced-parallel") })
+}
+
 // TestGramMatchesMulTranspose checks the fused Gram kernel against the
 // two-step product on random matrices, and that the result is exactly
 // symmetric (mirrored entries share one computed float64).
