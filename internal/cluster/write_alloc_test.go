@@ -1,0 +1,84 @@
+// The allocation ceiling of a write's copy step: Clone + ingest.Apply
+// cost what the batch touches (the names it adds, the relation matrices
+// it edits), not the corpus.
+
+package cluster
+
+import (
+	"encoding/json"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"hinet/internal/dblp"
+	"hinet/internal/ingest"
+	"hinet/internal/loadgen"
+)
+
+// benchBatches generates n 3-paper ingest batches the way bench does.
+func benchBatches(t *testing.T, c *dblp.Corpus, n int) [][]ingest.Delta {
+	t.Helper()
+	ks, err := loadgen.NewKeyspace(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := loadgen.Generate(loadgen.Config{Seed: 42, Arrival: loadgen.ArrivalClosed, Requests: n,
+		Mix: loadgen.Mix{Ingest: 1}, IngestBatch: 3}, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]ingest.Delta, len(tr.Events))
+	for i, ev := range tr.Events {
+		var b struct{ Deltas []ingest.Delta }
+		if err := json.Unmarshal([]byte(ev.Body), &b); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b.Deltas
+	}
+	return out
+}
+
+func TestWriteCopiesWhatItTouches(t *testing.T) {
+	totalAlloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	median := func(xs []uint64) uint64 { slices.Sort(xs); return xs[len(xs)/2] }
+	for _, tc := range []struct {
+		name               string
+		corpus             dblp.Config
+		cloneMax, writeMax uint64 // bytes per write, median; 0 = not bounded
+	}{
+		{"800 authors", dblp.Config{AuthorsPerArea: 200, Papers: 2000}, 64 << 10, 0},
+		{"4000 authors", dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}, 64 << 10, 3 << 20},
+	} {
+		// The network a server holds: every relation its models read is
+		// materialized, and the engine keeps their products.
+		m := BuildModels(1, ModelSpec{Corpus: tc.corpus, SkipPathSim: true})
+		net := m.Corpus.Net
+		var cloneB, writeB, writeNs []uint64
+		for _, batch := range benchBatches(t, m.Corpus, 50) {
+			start, a0 := time.Now(), totalAlloc()
+			next := net.Clone()
+			a1 := totalAlloc()
+			if _, err := ingest.Apply(next, batch, ingest.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			a2 := totalAlloc()
+			cloneB, writeB = append(cloneB, a1-a0), append(writeB, a2-a0)
+			writeNs = append(writeNs, uint64(time.Since(start)))
+			net = next
+		}
+		clone, write := median(cloneB), median(writeB)
+		t.Logf("%s: Clone %d B, Clone + Apply %d B and %v per chained 3-paper write (medians of 50)",
+			tc.name, clone, write, time.Duration(median(writeNs)))
+		if clone > tc.cloneMax {
+			t.Errorf("%s: Clone allocates %d B per write, ceiling %d: it copies something the size of the corpus", tc.name, clone, tc.cloneMax)
+		}
+		if tc.writeMax > 0 && write > tc.writeMax {
+			t.Errorf("%s: Clone + Apply allocate %d B per write, ceiling %d", tc.name, write, tc.writeMax)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package hin
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -230,5 +233,197 @@ func TestCloneIsolation(t *testing.T) {
 	sameMatrix(t, "clone APA", c.CommutingMatrix(MetaPath{"author", "paper", "author"}), ref.CommutingMatrix(MetaPath{"author", "paper", "author"}))
 	if c.Lookup("author", "a2") != 2 || n.Lookup("author", "a2") != -1 {
 		t.Fatal("name index isolation violated")
+	}
+
+	t.Run("siblings", func(t *testing.T) {
+		parent := scriptedParent()
+		before := replay(parent.ops)
+		left, right := parent.fork(), parent.fork()
+		left.grow("l", 1) // both before either outgrows the shared arrays
+		right.grow("r", 1)
+		left.grow("ll", 30)
+		right.grow("rr", 50)
+		sameNetwork(t, "left", left.n, replay(left.ops))
+		sameNetwork(t, "right", right.n, replay(right.ops))
+		sameNetwork(t, "parent", parent.n, before)
+		if left.n.Lookup("author", "r0-author") != -1 || right.n.Lookup("author", "l0-author") != -1 {
+			t.Fatal("a clone sees its sibling's names")
+		}
+	})
+
+	t.Run("dropped clone", func(t *testing.T) {
+		parent := scriptedParent()
+		before := replay(parent.ops)
+		parent.fork().grow("failed", 4) // the batch that failed validation half way
+		next := parent.fork()
+		next.grow("ok", 2)
+		sameNetwork(t, "next", next.n, replay(next.ops))
+		sameNetwork(t, "parent", parent.n, before)
+	})
+
+	t.Run("chain", func(t *testing.T) {
+		cur := scriptedParent()
+		arrays := map[any]bool{}
+		for i := 0; i < 200; i++ {
+			cur = cur.fork()
+			cur.grow(fmt.Sprintf("c%d", i), 1)
+			for _, ns := range cur.n.names {
+				arrays[&ns.s[0]] = true
+			}
+			for _, ls := range cur.n.relation {
+				arrays[&ls.s[0]] = true
+			}
+		}
+		sameNetwork(t, "chain", cur.n, replay(cur.ops))
+		// Five lists of ≈ 200 entries, grown by append's policy from a
+		// handful: about eight arrays each, where clipping made 200.
+		if lists := len(cur.n.names) + len(cur.n.relation); len(arrays) > 12*lists {
+			t.Fatalf("%d lists went through %d backing arrays over 200 clones", lists, len(arrays))
+		}
+	})
+
+	t.Run("readers beside the writer", func(t *testing.T) {
+		parent := scriptedParent()
+		want := replay(parent.ops)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if parent.n.Lookup("author", "p1-author") != 1 || parent.n.Lookup("author", "w0-author") != -1 ||
+						!slices.Equal(parent.n.Names("paper"), want.Names("paper")) ||
+						parent.n.Relation("paper", "author").NNZ() != want.Relation("paper", "author").NNZ() {
+						t.Error("parent changed under its readers")
+						return
+					}
+					if g, _ := parent.n.Homogeneous(); g.N() != 3*41 {
+						t.Errorf("parent's homogeneous view has %d nodes", g.N())
+						return
+					}
+				}
+			}()
+		}
+		child := parent.fork()
+		child.grow("w", 1)
+		if &child.n.names["author"].s[0] != &parent.n.names["author"].s[0] {
+			t.Fatal("the first clone did not extend the parent's array in place")
+		}
+		child.grow("x", 50) // past the arrays' capacity
+		close(done)
+		wg.Wait()
+		sameNetwork(t, "child", child.n, replay(child.ops))
+		sameNetwork(t, "parent", parent.n, want)
+	})
+
+	t.Run("index fold", func(t *testing.T) {
+		cur := NewNetwork()
+		for i := 0; i < 2*foldShare; i++ {
+			cur.AddObject("term", fmt.Sprintf("t%d", i))
+		}
+		base, folds := cur.index["term"].base, 0
+		for i := 0; i < 8; i++ {
+			cur = cur.Clone()
+			if b := cur.index["term"].base; b != base {
+				base, folds = b, folds+1
+			}
+			id := cur.AddObject("term", fmt.Sprintf("added%d", i))
+			if again := cur.AddObject("term", fmt.Sprintf("added%d", i)); again != id || cur.AddObject("term", "t3") != 3 {
+				t.Fatalf("step %d: duplicate AddObject made a new object", i)
+			}
+			first := cur.AddAnonymous("term", 2)
+			if cur.Count("term") != 2*foldShare+3*(i+1) || first != id+1 {
+				t.Fatalf("step %d: %d terms, anonymous ids from %d", i, cur.Count("term"), first)
+			}
+			for id, name := range cur.Names("term") {
+				if cur.Lookup("term", name) != id {
+					t.Fatalf("step %d: Lookup(%q) = %d, want %d", i, name, cur.Lookup("term", name), id)
+				}
+			}
+			if cur.Lookup("term", fmt.Sprintf("added%d", i+1)) != -1 || cur.Lookup("term", fmt.Sprintf("term#%d", first+2)) != -1 {
+				t.Fatalf("step %d: a name not added yet was found", i)
+			}
+		}
+		if folds == 0 || folds == 8 {
+			t.Fatalf("%d folds in 8 clones: want some, not one per clone", folds)
+		}
+	})
+}
+
+// scripted is a network beside the ops that built it, so any clone can be
+// compared with a from-scratch replay of its own history.
+type scripted struct {
+	n   *Network
+	ops []op
+}
+
+func (s *scripted) fork() *scripted { return &scripted{n: s.n.Clone(), ops: slices.Clone(s.ops)} }
+
+func (s *scripted) node(ty Type, name string) int {
+	s.ops = append(s.ops, op{src: ty, node: true, name: name})
+	return s.n.AddObject(ty, name)
+}
+
+func (s *scripted) link(src Type, sid int, dst Type, did int) {
+	s.ops = append(s.ops, op{src: src, sid: sid, dst: dst, did: did, w: 1})
+	if err := s.n.ApplyEdgeDeltas(src, dst, []EdgeDelta{{Src: sid, Dst: did, W: 1}}); err != nil {
+		panic(err)
+	}
+}
+
+// grow adds count papers, each with a new author and a new venue and a
+// link to both and back to author 0: every name list and link log grows.
+func (s *scripted) grow(prefix string, count int) {
+	for i := 0; i < count; i++ {
+		a := s.node("author", fmt.Sprintf("%s%d-author", prefix, i))
+		p := s.node("paper", fmt.Sprintf("%s%d-paper", prefix, i))
+		v := s.node("venue", fmt.Sprintf("%s%d-venue", prefix, i))
+		s.link("paper", p, "author", a)
+		s.link("paper", p, "author", 0)
+		s.link("paper", p, "venue", v)
+	}
+}
+
+// scriptedParent is a network as a write leaves it: relation matrices
+// warm, every list with room behind its end, a frozen index base and an
+// overlay too small to fold.
+func scriptedParent() *scripted {
+	s := &scripted{n: NewNetwork()}
+	s.grow("p", 40)
+	s.n.CommutingMatrix(MetaPath{"author", "paper", "venue", "paper", "author"})
+	s = s.fork()
+	s.grow("q", 1)
+	return s
+}
+
+// sameNetwork compares names, name index, link counts and relation bits.
+func sameNetwork(t *testing.T, what string, got, want *Network) {
+	t.Helper()
+	if !slices.Equal(got.Types(), want.Types()) {
+		t.Fatalf("%s: types %v, want %v", what, got.Types(), want.Types())
+	}
+	for _, a := range want.Types() {
+		if !slices.Equal(got.Names(a), want.Names(a)) {
+			t.Fatalf("%s: %s names %v, want %v", what, a, got.Names(a), want.Names(a))
+		}
+		for id, name := range want.Names(a) {
+			if got.Lookup(a, name) != id {
+				t.Fatalf("%s: Lookup(%s, %q) = %d, want %d", what, a, name, got.Lookup(a, name), id)
+			}
+		}
+		for _, b := range want.Types() {
+			if got.LinkCount(a, b) != want.LinkCount(a, b) {
+				t.Fatalf("%s: %d %s-%s links, want %d", what, got.LinkCount(a, b), a, b, want.LinkCount(a, b))
+			}
+			if want.HasRelation(a, b) {
+				sameMatrix(t, what+" "+string(a)+"-"+string(b), got.Relation(a, b), want.Relation(a, b))
+			}
+		}
 	}
 }

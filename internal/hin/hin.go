@@ -18,8 +18,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hinet/internal/graph"
 	"hinet/internal/metapath"
@@ -45,6 +47,78 @@ type relationKey struct {
 	src, dst Type
 }
 
+// list is an append-only sequence whose copies share one backing array.
+// end is the array's written length: the copy whose own length equals it
+// — one copy at most, settled by a compare-and-swap — appends in place,
+// past everything any other copy can see; every other copy appends by
+// copying out to an array (and an end) of its own. No copy reads past its
+// own length, so an in-place append never races a reader of an older copy.
+type list[T any] struct {
+	s   []T
+	end *atomic.Int64
+}
+
+func (l list[T]) append(xs ...T) list[T] {
+	n := len(l.s)
+	if l.end != nil && n+len(xs) <= cap(l.s) && l.end.CompareAndSwap(int64(n), int64(n+len(xs))) {
+		return list[T]{append(l.s, xs...), l.end}
+	}
+	// Full, or another copy has written past n (a sibling clone, a
+	// discarded failed batch): grow by append's own policy, elsewhere.
+	l = list[T]{append(l.s[:n:n], xs...), new(atomic.Int64)}
+	l.end.Store(int64(len(l.s)))
+	return l
+}
+
+// nameIndex maps a type's names to ids in two layers: a base shared by
+// pointer along a clone chain, and the names added since the base was
+// first shared. Until then its one owner inserts straight into it.
+type nameIndex struct {
+	base  *nameBase
+	added map[string]int
+}
+
+type nameBase struct {
+	ids    map[string]int
+	frozen atomic.Bool // set by the first Clone; nothing is inserted after
+}
+
+// foldShare: Clone folds added into a fresh base once it passes 1/foldShare
+// of the base — a clone copies at most that share of the names, and folding
+// costs about foldShare insertions per name added, amortized.
+const foldShare = 16
+
+func (x *nameIndex) lookup(name string) (int, bool) {
+	if id, ok := x.added[name]; ok {
+		return id, true
+	}
+	id, ok := x.base.ids[name]
+	return id, ok
+}
+
+func (x *nameIndex) insert(name string, id int) {
+	if !x.base.frozen.Load() {
+		x.base.ids[name] = id
+		return
+	}
+	if x.added == nil {
+		x.added = make(map[string]int)
+	}
+	x.added[name] = id
+}
+
+// clone freezes the base and shares it; only the added names are copied.
+func (x *nameIndex) clone() *nameIndex {
+	x.base.frozen.Store(true)
+	if len(x.added)*foldShare <= len(x.base.ids) {
+		return &nameIndex{base: x.base, added: maps.Clone(x.added)}
+	}
+	ids := make(map[string]int, len(x.base.ids)+len(x.added))
+	maps.Copy(ids, x.base.ids)
+	maps.Copy(ids, x.added)
+	return &nameIndex{base: &nameBase{ids: ids}}
+}
+
 // Network is a heterogeneous information network. Objects of each type
 // are dense integers 0..Count(t)-1 with optional names; links are typed
 // and weighted. Link insertion order is preserved per relation.
@@ -54,11 +128,14 @@ type relationKey struct {
 // (AddObject, AddLink, ApplyEdgeDeltas, ...) are single-writer and
 // must not run concurrently with queries — the serving layer gets
 // both by mutating a copy-on-write Clone and swapping it in atomically.
+// A clone shares the name lists and link logs (list) and the name index's
+// base (nameIndex) with its parent; what it adds lands past the parent's
+// lengths or in its own overlay, where no query of the parent looks.
 type Network struct {
 	types    []Type
-	names    map[Type][]string
-	index    map[Type]map[string]int
-	relation map[relationKey][]link
+	names    map[Type]list[string]
+	index    map[Type]*nameIndex
+	relation map[relationKey]list[link]
 
 	// version counts structural mutations; the meta-path engine's
 	// materialization cache moves epochs with it, so a network edit
@@ -74,7 +151,8 @@ type Network struct {
 	// relCache memoizes Relation's materialized adjacency matrices per
 	// orientation. Matrices are immutable, so cached values are shared
 	// freely; ApplyEdgeDeltas keeps them warm by merging deltas instead
-	// of rebuilding, and AddObject grows them in place of dropping.
+	// of rebuilding, and after AddObject an entry is grown, not dropped,
+	// where it is next read (cached).
 	relMu    sync.Mutex
 	relCache map[relationKey]*sparse.Matrix
 }
@@ -82,9 +160,9 @@ type Network struct {
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		names:    make(map[Type][]string),
-		index:    make(map[Type]map[string]int),
-		relation: make(map[relationKey][]link),
+		names:    make(map[Type]list[string]),
+		index:    make(map[Type]*nameIndex),
+		relation: make(map[relationKey]list[link]),
 		relCache: make(map[relationKey]*sparse.Matrix),
 	}
 }
@@ -96,8 +174,8 @@ func (n *Network) AddType(t Type) {
 	}
 	n.version++
 	n.types = append(n.types, t)
-	n.names[t] = nil
-	n.index[t] = make(map[string]int)
+	n.names[t] = list[string]{}
+	n.index[t] = &nameIndex{base: &nameBase{ids: make(map[string]int)}}
 	// A new type has no links, so no cached matrix or product can be
 	// stale — move the engine's epoch without dropping anything.
 	n.engInvalidate(func([]string) bool { return false })
@@ -110,13 +188,13 @@ func (n *Network) Types() []Type { return append([]Type(nil), n.types...) }
 // its dense id. Duplicate names within a type return the existing id.
 func (n *Network) AddObject(t Type, name string) int {
 	n.AddType(t)
-	if id, ok := n.index[t][name]; ok {
+	if id, ok := n.index[t].lookup(name); ok {
 		return id
 	}
-	id := len(n.names[t])
+	id := n.Count(t)
 	n.version++
-	n.names[t] = append(n.names[t], name)
-	n.index[t][name] = id
+	n.names[t] = n.names[t].append(name)
+	n.index[t].insert(name, id)
 	n.typeGrew(t)
 	return id
 }
@@ -125,33 +203,38 @@ func (n *Network) AddObject(t Type, name string) int {
 // of the first one; ids are contiguous.
 func (n *Network) AddAnonymous(t Type, count int) int {
 	n.AddType(t)
-	first := len(n.names[t])
+	first := n.Count(t)
 	n.version++
 	for i := 0; i < count; i++ {
 		name := fmt.Sprintf("%s#%d", t, first+i)
-		n.names[t] = append(n.names[t], name)
-		n.index[t][name] = first + i
+		n.names[t] = n.names[t].append(name)
+		n.index[t].insert(name, first+i)
 	}
 	n.typeGrew(t)
 	return first
 }
 
-// typeGrew reconciles the caches after Count(t) increased: cached
-// relation matrices touching t grow to the new dimensions (their
-// entries are unchanged — a fresh object has no links), and cached
+// typeGrew reconciles the engine after Count(t) increased: cached
 // meta-path products whose path mentions t are invalidated, since
 // their dimensions are stale (the engine keeps them as patch bases: a
-// row past the old dimension is a dirty row). The engine's other
-// entries move to the new epoch.
+// row past the old dimension is a dirty row), and its other entries move
+// to the new epoch. It does not grow the cached relation matrices
+// touching t: cached does, where one is next read, so a batch adding
+// many objects pays Grow's row-pointer copy once per orientation.
 func (n *Network) typeGrew(t Type) {
-	n.relMu.Lock()
-	for k, m := range n.relCache {
-		if k.src == t || k.dst == t {
-			n.relCache[k] = m.Grow(n.Count(k.src), n.Count(k.dst))
-		}
-	}
-	n.relMu.Unlock()
 	n.engInvalidate(func(path []string) bool { return slices.Contains(path, string(t)) })
+}
+
+// cached returns the memoized (src, dst) matrix at the types' current
+// counts, growing it first if objects were added since it was stored (its
+// entries are unchanged — a fresh object has no links). relMu is held.
+func (n *Network) cached(key relationKey) (*sparse.Matrix, bool) {
+	m, ok := n.relCache[key]
+	if rows, cols := n.Count(key.src), n.Count(key.dst); ok && (m.Rows() != rows || m.Cols() != cols) {
+		m = m.Grow(rows, cols)
+		n.relCache[key] = m
+	}
+	return m, ok
 }
 
 // relationChanged reconciles the caches after links between a and b
@@ -190,23 +273,25 @@ func (n *Network) engInvalidate(drop func(path []string) bool) {
 }
 
 // Count returns the number of objects of type t.
-func (n *Network) Count(t Type) int { return len(n.names[t]) }
+func (n *Network) Count(t Type) int { return len(n.names[t].s) }
 
 // Name returns the name of object (t, id).
-func (n *Network) Name(t Type, id int) string { return n.names[t][id] }
+func (n *Network) Name(t Type, id int) string { return n.names[t].s[id] }
 
 // Names returns the names of type t's objects, indexed by id — one type
 // lookup for a loop that names many objects. The slice is the network's
-// own (capacity-clipped): read it, do not write through it.
+// own: read it, do not write through it. It is clipped to Count(t), so
+// an append copies it out and names a later clone writes behind it, into
+// the same array, stay out of reach.
 func (n *Network) Names(t Type) []string {
-	ns := n.names[t]
+	ns := n.names[t].s
 	return ns[:len(ns):len(ns)]
 }
 
 // Lookup returns the id of the named object of type t, or -1.
 func (n *Network) Lookup(t Type, name string) int {
-	if m, ok := n.index[t]; ok {
-		if id, ok := m[name]; ok {
+	if x, ok := n.index[t]; ok {
+		if id, ok := x.lookup(name); ok {
 			return id
 		}
 	}
@@ -222,7 +307,7 @@ func (n *Network) AddLink(src Type, srcID int, dst Type, dstID int, w float64) {
 		panic(fmt.Sprintf("hin: link (%s,%d)-(%s,%d) out of range", src, srcID, dst, dstID))
 	}
 	n.version++
-	n.relation[relationKey{src, dst}] = append(n.relation[relationKey{src, dst}], link{srcID, dstID, w})
+	n.relation[relationKey{src, dst}] = n.relation[relationKey{src, dst}].append(link{srcID, dstID, w})
 	n.relationChanged(src, dst)
 }
 
@@ -255,18 +340,18 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 		}
 	}
 	key := relationKey{src, dst}
-	ls := n.relation[key]
-	for _, d := range deltas {
-		ls = append(ls, link{d.Src, d.Dst, d.W})
+	links := make([]link, len(deltas))
+	for i, d := range deltas {
+		links[i] = link{d.Src, d.Dst, d.W}
 	}
-	n.relation[key] = ls
+	n.relation[key] = n.relation[key].append(links...)
 	n.version++
 
 	// Merge into whichever orientations are materialized. Relation
 	// merges both log orientations, so the (dst, src) matrix sees the
 	// batch transposed.
 	n.relMu.Lock()
-	if m, ok := n.relCache[key]; ok {
+	if m, ok := n.cached(key); ok {
 		coords := make([]sparse.Coord, len(deltas))
 		for i, d := range deltas {
 			coords[i] = sparse.Coord{Row: d.Src, Col: d.Dst, Val: d.W}
@@ -274,7 +359,7 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 		n.relCache[key] = m.ApplyDelta(coords)
 	}
 	if rev := (relationKey{dst, src}); src != dst {
-		if m, ok := n.relCache[rev]; ok {
+		if m, ok := n.cached(rev); ok {
 			coords := make([]sparse.Coord, len(deltas))
 			for i, d := range deltas {
 				coords[i] = sparse.Coord{Row: d.Dst, Col: d.Src, Val: d.W}
@@ -293,13 +378,13 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 // LinkCount returns the number of stored links in the (src, dst)
 // orientation (reverse-orientation links are counted by their own key).
 func (n *Network) LinkCount(src, dst Type) int {
-	return len(n.relation[relationKey{src, dst}])
+	return len(n.relation[relationKey{src, dst}].s)
 }
 
 // HasRelation reports whether any links exist between the two types in
 // either orientation.
 func (n *Network) HasRelation(a, b Type) bool {
-	return len(n.relation[relationKey{a, b}]) > 0 || len(n.relation[relationKey{b, a}]) > 0
+	return n.LinkCount(a, b) > 0 || n.LinkCount(b, a) > 0
 }
 
 // Relation returns the weighted adjacency matrix W with W[i][j] = total
@@ -311,14 +396,14 @@ func (n *Network) HasRelation(a, b Type) bool {
 func (n *Network) Relation(src, dst Type) *sparse.Matrix {
 	key := relationKey{src, dst}
 	n.relMu.Lock()
-	if m, ok := n.relCache[key]; ok {
+	if m, ok := n.cached(key); ok {
 		n.relMu.Unlock()
 		return m
 	}
 	n.relMu.Unlock()
 	m := n.buildRelation(src, dst)
 	n.relMu.Lock()
-	if prev, ok := n.relCache[key]; ok {
+	if prev, ok := n.cached(key); ok {
 		// A concurrent query built it first; share that one.
 		m = prev
 	} else {
@@ -332,11 +417,11 @@ func (n *Network) Relation(src, dst Type) *sparse.Matrix {
 // log — the cold path behind Relation's cache.
 func (n *Network) buildRelation(src, dst Type) *sparse.Matrix {
 	var entries []sparse.Coord
-	for _, l := range n.relation[relationKey{src, dst}] {
+	for _, l := range n.relation[relationKey{src, dst}].s {
 		entries = append(entries, sparse.Coord{Row: l.src, Col: l.dst, Val: l.w})
 	}
 	if src != dst {
-		for _, l := range n.relation[relationKey{dst, src}] {
+		for _, l := range n.relation[relationKey{dst, src}].s {
 			entries = append(entries, sparse.Coord{Row: l.dst, Col: l.src, Val: l.w})
 		}
 	}
@@ -348,7 +433,7 @@ func (n *Network) buildRelation(src, dst Type) *sparse.Matrix {
 func (n *Network) SchemaEdges() [][2]Type {
 	seen := make(map[[2]Type]bool)
 	for k, ls := range n.relation {
-		if len(ls) == 0 {
+		if len(ls.s) == 0 {
 			continue
 		}
 		a, b := k.src, k.dst
@@ -475,12 +560,15 @@ func (s netSource) HasRelation(a, b string) bool { return s.n.HasRelation(Type(a
 func (s netSource) Relation(a, b string) *sparse.Matrix { return s.n.Relation(Type(a), Type(b)) }
 
 // Clone returns a copy-on-write clone of the network for incremental
-// delta chains: the clone shares the parent's immutable link storage,
-// cached relation matrices and completed meta-path materializations,
-// so cloning costs O(objects + relations), not O(links). Mutating the
-// clone never changes what the parent serves — link logs are
-// capacity-clipped so appends reallocate, matrices are immutable, and
-// the engine cache is copied entry-by-entry.
+// delta chains: the clone shares the parent's name lists, link logs,
+// name-index bases, cached relation matrices and completed meta-path
+// materializations, so cloning costs O(types + relations + names added
+// since the index bases were frozen), not O(objects + links). Mutating
+// the clone never changes what the parent serves: the first clone to
+// append to a shared list writes past the parent's length in place and
+// every other copy of it copies out (list), new names go to the clone's
+// own index overlay (nameIndex), matrices are immutable, and the engine
+// cache is copied entry-by-entry.
 //
 // The intended discipline is a single-writer chain (the serving
 // layer's ingest path): clone the live network, apply a delta batch to
@@ -489,31 +577,16 @@ func (s netSource) Relation(a, b string) *sparse.Matrix { return s.n.Relation(Ty
 func (n *Network) Clone() *Network {
 	c := &Network{
 		types:    append([]Type(nil), n.types...),
-		names:    make(map[Type][]string, len(n.names)),
-		index:    make(map[Type]map[string]int, len(n.index)),
-		relation: make(map[relationKey][]link, len(n.relation)),
-		relCache: make(map[relationKey]*sparse.Matrix),
+		names:    maps.Clone(n.names),
+		index:    make(map[Type]*nameIndex, len(n.index)),
+		relation: maps.Clone(n.relation),
 		version:  n.version,
 	}
-	for t, ns := range n.names {
-		// Clip capacity so an append in the clone reallocates instead
-		// of writing into the parent's backing array.
-		c.names[t] = ns[:len(ns):len(ns)]
-	}
-	for t, idx := range n.index {
-		m := make(map[string]int, len(idx))
-		for name, id := range idx {
-			m[name] = id
-		}
-		c.index[t] = m
-	}
-	for k, ls := range n.relation {
-		c.relation[k] = ls[:len(ls):len(ls)]
+	for t, x := range n.index {
+		c.index[t] = x.clone()
 	}
 	n.relMu.Lock()
-	for k, m := range n.relCache {
-		c.relCache[k] = m
-	}
+	c.relCache = maps.Clone(n.relCache)
 	n.relMu.Unlock()
 	n.engMu.Lock()
 	eng := n.eng
@@ -666,7 +739,7 @@ func (n *Network) Homogeneous() (*graph.Graph, map[Type]int) {
 		}
 	}
 	for k, ls := range n.relation {
-		for _, l := range ls {
+		for _, l := range ls.s {
 			u := offset[k.src] + l.src
 			v := offset[k.dst] + l.dst
 			if u != v {

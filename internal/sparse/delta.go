@@ -16,9 +16,9 @@
 //
 // Grow extends a matrix's dimensions without touching its entries —
 // new rows and columns are empty — sharing the column/value arrays
-// outright (and the row pointer too when only columns grow). It is how
-// the HIN layer keeps cached relation matrices warm when objects are
-// added to a type.
+// outright (and the row pointer too when only columns grow; more rows
+// cost a copy of the whole row pointer). It is how the HIN layer keeps
+// cached relation matrices warm when objects are added to a type.
 
 package sparse
 
@@ -163,33 +163,46 @@ func (m *Matrix) ApplyDelta(delta []Coord) *Matrix {
 	return n
 }
 
+// countingShare: below one delta entry per countingShare rows, sorting the
+// batch (n·log n compares) beats allocating and sweeping a per-row counter.
+const countingShare = 32
+
 // coalesceDelta groups the delta by row (ascending) and, within each
 // row, produces column-sorted entries with duplicates summed in input
 // order. It returns the touched rows (ascending) and, per row, the
 // [starts[i], starts[i+1]) extent into the returned deltaCols /
-// deltaVals arrays. Like NewFromCoords, grouping is a counting sort —
-// O(nnz_delta + numRows) — followed by tiny stable per-row column
-// sorts (stability is what keeps duplicate sums in input order).
+// deltaVals arrays. Grouping is stable either way — a counting sort
+// like NewFromCoords', O(nnz_delta + numRows), or for a batch far smaller
+// than the matrix a stable sort of the batch alone — followed by tiny
+// stable per-row column sorts (stability is what keeps duplicate sums
+// in input order).
 func coalesceDelta(numRows int, delta []Coord) (rows []int, starts []int, deltaCols []int32, deltaVals []float64) {
-	cnt := make([]int, numRows+1)
-	for _, e := range delta {
-		cnt[e.Row+1]++
-	}
-	for r := 0; r < numRows; r++ {
-		cnt[r+1] += cnt[r]
-	}
 	sorted := make([]Coord, len(delta))
-	next := append([]int(nil), cnt[:numRows]...)
-	for _, e := range delta {
-		sorted[next[e.Row]] = e
-		next[e.Row]++
+	if len(delta) < numRows/countingShare {
+		copy(sorted, delta)
+		slices.SortStableFunc(sorted, func(a, b Coord) int { return cmp.Compare(a.Row, b.Row) })
+	} else {
+		next := make([]int, numRows+1) // next[r]: where row r's next entry goes
+		for _, e := range delta {
+			next[e.Row+1]++
+		}
+		for r := 0; r < numRows; r++ {
+			next[r+1] += next[r]
+		}
+		for _, e := range delta {
+			sorted[next[e.Row]] = e
+			next[e.Row]++
+		}
 	}
 
 	deltaCols = make([]int32, 0, len(delta))
 	deltaVals = make([]float64, 0, len(delta))
 	for i := 0; i < len(sorted); {
 		r := sorted[i].Row
-		j := cnt[r+1]
+		j := i + 1
+		for j < len(sorted) && sorted[j].Row == r {
+			j++
+		}
 		rows = append(rows, r)
 		starts = append(starts, len(deltaCols))
 		row := sorted[i:j]
@@ -214,8 +227,9 @@ func coalesceDelta(numRows int, delta []Coord) (rows []int, starts []int, deltaC
 // Grow returns a matrix with the same stored entries but the given
 // (larger or equal) dimensions; new rows and columns are empty. The
 // column/value arrays are always shared with the receiver, and the row
-// pointer too when the row count is unchanged, so growing costs at
-// most O(new rows). Shrinking panics.
+// pointer too when the row count is unchanged: growing columns is O(1),
+// growing rows copies the row pointer, O(rows) however few are new — so
+// callers grow once per batch, not once per added row. Shrinking panics.
 func (m *Matrix) Grow(rows, cols int) *Matrix {
 	if rows < m.rows || cols < m.cols {
 		panic(fmt.Sprintf("sparse: Grow %dx%d below current %dx%d", rows, cols, m.rows, m.cols))

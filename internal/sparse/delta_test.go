@@ -142,6 +142,41 @@ func TestApplyDeltaRandomizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoalesceDeltaOrderingsAgree holds the two ways coalesceDelta groups
+// a batch by row — a counting pass over all rows, a stable sort of a batch
+// far smaller than the matrix — to one answer: rows, extents, column
+// order and duplicates summed in input order (the values make a reordered
+// sum show in the bits), with repeated and cancelling coordinates; and
+// ApplyDelta to one matrix, on batches either side of the crossover,
+// whether it has few rows (counted) or the same entries and many (sorted).
+func TestCoalesceDeltaOrderingsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const rows, cols = 32, 6
+	vals := []float64{1e16, -1e16, 1, 0.1, 0.7, -0.3}
+	short := NewFromCoords(rows, cols, []Coord{{0, 0, 1}, {5, 2, 0.3}, {rows - 1, 1, 2}})
+	tall := short.Grow(rows*countingShare, cols) // sorts a batch under rows entries
+	for trial := 0; trial < 300; trial++ {
+		var delta []Coord
+		for i, n := 0, 1+rng.Intn(2*rows); i < n; i++ {
+			c := Coord{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: vals[rng.Intn(len(vals))]}
+			if i > 0 && rng.Intn(3) == 0 { // repeat an earlier coordinate, half the time cancelling it
+				prev := delta[rng.Intn(i)]
+				c.Row, c.Col = prev.Row, prev.Col
+				if rng.Intn(2) == 0 {
+					c.Val = -prev.Val
+				}
+			}
+			delta = append(delta, c)
+		}
+		cr, cs, cc, cv := coalesceDelta(rows, delta) // rows/countingShare = 1 ≤ len: counted
+		sr, ss, sc, sv := coalesceDelta(countingShare*(len(delta)+1), delta)
+		if !reflect.DeepEqual(cr, sr) || !reflect.DeepEqual(cs, ss) || !reflect.DeepEqual(cc, sc) || !reflect.DeepEqual(cv, sv) {
+			t.Fatalf("trial %d:\ncounted %v %v %v %v\nsorted  %v %v %v %v", trial, cr, cs, cc, cv, sr, ss, sc, sv)
+		}
+		requireSame(t, tall.ApplyDelta(delta), short.ApplyDelta(delta).Grow(tall.Rows(), cols))
+	}
+}
+
 func TestGrow(t *testing.T) {
 	m := NewFromCoords(2, 3, []Coord{{0, 1, 2}, {1, 2, 3}})
 	n := m.Grow(4, 5)
