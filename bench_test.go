@@ -865,7 +865,7 @@ func BenchmarkClusterTopK(b *testing.B) {
 	dim := full.PathSim.Dim()
 	for _, shards := range []int{1, 2, 4} {
 		part := cluster.PartitionByNNZ(string(path[0]), dim, shards, full.PathSim.M.RowNNZ)
-		coord, err := cluster.NewLocalCluster(shards, part, spec, &cluster.RoundRobin{}, 1)
+		coord, err := cluster.NewLocalCluster(shards, part, spec, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/loadgen"
 	"hinet/internal/serve"
@@ -57,17 +56,9 @@ type loadgenFlags struct {
 	scheduleOnly    string
 	honorRetryAfter bool
 	shards          int
-	shardPolicy     string
 }
 
 func runLoadgen(f loadgenFlags) {
-	// Same pre-flight as runServe: serve.New panics on an unknown
-	// routing policy, so a bad -shard-policy must die as a CLI error
-	// before the in-process server boots.
-	if _, err := cluster.NewPolicy(f.shardPolicy); err != nil {
-		fmt.Fprintf(os.Stderr, "hinet loadgen: %v\n", err)
-		os.Exit(2)
-	}
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "hinet loadgen: %v\n", err)
 		os.Exit(1)
@@ -145,7 +136,6 @@ func runLoadgen(f loadgenFlags) {
 			BatchWindow:   f.window,
 			Workers:       f.workers,
 			Shards:        f.shards,
-			ShardPolicy:   f.shardPolicy,
 		}
 		if f.papers > 0 {
 			opts.Models.Corpus.Papers = f.papers

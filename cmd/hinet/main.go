@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"hinet/internal/cluster"
 	"hinet/internal/core"
 	"hinet/internal/dblp"
 	"hinet/internal/eval"
@@ -69,7 +68,7 @@ func main() {
 	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
 	pprofFlag := fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof/")
 	shards := fs.Int("shards", 0, "serve/loadgen: scatter-gather serving tier over N in-process shards (0/1 = unsharded)")
-	shardPolicy := fs.String("shard-policy", "", "serve/loadgen: shard routing policy (round-robin|least-loaded|key-affinity)")
+	shardPolicy := fs.String("shard-policy", "", "serve/loadgen: deprecated, ignored (no read is routed to one shard any more)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
 	admissionFloor := fs.Int("admission-floor", 0, "serve: lowest concurrency the adaptive limiter may reach (0 = default)")
@@ -100,6 +99,9 @@ func main() {
 	honorRetryAfter := fs.Bool("honor-retry-after", false, "loadgen: closed-loop workers back off per 503 Retry-After hints")
 	scheduleOnly := fs.String("schedule-only", "", "loadgen: write the generated schedule to FILE and exit")
 	_ = fs.Parse(os.Args[2:])
+	if *shardPolicy != "" {
+		fmt.Fprintln(os.Stderr, "hinet: -shard-policy is deprecated and ignored: no read is routed to one shard any more")
+	}
 
 	switch cmd {
 	case "rankclus":
@@ -125,7 +127,7 @@ func main() {
 			pprof: *pprofFlag, defaultTimeout: *defaultTimeout,
 			maxConcurrent: *maxConcurrent, admissionFloor: *admissionFloor,
 			sloTarget: *sloTarget, controlInterval: *controlInterval,
-			shards: *shards, shardPolicy: *shardPolicy,
+			shards: *shards,
 		})
 	case "ingest":
 		runIngest(*seed, *emit, *file, *server, *refresh, *papers)
@@ -139,7 +141,7 @@ func main() {
 			out: *out, sweep: *sweep, sweepSteps: *sweepSteps,
 			stepDuration: *stepDuration, sloP99: *sloP99, sloErrors: *sloErrors,
 			strict: *strict, scheduleOnly: *scheduleOnly, honorRetryAfter: *honorRetryAfter,
-			shards: *shards, shardPolicy: *shardPolicy,
+			shards: *shards,
 		})
 	default:
 		fmt.Fprintf(os.Stderr, "hinet: unknown subcommand %q\n", cmd)
@@ -164,13 +166,13 @@ subcommands:
              [-addr A] [-workers N] [-cache N] [-batch-window D] [-papers N] [-pprof]
              [-default-timeout D] [-max-concurrent N] [-admission-floor N]
              [-slo-target D] [-control-interval D]
-             [-shards N] [-shard-policy round-robin|least-loaded|key-affinity]
+             [-shards N] [-shard-policy P (deprecated, ignored)]
   ingest     stream JSONL deltas into a corpus or a running server
              [-emit N] [-file F|-] [-server URL] [-refresh-models] [-papers N]
   loadgen    deterministic load generator, trace record/replay, capacity sweep
              [-arrival poisson|closed|bursty] [-rate R] [-duration D] [-mix SPEC]
              [-record F | -replay F | -schedule-only F] [-sweep] [-out F] [-strict]
-             [-honor-retry-after] [-shards N] [-shard-policy P]
+             [-honor-retry-after] [-shards N] [-shard-policy P (deprecated, ignored)]
 `)
 }
 
@@ -273,14 +275,9 @@ type serveFlags struct {
 	sloTarget       time.Duration
 	controlInterval time.Duration
 	shards          int
-	shardPolicy     string
 }
 
 func runServe(f serveFlags) {
-	if _, err := cluster.NewPolicy(f.shardPolicy); err != nil {
-		fmt.Fprintf(os.Stderr, "hinet serve: %v\n", err)
-		os.Exit(2)
-	}
 	opts := serve.Options{
 		Addr:            f.addr,
 		Seed:            f.seed,
@@ -295,7 +292,6 @@ func runServe(f serveFlags) {
 		SLOTargetP99:    f.sloTarget,
 		ControlInterval: f.controlInterval,
 		Shards:          f.shards,
-		ShardPolicy:     f.shardPolicy,
 	}
 	if f.papers > 0 {
 		opts.Models.Corpus.Papers = f.papers
@@ -308,8 +304,8 @@ func runServe(f serveFlags) {
 		snap.Epoch, snap.BuildTime.Round(time.Millisecond),
 		snap.IndexDim, snap.IndexNNZ)
 	if c := s.Coordinator(); c.Shards() > 1 {
-		fmt.Printf("sharded tier: %d shards, policy %s, partition %v (skew %.2f)\n",
-			c.Shards(), c.PolicyName(), c.Partition().Bounds, c.Skew())
+		fmt.Printf("sharded tier: %d shards, partition %v (skew %.2f)\n",
+			c.Shards(), c.Partition().Bounds, c.Skew())
 	}
 	bound, err := s.Start()
 	if err != nil {

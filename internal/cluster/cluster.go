@@ -19,8 +19,9 @@
 //     once and shared by pointer among in-process shards. Being
 //     deterministic in (seed, spec, delta history), a shard that cannot
 //     share — replaying its log, or behind a future process boundary —
-//     rebuilds a bit-identical replica. Rank queries scatter over owned
-//     id ranges and merge, cluster reads route to one shard via a Policy.
+//     rebuilds a bit-identical replica. Ranking and clustering are
+//     functions of the whole network, so no shard answers them: whoever
+//     holds the generation (Coordinator.Models) reads its models directly.
 //
 // TopK/BatchTopK queries scatter to all shards — every shard scores its
 // range of the query's row and returns a local top-k — and the
@@ -51,9 +52,7 @@ import (
 	"errors"
 	"fmt"
 
-	"hinet/internal/core"
 	"hinet/internal/ingest"
-	"hinet/internal/netclus"
 	"hinet/internal/pathsim"
 )
 
@@ -79,13 +78,6 @@ type Shard interface {
 	TopK(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error)
 	// BatchTopK answers one partial top-k per entry of xs.
 	BatchTopK(ctx context.Context, epoch int64, path string, xs []int, k int) ([][]pathsim.Pair, error)
-	// Rank returns the shard's partial top-k of the named ranking
-	// metric (pagerank|authority|hub) over its owned id range, plus the
-	// model's iteration/convergence metadata (identical on every
-	// replica).
-	Rank(ctx context.Context, epoch int64, metric string, k int) ([]pathsim.Pair, int, bool, error)
-	// Clusters returns the shard's replica clustering models.
-	Clusters(ctx context.Context, epoch int64) (*core.Model, *netclus.Model, error)
 	// Ingest applies a delta batch as a new generation (all-or-nothing)
 	// and returns the published epoch.
 	Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error)
@@ -102,7 +94,8 @@ type Shard interface {
 
 // ShardStats is one shard's observable state: partition geometry, the
 // default-path index size (pathsim.Index.NNZ over the shard's range: the
-// skew signal), and load counters.
+// skew signal), and load counters — the PathSim reads (TopK, BatchTopK)
+// the shard has taken and is running; no other read reaches a shard.
 type ShardStats struct {
 	ID       int    `json:"id"`
 	Epoch    int64  `json:"epoch"`
@@ -126,9 +119,8 @@ func (e *EpochError) Error() string {
 	return fmt.Sprintf("cluster: shard %d cannot serve epoch %d (at epoch %d)", e.Shard, e.Want, e.Have)
 }
 
-// ClientError marks a query error caused by the request itself (bad
-// path, unknown metric) rather than shard state; the serving layer
-// maps it to HTTP 400.
+// ClientError marks a query error caused by the request itself (a bad
+// path) rather than shard state; the serving layer maps it to HTTP 400.
 type ClientError struct{ Err error }
 
 func (e *ClientError) Error() string { return e.Err.Error() }

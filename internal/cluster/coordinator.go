@@ -1,9 +1,10 @@
-// The scatter-gather coordinator: fans queries out to every shard,
-// merges partial top-k answers under the same strict total order the
-// single-index scan uses, and serializes write fan-out so the cluster
-// epoch advances only when every shard has published. The coordinator
-// holds no model state of its own — it is pure routing and merging —
-// which is what keeps it transport-agnostic.
+// The scatter-gather coordinator: fans PathSim queries out to every
+// shard, merges partial top-k answers under the same strict total order
+// the single-index scan uses, and serializes write fan-out so the
+// cluster epoch advances only when every shard has published. The
+// coordinator holds no model state of its own — it fans out, merges and
+// says where a generation's models are (Models) — which is what keeps it
+// transport-agnostic.
 
 package cluster
 
@@ -15,9 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hinet/internal/core"
 	"hinet/internal/ingest"
-	"hinet/internal/netclus"
 	"hinet/internal/obs"
 	"hinet/internal/pathsim"
 )
@@ -27,26 +26,23 @@ type Coordinator struct {
 	part   Partition
 	shards []Shard
 	spans  []string // "shard<i>": per-shard trace span names
-	policy Policy
+	models func(epoch int64) (*Models, error)
 
 	mu    sync.Mutex   // serializes write fan-out
 	epoch atomic.Int64 // min over shard epochs, advanced after all publish
 
 	scatters atomic.Uint64 // scatter-gather fan-outs issued
-	routed   atomic.Uint64 // single-shard reads routed by policy
 }
 
-// NewCoordinator wires a coordinator over pre-built shards. The
+// NewCoordinator wires a coordinator over pre-built shards; models
+// resolves the model set the shards serve at an epoch (Models). The
 // coordinator's epoch starts at the minimum shard epoch (0 for empty
 // shards; call Rebuild to materialize the first generation).
-func NewCoordinator(shards []Shard, part Partition, policy Policy) *Coordinator {
+func NewCoordinator(shards []Shard, part Partition, models func(epoch int64) (*Models, error)) *Coordinator {
 	if len(shards) == 0 {
 		panic("cluster: coordinator needs at least one shard")
 	}
-	if policy == nil {
-		policy = &RoundRobin{}
-	}
-	c := &Coordinator{part: part, shards: shards, spans: make([]string, len(shards)), policy: policy}
+	c := &Coordinator{part: part, shards: shards, spans: make([]string, len(shards)), models: models}
 	for i := range c.spans {
 		c.spans[i] = fmt.Sprintf("shard%d", i)
 	}
@@ -63,8 +59,10 @@ func NewCoordinator(shards []Shard, part Partition, policy Policy) *Coordinator 
 // coordinator — the `hinet serve -shards N` construction path. The
 // shards share one build memo, so every write fanned out through the
 // coordinator builds its models once and all n shards hold the same
-// *Models.
-func NewLocalCluster(n int, part Partition, spec ModelSpec, policy Policy, seed int64) (*Coordinator, error) {
+// *Models — which the coordinator hands out as shard 0's. The fourth
+// parameter is ignored: bench/ still passes it a nil; the next
+// [benchmark] PR drops that argument and this parameter together.
+func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (*Coordinator, error) {
 	if part.Shards() != n {
 		return nil, fmt.Errorf("cluster: partition has %d ranges for %d shards", part.Shards(), n)
 	}
@@ -75,7 +73,7 @@ func NewLocalCluster(n int, part Partition, spec ModelSpec, policy Policy, seed 
 		sh.memo = memo
 		shards[i] = sh
 	}
-	c := NewCoordinator(shards, part, policy)
+	c := NewCoordinator(shards, part, shards[0].(*LocalShard).modelsAt)
 	if _, err := c.Rebuild(seed); err != nil {
 		return nil, err
 	}
@@ -92,20 +90,16 @@ func (c *Coordinator) Shard(i int) Shard { return c.shards[i] }
 // has published.
 func (c *Coordinator) Epoch() int64 { return c.epoch.Load() }
 
-// PolicyName returns the routing policy's knob name.
-func (c *Coordinator) PolicyName() string { return c.policy.Name() }
+// Models returns the generation the shards serve at epoch — what
+// ranking, clustering and rendering read, with no shard in between. An
+// epoch no longer (or not yet) retained is an EpochError.
+func (c *Coordinator) Models(epoch int64) (*Models, error) { return c.models(epoch) }
 
 // Partition returns the fixed candidate partition.
 func (c *Coordinator) Partition() Partition { return c.part }
 
 // Scatters returns the number of fan-out reads issued.
 func (c *Coordinator) Scatters() uint64 { return c.scatters.Load() }
-
-// Routed returns the number of single-shard reads routed by policy.
-func (c *Coordinator) Routed() uint64 { return c.routed.Load() }
-
-// inflightOf adapts the shard stats to the Policy load signal.
-func (c *Coordinator) inflightOf(i int) int64 { return c.shards[i].Stats().Inflight }
 
 // scatter runs fn against every shard concurrently under a "scatter"
 // span of tr, adding one timed child span per shard after the gather
@@ -254,42 +248,6 @@ func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string,
 	}
 	tr.End(sp)
 	return out, nil
-}
-
-// RankAt scatter-gathers the ranking metric at a fixed epoch: each
-// shard contributes the top-k of its owned id range of the generation's
-// score vector, and the merge reproduces the single-process
-// stats.TopK order exactly. Iteration metadata comes from shard 0's
-// generation (identical everywhere).
-func (c *Coordinator) RankAt(ctx context.Context, epoch int64, metric string, k int) ([]pathsim.Pair, int, bool, error) {
-	tr := obs.FromContext(ctx)
-	partials := make([][]pathsim.Pair, len(c.shards))
-	iters := make([]int, len(c.shards))
-	conv := make([]bool, len(c.shards))
-	sp, err := c.scatter(tr, func(i int, sh Shard) error {
-		var err error
-		partials[i], iters[i], conv[i], err = sh.Rank(ctx, epoch, metric, k)
-		return err
-	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	sp = tr.Next(sp, "merge")
-	merged := pathsim.MergeTopK(partials, k, nil)
-	tr.End(sp)
-	return merged, iters[0], conv[0], nil
-}
-
-// ClustersAt routes a cluster-model read to one shard picked by the
-// routing policy (any shard answers identically).
-func (c *Coordinator) ClustersAt(ctx context.Context, epoch int64, algo string) (*core.Model, *netclus.Model, error) {
-	c.routed.Add(1)
-	i := c.policy.Pick("clusters|"+algo, len(c.shards), c.inflightOf)
-	tr := obs.FromContext(ctx)
-	sp := tr.Start(c.spans[i])
-	rc, nc, err := c.shards[i].Clusters(ctx, epoch)
-	tr.End(sp)
-	return rc, nc, err
 }
 
 // fanOut applies one write to every shard, shard 0 first: every shard

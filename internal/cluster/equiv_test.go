@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,7 +16,6 @@ import (
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
 	"hinet/internal/pathsim"
-	"hinet/internal/stats"
 )
 
 // testSpec keeps model builds fast; two areas, few hundred papers.
@@ -131,52 +131,19 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 		pairsEqual(t, fullAPA.TopK(x, 10), got, label+" TopK path=APA")
 	}
 
-	// Rank: merged per-shard range top-k == stats.TopK of the replica
-	// vector, metadata identical.
-	for _, metric := range []string{"pagerank", "authority", "hub"} {
-		var scores []float64
-		var iters int
-		var conv bool
-		switch metric {
-		case "pagerank":
-			scores, iters, conv = ref.PageRank.Scores, ref.PageRank.Iterations, ref.PageRank.Converged
-		case "authority":
-			scores, iters, conv = ref.HITS.Authority, ref.HITS.Iterations, ref.HITS.Converged
-		case "hub":
-			scores, iters, conv = ref.HITS.Hub, ref.HITS.Iterations, ref.HITS.Converged
-		}
-		for _, k := range []int{1, 10, len(scores) + 5} {
-			got, gi, gc, err := c.RankAt(ctx, epoch, metric, k)
-			if err != nil {
-				t.Fatalf("%s: Rank(%s): %v", label, metric, err)
-			}
-			if gi != iters || gc != conv {
-				t.Fatalf("%s: Rank(%s) metadata (%d,%v), want (%d,%v)", label, metric, gi, gc, iters, conv)
-			}
-			wantIDs := stats.TopK(scores, k)
-			if len(wantIDs) != len(got) {
-				t.Fatalf("%s: Rank(%s,k=%d): %d ids, want %d", label, metric, k, len(got), len(wantIDs))
-			}
-			for i, id := range wantIDs {
-				if got[i].ID != id || got[i].Score != scores[id] {
-					t.Fatalf("%s: Rank(%s) row %d = {%d,%v}, want {%d,%v}",
-						label, metric, i, got[i].ID, got[i].Score, id, scores[id])
-				}
-			}
-		}
-	}
-
-	// Cluster models: replicas must equal the reference build exactly
-	// (same assignment vector — the models are deterministic).
-	rc, nc, err := c.ClustersAt(ctx, epoch, "rankclus")
+	// The generation the coordinator hands out at the epoch is the
+	// reference build exactly: ranking vectors and their metadata bit for
+	// bit, the same cluster assignment (the models are deterministic).
+	m, err := c.Models(epoch)
 	if err != nil {
-		t.Fatalf("%s: Clusters: %v", label, err)
+		t.Fatalf("%s: Models: %v", label, err)
 	}
-	if rc.K != ref.RankClus.K || nc.K != ref.NetClus.K {
+	sameRanks(t, label, m, ref)
+	if m.RankClus.K != ref.RankClus.K || m.NetClus.K != ref.NetClus.K {
 		t.Fatalf("%s: cluster K mismatch", label)
 	}
 	for i, a := range ref.RankClus.Assign {
-		if rc.Assign[i] != a {
+		if m.RankClus.Assign[i] != a {
 			t.Fatalf("%s: RankClus assignment diverged at %d", label, i)
 		}
 	}
@@ -198,7 +165,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			for pname, part := range parts {
 				label := fmt.Sprintf("seed=%d shards=%d part=%s", seed, shards, pname)
-				c, err := NewLocalCluster(shards, part, spec, &RoundRobin{}, seed)
+				c, err := NewLocalCluster(shards, part, spec, nil, seed)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -235,6 +202,10 @@ func TestShardedEquivalence(t *testing.T) {
 				if _, err := c.TopKAt(context.Background(), 3, "", x, 10); err == nil {
 					t.Fatalf("%s: future epoch should fail", label)
 				}
+				var ee *EpochError
+				if m, err := c.Models(3); !errors.As(err, &ee) || m != nil {
+					t.Fatalf("%s: Models(3) = %v, %v, want an EpochError", label, m, err)
+				}
 			}
 		}
 	}
@@ -247,7 +218,7 @@ func TestShardedEquivalenceAfterRestart(t *testing.T) {
 	of := string(dblp.TypeAuthor)
 	ref := BuildModels(9, spec)
 	part := PartitionByNNZ(of, ref.PathSim.Dim(), 3, ref.PathSim.M.RowNNZ)
-	c, err := NewLocalCluster(3, part, spec, &RoundRobin{}, 9)
+	c, err := NewLocalCluster(3, part, spec, nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hinet/internal/core"
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
-	"hinet/internal/netclus"
 	"hinet/internal/pathsim"
-	"hinet/internal/stats"
 )
 
 // maxPathIndexes bounds a generation's memoized per-path range
@@ -427,61 +424,23 @@ func (sh *LocalShard) BatchTopK(ctx context.Context, epoch int64, path string, x
 	return ix.BatchTopKCtx(ctx, xs, k)
 }
 
-// Rank implements Shard: the partial top-k of the metric's score
-// vector over the shard's owned id range, under the exact
-// stats.TopK order (score descending, ties by lower id) so the merged
-// ranking is identical to the single-process one.
-func (sh *LocalShard) Rank(ctx context.Context, epoch int64, metric string, k int) ([]pathsim.Pair, int, bool, error) {
-	g, err := sh.enter(epoch)
-	defer sh.inflight.Add(-1)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	m := g.models
-	var scores []float64
-	var iters int
-	var converged bool
-	switch metric {
-	case "pagerank":
-		scores, iters, converged = m.PageRank.Scores, m.PageRank.Iterations, m.PageRank.Converged
-	case "authority":
-		scores, iters, converged = m.HITS.Authority, m.HITS.Iterations, m.HITS.Converged
-	case "hub":
-		scores, iters, converged = m.HITS.Hub, m.HITS.Iterations, m.HITS.Converged
-	default:
-		return nil, 0, false, &ClientError{Err: fmt.Errorf("unknown metric %q (want pagerank|authority|hub)", metric)}
-	}
-	var h []pathsim.Pair
-	if k > 0 { // a bounded selection needs k ≥ 1
-		lo, hi := sh.boundsFor(PathAPA[0], len(scores))
-		h = make([]pathsim.Pair, 0, min(k, hi-lo))
-		for id := lo; id < hi; id++ {
-			h = stats.BoundedOffer(h, k, pathsim.Pair{ID: id, Score: scores[id]}, pathsim.WorsePair)
-		}
-		slices.SortFunc(h, pathsim.ComparePairs)
-	}
-	return h, iters, converged, nil
-}
-
-// Clusters implements Shard: the generation's clustering models at the
-// requested epoch (identical on every shard).
-func (sh *LocalShard) Clusters(ctx context.Context, epoch int64) (*core.Model, *netclus.Model, error) {
-	g, err := sh.enter(epoch)
-	defer sh.inflight.Add(-1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.models.RankClus, g.models.NetClus, nil
-}
-
 // Models returns the live generation's model set (nil before the first
-// write, and while a Restart replays) — the hook an in-process serving
-// store publishes the cluster's shared generation through.
+// write, and while a Restart replays).
 func (sh *LocalShard) Models() *Models {
 	if g := sh.gen.Load(); g != nil {
 		return g.models
 	}
 	return nil
+}
+
+// modelsAt returns the model set of the generation serving epoch: what
+// NewLocalCluster backs Coordinator.Models with, from shard 0.
+func (sh *LocalShard) modelsAt(epoch int64) (*Models, error) {
+	g, err := sh.genAt(epoch)
+	if err != nil {
+		return nil, err
+	}
+	return g.models, nil
 }
 
 // Stats implements Shard.

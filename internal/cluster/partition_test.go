@@ -74,48 +74,3 @@ func TestPartitionUniformAndZeroWeight(t *testing.T) {
 		t.Fatalf("rangeOf(0, 15) = [%d,%d), want fixed bounds", lo, hi)
 	}
 }
-
-func TestPolicies(t *testing.T) {
-	load := []int64{5, 0, 3}
-	inflight := func(i int) int64 { return load[i] }
-
-	rr := &RoundRobin{}
-	for want := 0; want < 7; want++ {
-		if got := rr.Pick("k", 3, inflight); got != want%3 {
-			t.Fatalf("round-robin pick %d = %d, want %d", want, got, want%3)
-		}
-	}
-
-	ll := &LeastLoaded{}
-	for i := 0; i < 5; i++ {
-		if got := ll.Pick("k", 3, inflight); got != 1 {
-			t.Fatalf("least-loaded picked %d, want 1", got)
-		}
-	}
-	// Ties spread over the tied shards via the rotating start.
-	flat := func(int) int64 { return 0 }
-	seen := map[int]bool{}
-	for i := 0; i < 9; i++ {
-		seen[ll.Pick("k", 3, flat)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("least-loaded tie-break stuck on %v", seen)
-	}
-
-	ka := KeyAffinity{}
-	a, b := ka.Pick("query-1", 8, inflight), ka.Pick("query-2", 8, inflight)
-	for i := 0; i < 10; i++ {
-		if ka.Pick("query-1", 8, inflight) != a || ka.Pick("query-2", 8, inflight) != b {
-			t.Fatal("key-affinity not stable")
-		}
-	}
-
-	for _, name := range []string{"", "round-robin", "least-loaded", "key-affinity"} {
-		if _, err := NewPolicy(name); err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
-		}
-	}
-	if _, err := NewPolicy("bogus"); err == nil {
-		t.Fatal("NewPolicy(bogus) should fail")
-	}
-}

@@ -101,7 +101,7 @@ func TestClusterRace(t *testing.T) {
 	seed := int64(7)
 	ref := BuildModels(seed, spec)
 	part := PartitionByNNZ(string(dblp.TypeAuthor), ref.PathSim.Dim(), shards, ref.PathSim.M.RowNNZ)
-	c, err := NewLocalCluster(shards, part, spec, &LeastLoaded{}, seed)
+	c, err := NewLocalCluster(shards, part, spec, nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

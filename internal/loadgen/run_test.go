@@ -204,7 +204,7 @@ func TestGoldenShardedReplay(t *testing.T) {
 	if *update {
 		t.Skip("fixture being rewritten")
 	}
-	target := startTestServer(t, serve.Options{Shards: 3, ShardPolicy: "least-loaded"})
+	target := startTestServer(t, serve.Options{Shards: 3})
 	f, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatalf("open golden trace (regenerate with -update): %v", err)

@@ -28,17 +28,11 @@ func before(a, b Pair) bool {
 	return a.ID < b.ID
 }
 
-// WorsePair reports whether a ranks strictly below b in the top-k
-// order — the "worse" predicate of a bounded min-heap selection
-// (cluster.LocalShard.Rank selects its k ≪ n ranking ids that way).
-// Every top-k list in the system is in this one order, which is what
-// lets MergeTopK reassemble per-shard partial answers into the
-// single-index answer bit for bit.
-func WorsePair(a, b Pair) bool { return before(b, a) }
-
 // ComparePairs is the top-k order as a three-way comparison (the shape
 // slices.SortFunc and slices.IsSortedFunc take): negative when a
-// precedes b.
+// precedes b. Every PathSim top-k list in the system is in this one
+// order, which is what lets MergeTopK reassemble per-shard partial
+// answers into the single-index answer bit for bit.
 func ComparePairs(a, b Pair) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c

@@ -2,12 +2,12 @@
 // (internal/cluster) of max(1, Options.Shards) shards — an unsharded
 // server is the one-shard case, not a different path. The cluster
 // builds each generation once; the store publishes that same generation
-// as its snapshot (names, corpus and model payloads render from it),
-// and the coordinator answers the kernel-shaped surfaces (top-k, rank,
-// clusters) from the shards' candidate ranges. Only what an operator
-// sees of the tier — /v1/cluster/shards, the hinet_cluster_* and
-// hinet_shard_* series, the /v1/stats "cluster" entry — depends on
-// whether there is more than one shard.
+// as its snapshot — rank and cluster reads, names and the corpus come
+// straight from it — and the coordinator answers PathSim top-k from the
+// shards' candidate ranges. Only what an operator sees of the tier —
+// /v1/cluster/shards, the hinet_cluster_* and hinet_shard_* series, the
+// /v1/stats "cluster" entry — depends on whether there is more than one
+// shard.
 
 package serve
 
@@ -41,16 +41,12 @@ func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 // harness digests response shapes, and a trace recorded against one
 // shard must replay cleanly against three (and vice versa).
 func (s *Server) writeClusterStats(w *jsonWriter, snap *Snapshot) {
-	shards, epoch, policy, skew := 1, snap.Epoch, "none", 1.0
-	var scatters, routed uint64
+	shards, epoch, skew, scatters := 1, snap.Epoch, 1.0, uint64(0)
 	if s.coord.Shards() > 1 {
-		shards, epoch, policy, skew = s.coord.Shards(), s.coord.Epoch(), s.coord.PolicyName(), s.coord.Skew()
-		scatters, routed = s.coord.Scatters(), s.coord.Routed()
+		shards, epoch, skew, scatters = s.coord.Shards(), s.coord.Epoch(), s.coord.Skew(), s.coord.Scatters()
 	}
 	w.beginObject()
 	w.key("epoch").integer(epoch)
-	w.key("policy").str(policy)
-	w.key("routed").unsigned(routed)
 	w.key("scatters").unsigned(scatters)
 	w.key("shards").integer(int64(shards))
 	w.key("skew").float(skew)
@@ -58,8 +54,9 @@ func (s *Server) writeClusterStats(w *jsonWriter, snap *Snapshot) {
 }
 
 // handleClusterShards serves the partition-skew view: per-shard epoch,
-// candidate range, nnz, and load counters. Registered at every shard
-// count (the endpoint set is fixed at boot); one shard answers 404.
+// candidate range, nnz, and load counters (PathSim reads: nothing else
+// reaches a shard). Registered at every shard count (the endpoint set is
+// fixed at boot); one shard answers 404.
 func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
 	if s.coord.Shards() <= 1 {
 		httpError(w, http.StatusNotFound, "server is not sharded (start with -shards N)")
@@ -69,7 +66,7 @@ func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
 	sp := tr.Start("collect")
 	q := r.URL.Query()
 	stats := s.coord.Stats()
-	epoch, policy, bounds, skew := s.coord.Epoch(), s.coord.PolicyName(), s.coord.Partition().Bounds, s.coord.Skew()
+	epoch, bounds, skew := s.coord.Epoch(), s.coord.Partition().Bounds, s.coord.Skew()
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()
 	jw.beginObject()
@@ -79,7 +76,6 @@ func (s *Server) handleClusterShards(w http.ResponseWriter, r *http.Request) {
 		jw.integer(int64(b))
 	}
 	jw.endArray()
-	jw.key("policy").str(policy)
 	jw.key("shards").beginArray()
 	for _, st := range stats {
 		jw.beginObject()
@@ -111,7 +107,6 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	fmt.Fprintf(w, "hinet_cluster_epoch %d\n", s.coord.Epoch())
 	fmt.Fprintf(w, "hinet_cluster_skew %g\n", s.coord.Skew())
 	fmt.Fprintf(w, "hinet_cluster_scatters_total %d\n", s.coord.Scatters())
-	fmt.Fprintf(w, "hinet_cluster_routed_total %d\n", s.coord.Routed())
 	for _, st := range s.coord.Stats() {
 		fmt.Fprintf(w, "hinet_shard_epoch{shard=\"%d\"} %d\n", st.ID, st.Epoch)
 		fmt.Fprintf(w, "hinet_shard_nnz{shard=\"%d\"} %d\n", st.ID, st.NNZ)
@@ -139,9 +134,9 @@ func (s *Server) adopt(write func() (int64, error)) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := s.coord.Shard(0).(*cluster.LocalShard).Models()
-	if m == nil {
-		return nil, errNoSnapshot
+	m, err := s.coord.Models(epoch)
+	if err != nil {
+		return nil, err
 	}
 	snap := &Snapshot{Epoch: epoch, BuiltAt: start, Models: m, IndexDim: m.Corpus.Net.Count(pathAPVPA[0])}
 	for _, st := range s.coord.Stats() {

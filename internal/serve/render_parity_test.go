@@ -172,13 +172,12 @@ func refStats(s *Server, snap *Snapshot) map[string]any {
 		latency[f.Name()] = entry
 	}
 	clusterStats := map[string]any{
-		"shards": 1, "epoch": snap.Epoch, "policy": "none", "skew": 1.0,
-		"scatters": uint64(0), "routed": uint64(0),
+		"shards": 1, "epoch": snap.Epoch, "skew": 1.0, "scatters": uint64(0),
 	}
 	if s.coord.Shards() > 1 {
 		clusterStats = map[string]any{
-			"shards": s.coord.Shards(), "epoch": s.coord.Epoch(), "policy": s.coord.PolicyName(),
-			"skew": s.coord.Skew(), "scatters": s.coord.Scatters(), "routed": s.coord.Routed(),
+			"shards": s.coord.Shards(), "epoch": s.coord.Epoch(),
+			"skew": s.coord.Skew(), "scatters": s.coord.Scatters(),
 		}
 	}
 	objects := map[string]int{}
@@ -250,7 +249,6 @@ func refClusterShards(s *Server) map[string]any {
 	return map[string]any{
 		"shards":    shards,
 		"epoch":     s.coord.Epoch(),
-		"policy":    s.coord.PolicyName(),
 		"partition": s.coord.Partition().Bounds,
 		"skew":      s.coord.Skew(),
 	}
@@ -544,7 +542,7 @@ func decodeErr(body string) error {
 // /v1/stats "cluster" section and /v1/cluster/shards view.
 func TestRenderParitySharded(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4, ControlInterval: -1})
-	s := newTestServer(t, Options{Seed: 4, Shards: 3, ShardPolicy: "least-loaded", ControlInterval: -1})
+	s := newTestServer(t, Options{Seed: 4, Shards: 3, ControlInterval: -1})
 	ref, snap := single.Snapshot(), s.Snapshot()
 	for _, tc := range []struct {
 		spec string

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func do(t *testing.T, s *Server, method, path, body string) (int, string) {
 
 func TestShardedServeParity(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4})
-	sharded := newTestServer(t, Options{Seed: 4, Shards: 3, ShardPolicy: "least-loaded"})
+	sharded := newTestServer(t, Options{Seed: 4, Shards: 3})
 	if single.Coordinator().Shards() != 1 || sharded.Coordinator().Shards() != 3 {
 		t.Fatal("servers did not boot a one-shard and a 3-shard coordinator")
 	}
@@ -142,12 +144,11 @@ func TestShardedServeParity(t *testing.T) {
 		Epoch     int64   `json:"epoch"`
 		Partition []int   `json:"partition"`
 		Skew      float64 `json:"skew"`
-		Policy    string  `json:"policy"`
 	}
 	if err := json.Unmarshal([]byte(shardsBody), &sb); err != nil {
 		t.Fatal(err)
 	}
-	if len(sb.Shards) != 3 || sb.Epoch != 2 || sb.Policy != "least-loaded" || sb.Skew <= 0 {
+	if len(sb.Shards) != 3 || sb.Epoch != 2 || sb.Skew <= 0 {
 		t.Fatalf("shard stats payload: %s", shardsBody)
 	}
 	totalNNZ := 0
@@ -171,7 +172,7 @@ func TestShardedServeParity(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{"shards", "epoch", "policy", "skew", "scatters", "routed"} {
+		for _, key := range []string{"shards", "epoch", "skew", "scatters"} {
 			if _, ok := st.Cluster[key]; !ok {
 				t.Fatalf("stats cluster entry missing %q: %v", key, st.Cluster)
 			}
@@ -272,4 +273,71 @@ func TestColdPathBuildOffDispatcher(t *testing.T) {
 		return
 	}
 	t.Fatal("cold path trace has no resolve span")
+}
+
+var shardLoadCounters = regexp.MustCompile(`"queries": \d+|hinet_cluster_scatters_total \d+`)
+
+// TestRankAndClustersTouchNoShard: ranking and clustering are functions
+// of the whole network, answered from the snapshot the request holds.
+// At three shards those reads leave every shard's query counter and the
+// scatter counter where they were, their traces have no scatter,
+// shard<i> or merge stage, and a rank request allocates what it does at
+// one shard.
+func TestRankAndClustersTouchNoShard(t *testing.T) {
+	single := newTestServer(t, Options{Seed: 4})
+	sharded := newTestServer(t, Options{Seed: 4, Shards: 3})
+	counters := func() []string {
+		_, shards := do(t, sharded, "GET", "/v1/cluster/shards", "")
+		_, metrics := do(t, sharded, "GET", "/metrics", "")
+		return shardLoadCounters.FindAllString(shards+metrics, -1)
+	}
+	if code, out := do(t, sharded, "GET", "/v1/pathsim/topk?id=0&k=5", ""); code != 200 {
+		t.Fatalf("topk = %d: %s", code, out)
+	}
+	before := counters()
+	if want := []string{`"queries": 1`, `"queries": 1`, `"queries": 1`, "hinet_cluster_scatters_total 1"}; !slices.Equal(before, want) {
+		t.Fatalf("counters after one top-k = %v, want %v", before, want)
+	}
+	for i := 0; i < 5; i++ {
+		for _, p := range []string{
+			"/v1/rank?metric=pagerank&debug=1", "/v1/rank?metric=authority&debug=1", "/v1/rank?metric=hub&debug=1",
+			"/v1/clusters?algo=rankclus&debug=1", "/v1/clusters?algo=netclus&debug=1",
+		} {
+			var body struct {
+				Trace *obs.TraceJSON `json:"trace"`
+			}
+			if code := get(t, sharded, "GET", p, &body); code != 200 || body.Trace == nil {
+				t.Fatalf("%s = %d, trace %v", p, code, body.Trace)
+			}
+			var walk func([]*obs.SpanJSON)
+			walk = func(spans []*obs.SpanJSON) {
+				for _, sp := range spans {
+					if sp.Stage == "scatter" || sp.Stage == "merge" || strings.HasPrefix(sp.Stage, "shard") {
+						t.Errorf("%s: trace has a %q stage", p, sp.Stage)
+					}
+					walk(sp.Children)
+				}
+			}
+			walk(body.Trace.Stages)
+		}
+	}
+	if after := counters(); !slices.Equal(after, before) {
+		t.Fatalf("rank and cluster reads moved the shard counters: %v -> %v", before, after)
+	}
+
+	if raceEnabled {
+		return // race instrumentation perturbs allocation counts
+	}
+	allocs := func(s *Server) float64 {
+		return testing.AllocsPerRun(100, func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/rank?top=10", nil))
+			if rec.Code != 200 {
+				t.Fatalf("rank = %d", rec.Code)
+			}
+		})
+	}
+	if one, three := allocs(single), allocs(sharded); one != three {
+		t.Fatalf("/v1/rank allocates %.0f times at one shard, %.0f at three", one, three)
+	}
 }

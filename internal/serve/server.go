@@ -10,15 +10,15 @@
 //     shards behind a scatter-gather coordinator build each immutable
 //     generation once — PageRank/HITS vectors, RankClus and NetClus
 //     cluster models, the default PathSim index as per-shard candidate
-//     ranges — and answer top-k, rank and cluster reads from it; an
-//     unsharded server is the one-shard case of the same path. Each
+//     ranges — and answer top-k reads from the ranges; an unsharded
+//     server is the one-shard case of the same path. Each
 //     generation carries its network's meta-path engine
 //     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
 //     meta-paths, planned and materialized on first use and answered
 //     from the shards' memo afterwards;
 //   - a snapshot Store (snapshot.go) publishes each generation
-//     atomically for rendering (names, corpus, model payloads), so
-//     writes never block queries;
+//     atomically — /v1/rank and /v1/clusters are answered from it, as is
+//     every name a response renders — so writes never block queries;
 //   - a sharded LRU Cache (cache.go) answers hot queries from memory,
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
@@ -77,10 +77,8 @@ type Options struct {
 	// Cluster tier (internal/cluster): the PathSim candidate space is
 	// partitioned over max(1, Shards) in-process shards behind a
 	// scatter-gather coordinator; answers are bitwise-identical at any
-	// count. ShardPolicy picks the single-shard routing policy ("",
-	// "round-robin", "least-loaded", "key-affinity").
-	Shards      int
-	ShardPolicy string
+	// count.
+	Shards int
 
 	CacheCapacity int           // result cache entries; 0 = 4096, < 0 disables
 	CacheShards   int           // cache shards (default 16)
@@ -169,7 +167,7 @@ type Server struct {
 	hs    *http.Server
 	ln    net.Listener
 
-	coord *cluster.Coordinator // scatter-gather tier: every kernel read and every write
+	coord *cluster.Coordinator // scatter-gather tier: every PathSim read and every write
 
 	shutOnce sync.Once
 	shutErr  error
@@ -206,10 +204,6 @@ func New(opts Options) *Server {
 	}
 	s.adm = newAdmission(opts.AdmissionFloor, opts.MaxConcurrent,
 		opts.SLOTargetP99, opts.ControlInterval, opts.BrownoutEnter, opts.BrownoutExit)
-	policy, err := cluster.NewPolicy(opts.ShardPolicy)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
 	// The cluster builds the first generation once for all its shards and
 	// the store publishes that same generation. One shard owns the whole
 	// candidate range — bounds [0, 0], the last shard absorbing the type.
@@ -229,7 +223,7 @@ func New(opts Options) *Server {
 		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.RowNNZ)
 	}
 	if _, err := s.adopt(func() (epoch int64, err error) {
-		if s.coord, err = cluster.NewLocalCluster(shards, part, spec, policy, opts.Seed); err != nil {
+		if s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed); err != nil {
 			return 0, err
 		}
 		return s.coord.Epoch(), nil
@@ -264,9 +258,9 @@ func New(opts Options) *Server {
 
 	s.route("/healthz", classCritical, s.handleHealthz)
 	s.route("/metrics", classCritical, s.handleMetrics)
-	s.route("/v1/stats", classCheap, s.handleStats)
-	s.route("/v1/rank", classCheap, s.read(s.handleRank))
-	s.route("/v1/clusters", classCheap, s.read(s.handleClusters))
+	s.route("/v1/stats", classCheap, s.live(s.handleStats))
+	s.route("/v1/rank", classCheap, s.live(s.handleRank))
+	s.route("/v1/clusters", classCheap, s.live(s.handleClusters))
 	s.route("/v1/pathsim/topk", classQuery, s.read(s.handleTopK))
 	s.route("/v1/rebuild", classWrite, s.handleRebuild)
 	s.route("/v1/ingest", classWrite, s.handleIngest)
@@ -629,23 +623,31 @@ func (s *Server) readLive(snap *Snapshot, read func(*Snapshot) error) error {
 	return err
 }
 
-// read adapts a handler that reads the cluster tier at a snapshot's
-// epoch. The handler gets the live snapshot; if the shards have already
-// evicted that epoch it returns their EpochError before writing
-// anything, and runs again (readLive). Any error it returns unanswered
-// is a 503.
-func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot) error) http.HandlerFunc {
+// live adapts a handler that answers from the live snapshot alone:
+// stats, and the rank and cluster reads — functions of the whole network,
+// one model per generation, so no shard is asked and no epoch can have
+// been evicted.
+func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.store.Current()
 		if snap == nil {
 			httpError(w, http.StatusServiceUnavailable, "no snapshot")
 			return
 		}
-		err := s.readLive(snap, func(snap *Snapshot) error { return h(w, r, snap) })
-		if err != nil {
+		h(w, r, snap)
+	}
+}
+
+// read adapts a handler that also reads the shards, at the snapshot's
+// epoch. If they have already evicted that epoch the handler returns
+// their EpochError before writing anything, and runs again (readLive).
+// Any error it returns unanswered is a 503.
+func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot) error) http.HandlerFunc {
+	return s.live(func(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
+		if err := s.readLive(snap, func(snap *Snapshot) error { return h(w, r, snap) }); err != nil {
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		}
-	}
+	})
 }
 
 // kernel is the batched top-k kernel of a resolved path at snap's
@@ -773,12 +775,7 @@ func (s *Server) writeLatency(w *jsonWriter) {
 	w.endObject()
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Current()
-	if snap == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot")
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
 	tr := traceOf(w)
 	sp := tr.Start("collect")
 	q := r.URL.Query()
@@ -856,37 +853,32 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
 	top, err := intParam(q, "top", 10)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
-		return nil
+		return
 	}
 	metric := q.Get("metric")
+	var scores []float64
+	iters, converged := snap.HITS.Iterations, snap.HITS.Converged
 	switch metric {
-	case "":
+	case "", "pagerank":
 		metric = "pagerank"
-	case "pagerank", "authority", "hub":
+		scores, iters, converged = snap.PageRank.Scores, snap.PageRank.Iterations, snap.PageRank.Converged
+	case "authority":
+		scores = snap.HITS.Authority
+	case "hub":
+		scores = snap.HITS.Hub
 	default:
 		httpError(w, http.StatusBadRequest, "unknown metric %q (want pagerank|authority|hub)", metric)
-		return nil
+		return
 	}
 	sp = tr.Next(sp, "rank")
-	// Each shard contributes the top of its owned id range of the
-	// generation's score vector; the merge reproduces the stats.TopK
-	// order over the whole vector exactly.
-	ctx := r.Context()
-	if tr != nil {
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	pairs, iters, converged, err := s.coord.RankAt(ctx, snap.Epoch, metric, top)
-	if err != nil {
-		tr.End(sp)
-		return err
-	}
+	ids := stats.TopK(scores, top)
 	sp = tr.Next(sp, "render")
 	jw := newJSONWriter()
 	jw.beginObject()
@@ -897,25 +889,24 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	jw.key("metric").str(metric)
 	jw.key("top").beginArray()
 	names := snap.Corpus.Net.Names(dblp.TypeAuthor)
-	for _, p := range pairs {
-		jw.scored(p.ID, names[p.ID], p.Score)
+	for _, id := range ids {
+		jw.scored(id, names[id], scores[id])
 	}
 	jw.endArray()
 	tr.Next(sp, "serialize")
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
-	return nil
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
+func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
 	top, err := intParam(q, "top", 5)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
-		return nil
+		return
 	}
 	algo := q.Get("algo")
 	switch algo {
@@ -924,22 +915,9 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 	case "rankclus", "netclus":
 	default:
 		httpError(w, http.StatusBadRequest, "unknown algo %q (want rankclus|netclus)", algo)
-		return nil
+		return
 	}
 	c := snap.Corpus
-	// Cluster models are whole-model reads, so the coordinator routes
-	// them to one shard by policy instead of scattering; the fetched
-	// models are the snapshot's own generation (or, from a shard that
-	// has just replayed its log, a bit-identical rebuild of it).
-	ctx := r.Context()
-	if tr != nil {
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	rcm, ncm, err := s.coord.ClustersAt(ctx, snap.Epoch, algo)
-	if err != nil {
-		tr.End(sp)
-		return err
-	}
 	jw := newJSONWriter()
 	jw.beginObject()
 	jw.key("algo").str(algo)
@@ -957,7 +935,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 	jw.key("clusters").beginArray()
 	switch algo {
 	case "rankclus":
-		m := rcm
+		m := snap.RankClus
 		for k := 0; k < m.K; k++ {
 			jw.beginObject()
 			rows(dblp.TypeAuthor, m.TopY(k, top), m.RankY[k])
@@ -972,7 +950,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 		jw.key("k").integer(int64(m.K))
 		jw.key("nmi").float(snap.nmiRankClus.venue)
 	case "netclus":
-		m := ncm
+		m := snap.NetClus
 		// Attribute indexes follow Corpus.Star: 0 author, 1 venue, 2 term.
 		for k := 0; k < m.K; k++ {
 			jw.beginObject()
@@ -997,7 +975,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
-	return nil
 }
 
 // nmiAligned scores the overlap of a ground-truth labeling and a
@@ -1207,8 +1184,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	snap, sum, err := s.ingest(req.Deltas, req.RefreshModels)
 	if err != nil {
 		s.ing.rejected.Add(1)
+		// A batch shard 0 rejects is the client's; a generation the write
+		// published and shard 0 no longer holds (it is mid-restart) is the
+		// server's state.
 		code := http.StatusBadRequest
-		if errors.Is(err, errNoSnapshot) {
+		if ee := (*cluster.EpochError)(nil); errors.As(err, &ee) {
 			code = http.StatusServiceUnavailable
 		}
 		httpError(w, code, "%v", err)

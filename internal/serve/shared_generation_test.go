@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,10 +94,61 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	requireOneGeneration(t, sharded, 2, "ingest")
 
 	// A restarted shard answers from its private replay, byte for byte,
-	// and shares the generation again from the next write on.
+	// and shares the generation again from the next write on. Rank and
+	// cluster reads need no shard: they keep answering, with the unsharded
+	// server's bytes, while the shard is down replaying its log.
+	wholeNet := []string{"/v1/rank?metric=pagerank&top=20", "/v1/rank?metric=authority&top=20", "/v1/rank?metric=hub&top=20",
+		"/v1/clusters?algo=rankclus", "/v1/clusters?algo=netclus"}
+	want200 := make([]string, len(wholeNet))
+	for i, p := range wholeNet {
+		if code, body := do(t, single, "GET", p, ""); code != 200 {
+			t.Fatalf("%s = %d: %s", p, code, body)
+		} else {
+			want200[i] = body
+		}
+	}
+	var passes atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			for i, p := range wholeNet {
+				if code, body := do(t, sharded, "GET", p, ""); code != 200 || body != want200[i] {
+					t.Errorf("during restart %s diverged\nsingle  (200): %s\nsharded (%d): %s", p, want200[i], code, body)
+					return
+				}
+			}
+			passes.Add(1)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	// Restart until reads have completed inside a replay: on one core a
+	// replay this short is not preempted, so none may.
 	restarted := sharded.Coordinator().Shard(1).(*cluster.LocalShard)
-	if err := restarted.Restart(); err != nil {
-		t.Fatal(err)
+	for passes.Load() == 0 {
+		select {
+		case <-done:
+			t.FailNow() // the reader has said why
+		default:
+			runtime.Gosched()
+		}
+	}
+	during := int64(0)
+	for attempt := 0; attempt < 20 && during == 0; attempt++ {
+		downAt := passes.Load()
+		if err := restarted.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		during = passes.Load() - downAt
+	}
+	close(stop)
+	<-done
+	if during == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Fatal("no rank or cluster read completed while shard 1 replayed its log")
 	}
 	if restarted.Models() == sharded.Snapshot().Models {
 		t.Fatal("Restart did not replay privately")

@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,11 +62,6 @@ type nmiMemo struct {
 	once         sync.Once
 	paper, venue float64
 }
-
-// errNoSnapshot reports a write that left shard 0 without a live
-// generation (it is mid-restart) — the one write failure that is the
-// server's state, not the client's batch (it maps to 503, not 400).
-var errNoSnapshot = errors.New("serve: no snapshot to ingest into")
 
 // Engine returns the snapshot's meta-path engine (the planner and
 // materialization cache of the snapshot's network).
