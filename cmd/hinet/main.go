@@ -68,7 +68,6 @@ func main() {
 	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
 	pprofFlag := fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof/")
 	shards := fs.Int("shards", 0, "serve/loadgen: scatter-gather serving tier over N in-process shards (0/1 = unsharded)")
-	shardPolicy := fs.String("shard-policy", "", "serve/loadgen: deprecated, ignored (no read is routed to one shard any more)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
 	admissionFloor := fs.Int("admission-floor", 0, "serve: lowest concurrency the adaptive limiter may reach (0 = default)")
@@ -99,9 +98,6 @@ func main() {
 	honorRetryAfter := fs.Bool("honor-retry-after", false, "loadgen: closed-loop workers back off per 503 Retry-After hints")
 	scheduleOnly := fs.String("schedule-only", "", "loadgen: write the generated schedule to FILE and exit")
 	_ = fs.Parse(os.Args[2:])
-	if *shardPolicy != "" {
-		fmt.Fprintln(os.Stderr, "hinet: -shard-policy is deprecated and ignored: no read is routed to one shard any more")
-	}
 
 	switch cmd {
 	case "rankclus":
@@ -166,13 +162,13 @@ subcommands:
              [-addr A] [-workers N] [-cache N] [-batch-window D] [-papers N] [-pprof]
              [-default-timeout D] [-max-concurrent N] [-admission-floor N]
              [-slo-target D] [-control-interval D]
-             [-shards N] [-shard-policy P (deprecated, ignored)]
+             [-shards N]
   ingest     stream JSONL deltas into a corpus or a running server
              [-emit N] [-file F|-] [-server URL] [-refresh-models] [-papers N]
   loadgen    deterministic load generator, trace record/replay, capacity sweep
              [-arrival poisson|closed|bursty] [-rate R] [-duration D] [-mix SPEC]
              [-record F | -replay F | -schedule-only F] [-sweep] [-out F] [-strict]
-             [-honor-retry-after] [-shards N] [-shard-policy P (deprecated, ignored)]
+             [-honor-retry-after] [-shards N]
 `)
 }
 

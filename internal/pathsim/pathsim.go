@@ -404,8 +404,8 @@ func (ix *Index) AllScores(x int) []float64 {
 // MergeTopK merges per-range partial top-k lists into the global
 // top-k, writing into dst's backing array (allocating only when it is
 // too small). Every part must already be in top-k order — TopK,
-// BatchTopKCtx, a shard's Rank and MergeTopK itself all return theirs
-// that way; builds with the race detector on check it and panic — so
+// BatchTopKCtx and MergeTopK itself all return theirs that way; builds
+// with the race detector on check it and panic — so
 // this is a k-way merge: each output pair is the best of the parts'
 // heads, at most len(parts)·k comparisons, the parts left untouched.
 // Any global top-k member ranks within the top k of its own range, so

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -329,28 +331,38 @@ func batcherGoroutines() int {
 	return n
 }
 
-// TestBatcherLeavesNoGoroutines: an idle server has no batcher
-// goroutine, helpers end with the queue, and Shutdown — also one issued
-// mid-batch, which fails the queued followers — returns the process to
-// its pre-boot goroutine count.
-func TestBatcherLeavesNoGoroutines(t *testing.T) {
-	settle := func(what string, base int) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines, %d before boot", what, runtime.NumGoroutine(), base)
-			}
-		}
-	}
-	// One throwaway boot starts whatever the process keeps for good (the
-	// sparse worker pool); the baseline is what is left after it.
+// goroutineBaseline boots and shuts down one throwaway server — which
+// starts whatever the process keeps for good (the sparse worker pool) —
+// and returns the goroutine count left after it.
+func goroutineBaseline(t *testing.T) int {
+	t.Helper()
 	warm := New(Options{Models: testConfig(), ControlInterval: -1})
 	if _, _, err := warm.TopK(context.Background(), 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	_ = warm.Shutdown(context.Background())
 	time.Sleep(10 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	return runtime.NumGoroutine()
+}
+
+// settleGoroutines waits for the process to be back at base goroutines,
+// and fails with every stack if it is not within 5 s.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, %d before boot:\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestBatcherLeavesNoGoroutines: an idle server has no batcher
+// goroutine, helpers end with the queue, and Shutdown — also one issued
+// mid-batch, which fails the queued followers — returns the process to
+// its pre-boot goroutine count.
+func TestBatcherLeavesNoGoroutines(t *testing.T) {
+	base := goroutineBaseline(t)
 
 	s := New(Options{Models: testConfig(), CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(30 * time.Millisecond)})
 	if n := batcherGoroutines(); n != 0 || runtime.NumGoroutine() > base {
@@ -371,7 +383,7 @@ func TestBatcherLeavesNoGoroutines(t *testing.T) {
 	wait()
 	wg.Wait()
 	waitBatcher(t, s.batch, "every slot back", func() bool { return s.batch.free == s.batch.slots })
-	settle("after a contended round", base)
+	settleGoroutines(t, "after a contended round", base)
 	if n := batcherGoroutines(); n != 0 {
 		t.Fatalf("%d batcher goroutines outlived an empty queue", n)
 	}
@@ -397,7 +409,67 @@ func TestBatcherLeavesNoGoroutines(t *testing.T) {
 		t.Errorf("queued follower at shutdown: err = %v, want errShutdown", err)
 	}
 	wait()
-	settle("after Shutdown", base)
+	settleGoroutines(t, "after Shutdown", base)
+}
+
+// TestShutdownLeavesNoGoroutines is the leak check for the whole server,
+// not just the batcher: boot, mixed traffic over real connections with
+// an ingest in the middle, Shutdown — and the process is back at its
+// pre-boot goroutine count: the admission controller, the http.Server
+// and its connections are gone, and no batcher helper outlived the
+// traffic. At one shard and at three.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	base := goroutineBaseline(t)
+	for _, shards := range []int{1, 3} {
+		s := New(Options{Addr: "127.0.0.1:0", Models: testConfig(), Shards: shards})
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp := &http.Transport{}
+		client := &http.Client{Transport: tp}
+		reads := func() {
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for _, path := range []string{
+						"/v1/pathsim/topk?id=" + itoa(c) + "&k=5", "/v1/rank?top=3", "/v1/clusters?top=2",
+						"/v1/pathsim/topk?path=A-P-A&id=" + itoa(c) + "&k=5", "/v1/stats", "/metrics",
+						"/v1/pathsim/topk?id=" + itoa(c) + "&k=5",
+					} {
+						resp, err := client.Get("http://" + addr + path)
+						if err != nil {
+							t.Errorf("client %d: %s: %v", c, path, err)
+							return
+						}
+						_, _ = io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != 200 {
+							t.Errorf("client %d: %s = %d", c, path, resp.StatusCode)
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+		}
+		reads()
+		resp, err := client.Post("http://"+addr+"/v1/ingest", "application/json", strings.NewReader(ingestBody(t, s, "leak")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("ingest = %d", resp.StatusCode)
+		}
+		reads()
+		tp.CloseIdleConnections()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("%d shards: Shutdown: %v", shards, err)
+		}
+		settleGoroutines(t, itoa(shards)+" shards, after Shutdown", base)
+	}
 }
 
 // TestTopKRacingShutdown: callers that race Shutdown get an answer or

@@ -81,7 +81,6 @@ type Options struct {
 	Shards int
 
 	CacheCapacity int           // result cache entries; 0 = 4096, < 0 disables
-	CacheShards   int           // cache shards (default 16)
 	MaxBatch      int           // top-k coalescing cap (default 64)
 	BatchWindow   time.Duration // extra wait to widen batches (default 0: natural coalescing)
 	Workers       int           // sparse pool worker cap (0 = leave as configured)
@@ -118,9 +117,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 4096
 	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 16
-	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
 	}
@@ -150,6 +146,9 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// cacheShards is the result cache's lock striping.
+const cacheShards = 16
 
 // Server wires the cluster tier, store, cache, batcher and admission
 // controller behind an http.Handler.
@@ -198,7 +197,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:  opts,
-		cache: NewCache(opts.CacheCapacity, opts.CacheShards),
+		cache: NewCache(opts.CacheCapacity, cacheShards),
 		obs:   obs.NewRegistry(obs.Options{}),
 		mux:   http.NewServeMux(),
 	}
