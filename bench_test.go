@@ -869,11 +869,11 @@ func BenchmarkClusterTopK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		epoch := coord.Epoch()
+		view := coord.View()
 		for _, k := range []int{10, 100} {
 			b.Run(fmt.Sprintf("shards=%d/k=%d", shards, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := coord.TopKAt(ctx, epoch, path.String(), i%dim, k); err != nil {
+					if _, err := view.TopK(ctx, path.String(), i%dim, k); err != nil {
 						b.Fatal(err)
 					}
 				}

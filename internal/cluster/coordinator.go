@@ -1,10 +1,8 @@
-// The scatter-gather coordinator: fans PathSim queries out to every
-// shard, merges partial top-k answers under the same strict total order
-// the single-index scan uses, and serializes write fan-out so the
-// cluster epoch advances only when every shard has published. The
-// coordinator holds no model state of its own — it fans out, merges and
-// says where a generation's models are (Models) — which is what keeps it
-// transport-agnostic.
+// The scatter-gather coordinator: publishes one View per write once
+// every shard has published, fans a View's PathSim reads out to every
+// shard, and merges partial top-k answers under the same strict total
+// order the single-index scan uses. It holds no model state of its own:
+// the View it publishes says where a generation's models are.
 
 package cluster
 
@@ -24,34 +22,24 @@ import (
 // Coordinator routes queries across one partition's shards.
 type Coordinator struct {
 	part   Partition
-	shards []Shard
+	shards []*LocalShard
 	spans  []string // "shard<i>": per-shard trace span names
-	models func(epoch int64) (*Models, error)
 
-	mu    sync.Mutex   // serializes write fan-out
-	epoch atomic.Int64 // min over shard epochs, advanced after all publish
+	mu   sync.Mutex // serializes write fan-out and restarts
+	view atomic.Pointer[View]
 
 	scatters atomic.Uint64 // scatter-gather fan-outs issued
 }
 
-// NewCoordinator wires a coordinator over pre-built shards; models
-// resolves the model set the shards serve at an epoch (Models). The
-// coordinator's epoch starts at the minimum shard epoch (0 for empty
-// shards; call Rebuild to materialize the first generation).
-func NewCoordinator(shards []Shard, part Partition, models func(epoch int64) (*Models, error)) *Coordinator {
-	if len(shards) == 0 {
-		panic("cluster: coordinator needs at least one shard")
-	}
-	c := &Coordinator{part: part, shards: shards, spans: make([]string, len(shards)), models: models}
-	for i := range c.spans {
-		c.spans[i] = fmt.Sprintf("shard%d", i)
-	}
-	minEp := shards[0].Epoch()
-	for _, sh := range shards[1:] {
-		minEp = min(minEp, sh.Epoch())
-	}
-	c.epoch.Store(minEp)
-	return c
+// View is one published generation of every shard: its epoch, the
+// models the shards share (embedded: what ranking, clustering and
+// rendering read, with no shard in between) and each shard's generation,
+// held by pointer. Immutable; its reads cannot miss their generation.
+type View struct {
+	Epoch int64
+	*Models
+	c    *Coordinator
+	gens []*generation // gens[i] is shard i's
 }
 
 // NewLocalCluster builds n in-process shards over the partition,
@@ -59,21 +47,20 @@ func NewCoordinator(shards []Shard, part Partition, models func(epoch int64) (*M
 // coordinator — the `hinet serve -shards N` construction path. The
 // shards share one build memo, so every write fanned out through the
 // coordinator builds its models once and all n shards hold the same
-// *Models — which the coordinator hands out as shard 0's. The fourth
-// parameter is ignored: bench/ still passes it a nil; the next
-// [benchmark] PR drops that argument and this parameter together.
+// *Models. The fourth parameter is ignored: bench/ still passes it a
+// nil; the next [benchmark] PR drops that argument and this parameter
+// together.
 func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (*Coordinator, error) {
 	if part.Shards() != n {
 		return nil, fmt.Errorf("cluster: partition has %d ranges for %d shards", part.Shards(), n)
 	}
-	shards := make([]Shard, n)
+	spec.SkipPathSim = true
+	c := &Coordinator{part: part, shards: make([]*LocalShard, n), spans: make([]string, n)}
 	memo := &builds{}
-	for i := range shards {
-		sh := NewLocalShard(i, part, spec)
-		sh.memo = memo
-		shards[i] = sh
+	for i := range c.shards {
+		c.shards[i] = &LocalShard{id: i, part: part, spec: spec, memo: memo}
+		c.spans[i] = fmt.Sprintf("shard%d", i)
 	}
-	c := NewCoordinator(shards, part, shards[0].(*LocalShard).modelsAt)
 	if _, err := c.Rebuild(seed); err != nil {
 		return nil, err
 	}
@@ -83,17 +70,15 @@ func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Shard returns shard i (tests and the restart harness).
-func (c *Coordinator) Shard(i int) Shard { return c.shards[i] }
+// Shard returns shard i (tests).
+func (c *Coordinator) Shard(i int) *LocalShard { return c.shards[i] }
 
-// Epoch returns the cluster epoch: the highest generation every shard
+// View returns the published View: the newest generation every shard
 // has published.
-func (c *Coordinator) Epoch() int64 { return c.epoch.Load() }
+func (c *Coordinator) View() *View { return c.view.Load() }
 
-// Models returns the generation the shards serve at epoch — what
-// ranking, clustering and rendering read, with no shard in between. An
-// epoch no longer (or not yet) retained is an EpochError.
-func (c *Coordinator) Models(epoch int64) (*Models, error) { return c.models(epoch) }
+// Epoch returns the cluster epoch: the published View's.
+func (c *Coordinator) Epoch() int64 { return c.view.Load().Epoch }
 
 // Partition returns the fixed candidate partition.
 func (c *Coordinator) Partition() Partition { return c.part }
@@ -111,7 +96,7 @@ func (c *Coordinator) Scatters() uint64 { return c.scatters.Load() }
 // first error wins (client errors take priority, so a bad path is
 // always reported as such) and closes the span; partial results are
 // discarded on error.
-func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh Shard) error) (int, error) {
+func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh *LocalShard) error) (int, error) {
 	c.scatters.Add(1)
 	sp := tr.Start("scatter")
 	if len(c.shards) == 1 {
@@ -155,28 +140,28 @@ func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh Shard) error) (in
 	return sp, first
 }
 
-// ResolveAt makes a meta-path servable at a fixed epoch and reports
-// whether every shard already held its range index of it. When some do
-// not and build is set, the shards materialize theirs concurrently, on
-// the caller's goroutine and its fan-out — the cold build of a path
-// never runs inside a later query's scatter, where it would stall
-// whoever dispatches kernels. Without build nothing is materialized:
-// the answer says whether queries over the path would find it built.
-func (c *Coordinator) ResolveAt(ctx context.Context, epoch int64, path string, build bool) (bool, error) {
+// Resolve makes a meta-path servable in v and reports whether every
+// shard already held its range index of it. When some do not and build
+// is set, the shards materialize theirs concurrently, on the caller's
+// goroutine and its fan-out — the cold build of a path never runs
+// inside a later query's scatter, where it would stall whoever
+// dispatches kernels. Without build nothing is materialized: the answer
+// says whether queries over the path would find it built.
+func (v *View) Resolve(ctx context.Context, path string, build bool) (bool, error) {
 	held := true
-	for _, sh := range c.shards {
-		h, err := sh.Resolve(ctx, epoch, path, false)
+	for i, sh := range v.c.shards {
+		ix, _, err := sh.held(v.gens[i], path)
 		if err != nil {
 			return false, err
 		}
-		held = held && h
+		held = held && ix != nil
 	}
 	if held || !build {
 		return held, nil
 	}
 	tr := obs.FromContext(ctx)
-	sp, err := c.scatter(tr, func(_ int, sh Shard) error {
-		_, err := sh.Resolve(ctx, epoch, path, true)
+	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
+		_, err := sh.rangeFor(ctx, v.gens[i], path)
 		return err
 	})
 	if err == nil {
@@ -185,17 +170,18 @@ func (c *Coordinator) ResolveAt(ctx context.Context, epoch int64, path string, b
 	return false, err
 }
 
-// TopKAt scatter-gathers a top-k query at a fixed epoch: every shard
-// scores its candidate range of the query's row, and the partials merge
-// under the single-index order (pathsim.MergeTopK), yielding an answer
-// bitwise-identical to a single-process index at that epoch.
-func (c *Coordinator) TopKAt(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error) {
+// TopK scatter-gathers a top-k query: every shard scores its candidate
+// range of the query's row, and the partials merge under the
+// single-index order (pathsim.MergeTopK), yielding an answer
+// bitwise-identical to a single-process index of v's generation.
+func (v *View) TopK(ctx context.Context, path string, x, k int) ([]pathsim.Pair, error) {
 	tr := obs.FromContext(ctx)
-	partials := make([][]pathsim.Pair, len(c.shards))
-	sp, err := c.scatter(tr, func(i int, sh Shard) error {
-		var err error
-		partials[i], err = sh.TopK(ctx, epoch, path, x, k)
-		return err
+	partials := make([][]pathsim.Pair, len(v.gens))
+	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
+		return sh.read(ctx, v.gens[i], path, func(ix *pathsim.Index) error {
+			partials[i] = ix.TopK(x, k)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -206,41 +192,37 @@ func (c *Coordinator) TopKAt(ctx context.Context, epoch int64, path string, x, k
 	return merged, nil
 }
 
-// TopK is TopKAt at the current cluster epoch, retried if writes
-// advance the cluster past it mid-flight.
+// TopK is View().TopK, with the epoch it answered at.
 func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []pathsim.Pair, epoch int64, err error) {
-	err = RetryEvicted(c.epoch.Load(), c.epoch.Load, func(at int64) (err error) {
-		epoch = at
-		pairs, err = c.TopKAt(ctx, at, path, x, k)
-		return err
-	})
-	if err != nil {
+	v := c.view.Load()
+	if pairs, err = v.TopK(ctx, path, x, k); err != nil {
 		return nil, 0, err
 	}
-	return pairs, epoch, nil
+	return pairs, v.Epoch, nil
 }
 
-// BatchTopKAt is the batched scatter-gather: the whole query batch
-// fans out to every shard (each answering all queries over its own
-// slice, in parallel internally), then each query's partials merge.
-func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string, xs []int, k int) ([][]pathsim.Pair, error) {
+// BatchTopK is the batched scatter-gather: the whole query batch fans
+// out to every shard (each answering all queries over its own slice, in
+// parallel internally), then each query's partials merge.
+func (v *View) BatchTopK(ctx context.Context, path string, xs []int, k int) ([][]pathsim.Pair, error) {
 	tr := obs.FromContext(ctx)
-	partials := make([][][]pathsim.Pair, len(c.shards))
-	sp, err := c.scatter(tr, func(i int, sh Shard) error {
-		var err error
-		partials[i], err = sh.BatchTopK(ctx, epoch, path, xs, k)
-		return err
+	partials := make([][][]pathsim.Pair, len(v.gens))
+	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
+		return sh.read(ctx, v.gens[i], path, func(ix *pathsim.Index) (err error) {
+			partials[i], err = ix.BatchTopKCtx(ctx, xs, k)
+			return err
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
 	sp = tr.Next(sp, "merge")
 	out := partials[0] // one shard's partials are the answers
-	if len(c.shards) > 1 {
+	if len(v.gens) > 1 {
 		out = make([][]pathsim.Pair, len(xs))
-		parts := make([][]pathsim.Pair, len(c.shards))
+		parts := make([][]pathsim.Pair, len(v.gens))
 		for q := range xs {
-			for i := range c.shards {
+			for i := range v.gens {
 				parts[i] = partials[i][q]
 			}
 			out[q] = pathsim.MergeTopK(parts, k, nil)
@@ -254,50 +236,60 @@ func (c *Coordinator) BatchTopKAt(ctx context.Context, epoch int64, path string,
 // applies it to the same state, so shard 0 is the validation gate — a
 // rejected write changes nothing anywhere, and once shard 0 accepts,
 // the rest cannot fail differently (in-process they receive the very
-// models shard 0 built). The cluster epoch advances only after every
-// shard has published the new generation; reads at the previous epoch
-// keep answering from retained generations throughout the window.
-func (c *Coordinator) fanOut(what string, write func(Shard) (int64, error)) (int64, error) {
+// models shard 0 built). The next View publishes only after every shard
+// has published its new generation; until then readers hold the last.
+func (c *Coordinator) fanOut(what string, op writeOp) (int64, ingest.Summary, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var minEp int64
+	var sum ingest.Summary
 	for i, sh := range c.shards {
-		ep, err := write(sh)
-		if err != nil {
+		var err error
+		if _, sum, err = sh.write(op); err != nil {
 			if i > 0 {
-				err = fmt.Errorf("cluster: shard %d diverged on %s accepted by shard 0: %w", sh.ID(), what, err)
+				err = fmt.Errorf("cluster: shard %d diverged on %s accepted by shard 0: %w", i, what, err)
 			}
-			return 0, err
-		}
-		if i == 0 || ep < minEp {
-			minEp = ep
+			return 0, sum, err
 		}
 	}
-	c.epoch.Store(minEp)
-	return minEp, nil
+	return c.publish(), sum, nil
 }
 
-// Ingest fans a delta batch out to every shard as one new generation.
+// publish makes every shard's live generation the published View and
+// returns its epoch. Callers hold mu.
+func (c *Coordinator) publish() int64 {
+	gens := make([]*generation, len(c.shards))
+	for i, sh := range c.shards {
+		gens[i] = sh.gen.Load()
+	}
+	c.view.Store(&View{Epoch: gens[0].epoch, Models: gens[0].models, c: c, gens: gens})
+	return gens[0].epoch
+}
+
+// Ingest fans a delta batch out to every shard as one new generation,
+// all-or-nothing: a batch shard 0 rejects changes nothing and is not
+// logged.
 func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
-	var sum ingest.Summary
-	epoch, err := c.fanOut("ingest", func(sh Shard) (ep int64, err error) {
-		ep, sum, err = sh.Ingest(deltas, refreshModels)
-		return ep, err
-	})
-	return epoch, sum, err
+	return c.fanOut("ingest", writeOp{deltas: deltas, refresh: refreshModels})
 }
 
 // Rebuild fans a fresh-generation build from seed out to every shard.
 func (c *Coordinator) Rebuild(seed int64) (int64, error) {
-	return c.fanOut("rebuild", func(sh Shard) (int64, error) { return sh.Rebuild(seed) })
+	epoch, _, err := c.fanOut("rebuild", writeOp{rebuild: true, rebuildSeed: seed})
+	return epoch, err
 }
 
-// Trim releases, on every shard, the generations older than epoch: the
-// caller has stopped handing older epochs to new readers.
-func (c *Coordinator) Trim(epoch int64) {
-	for _, sh := range c.shards {
-		sh.Trim(epoch)
+// Restart replays shard i's write log alone, as a restarted shard
+// process would, and publishes the View again at the same epoch with the
+// replayed generation in it. A View taken before keeps the generation
+// it holds.
+func (c *Coordinator) Restart(i int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.shards[i].restart(); err != nil {
+		return err
 	}
+	c.publish()
+	return nil
 }
 
 // Stats returns every shard's stats, in shard order — the partition

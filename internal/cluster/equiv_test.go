@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -86,7 +85,8 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 	ctx := context.Background()
 	full := ref.PathSim
 	dim := full.Dim()
-	epoch := c.Epoch()
+	v := c.View()
+	epoch := v.Epoch
 
 	for _, k := range []int{1, 10, dim} {
 		xs := make([]int, 12)
@@ -103,7 +103,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 			}
 			pairsEqual(t, full.TopK(x, k), got, fmt.Sprintf("%s TopK(x=%d,k=%d)", label, x, k))
 		}
-		batch, err := c.BatchTopKAt(ctx, epoch, "", xs, k)
+		batch, err := v.BatchTopK(ctx, "", xs, k)
 		if err != nil {
 			t.Fatalf("%s: BatchTopK: %v", label, err)
 		}
@@ -131,13 +131,10 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 		pairsEqual(t, fullAPA.TopK(x, 10), got, label+" TopK path=APA")
 	}
 
-	// The generation the coordinator hands out at the epoch is the
-	// reference build exactly: ranking vectors and their metadata bit for
-	// bit, the same cluster assignment (the models are deterministic).
-	m, err := c.Models(epoch)
-	if err != nil {
-		t.Fatalf("%s: Models: %v", label, err)
-	}
+	// The generation the View holds is the reference build exactly:
+	// ranking vectors and their metadata bit for bit, the same cluster
+	// assignment (the models are deterministic).
+	m := v.Models
 	sameRanks(t, label, m, ref)
 	if m.RankClus.K != ref.RankClus.K || m.NetClus.K != ref.NetClus.K {
 		t.Fatalf("%s: cluster K mismatch", label)
@@ -176,8 +173,9 @@ func TestShardedEquivalence(t *testing.T) {
 
 				// Ingest the same deltas into both sides; equivalence must
 				// hold on the new generation (including ids the last shard
-				// absorbed past the partition bound), and the previous
-				// epoch must keep answering.
+				// absorbed past the partition bound), and a View taken
+				// before the write must keep answering from its own.
+				prev := c.View()
 				deltas := newTestDeltas(ref, fmt.Sprintf("%d-%d-%s", seed, shards, pname))
 				ref2, _, err := IngestModels(ref, deltas, false, spec)
 				if err != nil {
@@ -191,21 +189,13 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("%s: post-ingest epoch %d/%d, want 2", label, ep, c.Epoch())
 				}
 				checkEquivalence(t, rng, c, ref2, label+" epoch2")
-				// Previous generation still answers at epoch 1.
+				// The View taken before the write still answers at epoch 1.
 				x := rng.Intn(dim)
-				prev, err := c.TopKAt(context.Background(), 1, "", x, 10)
-				if err != nil {
-					t.Fatalf("%s: TopKAt(epoch=1): %v", label, err)
+				old, err := prev.TopK(context.Background(), "", x, 10)
+				if err != nil || prev.Epoch != 1 {
+					t.Fatalf("%s: epoch-%d View: %v", label, prev.Epoch, err)
 				}
-				pairsEqual(t, ref.PathSim.TopK(x, 10), prev, label+" retained epoch 1")
-				// Epoch 0 (never published past) and epoch 3 (future) fail.
-				if _, err := c.TopKAt(context.Background(), 3, "", x, 10); err == nil {
-					t.Fatalf("%s: future epoch should fail", label)
-				}
-				var ee *EpochError
-				if m, err := c.Models(3); !errors.As(err, &ee) || m != nil {
-					t.Fatalf("%s: Models(3) = %v, %v, want an EpochError", label, m, err)
-				}
+				pairsEqual(t, ref.PathSim.TopK(x, 10), old, label+" View of epoch 1")
 			}
 		}
 	}
@@ -231,12 +221,11 @@ func TestShardedEquivalenceAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		sh := c.Shard(i).(*LocalShard)
-		if err := sh.Restart(); err != nil {
+		if err := c.Restart(i); err != nil {
 			t.Fatalf("shard %d restart: %v", i, err)
 		}
-		if sh.Epoch() != 2 {
-			t.Fatalf("shard %d epoch %d after restart, want 2", i, sh.Epoch())
+		if sh := c.Shard(i); sh.Epoch() != 2 || c.View().gens[i] != sh.gen.Load() {
+			t.Fatalf("shard %d after restart: epoch %d (want 2), or its replay is not in the View", i, sh.Epoch())
 		}
 	}
 	rng := rand.New(rand.NewSource(42))

@@ -1,13 +1,12 @@
-// LocalShard: the in-process Shard implementation. One shard answers the
-// similarity index over its candidate range, from the half-path factor
-// of a network and model set built once per write and shared with its
-// sibling shards (the build memo); generations publish atomically behind an atomic
-// pointer (the PR 5 snapshot-store discipline), each retaining its
-// predecessor — until the next write or a Trim — so reads at the
-// previous epoch keep answering through a write fan-out window. Every
-// write is appended to a replayable log over a checkpoint, so Restart
-// can rebuild the exact current state alone — the recovery story a
-// remote shard process will need, exercised by the race suite.
+// LocalShard: one in-process shard. It answers the similarity index
+// over its candidate range, from the half-path factor of a network and
+// model set built once per write and shared with its sibling shards (the
+// build memo). Each write publishes a generation behind an atomic
+// pointer, and the coordinator pins it in a View; the shard keeps no
+// earlier one. Every write is appended to a replayable log over a
+// checkpoint, so a restart can rebuild the exact current state alone —
+// the recovery story a shard that cannot share would need, exercised by
+// the race suite.
 
 package cluster
 
@@ -36,15 +35,12 @@ const maxPathIndexes = 64
 const maxLogOps = 64
 
 // generation is one published shard state. Immutable after publish
-// except the ranges memo (concurrent-safe, append-only) and prev,
-// which the next write trims to nil after it has been published —
-// atomic, because lock-free readers follow it in genAt.
+// except the ranges memo (concurrent-safe, append-only).
 type generation struct {
 	epoch  int64
 	models *Models
-	op     *writeOp                   // the write that produced models
-	def    *pathsim.Index             // default-path range, built eagerly at publish
-	prev   atomic.Pointer[generation] // immediately previous generation (nil beyond that)
+	op     *writeOp       // the write that produced models
+	def    *pathsim.Index // default-path range, built eagerly at publish
 
 	ranges     sync.Map // path string → *pathsim.Index
 	rangeCount atomic.Int32
@@ -111,16 +107,15 @@ func (b *builds) apply(parent *writeOp, prev *Models, op writeOp, spec ModelSpec
 	return b.op, m, sum, nil
 }
 
-// LocalShard implements Shard in-process.
+// LocalShard is one in-process shard of a NewLocalCluster.
 type LocalShard struct {
 	id   int
 	part Partition
-	spec ModelSpec
-	memo *builds // shared with the sibling shards of a NewLocalCluster
+	spec ModelSpec // SkipPathSim set: a shard never materializes the similarity index
+	memo *builds   // shared with the sibling shards
 
-	mu    sync.Mutex // serializes writes, the log, and Restart
-	gen   atomic.Pointer[generation]
-	epoch atomic.Int64 // last published epoch; never decreases, even mid-Restart
+	mu  sync.Mutex // serializes writes, the log, and restart
+	gen atomic.Pointer[generation]
 
 	// The replayable state: a checkpoint — the models published at epoch
 	// base, nil when the log opens with a rebuild, which needs none — and
@@ -134,20 +129,13 @@ type LocalShard struct {
 	queries  atomic.Uint64
 }
 
-// NewLocalShard returns shard id of the partition, empty until the
-// first Rebuild. The spec's SkipPathSim is forced on — a shard never
-// materializes the similarity index. A shard built here builds
-// its models alone; NewLocalCluster gives its shards one shared memo.
-func NewLocalShard(id int, part Partition, spec ModelSpec) *LocalShard {
-	spec.SkipPathSim = true
-	return &LocalShard{id: id, part: part, spec: spec, memo: &builds{}}
+// Epoch returns the shard's published epoch (0 before the first write).
+func (sh *LocalShard) Epoch() int64 {
+	if g := sh.gen.Load(); g != nil {
+		return g.epoch
+	}
+	return 0
 }
-
-// ID implements Shard.
-func (sh *LocalShard) ID() int { return sh.id }
-
-// Epoch implements Shard.
-func (sh *LocalShard) Epoch() int64 { return sh.epoch.Load() }
 
 // boundsFor resolves the shard's owned candidate range for a path
 // ending at the given endpoint type: the partitioned type uses the
@@ -176,21 +164,11 @@ func (sh *LocalShard) defaultRange(def **pathsim.Index) func(*hin.Network) error
 
 // newGeneration wraps the publishable state around a model set and the
 // shard's range of the default index over its network.
-func (sh *LocalShard) newGeneration(m *Models, op *writeOp, def *pathsim.Index, epoch int64, prev *generation) *generation {
-	if prev != nil {
-		prev.prev.Store(nil) // retain exactly one predecessor
-	}
+func newGeneration(m *Models, op *writeOp, def *pathsim.Index, epoch int64) *generation {
 	g := &generation{epoch: epoch, models: m, op: op, def: def}
-	g.prev.Store(prev)
 	g.ranges.Store(PathAPVPA.String(), def)
 	g.rangeCount.Store(1)
 	return g
-}
-
-// publish swaps g in as the live generation. Callers hold mu.
-func (sh *LocalShard) publish(g *generation) {
-	sh.gen.Store(g)
-	sh.epoch.Store(g.epoch)
 }
 
 // write applies op on top of the live generation (none before the
@@ -209,8 +187,9 @@ func (sh *LocalShard) write(op writeOp, beside ...func(*hin.Network) error) (int
 	cur := sh.gen.Load()
 	var parent *writeOp
 	var prev *Models
+	epoch := int64(1)
 	if cur != nil {
-		parent, prev = cur.op, cur.models
+		parent, prev, epoch = cur.op, cur.models, cur.epoch+1
 	} else if !op.rebuild {
 		return 0, ingest.Summary{}, fmt.Errorf("cluster: shard %d has no generation to ingest into", sh.id)
 	}
@@ -219,15 +198,13 @@ func (sh *LocalShard) write(op writeOp, beside ...func(*hin.Network) error) (int
 	if err != nil {
 		return 0, sum, err
 	}
-	epoch := sh.epoch.Load() + 1
-	g := sh.newGeneration(m, entry, def, epoch, cur)
 	if op.rebuild {
 		sh.checkpoint, sh.base, sh.baseOps = nil, epoch-1, nil
 	} else if len(sh.baseOps) >= maxLogOps {
 		sh.checkpoint, sh.base, sh.baseOps = checkpointOf(prev), epoch-1, nil
 	}
 	sh.baseOps = append(sh.baseOps, entry)
-	sh.publish(g)
+	sh.gen.Store(newGeneration(m, entry, def, epoch))
 	return epoch, sum, nil
 }
 
@@ -245,34 +222,19 @@ func checkpointOf(m *Models) *Models {
 	return &cp
 }
 
-// Rebuild implements Shard: a fresh generation from seed.
-func (sh *LocalShard) Rebuild(seed int64) (int64, error) {
-	epoch, _, err := sh.write(writeOp{rebuild: true, rebuildSeed: seed})
-	return epoch, err
-}
-
-// Ingest implements Shard: all-or-nothing application of a delta
-// batch as a new generation. A validation error changes nothing and is
-// not logged.
-func (sh *LocalShard) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
-	return sh.write(writeOp{deltas: deltas, refresh: refreshModels})
-}
-
-// Restart models a shard process restart: the live generation is
-// dropped (reads fail with an EpochError while the shard is down — the
-// published epoch counter never decreases), then the write log replays
-// over its checkpoint and the rebuilt state publishes atomically. Because
+// restart models a shard process restart: the write log replays over
+// its checkpoint and the rebuilt state publishes atomically. Because
 // every model build is deterministic, the recovered generation is
-// bit-identical to the one dropped, at the same epoch. The replay never
-// consults the build memo — recovering alone is the point — so the
-// shard holds a private model set until the next write.
-func (sh *LocalShard) Restart() error {
+// bit-identical to the live one, at the same epoch; a View already
+// holding the live one keeps it. The replay never consults the build
+// memo — recovering alone is the point — so the shard holds a private
+// model set until the next write.
+func (sh *LocalShard) restart() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if len(sh.baseOps) == 0 {
 		return nil
 	}
-	sh.gen.Store(nil)
 	epoch := sh.base
 	var g *generation
 	m := sh.checkpoint
@@ -283,45 +245,10 @@ func (sh *LocalShard) Restart() error {
 			return fmt.Errorf("cluster: shard %d replay diverged: %w", sh.id, err)
 		}
 		epoch++
-		g = sh.newGeneration(m, op, def, epoch, g)
+		g = newGeneration(m, op, def, epoch)
 	}
-	sh.publish(g)
+	sh.gen.Store(g)
 	return nil
-}
-
-// Trim implements Shard: the live generation lets go of a predecessor
-// older than epoch, which the next write would otherwise drop — so a
-// process need not hold two generations between writes.
-func (sh *LocalShard) Trim(epoch int64) {
-	if g := sh.gen.Load(); g != nil {
-		if p := g.prev.Load(); p != nil && p.epoch < epoch {
-			g.prev.CompareAndSwap(p, nil)
-		}
-	}
-}
-
-// enter counts one read in — callers defer inflight.Add(-1) — and
-// resolves the generation it asked for.
-func (sh *LocalShard) enter(epoch int64) (*generation, error) {
-	sh.inflight.Add(1)
-	sh.queries.Add(1)
-	return sh.genAt(epoch)
-}
-
-// genAt resolves the generation serving the requested epoch: the
-// current one or its retained predecessor.
-func (sh *LocalShard) genAt(epoch int64) (*generation, error) {
-	g := sh.gen.Load()
-	if g == nil {
-		return nil, &EpochError{Shard: sh.id, Want: epoch, Have: sh.epoch.Load()}
-	}
-	if g.epoch == epoch {
-		return g, nil
-	}
-	if p := g.prev.Load(); p != nil && p.epoch == epoch {
-		return p, nil
-	}
-	return nil, &EpochError{Shard: sh.id, Want: epoch, Have: g.epoch}
 }
 
 // held returns g's memoized range index for a path spec (empty = the
@@ -382,50 +309,21 @@ func (sh *LocalShard) rangeFor(ctx context.Context, g *generation, spec string) 
 	return sh.build(ctx, g, path)
 }
 
-// Resolve implements Shard.
-func (sh *LocalShard) Resolve(ctx context.Context, epoch int64, path string, build bool) (bool, error) {
-	g, err := sh.genAt(epoch)
-	if err != nil {
-		return false, err
-	}
-	ix, parsed, err := sh.held(g, path)
-	if ix != nil || err != nil || !build {
-		return ix != nil, err
-	}
-	_, err = sh.build(ctx, g, parsed)
-	return false, err
-}
-
-// TopK implements Shard.
-func (sh *LocalShard) TopK(ctx context.Context, epoch int64, path string, x, k int) ([]pathsim.Pair, error) {
-	g, err := sh.enter(epoch)
+// read counts one PathSim read of g in and out of the shard's load
+// counters and runs fn on the shard's range index of path in g.
+func (sh *LocalShard) read(ctx context.Context, g *generation, path string, fn func(*pathsim.Index) error) error {
+	sh.inflight.Add(1)
 	defer sh.inflight.Add(-1)
-	if err != nil {
-		return nil, err
-	}
+	sh.queries.Add(1)
 	ix, err := sh.rangeFor(ctx, g, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return ix.TopK(x, k), nil
-}
-
-// BatchTopK implements Shard.
-func (sh *LocalShard) BatchTopK(ctx context.Context, epoch int64, path string, xs []int, k int) ([][]pathsim.Pair, error) {
-	g, err := sh.enter(epoch)
-	defer sh.inflight.Add(-1)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := sh.rangeFor(ctx, g, path)
-	if err != nil {
-		return nil, err
-	}
-	return ix.BatchTopKCtx(ctx, xs, k)
+	return fn(ix)
 }
 
 // Models returns the live generation's model set (nil before the first
-// write, and while a Restart replays).
+// write).
 func (sh *LocalShard) Models() *Models {
 	if g := sh.gen.Load(); g != nil {
 		return g.models
@@ -433,25 +331,15 @@ func (sh *LocalShard) Models() *Models {
 	return nil
 }
 
-// modelsAt returns the model set of the generation serving epoch: what
-// NewLocalCluster backs Coordinator.Models with, from shard 0.
-func (sh *LocalShard) modelsAt(epoch int64) (*Models, error) {
-	g, err := sh.genAt(epoch)
-	if err != nil {
-		return nil, err
-	}
-	return g.models, nil
-}
-
-// Stats implements Shard.
+// Stats reports the shard's partition geometry and load counters.
 func (sh *LocalShard) Stats() ShardStats {
 	st := ShardStats{
 		ID:       sh.id,
-		Epoch:    sh.epoch.Load(),
 		Inflight: sh.inflight.Load(),
 		Queries:  sh.queries.Load(),
 	}
 	if g := sh.gen.Load(); g != nil {
+		st.Epoch = g.epoch
 		st.Lo, st.Hi = g.def.Lo(), g.def.Hi()
 		st.Rows = g.def.Rows()
 		st.NNZ = g.def.NNZ()

@@ -81,6 +81,7 @@ func (p Partition) Range(i int) (lo, hi int) { return p.Bounds[i], p.Bounds[i+1]
 // partitioned type: the last shard's range grows to absorb appended
 // ids. dim below the partition's last bound is impossible (ids are
 // append-only) and panics rather than silently dropping candidates.
+// No write reaches it: remove-node keeps the id slot, so no count shrinks.
 func (p Partition) rangeOf(i, dim int) (lo, hi int) {
 	lo, hi = p.Range(i)
 	if i == p.Shards()-1 {

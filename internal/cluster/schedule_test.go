@@ -179,13 +179,12 @@ func TestWriteBitsIndependentOfSchedule(t *testing.T) {
 					sameRange(t, label+" default range", g.def, wantRange(sh))
 				}
 				for i := 0; i < shards; i++ {
-					check(fmt.Sprintf("%s, shard %d", label, i), c.Shard(i).(*LocalShard))
+					check(fmt.Sprintf("%s, shard %d", label, i), c.Shard(i))
 				}
-				last := c.Shard(shards - 1).(*LocalShard)
-				if err := last.Restart(); err != nil {
+				if err := c.Restart(shards - 1); err != nil {
 					t.Fatal(err)
 				}
-				check(label+", replayed shard", last)
+				check(label+", replayed shard", c.Shard(shards-1))
 			}
 		}
 	}
@@ -204,7 +203,7 @@ type shardState struct {
 }
 
 func stateOf(sh *LocalShard) shardState {
-	return shardState{sh.gen.Load(), sh.epoch.Load(), sh.checkpoint, sh.base, append([]*writeOp(nil), sh.baseOps...),
+	return shardState{sh.gen.Load(), sh.Epoch(), sh.checkpoint, sh.base, append([]*writeOp(nil), sh.baseOps...),
 		sh.memo.parent, sh.memo.op, sh.memo.models}
 }
 
@@ -237,7 +236,7 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		builder, sibling := c.Shard(0).(*LocalShard), c.Shard(1).(*LocalShard)
+		builder, sibling := c.Shard(0), c.Shard(1)
 		deltas := newTestDeltas(ref, "fail")
 		attempt := func(label string, sh *LocalShard, job func(*hin.Network) error, wantPanic any) {
 			t.Helper()
@@ -260,14 +259,14 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 		}
 		attempt("builder, error", builder, badPath, nil)
 		attempt("builder, panic", builder, boom, "boom")
-		if _, _, err := builder.Ingest(deltas, false); err != nil {
+		if _, _, err := builder.write(writeOp{deltas: deltas}); err != nil {
 			t.Fatalf("%d workers: the write after the failed ones: %v", workers, err)
 		}
 		// The sibling now finds the builder's models in the memo and runs
 		// its jobs inline.
 		attempt("sibling, error", sibling, badPath, nil)
 		attempt("sibling, panic", sibling, boom, "boom")
-		if _, _, err := sibling.Ingest(deltas, false); err != nil {
+		if _, _, err := sibling.write(writeOp{deltas: deltas}); err != nil {
 			t.Fatalf("%d workers: the sibling's write after the failed ones: %v", workers, err)
 		}
 		if builder.Models() != sibling.Models() {
@@ -278,7 +277,7 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRanks(t, fmt.Sprintf("%d workers: after the failures", workers), builder.Models(), want)
-		if _, err := builder.TopK(ctx, builder.Epoch(), "", 0, 5); err != nil {
+		if err := builder.read(ctx, builder.gen.Load(), "", func(ix *pathsim.Index) error { ix.TopK(0, 5); return nil }); err != nil {
 			t.Fatalf("%d workers: read after the failures: %v", workers, err)
 		}
 	}

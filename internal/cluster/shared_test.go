@@ -17,19 +17,11 @@ import (
 	"hinet/internal/pathsim"
 )
 
-func localShards(c *Coordinator) []*LocalShard {
-	out := make([]*LocalShard, c.Shards())
-	for i := range out {
-		out[i] = c.Shard(i).(*LocalShard)
-	}
-	return out
-}
-
 // requireShared fails unless every shard holds shard 0's models, network
 // and newest log entry.
 func requireShared(t *testing.T, c *Coordinator, label string) {
 	t.Helper()
-	shards := localShards(c)
+	shards := c.shards
 	m := shards[0].Models()
 	if m == nil {
 		t.Fatalf("%s: shard 0 has no generation", label)
@@ -56,10 +48,10 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireShared(t, c, "boot")
-	if localShards(c)[0].Models().PathSim != nil {
+	if c.shards[0].Models().PathSim != nil {
 		t.Fatal("the shared generation carries a full index")
 	}
-	boot := localShards(c)[0].Models()
+	boot := c.shards[0].Models()
 
 	deltas := newTestDeltas(ref, "shared")
 	ref2, _, err := IngestModels(ref, deltas, false, spec)
@@ -70,22 +62,22 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireShared(t, c, "ingest")
-	if localShards(c)[0].Models() == boot {
+	if c.shards[0].Models() == boot {
 		t.Fatal("ingest did not produce a new generation")
 	}
 	// The logged batch is the entry's own copy, not the caller's slice.
 	deltas[0].Name = "scribbled"
-	if got := localShards(c)[2].baseOps[1].deltas[0].Name; got == "scribbled" {
+	if got := c.shards[2].baseOps[1].deltas[0].Name; got == "scribbled" {
 		t.Fatal("write log aliases the caller's batch")
 	}
 
 	// A restarted shard replays privately (bit-identical, own pointer)
 	// and shares again from the next write on.
-	restarted := localShards(c)[1]
-	if err := restarted.Restart(); err != nil {
+	restarted := c.shards[1]
+	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	if restarted.Models() == localShards(c)[0].Models() {
+	if restarted.Models() == c.shards[0].Models() {
 		t.Fatal("Restart borrowed the siblings' generation instead of replaying its log")
 	}
 	checkEquivalence(t, rand.New(rand.NewSource(1)), c, ref2, "restarted shard")
@@ -101,13 +93,13 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	checkEquivalence(t, rand.New(rand.NewSource(2)), c, ref3, "rejoined")
 
 	// Back-to-back rebuilds from one seed are two writes, each built once.
-	before := localShards(c)[0].Models()
+	before := c.shards[0].Models()
 	for i := 0; i < 2; i++ {
 		if _, err := c.Rebuild(8); err != nil {
 			t.Fatal(err)
 		}
 		requireShared(t, c, "rebuild")
-		if now := localShards(c)[0].Models(); now == before {
+		if now := c.shards[0].Models(); now == before {
 			t.Fatal("rebuild reused the previous write's generation")
 		} else {
 			before = now
@@ -127,14 +119,14 @@ func TestBuildMemoConcurrentAndDivergent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := localShards(c)
+	shards := c.shards
 	deltas := newTestDeltas(ref, "concurrent")
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		wg.Add(1)
 		go func(sh *LocalShard) {
 			defer wg.Done()
-			if _, _, err := sh.Ingest(deltas, false); err != nil {
+			if _, _, err := sh.write(writeOp{deltas: deltas}); err != nil {
 				t.Error(err)
 			}
 		}(sh)
@@ -158,7 +150,7 @@ func TestBuildMemoConcurrentAndDivergent(t *testing.T) {
 		shard int
 		batch []ingest.Delta
 	}{{0, x}, {2, x}, {1, y}, {1, z}, {0, z}, {2, z}} {
-		if _, _, err := shards[step.shard].Ingest(step.batch, false); err != nil {
+		if _, _, err := shards[step.shard].write(writeOp{deltas: step.batch}); err != nil {
 			t.Fatalf("shard %d: %v", step.shard, err)
 		}
 	}
@@ -187,7 +179,7 @@ func TestWriteLogBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := localShards(c)[0]
+	sh := c.shards[0]
 	net := sh.Models().Corpus.Net
 	authors, papers := net.Count(dblp.TypeAuthor), net.Count(dblp.TypePaper)
 	rng := rand.New(rand.NewSource(21))
@@ -213,8 +205,12 @@ func TestWriteLogBounded(t *testing.T) {
 
 	ctx, epoch := context.Background(), c.Epoch()
 	read := func() (rows [][]pathsim.Pair) {
+		v := c.View()
+		if v.Epoch != epoch {
+			t.Fatalf("View at epoch %d, want %d", v.Epoch, epoch)
+		}
 		for x := 0; x < authors; x++ {
-			row, err := c.TopKAt(ctx, epoch, "", x, authors)
+			row, err := v.TopK(ctx, "", x, authors)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +219,7 @@ func TestWriteLogBounded(t *testing.T) {
 		return rows
 	}
 	live, before := read(), sh.Models()
-	if err := sh.Restart(); err != nil {
+	if err := c.Restart(0); err != nil {
 		t.Fatal(err)
 	}
 	if sh.Epoch() != epoch || sh.Models() == before {
@@ -234,43 +230,4 @@ func TestWriteLogBounded(t *testing.T) {
 		pairsEqual(t, live[x], replayed[x], fmt.Sprintf("row %d after restart", x))
 	}
 	sameRanks(t, "after restart", sh.Models(), before)
-}
-
-// TestRetryEvicted pins the one retry loop: only an EpochError is
-// retried, only while the generation the caller pins keeps moving, and
-// at most twice.
-func TestRetryEvicted(t *testing.T) {
-	evicted := &EpochError{Shard: 1, Want: 1, Have: 3}
-	other := fmt.Errorf("boom")
-	for _, tc := range []struct {
-		name   string
-		errs   []error // what successive reads return
-		moves  int     // how many loads return a new generation
-		reads  int
-		wantAt int64
-		want   error
-	}{
-		{name: "first read answers", errs: []error{nil}, moves: 9, reads: 1, wantAt: 1},
-		{name: "evicted once", errs: []error{evicted, nil}, moves: 9, reads: 2, wantAt: 2},
-		{name: "evicted twice", errs: []error{evicted, evicted, nil}, moves: 9, reads: 3, wantAt: 3},
-		{name: "gives up after two retries", errs: []error{evicted, evicted, evicted, nil}, moves: 9, reads: 3, wantAt: 3, want: evicted},
-		{name: "generation did not move", errs: []error{evicted, nil}, moves: 0, reads: 1, wantAt: 1, want: evicted},
-		{name: "other errors are final", errs: []error{other, nil}, moves: 9, reads: 1, wantAt: 1, want: other},
-	} {
-		live, reads, at := int64(1), 0, int64(0)
-		err := RetryEvicted(live, func() int64 {
-			if tc.moves > 0 {
-				tc.moves--
-				live++
-			}
-			return live
-		}, func(epoch int64) error {
-			at = epoch
-			reads++
-			return tc.errs[reads-1]
-		})
-		if err != tc.want || reads != tc.reads || at != tc.wantAt {
-			t.Errorf("%s: err %v after %d reads, last at %d; want %v after %d, at %d", tc.name, err, reads, at, tc.want, tc.reads, tc.wantAt)
-		}
-	}
 }

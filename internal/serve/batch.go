@@ -40,13 +40,12 @@ var errShutdown = errors.New("serve: server is shutting down")
 type topKReq struct {
 	ctx  context.Context // caller's context: deadline + disconnect signal
 	x, k int
-	kern topKKernel    // what the query runs against: (epoch, path) groups a batch
+	kern topKKernel    // what the query runs against: one kernel is one batch
 	out  chan topKResp // a follower's reply; nil on the request its own goroutine leads
 }
 
 type topKResp struct {
 	pairs  []pathsim.Pair
-	epoch  int64
 	batch  int           // size of the coalesced batch this query rode in
 	kernel time.Duration // wall time of the BatchTopK call that answered it
 	err    error
@@ -144,16 +143,16 @@ func (b *batcher) TopK(ctx context.Context, req topKReq) (topKResp, error) {
 
 // take moves the queued requests for the index batch[0] targets into
 // batch, up to the batch cap; an empty batch starts from the head of
-// the queue. One batch is one (epoch, path): a rebuild or a mix of
-// path= parameters never cross-pollinates, and whatever stays queued
-// is the next batch. Callers hold b.mu.
+// the queue. One batch is one kernel — one View and path: a write or a
+// mix of path= parameters never cross-pollinates, and whatever stays
+// queued is the next batch. Callers hold b.mu.
 func (b *batcher) take(batch []topKReq) []topKReq {
 	keep := b.queue[:0]
 	for _, r := range b.queue {
 		switch {
 		case len(batch) == 0:
 			batch = append(make([]topKReq, 0, min(len(b.queue), b.maxBatch)), r)
-		case len(batch) < b.maxBatch && r.kern.epoch == batch[0].kern.epoch && r.kern.path == batch[0].kern.path:
+		case len(batch) < b.maxBatch && r.kern == batch[0].kern:
 			batch = append(batch, r)
 		default:
 			keep = append(keep, r)
@@ -289,7 +288,7 @@ func (b *batcher) flush(batch []topKReq) (own topKResp) {
 		t.Stop()
 	}
 	kstart := time.Now()
-	res, err := kern.coord.BatchTopKAt(kctx, kern.epoch, kern.path, xs, kmax)
+	res, err := kern.view.BatchTopK(kctx, kern.path, xs, kmax)
 	kernel := time.Since(kstart)
 	if err != nil {
 		// Abandoned mid-flight: every rider already left, but deliver
@@ -310,7 +309,7 @@ func (b *batcher) flush(batch []topKReq) (own topKResp) {
 		if r.k < len(pairs) {
 			pairs = pairs[:r.k]
 		}
-		reply(r, topKResp{pairs: pairs, epoch: kern.epoch, batch: len(live), kernel: kernel})
+		reply(r, topKResp{pairs: pairs, batch: len(live), kernel: kernel})
 	}
 	return own
 }

@@ -1,10 +1,10 @@
 // Cluster glue: the server fronts an in-process scatter-gather cluster
 // (internal/cluster) of max(1, Options.Shards) shards — an unsharded
 // server is the one-shard case, not a different path. The cluster
-// builds each generation once; the store publishes that same generation
+// builds each generation once; the store publishes the View that pins it
 // as its snapshot — rank and cluster reads, names and the corpus come
-// straight from it — and the coordinator answers PathSim top-k from the
-// shards' candidate ranges. Only what an operator sees of the tier —
+// straight from it, and its PathSim top-k scatters over the shards'
+// candidate ranges it holds. Only what an operator sees of the tier —
 // /v1/cluster/shards, the hinet_cluster_* and hinet_shard_* series, the
 // /v1/stats "cluster" entry — depends on whether there is more than one
 // shard.
@@ -22,14 +22,13 @@ import (
 )
 
 // topKKernel is what the batcher dispatches a coalesced batch against:
-// one Coordinator.BatchTopKAt fan-out over a meta-path's range indexes
-// at a pinned epoch. dim is the endpoint-type cardinality captured at resolve time
-// (the shards serve the snapshot's own network).
+// one View.BatchTopK fan-out over a meta-path's range indexes in a
+// snapshot's View. dim is the endpoint-type cardinality captured at
+// resolve time (the shards serve the snapshot's own network).
 type topKKernel struct {
-	coord *cluster.Coordinator
-	path  string // resolved path string: batch-group, cache and shard-memo key
-	dim   int
-	epoch int64
+	view *cluster.View
+	path string // resolved path string: batch-group, cache and shard-memo key
+	dim  int
 }
 
 // Coordinator exposes the scatter-gather tier; tests and the CLI banner
@@ -116,35 +115,26 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	}
 }
 
-// adopt runs one write of the cluster tier and publishes the generation
-// its shards now share — the same *cluster.Models, not a rebuild of it
-// — as the next snapshot, at the epoch the write published. Both happen
-// under the store lock, coordinator first: the cluster epoch therefore
-// always leads (or equals) the snapshot's, so the live snapshot's epoch
-// is always servable by the shards — current, or the retained previous
-// generation. Once the new snapshot is live no new request can load the
-// old one, so the shards are told to let the previous generation go:
-// the process holds one generation between writes, and a request still
-// in flight on the old snapshot starts over on the new (Server.read).
-func (s *Server) adopt(write func() (int64, error)) (*Snapshot, error) {
+// adopt runs one write of the cluster tier under the store lock and
+// publishes the View it ends on — the generation its shards now share,
+// the same *cluster.Models, not a rebuild of it — as the next snapshot.
+// A request still in flight on the old snapshot keeps reading the old
+// View, whose generations it holds; the process lets them go when the
+// last such request does.
+func (s *Server) adopt(write func() error) (*Snapshot, error) {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
 	start := time.Now()
-	epoch, err := write()
-	if err != nil {
+	if err := write(); err != nil {
 		return nil, err
 	}
-	m, err := s.coord.Models(epoch)
-	if err != nil {
-		return nil, err
-	}
-	snap := &Snapshot{Epoch: epoch, BuiltAt: start, Models: m, IndexDim: m.Corpus.Net.Count(pathAPVPA[0])}
+	v := s.coord.View()
+	snap := &Snapshot{BuiltAt: start, View: v, IndexDim: v.Corpus.Net.Count(pathAPVPA[0])}
 	for _, st := range s.coord.Stats() {
 		snap.IndexNNZ += st.NNZ
 	}
 	snap.BuildTime = time.Since(start)
 	s.store.cur.Store(snap)
-	s.coord.Trim(epoch)
 	return snap, nil
 }
 
@@ -155,14 +145,17 @@ func (s *Server) adopt(write func() (int64, error)) (*Snapshot, error) {
 // the swap.
 func (s *Server) ingest(deltas []ingest.Delta, refreshModels bool) (*Snapshot, ingest.Summary, error) {
 	var sum ingest.Summary
-	snap, err := s.adopt(func() (epoch int64, err error) {
-		epoch, sum, err = s.coord.Ingest(deltas, refreshModels)
-		return epoch, err
+	snap, err := s.adopt(func() (err error) {
+		_, sum, err = s.coord.Ingest(deltas, refreshModels)
+		return err
 	})
 	return snap, sum, err
 }
 
 // rebuild materializes a fresh generation from seed and swaps it in.
 func (s *Server) rebuild(seed int64) (*Snapshot, error) {
-	return s.adopt(func() (int64, error) { return s.coord.Rebuild(seed) })
+	return s.adopt(func() error {
+		_, err := s.coord.Rebuild(seed)
+		return err
+	})
 }

@@ -5,6 +5,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -13,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
 	"hinet/internal/stats"
@@ -64,14 +64,16 @@ func stableStats(t *testing.T, s *Server) string {
 }
 
 // TestIngestMatchesColdReference posts twelve back-to-back 3-paper
-// ingests to a live server and to a reference whose meta-path engine is
-// emptied before every write — so each of its generations is built cold
-// from the same deltas. After every write the top-k answers over the
+// ingests and one removal (an author's remove-node and a remove-edge) to
+// a live server and to a reference whose meta-path engine is emptied
+// before every write — so each of its generations is built cold from the
+// same deltas. After every write the top-k answers over the
 // prebuilt path and over one the first reader materializes,
 // /v1/cluster/shards and the stable part of /v1/stats are byte-equal on
-// the two, and again after a shard restarted mid-sequence (its replay
-// rebuilds cold what the live chain patched). Readers run beside the
-// writes.
+// the two, and again after a shard restarted mid-sequence — through the
+// snapshot, which holds the View it loaded, and through the replayed
+// View, whose shard rebuilt cold what the live chain patched. Readers
+// run beside the writes and the restart.
 func TestIngestMatchesColdReference(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -82,7 +84,6 @@ func TestIngestMatchesColdReference(t *testing.T) {
 
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
-			var up sync.RWMutex // write-held while a shard is down: its reads answer 503 by design
 			for g := 0; g < 2; g++ {
 				readers.Add(1)
 				go func(g int) {
@@ -97,9 +98,7 @@ func TestIngestMatchesColdReference(t *testing.T) {
 						if i%3 == 0 {
 							p += "&path=A-P-T-P-A"
 						}
-						up.RLock()
 						code, body := do(t, live, "GET", p, "")
-						up.RUnlock()
 						if code != 200 {
 							t.Errorf("reader: %s = %d: %s", p, code, body)
 							return
@@ -138,11 +137,24 @@ func TestIngestMatchesColdReference(t *testing.T) {
 			compare("boot", nil)
 
 			rng := stats.NewRNG(21)
-			for write := 1; write <= 12; write++ {
+			for write := 1; write <= 13; write++ {
 				batch := ingest.SamplePapers(live.Snapshot().Corpus, rng, 3)
+				if write == 9 { // detach the last author, in the last shard's range, and one of paper 0's authors
+					net := live.Snapshot().Corpus.Net
+					var author int
+					net.Relation(dblp.TypePaper, dblp.TypeAuthor).Row(0, func(c int, _ float64) { author = c })
+					batch = []ingest.Delta{
+						{Op: ingest.OpRemoveNode, Type: string(dblp.TypeAuthor), Name: net.Name(dblp.TypeAuthor, dim-1)},
+						{Op: ingest.OpRemoveEdge, SrcType: string(dblp.TypePaper), Src: net.Name(dblp.TypePaper, 0),
+							DstType: string(dblp.TypeAuthor), Dst: net.Name(dblp.TypeAuthor, author)},
+					}
+				}
 				var names []string
-				for _, d := range batch {
-					if d.Op == ingest.OpAddEdge && d.DstType == string(dblp.TypeAuthor) {
+				for _, d := range batch { // rows the write replaced
+					switch {
+					case d.Op == ingest.OpRemoveNode:
+						names = append(names, d.Name)
+					case d.DstType == string(dblp.TypeAuthor):
 						names = append(names, d.Dst)
 					}
 				}
@@ -161,14 +173,20 @@ func TestIngestMatchesColdReference(t *testing.T) {
 				stage := fmt.Sprintf("write %d", write)
 				compare(stage, names)
 				if write == 6 { // a restarted shard replays its log alone
-					sh := live.Coordinator().Shard(min(1, shards-1)).(*cluster.LocalShard)
-					up.Lock()
-					err := sh.Restart()
-					up.Unlock()
-					if err != nil {
+					if err := live.Coordinator().Restart(min(1, shards-1)); err != nil {
 						t.Fatal(err)
 					}
 					compare(stage+", shard restarted", names)
+					for _, spec := range []string{"", "A-P-T-P-A"} {
+						for _, id := range []int{0, 7, dim / 2, dim - 1} {
+							got, ep1, err1 := live.Coordinator().TopK(context.Background(), spec, id, 50)
+							want, ep2, err2 := ref.Coordinator().TopK(context.Background(), spec, id, 50)
+							if err1 != nil || err2 != nil || ep1 != ep2 || !samePairs(got, want) {
+								t.Fatalf("%s: replayed View, path %q id %d: live %v at %d (%v), cold %v at %d (%v)",
+									stage, spec, id, got, ep1, err1, want, ep2, err2)
+							}
+						}
+					}
 				}
 			}
 		})

@@ -292,10 +292,10 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 				snap := srv.store.Current()
 				observe(snap.Epoch)
 				x := (g*13 + i) % authors
-				// Read as the handlers do: a reader two writes overtook
-				// starts over from the then-live snapshot.
-				err := cluster.RetryEvicted(snap, srv.store.Current, func(snap *Snapshot) error {
-					pairs, epoch, _, err := srv.topK(context.Background(), srv.kernel(snap, pathAPVPAKey, snap.IndexDim), x, 5)
+				// Read as the handlers do: through the snapshot's View,
+				// however many writes overtake the read.
+				err := func() error {
+					pairs, epoch, _, err := srv.topK(context.Background(), topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, x, 5)
 					if err != nil {
 						return err
 					}
@@ -313,7 +313,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 						return fmt.Errorf("stale answer for x=%d at epoch %d", x, snap.Epoch)
 					}
 					return nil
-				})
+				}()
 				if err != nil {
 					errs <- err
 					return
@@ -329,7 +329,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 
 	// Quiesced: the live snapshot answers for itself.
 	snap := srv.Snapshot()
-	pairs, _, _, err := srv.topK(context.Background(), srv.kernel(snap, pathAPVPAKey, snap.IndexDim), 0, 5)
+	pairs, _, _, err := srv.topK(context.Background(), topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 	// routes reports how many products a query of spec patched and how
 	// many Gram products it ran in all, on the live generation's engine.
 	routes := func(m *cluster.Models) (patched, grams uint64, ix *pathsim.Index) {
-		snap := &Snapshot{Models: m}
+		snap := &Snapshot{View: &cluster.View{Models: m}}
 		before := snap.Engine().Stats()
 		ix = refIndex(t, snap, spec)
 		after := snap.Engine().Stats()
@@ -450,9 +450,9 @@ func TestIngestReportsPatchRoute(t *testing.T) {
 // writes kept overtaking it. One goroutine posts ingests back to back,
 // one reads top-k — the prebuilt path, and one every write forces the
 // shards to re-materialize, whose reads take long enough for two writes
-// to land inside one — and every response on both sides is a 200. The
-// reader's last resort holds the store lock; the writer finishing its
-// fixed count of writes shows that never starves it.
+// to land inside one — and every response on both sides is a 200: a
+// read holds its snapshot's View, so no write can take its generation
+// away, and the writer finishes its fixed count of writes.
 func TestReadsSurviveBackToBackWrites(t *testing.T) {
 	const writes = 40
 	for _, shards := range []int{1, 3} {
@@ -510,5 +510,59 @@ func TestReadsSurviveBackToBackWrites(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReadHoldsItsGeneration: a reader that loaded a snapshot reads its
+// generation to the end, whatever lands meanwhile — two ingests and a
+// shard restart here — and answers as a cold build at the reader's
+// epoch does, over the prebuilt path and over one the reader
+// materializes after the shards have moved on.
+func TestReadHoldsItsGeneration(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv := newTestServer(t, Options{Seed: 2, Shards: shards, CacheCapacity: -1, ControlInterval: -1})
+			spec, rng := srv.opts.Models.spec(), stats.NewRNG(4)
+			batch := ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3)
+			if _, _, err := srv.ingest(batch, false); err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := cluster.IngestModels(cluster.BuildModels(srv.opts.Seed, spec), batch, false, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := srv.Snapshot() // the reader's
+			for i := 0; i < 2; i++ {
+				if _, _, err := srv.ingest(ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Coordinator().Restart(min(1, shards-1)); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, name := range []string{"", "A-P-T-P-A"} {
+				path := pathAPVPA
+				if name != "" {
+					if path, err = ref.Corpus.Net.ParseMetaPath(name); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := snap.Resolve(ctx, path.String(), true); err != nil {
+						t.Fatalf("path %s: resolve at epoch %d: %v", path, snap.Epoch, err)
+					}
+				}
+				want, err := pathsim.NewIndexE(ref.Corpus.Net, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range []int{0, 5, want.Dim() / 2, want.Dim() - 1} {
+					got, epoch, _, err := srv.topK(ctx, topKKernel{snap.View, path.String(), want.Dim()}, x, 20)
+					if err != nil || epoch != snap.Epoch || !samePairs(got, want.TopK(x, 20)) {
+						t.Fatalf("path %s, id %d: %v at epoch %d (%v), cold build at epoch %d: %v",
+							path, x, got, epoch, err, snap.Epoch, want.TopK(x, 20))
+					}
+				}
+			}
+		})
 	}
 }

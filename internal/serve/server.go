@@ -23,8 +23,8 @@
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
 //   - a micro-batching queue (batch.go) coalesces concurrent top-k
-//     queries into per-(epoch, path) batched kernel calls that fan out
-//     over the shards and the shared sparse worker pool.
+//     queries into per-(generation, path) batched kernel calls that fan
+//     out over the shards and the shared sparse worker pool.
 //
 // Every request is traced (internal/obs): the route wrapper mints one
 // span trace per request, handlers chain named stage spans through it,
@@ -221,11 +221,9 @@ func New(opts Options) *Server {
 		}
 		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.RowNNZ)
 	}
-	if _, err := s.adopt(func() (epoch int64, err error) {
-		if s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed); err != nil {
-			return 0, err
-		}
-		return s.coord.Epoch(), nil
+	if _, err := s.adopt(func() (err error) {
+		s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed)
+		return err
 	}); err != nil {
 		panic("serve: boot: " + err.Error())
 	}
@@ -260,7 +258,7 @@ func New(opts Options) *Server {
 	s.route("/v1/stats", classCheap, s.live(s.handleStats))
 	s.route("/v1/rank", classCheap, s.live(s.handleRank))
 	s.route("/v1/clusters", classCheap, s.live(s.handleClusters))
-	s.route("/v1/pathsim/topk", classQuery, s.read(s.handleTopK))
+	s.route("/v1/pathsim/topk", classQuery, s.live(s.handleTopK))
 	s.route("/v1/rebuild", classWrite, s.handleRebuild)
 	s.route("/v1/ingest", classWrite, s.handleIngest)
 	s.route("/v1/debug/slowlog", classCheap, s.handleSlowlog)
@@ -598,34 +596,9 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// readLive runs read against the live snapshot, and again from the
-// then-live one when the shards have already evicted that epoch
-// (cluster.RetryEvicted: an EpochError, up to three optimistic runs).
-// Writes can overtake every one of those — adopt trims the previous
-// generation the moment the next is live, and a read that resolves a
-// cold path takes milliseconds — so a read still evicted after them
-// runs once more holding the store lock, the lock adopt holds across
-// write, publish and trim: nothing can overtake that run. A writer
-// waits for at most one read; a reader that is not overtaken three
-// times in a row never touches the lock. An EpochError that survives
-// is a shard that cannot serve the live epoch, not a race with writes.
-func (s *Server) readLive(snap *Snapshot, read func(*Snapshot) error) error {
-	err := cluster.RetryEvicted(snap, s.store.Current, read)
-	if err == nil {
-		return nil
-	}
-	if ee := (*cluster.EpochError)(nil); errors.As(err, &ee) {
-		s.store.mu.Lock()
-		defer s.store.mu.Unlock()
-		err = read(s.store.Current())
-	}
-	return err
-}
-
-// live adapts a handler that answers from the live snapshot alone:
-// stats, and the rank and cluster reads — functions of the whole network,
-// one model per generation, so no shard is asked and no epoch can have
-// been evicted.
+// live adapts a handler to the live snapshot: the handler reads its
+// View throughout — models, names and, for top-k, every shard's
+// generation — so a write landing mid-request changes nothing it reads.
 func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.store.Current()
@@ -637,29 +610,11 @@ func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, snap *Snaps
 	}
 }
 
-// read adapts a handler that also reads the shards, at the snapshot's
-// epoch. If they have already evicted that epoch the handler returns
-// their EpochError before writing anything, and runs again (readLive).
-// Any error it returns unanswered is a 503.
-func (s *Server) read(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot) error) http.HandlerFunc {
-	return s.live(func(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
-		if err := s.readLive(snap, func(snap *Snapshot) error { return h(w, r, snap) }); err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		}
-	})
-}
-
-// kernel is the batched top-k kernel of a resolved path at snap's
-// generation; dim is the count of the path's endpoint type.
-func (s *Server) kernel(snap *Snapshot, pathKey string, dim int) topKKernel {
-	return topKKernel{coord: s.coord, path: pathKey, dim: dim, epoch: snap.Epoch}
-}
-
 // topK is the shared cache→batcher query path, also driven directly by
-// the serving benchmarks. The query runs against kern — the coordinator
-// pinned to a snapshot's epoch and a resolved path; the cache key
-// carries both, so neither a write nor a different path can ever serve
-// a stale or foreign answer. It returns the answer, the epoch it came
+// the serving benchmarks. The query runs against kern — a snapshot's
+// View and a resolved path; the cache key carries the View's epoch and
+// the path, so neither a write nor a different path can ever serve a
+// stale or foreign answer. It returns the answer, the epoch it came
 // from, and whether it was a cache hit.
 //
 // A trace carried by ctx gets child spans under the caller's open span:
@@ -669,11 +624,11 @@ func (s *Server) kernel(snap *Snapshot, pathKey string, dim int) topKKernel {
 func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("cache")
-	key := cacheKey{kern.epoch, kern.path, x, k}
+	key := cacheKey{kern.view.Epoch, kern.path, x, k}
 	if pairs, ok := s.cache.Get(key); ok {
 		tr.Note("hit")
 		tr.End(sp)
-		return pairs, kern.epoch, true, nil
+		return pairs, kern.view.Epoch, true, nil
 	}
 	tr.Note("miss")
 	sp = tr.Next(sp, "batch")
@@ -693,7 +648,7 @@ func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim
 		pairs = slices.Clone(pairs)
 		s.cache.Put(key, pairs)
 	}
-	return pairs, resp.epoch, false, nil
+	return pairs, kern.view.Epoch, false, nil
 }
 
 // TopK is the exported form of the cached, batched query path, against
@@ -704,10 +659,7 @@ func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit 
 	if snap == nil {
 		return nil, false, fmt.Errorf("no snapshot available")
 	}
-	err = s.readLive(snap, func(snap *Snapshot) (err error) {
-		pairs, _, hit, err = s.topK(ctx, s.kernel(snap, pathAPVPAKey, snap.IndexDim), x, k)
-		return err
-	})
+	pairs, _, hit, err = s.topK(ctx, topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, x, k)
 	return pairs, hit, err
 }
 
@@ -986,7 +938,7 @@ func nmiAligned(truth, assign []int) float64 {
 	return eval.NMI(truth[:n], assign[:n])
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
@@ -997,7 +949,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	k, err := intParam(q, "k", 10)
 	if err != nil || k < 1 {
 		httpError(w, http.StatusBadRequest, "k must be a positive integer")
-		return nil
+		return
 	}
 	// Brownout: truncate k and answer from already-materialized state
 	// only — no index builds, no kernel dispatches (cache misses shed).
@@ -1025,25 +977,21 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 		}
 		if err == nil {
 			pathKey, endpoint = path.String(), path[0]
-			held, err = s.coord.ResolveAt(ctx, snap.Epoch, pathKey, !degraded)
+			held, err = snap.Resolve(ctx, pathKey, !degraded)
 		}
-		var ee *cluster.EpochError
 		switch {
-		case errors.As(err, &ee):
-			tr.End(sp)
-			return err
 		case degraded && !held:
 			tr.Note("degraded-shed")
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
-			return nil
+			return
 		case err != nil && ctx.Err() != nil:
 			tr.Note("deadline")
 			httpError(w, http.StatusGatewayTimeout, "deadline exceeded while resolving path: %v", ctx.Err())
-			return nil
+			return
 		case err != nil:
 			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
-			return nil
+			return
 		case held:
 			tr.Note("cached")
 		default:
@@ -1062,18 +1010,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	if name != "" {
 		if x = snap.Corpus.Net.Lookup(endpoint, name); x < 0 {
 			httpError(w, http.StatusNotFound, "unknown %s %q", endpoint, name)
-			return nil
+			return
 		}
 	} else {
 		x, err = intParam(q, "id", -1)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
-			return nil
+			return
 		}
 	}
 	if x < 0 || x >= dim {
 		httpError(w, http.StatusBadRequest, "need id in [0,%d) or name=<%s name>", dim, endpoint)
-		return nil
+		return
 	}
 	sp = tr.Next(sp, "query")
 	var pairs []pathsim.Pair
@@ -1089,12 +1037,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 			tr.End(sp2)
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
-			return nil
+			return
 		}
 		tr.Note("hit")
 		tr.End(sp2)
 		pairs, epoch, hit = cached, snap.Epoch, true
-	} else if pairs, epoch, hit, err = s.topK(ctx, s.kernel(snap, pathKey, dim), x, k); err != nil {
+	} else if pairs, epoch, hit, err = s.topK(ctx, topKKernel{snap.View, pathKey, dim}, x, k); err != nil {
 		var ce *cluster.ClientError
 		switch {
 		case errors.As(err, &ce):
@@ -1108,10 +1056,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 			tr.Note("deadline")
 			httpError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 		default:
-			tr.End(sp)
-			return err
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		}
-		return nil
+		return
 	}
 	source := "batch"
 	if hit {
@@ -1142,7 +1089,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
-	return nil
 }
 
 // ingestRequest is the POST /v1/ingest body: a delta batch plus
@@ -1183,14 +1129,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	snap, sum, err := s.ingest(req.Deltas, req.RefreshModels)
 	if err != nil {
 		s.ing.rejected.Add(1)
-		// A batch shard 0 rejects is the client's; a generation the write
-		// published and shard 0 no longer holds (it is mid-restart) is the
-		// server's state.
-		code := http.StatusBadRequest
-		if ee := (*cluster.EpochError)(nil); errors.As(err, &ee) {
-			code = http.StatusServiceUnavailable
-		}
-		httpError(w, code, "%v", err)
+		httpError(w, http.StatusBadRequest, "%v", err) // shard 0 rejected the batch
 		return
 	}
 	s.ing.batches.Add(1)

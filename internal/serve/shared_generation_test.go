@@ -9,7 +9,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"regexp"
 	"runtime"
@@ -43,28 +42,23 @@ func ingestBody(t *testing.T, s *Server, tag string) string {
 	return string(body)
 }
 
-// requireOneGeneration fails unless the snapshot and every shard hold
-// the same models and network, at the same epoch, with no full index.
+// requireOneGeneration fails unless the snapshot holds the cluster's
+// View and every shard the same models and network, at the same epoch,
+// with no full index.
 func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	t.Helper()
 	snap, coord := s.Snapshot(), s.Coordinator()
-	if snap.Epoch != epoch || coord.Epoch() != epoch {
-		t.Fatalf("%s: store epoch %d, cluster epoch %d, want %d", label, snap.Epoch, coord.Epoch(), epoch)
+	if snap.Epoch != epoch || coord.Epoch() != epoch || snap.View != coord.View() {
+		t.Fatalf("%s: store epoch %d, cluster epoch %d, want %d in one View", label, snap.Epoch, coord.Epoch(), epoch)
 	}
 	if snap.Models.PathSim != nil {
 		t.Fatalf("%s: sharded snapshot carries a full index", label)
 	}
 	for i := 0; i < coord.Shards(); i++ {
-		m := coord.Shard(i).(*cluster.LocalShard).Models()
+		m := coord.Shard(i).Models()
 		if m != snap.Models || m.Corpus.Net != snap.Corpus.Net {
 			t.Fatalf("%s: shard %d holds its own model set", label, i)
 		}
-	}
-	// Between writes the process holds this generation only: the one it
-	// replaced was let go when the snapshot went live.
-	var evicted *cluster.EpochError
-	if _, err := coord.TopKAt(context.Background(), epoch-1, "", 0, 5); !errors.As(err, &evicted) {
-		t.Fatalf("%s: read at epoch %d = %v, want an EpochError (generation still retained)", label, epoch-1, err)
 	}
 }
 
@@ -93,10 +87,10 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	}
 	requireOneGeneration(t, sharded, 2, "ingest")
 
-	// A restarted shard answers from its private replay, byte for byte,
-	// and shares the generation again from the next write on. Rank and
-	// cluster reads need no shard: they keep answering, with the unsharded
-	// server's bytes, while the shard is down replaying its log.
+	// A restarted shard answers from its private replay, bit for bit, and
+	// shares the generation again from the next write on. Reads keep
+	// answering, with the unsharded server's bytes, while the shard
+	// replays its log: the snapshot holds the View it was published with.
 	wholeNet := []string{"/v1/rank?metric=pagerank&top=20", "/v1/rank?metric=authority&top=20", "/v1/rank?metric=hub&top=20",
 		"/v1/clusters?algo=rankclus", "/v1/clusters?algo=netclus"}
 	want200 := make([]string, len(wholeNet))
@@ -128,7 +122,7 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	}()
 	// Restart until reads have completed inside a replay: on one core a
 	// replay this short is not preempted, so none may.
-	restarted := sharded.Coordinator().Shard(1).(*cluster.LocalShard)
+	restarted := sharded.Coordinator().Shard(1)
 	for passes.Load() == 0 {
 		select {
 		case <-done:
@@ -140,7 +134,7 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	during := int64(0)
 	for attempt := 0; attempt < 20 && during == 0; attempt++ {
 		downAt := passes.Load()
-		if err := restarted.Restart(); err != nil {
+		if err := sharded.Coordinator().Restart(1); err != nil {
 			t.Fatal(err)
 		}
 		during = passes.Load() - downAt
@@ -152,6 +146,13 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	}
 	if restarted.Models() == sharded.Snapshot().Models {
 		t.Fatal("Restart did not replay privately")
+	}
+	for _, x := range []int{11, 3} {
+		got, _, err1 := sharded.Coordinator().TopK(context.Background(), "", x, 30)
+		want, _, err2 := single.Coordinator().TopK(context.Background(), "", x, 30)
+		if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+			t.Fatalf("replayed View, id %d: %v (%v), unsharded %v (%v)", x, got, err1, want, err2)
+		}
 	}
 	for _, p := range []string{"/v1/pathsim/topk?id=11&k=30", "/v1/pathsim/topk?path=A-P-A&id=3&k=10", "/v1/rank?metric=hub&top=20"} {
 		c1, b1 := do(t, single, "GET", p, "")

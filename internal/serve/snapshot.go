@@ -1,13 +1,15 @@
-// Snapshots: what a request renders from. A Snapshot is one immutable
-// generation of model artifacts — the corpus (names, ground truth),
-// ranking vectors and cluster models — as the cluster tier built it
-// (internal/cluster); the similarity index itself lives on the shards,
-// as candidate ranges over one shared factor. The Store holds the live snapshot behind an atomic
-// pointer: queries read it wait-free, a write builds a whole new
-// generation off to the side (Server.adopt) and swaps it in, so a write
-// never blocks or corrupts in-flight queries. Each generation carries
-// the cluster's monotonically increasing epoch; the result cache keys
-// on it, so a swap implicitly invalidates every cached answer.
+// Snapshots: what a request reads and renders from. A Snapshot holds
+// one cluster.View — the corpus (names, ground truth), ranking vectors
+// and cluster models as the cluster tier built them (internal/cluster),
+// and every shard's generation of the similarity index, candidate
+// ranges over one shared factor — so a request that loaded it reads one
+// generation throughout, whatever writes land meanwhile. The Store
+// holds the live snapshot behind an atomic pointer: queries read it
+// wait-free, a write builds a whole new generation off to the side
+// (Server.adopt) and swaps it in, so a write never blocks or corrupts
+// in-flight queries. Each generation carries the cluster's
+// monotonically increasing epoch; the result cache keys on it, so a swap
+// implicitly invalidates every cached answer.
 
 package serve
 
@@ -35,14 +37,15 @@ var (
 // in it is mutated after publish; handlers may read it from any
 // goroutine without locking.
 type Snapshot struct {
-	Epoch     int64         // the cluster epoch this generation was published at, starts at 1
 	BuiltAt   time.Time     // wall-clock time of the build
 	BuildTime time.Duration // how long materialization took
 
-	// The generation's artifacts: Seed, Corpus, PageRank, HITS, RankClus,
-	// NetClus — the very pointer every in-process shard holds. Its
-	// PathSim is nil: the shards own the default index as candidate ranges.
-	*cluster.Models
+	// The generation, pinned: its Epoch (published by the cluster, starts
+	// at 1), its PathSim reads (Resolve, TopK, BatchTopK) and its Models —
+	// Seed, Corpus, PageRank, HITS, RankClus, NetClus, the very pointer
+	// every in-process shard holds. Models.PathSim is nil: the shards own
+	// the default index as candidate ranges.
+	*cluster.View
 	// The default (APVPA) index's size: the endpoint type's count, and
 	// pathsim.Index.NNZ — the multiply-adds of scanning every row —
 	// summed over the shards' ranges, which partition the candidates
