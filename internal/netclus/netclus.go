@@ -151,49 +151,23 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 		post[d] = make([]float64, k)
 	}
 	prev := make([]int, nd)
-
-	// Work estimate for one EM posterior pass: every link of every
-	// center object is scored against all k clusters, each score a
-	// math.Log behind two indirect loads — about logWork of the
-	// multiply-adds the pool's grain is counted in (≈ 24 ns against
-	// ≈ 2.6 ns a mat-vec entry, default corpus).
-	const logWork = 8
-	emWork := 0
-	for t := 0; t < nt; t++ {
-		emWork += star.Rel[t].NNZ() * k * logWork
-	}
+	s := newScorer(star, k)
 
 	for it := 1; it <= opt.MaxIter; it++ {
 		copy(prev, assign)
 
-		// Step 1: conditional rank distributions per cluster.
+		// Step 1: conditional rank distributions per cluster, and the
+		// round's log-probability table read by every EM pass below.
 		m.RankDist = conditionalRanks(star, assign, k, opt)
+		s.fill(m.RankDist, m.Background, opt.LambdaB)
 
 		// Step 2: EM over center objects. Posteriors of distinct center
 		// objects are independent, so the E-step fans out over the
 		// sparse worker pool; the prior M-step re-aggregates serially in
 		// object order, keeping the update deterministic.
 		for em := 0; em < opt.EMIter; em++ {
-			sparse.ParRange(nd, emWork, func(lo, hi int) {
-				lp := make([]float64, k)
-				for d := lo; d < hi; d++ {
-					for c := 0; c < k; c++ {
-						lp[c] = math.Log(prior[c] + 1e-300)
-					}
-					for t := 0; t < nt; t++ {
-						star.Rel[t].Row(d, func(o int, w float64) {
-							for c := 0; c < k; c++ {
-								p := (1-opt.LambdaB)*m.RankDist[t][c][o] + opt.LambdaB*m.Background[t][o]
-								lp[c] += w * math.Log(p+1e-300)
-							}
-						})
-					}
-					lse := stats.LogSumExp(lp)
-					for c := 0; c < k; c++ {
-						post[d][c] = math.Exp(lp[c] - lse)
-					}
-				}
-			})
+			s.setPrior(prior)
+			s.posteriors(post)
 			newPrior := make([]float64, k)
 			for d := 0; d < nd; d++ {
 				for c := 0; c < k; c++ {
@@ -223,25 +197,9 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 	m.AssignCenter = assign
 	m.PosteriorCenter = post
 	m.Prior = prior
-	m.LogLikelihood = sparse.ParReduce(nd, emWork, func(lo, hi int) float64 {
-		ll := 0.0
-		lp := make([]float64, k)
-		for d := lo; d < hi; d++ {
-			for c := 0; c < k; c++ {
-				lp[c] = math.Log(prior[c] + 1e-300)
-			}
-			for t := 0; t < nt; t++ {
-				star.Rel[t].Row(d, func(o int, w float64) {
-					for c := 0; c < k; c++ {
-						p := (1-opt.LambdaB)*m.RankDist[t][c][o] + opt.LambdaB*m.Background[t][o]
-						lp[c] += w * math.Log(p+1e-300)
-					}
-				})
-			}
-			ll += stats.LogSumExp(lp)
-		}
-		return ll
-	})
+	s.fill(m.RankDist, m.Background, opt.LambdaB)
+	s.setPrior(prior)
+	m.LogLikelihood = s.logLikelihood()
 
 	m.AttrPosterior = make([][][]float64, nt)
 	for t := 0; t < nt; t++ {
@@ -251,17 +209,135 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 			m.AttrPosterior[t][o] = make([]float64, k)
 		}
 		for d := 0; d < nd; d++ {
-			star.Rel[t].Row(d, func(o int, w float64) {
+			cols, vals := star.Rel[t].RowEntries(d)
+			for i, o := range cols {
+				w, ap := vals[i], m.AttrPosterior[t][o]
 				for c := 0; c < k; c++ {
-					m.AttrPosterior[t][o][c] += w * post[d][c]
+					ap[c] += w * post[d][c]
 				}
-			})
+			}
 		}
 		for o := 0; o < no; o++ {
 			stats.Normalize(m.AttrPosterior[t][o])
 		}
 	}
 	return m
+}
+
+// expWork prices one math.Exp or math.Log, with LogSumExp's loop around
+// it, in the mat-vec multiply-adds the pool's grain is counted in: ≈ 18
+// ns against ≈ 1.7 ns a mat-vec entry, while a link × cluster
+// multiply-add from the table costs ≈ 1.2 ns and counts as one
+// (BenchmarkEStepCrossover beside BenchmarkMatVecCrossover, 2-vCPU VM;
+// table in docs/ARCHITECTURE.md).
+const expWork = 10
+
+// emWork estimates one EM pass over every center object in grain units:
+// a multiply-add per link and cluster, and the 2k+1 exp/log that turn a
+// center's scores into a posterior (LogSumExp, then one Exp per
+// cluster).
+func emWork(star *hin.Star, k int) int {
+	w := 0
+	for _, rel := range star.Rel {
+		w += rel.NNZ() * k
+	}
+	return w + star.Rel[0].Rows()*(2*k+1)*expWork
+}
+
+// scorer is what an EM pass and the final likelihood read for every
+// center object: a table of the round's smoothed log-probabilities and
+// the pass's log prior. The rank distributions are fixed for a whole
+// round, so each log is taken once per attribute object and cluster
+// rather than once per link and cluster in every pass.
+type scorer struct {
+	rels     []*sparse.Matrix
+	k        int
+	logp     [][]float64 // logp[t][o*k+c] = log((1-λ)·RankDist[t][c][o] + λ·Background[t][o] + 1e-300)
+	logPrior []float64   // log(prior[c] + 1e-300)
+	work     int         // emWork: one pass's estimate for the pool
+}
+
+func newScorer(star *hin.Star, k int) *scorer {
+	s := &scorer{
+		rels:     star.Rel,
+		k:        k,
+		logp:     make([][]float64, len(star.Rel)),
+		logPrior: make([]float64, k),
+		work:     emWork(star, k),
+	}
+	for t, rel := range star.Rel {
+		s.logp[t] = make([]float64, rel.Cols()*k)
+	}
+	return s
+}
+
+// fill builds the round's table from its rank distributions.
+func (s *scorer) fill(rankDist [][][]float64, background [][]float64, lambda float64) {
+	k := s.k
+	for t, tab := range s.logp {
+		bg := background[t]
+		for c := 0; c < k; c++ {
+			dist := rankDist[t][c]
+			for o := range bg {
+				mix := (1-lambda)*dist[o] + lambda*bg[o]
+				tab[o*k+c] = math.Log(mix + 1e-300)
+			}
+		}
+	}
+}
+
+// setPrior takes the logs of a pass's cluster prior.
+func (s *scorer) setPrior(prior []float64) {
+	for c, v := range prior {
+		s.logPrior[c] = math.Log(v + 1e-300)
+	}
+}
+
+// score writes center object d's unnormalized log-posterior over the
+// clusters into lp: the log prior, then each link's weight times its
+// object's table row, in row order.
+func (s *scorer) score(d int, lp []float64) {
+	k := s.k
+	copy(lp, s.logPrior)
+	for t, rel := range s.rels {
+		cols, vals := rel.RowEntries(d)
+		tab := s.logp[t]
+		for i, o := range cols {
+			w, row := vals[i], tab[int(o)*k:][:len(lp)]
+			for c := range lp {
+				lp[c] += w * row[c]
+			}
+		}
+	}
+}
+
+// posteriors is the E-step: every center object's posterior over the
+// clusters, post[d][c] = p(c | d), from the table and the log prior.
+func (s *scorer) posteriors(post [][]float64) {
+	sparse.ParRange(len(post), s.work, func(lo, hi int) {
+		lp := make([]float64, s.k)
+		for d := lo; d < hi; d++ {
+			s.score(d, lp)
+			lse := stats.LogSumExp(lp)
+			for c := range lp {
+				post[d][c] = math.Exp(lp[c] - lse)
+			}
+		}
+	})
+}
+
+// logLikelihood is Σ_d log Σ_c p(c)·p(d | c) over the center objects,
+// from the table and the log prior.
+func (s *scorer) logLikelihood() float64 {
+	return sparse.ParReduce(s.rels[0].Rows(), s.work, func(lo, hi int) float64 {
+		ll := 0.0
+		lp := make([]float64, s.k)
+		for d := lo; d < hi; d++ {
+			s.score(d, lp)
+			ll += stats.LogSumExp(lp)
+		}
+		return ll
+	})
 }
 
 // conditionalRanks computes p(o|T,k) for every attribute type and
@@ -288,9 +364,11 @@ func conditionalRanks(star *hin.Star, assign []int, k int, opt Options) [][][]fl
 	for t := 0; t < nt; t++ {
 		rel := star.Rel[t]
 		for d, c := range assign {
-			rel.Row(d, func(o int, w float64) {
-				out[t][c][o] += w
-			})
+			cols, vals := rel.RowEntries(d)
+			dist := out[t][c]
+			for i, o := range cols {
+				dist[o] += vals[i]
+			}
 		}
 		for c := 0; c < k; c++ {
 			stats.Normalize(out[t][c])
@@ -320,9 +398,10 @@ func conditionalRanks(star *hin.Star, assign []int, k int, opt Options) [][][]fl
 func restrictRows(w *sparse.Matrix, rows []int) *sparse.Matrix {
 	var entries []sparse.Coord
 	for i, r := range rows {
-		w.Row(r, func(c int, v float64) {
-			entries = append(entries, sparse.Coord{Row: i, Col: c, Val: v})
-		})
+		cols, vals := w.RowEntries(r)
+		for j, c := range cols {
+			entries = append(entries, sparse.Coord{Row: i, Col: int(c), Val: vals[j]})
+		}
 	}
 	return sparse.NewFromCoords(len(rows), w.Cols(), entries)
 }

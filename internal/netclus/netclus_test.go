@@ -1,6 +1,7 @@
 package netclus
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -164,6 +165,43 @@ func TestKValidation(t *testing.T) {
 		}
 	}()
 	Run(stats.NewRNG(20), c.Star(), Options{K: 1})
+}
+
+// BenchmarkEStepCrossover is the measurement emWork is set from (table
+// in docs/ARCHITECTURE.md): one E-step pass over corpora of 500 papers
+// to 4 000 authors, serial (workers 1) against cut in exactly two blocks
+// on two workers — the marginal decision the grain governs. Read beside
+// BenchmarkMatVecCrossover: a pass should cost what a mat-vec of its
+// estimated work costs, and gain what it gains from the split.
+func BenchmarkEStepCrossover(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		c    dblp.Config
+	}{
+		{"papers=500", dblp.Config{Papers: 500}},
+		{"papers=1000", dblp.Config{Papers: 1000}},
+		{"default", dblp.Config{}},
+		{"authors=4000", dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}},
+	} {
+		c := dblp.Generate(stats.NewRNG(1), cfg.c)
+		star, k := c.Star(), c.Areas()
+		opt := Options{K: k}.withDefaults()
+		m := runOnce(stats.NewRNG(2), star, opt)
+		s := newScorer(star, k)
+		s.fill(m.RankDist, m.Background, opt.LambdaB)
+		s.setPrior(m.Prior)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/work=%dk/workers=%d", cfg.name, s.work>>10, workers), func(b *testing.B) {
+				withKnobs(workers, s.work/2, func() {
+					s.posteriors(m.PosteriorCenter)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						s.posteriors(m.PosteriorCenter)
+					}
+				})
+			})
+		}
+	}
 }
 
 func TestEmptyStar(t *testing.T) {
