@@ -13,7 +13,9 @@
 package dblp
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"hinet/internal/hin"
 	"hinet/internal/stats"
@@ -132,49 +134,108 @@ func padAreas(labels []int, n int) []int {
 	return out
 }
 
+// check panics, naming the field, on a config Generate cannot honour: an
+// empty author or term count range, or a count above the distinct authors
+// or terms a paper can draw, where drawing would never stop.
+func (c Config) check() {
+	// reach counts the distinct values of a draw that takes the other pool
+	// with probability p: its own pool unless p ≥ 1, the other if p > 0.
+	reach := func(own, other int, p float64) int {
+		n := 0
+		if p < 1 {
+			n += own
+		}
+		if p > 0 {
+			n += other
+		}
+		return n
+	}
+	k := len(c.Areas)
+	crossAuthor, sharedRate := c.CrossAreaAuthor, c.SharedTermRate
+	if k == 1 {
+		crossAuthor = 0 // one area: no foreign draw is taken
+	}
+	if c.SharedTerms <= 0 {
+		sharedRate = 0
+	}
+	for _, r := range []struct {
+		what             string
+		lo, hi, distinct int
+	}{
+		{"Authors", c.MinAuthors, c.MaxAuthors, reach(c.AuthorsPerArea, (k-1)*c.AuthorsPerArea, crossAuthor)},
+		{"Terms", c.MinTerms, c.MaxTerms, reach(c.TermsPerArea, max(0, c.SharedTerms), sharedRate)},
+	} {
+		if r.lo > r.hi {
+			panic("dblp: Min" + r.what + " " + strconv.Itoa(r.lo) + " > Max" + r.what + " " + strconv.Itoa(r.hi))
+		}
+		if r.hi > r.distinct {
+			panic("dblp: Max" + r.what + " " + strconv.Itoa(r.hi) + " > " + strconv.Itoa(r.distinct) +
+				", the distinct " + strings.ToLower(r.what) + " a paper can draw")
+		}
+	}
+}
+
 // Generate builds a corpus. Identical (seed, cfg) pairs produce
-// identical corpora.
+// identical corpora. It panics on a config it cannot honour (see check).
+//
+// The network is assembled in bulk: each type's objects are added in one
+// batch, and each relation's links, drawn paper by paper, are applied in
+// one batch at the end — the same ids, names and per-relation link order
+// as adding them one at a time, without a per-link append and cache
+// reconciliation on a network nothing has read yet.
 func Generate(rng *stats.RNG, cfg Config) *Corpus {
 	cfg = cfg.withDefaults()
+	cfg.check()
 	k := len(cfg.Areas)
 	n := hin.NewNetwork()
 	c := &Corpus{Net: n, Config: cfg}
 
-	// Objects. Venue/author/term ids are grouped by area so base offsets
-	// are area*count.
-	for a, area := range cfg.Areas {
-		for v := 0; v < cfg.VenuesPerArea; v++ {
-			n.AddObject(TypeVenue, fmt.Sprintf("%s-venue-%d", area, v))
-			c.VenueArea = append(c.VenueArea, a)
+	// Objects, registered venue, author, term, year, paper. Venue, author
+	// and term ids are grouped by area so base offsets are area*count.
+	perArea := func(t hin.Type, per int, kind string) []int {
+		per = max(0, per)
+		names, areas := make([]string, k*per), make([]int, k*per)
+		for i := range names {
+			names[i] = cfg.Areas[i/per] + kind + strconv.Itoa(i%per)
+			areas[i] = i / per
 		}
+		n.AddObjects(t, names)
+		return areas
 	}
-	for a, area := range cfg.Areas {
-		for w := 0; w < cfg.AuthorsPerArea; w++ {
-			n.AddObject(TypeAuthor, fmt.Sprintf("%s-author-%d", area, w))
-			c.AuthorArea = append(c.AuthorArea, a)
-		}
-	}
-	for a, area := range cfg.Areas {
-		for t := 0; t < cfg.TermsPerArea; t++ {
-			n.AddObject(TypeTerm, fmt.Sprintf("%s-term-%d", area, t))
-			c.TermArea = append(c.TermArea, a)
-		}
-	}
-	for t := 0; t < cfg.SharedTerms; t++ {
-		n.AddObject(TypeTerm, fmt.Sprintf("shared-term-%d", t))
+	c.VenueArea = perArea(TypeVenue, cfg.VenuesPerArea, "-venue-")
+	c.AuthorArea = perArea(TypeAuthor, cfg.AuthorsPerArea, "-author-")
+	c.TermArea = perArea(TypeTerm, cfg.TermsPerArea, "-term-")
+	names := make([]string, max(0, cfg.SharedTerms))
+	for t := range names {
+		names[t] = "shared-term-" + strconv.Itoa(t)
 		c.TermArea = append(c.TermArea, -1)
 	}
-	for y := 0; y < cfg.Years; y++ {
-		n.AddObject(TypeYear, fmt.Sprintf("%d", 2000+y))
+	n.AddObjects(TypeTerm, names)
+	names = make([]string, max(0, cfg.Years))
+	for y := range names {
+		names[y] = strconv.Itoa(2000 + y)
 	}
+	n.AddObjects(TypeYear, names)
+	papers := max(0, cfg.Papers)
+	names = make([]string, papers)
+	for p := range names {
+		names[p] = "paper-" + strconv.Itoa(p)
+	}
+	n.AddObjects(TypePaper, names)
 
 	authorZipf := stats.NewZipf(rng, cfg.AuthorsPerArea, cfg.ProductivitySkew)
 	termZipf := stats.NewZipf(rng, cfg.TermsPerArea, cfg.TermSkew)
 	sharedBase := k * cfg.TermsPerArea
 
-	for p := 0; p < cfg.Papers; p++ {
+	// Each relation's links in paper order, as the papers draw them.
+	pv := make([]hin.EdgeDelta, 0, papers)
+	pa := make([]hin.EdgeDelta, 0, papers*max(0, cfg.MaxAuthors))
+	pt := make([]hin.EdgeDelta, 0, papers*max(0, cfg.MaxTerms))
+	py := make([]hin.EdgeDelta, 0, papers)
+	c.PaperArea, c.PaperYear = make([]int, 0, papers), make([]int, 0, papers)
+	var drawn []int // the paper's distinct authors, then its distinct terms
+	for p := 0; p < papers; p++ {
 		area := rng.Intn(k)
-		pid := n.AddObject(TypePaper, fmt.Sprintf("paper-%d", p))
 		c.PaperArea = append(c.PaperArea, area)
 
 		// Venue: home area unless a cross-area publication.
@@ -183,45 +244,53 @@ func Generate(rng *stats.RNG, cfg Config) *Corpus {
 			vArea = otherArea(rng, k, area)
 		}
 		venue := vArea*cfg.VenuesPerArea + rng.Intn(cfg.VenuesPerArea)
-		n.AddLink(TypePaper, pid, TypeVenue, venue, 1)
+		pv = append(pv, hin.EdgeDelta{Src: p, Dst: venue, W: 1})
 
 		// Authors: Zipf-productive within area, occasional outsider.
 		nAuthors := cfg.MinAuthors + rng.Intn(cfg.MaxAuthors-cfg.MinAuthors+1)
-		used := make(map[int]bool, nAuthors)
-		for len(used) < nAuthors {
+		drawn = drawn[:0]
+		for len(drawn) < nAuthors {
 			aArea := area
 			if k > 1 && rng.Float64() < cfg.CrossAreaAuthor {
 				aArea = otherArea(rng, k, area)
 			}
 			author := aArea*cfg.AuthorsPerArea + authorZipf.Draw()
-			if used[author] {
+			if slices.Contains(drawn, author) {
 				continue
 			}
-			used[author] = true
-			n.AddLink(TypePaper, pid, TypeAuthor, author, 1)
+			drawn = append(drawn, author)
+			pa = append(pa, hin.EdgeDelta{Src: p, Dst: author, W: 1})
 		}
 
 		// Terms: area vocabulary mixed with shared words.
 		nTerms := cfg.MinTerms + rng.Intn(cfg.MaxTerms-cfg.MinTerms+1)
-		usedT := make(map[int]bool, nTerms)
-		for len(usedT) < nTerms {
+		drawn = drawn[:0]
+		for len(drawn) < nTerms {
 			var term int
 			if cfg.SharedTerms > 0 && rng.Float64() < cfg.SharedTermRate {
 				term = sharedBase + rng.Intn(cfg.SharedTerms)
 			} else {
 				term = area*cfg.TermsPerArea + termZipf.Draw()
 			}
-			if usedT[term] {
+			if slices.Contains(drawn, term) {
 				continue
 			}
-			usedT[term] = true
-			n.AddLink(TypePaper, pid, TypeTerm, term, 1)
+			drawn = append(drawn, term)
+			pt = append(pt, hin.EdgeDelta{Src: p, Dst: term, W: 1})
 		}
 
 		// Year.
 		year := rng.Intn(cfg.Years)
 		c.PaperYear = append(c.PaperYear, year)
-		n.AddLink(TypePaper, pid, TypeYear, year, 1)
+		py = append(py, hin.EdgeDelta{Src: p, Dst: year, W: 1})
+	}
+	for _, r := range []struct {
+		dst   hin.Type
+		links []hin.EdgeDelta
+	}{{TypeVenue, pv}, {TypeAuthor, pa}, {TypeTerm, pt}, {TypeYear, py}} {
+		if err := n.ApplyEdgeDeltas(TypePaper, r.dst, r.links); err != nil {
+			panic("dblp: " + err.Error()) // every endpoint was drawn in range
+		}
 	}
 	return c
 }

@@ -1,7 +1,9 @@
 package dblp
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"hinet/internal/stats"
 )
@@ -178,6 +180,45 @@ func TestAmbiguousName(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Error("references should cover both authors")
+	}
+}
+
+// TestConfigCannotBeMet: a count range that is empty, or that a paper
+// cannot fill with distinct authors or terms, panics up front naming the
+// field instead of drawing forever; counts that fill the pool exactly
+// still generate.
+func TestConfigCannotBeMet(t *testing.T) {
+	one := []string{"a"}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string // "" = generates
+	}{
+		{"authors one area", Config{Areas: one, AuthorsPerArea: 2, MinAuthors: 3, MaxAuthors: 4}, "MaxAuthors"},
+		{"authors foreign only", Config{Areas: []string{"a", "b"}, AuthorsPerArea: 2, MaxAuthors: 3, CrossAreaAuthor: 1}, "MaxAuthors"},
+		{"authors min above max", Config{MinAuthors: 5, MaxAuthors: 4}, "MinAuthors"},
+		{"terms area and shared", Config{Areas: one, TermsPerArea: 2, SharedTerms: 1, MaxTerms: 4, MinTerms: 1}, "MaxTerms"},
+		{"terms shared only", Config{SharedTerms: 3, SharedTermRate: 1, MaxTerms: 4, MinTerms: 1}, "MaxTerms"},
+		{"terms min above max", Config{MinTerms: 9}, "MinTerms"},
+		{"both pools filled exactly", Config{Areas: one, AuthorsPerArea: 2, MinAuthors: 2, MaxAuthors: 2,
+			TermsPerArea: 2, SharedTerms: 1, MinTerms: 3, MaxTerms: 3, Papers: 50}, ""},
+	} {
+		got := make(chan string, 1)
+		go func() {
+			defer func() {
+				msg, _ := recover().(string)
+				got <- msg
+			}()
+			Generate(stats.NewRNG(1), tc.cfg)
+		}()
+		select {
+		case msg := <-got:
+			if tc.field == "" && msg != "" || tc.field != "" && !strings.HasPrefix(msg, "dblp: "+tc.field+" ") {
+				t.Errorf("%s: panic %q, want one naming %q", tc.name, msg, tc.field)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Generate still running after 5s", tc.name)
+		}
 	}
 }
 

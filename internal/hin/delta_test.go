@@ -337,9 +337,9 @@ func TestCloneIsolation(t *testing.T) {
 			if again := cur.AddObject("term", fmt.Sprintf("added%d", i)); again != id || cur.AddObject("term", "t3") != 3 {
 				t.Fatalf("step %d: duplicate AddObject made a new object", i)
 			}
-			first := cur.AddAnonymous("term", 2)
+			first := cur.AddObjects("term", []string{fmt.Sprintf("term#%d", id+1), fmt.Sprintf("term#%d", id+2)})
 			if cur.Count("term") != 2*foldShare+3*(i+1) || first != id+1 {
-				t.Fatalf("step %d: %d terms, anonymous ids from %d", i, cur.Count("term"), first)
+				t.Fatalf("step %d: %d terms, batch ids from %d", i, cur.Count("term"), first)
 			}
 			for id, name := range cur.Names("term") {
 				if cur.Lookup("term", name) != id {

@@ -107,6 +107,21 @@ func (x *nameIndex) insert(name string, id int) {
 	x.added[name] = id
 }
 
+// insertAll inserts ids, whose names are all new, where insert would put
+// each one. An empty base with one owner becomes ids itself, as does an
+// empty overlay, so a type named in one batch pays no second map.
+func (x *nameIndex) insertAll(ids map[string]int) {
+	layer := &x.added
+	if !x.base.frozen.Load() {
+		layer = &x.base.ids
+	}
+	if len(*layer) == 0 {
+		*layer = ids
+		return
+	}
+	maps.Copy(*layer, ids)
+}
+
 // clone freezes the base and shares it; only the added names are copied.
 func (x *nameIndex) clone() *nameIndex {
 	x.base.frozen.Store(true)
@@ -152,9 +167,14 @@ type Network struct {
 	// orientation. Matrices are immutable, so cached values are shared
 	// freely; ApplyEdgeDeltas keeps them warm by merging deltas instead
 	// of rebuilding, and after AddObject an entry is grown, not dropped,
-	// where it is next read (cached).
-	relMu    sync.Mutex
-	relCache map[relationKey]*sparse.Matrix
+	// where it is next read (cached). building maps each orientation
+	// being built to a channel closed once its matrix is cached, so
+	// concurrent queries for one orientation build it once; relBuilds
+	// counts the builds.
+	relMu     sync.Mutex
+	relCache  map[relationKey]*sparse.Matrix
+	building  map[relationKey]chan struct{}
+	relBuilds int
 }
 
 // NewNetwork returns an empty network.
@@ -199,17 +219,33 @@ func (n *Network) AddObject(t Type, name string) int {
 	return id
 }
 
-// AddAnonymous inserts count unnamed objects of type t and returns the id
-// of the first one; ids are contiguous.
-func (n *Network) AddAnonymous(t Type, count int) int {
+// AddObjects inserts one object of type t per name, with contiguous ids
+// in the order given, and returns the id of the first — the same network
+// as one AddObject per name, built with one append, one version bump and
+// one engine reconciliation. The names must be distinct and new to t; it
+// panics, before changing anything, if one is not.
+func (n *Network) AddObjects(t Type, names []string) (first int) {
 	n.AddType(t)
-	first := n.Count(t)
-	n.version++
-	for i := 0; i < count; i++ {
-		name := fmt.Sprintf("%s#%d", t, first+i)
-		n.names[t] = n.names[t].append(name)
-		n.index[t].insert(name, first+i)
+	first = n.Count(t)
+	if len(names) == 0 {
+		return first
 	}
+	x := n.index[t]
+	ids := make(map[string]int, len(names))
+	for i, name := range names {
+		ids[name] = first + i
+		if len(ids) != i+1 {
+			panic(fmt.Sprintf("hin: AddObjects: %s %q named twice", t, name))
+		}
+		if first > 0 {
+			if _, ok := x.lookup(name); ok {
+				panic(fmt.Sprintf("hin: AddObjects: %s %q exists", t, name))
+			}
+		}
+	}
+	n.version++
+	n.names[t] = n.names[t].append(names...)
+	x.insertAll(ids)
 	n.typeGrew(t)
 	return first
 }
@@ -392,38 +428,61 @@ func (n *Network) HasRelation(a, b Type) bool {
 // merging links stored in either orientation. The matrix is immutable
 // and memoized: repeated calls return the same (shared) matrix until a
 // mutation touching the relation invalidates it, and ApplyEdgeDeltas
-// keeps it warm by merging instead of rebuilding.
+// keeps it warm by merging instead of rebuilding. Concurrent first calls
+// for one orientation build it once: the first builds, the others wait
+// for its matrix.
 func (n *Network) Relation(src, dst Type) *sparse.Matrix {
 	key := relationKey{src, dst}
 	n.relMu.Lock()
-	if m, ok := n.cached(key); ok {
+	for {
+		if m, ok := n.cached(key); ok {
+			n.relMu.Unlock()
+			return m
+		}
+		done, ok := n.building[key]
+		if !ok {
+			break
+		}
 		n.relMu.Unlock()
-		return m
+		<-done
+		n.relMu.Lock()
 	}
-	n.relMu.Unlock()
-	m := n.buildRelation(src, dst)
-	n.relMu.Lock()
-	if prev, ok := n.cached(key); ok {
-		// A concurrent query built it first; share that one.
-		m = prev
-	} else {
-		n.relCache[key] = m
+	done := make(chan struct{})
+	if n.building == nil {
+		n.building = make(map[relationKey]chan struct{})
 	}
+	n.building[key] = done
 	n.relMu.Unlock()
+	var m *sparse.Matrix
+	defer func() {
+		// On a panic nothing is cached, and a waiter builds it itself.
+		n.relMu.Lock()
+		if m != nil {
+			n.relCache[key] = m
+			n.relBuilds++
+		}
+		delete(n.building, key)
+		n.relMu.Unlock()
+		close(done)
+	}()
+	m = n.buildRelation(src, dst)
 	return m
 }
 
 // buildRelation materializes the (src, dst) adjacency from the link
 // log — the cold path behind Relation's cache.
 func (n *Network) buildRelation(src, dst Type) *sparse.Matrix {
-	var entries []sparse.Coord
-	for _, l := range n.relation[relationKey{src, dst}].s {
+	fwd := n.relation[relationKey{src, dst}].s
+	var rev []link
+	if src != dst {
+		rev = n.relation[relationKey{dst, src}].s
+	}
+	entries := make([]sparse.Coord, 0, len(fwd)+len(rev))
+	for _, l := range fwd {
 		entries = append(entries, sparse.Coord{Row: l.src, Col: l.dst, Val: l.w})
 	}
-	if src != dst {
-		for _, l := range n.relation[relationKey{dst, src}].s {
-			entries = append(entries, sparse.Coord{Row: l.dst, Col: l.src, Val: l.w})
-		}
+	for _, l := range rev {
+		entries = append(entries, sparse.Coord{Row: l.dst, Col: l.src, Val: l.w})
 	}
 	return sparse.NewFromCoords(n.Count(src), n.Count(dst), entries)
 }

@@ -1,7 +1,11 @@
 package hin
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"hinet/internal/sparse"
 )
 
 // tinyDBLP builds the toy network used across these tests:
@@ -44,15 +48,94 @@ func TestObjectRegistration(t *testing.T) {
 	}
 }
 
-func TestAddAnonymous(t *testing.T) {
+// TestAddObjects: a batch gets contiguous ids in order and is found by
+// name — into a fresh index, beside names already there, and into a
+// clone's overlay — and a name that repeats or exists panics before the
+// network changes.
+func TestAddObjects(t *testing.T) {
 	n := NewNetwork()
-	first := n.AddAnonymous("term", 5)
-	if first != 0 || n.Count("term") != 5 {
-		t.Fatalf("AddAnonymous first=%d count=%d", first, n.Count("term"))
+	if first := n.AddObjects("term", []string{"a", "b", "c"}); first != 0 || n.Count("term") != 3 {
+		t.Fatalf("first batch: first=%d count=%d", first, n.Count("term"))
 	}
-	second := n.AddAnonymous("term", 3)
-	if second != 5 || n.Count("term") != 8 {
-		t.Errorf("second batch first=%d count=%d", second, n.Count("term"))
+	if first := n.AddObjects("term", []string{"d", "e"}); first != 3 || n.Count("term") != 5 {
+		t.Fatalf("second batch: first=%d count=%d", first, n.Count("term"))
+	}
+	c := n.Clone()
+	if first := c.AddObjects("term", []string{"f"}); first != 5 || c.Count("term") != 6 || n.Count("term") != 5 {
+		t.Fatalf("clone's batch: first=%d, clone %d terms, parent %d", first, c.Count("term"), n.Count("term"))
+	}
+	if first := c.AddObjects("term", nil); first != 6 {
+		t.Fatalf("empty batch: first=%d", first)
+	}
+	for id, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		if c.Lookup("term", name) != id || c.Name("term", id) != name {
+			t.Fatalf("clone: %q at %d, Name(%d) = %q", name, c.Lookup("term", name), id, c.Name("term", id))
+		}
+	}
+	if n.Lookup("term", "f") != -1 {
+		t.Fatal("the clone's name reached its parent")
+	}
+	for _, names := range [][]string{{"g", "g"}, {"g", "a"}, {"f"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddObjects(%q) did not panic", names)
+				}
+			}()
+			c.AddObjects("term", names)
+		}()
+		if c.Count("term") != 6 || c.Lookup("term", "g") != -1 {
+			t.Fatalf("AddObjects(%q) changed the network before panicking", names)
+		}
+	}
+}
+
+// TestRelationBuildsOnce: goroutines asking a fresh network for one
+// orientation at once share one matrix, built once. The relation is big
+// enough that a build takes longer than the goroutines take to arrive.
+func TestRelationBuildsOnce(t *testing.T) {
+	n := NewNetwork()
+	const papers, authors, perPaper = 20_000, 1_000, 10
+	for _, tc := range []struct {
+		t     Type
+		count int
+	}{{"paper", papers}, {"author", authors}} {
+		names := make([]string, tc.count)
+		for i := range names {
+			names[i] = fmt.Sprintf("%s%d", tc.t, i)
+		}
+		n.AddObjects(tc.t, names)
+	}
+	links := make([]EdgeDelta, 0, papers*perPaper)
+	for p := 0; p < papers; p++ {
+		for j := 0; j < perPaper; j++ {
+			links = append(links, EdgeDelta{Src: p, Dst: (p*7 + j*13) % authors, W: 1})
+		}
+	}
+	if err := n.ApplyEdgeDeltas("paper", "author", links); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([]*sparse.Matrix, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = n.Relation("author", "paper")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, m := range got {
+		if m != got[0] {
+			t.Fatalf("reader %d got a matrix of its own", i)
+		}
+	}
+	if n.relBuilds != 1 {
+		t.Fatalf("%d builds of one orientation, want 1", n.relBuilds)
 	}
 }
 

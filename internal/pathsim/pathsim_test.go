@@ -1,6 +1,7 @@
 package pathsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func toyNet() *hin.Network {
 	n.AddObject("venue", "v1")
 	paper := 0
 	addPaper := func(author, venue int) {
-		p := n.AddAnonymous("paper", 1)
+		p := n.AddObject("paper", fmt.Sprintf("paper#%d", paper))
 		n.AddLink("paper", p, "author", author, 1)
 		n.AddLink("paper", p, "venue", venue, 1)
 		paper++

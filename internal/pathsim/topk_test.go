@@ -5,6 +5,7 @@ package pathsim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -74,8 +75,15 @@ func bothForms(t *testing.T, rng *rand.Rand, n, features int) map[string]*Index 
 
 func tieHeavyNet(rng *rand.Rand, n, features int) *hin.Network {
 	net := hin.NewNetwork()
-	net.AddAnonymous("x", n)
-	net.AddAnonymous("f", features)
+	add := func(t hin.Type, count int) {
+		names := make([]string, count)
+		for i := range names {
+			names[i] = fmt.Sprintf("%s#%d", t, i)
+		}
+		net.AddObjects(t, names)
+	}
+	add("x", n)
+	add("f", features)
 	for r := 0; r < n; r++ {
 		deg := 1 + rng.Intn(4)
 		for i := 0; i < deg; i++ {
