@@ -4,47 +4,41 @@
 // answer bitwise-identical at any N. An unsharded server is the N = 1
 // case — one shard owning the whole candidate range.
 //
-// The design partitions the *similarity index* and shares the
-// *models*:
+// A shard is a candidate range, not a replica. Each shard owns a
+// contiguous range [Lo, Hi) of the PathSim index's endpoint type, chosen
+// to balance scan work (Partition), and answers from a pathsim.Index over
+// that range: the path's half-path factor W and its transpose, which the
+// network's meta-path engine caches once. No shard, at any count,
+// materializes the commuting matrix W·Wᵀ; a query accumulates its one
+// row of it, cut to the shard's range.
 //
-//   - Each shard owns a contiguous candidate range [Lo, Hi) of the
-//     PathSim index's endpoint type, chosen to balance scan work
-//     (Partition), and answers from a pathsim.Index over that range: the
-//     path's half-path factor W and its transpose, which the network's
-//     meta-path engine caches once and every shard holds by pointer. No
-//     shard, at any count, materializes the commuting matrix W·Wᵀ; a
-//     query accumulates its one row of it, cut to the shard's range.
-//   - The network and the models over it (PageRank, HITS, RankClus,
-//     NetClus) are one immutable generation (Models) per write, built
-//     once and shared by pointer among in-process shards. Being
-//     deterministic in (seed, spec, delta history), a shard that cannot
-//     share — replaying its log — rebuilds a bit-identical replica.
-//     Ranking and clustering are functions of the whole network, so no
-//     shard answers them: whoever holds a View reads its Models directly.
+// The coordinator applies each write (Ingest/Rebuild) once: it builds
+// the network and the models over it (PageRank, HITS, RankClus, NetClus)
+// as one immutable generation (Models) and, beside them, the default
+// path's index over the whole type, cuts every shard's range from it,
+// appends the write to its one replayable log and publishes a View. A
+// rejected or failed write changes nothing and is not logged. Ranking
+// and clustering are functions of the whole network, so no shard answers
+// them: whoever holds a View reads its Models directly.
 //
-// A View is one published generation of every shard: the epoch, the
-// shared Models and each shard's generation, held by pointer. Every
-// PathSim read is a View method, so a read cannot miss its generation,
-// and a superseded one is freed when the last View holding it goes.
-// TopK/BatchTopK scatter to all shards — every shard scores its range of
-// the query's row and returns a local top-k — and the partials, each
-// already sorted, merge in the order the single-index scan selects by
-// (pathsim.MergeTopK, a k-way merge), which is what makes the merged
-// answer bitwise-equal, tie order included. A meta-path's range indexes
-// are materialized by Resolve, on the asking request's goroutine, before
-// the first query over it.
-//
-// Writes (Ingest/Rebuild) fan out shard 0 first: every shard applies
-// the same write to the same state, so shard 0 acts as the validation
-// gate — if it rejects a batch nothing has changed anywhere, and if it
-// accepts, the remaining shards cannot fail differently. The
-// coordinator publishes the next View once every shard has published.
+// A View is one published generation: the epoch, the Models and every
+// shard's range of each meta-path served from it — one index per path,
+// one diagonal, N cuts sharing W and Wᵀ. Every PathSim read is a View
+// method, so a read cannot miss its generation, and a superseded one is
+// freed when the last View holding it goes. TopK/BatchTopK scatter to
+// all shards — every shard scores its range of the query's row and
+// returns a local top-k — and the partials, each already sorted, merge
+// in the order the single-index scan selects by (pathsim.MergeTopK, a
+// k-way merge), which is what makes the merged answer bitwise-equal,
+// tie order included. A meta-path's ranges are built by Resolve, on the
+// asking request's goroutine, before the first query over it.
 package cluster
 
-// ShardStats is one shard's observable state: partition geometry, the
-// default-path index size (pathsim.Index.NNZ over the shard's range: the
-// skew signal), and load counters — the PathSim reads (TopK, BatchTopK)
-// the shard has taken and is running; no other read reaches a shard.
+// ShardStats is one shard's observable state in the published View: its
+// epoch (the View's), partition geometry, the default-path index size
+// (pathsim.Index.NNZ over the shard's range: the skew signal), and load
+// counters — the PathSim reads (TopK, BatchTopK) the shard has taken
+// and is running; no other read reaches a shard.
 type ShardStats struct {
 	ID       int    `json:"id"`
 	Epoch    int64  `json:"epoch"`

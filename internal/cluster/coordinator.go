@@ -1,19 +1,21 @@
-// The scatter-gather coordinator: publishes one View per write once
-// every shard has published, fans a View's PathSim reads out to every
-// shard, and merges partial top-k answers under the same strict total
-// order the single-index scan uses. It holds no model state of its own:
-// the View it publishes says where a generation's models are.
+// The scatter-gather coordinator: applies each write once — the models
+// and every shard's range of the default path built side by side —
+// keeps the one write log, and publishes one View per write; fans a
+// View's PathSim reads out to every shard's range and merges the partial
+// top-k answers under the same strict total order the single-index scan
+// uses.
 
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hinet/internal/hin"
 	"hinet/internal/ingest"
 	"hinet/internal/obs"
 	"hinet/internal/pathsim"
@@ -22,43 +24,49 @@ import (
 // Coordinator routes queries across one partition's shards.
 type Coordinator struct {
 	part   Partition
+	spec   ModelSpec // SkipPathSim set: the cluster never materializes the similarity index
 	shards []*LocalShard
 	spans  []string // "shard<i>": per-shard trace span names
 
-	mu   sync.Mutex // serializes write fan-out and restarts
-	view atomic.Pointer[View]
+	mu sync.Mutex // serializes writes and restarts; guards the log
+	// The replayable state: a checkpoint — the models published at epoch
+	// base, nil when the log opens with a rebuild, which needs none — and
+	// the writes applied since, at most maxLogOps of them.
+	checkpoint *Models
+	base       int64
+	log        []*writeOp
 
+	view     atomic.Pointer[View]
 	scatters atomic.Uint64 // scatter-gather fan-outs issued
 }
 
-// View is one published generation of every shard: its epoch, the
-// models the shards share (embedded: what ranking, clustering and
-// rendering read, with no shard in between) and each shard's generation,
-// held by pointer. Immutable; its reads cannot miss their generation.
+// View is one published generation: its epoch, its models (embedded:
+// what ranking, clustering and rendering read, with no shard in between)
+// and every shard's range of each meta-path served from it. Immutable
+// but for that memo (concurrent-safe, append-only), which dies with the
+// View, so a write can never serve a stale-epoch index.
 type View struct {
 	Epoch int64
 	*Models
-	c    *Coordinator
-	gens []*generation // gens[i] is shard i's
+	c      *Coordinator
+	def    []*pathsim.Index // def[i] is shard i's range of the default path, built with the write
+	paths  sync.Map         // resolved path string → []*pathsim.Index, one range per shard
+	npaths atomic.Int32
 }
 
 // NewLocalCluster builds n in-process shards over the partition,
 // materializes their first generation from seed, and returns the
 // coordinator — the `hinet serve -shards N` construction path. The
-// shards share one build memo, so every write fanned out through the
-// coordinator builds its models once and all n shards hold the same
-// *Models. The fourth parameter is ignored: bench/ still passes it a
-// nil; the next [benchmark] PR drops that argument and this parameter
-// together.
+// fourth parameter is ignored: bench/ still passes it a nil; the next
+// [benchmark] PR drops that argument and this parameter together.
 func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (*Coordinator, error) {
 	if part.Shards() != n {
 		return nil, fmt.Errorf("cluster: partition has %d ranges for %d shards", part.Shards(), n)
 	}
 	spec.SkipPathSim = true
-	c := &Coordinator{part: part, shards: make([]*LocalShard, n), spans: make([]string, n)}
-	memo := &builds{}
+	c := &Coordinator{part: part, spec: spec, shards: make([]*LocalShard, n), spans: make([]string, n)}
 	for i := range c.shards {
-		c.shards[i] = &LocalShard{id: i, part: part, spec: spec, memo: memo}
+		c.shards[i] = &LocalShard{id: i, part: part}
 		c.spans[i] = fmt.Sprintf("shard%d", i)
 	}
 	if _, err := c.Rebuild(seed); err != nil {
@@ -70,11 +78,7 @@ func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Shard returns shard i (tests).
-func (c *Coordinator) Shard(i int) *LocalShard { return c.shards[i] }
-
-// View returns the published View: the newest generation every shard
-// has published.
+// View returns the published View.
 func (c *Coordinator) View() *View { return c.view.Load() }
 
 // Epoch returns the cluster epoch: the published View's.
@@ -93,8 +97,7 @@ func (c *Coordinator) Scatters() uint64 { return c.scatters.Load() }
 // shards; a one-shard cluster has nothing to fan out and runs fn
 // inline, with no gather bookkeeping. On success the scatter span is
 // returned still open, for the caller to chain its merge span onto. The
-// first error wins (client errors take priority, so a bad path is
-// always reported as such) and closes the span; partial results are
+// first shard's error wins and closes the span; partial results are
 // discarded on error.
 func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh *LocalShard) error) (int, error) {
 	c.scatters.Add(1)
@@ -129,8 +132,7 @@ func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh *LocalShard) erro
 	var first error
 	for i, err := range errs {
 		tr.AddTimed(sp, c.spans[i], durs[i])
-		var ce *ClientError
-		if err != nil && (first == nil || errors.As(err, &ce) && !errors.As(first, &ce)) {
+		if first == nil {
 			first = err
 		}
 	}
@@ -140,34 +142,85 @@ func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh *LocalShard) erro
 	return sp, first
 }
 
-// Resolve makes a meta-path servable in v and reports whether every
-// shard already held its range index of it. When some do not and build
-// is set, the shards materialize theirs concurrently, on the caller's
-// goroutine and its fan-out — the cold build of a path never runs
-// inside a later query's scatter, where it would stall whoever
-// dispatches kernels. Without build nothing is materialized: the answer
-// says whether queries over the path would find it built.
+// Resolve makes a meta-path servable in v and reports whether v already
+// held its ranges. When it does not and build is set, they are built
+// now, on the caller's goroutine (View.build) — the cold build of a path
+// never runs inside a later query's scatter, where it would stall
+// whoever dispatches kernels. Without build nothing is materialized: the
+// answer says whether queries over the path would find it built.
 func (v *View) Resolve(ctx context.Context, path string, build bool) (bool, error) {
-	held := true
-	for i, sh := range v.c.shards {
-		ix, _, err := sh.held(v.gens[i], path)
-		if err != nil {
-			return false, err
+	rs, p, err := v.held(path)
+	if rs != nil || err != nil || !build {
+		return rs != nil, err
+	}
+	_, err = v.build(ctx, p)
+	return false, err
+}
+
+// held returns v's memoized ranges of a path spec (empty = the default
+// path, built with the write), or nil and the parsed path to build them
+// from. The memo is keyed by resolved path string, so a spec already in
+// that spelling — what the serving layer sends — costs one lookup.
+func (v *View) held(spec string) ([]*pathsim.Index, hin.MetaPath, error) {
+	if spec == "" {
+		return v.def, nil, nil
+	}
+	if rs, ok := v.paths.Load(spec); ok {
+		return rs.([]*pathsim.Index), nil, nil
+	}
+	path, err := v.Corpus.Net.ParseMetaPath(spec)
+	if err == nil {
+		err = pathsim.ValidatePath(path)
+	}
+	if err != nil {
+		return nil, nil, &ClientError{Err: err}
+	}
+	if rs, ok := v.paths.Load(path.String()); ok {
+		return rs.([]*pathsim.Index), nil, nil
+	}
+	return nil, path, nil
+}
+
+// build materializes every shard's range of path over v's network: the
+// index over the whole endpoint type once — one diagonal — then each
+// shard's cut of it, fanned out like a read. The ranges are memoized up
+// to maxPathIndexes per View.
+func (v *View) build(ctx context.Context, path hin.MetaPath) ([]*pathsim.Index, error) {
+	full, err := pathsim.NewRangeIndexCtx(ctx, v.Corpus.Net, path, 0, v.Corpus.Net.Count(path[0]))
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
 		}
-		held = held && ix != nil
+		return nil, &ClientError{Err: err}
 	}
-	if held || !build {
-		return held, nil
-	}
+	rs := make([]*pathsim.Index, len(v.c.shards))
 	tr := obs.FromContext(ctx)
-	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
-		_, err := sh.rangeFor(ctx, v.gens[i], path)
+	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) (err error) {
+		rs[i], err = sh.cut(full)
 		return err
 	})
-	if err == nil {
-		tr.End(sp)
+	if err != nil {
+		return nil, err
 	}
-	return false, err
+	tr.End(sp)
+	if v.npaths.Load() >= maxPathIndexes {
+		return rs, nil
+	}
+	got, loaded := v.paths.LoadOrStore(path.String(), rs)
+	if !loaded {
+		v.npaths.Add(1)
+	}
+	return got.([]*pathsim.Index), nil
+}
+
+// ranges returns every shard's range of a path spec in v, memoized or
+// built now.
+func (v *View) ranges(ctx context.Context, spec string) ([]*pathsim.Index, error) {
+	rs, path, err := v.held(spec)
+	if rs != nil || err != nil {
+		return rs, err
+	}
+	return v.build(ctx, path)
 }
 
 // TopK scatter-gathers a top-k query: every shard scores its candidate
@@ -175,11 +228,15 @@ func (v *View) Resolve(ctx context.Context, path string, build bool) (bool, erro
 // single-index order (pathsim.MergeTopK), yielding an answer
 // bitwise-identical to a single-process index of v's generation.
 func (v *View) TopK(ctx context.Context, path string, x, k int) ([]pathsim.Pair, error) {
+	rs, err := v.ranges(ctx, path)
+	if err != nil {
+		return nil, err
+	}
 	tr := obs.FromContext(ctx)
-	partials := make([][]pathsim.Pair, len(v.gens))
+	partials := make([][]pathsim.Pair, len(rs))
 	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
-		return sh.read(ctx, v.gens[i], path, func(ix *pathsim.Index) error {
-			partials[i] = ix.TopK(x, k)
+		return sh.read(func() error {
+			partials[i] = rs[i].TopK(x, k)
 			return nil
 		})
 	})
@@ -202,14 +259,18 @@ func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []
 }
 
 // BatchTopK is the batched scatter-gather: the whole query batch fans
-// out to every shard (each answering all queries over its own slice, in
+// out to every shard (each answering all queries over its own range, in
 // parallel internally), then each query's partials merge.
 func (v *View) BatchTopK(ctx context.Context, path string, xs []int, k int) ([][]pathsim.Pair, error) {
+	rs, err := v.ranges(ctx, path)
+	if err != nil {
+		return nil, err
+	}
 	tr := obs.FromContext(ctx)
-	partials := make([][][]pathsim.Pair, len(v.gens))
+	partials := make([][][]pathsim.Pair, len(rs))
 	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
-		return sh.read(ctx, v.gens[i], path, func(ix *pathsim.Index) (err error) {
-			partials[i], err = ix.BatchTopKCtx(ctx, xs, k)
+		return sh.read(func() (err error) {
+			partials[i], err = rs[i].BatchTopKCtx(ctx, xs, k)
 			return err
 		})
 	})
@@ -218,11 +279,11 @@ func (v *View) BatchTopK(ctx context.Context, path string, xs []int, k int) ([][
 	}
 	sp = tr.Next(sp, "merge")
 	out := partials[0] // one shard's partials are the answers
-	if len(v.gens) > 1 {
+	if len(rs) > 1 {
 		out = make([][]pathsim.Pair, len(xs))
-		parts := make([][]pathsim.Pair, len(v.gens))
+		parts := make([][]pathsim.Pair, len(rs))
 		for q := range xs {
-			for i := range v.gens {
+			for i := range rs {
 				parts[i] = partials[i][q]
 			}
 			out[q] = pathsim.MergeTopK(parts, k, nil)
@@ -232,72 +293,129 @@ func (v *View) BatchTopK(ctx context.Context, path string, xs []int, k int) ([][
 	return out, nil
 }
 
-// fanOut applies one write to every shard, shard 0 first: every shard
-// applies it to the same state, so shard 0 is the validation gate — a
-// rejected write changes nothing anywhere, and once shard 0 accepts,
-// the rest cannot fail differently (in-process they receive the very
-// models shard 0 built). The next View publishes only after every shard
-// has published its new generation; until then readers hold the last.
-func (c *Coordinator) fanOut(what string, op writeOp) (int64, ingest.Summary, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum ingest.Summary
+// defaultRanges builds every shard's range of the default path over net,
+// cut from one index over the whole author type. It runs as one job of a
+// write, so it cuts in turn rather than through scatter: a write is not
+// a read fan-out, and hinet_cluster_scatters_total counts only those.
+func (c *Coordinator) defaultRanges(net *hin.Network) ([]*pathsim.Index, error) {
+	full, err := pathsim.NewRangeIndexCtx(context.Background(), net, PathAPVPA, 0, net.Count(PathAPVPA[0]))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: default index: %w", err)
+	}
+	rs := make([]*pathsim.Index, len(c.shards))
 	for i, sh := range c.shards {
-		var err error
-		if _, sum, err = sh.write(op); err != nil {
-			if i > 0 {
-				err = fmt.Errorf("cluster: shard %d diverged on %s accepted by shard 0: %w", i, what, err)
-			}
-			return 0, sum, err
+		if rs[i], err = sh.cut(full); err != nil {
+			return nil, err
 		}
 	}
-	return c.publish(), sum, nil
+	return rs, nil
 }
 
-// publish makes every shard's live generation the published View and
-// returns its epoch. Callers hold mu.
-func (c *Coordinator) publish() int64 {
-	gens := make([]*generation, len(c.shards))
-	for i, sh := range c.shards {
-		gens[i] = sh.gen.Load()
+// write applies op once, on top of the published View (none before the
+// first rebuild): the model builds (op.run) and, beside them in the same
+// fork–join, the default path's ranges (defaultRanges) and any job in
+// beside — the failure tests' way in. Nothing is logged or published
+// unless all of it succeeds. The log restarts at a rebuild, whose state
+// depends on no history, and when it is full: the models this write
+// supersedes — in hand, nothing is rebuilt — become the checkpoint the
+// log replays from (checkpointOf), so between rebuilds the cluster keeps
+// at most maxLogOps batches and one model set, without its products,
+// beyond the Views it serves.
+func (c *Coordinator) write(op writeOp, beside ...func(*hin.Network) error) (int64, ingest.Summary, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var prev *Models
+	epoch := int64(1)
+	if cur := c.view.Load(); cur != nil {
+		prev, epoch = cur.Models, cur.Epoch+1
 	}
-	c.view.Store(&View{Epoch: gens[0].epoch, Models: gens[0].models, c: c, gens: gens})
-	return gens[0].epoch
+	var def []*pathsim.Index
+	m, sum, err := op.run(prev, c.spec, append(beside, func(net *hin.Network) (err error) {
+		def, err = c.defaultRanges(net)
+		return err
+	})...)
+	if err != nil {
+		return 0, sum, err
+	}
+	op.deltas = slices.Clone(op.deltas)
+	if op.rebuild {
+		c.checkpoint, c.base, c.log = nil, epoch-1, nil
+	} else if len(c.log) >= maxLogOps {
+		c.checkpoint, c.base, c.log = checkpointOf(prev), epoch-1, nil
+	}
+	c.log = append(c.log, &op)
+	c.publish(epoch, m, def)
+	return epoch, sum, nil
 }
 
-// Ingest fans a delta batch out to every shard as one new generation,
-// all-or-nothing: a batch shard 0 rejects changes nothing and is not
-// logged.
+// checkpointOf returns m as a replay base: the same models over a
+// copy-on-write clone of the network whose meta-path engine is empty.
+// A checkpoint therefore pins its generation's relations and score
+// vectors but none of its materialized products; a replay recomputes
+// those cold, which yields the same bits as the patches the live chain
+// took.
+func checkpointOf(m *Models) *Models {
+	net := m.Corpus.Net.Clone()
+	net.PathEngine().Reset()
+	cp := *m
+	cp.Corpus = m.Corpus.WithNetwork(net)
+	return &cp
+}
+
+// publish makes m, with every shard's range of the default path, the
+// View at epoch. Callers hold mu.
+func (c *Coordinator) publish(epoch int64, m *Models, def []*pathsim.Index) {
+	v := &View{Epoch: epoch, Models: m, c: c, def: def}
+	v.paths.Store(PathAPVPA.String(), def)
+	v.npaths.Store(1)
+	c.view.Store(v)
+}
+
+// Ingest applies a delta batch as one new generation, all-or-nothing: a
+// rejected batch changes nothing and is not logged.
 func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
-	return c.fanOut("ingest", writeOp{deltas: deltas, refresh: refreshModels})
+	return c.write(writeOp{deltas: deltas, refresh: refreshModels})
 }
 
-// Rebuild fans a fresh-generation build from seed out to every shard.
+// Rebuild builds a fresh generation from seed.
 func (c *Coordinator) Rebuild(seed int64) (int64, error) {
-	epoch, _, err := c.fanOut("rebuild", writeOp{rebuild: true, rebuildSeed: seed})
+	epoch, _, err := c.write(writeOp{rebuild: true, rebuildSeed: seed})
 	return epoch, err
 }
 
-// Restart replays shard i's write log alone, as a restarted shard
-// process would, and publishes the View again at the same epoch with the
-// replayed generation in it. A View taken before keeps the generation
-// it holds.
-func (c *Coordinator) Restart(i int) error {
+// Restart models a process restart: the write log replays off to the
+// side, from its checkpoint — never from the live models — and the View
+// publishes again at the same epoch with the replayed models, which it
+// alone holds until the next write. Every model build is deterministic,
+// so they are bit-identical to the live ones; a View taken before keeps
+// what it holds.
+func (c *Coordinator) Restart() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.shards[i].restart(); err != nil {
+	m := c.checkpoint
+	for _, op := range c.log {
+		var err error
+		if m, _, err = op.run(m, c.spec); err != nil {
+			return fmt.Errorf("cluster: replay diverged: %w", err)
+		}
+	}
+	def, err := c.defaultRanges(m.Corpus.Net)
+	if err != nil {
 		return err
 	}
-	c.publish()
+	c.publish(c.base+int64(len(c.log)), m, def)
 	return nil
 }
 
 // Stats returns every shard's stats, in shard order — the partition
 // skew view (/v1/cluster/shards, hinet_shard_* metrics).
 func (c *Coordinator) Stats() []ShardStats {
+	v := c.view.Load()
 	out := make([]ShardStats, len(c.shards))
 	for i, sh := range c.shards {
-		out[i] = sh.Stats()
+		def := v.def[i]
+		out[i] = ShardStats{ID: sh.id, Epoch: v.Epoch, Lo: def.Lo(), Hi: def.Hi(), Rows: def.Rows(), NNZ: def.NNZ(),
+			Inflight: sh.inflight.Load(), Queries: sh.queries.Load()}
 	}
 	return out
 }

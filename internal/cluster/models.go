@@ -1,11 +1,10 @@
 // The shared model recipe: one deterministic function from (seed,
 // spec) — and, for incremental generations, the previous models plus a
 // delta batch — to the full artifact set a serving generation needs.
-// The single-process snapshot store (internal/serve), an in-process
-// cluster's build memo and a restarting shard's replay all build
+// A cluster's writes and its log replay (Coordinator.Restart) both build
 // through these two functions: same seed, same spec, same delta
-// history ⇒ bitwise-identical models, so a shared generation and a
-// rebuilt replica are interchangeable.
+// history ⇒ bitwise-identical models, so a replayed generation and the
+// live one are interchangeable.
 
 package cluster
 
@@ -106,7 +105,7 @@ func buildModels(seed int64, spec ModelSpec, beside ...func(*hin.Network) error)
 //
 // Determinism carries through: identical prev models and the same
 // batch produce identical next models, which is the invariant the
-// cluster's build memo and shard replay stand on.
+// cluster's log replay stands on.
 func IngestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec ModelSpec) (*Models, ingest.Summary, error) {
 	return ingestModels(prev, deltas, refreshModels, spec)
 }
@@ -133,8 +132,9 @@ func ingestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec 
 // here needs nothing but the network, so the co-author graph followed
 // by PageRank beside HITS, each clustering model, the materialized
 // similarity index (when the spec keeps one) and the caller's beside
-// jobs (a shard's range of the default index) run side by side, each on one core — on a graph of serving
-// size none of them is worth cutting into blocks — and m is complete
+// jobs (every shard's range of the default index) run side by side, each
+// on one core — on a graph of serving size none of them is worth
+// cutting into blocks — and m is complete
 // when fit returns. Each job owns the field it writes and every kernel
 // under it partitions by shape alone, so the result does not depend on
 // the schedule; at Parallelism 1 the jobs run in the order written.

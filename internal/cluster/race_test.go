@@ -1,9 +1,8 @@
 // Concurrency suite (run under -race in CI): scatter-gather reads,
-// ingest fan-out, and shard restarts all proceed concurrently while
-// per-shard and coordinator epochs stay monotone, reads only ever see
-// fully published generations, and the final epoch accounts exactly
-// for the writes that succeeded — the PR 6 saturation-race pattern
-// extended across the shard boundary.
+// ingests and log-replay restarts all proceed concurrently while the
+// coordinator's and every shard's epoch stay monotone, reads only ever
+// see fully published generations, and the final epoch accounts exactly
+// for the writes that succeeded.
 
 package cluster
 
@@ -50,14 +49,15 @@ func TestClusterRace(t *testing.T) {
 		t.Errorf(format, args...)
 	}
 
-	// Epoch monotonicity watchers: the coordinator and every shard.
+	// Epoch monotonicity watchers: the coordinator and every shard as
+	// Stats reports it (the View's).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		last := c.Epoch()
 		lastShard := make([]int64, shards)
-		for i := range lastShard {
-			lastShard[i] = c.Shard(i).Epoch()
+		for i, st := range c.Stats() {
+			lastShard[i] = st.Epoch
 		}
 		for {
 			select {
@@ -71,8 +71,8 @@ func TestClusterRace(t *testing.T) {
 			} else {
 				last = e
 			}
-			for i := 0; i < shards; i++ {
-				if e := c.Shard(i).Epoch(); e < lastShard[i] {
+			for i, st := range c.Stats() {
+				if e := st.Epoch; e < lastShard[i] {
 					fail("shard %d epoch went backwards: %d -> %d", i, lastShard[i], e)
 					return
 				} else {
@@ -83,8 +83,11 @@ func TestClusterRace(t *testing.T) {
 	}()
 
 	// Scatter-gather readers. Each holds the View it read from, so no
-	// write or restart can make it fail: any error is a bug.
+	// write or restart can make it fail: any error is a bug. Half the
+	// reads take a path no write builds, so readers of one View build
+	// and memoize its ranges side by side.
 	dim := ref.PathSim.Dim()
+	paths := []string{"", PathAPA.String()}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -97,7 +100,7 @@ func TestClusterRace(t *testing.T) {
 				default:
 				}
 				x, k := rng.Intn(dim), 1+rng.Intn(10)
-				pairs, ep, err := c.TopK(ctx, "", x, k)
+				pairs, ep, err := c.TopK(ctx, paths[rng.Intn(len(paths))], x, k)
 				if err != nil {
 					fail("reader: %v", err)
 					return
@@ -118,32 +121,29 @@ func TestClusterRace(t *testing.T) {
 		}(r)
 	}
 
-	// Restart loop: bounce shards while traffic flows.
+	// Restart loop: replay the log while traffic flows.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewSource(55))
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			i := rng.Intn(shards)
-			sh := c.Shard(i)
-			before := sh.Epoch()
-			if err := c.Restart(i); err != nil {
+			before := c.Epoch()
+			if err := c.Restart(); err != nil {
 				fail("restart: %v", err)
 				return
 			}
-			if after := sh.Epoch(); after < before {
-				fail("restart dropped shard epoch %d -> %d", before, after)
+			if after := c.Epoch(); after < before {
+				fail("restart dropped the epoch %d -> %d", before, after)
 				return
 			}
 		}
 	}()
 
-	// Writer: sequential ingest fan-outs through the coordinator,
+	// Writer: sequential ingests through the coordinator,
 	// mirrored into the single-process reference.
 	refCur := ref
 	for w := 0; w < writes; w++ {
@@ -183,9 +183,9 @@ func TestClusterRace(t *testing.T) {
 	if c.Epoch() != want {
 		t.Fatalf("final coordinator epoch %d, want %d", c.Epoch(), want)
 	}
-	for i := 0; i < shards; i++ {
-		if e := c.Shard(i).Epoch(); e != want {
-			t.Fatalf("final shard %d epoch %d, want %d", i, e, want)
+	for i, st := range c.Stats() {
+		if st.Epoch != want {
+			t.Fatalf("final shard %d epoch %d, want %d", i, st.Epoch, want)
 		}
 	}
 	// And the final state is bitwise the single-process one.

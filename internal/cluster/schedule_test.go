@@ -172,51 +172,44 @@ func TestWriteBitsIndependentOfSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check := func(label string, sh *LocalShard) {
+				check := func(label string, v *View) {
 					t.Helper()
-					g := sh.gen.Load()
-					sameRanks(t, label, g.models, want)
-					sameRange(t, label+" default range", g.def, wantRange(sh))
+					sameRanks(t, label, v.Models, want)
+					for i, sh := range c.shards {
+						sameRange(t, fmt.Sprintf("%s, shard %d default range", label, i), v.def[i], wantRange(sh))
+					}
 				}
-				for i := 0; i < shards; i++ {
-					check(fmt.Sprintf("%s, shard %d", label, i), c.Shard(i))
-				}
-				if err := c.Restart(shards - 1); err != nil {
+				check(label, c.View())
+				if err := c.Restart(); err != nil {
 					t.Fatal(err)
 				}
-				check(label+", replayed shard", c.Shard(shards-1))
+				check(label+", replayed", c.View())
 			}
 		}
 	}
 }
 
-// shardState is what a failed write must leave as it found it.
-type shardState struct {
-	gen        *generation
+// writeState is what a failed write must leave as it found it.
+type writeState struct {
+	view       *View
 	epoch      int64
 	checkpoint *Models
 	base       int64
 	log        []*writeOp
-	memoParent *writeOp
-	memoOp     *writeOp
-	memoModels *Models
 }
 
-func stateOf(sh *LocalShard) shardState {
-	return shardState{sh.gen.Load(), sh.Epoch(), sh.checkpoint, sh.base, append([]*writeOp(nil), sh.baseOps...),
-		sh.memo.parent, sh.memo.op, sh.memo.models}
+func stateOf(c *Coordinator) writeState {
+	return writeState{c.View(), c.Epoch(), c.checkpoint, c.base, slices.Clone(c.log)}
 }
 
-func (s shardState) same(o shardState) bool {
-	return slices.Equal(s.log, o.log) && s.gen == o.gen && s.epoch == o.epoch && s.checkpoint == o.checkpoint && s.base == o.base &&
-		s.memoParent == o.memoParent && s.memoOp == o.memoOp && s.memoModels == o.memoModels
+func (s writeState) same(o writeState) bool {
+	return slices.Equal(s.log, o.log) && s.view == o.view && s.epoch == o.epoch && s.checkpoint == o.checkpoint && s.base == o.base
 }
 
 // TestFailedJobFailsTheWrite: a job beside the model builds that returns
 // an error (an index over a path the schema does not have) or panics —
-// on the shard that builds and on one handed its sibling's models, at
-// one worker (jobs inline) and two (jobs on the pool) — surfaces on the
-// writer and leaves the live generation, the log and the build memo
+// at one worker (jobs inline) and two (jobs on the pool) — surfaces on
+// the writer and leaves the View, the log, the checkpoint and the epoch
 // exactly as they were; the next write goes through.
 func TestFailedJobFailsTheWrite(t *testing.T) {
 	defer sparse.Parallelism(sparse.Parallelism(0))
@@ -236,15 +229,14 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		builder, sibling := c.Shard(0), c.Shard(1)
 		deltas := newTestDeltas(ref, "fail")
-		attempt := func(label string, sh *LocalShard, job func(*hin.Network) error, wantPanic any) {
+		attempt := func(label string, job func(*hin.Network) error, wantPanic any) {
 			t.Helper()
-			before := stateOf(sh)
+			before := stateOf(c)
 			var err error
 			recovered := func() (r any) {
 				defer func() { r = recover() }()
-				_, _, err = sh.write(writeOp{deltas: deltas}, job)
+				_, _, err = c.write(writeOp{deltas: deltas}, job)
 				return nil
 			}()
 			if recovered != wantPanic {
@@ -253,31 +245,21 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 			if wantPanic == nil && (err == nil || !strings.Contains(err.Error(), "relation")) {
 				t.Fatalf("%d workers, %s: write returned %v, want the job's schema error", workers, label, err)
 			}
-			if !stateOf(sh).same(before) {
-				t.Fatalf("%d workers, %s: the failed write left a trace: %+v, was %+v", workers, label, stateOf(sh), before)
+			if !stateOf(c).same(before) {
+				t.Fatalf("%d workers, %s: the failed write left a trace: %+v, was %+v", workers, label, stateOf(c), before)
 			}
 		}
-		attempt("builder, error", builder, badPath, nil)
-		attempt("builder, panic", builder, boom, "boom")
-		if _, _, err := builder.write(writeOp{deltas: deltas}); err != nil {
+		attempt("error", badPath, nil)
+		attempt("panic", boom, "boom")
+		if _, _, err := c.write(writeOp{deltas: deltas}); err != nil {
 			t.Fatalf("%d workers: the write after the failed ones: %v", workers, err)
-		}
-		// The sibling now finds the builder's models in the memo and runs
-		// its jobs inline.
-		attempt("sibling, error", sibling, badPath, nil)
-		attempt("sibling, panic", sibling, boom, "boom")
-		if _, _, err := sibling.write(writeOp{deltas: deltas}); err != nil {
-			t.Fatalf("%d workers: the sibling's write after the failed ones: %v", workers, err)
-		}
-		if builder.Models() != sibling.Models() {
-			t.Fatalf("%d workers: after the failures the shards no longer share one model set", workers)
 		}
 		want, _, err := IngestModels(ref, deltas, false, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRanks(t, fmt.Sprintf("%d workers: after the failures", workers), builder.Models(), want)
-		if err := builder.read(ctx, builder.gen.Load(), "", func(ix *pathsim.Index) error { ix.TopK(0, 5); return nil }); err != nil {
+		sameRanks(t, fmt.Sprintf("%d workers: after the failures", workers), c.View().Models, want)
+		if _, err := c.View().TopK(ctx, "", 0, 5); err != nil {
 			t.Fatalf("%d workers: read after the failures: %v", workers, err)
 		}
 	}

@@ -1,7 +1,6 @@
-// One model generation per write: the shards of an in-process cluster
-// hold the same *Models and the same log entry after every write,
-// however the write reaches them, and only shards with the same history
-// ever share.
+// One model generation per write: the coordinator applies a write once,
+// logs it once, and publishes one View whose shard ranges tile the
+// default path's endpoint type; a restart replays that one log privately.
 
 package cluster
 
@@ -9,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"hinet/internal/dblp"
@@ -17,25 +15,27 @@ import (
 	"hinet/internal/pathsim"
 )
 
-// requireShared fails unless every shard holds shard 0's models, network
-// and newest log entry.
-func requireShared(t *testing.T, c *Coordinator, label string) {
+// requireLogged fails unless the published View is the head of the one
+// log — at the epoch the checkpoint and the log reach — carries no full
+// index, and its shard ranges of the default path tile the author type.
+func requireLogged(t *testing.T, c *Coordinator, label string) {
 	t.Helper()
-	shards := c.shards
-	m := shards[0].Models()
-	if m == nil {
-		t.Fatalf("%s: shard 0 has no generation", label)
+	v := c.View()
+	if v.Models.PathSim != nil {
+		t.Fatalf("%s: the published generation carries a full index", label)
 	}
-	for i, sh := range shards {
-		if sh.Models() != m || sh.Models().Corpus.Net != m.Corpus.Net {
-			t.Fatalf("%s: shard %d holds its own model set", label, i)
+	if got := c.base + int64(len(c.log)); got != v.Epoch {
+		t.Fatalf("%s: the log reaches epoch %d, the View is at %d", label, got, v.Epoch)
+	}
+	lo := 0
+	for i, ix := range v.def {
+		if ix.Lo() != lo {
+			t.Fatalf("%s: shard %d's range starts at %d, want %d", label, i, ix.Lo(), lo)
 		}
-		if sh.baseOps[len(sh.baseOps)-1] != shards[0].baseOps[len(shards[0].baseOps)-1] {
-			t.Fatalf("%s: shard %d logged its own copy of the write", label, i)
-		}
-		if sh.Epoch() != c.Epoch() {
-			t.Fatalf("%s: shard %d at epoch %d, cluster at %d", label, i, sh.Epoch(), c.Epoch())
-		}
+		lo = ix.Hi()
+	}
+	if dim := v.Corpus.Net.Count(dblp.TypeAuthor); lo != dim {
+		t.Fatalf("%s: the shard ranges end at %d of %d authors", label, lo, dim)
 	}
 }
 
@@ -47,11 +47,8 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireShared(t, c, "boot")
-	if c.shards[0].Models().PathSim != nil {
-		t.Fatal("the shared generation carries a full index")
-	}
-	boot := c.shards[0].Models()
+	requireLogged(t, c, "boot")
+	boot := c.View().Models
 
 	deltas := newTestDeltas(ref, "shared")
 	ref2, _, err := IngestModels(ref, deltas, false, spec)
@@ -61,26 +58,33 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	if _, _, err := c.Ingest(deltas, false); err != nil {
 		t.Fatal(err)
 	}
-	requireShared(t, c, "ingest")
-	if c.shards[0].Models() == boot {
+	requireLogged(t, c, "ingest")
+	if c.View().Models == boot {
 		t.Fatal("ingest did not produce a new generation")
+	}
+	if len(c.log) != 2 || !c.log[0].rebuild || c.log[1].rebuild {
+		t.Fatalf("after a boot and one ingest the log holds %d entries, want the rebuild and the batch", len(c.log))
 	}
 	// The logged batch is the entry's own copy, not the caller's slice.
 	deltas[0].Name = "scribbled"
-	if got := c.shards[2].baseOps[1].deltas[0].Name; got == "scribbled" {
+	if got := c.log[1].deltas[0].Name; got == "scribbled" {
 		t.Fatal("write log aliases the caller's batch")
 	}
 
-	// A restarted shard replays privately (bit-identical, own pointer)
-	// and shares again from the next write on.
-	restarted := c.shards[1]
-	if err := c.Restart(1); err != nil {
+	// A restart replays the log privately (bit-identical, own pointers)
+	// at the same epoch, and the next write builds on the replay.
+	live := c.View()
+	if err := c.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if restarted.Models() == c.shards[0].Models() {
-		t.Fatal("Restart borrowed the siblings' generation instead of replaying its log")
+	replayed := c.View()
+	if replayed == live || replayed.Epoch != live.Epoch {
+		t.Fatalf("Restart published epoch %d (want %d) in a new View: %v", replayed.Epoch, live.Epoch, replayed != live)
 	}
-	checkEquivalence(t, rand.New(rand.NewSource(1)), c, ref2, "restarted shard")
+	if replayed.Models == live.Models || replayed.Corpus.Net == live.Corpus.Net {
+		t.Fatal("Restart borrowed the live generation instead of replaying its log")
+	}
+	checkEquivalence(t, rand.New(rand.NewSource(1)), c, ref2, "restarted")
 	deltas3 := newTestDeltas(ref2, "rejoin")
 	ref3, _, err := IngestModels(ref2, deltas3, false, spec)
 	if err != nil {
@@ -89,87 +93,29 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	if _, _, err := c.Ingest(deltas3, false); err != nil {
 		t.Fatal(err)
 	}
-	requireShared(t, c, "write after restart")
-	checkEquivalence(t, rand.New(rand.NewSource(2)), c, ref3, "rejoined")
+	requireLogged(t, c, "write after restart")
+	checkEquivalence(t, rand.New(rand.NewSource(2)), c, ref3, "after restart")
 
 	// Back-to-back rebuilds from one seed are two writes, each built once.
-	before := c.shards[0].Models()
+	before := c.View().Models
 	for i := 0; i < 2; i++ {
 		if _, err := c.Rebuild(8); err != nil {
 			t.Fatal(err)
 		}
-		requireShared(t, c, "rebuild")
-		if now := c.shards[0].Models(); now == before {
+		requireLogged(t, c, "rebuild")
+		if now := c.View().Models; now == before {
 			t.Fatal("rebuild reused the previous write's generation")
 		} else {
 			before = now
 		}
-	}
-}
-
-// TestBuildMemoConcurrentAndDivergent drives the shards directly: the
-// same write arriving on all of them at once builds once, and shards
-// whose histories differ never receive each other's models, even for an
-// identical later batch.
-func TestBuildMemoConcurrentAndDivergent(t *testing.T) {
-	spec := testSpec()
-	ref := BuildModels(6, spec)
-	part := PartitionUniform(string(dblp.TypeAuthor), ref.PathSim.Dim(), 3)
-	c, err := NewLocalCluster(3, part, spec, nil, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := c.shards
-	deltas := newTestDeltas(ref, "concurrent")
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(sh *LocalShard) {
-			defer wg.Done()
-			if _, _, err := sh.write(writeOp{deltas: deltas}); err != nil {
-				t.Error(err)
-			}
-		}(sh)
-	}
-	wg.Wait()
-	for i, sh := range shards {
-		if sh.Models() != shards[0].Models() {
-			t.Fatalf("concurrent write: shard %d built its own models", i)
+		if len(c.log) != 1 || c.checkpoint != nil {
+			t.Fatalf("a rebuild left %d log entries over checkpoint %v: it depends on no history", len(c.log), c.checkpoint)
 		}
-	}
-
-	// Shards 0 and 2 take batch x, shard 1 takes batch y: equal epochs,
-	// different histories. The identical batch z on top must build twice.
-	// (The memo remembers one write, so same-history shards go together.)
-	refCur, _, err := IngestModels(ref, deltas, false, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, z := newTestDeltas(refCur, "x"), newTestDeltas(refCur, "y"), newTestDeltas(refCur, "z")
-	for _, step := range []struct {
-		shard int
-		batch []ingest.Delta
-	}{{0, x}, {2, x}, {1, y}, {1, z}, {0, z}, {2, z}} {
-		if _, _, err := shards[step.shard].write(writeOp{deltas: step.batch}); err != nil {
-			t.Fatalf("shard %d: %v", step.shard, err)
-		}
-	}
-	if shards[2].Models() != shards[0].Models() {
-		t.Fatal("shards with one history did not share")
-	}
-	if shards[1].Models() == shards[0].Models() {
-		t.Fatal("shards with different histories share a generation")
-	}
-	has := func(sh *LocalShard, tag string) bool {
-		return sh.Models().Corpus.Net.Lookup(dblp.TypeAuthor, "new-author-"+tag) >= 0
-	}
-	if !has(shards[0], "x") || has(shards[0], "y") || !has(shards[1], "y") || has(shards[1], "x") {
-		t.Fatal("a shard received models built on another history")
 	}
 }
 
 // TestWriteLogBounded: the replayable log never outgrows maxLogOps —
-// a full log folds into a checkpoint of the generation the shard was
+// a full log folds into a checkpoint of the generation the cluster was
 // retaining anyway — and a restart from checkpoint + log still
 // reproduces the live generation bit for bit.
 func TestWriteLogBounded(t *testing.T) {
@@ -179,8 +125,7 @@ func TestWriteLogBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := c.shards[0]
-	net := sh.Models().Corpus.Net
+	net := c.View().Corpus.Net
 	authors, papers := net.Count(dblp.TypeAuthor), net.Count(dblp.TypePaper)
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 5000; i += 2 {
@@ -194,13 +139,13 @@ func TestWriteLogBounded(t *testing.T) {
 			if _, _, err := c.Ingest([]ingest.Delta{edge}, false); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
-			if n := len(sh.baseOps); n > maxLogOps {
+			if n := len(c.log); n > maxLogOps {
 				t.Fatalf("after %d writes the log holds %d entries, bound is %d", i+2, n, maxLogOps)
 			}
 		}
 	}
-	if sh.checkpoint == nil || sh.base+int64(len(sh.baseOps)) != sh.Epoch() {
-		t.Fatalf("log of %d entries over a checkpoint at epoch %d does not reach epoch %d", len(sh.baseOps), sh.base, sh.Epoch())
+	if c.checkpoint == nil || c.base+int64(len(c.log)) != c.Epoch() {
+		t.Fatalf("log of %d entries over a checkpoint at epoch %d does not reach epoch %d", len(c.log), c.base, c.Epoch())
 	}
 
 	ctx, epoch := context.Background(), c.Epoch()
@@ -218,16 +163,16 @@ func TestWriteLogBounded(t *testing.T) {
 		}
 		return rows
 	}
-	live, before := read(), sh.Models()
-	if err := c.Restart(0); err != nil {
+	live, before := read(), c.View().Models
+	if err := c.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Epoch() != epoch || sh.Models() == before {
-		t.Fatalf("restart: epoch %d (want %d), replayed privately: %v", sh.Epoch(), epoch, sh.Models() != before)
+	if now := c.View().Models; c.Epoch() != epoch || now == before {
+		t.Fatalf("restart: epoch %d (want %d), replayed privately: %v", c.Epoch(), epoch, now != before)
 	}
 	replayed := read()
 	for x := range live {
 		pairsEqual(t, live[x], replayed[x], fmt.Sprintf("row %d after restart", x))
 	}
-	sameRanks(t, "after restart", sh.Models(), before)
+	sameRanks(t, "after restart", c.View().Models, before)
 }

@@ -1,7 +1,7 @@
 // Cluster glue: the server fronts an in-process scatter-gather cluster
 // (internal/cluster) of max(1, Options.Shards) shards — an unsharded
 // server is the one-shard case, not a different path. The cluster
-// builds each generation once; the store publishes the View that pins it
+// applies each write once; the store publishes the View that pins it
 // as its snapshot — rank and cluster reads, names and the corpus come
 // straight from it, and its PathSim top-k scatters over the shards'
 // candidate ranges it holds. Only what an operator sees of the tier —
@@ -27,7 +27,7 @@ import (
 // resolve time (the shards serve the snapshot's own network).
 type topKKernel struct {
 	view *cluster.View
-	path string // resolved path string: batch-group, cache and shard-memo key
+	path string // resolved path string: batch-group, cache and View-memo key
 	dim  int
 }
 
@@ -116,11 +116,10 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 }
 
 // adopt runs one write of the cluster tier under the store lock and
-// publishes the View it ends on — the generation its shards now share,
-// the same *cluster.Models, not a rebuild of it — as the next snapshot.
-// A request still in flight on the old snapshot keeps reading the old
-// View, whose generations it holds; the process lets them go when the
-// last such request does.
+// publishes the View it ends on — the same *cluster.Models, not a
+// rebuild of it — as the next snapshot. A request still in flight on
+// the old snapshot keeps reading the old View, whose generation it
+// holds; the process lets it go when the last such request does.
 func (s *Server) adopt(write func() error) (*Snapshot, error) {
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
@@ -139,8 +138,8 @@ func (s *Server) adopt(write func() error) (*Snapshot, error) {
 }
 
 // ingest applies a delta batch as an incremental generation (see
-// cluster.IngestModels): all-or-nothing — shard 0 is the validation
-// gate, and a rejected batch changes nothing — with in-flight queries
+// cluster.IngestModels): all-or-nothing — the cluster applies it once,
+// and a rejected batch changes nothing — with in-flight queries
 // reading the previous snapshot, whose network is never mutated, until
 // the swap.
 func (s *Server) ingest(deltas []ingest.Delta, refreshModels bool) (*Snapshot, ingest.Summary, error) {

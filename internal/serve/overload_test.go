@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,6 +59,31 @@ func TestDefaultTimeout(t *testing.T) {
 	})
 	if code := get(t, s, "GET", "/v1/pathsim/topk?id=0&k=5", nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("got %d, want 504", code)
+	}
+}
+
+// TestRequestTimeoutClamps: a timeout_ms whose nanoseconds overflow an
+// int64 asks for the longest deadline there is, not a wrapped one
+// (18446744073710 ms wraps to 448 384 ns).
+func TestRequestTimeoutClamps(t *testing.T) {
+	s := &Server{opts: Options{DefaultTimeout: time.Second}}
+	longest := time.Duration(math.MaxInt64/time.Millisecond) * time.Millisecond
+	for _, tc := range []struct {
+		query string
+		want  time.Duration
+	}{
+		{"timeout_ms=15", 15 * time.Millisecond},
+		{"timeout_ms=9223372036854", 9223372036854 * time.Millisecond}, // the longest that fits
+		{"timeout_ms=9223372036855", longest},
+		{"timeout_ms=18446744073710", longest},
+		{"timeout_ms=9223372036854775807", longest},
+		{"timeout_ms=0", time.Second},
+		{"timeout_ms=-5", time.Second},
+		{"", time.Second},
+	} {
+		if got := s.requestTimeout(httptest.NewRequest("GET", "/v1/pathsim/topk?"+tc.query, nil)); got != tc.want {
+			t.Errorf("%q: deadline %v, want %v", tc.query, got, tc.want)
+		}
 	}
 }
 

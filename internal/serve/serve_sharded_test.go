@@ -64,6 +64,18 @@ func TestShardedServeParity(t *testing.T) {
 		"/v1/clusters?algo=netclus&top=4",
 		"/v1/clusters?algo=bogus", // 400: unknown algo
 	}
+	// Symmetric paths with an adjacent repeated type are the ones that are
+	// not Gram-shaped. The DBLP schema has no same-type relation, so each
+	// is a 400 before any index is built: the materialized fallback of
+	// pathsim.NewRangeIndexCtx is unreachable from HTTP.
+	nonGram := []string{
+		"/v1/pathsim/topk?id=0&k=5&path=A-A-A",
+		"/v1/pathsim/topk?id=0&k=5&path=A-P-P-A",
+		"/v1/pathsim/topk?id=0&k=5&path=P-P-P",
+		"/v1/pathsim/topk?id=0&k=5&path=V-V-V",
+		"/v1/pathsim/topk?id=0&k=5&path=author-author-author",
+	}
+	surfaces = append(surfaces, nonGram...)
 	compare := func(stage string) {
 		t.Helper()
 		for _, p := range surfaces {
@@ -71,6 +83,9 @@ func TestShardedServeParity(t *testing.T) {
 			c2, b2 := do(t, sharded, "GET", p, "")
 			if c1 != c2 || b1 != b2 {
 				t.Fatalf("%s: %s diverged\nsingle  (%d): %s\nsharded (%d): %s", stage, p, c1, b1, c2, b2)
+			}
+			if slices.Contains(nonGram, p) && c1 != 400 {
+				t.Fatalf("%s: %s = %d, want 400: %s", stage, p, c1, b1)
 			}
 		}
 	}

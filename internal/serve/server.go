@@ -6,16 +6,16 @@
 // Four pieces cooperate:
 //
 //   - the cluster tier (internal/cluster, glued in by cluster.go) is the
-//     one kernel and write surface: max(1, Options.Shards) in-process
-//     shards behind a scatter-gather coordinator build each immutable
+//     one kernel and write surface: a scatter-gather coordinator over
+//     max(1, Options.Shards) in-process shards builds each immutable
 //     generation once — PageRank/HITS vectors, RankClus and NetClus
 //     cluster models, the default PathSim index as per-shard candidate
-//     ranges — and answer top-k reads from the ranges; an unsharded
-//     server is the one-shard case of the same path. Each
+//     ranges — and the shards answer top-k reads from the ranges; an
+//     unsharded server is the one-shard case of the same path. Each
 //     generation carries its network's meta-path engine
 //     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
 //     meta-paths, planned and materialized on first use and answered
-//     from the shards' memo afterwards;
+//     from the View's memo afterwards;
 //   - a snapshot Store (snapshot.go) publishes each generation
 //     atomically — /v1/rank and /v1/clusters are answered from it, as is
 //     every name a response renders — so writes never block queries;
@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -429,13 +430,14 @@ func (s *Server) route(pattern, class string, h http.HandlerFunc) {
 
 // requestTimeout resolves the request's deadline: an explicit
 // timeout_ms query parameter wins, otherwise Options.DefaultTimeout
-// (0 = none). The RawQuery substring probe keeps the common
-// no-timeout-configured path completely allocation-free.
+// (0 = none). A timeout_ms past the longest representable deadline asks
+// for that one rather than wrapping. The RawQuery substring probe keeps
+// the common no-timeout-configured path completely allocation-free.
 func (s *Server) requestTimeout(r *http.Request) time.Duration {
 	if strings.Contains(r.URL.RawQuery, "timeout_ms") {
 		if v := r.URL.Query().Get("timeout_ms"); v != "" {
 			if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-				return time.Duration(ms) * time.Millisecond
+				return min(time.Duration(ms), math.MaxInt64/time.Millisecond) * time.Millisecond
 			}
 		}
 	}
@@ -598,7 +600,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 
 // live adapts a handler to the live snapshot: the handler reads its
 // View throughout — models, names and, for top-k, every shard's
-// generation — so a write landing mid-request changes nothing it reads.
+// range — so a write landing mid-request changes nothing it reads.
 func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := s.store.Current()
@@ -959,10 +961,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	}
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
 	// Any parse/schema/symmetry problem is the client's, hence 400. The
-	// shards materialize their range indexes of a new path here, on this
+	// View builds every shard's range of a new path here, on this
 	// request's goroutine — never inside a batch's kernel call, where a
-	// cold build would stall every rider of the batch — and memoize them, so
-	// repeat queries pay one lookup per shard (the resolve span's note
+	// cold build would stall every rider of the batch — and memoizes them,
+	// so repeat queries pay one lookup (the resolve span's note
 	// says which way it went: prebuilt, cached, or built). A degraded
 	// server starts no materializations: a path not already built sheds.
 	sp = tr.Next(sp, "resolve")
@@ -1046,8 +1048,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 		var ce *cluster.ClientError
 		switch {
 		case errors.As(err, &ce):
-			// A shard rejected the query's meta-path after all (it was
-			// resolved above, so only past the shards' memo cap).
+			// The View rejected the query's meta-path after all (it was
+			// resolved above, so only past the View's memo cap).
 			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// Partial-work accounting: the trace's open spans show the
@@ -1129,7 +1131,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	snap, sum, err := s.ingest(req.Deltas, req.RefreshModels)
 	if err != nil {
 		s.ing.rejected.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err) // shard 0 rejected the batch
+		httpError(w, http.StatusBadRequest, "%v", err) // the cluster rejected the batch
 		return
 	}
 	s.ing.batches.Add(1)

@@ -1,8 +1,8 @@
 // A server builds one model generation per write, at any shard count:
-// the shards and the store's snapshot hold the same network, the
-// snapshot carries no index of its own, and everything that reads the
-// index's size or state — stats, metrics, the brownout path — answers
-// the same at one shard and at three.
+// the store's snapshot holds the cluster's View, the snapshot carries no
+// index of its own, and everything that reads the index's size or state
+// — stats, metrics, the brownout path — answers the same at one shard
+// and at three.
 
 package serve
 
@@ -43,8 +43,8 @@ func ingestBody(t *testing.T, s *Server, tag string) string {
 }
 
 // requireOneGeneration fails unless the snapshot holds the cluster's
-// View and every shard the same models and network, at the same epoch,
-// with no full index.
+// View, at the given epoch, with no full index, and every shard reports
+// that epoch.
 func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	t.Helper()
 	snap, coord := s.Snapshot(), s.Coordinator()
@@ -54,10 +54,9 @@ func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	if snap.Models.PathSim != nil {
 		t.Fatalf("%s: sharded snapshot carries a full index", label)
 	}
-	for i := 0; i < coord.Shards(); i++ {
-		m := coord.Shard(i).Models()
-		if m != snap.Models || m.Corpus.Net != snap.Corpus.Net {
-			t.Fatalf("%s: shard %d holds its own model set", label, i)
+	for i, st := range coord.Stats() {
+		if st.Epoch != epoch {
+			t.Fatalf("%s: shard %d at epoch %d", label, i, st.Epoch)
 		}
 	}
 }
@@ -87,10 +86,10 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	}
 	requireOneGeneration(t, sharded, 2, "ingest")
 
-	// A restarted shard answers from its private replay, bit for bit, and
-	// shares the generation again from the next write on. Reads keep
-	// answering, with the unsharded server's bytes, while the shard
-	// replays its log: the snapshot holds the View it was published with.
+	// A restart answers from its private replay, bit for bit, and the next
+	// write builds on it. Reads keep answering, with the unsharded
+	// server's bytes, while the cluster replays its log: the snapshot
+	// holds the View it was published with.
 	wholeNet := []string{"/v1/rank?metric=pagerank&top=20", "/v1/rank?metric=authority&top=20", "/v1/rank?metric=hub&top=20",
 		"/v1/clusters?algo=rankclus", "/v1/clusters?algo=netclus"}
 	want200 := make([]string, len(wholeNet))
@@ -122,7 +121,6 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	}()
 	// Restart until reads have completed inside a replay: on one core a
 	// replay this short is not preempted, so none may.
-	restarted := sharded.Coordinator().Shard(1)
 	for passes.Load() == 0 {
 		select {
 		case <-done:
@@ -134,7 +132,7 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	during := int64(0)
 	for attempt := 0; attempt < 20 && during == 0; attempt++ {
 		downAt := passes.Load()
-		if err := sharded.Coordinator().Restart(1); err != nil {
+		if err := sharded.Coordinator().Restart(); err != nil {
 			t.Fatal(err)
 		}
 		during = passes.Load() - downAt
@@ -142,9 +140,9 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	close(stop)
 	<-done
 	if during == 0 && runtime.GOMAXPROCS(0) > 1 {
-		t.Fatal("no rank or cluster read completed while shard 1 replayed its log")
+		t.Fatal("no rank or cluster read completed while the cluster replayed its log")
 	}
-	if restarted.Models() == sharded.Snapshot().Models {
+	if sharded.Coordinator().View().Models == sharded.Snapshot().Models {
 		t.Fatal("Restart did not replay privately")
 	}
 	for _, x := range []int{11, 3} {

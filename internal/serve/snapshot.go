@@ -1,8 +1,8 @@
 // Snapshots: what a request reads and renders from. A Snapshot holds
 // one cluster.View — the corpus (names, ground truth), ranking vectors
 // and cluster models as the cluster tier built them (internal/cluster),
-// and every shard's generation of the similarity index, candidate
-// ranges over one shared factor — so a request that loaded it reads one
+// and every shard's range of the similarity index, cut from one index
+// over one shared factor — so a request that loaded it reads one
 // generation throughout, whatever writes land meanwhile. The Store
 // holds the live snapshot behind an atomic pointer: queries read it
 // wait-free, a write builds a whole new generation off to the side
@@ -43,8 +43,8 @@ type Snapshot struct {
 	// The generation, pinned: its Epoch (published by the cluster, starts
 	// at 1), its PathSim reads (Resolve, TopK, BatchTopK) and its Models —
 	// Seed, Corpus, PageRank, HITS, RankClus, NetClus, the very pointer
-	// every in-process shard holds. Models.PathSim is nil: the shards own
-	// the default index as candidate ranges.
+	// the cluster built. Models.PathSim is nil: the View holds the
+	// default index as the shards' candidate ranges.
 	*cluster.View
 	// The default (APVPA) index's size: the endpoint type's count, and
 	// pathsim.Index.NNZ — the multiply-adds of scanning every row —
