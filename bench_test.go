@@ -777,13 +777,12 @@ func BenchmarkPathSimBatchTopK(b *testing.B) {
 
 // newBenchServer builds a serving stack over an 800-paper corpus.
 // cacheCap < 0 disables the result cache so every query pays the full
-// index scan; window > 0 turns on the micro-batching wait.
-func newBenchServer(b *testing.B, cacheCap int, window time.Duration) *serve.Server {
+// index scan.
+func newBenchServer(b *testing.B, cacheCap int) *serve.Server {
 	b.Helper()
 	srv := serve.New(serve.Options{
 		Seed:          1,
 		CacheCapacity: cacheCap,
-		BatchWindow:   window,
 		Models: serve.ModelConfig{Corpus: dblp.Config{
 			VenuesPerArea: 3, AuthorsPerArea: 60, TermsPerArea: 40,
 			SharedTerms: 20, Papers: 800,
@@ -804,7 +803,7 @@ func BenchmarkServeTopK(b *testing.B) {
 	const hotSet = 8
 	ctx := context.Background()
 	b.Run("uncached", func(b *testing.B) {
-		srv := newBenchServer(b, -1, 0)
+		srv := newBenchServer(b, -1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := srv.TopK(ctx, i%hotSet, 10); err != nil {
@@ -813,7 +812,7 @@ func BenchmarkServeTopK(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		srv := newBenchServer(b, 8192, 0)
+		srv := newBenchServer(b, 8192)
 		for x := 0; x < hotSet; x++ { // warm the working set
 			if _, _, err := srv.TopK(ctx, x, 10); err != nil {
 				b.Fatal(err)
@@ -827,7 +826,7 @@ func BenchmarkServeTopK(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		srv := newBenchServer(b, -1, 0)
+		srv := newBenchServer(b, -1)
 		b.SetParallelism(32) // 32×GOMAXPROCS concurrent clients feed the queue
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {

@@ -34,7 +34,6 @@ type loadgenFlags struct {
 	papers          int
 	workers         int
 	cacheCap        int
-	window          time.Duration
 	server          string
 	arrival         string
 	rate            float64
@@ -133,7 +132,6 @@ func runLoadgen(f loadgenFlags) {
 			Seed:          f.seed,
 			Models:        serve.ModelConfig{K: f.k},
 			CacheCapacity: f.cacheCap,
-			BatchWindow:   f.window,
 			Workers:       f.workers,
 			Shards:        f.shards,
 		}

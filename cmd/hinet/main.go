@@ -64,7 +64,6 @@ func main() {
 	addr := fs.String("addr", ":8080", "serve: listen address (\":0\" picks a free port)")
 	workers := fs.Int("workers", 0, "serve: sparse pool worker cap (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 4096, "serve: result cache entries (-1 disables)")
-	window := fs.Duration("batch-window", 0, "serve: extra wait to widen top-k batches")
 	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
 	pprofFlag := fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof/")
 	shards := fs.Int("shards", 0, "serve/loadgen: scatter-gather serving tier over N in-process shards (0/1 = unsharded)")
@@ -119,7 +118,7 @@ func main() {
 	case "serve":
 		runServe(serveFlags{
 			seed: *seed, k: *k, addr: *addr, workers: *workers,
-			cacheCap: *cacheCap, window: *window, papers: *papers,
+			cacheCap: *cacheCap, papers: *papers,
 			pprof: *pprofFlag, defaultTimeout: *defaultTimeout,
 			maxConcurrent: *maxConcurrent, admissionFloor: *admissionFloor,
 			sloTarget: *sloTarget, controlInterval: *controlInterval,
@@ -130,7 +129,7 @@ func main() {
 	case "loadgen":
 		runLoadgen(loadgenFlags{
 			seed: *seed, k: *k, papers: *papers, workers: *workers,
-			cacheCap: *cacheCap, window: *window, server: *server,
+			cacheCap: *cacheCap, server: *server,
 			arrival: *arrival, rate: *rate, duration: *duration,
 			concurrency: *concurrency, requests: *requests, mix: *mix,
 			zipf: *zipf, paths: *lgPaths, record: *record, replay: *replay,
@@ -159,7 +158,7 @@ subcommands:
   pathsim    top-k peer search on a DBLP meta-path [-path A-P-V-P-A]
   dbnet      relational DB -> information network conversion demo
   serve      online HTTP query server (snapshots, result cache, batched top-k)
-             [-addr A] [-workers N] [-cache N] [-batch-window D] [-papers N] [-pprof]
+             [-addr A] [-workers N] [-cache N] [-papers N] [-pprof]
              [-default-timeout D] [-max-concurrent N] [-admission-floor N]
              [-slo-target D] [-control-interval D]
              [-shards N]
@@ -262,7 +261,6 @@ type serveFlags struct {
 	addr            string
 	workers         int
 	cacheCap        int
-	window          time.Duration
 	papers          int
 	pprof           bool
 	defaultTimeout  time.Duration
@@ -279,7 +277,6 @@ func runServe(f serveFlags) {
 		Seed:            f.seed,
 		Models:          serve.ModelConfig{K: f.k},
 		CacheCapacity:   f.cacheCap,
-		BatchWindow:     f.window,
 		Workers:         f.workers,
 		Pprof:           f.pprof,
 		DefaultTimeout:  f.defaultTimeout,

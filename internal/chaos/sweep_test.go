@@ -32,7 +32,6 @@ func sweepServer(t *testing.T) (*serve.Server, loadgen.Target, *chaos.Injector) 
 			VenuesPerArea: 3, AuthorsPerArea: 40, TermsPerArea: 30,
 			SharedTerms: 15, Papers: 300,
 		}},
-		MaxBatch:        32,
 		MaxConcurrent:   8,
 		AdmissionFloor:  1,
 		AdmissionWait:   -1, // fail fast: overload answers 503 now, not later

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hinet/internal/obs"
 )
 
 // Target is the server under load: a base URL ("http://127.0.0.1:port")
@@ -71,15 +73,15 @@ type RunOptions struct {
 
 // CohortResult aggregates one cohort's outcomes.
 type CohortResult struct {
-	Requests   uint64 // completed requests (sheds excluded)
-	Errors     uint64 // transport errors + unexpected >= 400 statuses
-	Mismatches uint64 // status/digest deviations from the recorded trace
-	Shed       uint64 // open-loop arrivals dropped at the in-flight cap
-	ShedServer uint64 // 503s: requests the server shed under overload
-	Timeouts   uint64 // 504s: requests that ran out of deadline server-side
-	Degraded   uint64 // 2xx responses annotated "degraded": true (brownout)
-	Hist       *Hist  // all completed requests, sheds and timeouts included
-	Admitted   *Hist  // successful (2xx) requests only — the goodput latency
+	Requests   uint64    // completed requests (sheds excluded)
+	Errors     uint64    // transport errors + unexpected >= 400 statuses
+	Mismatches uint64    // status/digest deviations from the recorded trace
+	Shed       uint64    // open-loop arrivals dropped at the in-flight cap
+	ShedServer uint64    // 503s: requests the server shed under overload
+	Timeouts   uint64    // 504s: requests that ran out of deadline server-side
+	Degraded   uint64    // 2xx responses annotated "degraded": true (brownout)
+	Hist       *obs.Hist // all completed requests, sheds and timeouts included
+	Admitted   *obs.Hist // successful (2xx) requests only — the goodput latency
 }
 
 // RunResult is the measurement of one schedule execution.
@@ -92,8 +94,8 @@ type RunResult struct {
 	ShedServer uint64 // server-side 503 sheds (see CohortResult)
 	Timeouts   uint64 // server-side 504 deadline expirations
 	Degraded   uint64 // brownout-annotated 2xx responses
-	Overall    *Hist
-	Admitted   *Hist // successful (2xx) requests only
+	Overall    *obs.Hist
+	Admitted   *obs.Hist // successful (2xx) requests only
 	Cohorts    map[string]*CohortResult
 	// MetricsBefore/MetricsAfter are /metrics scrapes bracketing the
 	// run (nil when the target exposes none); report.go derives cache
@@ -125,8 +127,8 @@ func (r *RunResult) ThroughputRPS() float64 {
 type runState struct {
 	target   Target
 	opts     RunOptions
-	overall  *Hist
-	admitted *Hist
+	overall  *obs.Hist
+	admitted *obs.Hist
 	cohorts  map[string]*cohortCounters
 
 	requests, errors, mismatches, shed     atomic.Uint64
@@ -139,8 +141,8 @@ type runState struct {
 type cohortCounters struct {
 	requests, errors, mismatches, shed     atomic.Uint64
 	shedServer, timeouts, degradedResponse atomic.Uint64
-	hist                                   *Hist
-	admitted                               *Hist
+	hist                                   *obs.Hist
+	admitted                               *obs.Hist
 }
 
 // Run executes the events of a trace against the target and returns the
@@ -155,10 +157,10 @@ func Run(t Target, events []Event, opts RunOptions) (*RunResult, error) {
 	if opts.RetryAfterCap == 0 {
 		opts.RetryAfterCap = time.Second
 	}
-	st := &runState{target: t, opts: opts, overall: newHist(), admitted: newHist(), cohorts: map[string]*cohortCounters{}}
+	st := &runState{target: t, opts: opts, overall: obs.NewHist(), admitted: obs.NewHist(), cohorts: map[string]*cohortCounters{}}
 	for i := range events {
 		if _, ok := st.cohorts[events[i].Cohort]; !ok {
-			st.cohorts[events[i].Cohort] = &cohortCounters{hist: newHist(), admitted: newHist()}
+			st.cohorts[events[i].Cohort] = &cohortCounters{hist: obs.NewHist(), admitted: obs.NewHist()}
 		}
 	}
 

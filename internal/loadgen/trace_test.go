@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hinet/internal/obs"
 )
 
 // TestTraceRoundTrip: write → parse reproduces header and events, and a
@@ -119,7 +121,7 @@ func TestDigestStability(t *testing.T) {
 // TestHistQuantiles sanity-checks the log-bucketed histogram against a
 // known distribution.
 func TestHistQuantiles(t *testing.T) {
-	h := newHist()
+	h := obs.NewHist()
 	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must read zero")
 	}

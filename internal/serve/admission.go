@@ -7,9 +7,7 @@
 // walks the limit between a floor and the configured ceiling — additive
 // increase while healthy, multiplicative decrease while over target
 // (the classic AIMD shape, same reasoning as TCP: converge fast on
-// overload, probe gently on recovery). The batch window widens in step
-// with the limit reduction, so under pressure the server trades a
-// little first-query latency for wider, cheaper batches.
+// overload, probe gently on recovery).
 //
 // Request classes give shedding an order: critical endpoints (healthz,
 // metrics) never touch admission; cheap precomputed reads (stats, rank,

@@ -32,8 +32,8 @@ func TestAdmissionShedsNotHangs(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Errorf("rejection took %v; admission is hanging, not shedding", elapsed)
 	}
-	if got := s.AdmissionRejected(); got != 1 {
-		t.Errorf("AdmissionRejected() = %d, want 1", got)
+	if got := s.rejAd.Load(); got != 1 {
+		t.Errorf("admission rejected = %d, want 1", got)
 	}
 
 	// Light endpoints bypass admission entirely and must still serve.

@@ -1,23 +1,20 @@
 // Micro-batching of top-k similarity queries, group-commit style: there
 // is no dispatcher. A request that finds a free leader slot — one per
-// core (GOMAXPROCS) — runs the batched kernel call (topKKernel,
-// cluster.go) on its own goroutine, for itself plus whoever queued for
-// the same index while every slot was busy; a request that finds every
-// slot taken queues as a follower. So an uncontended miss crosses no
-// goroutine boundary, misses on different cores compute side by side,
-// and batches form exactly when no core is left to start another kernel
-// call on. A leader that leaves followers behind hands its slot to a
-// helper goroutine, which ends with the queue: an idle server has no
-// batcher goroutine. An optional window keeps a leader's batch open, and
-// arrivals join it instead of leading, to trade first-query latency for
-// wider batches; the admission controller widens it under load
-// (setWindow).
+// core (GOMAXPROCS) — runs its kernel call (topKKernel, cluster.go) on
+// its own goroutine; a request that finds every slot taken queues as a
+// follower. So an uncontended miss crosses no goroutine boundary, misses
+// on different cores compute side by side, and batches form exactly
+// when no core is left to start another kernel call on. A leader that
+// finds followers queued when its call returns hands its slot to a
+// helper goroutine, which answers them batch by batch and ends with the
+// queue: an idle server has no batcher goroutine. Nothing holds a batch
+// open: a batch is what queued while every slot was busy, and over HTTP
+// its riders are admitted requests, so the admission limit bounds its
+// width before maxBatch does.
 //
 // Deadlines propagate into the kernel: already-dead requests are
 // dropped from a batch before the kernel runs, and once every rider of
-// a batch is gone the kernel call itself is cancelled mid-flight. A
-// leader answers its live followers past its own deadline: it returns
-// its error when their kernel call returns, not at the deadline.
+// a batch is gone the kernel call itself is cancelled mid-flight.
 
 package serve
 
@@ -37,6 +34,9 @@ import (
 
 var errShutdown = errors.New("serve: server is shutting down")
 
+// maxBatch caps the riders of one kernel call.
+const maxBatch = 64
+
 type topKReq struct {
 	ctx  context.Context // caller's context: deadline + disconnect signal
 	x, k int
@@ -53,16 +53,13 @@ type topKResp struct {
 
 // batcher owns the leader slots and the follower queue.
 type batcher struct {
-	maxBatch int
-	slots    int          // leader slots: GOMAXPROCS at boot
-	windowNS atomic.Int64 // coalescing window in ns (adaptive, see setWindow)
-	inj      *chaos.Injector
-	idle     chan struct{} // closed once stopped and every slot is back
+	slots int // leader slots: GOMAXPROCS at boot
+	inj   *chaos.Injector
+	idle  chan struct{} // closed once stopped and every slot is back
 
 	mu     sync.Mutex
-	queue  []topKReq   // followers no leader has picked up yet
-	free   int         // slots nobody holds
-	open   *time.Timer // the window of the batch a leader holds open, if any; Reset(0) closes it early
+	queue  []topKReq // followers no leader has picked up yet
+	free   int       // slots nobody holds
 	closed bool
 
 	batches atomic.Uint64 // BatchTopK calls issued
@@ -71,19 +68,10 @@ type batcher struct {
 	largest atomic.Int64  // widest batch observed (in requests)
 }
 
-func newBatcher(maxBatch int, window time.Duration, inj *chaos.Injector) *batcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
+func newBatcher(inj *chaos.Injector) *batcher {
 	slots := runtime.GOMAXPROCS(0)
-	b := &batcher{maxBatch: maxBatch, slots: slots, free: slots, inj: inj, idle: make(chan struct{})}
-	b.windowNS.Store(int64(window))
-	return b
+	return &batcher{slots: slots, free: slots, inj: inj, idle: make(chan struct{})}
 }
-
-// setWindow adjusts the coalescing window; the admission controller
-// calls it each tick to widen batches while the limit is depressed.
-func (b *batcher) setWindow(d time.Duration) { b.windowNS.Store(int64(d)) }
 
 // TopK answers one query against req.kern — on the calling goroutine if
 // a leader slot is free, else as a follower — and returns when its batch
@@ -99,14 +87,11 @@ func (b *batcher) TopK(ctx context.Context, req topKReq) (topKResp, error) {
 		b.mu.Unlock()
 		return topKResp{}, errShutdown
 	}
-	if b.free == 0 || b.open != nil {
+	if b.free == 0 {
 		req.out = make(chan topKResp, 1)
 		b.queue = append(b.queue, req)
-		if b.open != nil && len(b.queue) >= b.maxBatch-1 {
-			b.open.Reset(0) // the open batch is full
-		}
 		b.mu.Unlock()
-		// Everything queued is answered: by a leader, a helper or stopCtx.
+		// Everything queued is answered: by a helper or stopCtx.
 		select {
 		case resp := <-req.out:
 			return resp, resp.err
@@ -116,22 +101,9 @@ func (b *batcher) TopK(ctx context.Context, req topKReq) (topKResp, error) {
 		}
 	}
 	b.free--
-	if window := time.Duration(b.windowNS.Load()); window > 0 {
-		t := time.NewTimer(window)
-		b.open = t
-		b.mu.Unlock()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-		b.mu.Lock()
-		t.Stop()
-		b.open = nil
-	}
-	one := [1]topKReq{req} // a lone rider's batch never leaves the stack
-	batch := b.take(one[:])
 	b.mu.Unlock()
-	resp := b.flush(batch)
+	one := [1]topKReq{req} // a lone rider's batch never leaves the stack
+	resp := b.flush(one[:])
 	if next := b.next(); next != nil {
 		go b.help(next)
 	}
@@ -141,30 +113,12 @@ func (b *batcher) TopK(ctx context.Context, req topKReq) (topKResp, error) {
 	return resp, resp.err
 }
 
-// take moves the queued requests for the index batch[0] targets into
-// batch, up to the batch cap; an empty batch starts from the head of
-// the queue. One batch is one kernel — one View and path: a write or a
-// mix of path= parameters never cross-pollinates, and whatever stays
-// queued is the next batch. Callers hold b.mu.
-func (b *batcher) take(batch []topKReq) []topKReq {
-	keep := b.queue[:0]
-	for _, r := range b.queue {
-		switch {
-		case len(batch) == 0:
-			batch = append(make([]topKReq, 0, min(len(b.queue), b.maxBatch)), r)
-		case len(batch) < b.maxBatch && r.kern == batch[0].kern:
-			batch = append(batch, r)
-		default:
-			keep = append(keep, r)
-		}
-	}
-	clear(b.queue[len(keep):]) // taken requests must not stay reachable from the queue
-	b.queue = keep
-	return batch
-}
-
 // next is how a slot changes hands: it returns the next batch for the
 // caller's slot to answer, or takes the slot back when nothing is queued.
+// A batch is the head of the queue plus every queued request for the
+// same kernel — one View and path — up to maxBatch: a write or a mix of
+// path= parameters never cross-pollinates, and whatever stays queued is
+// the next batch.
 func (b *batcher) next() []topKReq {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -174,7 +128,18 @@ func (b *batcher) next() []topKReq {
 		}
 		return nil
 	}
-	return b.take(nil)
+	batch := make([]topKReq, 0, min(len(b.queue), maxBatch))
+	keep := b.queue[:0]
+	for _, r := range b.queue {
+		if len(batch) == 0 || len(batch) < maxBatch && r.kern == batch[0].kern {
+			batch = append(batch, r)
+		} else {
+			keep = append(keep, r)
+		}
+	}
+	clear(b.queue[len(keep):]) // taken requests must not stay reachable from the queue
+	b.queue = keep
+	return batch
 }
 
 // help answers queued batches on a leader's slot after the leader has
@@ -192,9 +157,6 @@ func (b *batcher) stopCtx(ctx context.Context) error {
 	b.mu.Lock()
 	if !b.closed {
 		b.closed = true
-		if b.open != nil {
-			b.open.Reset(0)
-		}
 		for _, r := range b.queue {
 			r.out <- topKResp{err: errShutdown}
 		}

@@ -61,65 +61,6 @@ func TestConcurrentTopKRace(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces checks that concurrent queries share BatchTopK
-// calls when a batching window is configured.
-func TestBatcherCoalesces(t *testing.T) {
-	s := newTestServer(t, Options{CacheCapacity: -1, BatchWindow: 10 * time.Millisecond})
-	ctx := context.Background()
-
-	const n = 16
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			if _, _, err := s.TopK(ctx, i, 5); err != nil {
-				t.Errorf("query %d: %v", i, err)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	batches := s.batch.batches.Load()
-	queries := s.batch.queries.Load()
-	if queries != n {
-		t.Fatalf("queries = %d, want %d", queries, n)
-	}
-	if batches >= queries {
-		t.Fatalf("no coalescing: %d batches for %d queries", batches, queries)
-	}
-	if s.batch.largest.Load() < 2 {
-		t.Fatalf("largest batch = %d", s.batch.largest.Load())
-	}
-}
-
-// TestBatcherMixedK verifies per-request k trimming inside one batch.
-func TestBatcherMixedK(t *testing.T) {
-	s := newTestServer(t, Options{CacheCapacity: -1, BatchWindow: 10 * time.Millisecond})
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	lens := make([]int, 2)
-	for i, k := range []int{3, 9} {
-		wg.Add(1)
-		go func(i, k int) {
-			defer wg.Done()
-			pairs, _, err := s.TopK(ctx, 4, k)
-			if err != nil {
-				t.Errorf("k=%d: %v", k, err)
-				return
-			}
-			lens[i] = len(pairs)
-		}(i, k)
-	}
-	wg.Wait()
-	if lens[0] > 3 || lens[1] > 9 || lens[1] < lens[0] {
-		t.Fatalf("lens = %v", lens)
-	}
-}
-
 func TestBatcherRejectsBadIDs(t *testing.T) {
 	s := newTestServer(t, Options{})
 	ctx := context.Background()
@@ -290,30 +231,6 @@ func TestExpiredFollowerIsDropped(t *testing.T) {
 	waitBatcher(t, b, "every slot back", func() bool { return b.free == slots && len(b.queue) == 0 })
 	if got, want := int(b.unique.Load()), slots+1; got != want {
 		t.Errorf("unique = %d, want %d: the expired follower was computed for", got, want)
-	}
-}
-
-// TestArrivalJoinsOpenBatch: while a leader holds its batch open in the
-// window, an arrival joins it even though another slot is free.
-func TestArrivalJoinsOpenBatch(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, BatchWindow: 50 * time.Millisecond})
-	var wg sync.WaitGroup
-	ask := func(x int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := s.TopK(context.Background(), x, 5); err != nil {
-				t.Errorf("id %d: %v", x, err)
-			}
-		}()
-	}
-	ask(1)
-	waitBatcher(t, s.batch, "a batch open", func() bool { return s.batch.open != nil })
-	ask(2)
-	wg.Wait()
-	if b, l := s.batch.batches.Load(), s.batch.largest.Load(); b != 1 || l != 2 {
-		t.Errorf("batches = %d, largest = %d; want one batch of two", b, l)
 	}
 }
 
@@ -505,33 +422,14 @@ func TestTopKRacingShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownClosesOpenWindow: Shutdown does not sit out a leader's
-// batch window; the leader computes its own answer and the slot returns.
-func TestShutdownClosesOpenWindow(t *testing.T) {
-	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, BatchWindow: time.Minute})
-	answered := make(chan error, 1)
-	go func() {
-		_, _, err := s.TopK(context.Background(), 1, 5)
-		answered <- err
-	}()
-	waitBatcher(t, s.batch, "a batch open", func() bool { return s.batch.open != nil })
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown waited for the window: %v", err)
-	}
-	if err := <-answered; err != nil {
-		t.Errorf("leader of the open batch: %v", err)
-	}
-}
-
 // TestAbandonedBatchIsCancelled: once every rider of a shared batch has
-// gone, its kernel call is abandoned rather than served out.
+// gone, its kernel call is abandoned rather than served out. The two
+// riders queue behind held slots, so they share the batch a helper
+// picks up when the slot holders are answered.
 func TestAbandonedBatchIsCancelled(t *testing.T) {
-	s := newTestServer(t, Options{
-		CacheCapacity: -1, ControlInterval: -1,
-		BatchWindow: 100 * time.Millisecond, Chaos: slowChaos(2 * time.Second),
-	})
+	s := newTestServer(t, Options{CacheCapacity: -1, ControlInterval: -1, Chaos: slowChaos(2 * time.Second)})
+	wait := holdSlots(t, s)
+	defer wait()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for _, x := range []int{1, 2} {
@@ -543,8 +441,9 @@ func TestAbandonedBatchIsCancelled(t *testing.T) {
 			}
 		}(x)
 	}
+	waitBatcher(t, s.batch, "both riders queued", func() bool { return len(s.batch.queue) == 2 })
 	waitBatcher(t, s.batch, "both riders in one batch", func() bool {
-		return s.batch.open == nil && len(s.batch.queue) == 0 && s.batch.free == s.batch.slots-1
+		return len(s.batch.queue) == 0 && s.batch.free == s.batch.slots-1
 	})
 	start := time.Now()
 	cancel()
@@ -553,7 +452,7 @@ func TestAbandonedBatchIsCancelled(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("abandoned batch held its slot for %v", d)
 	}
-	if n := s.batch.batches.Load(); n != 0 {
-		t.Errorf("batches = %d, want 0: the abandoned kernel call completed", n)
+	if n := s.batch.batches.Load() - uint64(s.batch.slots); n != 0 {
+		t.Errorf("batches = %d beyond the slot holders', want 0: the abandoned kernel call completed", n)
 	}
 }

@@ -167,32 +167,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	s.writeClusterMetrics(w)
 }
 
-// EndpointMetrics is a point-in-time copy of one endpoint's counters,
-// exported for tests and the load-generation harness.
-type EndpointMetrics struct {
-	Requests uint64
-	Errors   uint64
-	Latency  time.Duration // cumulative
-}
-
-// Endpoints returns a snapshot of the per-endpoint counters keyed by
-// route pattern.
-func (s *Server) Endpoints() map[string]EndpointMetrics {
-	out := make(map[string]EndpointMetrics, len(s.met.endpoints))
-	for name, st := range s.met.endpoints {
-		out[name] = EndpointMetrics{
-			Requests: st.requests.Load(),
-			Errors:   st.errors.Load(),
-			Latency:  st.lat.Sum(),
-		}
-	}
-	return out
-}
-
-// AdmissionRejected returns the number of heavy requests turned away at
-// the admission semaphore (503s from a full queue, not cancellations).
-func (s *Server) AdmissionRejected() uint64 { return s.rejAd.Load() }
-
 // AdmissionState is a point-in-time copy of the overload-protection
 // state, exported for tests and the load harness.
 type AdmissionState struct {
@@ -224,7 +198,3 @@ func (s *Server) Admission() AdmissionState {
 // CacheStats exposes the result cache counters for tests and the load
 // harness.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// Obs exposes the observability registry (stage histograms, slowlog)
-// for tests and embedders.
-func (s *Server) Obs() *obs.Registry { return s.obs }

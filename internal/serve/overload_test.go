@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -177,16 +178,55 @@ func TestAIMDLimiter(t *testing.T) {
 	if a.Limit() != 2 {
 		t.Fatalf("after sustained overload: limit = %d, want the floor 2", a.Limit())
 	}
-	// The batch window tracks the squeeze: at the floor it is fully open.
-	if w := time.Duration(s.batch.windowNS.Load()); w != s.opts.BatchWindowMax {
-		t.Errorf("batch window = %v at the floor, want BatchWindowMax %v", w, s.opts.BatchWindowMax)
-	}
 
 	// Idle (empty) windows probe back up one step per tick.
 	s.controlStep()
 	s.controlStep()
 	if a.Limit() != 4 {
 		t.Errorf("after two healthy ticks: limit = %d, want 4", a.Limit())
+	}
+}
+
+// TestFloorHoldsNoLoneMiss: a squeezed limit admits fewer requests but
+// makes none of them slower. A lone uncached top-k miss at the floor —
+// one admitted heavy request, so nobody to share a batch with — costs
+// what it costs at the ceiling: nothing holds its batch open waiting
+// for a companion admission would not let in.
+func TestFloorHoldsNoLoneMiss(t *testing.T) {
+	s := newTestServer(t, Options{
+		MaxConcurrent: 8, SLOTargetP99: 10 * time.Millisecond, ControlInterval: -1,
+		CacheCapacity: -1, BrownoutEnter: 1000, // brownout stays off: every miss reaches the kernel
+	})
+	dim := s.Snapshot().IndexDim
+	medianMiss := func() time.Duration {
+		const n = 50
+		lat := make([]time.Duration, n)
+		for i := range lat {
+			start := time.Now()
+			if code := get(t, s, "GET", "/v1/pathsim/topk?k=10&id="+itoa(i%dim), nil); code != http.StatusOK {
+				t.Fatalf("miss %d = %d", i, code)
+			}
+			lat[i] = time.Since(start)
+		}
+		slices.Sort(lat)
+		return lat[n/2]
+	}
+
+	a := s.adm
+	ceiling := medianMiss()
+	for tick := 0; a.Limit() > a.floor; tick++ {
+		if tick == 10 {
+			t.Fatalf("limit stuck at %d, floor %d", a.Limit(), a.floor)
+		}
+		for i := 0; i < 8; i++ {
+			a.lat.Observe(50 * time.Millisecond)
+		}
+		s.controlStep()
+	}
+	floor := medianMiss()
+	t.Logf("median uncached miss: %v at the ceiling (%d), %v at the floor (%d)", ceiling, a.ceil, floor, a.floor)
+	if floor > ceiling+time.Millisecond {
+		t.Errorf("a lone miss takes %v at the floor against %v at the ceiling: it waited for a batch", floor, ceiling)
 	}
 }
 
@@ -359,13 +399,16 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 
 // TestDisconnectedRiderDoesNotSinkCompanions: when two queries share a
 // batch and one client disconnects, the surviving rider still gets its
-// answer (the kernel is only abandoned when every rider is gone).
+// answer (the kernel is only abandoned when every rider is gone). The
+// riders queue behind held slots, so they share the next batch.
 func TestDisconnectedRiderDoesNotSinkCompanions(t *testing.T) {
 	s := newTestServer(t, Options{
+		CacheCapacity:   -1,
 		ControlInterval: -1,
-		BatchWindow:     30 * time.Millisecond,
 		Chaos:           slowChaos(40 * time.Millisecond),
 	})
+	wait := holdSlots(t, s)
+	defer wait()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -375,7 +418,6 @@ func TestDisconnectedRiderDoesNotSinkCompanions(t *testing.T) {
 		req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=5", nil).WithContext(ctx)
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	}()
-	time.Sleep(5 * time.Millisecond) // rider 1 holds the batch window open
 
 	var code int
 	var bodyBytes []byte
@@ -388,8 +430,11 @@ func TestDisconnectedRiderDoesNotSinkCompanions(t *testing.T) {
 		code = rec.Code
 		bodyBytes = rec.Body.Bytes()
 	}()
-	time.Sleep(10 * time.Millisecond) // both riders batched
-	cancel()                          // rider 1 vanishes
+	waitBatcher(t, s.batch, "both riders queued", func() bool { return len(s.batch.queue) == 2 })
+	waitBatcher(t, s.batch, "both riders in one batch", func() bool {
+		return len(s.batch.queue) == 0 && s.batch.free == s.batch.slots-1
+	})
+	cancel() // rider 1 vanishes
 	wg.Wait()
 
 	if code != 200 {

@@ -585,7 +585,7 @@ func TestUnencodableScoreIs500(t *testing.T) {
 		want := refError("encoding response: unsupported number %s", strconv.FormatFloat(score, 'g', -1, 64))
 		expect(t, serveBody(t, s, "GET", target, ""), target, http.StatusInternalServerError, want)
 	}
-	if got := s.Endpoints()["/v1/pathsim/topk"].Errors; got != 3 {
+	if got := s.met.get("/v1/pathsim/topk").errors.Load(); got != 3 {
 		t.Errorf("endpoint error counter = %d, want 3", got)
 	}
 }

@@ -82,8 +82,6 @@ type Options struct {
 	Shards int
 
 	CacheCapacity int           // result cache entries; 0 = 4096, < 0 disables
-	MaxBatch      int           // top-k coalescing cap (default 64)
-	BatchWindow   time.Duration // extra wait to widen batches (default 0: natural coalescing)
 	Workers       int           // sparse pool worker cap (0 = leave as configured)
 	MaxConcurrent int           // admission ceiling for heavy queries (default 4×workers)
 	AdmissionWait time.Duration // max time queued for admission before 503 (default 5s, < 0 fail-fast)
@@ -97,7 +95,6 @@ type Options struct {
 	SLOTargetP99    time.Duration // admission controller's p99 target (default 150ms)
 	AdmissionFloor  int           // lowest adaptive limit (default max(1, MaxConcurrent/8))
 	ControlInterval time.Duration // controller tick (default 100ms; < 0 disables the controller)
-	BatchWindowMax  time.Duration // widest adaptive batch window under overload (default 2ms)
 	BrownoutEnter   int           // consecutive over-target ticks before brownout (default 5)
 	BrownoutExit    int           // consecutive healthy ticks before recovery (default 10)
 	BrownoutK       int           // top-k truncation during brownout (default 5)
@@ -118,9 +115,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 4096
 	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 64
-	}
 	if o.AdmissionWait == 0 {
 		o.AdmissionWait = 5 * time.Second
 	}
@@ -129,12 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ControlInterval == 0 {
 		o.ControlInterval = 100 * time.Millisecond
-	}
-	if o.BatchWindowMax == 0 {
-		o.BatchWindowMax = 2 * time.Millisecond
-	}
-	if o.BatchWindowMax < o.BatchWindow {
-		o.BatchWindowMax = o.BatchWindow
 	}
 	if o.BrownoutEnter == 0 {
 		o.BrownoutEnter = 5
@@ -228,7 +216,7 @@ func New(opts Options) *Server {
 	}); err != nil {
 		panic("serve: boot: " + err.Error())
 	}
-	s.batch = newBatcher(opts.MaxBatch, opts.BatchWindow, opts.Chaos)
+	s.batch = newBatcher(opts.Chaos)
 	if opts.ControlInterval > 0 {
 		go s.controlLoop()
 	} else {
@@ -315,9 +303,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // controlLoop drives the admission controller: every tick, one AIMD
-// step against the latest latency window and pool backlog, then the
-// batch window tracks the limit (full window at the floor, configured
-// base at the ceiling).
+// step against the latest latency window and pool backlog.
 func (s *Server) controlLoop() {
 	defer close(s.adm.done)
 	t := time.NewTicker(s.adm.interval)
@@ -334,24 +320,7 @@ func (s *Server) controlLoop() {
 
 // controlStep is one controller tick (exposed separately so tests can
 // drive the control loop deterministically with ControlInterval < 0).
-func (s *Server) controlStep() {
-	s.adm.step(sparse.QueueDepth())
-	s.batch.setWindow(s.adaptiveWindow())
-}
-
-// adaptiveWindow interpolates the batch window linearly between the
-// configured base (at the ceiling) and BatchWindowMax (at the floor):
-// the more the limiter squeezes concurrency, the longer batches stay
-// open, trading first-query latency for wider, cheaper kernel calls.
-func (s *Server) adaptiveWindow() time.Duration {
-	base, widest := s.opts.BatchWindow, s.opts.BatchWindowMax
-	span := s.adm.ceil - s.adm.floor
-	if span <= 0 || widest <= base {
-		return base
-	}
-	frac := float64(s.adm.ceil-s.adm.Limit()) / float64(span)
-	return base + time.Duration(frac*float64(widest-base))
-}
+func (s *Server) controlStep() { s.adm.step(sparse.QueueDepth()) }
 
 // route registers an instrumented handler: each request gets a span
 // trace (unless Options.NoTrace) carried in the statusRecorder, and the

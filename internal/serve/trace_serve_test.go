@@ -14,7 +14,7 @@ import (
 // fails the test.
 func lastTrace(t *testing.T, s *Server, endpoint string) *obs.TraceJSON {
 	t.Helper()
-	for _, tr := range s.Obs().Log().Recent() {
+	for _, tr := range s.obs.Log().Recent() {
 		if tr.Endpoint() == endpoint {
 			return tr.Snapshot()
 		}
@@ -115,7 +115,7 @@ func TestTraceStageNames(t *testing.T) {
 		t.Errorf("resolve note = %q, want prebuilt", names["resolve"])
 	}
 	// Undeclared span names must not create stage histograms.
-	fam := s.Obs().Family("/v1/pathsim/topk")
+	fam := s.obs.Family("/v1/pathsim/topk")
 	if fam.Stage("cache") == nil || fam.Stage("kernel") == nil {
 		t.Fatal("declared stages missing from family")
 	}
