@@ -4,12 +4,14 @@
 // bi-typed networks that RankClus (§4c) integrates with clustering:
 // simple ranking and authority ranking.
 //
-// All iterations are hand-rolled power iterations over the CSR matrices
-// in internal/sparse; no external numeric library is used. The matrix
-// products and the element-wise/reduction loops of each iteration run
-// on sparse's shared parallel worker pool, so large networks use every
-// core while a graph too small to be worth a hand-off (see
-// sparse.SerialThreshold) iterates on the goroutine that asked.
+// All iterations are hand-rolled over the CSR matrices in
+// internal/sparse — power iterations, and Chebyshev semi-iteration for
+// PageRank on an undirected graph; no external numeric library is used.
+// The matrix products and the element-wise/reduction loops of each
+// iteration run on sparse's shared parallel worker pool, so large
+// networks use every core while a graph too small to be worth a
+// hand-off (see sparse.SerialThreshold) iterates on the goroutine that
+// asked.
 package rank
 
 import (
@@ -25,7 +27,7 @@ type Options struct {
 	MaxIter   int     // iteration cap (default 100)
 	Tolerance float64 // L∞ convergence threshold (default 1e-9)
 
-	// Start warm-starts the power iteration from a previous solution
+	// Start warm-starts the iteration from a previous solution
 	// instead of the restart distribution. The fixed point is the same
 	// — PageRank's stationary distribution does not depend on the
 	// starting vector — and starting near it (e.g. from the previous
@@ -68,7 +70,10 @@ func (r Result) TopK(k int) []int { return stats.TopK(r.Scores, k) }
 // PageRank computes the stationary distribution of the damped random
 // walk on adj (a possibly weighted, directed adjacency matrix whose
 // rows are source nodes). Dangling rows redistribute uniformly. The
-// output sums to 1.
+// output sums to 1. A directed graph runs the power iteration; an
+// undirected one (adj symmetric, no negative weight) runs Chebyshev
+// semi-iteration toward the same fixed point, in fewer steps where the
+// walk mixes slowly.
 func PageRank(adj *sparse.Matrix, opt Options) Result {
 	return personalized(adj, nil, opt)
 }
@@ -135,6 +140,23 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 	}
 	next := make([]float64, n)
 	d := opt.Damping
+	// The update below is x ↦ Hx + c with H = d·(Pᵀ + tele·danglingᵀ).
+	// When the walk's spectrum is real and inside [lo, 1], H's lies in
+	// [α, β] = [d·lo, d], and Chebyshev semi-iteration (Golub & Varga)
+	// replaces x by prev + ω·(γ·(Hx + c) + (1−γ)·x − prev): γ centres
+	// [α, β] on zero with half-width σ, and the weights ω make step k's
+	// error the degree-k Chebyshev polynomial in H, which shrinks by
+	// σ/(1+√(1−σ²)) a step where the power iteration shrinks by d —
+	// 0.51 against 0.85 at lo = −½. The fixed point is the same.
+	low, accel := walkSpectrum(adj, inv)
+	accel = accel && d < 1
+	alpha := d * low
+	gamma, sigma := 2/(2-alpha-d), (d-alpha)/(2-alpha-d)
+	omega := 1.0
+	var prev []float64
+	if accel {
+		prev = append([]float64(nil), x...)
+	}
 	for it := 1; it <= opt.MaxIter; it++ {
 		// next = d·(Pᵀx + danglingMass·tele) + (1-d)·tele, with
 		// P = diag(inv)·adj applied without materialization.
@@ -146,12 +168,21 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 			}
 			return s
 		})
+		switch {
+		case it == 2:
+			omega = 1 / (1 - sigma*sigma/2)
+		case it > 2:
+			omega = 1 / (1 - sigma*sigma*omega/4)
+		}
 		// One pass finishes the update and takes the L∞ step from x in the
 		// same sweep (a max is order-independent, so blocks change no bit).
 		step := sparse.ParReduceMax(n, n, func(lo, hi int) float64 {
 			m := 0.0
 			for i := lo; i < hi; i++ {
 				v := d*(next[i]+dm*tele[i]) + (1-d)*tele[i]
+				if accel {
+					v = prev[i] + omega*(gamma*v+(1-gamma)*x[i]-prev[i])
+				}
 				next[i] = v
 				if diff := math.Abs(x[i] - v); diff > m {
 					m = diff
@@ -163,9 +194,44 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 			copy(x, next)
 			return Result{Scores: x, Iterations: it, Converged: true}
 		}
-		x, next = next, x
+		if accel {
+			prev, x, next = x, next, prev
+		} else {
+			x, next = next, x
+		}
 	}
 	return Result{Scores: x, Iterations: opt.MaxIter, Converged: false}
+}
+
+// walkSpectrum reports whether PageRank's iteration on adj has a real
+// spectrum and, if so, returns lo ≤ 0 such that [lo, 1] holds the
+// spectrum of Pᵀ + tele·danglingᵀ. The spectrum is real when adj is
+// symmetric with nonnegative weights — an undirected graph: the walk
+// D⁻¹·adj is then similar to the symmetric D^-½·adj·D^-½. A dangling
+// row of such a graph is also a zero column, so the teleport coupling
+// only adds eigenvalues in [0, 1]. lo comes from Gershgorin: row r's
+// disc is centred at a_rr/d_r with radius 1 − a_rr/d_r, so no
+// eigenvalue of the walk lies below 2·a_rr/d_r − 1.
+func walkSpectrum(adj *sparse.Matrix, inv []float64) (lo float64, ok bool) {
+	if !adj.Symmetric() {
+		return 0, false
+	}
+	for r := range inv {
+		cols, vals := adj.RowEntries(r)
+		diag := 0.0
+		for i, v := range vals {
+			if v < 0 {
+				return 0, false
+			}
+			if int(cols[i]) == r {
+				diag = v
+			}
+		}
+		if len(vals) > 0 {
+			lo = min(lo, 2*diag*inv[r]-1)
+		}
+	}
+	return lo, true
 }
 
 // HITSResult carries the two HITS vectors.

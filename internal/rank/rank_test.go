@@ -86,11 +86,22 @@ func TestPageRankFixedPointProperty(t *testing.T) {
 // iteration bitwise against the pre-fusion path: materialize the
 // row-stochastic matrix, run the identical power iteration with plain
 // MulVecT. Every iterate must agree exactly, so the two paths converge
-// at the same iteration to the same vector.
+// at the same iteration to the same vector. The graph is directed —
+// each undirected edge kept from its later node — so the power
+// iteration is what runs.
 func TestPageRankFusedMatchesMaterialized(t *testing.T) {
 	rng := stats.NewRNG(7)
 	g := netgen.BarabasiAlbert(rng, 400, 3)
-	adj := g.Adjacency()
+	und := g.Adjacency()
+	var arcs []sparse.Coord
+	for r := 0; r < und.Rows(); r++ {
+		und.Row(r, func(c int, v float64) {
+			if c < r {
+				arcs = append(arcs, sparse.Coord{Row: r, Col: c, Val: v})
+			}
+		})
+	}
+	adj := sparse.NewFromCoords(und.Rows(), und.Cols(), arcs)
 	got := PageRank(adj, Options{})
 
 	// Reference: the original implementation shape.

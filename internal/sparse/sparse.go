@@ -222,6 +222,29 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
+// Symmetric reports whether M equals its transpose exactly. One
+// O(nnz) pass: visiting the rows in ascending order meets column c's
+// entries in ascending row order, which for a symmetric matrix is row
+// c's own stored order, so one cursor per row pairs every entry with
+// its mirror.
+func (m *Matrix) Symmetric() bool {
+	if m.rows != m.cols {
+		return false
+	}
+	next := append([]int(nil), m.rowPtr[:m.rows]...)
+	for r := 0; r < m.rows; r++ {
+		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+			c := m.colIdx[i]
+			j := next[c]
+			if j == m.rowPtr[c+1] || m.colIdx[j] != int32(r) || m.vals[j] != m.vals[i] {
+				return false
+			}
+			next[c]++
+		}
+	}
+	return true
+}
+
 // RowInvSums returns the inverse row sums: inv[r] = 1/RowSum(r), with
 // rows summing to zero mapped to 1 so that scaling by inv reproduces
 // RowNormalized's leave-zero-rows-alone contract. Feed the result to

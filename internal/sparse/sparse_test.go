@@ -200,6 +200,9 @@ func TestGramMatchesMulTranspose(t *testing.T) {
 				}
 			}
 		}
+		if !got.Symmetric() {
+			t.Fatalf("trial %d: Symmetric() is false on a Gram product", trial)
+		}
 	}
 	// Degenerate shapes.
 	if g := NewFromCoords(0, 0, nil).Gram(); g.Rows() != 0 || g.NNZ() != 0 {
@@ -207,6 +210,58 @@ func TestGramMatchesMulTranspose(t *testing.T) {
 	}
 	if g := NewFromCoords(3, 2, nil).Gram(); g.Rows() != 3 || g.Cols() != 3 || g.NNZ() != 0 {
 		t.Fatal("all-zero Gram wrong")
+	}
+}
+
+// TestSymmetricAgainstDense checks Symmetric against the dense
+// definition on mirrored random matrices, each one entry away from
+// symmetric (a changed value, a missing mirror, an extra entry), and
+// non-square shapes.
+func TestSymmetricAgainstDense(t *testing.T) {
+	dense := func(d [][]float64) bool {
+		for r := range d {
+			if len(d[r]) != len(d) {
+				return false
+			}
+			for c := range d[r] {
+				if d[r][c] != d[c][r] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(9)
+		d := randomDense(rng, n, n)
+		for r := 0; r < n; r++ {
+			for c := 0; c < r; c++ {
+				d[r][c] = d[c][r]
+			}
+		}
+		if trial%4 != 0 {
+			r, c := rng.Intn(n), rng.Intn(n)
+			switch trial % 4 {
+			case 1:
+				d[r][c] += 1
+			case 2:
+				d[r][c] = 0
+			case 3:
+				d[r][c] = 7
+			}
+		}
+		if got, want := NewFromDense(d).Symmetric(), dense(d); got != want {
+			t.Fatalf("trial %d: Symmetric() = %v on %v, want %v", trial, got, d, want)
+		}
+	}
+	for _, m := range []*Matrix{NewFromCoords(2, 3, nil), NewFromDense([][]float64{{1, 0}})} {
+		if m.Symmetric() {
+			t.Fatalf("%dx%d matrix reported symmetric", m.Rows(), m.Cols())
+		}
+	}
+	if !NewFromCoords(0, 0, nil).Symmetric() || !NewFromCoords(4, 4, nil).Symmetric() {
+		t.Fatal("empty square matrices are symmetric")
 	}
 }
 
