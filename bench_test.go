@@ -1,5 +1,5 @@
 // Package hinet_test is the benchmark harness: one testing.B benchmark
-// per reproduced table/figure (E1–E16 in DESIGN.md) plus the ablations.
+// per reproduced table/figure (E1–E16, internal/experiments) plus the ablations.
 // Each benchmark times the core computation and attaches the
 // experiment's quality metrics via b.ReportMetric, so
 //

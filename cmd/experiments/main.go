@@ -1,6 +1,7 @@
-// Command experiments runs every reproduction experiment indexed in
-// DESIGN.md (E1–E16 plus ablations) and prints the paper-style tables.
-// EXPERIMENTS.md records a captured run of this binary.
+// Command experiments runs every reproduction experiment of package
+// internal/experiments (E1–E16 plus ablations), whose doc comments say
+// which published table each reconstructs, and prints the paper-style
+// tables. README's Quickstart shows how to run it.
 //
 // Usage:
 //

@@ -15,10 +15,12 @@
 // The coordinator applies each write (Ingest/Rebuild) once: it builds
 // the network and the models over it (PageRank, HITS, RankClus, NetClus)
 // as one immutable generation (Models) and, beside them, the default
-// path's index over the whole type, cuts every shard's range from it,
-// appends the write to its one replayable log and publishes a View. A
-// rejected or failed write changes nothing and is not logged. Ranking
-// and clustering are functions of the whole network, so no shard answers
+// path's index over the whole type, cuts every shard's range from it
+// and publishes a View. A rejected or failed write changes nothing. The
+// cluster keeps no history: a generation is a deterministic function of
+// the seed and the deltas applied since, so a process restart boots the
+// seeded generation and the deltas must be shipped again. Ranking and
+// clustering are functions of the whole network, so no shard answers
 // them: whoever holds a View reads its Models directly.
 //
 // A View is one published generation: the epoch, the Models and every

@@ -1,16 +1,14 @@
 // The scatter-gather coordinator: applies each write once — the models
-// and every shard's range of the default path built side by side —
-// keeps the one write log, and publishes one View per write; fans a
-// View's PathSim reads out to every shard's range and merges the partial
-// top-k answers under the same strict total order the single-index scan
-// uses.
+// and every shard's range of the default path built side by side — and
+// publishes one View per write; fans a View's PathSim reads out to every
+// shard's range and merges the partial top-k answers under the same
+// strict total order the single-index scan uses.
 
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,14 +26,7 @@ type Coordinator struct {
 	shards []*LocalShard
 	spans  []string // "shard<i>": per-shard trace span names
 
-	mu sync.Mutex // serializes writes and restarts; guards the log
-	// The replayable state: a checkpoint — the models published at epoch
-	// base, nil when the log opens with a rebuild, which needs none — and
-	// the writes applied since, at most maxLogOps of them.
-	checkpoint *Models
-	base       int64
-	log        []*writeOp
-
+	mu       sync.Mutex // serializes writes
 	view     atomic.Pointer[View]
 	scatters atomic.Uint64 // scatter-gather fan-outs issued
 }
@@ -311,17 +302,15 @@ func (c *Coordinator) defaultRanges(net *hin.Network) ([]*pathsim.Index, error) 
 	return rs, nil
 }
 
-// write applies op once, on top of the published View (none before the
-// first rebuild): the model builds (op.run) and, beside them in the same
+// write builds and publishes one generation on top of the published
+// View's models (none before the first rebuild): build makes the new
+// models from them and runs, beside the model builds in the same
 // fork–join, the default path's ranges (defaultRanges) and any job in
-// beside — the failure tests' way in. Nothing is logged or published
-// unless all of it succeeds. The log restarts at a rebuild, whose state
-// depends on no history, and when it is full: the models this write
-// supersedes — in hand, nothing is rebuilt — become the checkpoint the
-// log replays from (checkpointOf), so between rebuilds the cluster keeps
-// at most maxLogOps batches and one model set, without its products,
-// beyond the Views it serves.
-func (c *Coordinator) write(op writeOp, beside ...func(*hin.Network) error) (int64, ingest.Summary, error) {
+// beside — the failure tests' way in. Nothing is published unless all of
+// it succeeds, and nothing of the superseded generation is kept beyond
+// the Views that still hold it.
+func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error),
+	beside ...func(*hin.Network) error) (int64, ingest.Summary, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var prev *Models
@@ -330,81 +319,35 @@ func (c *Coordinator) write(op writeOp, beside ...func(*hin.Network) error) (int
 		prev, epoch = cur.Models, cur.Epoch+1
 	}
 	var def []*pathsim.Index
-	m, sum, err := op.run(prev, c.spec, append(beside, func(net *hin.Network) (err error) {
+	m, sum, err := build(prev, append(beside, func(net *hin.Network) (err error) {
 		def, err = c.defaultRanges(net)
 		return err
 	})...)
 	if err != nil {
 		return 0, sum, err
 	}
-	op.deltas = slices.Clone(op.deltas)
-	if op.rebuild {
-		c.checkpoint, c.base, c.log = nil, epoch-1, nil
-	} else if len(c.log) >= maxLogOps {
-		c.checkpoint, c.base, c.log = checkpointOf(prev), epoch-1, nil
-	}
-	c.log = append(c.log, &op)
-	c.publish(epoch, m, def)
-	return epoch, sum, nil
-}
-
-// checkpointOf returns m as a replay base: the same models over a
-// copy-on-write clone of the network whose meta-path engine is empty.
-// A checkpoint therefore pins its generation's relations and score
-// vectors but none of its materialized products; a replay recomputes
-// those cold, which yields the same bits as the patches the live chain
-// took.
-func checkpointOf(m *Models) *Models {
-	net := m.Corpus.Net.Clone()
-	net.PathEngine().Reset()
-	cp := *m
-	cp.Corpus = m.Corpus.WithNetwork(net)
-	return &cp
-}
-
-// publish makes m, with every shard's range of the default path, the
-// View at epoch. Callers hold mu.
-func (c *Coordinator) publish(epoch int64, m *Models, def []*pathsim.Index) {
 	v := &View{Epoch: epoch, Models: m, c: c, def: def}
 	v.paths.Store(PathAPVPA.String(), def)
 	v.npaths.Store(1)
 	c.view.Store(v)
+	return epoch, sum, nil
 }
 
 // Ingest applies a delta batch as one new generation, all-or-nothing: a
-// rejected batch changes nothing and is not logged.
+// rejected batch changes nothing.
 func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
-	return c.write(writeOp{deltas: deltas, refresh: refreshModels})
+	return c.write(func(prev *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
+		return ingestModels(prev, deltas, refreshModels, c.spec, beside...)
+	})
 }
 
 // Rebuild builds a fresh generation from seed.
 func (c *Coordinator) Rebuild(seed int64) (int64, error) {
-	epoch, _, err := c.write(writeOp{rebuild: true, rebuildSeed: seed})
+	epoch, _, err := c.write(func(_ *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
+		m, err := buildModels(seed, c.spec, beside...)
+		return m, ingest.Summary{}, err
+	})
 	return epoch, err
-}
-
-// Restart models a process restart: the write log replays off to the
-// side, from its checkpoint — never from the live models — and the View
-// publishes again at the same epoch with the replayed models, which it
-// alone holds until the next write. Every model build is deterministic,
-// so they are bit-identical to the live ones; a View taken before keeps
-// what it holds.
-func (c *Coordinator) Restart() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.checkpoint
-	for _, op := range c.log {
-		var err error
-		if m, _, err = op.run(m, c.spec); err != nil {
-			return fmt.Errorf("cluster: replay diverged: %w", err)
-		}
-	}
-	def, err := c.defaultRanges(m.Corpus.Net)
-	if err != nil {
-		return err
-	}
-	c.publish(c.base+int64(len(c.log)), m, def)
-	return nil
 }
 
 // Stats returns every shard's stats, in shard order — the partition

@@ -200,35 +200,3 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedEquivalenceAfterRestart replays the write log and checks
-// the recovered generation answers identically.
-func TestShardedEquivalenceAfterRestart(t *testing.T) {
-	spec := testSpec()
-	of := string(dblp.TypeAuthor)
-	ref := BuildModels(9, spec)
-	part := PartitionByNNZ(of, ref.PathSim.Dim(), 3, ref.PathSim.M.RowNNZ)
-	c, err := NewLocalCluster(3, part, spec, nil, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := newTestDeltas(ref, "restart")
-	ref2, _, err := IngestModels(ref, deltas, false, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Ingest(deltas, false); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		live := c.View()
-		if err := c.Restart(); err != nil {
-			t.Fatalf("restart %d: %v", i, err)
-		}
-		if v := c.View(); v.Epoch != 2 || v.Models == live.Models {
-			t.Fatalf("after restart %d: epoch %d (want 2), or the replay is not in the View", i, v.Epoch)
-		}
-	}
-	rng := rand.New(rand.NewSource(42))
-	checkEquivalence(t, rng, c, ref2, "post-restart")
-}

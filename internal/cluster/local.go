@@ -1,8 +1,8 @@
 // LocalShard: one in-process shard — a candidate range, not a replica.
 // It owns the rule that places its range [Lo, Hi) of a meta-path's
 // endpoint type (boundsFor) and the load counters of the PathSim reads
-// it answers. The models, the write log and the range indexes belong to
-// the coordinator and its Views: each write is applied once, and a View
+// it answers. The models and the range indexes belong to the
+// coordinator and its Views: each write is applied once, and a View
 // cuts every shard's range of a path from one index over the whole type.
 
 package cluster
@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"hinet/internal/hin"
-	"hinet/internal/ingest"
 	"hinet/internal/pathsim"
 )
 
@@ -22,28 +21,6 @@ import (
 // engine, which has the matching maxEntries cap, so such a rebuild is
 // one pass over a factor).
 const maxPathIndexes = 64
-
-// maxLogOps bounds the write log: once it holds this many entries the
-// next write folds them into a checkpoint (see Coordinator.write).
-const maxLogOps = 64
-
-// writeOp is one write: an entry of the coordinator's replayable log.
-type writeOp struct {
-	rebuildSeed int64 // valid when rebuild is true
-	rebuild     bool
-	deltas      []ingest.Delta
-	refresh     bool
-}
-
-// run executes the write against prev (which a rebuild ignores), with
-// the beside jobs run on the new network next to the model builds.
-func (op *writeOp) run(prev *Models, spec ModelSpec, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
-	if op.rebuild {
-		m, err := buildModels(op.rebuildSeed, spec, beside...)
-		return m, ingest.Summary{}, err
-	}
-	return ingestModels(prev, op.deltas, op.refresh, spec, beside...)
-}
 
 // LocalShard is one in-process shard of a NewLocalCluster.
 type LocalShard struct {

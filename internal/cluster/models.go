@@ -1,10 +1,11 @@
 // The shared model recipe: one deterministic function from (seed,
 // spec) — and, for incremental generations, the previous models plus a
 // delta batch — to the full artifact set a serving generation needs.
-// A cluster's writes and its log replay (Coordinator.Restart) both build
-// through these two functions: same seed, same spec, same delta
-// history ⇒ bitwise-identical models, so a replayed generation and the
-// live one are interchangeable.
+// Every cluster write builds through these two functions: same seed,
+// same spec, same delta history ⇒ bitwise-identical models, whatever
+// the schedule (TestWriteBitsIndependentOfSchedule), and a patched chain
+// answers as a cold build of each generation does
+// (serve's TestIngestMatchesColdReference).
 
 package cluster
 
@@ -104,8 +105,7 @@ func buildModels(seed int64, spec ModelSpec, beside ...func(*hin.Network) error)
 // untouched — ingestion is all-or-nothing.
 //
 // Determinism carries through: identical prev models and the same
-// batch produce identical next models, which is the invariant the
-// cluster's log replay stands on.
+// batch produce identical next models.
 func IngestModels(prev *Models, deltas []ingest.Delta, refreshModels bool, spec ModelSpec) (*Models, ingest.Summary, error) {
 	return ingestModels(prev, deltas, refreshModels, spec)
 }

@@ -95,7 +95,7 @@ func (p Partition) rangeOf(i, dim int) (lo, hi int) {
 
 // evenRange is the fallback split for meta-paths whose endpoint type
 // is not the partitioned one: shard i owns [i·dim/s, (i+1)·dim/s).
-// Every replica computes it from the same dim, so the ranges are
+// Every shard's range comes from the same dim, so the ranges are
 // disjoint and covering by construction.
 func evenRange(i, shards, dim int) (lo, hi int) {
 	return i * dim / shards, (i + 1) * dim / shards

@@ -1,8 +1,7 @@
-// Concurrency suite (run under -race in CI): scatter-gather reads,
-// ingests and log-replay restarts all proceed concurrently while the
-// coordinator's and every shard's epoch stay monotone, reads only ever
-// see fully published generations, and the final epoch accounts exactly
-// for the writes that succeeded.
+// Concurrency suite (run under -race in CI): scatter-gather reads and
+// ingests proceed concurrently while the coordinator's and every shard's
+// epoch stay monotone, reads only ever see fully published generations,
+// and the final epoch accounts exactly for the writes that succeeded.
 
 package cluster
 
@@ -83,9 +82,9 @@ func TestClusterRace(t *testing.T) {
 	}()
 
 	// Scatter-gather readers. Each holds the View it read from, so no
-	// write or restart can make it fail: any error is a bug. Half the
-	// reads take a path no write builds, so readers of one View build
-	// and memoize its ranges side by side.
+	// write can make it fail: any error is a bug. Half the reads take a
+	// path no write builds, so readers of one View build and memoize its
+	// ranges side by side.
 	dim := ref.PathSim.Dim()
 	paths := []string{"", PathAPA.String()}
 	for r := 0; r < 4; r++ {
@@ -120,28 +119,6 @@ func TestClusterRace(t *testing.T) {
 			}
 		}(r)
 	}
-
-	// Restart loop: replay the log while traffic flows.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			before := c.Epoch()
-			if err := c.Restart(); err != nil {
-				fail("restart: %v", err)
-				return
-			}
-			if after := c.Epoch(); after < before {
-				fail("restart dropped the epoch %d -> %d", before, after)
-				return
-			}
-		}
-	}()
 
 	// Writer: sequential ingests through the coordinator,
 	// mirrored into the single-process reference.

@@ -1,31 +1,26 @@
-// One model generation per write: the coordinator applies a write once,
-// logs it once, and publishes one View whose shard ranges tile the
-// default path's endpoint type; a restart replays that one log privately.
+// One model generation per write: the coordinator applies a write once
+// and publishes one View whose shard ranges tile the default path's
+// endpoint type, and keeps nothing of the generation it supersedes.
 
 package cluster
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
-	"hinet/internal/pathsim"
 )
 
-// requireLogged fails unless the published View is the head of the one
-// log — at the epoch the checkpoint and the log reach — carries no full
-// index, and its shard ranges of the default path tile the author type.
-func requireLogged(t *testing.T, c *Coordinator, label string) {
+// requirePublished fails unless the published View carries no full
+// index and its shard ranges of the default path tile the author type.
+func requirePublished(t *testing.T, c *Coordinator, label string) {
 	t.Helper()
 	v := c.View()
 	if v.Models.PathSim != nil {
 		t.Fatalf("%s: the published generation carries a full index", label)
-	}
-	if got := c.base + int64(len(c.log)); got != v.Epoch {
-		t.Fatalf("%s: the log reaches epoch %d, the View is at %d", label, got, v.Epoch)
 	}
 	lo := 0
 	for i, ix := range v.def {
@@ -47,7 +42,7 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireLogged(t, c, "boot")
+	requirePublished(t, c, "boot")
 	boot := c.View().Models
 
 	deltas := newTestDeltas(ref, "shared")
@@ -58,43 +53,11 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 	if _, _, err := c.Ingest(deltas, false); err != nil {
 		t.Fatal(err)
 	}
-	requireLogged(t, c, "ingest")
+	requirePublished(t, c, "ingest")
 	if c.View().Models == boot {
 		t.Fatal("ingest did not produce a new generation")
 	}
-	if len(c.log) != 2 || !c.log[0].rebuild || c.log[1].rebuild {
-		t.Fatalf("after a boot and one ingest the log holds %d entries, want the rebuild and the batch", len(c.log))
-	}
-	// The logged batch is the entry's own copy, not the caller's slice.
-	deltas[0].Name = "scribbled"
-	if got := c.log[1].deltas[0].Name; got == "scribbled" {
-		t.Fatal("write log aliases the caller's batch")
-	}
-
-	// A restart replays the log privately (bit-identical, own pointers)
-	// at the same epoch, and the next write builds on the replay.
-	live := c.View()
-	if err := c.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	replayed := c.View()
-	if replayed == live || replayed.Epoch != live.Epoch {
-		t.Fatalf("Restart published epoch %d (want %d) in a new View: %v", replayed.Epoch, live.Epoch, replayed != live)
-	}
-	if replayed.Models == live.Models || replayed.Corpus.Net == live.Corpus.Net {
-		t.Fatal("Restart borrowed the live generation instead of replaying its log")
-	}
-	checkEquivalence(t, rand.New(rand.NewSource(1)), c, ref2, "restarted")
-	deltas3 := newTestDeltas(ref2, "rejoin")
-	ref3, _, err := IngestModels(ref2, deltas3, false, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Ingest(deltas3, false); err != nil {
-		t.Fatal(err)
-	}
-	requireLogged(t, c, "write after restart")
-	checkEquivalence(t, rand.New(rand.NewSource(2)), c, ref3, "after restart")
+	checkEquivalence(t, rand.New(rand.NewSource(1)), c, ref2, "ingest")
 
 	// Back-to-back rebuilds from one seed are two writes, each built once.
 	before := c.View().Models
@@ -102,77 +65,66 @@ func TestLocalClusterSharesOneGeneration(t *testing.T) {
 		if _, err := c.Rebuild(8); err != nil {
 			t.Fatal(err)
 		}
-		requireLogged(t, c, "rebuild")
+		requirePublished(t, c, "rebuild")
 		if now := c.View().Models; now == before {
 			t.Fatal("rebuild reused the previous write's generation")
 		} else {
 			before = now
 		}
-		if len(c.log) != 1 || c.checkpoint != nil {
-			t.Fatalf("a rebuild left %d log entries over checkpoint %v: it depends on no history", len(c.log), c.checkpoint)
-		}
 	}
 }
 
-// TestWriteLogBounded: the replayable log never outgrows maxLogOps —
-// a full log folds into a checkpoint of the generation the cluster was
-// retaining anyway — and a restart from checkpoint + log still
-// reproduces the live generation bit for bit.
-func TestWriteLogBounded(t *testing.T) {
+// TestWriteRetainsNoSupersededGeneration: once no View holds it, a
+// superseded generation is garbage — however many writes came before,
+// the coordinator keeps no copy of it (no log of batches, no checkpoint
+// of models to replay them from). The probe is a finalizer on the
+// generation's PageRank vector, which no later generation aliases
+// (rank.PageRank copies its warm start); 64 writes in, it still must
+// run.
+func TestWriteRetainsNoSupersededGeneration(t *testing.T) {
 	spec := testSpec()
-	part := Partition{Of: string(dblp.TypeAuthor), Bounds: []int{0, 0}}
-	c, err := NewLocalCluster(1, part, spec, nil, 5)
+	c, err := NewLocalCluster(1, Partition{Of: string(dblp.TypeAuthor), Bounds: []int{0, 0}}, spec, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := c.View().Corpus.Net
 	authors, papers := net.Count(dblp.TypeAuthor), net.Count(dblp.TypePaper)
 	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 5000; i += 2 {
+	edge := ingest.Delta{SrcType: string(dblp.TypePaper), DstType: string(dblp.TypeAuthor)}
+	write := func() {
+		t.Helper()
 		// One delta per write: an edge appears, then goes again, so the
 		// network stays the size it was.
-		edge := ingest.Delta{Op: ingest.OpAddEdge,
-			SrcType: string(dblp.TypePaper), Src: net.Name(dblp.TypePaper, rng.Intn(papers)),
-			DstType: string(dblp.TypeAuthor), Dst: net.Name(dblp.TypeAuthor, rng.Intn(authors))}
-		for _, op := range []ingest.Op{ingest.OpAddEdge, ingest.OpRemoveEdge} {
-			edge.Op = op
-			if _, _, err := c.Ingest([]ingest.Delta{edge}, false); err != nil {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			if n := len(c.log); n > maxLogOps {
-				t.Fatalf("after %d writes the log holds %d entries, bound is %d", i+2, n, maxLogOps)
-			}
+		if edge.Op == ingest.OpAddEdge {
+			edge.Op = ingest.OpRemoveEdge
+		} else {
+			edge.Op = ingest.OpAddEdge
+			edge.Src = net.Name(dblp.TypePaper, rng.Intn(papers))
+			edge.Dst = net.Name(dblp.TypeAuthor, rng.Intn(authors))
+		}
+		if _, _, err := c.Ingest([]ingest.Delta{edge}, false); err != nil {
+			t.Fatalf("write at epoch %d: %v", c.Epoch(), err)
 		}
 	}
-	if c.checkpoint == nil || c.base+int64(len(c.log)) != c.Epoch() {
-		t.Fatalf("log of %d entries over a checkpoint at epoch %d does not reach epoch %d", len(c.log), c.base, c.Epoch())
+	for c.Epoch() < 64 {
+		write()
 	}
+	collected := make(chan struct{})
+	func() {
+		scores := c.View().PageRank.Scores
+		runtime.SetFinalizer(&scores[0], func(*float64) { close(collected) })
+	}()
+	write() // supersedes epoch 64; nothing here holds its View
 
-	ctx, epoch := context.Background(), c.Epoch()
-	read := func() (rows [][]pathsim.Pair) {
-		v := c.View()
-		if v.Epoch != epoch {
-			t.Fatalf("View at epoch %d, want %d", v.Epoch, epoch)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
 		}
-		for x := 0; x < authors; x++ {
-			row, err := v.TopK(ctx, "", x, authors)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, row)
+		if time.Now().After(deadline) {
+			t.Fatalf("epoch %d's generation is still reachable after epoch %d superseded it", c.Epoch()-1, c.Epoch())
 		}
-		return rows
 	}
-	live, before := read(), c.View().Models
-	if err := c.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	if now := c.View().Models; c.Epoch() != epoch || now == before {
-		t.Fatalf("restart: epoch %d (want %d), replayed privately: %v", c.Epoch(), epoch, now != before)
-	}
-	replayed := read()
-	for x := range live {
-		pairsEqual(t, live[x], replayed[x], fmt.Sprintf("row %d after restart", x))
-	}
-	sameRanks(t, "after restart", c.View().Models, before)
 }

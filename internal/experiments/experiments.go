@@ -1,12 +1,13 @@
 // Package experiments wires workload generators, algorithms and metrics
-// into the reproduction experiments E1–E16 indexed in DESIGN.md. Each
-// function returns the rows of one paper-style table; bench_test.go
-// times the same computations and cmd/experiments prints them.
+// into the reproduction experiments E1–E16, one function each, whose doc
+// comment names the published table it reconstructs. Each function
+// returns the rows of one paper-style table; bench_test.go times the
+// same computations and cmd/experiments prints them (README, Quickstart).
 //
 // The tutorial itself contains no tables (it is a survey); each
 // experiment reconstructs the canonical result of the system the
-// tutorial presents, on the synthetic substitutes documented in
-// DESIGN.md §1. Quality numbers are therefore compared by *shape*
+// tutorial presents, on the synthetic substitutes of internal/dblp and
+// internal/flickr. Quality numbers are therefore compared by *shape*
 // (who wins, by roughly what factor) rather than absolute value.
 package experiments
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -230,11 +231,15 @@ func E12PathSim(seed int64) []Row {
 		Papers:         800,
 	})
 	path := hin.MetaPath{dblp.TypeAuthor, dblp.TypePaper, dblp.TypeVenue, dblp.TypePaper, dblp.TypeAuthor}
-	ix := pathsim.NewIndex(c.Net, path)
+	ix, err := pathsim.NewRangeIndexCtx(context.Background(), c.Net, path, 0, c.Net.Count(dblp.TypeAuthor))
+	if err != nil {
+		panic(err)
+	}
 
-	// Author–author random-walk graph for PPR along the same path: the
-	// index already materialized the commuting matrix, reuse it.
-	m := ix.M
+	// Author–author random-walk graph for PPR along the same path: its
+	// commuting matrix, which the index never stores (it answers from the
+	// half-path factor).
+	m := c.Net.CommutingMatrix(path)
 
 	// SimRank on author–venue bipartite (APV collapsed) — the engine
 	// hands back APVPA's cached half-path product.
@@ -428,7 +433,7 @@ func AblationLinkClus(seed int64) []Row {
 }
 
 // AblationRankClusSmoothing sweeps the RankClus smoothing parameter —
-// the design choice DESIGN.md calls out (zero smoothing risks
+// a design choice of RankClus (zero smoothing risks
 // zero-probability attribute objects; heavy smoothing blurs clusters).
 func AblationRankClusSmoothing(seed int64) []Row {
 	var rows []Row

@@ -2,7 +2,7 @@
 // (§4a): link-based similarity and clustering of bipartite networks at
 // near-linear cost, positioned against quadratic SimRank.
 //
-// Substitution note (recorded in DESIGN.md): the original LinkClus
+// Substitution note: the original LinkClus
 // (Yin, Han, Yu — VLDB'06) prunes SimRank's pair space with a SimTree
 // whose construction exploits the power-law link distribution. This
 // package keeps LinkClus's contract — mutual-reinforcement similarity

@@ -5,7 +5,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -70,10 +69,7 @@ func stableStats(t *testing.T, s *Server) string {
 // same deltas. After every write the top-k answers over the
 // prebuilt path and over one the first reader materializes,
 // /v1/cluster/shards and the stable part of /v1/stats are byte-equal on
-// the two, and again after a restart mid-sequence — through the
-// snapshot, which holds the View it loaded, and through the replayed
-// View, whose replay rebuilt cold what the live chain patched. Readers
-// run beside the writes and the restart.
+// the two. Readers run beside the writes.
 func TestIngestMatchesColdReference(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -172,22 +168,6 @@ func TestIngestMatchesColdReference(t *testing.T) {
 				}
 				stage := fmt.Sprintf("write %d", write)
 				compare(stage, names)
-				if write == 6 { // a restart replays the log off to the side
-					if err := live.Coordinator().Restart(); err != nil {
-						t.Fatal(err)
-					}
-					compare(stage+", restarted", names)
-					for _, spec := range []string{"", "A-P-T-P-A"} {
-						for _, id := range []int{0, 7, dim / 2, dim - 1} {
-							got, ep1, err1 := live.Coordinator().TopK(context.Background(), spec, id, 50)
-							want, ep2, err2 := ref.Coordinator().TopK(context.Background(), spec, id, 50)
-							if err1 != nil || err2 != nil || ep1 != ep2 || !samePairs(got, want) {
-								t.Fatalf("%s: replayed View, path %q id %d: live %v at %d (%v), cold %v at %d (%v)",
-									stage, spec, id, got, ep1, err1, want, ep2, err2)
-							}
-						}
-					}
-				}
 			}
 		})
 	}

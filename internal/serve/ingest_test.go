@@ -514,8 +514,8 @@ func TestReadsSurviveBackToBackWrites(t *testing.T) {
 }
 
 // TestReadHoldsItsGeneration: a reader that loaded a snapshot reads its
-// generation to the end, whatever lands meanwhile — two ingests and a
-// restart here — and answers as a cold build at the reader's epoch
+// generation to the end, whatever lands meanwhile — two ingests here —
+// and answers as a cold build at the reader's epoch
 // does, over the prebuilt path and over one the reader materializes
 // after the cluster has moved on.
 func TestReadHoldsItsGeneration(t *testing.T) {
@@ -536,9 +536,6 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 				if _, _, err := srv.ingest(ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3), false); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := srv.Coordinator().Restart(); err != nil {
-				t.Fatal(err)
 			}
 			ctx := context.Background()
 			for _, name := range []string{"", "A-P-T-P-A"} {
