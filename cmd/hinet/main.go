@@ -298,7 +298,7 @@ func runServe(f serveFlags) {
 		snap.IndexDim, snap.IndexNNZ)
 	if c := s.Coordinator(); c.Shards() > 1 {
 		fmt.Printf("sharded tier: %d shards, partition %v (skew %.2f)\n",
-			c.Shards(), c.Partition().Bounds, c.Skew())
+			c.Shards(), c.Partition().Bounds, snap.Skew())
 	}
 	bound, err := s.Start()
 	if err != nil {

@@ -23,9 +23,10 @@
 // clustering are functions of the whole network, so no shard answers
 // them: whoever holds a View reads its Models directly.
 //
-// A View is one published generation: the epoch, the Models and every
-// shard's range of each meta-path served from it — one index per path,
-// one diagonal, N cuts sharing W and Wᵀ. Every PathSim read is a View
+// A View is one published generation and the serving snapshot, which
+// a request loads once and reads throughout: the epoch, the Models and
+// every shard's range of each meta-path served from it — one index per
+// path, one diagonal, N cuts sharing W and Wᵀ. Every PathSim read is a View
 // method, so a read cannot miss its generation, and a superseded one is
 // freed when the last View holding it goes. TopK/BatchTopK scatter to
 // all shards — every shard scores its range of the query's row and

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hinet/internal/eval"
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
 	"hinet/internal/obs"
@@ -31,18 +32,37 @@ type Coordinator struct {
 	scatters atomic.Uint64 // scatter-gather fan-outs issued
 }
 
-// View is one published generation: its epoch, its models (embedded:
-// what ranking, clustering and rendering read, with no shard in between)
-// and every shard's range of each meta-path served from it. Immutable
-// but for that memo (concurrent-safe, append-only), which dies with the
-// View, so a write can never serve a stale-epoch index.
+// View is one published generation and the serving snapshot: what a
+// request loads once and reads throughout. It holds its epoch, its
+// models (embedded: what ranking, clustering and rendering read, with no
+// shard in between) and every shard's range of each meta-path served
+// from it. Immutable but for its memos (concurrent-safe, filled by the
+// first reader that asks), which die with the View, so a write can
+// never serve a stale-epoch index or score.
 type View struct {
-	Epoch int64
+	Epoch     int64
+	BuiltAt   time.Time     // when the write that published it began
+	BuildTime time.Duration // how long that write took
 	*Models
+	// The default path's index size: its endpoint type's count, and
+	// pathsim.Index.NNZ — the multiply-adds of scanning every row —
+	// summed over the shards' ranges, which partition the candidates
+	// exactly.
+	IndexDim, IndexNNZ int
+
 	c      *Coordinator
 	def    []*pathsim.Index // def[i] is shard i's range of the default path, built with the write
 	paths  sync.Map         // resolved path string → []*pathsim.Index, one range per shard
 	npaths atomic.Int32
+
+	nmiRankClus, nmiNetClus nmiMemo
+}
+
+// nmiMemo holds one clustering model's NMI against the ground-truth
+// areas (RankClus clusters venues only).
+type nmiMemo struct {
+	once         sync.Once
+	paper, venue float64
 }
 
 // NewLocalCluster builds n in-process shards over the partition,
@@ -71,9 +91,6 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 
 // View returns the published View.
 func (c *Coordinator) View() *View { return c.view.Load() }
-
-// Epoch returns the cluster epoch: the published View's.
-func (c *Coordinator) Epoch() int64 { return c.view.Load().Epoch }
 
 // Partition returns the fixed candidate partition.
 func (c *Coordinator) Partition() Partition { return c.part }
@@ -308,11 +325,12 @@ func (c *Coordinator) defaultRanges(net *hin.Network) ([]*pathsim.Index, error) 
 // fork–join, the default path's ranges (defaultRanges) and any job in
 // beside — the failure tests' way in. Nothing is published unless all of
 // it succeeds, and nothing of the superseded generation is kept beyond
-// the Views that still hold it.
+// the Views that still hold it. It returns the View it published.
 func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error),
-	beside ...func(*hin.Network) error) (int64, ingest.Summary, error) {
+	beside ...func(*hin.Network) error) (*View, ingest.Summary, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	start := time.Now()
 	var prev *Models
 	epoch := int64(1)
 	if cur := c.view.Load(); cur != nil {
@@ -324,38 +342,43 @@ func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network
 		return err
 	})...)
 	if err != nil {
-		return 0, sum, err
+		return nil, sum, err
 	}
-	v := &View{Epoch: epoch, Models: m, c: c, def: def}
+	v := &View{Epoch: epoch, BuiltAt: start, Models: m, IndexDim: m.Corpus.Net.Count(PathAPVPA[0]), c: c, def: def}
+	for _, r := range def {
+		v.IndexNNZ += r.NNZ()
+	}
 	v.paths.Store(PathAPVPA.String(), def)
 	v.npaths.Store(1)
+	v.BuildTime = time.Since(start)
 	c.view.Store(v)
-	return epoch, sum, nil
+	return v, sum, nil
 }
 
 // Ingest applies a delta batch as one new generation, all-or-nothing: a
-// rejected batch changes nothing.
-func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (int64, ingest.Summary, error) {
+// rejected batch changes nothing. It returns the View it published.
+func (c *Coordinator) Ingest(deltas []ingest.Delta, refreshModels bool) (*View, ingest.Summary, error) {
 	return c.write(func(prev *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
 		return ingestModels(prev, deltas, refreshModels, c.spec, beside...)
 	})
 }
 
-// Rebuild builds a fresh generation from seed.
-func (c *Coordinator) Rebuild(seed int64) (int64, error) {
-	epoch, _, err := c.write(func(_ *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
+// Rebuild builds a fresh generation from seed and returns the View it
+// published.
+func (c *Coordinator) Rebuild(seed int64) (*View, error) {
+	v, _, err := c.write(func(_ *Models, beside ...func(*hin.Network) error) (*Models, ingest.Summary, error) {
 		m, err := buildModels(seed, c.spec, beside...)
 		return m, ingest.Summary{}, err
 	})
-	return epoch, err
+	return v, err
 }
 
-// Stats returns every shard's stats, in shard order — the partition
-// skew view (/v1/cluster/shards, hinet_shard_* metrics).
-func (c *Coordinator) Stats() []ShardStats {
-	v := c.view.Load()
-	out := make([]ShardStats, len(c.shards))
-	for i, sh := range c.shards {
+// Stats returns every shard's stats in v, in shard order — the
+// partition skew view (/v1/cluster/shards, hinet_shard_* metrics). The
+// epoch and geometry are v's; the load counters are the shards' own.
+func (v *View) Stats() []ShardStats {
+	out := make([]ShardStats, len(v.def))
+	for i, sh := range v.c.shards {
 		def := v.def[i]
 		out[i] = ShardStats{ID: sh.id, Epoch: v.Epoch, Lo: def.Lo(), Hi: def.Hi(), Rows: def.Rows(), NNZ: def.NNZ(),
 			Inflight: sh.inflight.Load(), Queries: sh.queries.Load()}
@@ -363,18 +386,47 @@ func (c *Coordinator) Stats() []ShardStats {
 	return out
 }
 
-// Skew summarizes the partition imbalance across shards: the ratio of
+// Skew summarizes v's partition imbalance across shards: the ratio of
 // the largest to the mean per-shard nnz (1.0 = perfectly balanced; 0
-// when the cluster is empty).
-func (c *Coordinator) Skew() float64 {
-	total, maxNNZ := 0, 0
-	for _, st := range c.Stats() {
-		total += st.NNZ
-		maxNNZ = max(maxNNZ, st.NNZ)
+// when the index is empty).
+func (v *View) Skew() float64 {
+	maxNNZ := 0
+	for _, r := range v.def {
+		maxNNZ = max(maxNNZ, r.NNZ())
 	}
-	if total == 0 {
+	if v.IndexNNZ == 0 {
 		return 0
 	}
-	mean := float64(total) / float64(len(c.shards))
+	mean := float64(v.IndexNNZ) / float64(len(v.def))
 	return float64(maxNNZ) / mean
+}
+
+// RankClusNMI returns the RankClus venue clustering's NMI against the
+// ground-truth areas. It depends only on the generation, so the first
+// reader that asks computes it and v keeps it; no write does.
+func (v *View) RankClusNMI() float64 {
+	m := &v.nmiRankClus
+	m.once.Do(func() { m.venue = nmiAligned(v.Corpus.VenueArea, v.RankClus.Assign) })
+	return m.venue
+}
+
+// NetClusNMI returns the NetClus paper and venue clusterings' NMI
+// against the ground-truth areas, memoized like RankClusNMI.
+func (v *View) NetClusNMI() (paper, venue float64) {
+	m := &v.nmiNetClus
+	m.once.Do(func() {
+		m.paper = nmiAligned(v.Corpus.PaperArea, v.NetClus.AssignCenter)
+		m.venue = nmiAligned(v.Corpus.VenueArea, v.NetClus.AssignAttr(1))
+	})
+	return m.paper, m.venue
+}
+
+// nmiAligned scores the overlap of a ground-truth labeling and a
+// cluster assignment. After an ingest that added objects, the
+// carried-over model is shorter than the padded ground truth (and a
+// refreshed model can be longer than an old generation's) — the overlap
+// is the population both labelings cover.
+func nmiAligned(truth, assign []int) float64 {
+	n := min(len(truth), len(assign))
+	return eval.NMI(truth[:n], assign[:n])
 }

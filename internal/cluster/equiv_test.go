@@ -1,6 +1,6 @@
 // The randomized sharding equivalence suite: for seeds × shard counts
 // × partition shapes, every coordinator answer must be BITWISE equal
-// to the single-process store's on the same snapshot — same ids, same
+// to a single-process index's on the same generation — same ids, same
 // order (ties included), float64 scores identical to the last bit.
 // This is the acceptance bar the whole tier stands on.
 
@@ -150,7 +150,7 @@ func TestShardedEquivalence(t *testing.T) {
 	spec := testSpec()
 	of := string(dblp.TypeAuthor)
 	for _, seed := range []int64{1, 5} {
-		// Single-process reference: the same recipe the serve.Store uses.
+		// Single-process reference: the same recipe every write uses.
 		ref := BuildModels(seed, spec)
 		dim := ref.PathSim.Dim()
 		rng := rand.New(rand.NewSource(seed * 997))
@@ -166,8 +166,8 @@ func TestShardedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if c.Epoch() != 1 {
-					t.Fatalf("%s: boot epoch %d, want 1", label, c.Epoch())
+				if c.View().Epoch != 1 {
+					t.Fatalf("%s: boot epoch %d, want 1", label, c.View().Epoch)
 				}
 				checkEquivalence(t, rng, c, ref, label)
 
@@ -181,12 +181,12 @@ func TestShardedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference ingest: %v", label, err)
 				}
-				ep, _, err := c.Ingest(deltas, false)
+				v, _, err := c.Ingest(deltas, false)
 				if err != nil {
 					t.Fatalf("%s: cluster ingest: %v", label, err)
 				}
-				if ep != 2 || c.Epoch() != 2 {
-					t.Fatalf("%s: post-ingest epoch %d/%d, want 2", label, ep, c.Epoch())
+				if v.Epoch != 2 || c.View().Epoch != 2 {
+					t.Fatalf("%s: post-ingest epoch %d/%d, want 2", label, v.Epoch, c.View().Epoch)
 				}
 				checkEquivalence(t, rng, c, ref2, label+" epoch2")
 				// The View taken before the write still answers at epoch 1.

@@ -35,7 +35,7 @@ var (
 )
 
 // ModelSpec controls what a generation materializes. It mirrors the
-// single-process store's model configuration; SkipPathSim is the shard
+// serving layer's model configuration; SkipPathSim is the shard
 // variant — shards serve the similarity index from its factor, built
 // separately from the same network, and never hold it materialized.
 type ModelSpec struct {
@@ -48,9 +48,9 @@ type ModelSpec struct {
 	SkipPathSim bool
 }
 
-// Models is one generation's artifact set — everything a Snapshot
-// carries except the serving-layer memoization state. Immutable: an
-// in-process cluster's shards and the store's snapshot share one.
+// Models is one generation's artifact set — everything a View carries
+// except the shards' ranges and its memos. Immutable: every request
+// that loads a View reads its one Models.
 type Models struct {
 	Seed     int64
 	Corpus   *dblp.Corpus    // network + names + ground-truth areas

@@ -53,9 +53,9 @@ func TestClusterRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := c.Epoch()
+		last := c.View().Epoch
 		lastShard := make([]int64, shards)
-		for i, st := range c.Stats() {
+		for i, st := range c.View().Stats() {
 			lastShard[i] = st.Epoch
 		}
 		for {
@@ -64,13 +64,13 @@ func TestClusterRace(t *testing.T) {
 				return
 			default:
 			}
-			if e := c.Epoch(); e < last {
+			if e := c.View().Epoch; e < last {
 				fail("coordinator epoch went backwards: %d -> %d", last, e)
 				return
 			} else {
 				last = e
 			}
-			for i, st := range c.Stats() {
+			for i, st := range c.View().Stats() {
 				if e := st.Epoch; e < lastShard[i] {
 					fail("shard %d epoch went backwards: %d -> %d", i, lastShard[i], e)
 					return
@@ -130,22 +130,22 @@ func TestClusterRace(t *testing.T) {
 			t.Fatalf("reference ingest %d: %v", w, err)
 		}
 		refCur = next
-		ep, _, err := c.Ingest(deltas, false)
+		v, _, err := c.Ingest(deltas, false)
 		if err != nil {
 			t.Fatalf("cluster ingest %d: %v", w, err)
 		}
-		if want := int64(w + 2); ep != want {
-			t.Fatalf("ingest %d published epoch %d, want %d", w, ep, want)
+		if want := int64(w + 2); v.Epoch != want {
+			t.Fatalf("ingest %d published epoch %d, want %d", w, v.Epoch, want)
 		}
 	}
 	// One rejected batch must change nothing (validation gate).
-	badEp := c.Epoch()
+	badEp := c.View().Epoch
 	if _, _, err := c.Ingest([]ingest.Delta{{Op: ingest.OpAddEdge,
 		SrcType: "paper", Src: "no-such-paper", DstType: "author", Dst: "nobody"}}, false); err == nil {
 		t.Fatal("invalid batch should be rejected")
 	}
-	if c.Epoch() != badEp {
-		t.Fatalf("rejected batch moved the epoch %d -> %d", badEp, c.Epoch())
+	if c.View().Epoch != badEp {
+		t.Fatalf("rejected batch moved the epoch %d -> %d", badEp, c.View().Epoch)
 	}
 
 	close(stop)
@@ -157,10 +157,10 @@ func TestClusterRace(t *testing.T) {
 	// Exact final-epoch accounting: boot(1) + every accepted write, on
 	// the coordinator and every shard.
 	want := int64(writes + 1)
-	if c.Epoch() != want {
-		t.Fatalf("final coordinator epoch %d, want %d", c.Epoch(), want)
+	if c.View().Epoch != want {
+		t.Fatalf("final coordinator epoch %d, want %d", c.View().Epoch, want)
 	}
-	for i, st := range c.Stats() {
+	for i, st := range c.View().Stats() {
 		if st.Epoch != want {
 			t.Fatalf("final shard %d epoch %d, want %d", i, st.Epoch, want)
 		}

@@ -190,7 +190,7 @@ type writeState struct {
 }
 
 func stateOf(c *Coordinator) writeState {
-	return writeState{c.View(), c.Epoch()}
+	return writeState{c.View(), c.View().Epoch}
 }
 
 // TestFailedJobFailsTheWrite: a job beside the model builds that returns

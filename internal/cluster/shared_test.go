@@ -103,10 +103,10 @@ func TestWriteRetainsNoSupersededGeneration(t *testing.T) {
 			edge.Dst = net.Name(dblp.TypeAuthor, rng.Intn(authors))
 		}
 		if _, _, err := c.Ingest([]ingest.Delta{edge}, false); err != nil {
-			t.Fatalf("write at epoch %d: %v", c.Epoch(), err)
+			t.Fatalf("write at epoch %d: %v", c.View().Epoch, err)
 		}
 	}
-	for c.Epoch() < 64 {
+	for c.View().Epoch < 64 {
 		write()
 	}
 	collected := make(chan struct{})
@@ -124,7 +124,7 @@ func TestWriteRetainsNoSupersededGeneration(t *testing.T) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("epoch %d's generation is still reachable after epoch %d superseded it", c.Epoch()-1, c.Epoch())
+			t.Fatalf("epoch %d's generation is still reachable after epoch %d superseded it", c.View().Epoch-1, c.View().Epoch)
 		}
 	}
 }

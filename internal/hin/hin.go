@@ -746,18 +746,8 @@ func (n *Network) CommutingFactorCtx(ctx context.Context, p MetaPath) (w, wt *sp
 // Projection builds the homogeneous weighted graph on type p[0] induced
 // by a symmetric meta-path: nodes are the objects of p[0]; edge weights
 // are the off-diagonal entries of the commuting matrix. Labels carry the
-// object names. It panics on invalid paths; ProjectionE returns an
-// error instead.
-func (n *Network) Projection(p MetaPath) *graph.Graph {
-	g, err := n.ProjectionE(p)
-	if err != nil {
-		panic("hin: " + err.Error())
-	}
-	return g
-}
-
-// ProjectionE is the non-panicking Projection.
-func (n *Network) ProjectionE(p MetaPath) (*graph.Graph, error) {
+// object names. An asymmetric or invalid path is an error.
+func (n *Network) Projection(p MetaPath) (*graph.Graph, error) {
 	if len(p) == 0 || !p.Symmetric() || p[0] != p[len(p)-1] {
 		return nil, fmt.Errorf("projection requires a symmetric meta path, got %q", p.String())
 	}

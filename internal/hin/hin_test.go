@@ -243,7 +243,10 @@ func TestCommutingMatrixCoauthor(t *testing.T) {
 
 func TestProjectionGraph(t *testing.T) {
 	n := tinyDBLP()
-	g := n.Projection(MetaPath{"author", "paper", "author"})
+	g, err := n.Projection(MetaPath{"author", "paper", "author"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.N() != 2 || g.M() != 1 {
 		t.Fatalf("projection N=%d M=%d", g.N(), g.M())
 	}
@@ -257,12 +260,9 @@ func TestProjectionGraph(t *testing.T) {
 
 func TestProjectionRequiresSymmetry(t *testing.T) {
 	n := tinyDBLP()
-	defer func() {
-		if recover() == nil {
-			t.Error("asymmetric projection should panic")
-		}
-	}()
-	n.Projection(MetaPath{"author", "paper", "venue"})
+	if g, err := n.Projection(MetaPath{"author", "paper", "venue"}); err == nil || g != nil {
+		t.Errorf("asymmetric projection = %v, %v; want an error", g, err)
+	}
 }
 
 // TestErrorVariants pins the non-panicking boundary: every …E variant
@@ -278,10 +278,10 @@ func TestErrorVariants(t *testing.T) {
 	if _, err := n.CommutingMatrixE(MetaPath{"author", "venue"}); err == nil {
 		t.Error("schema-less hop accepted")
 	}
-	if _, err := n.ProjectionE(MetaPath{"author", "paper", "venue"}); err == nil {
+	if _, err := n.Projection(MetaPath{"author", "paper", "venue"}); err == nil {
 		t.Error("asymmetric projection accepted")
 	}
-	if _, err := n.ProjectionE(nil); err == nil {
+	if _, err := n.Projection(nil); err == nil {
 		t.Error("empty projection accepted")
 	}
 	if _, err := n.StarE("paper", "author", "term"); err == nil {

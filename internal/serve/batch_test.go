@@ -47,7 +47,7 @@ func TestConcurrentTopKRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.rebuild(6); err != nil {
+		if _, err := s.coord.Rebuild(6); err != nil {
 			t.Error(err)
 		}
 	}()

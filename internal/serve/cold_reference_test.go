@@ -154,7 +154,7 @@ func TestIngestMatchesColdReference(t *testing.T) {
 						names = append(names, d.Dst)
 					}
 				}
-				ref.Snapshot().Engine().Reset() // nothing to patch from: the reference builds this generation cold
+				ref.Snapshot().Corpus.Net.PathEngine().Reset() // nothing to patch from: the reference builds this generation cold
 				for _, s := range []*Server{live, ref} {
 					if out, code := postIngest(t, s, batch); code != 200 {
 						t.Fatalf("write %d: ingest = %d: %v", write, code, out)

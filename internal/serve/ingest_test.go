@@ -152,7 +152,7 @@ func TestIngestEquivalentToRebuild(t *testing.T) {
 		}
 	}
 	// HITS is warm-started from the previous epoch's hubs: same fixed
-	// point as the other store's and as a cold run, in fewer iterations.
+	// point as the other server's and as a cold run, in fewer iterations.
 	cold := rank.HITS(a.Corpus.Net.CommutingMatrix(cluster.PathAPA), rank.Options{})
 	for _, v := range []struct {
 		name      string
@@ -259,9 +259,9 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 			defer wg.Done()
 			rng := stats.NewRNG(int64(100 + g))
 			for i := 0; i < 5; i++ {
-				cur := srv.store.Current()
+				cur := srv.Snapshot()
 				ds := ingest.SamplePapers(cur.Corpus, rng, 2)
-				snap, _, err := srv.ingest(ds, false)
+				snap, _, err := srv.coord.Ingest(ds, false)
 				if err != nil {
 					errs <- err
 					return
@@ -275,7 +275,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			snap, err := srv.rebuild(int64(i + 2))
+			snap, err := srv.coord.Rebuild(int64(i + 2))
 			if err != nil {
 				errs <- err
 				return
@@ -289,13 +289,13 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				snap := srv.store.Current()
+				snap := srv.Snapshot()
 				observe(snap.Epoch)
 				x := (g*13 + i) % authors
 				// Read as the handlers do: through the snapshot's View,
 				// however many writes overtake the read.
 				err := func() error {
-					pairs, epoch, _, err := srv.topK(context.Background(), topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, x, 5)
+					pairs, epoch, _, err := srv.topK(context.Background(), topKKernel{snap, pathAPVPAKey, snap.IndexDim}, x, 5)
 					if err != nil {
 						return err
 					}
@@ -329,7 +329,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 
 	// Quiesced: the live snapshot answers for itself.
 	snap := srv.Snapshot()
-	pairs, _, _, err := srv.topK(context.Background(), topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, 0, 5)
+	pairs, _, _, err := srv.topK(context.Background(), topKKernel{snap, pathAPVPAKey, snap.IndexDim}, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +358,10 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 	// routes reports how many products a query of spec patched and how
 	// many Gram products it ran in all, on the live generation's engine.
 	routes := func(m *cluster.Models) (patched, grams uint64, ix *pathsim.Index) {
-		snap := &Snapshot{View: &cluster.View{Models: m}}
-		before := snap.Engine().Stats()
-		ix = refIndex(t, snap, spec)
-		after := snap.Engine().Stats()
+		e := m.Corpus.Net.PathEngine()
+		before := e.Stats()
+		ix = refIndex(t, &cluster.View{Models: m}, spec)
+		after := e.Stats()
 		return after.Patches - before.Patches, after.Grams - before.Grams, ix
 	}
 	// Three ingests; with query set, spec is materialized before the
@@ -524,7 +524,7 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 			srv := newTestServer(t, Options{Seed: 2, Shards: shards, CacheCapacity: -1, ControlInterval: -1})
 			spec, rng := srv.opts.Models.spec(), stats.NewRNG(4)
 			batch := ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3)
-			if _, _, err := srv.ingest(batch, false); err != nil {
+			if _, _, err := srv.coord.Ingest(batch, false); err != nil {
 				t.Fatal(err)
 			}
 			ref, _, err := cluster.IngestModels(cluster.BuildModels(srv.opts.Seed, spec), batch, false, spec)
@@ -533,7 +533,7 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 			}
 			snap := srv.Snapshot() // the reader's
 			for i := 0; i < 2; i++ {
-				if _, _, err := srv.ingest(ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3), false); err != nil {
+				if _, _, err := srv.coord.Ingest(ingest.SamplePapers(srv.Snapshot().Corpus, rng, 3), false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -553,7 +553,7 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, x := range []int{0, 5, want.Dim() / 2, want.Dim() - 1} {
-					got, epoch, _, err := srv.topK(ctx, topKKernel{snap.View, path.String(), want.Dim()}, x, 20)
+					got, epoch, _, err := srv.topK(ctx, topKKernel{snap, path.String(), want.Dim()}, x, 20)
 					if err != nil || epoch != snap.Epoch || !samePairs(got, want.TopK(x, 20)) {
 						t.Fatalf("path %s, id %d: %v at epoch %d (%v), cold build at epoch %d: %v",
 							path, x, got, epoch, err, snap.Epoch, want.TopK(x, 20))

@@ -60,37 +60,38 @@ func (m *metrics) get(endpoint string) *endpointStats {
 // writeMetrics renders the Prometheus text exposition for /metrics:
 // snapshot identity, per-endpoint request counters and latency
 // histograms, per-stage duration histograms from the tracer, cache hit
-// rates, batching effectiveness, and process/pool runtime gauges.
+// rates, batching effectiveness, and process/pool runtime gauges. Every
+// generation value — the snapshot and hinet_cluster_*/hinet_shard_*
+// series alike — comes from one View, loaded once.
 func (s *Server) writeMetrics(w io.Writer) {
-	if snap := s.store.Current(); snap != nil {
-		fmt.Fprintf(w, "hinet_snapshot_epoch %d\n", snap.Epoch)
-		fmt.Fprintf(w, "hinet_snapshot_seed %d\n", snap.Seed)
-		fmt.Fprintf(w, "hinet_snapshot_build_seconds %g\n", snap.BuildTime.Seconds())
-		types := snap.Corpus.Net.Types()
-		slices.Sort(types)
-		for _, t := range types {
-			fmt.Fprintf(w, "hinet_snapshot_objects{type=%q} %d\n", string(t), snap.Corpus.Net.Count(t))
-		}
-		fmt.Fprintf(w, "hinet_pathsim_index_nnz %d\n", snap.IndexNNZ)
-
-		// Meta-path engine: materialization-cache effectiveness, how the
-		// planner is evaluating products, where the product wall time
-		// goes (planned splits vs. Gram factorizations), and how much of
-		// it took the patch route (a write that reads 0 patches rebuilt
-		// its products cold).
-		es := snap.Engine().Stats()
-		fmt.Fprintf(w, "hinet_metapath_cache_hits_total %d\n", es.Hits)
-		fmt.Fprintf(w, "hinet_metapath_cache_misses_total %d\n", es.Misses)
-		fmt.Fprintf(w, "hinet_metapath_cache_entries %d\n", es.Entries)
-		fmt.Fprintf(w, "hinet_metapath_products_total %d\n", es.Products)
-		fmt.Fprintf(w, "hinet_metapath_gram_products_total %d\n", es.Grams)
-		fmt.Fprintf(w, "hinet_metapath_transposes_total %d\n", es.Transposes)
-		fmt.Fprintf(w, "hinet_metapath_product_seconds_total %g\n", es.ProductTime.Seconds())
-		fmt.Fprintf(w, "hinet_metapath_gram_seconds_total %g\n", es.GramTime.Seconds())
-		fmt.Fprintf(w, "hinet_metapath_patches_total %d\n", es.Patches)
-		fmt.Fprintf(w, "hinet_metapath_patched_rows_total %d\n", es.PatchedRows)
-		fmt.Fprintf(w, "hinet_metapath_patch_seconds_total %g\n", es.PatchTime.Seconds())
+	v := s.coord.View()
+	fmt.Fprintf(w, "hinet_snapshot_epoch %d\n", v.Epoch)
+	fmt.Fprintf(w, "hinet_snapshot_seed %d\n", v.Seed)
+	fmt.Fprintf(w, "hinet_snapshot_build_seconds %g\n", v.BuildTime.Seconds())
+	types := v.Corpus.Net.Types()
+	slices.Sort(types)
+	for _, t := range types {
+		fmt.Fprintf(w, "hinet_snapshot_objects{type=%q} %d\n", string(t), v.Corpus.Net.Count(t))
 	}
+	fmt.Fprintf(w, "hinet_pathsim_index_nnz %d\n", v.IndexNNZ)
+
+	// Meta-path engine: materialization-cache effectiveness, how the
+	// planner is evaluating products, where the product wall time
+	// goes (planned splits vs. Gram factorizations), and how much of
+	// it took the patch route (a write that reads 0 patches rebuilt
+	// its products cold).
+	es := v.Corpus.Net.PathEngine().Stats()
+	fmt.Fprintf(w, "hinet_metapath_cache_hits_total %d\n", es.Hits)
+	fmt.Fprintf(w, "hinet_metapath_cache_misses_total %d\n", es.Misses)
+	fmt.Fprintf(w, "hinet_metapath_cache_entries %d\n", es.Entries)
+	fmt.Fprintf(w, "hinet_metapath_products_total %d\n", es.Products)
+	fmt.Fprintf(w, "hinet_metapath_gram_products_total %d\n", es.Grams)
+	fmt.Fprintf(w, "hinet_metapath_transposes_total %d\n", es.Transposes)
+	fmt.Fprintf(w, "hinet_metapath_product_seconds_total %g\n", es.ProductTime.Seconds())
+	fmt.Fprintf(w, "hinet_metapath_gram_seconds_total %g\n", es.GramTime.Seconds())
+	fmt.Fprintf(w, "hinet_metapath_patches_total %d\n", es.Patches)
+	fmt.Fprintf(w, "hinet_metapath_patched_rows_total %d\n", es.PatchedRows)
+	fmt.Fprintf(w, "hinet_metapath_patch_seconds_total %g\n", es.PatchTime.Seconds())
 
 	names := make([]string, 0, len(s.met.endpoints))
 	for e := range s.met.endpoints {
@@ -164,7 +165,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "hinet_spgemm_scratch_misses_total %d\n", misses)
 
 	// Sharded tier series (emitted only when the server is sharded).
-	s.writeClusterMetrics(w)
+	s.writeClusterMetrics(w, v)
 }
 
 // AdmissionState is a point-in-time copy of the overload-protection

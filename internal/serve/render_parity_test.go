@@ -21,7 +21,9 @@ import (
 	"time"
 
 	"hinet/internal/chaos"
+	"hinet/internal/cluster"
 	"hinet/internal/dblp"
+	"hinet/internal/eval"
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
 	"hinet/internal/obs"
@@ -56,7 +58,7 @@ func refShed(s *Server, class string) any {
 	return map[string]any{"error": "overloaded", "class": class, "retry_after_ms": s.adm.retryAfterMS()}
 }
 
-func refTopK(snap *Snapshot, endpoint hin.Type, pathKey string, x, k int, source string, pairs []pathsim.Pair) map[string]any {
+func refTopK(snap *cluster.View, endpoint hin.Type, pathKey string, x, k int, source string, pairs []pathsim.Pair) map[string]any {
 	results := make([]refRow, len(pairs))
 	for i, p := range pairs {
 		results[i] = refRow{ID: p.ID, Name: snap.Corpus.Net.Name(endpoint, p.ID), Score: p.Score}
@@ -71,7 +73,7 @@ func refTopK(snap *Snapshot, endpoint hin.Type, pathKey string, x, k int, source
 	}
 }
 
-func refRank(snap *Snapshot, metric string, top int) map[string]any {
+func refRank(snap *cluster.View, metric string, top int) map[string]any {
 	var scores []float64
 	var ids []int
 	var iters int
@@ -101,7 +103,14 @@ func refRank(snap *Snapshot, metric string, top int) map[string]any {
 	}
 }
 
-func refClusters(snap *Snapshot, algo string, top int) map[string]any {
+// nmiAligned is the reference NMI /v1/clusters reports: eval.NMI over
+// the population both labelings cover.
+func nmiAligned(truth, assign []int) float64 {
+	n := min(len(truth), len(assign))
+	return eval.NMI(truth[:n], assign[:n])
+}
+
+func refClusters(snap *cluster.View, algo string, top int) map[string]any {
 	c := snap.Corpus
 	if algo == "rankclus" {
 		m := snap.RankClus
@@ -152,7 +161,7 @@ func refClusters(snap *Snapshot, algo string, top int) map[string]any {
 	}
 }
 
-func refStats(s *Server, snap *Snapshot) map[string]any {
+func refStats(s *Server, snap *cluster.View) map[string]any {
 	quant := func(h *obs.Hist) map[string]any {
 		return map[string]any{
 			"count":  h.Count(),
@@ -176,15 +185,15 @@ func refStats(s *Server, snap *Snapshot) map[string]any {
 	}
 	if s.coord.Shards() > 1 {
 		clusterStats = map[string]any{
-			"shards": s.coord.Shards(), "epoch": s.coord.Epoch(),
-			"skew": s.coord.Skew(), "scatters": s.coord.Scatters(),
+			"shards": s.coord.Shards(), "epoch": snap.Epoch,
+			"skew": snap.Skew(), "scatters": s.coord.Scatters(),
 		}
 	}
 	objects := map[string]int{}
 	for _, t := range snap.Corpus.Net.Types() {
 		objects[string(t)] = snap.Corpus.Net.Count(t)
 	}
-	es := snap.Engine().Stats()
+	es := snap.Corpus.Net.PathEngine().Stats()
 	return map[string]any{
 		"epoch":         snap.Epoch,
 		"seed":          snap.Seed,
@@ -238,7 +247,8 @@ func refStats(s *Server, snap *Snapshot) map[string]any {
 }
 
 func refClusterShards(s *Server) map[string]any {
-	stats := s.coord.Stats()
+	v := s.coord.View()
+	stats := v.Stats()
 	shards := make([]map[string]any, len(stats))
 	for i, st := range stats {
 		shards[i] = map[string]any{
@@ -248,9 +258,9 @@ func refClusterShards(s *Server) map[string]any {
 	}
 	return map[string]any{
 		"shards":    shards,
-		"epoch":     s.coord.Epoch(),
+		"epoch":     v.Epoch,
 		"partition": s.coord.Partition().Bounds,
-		"skew":      s.coord.Skew(),
+		"skew":      v.Skew(),
 	}
 }
 
@@ -303,7 +313,7 @@ func expect(t *testing.T, rec *httptest.ResponseRecorder, target string, code in
 	}
 }
 
-func mustIndex(t *testing.T, snap *Snapshot, spec string) *pathsim.Index {
+func mustIndex(t *testing.T, snap *cluster.View, spec string) *pathsim.Index {
 	t.Helper()
 	return refIndex(t, snap, spec)
 }
@@ -374,7 +384,7 @@ func TestRenderParityTopK(t *testing.T) {
 }
 
 // pathErr is the error the snapshot's resolver reports for a bad spec.
-func pathErr(t *testing.T, snap *Snapshot, spec string) error {
+func pathErr(t *testing.T, snap *cluster.View, spec string) error {
 	t.Helper()
 	_, err := resolveRef(snap, spec)
 	if err == nil {
@@ -436,13 +446,6 @@ func TestRenderParityDeadlineAndFaults(t *testing.T) {
 
 	faulty := newTestServer(t, Options{ControlInterval: -1, Chaos: chaos.New(chaos.Config{Seed: 1, ErrorEvery: 1, ErrorBurst: 1})})
 	expect(t, serveBody(t, faulty, "GET", "/v1/pathsim/topk?id=0", ""), "injected fault", 500, refError("chaos: injected fault"))
-
-	// No snapshot: every JSON endpoint answers 503 with the same body.
-	empty := newTestServer(t, Options{ControlInterval: -1})
-	empty.store.cur.Store(nil)
-	for _, target := range []string{"/healthz", "/v1/stats", "/v1/rank", "/v1/clusters", "/v1/pathsim/topk?id=0"} {
-		expect(t, serveBody(t, empty, "GET", target, ""), target, 503, refError("no snapshot"))
-	}
 }
 
 func TestRenderParityRankClustersStats(t *testing.T) {
@@ -521,7 +524,7 @@ func TestRenderParityWrites(t *testing.T) {
 	expect(t, serveBody(t, s, "POST", "/v1/ingest", `{"deltas": [`), "truncated body", 400,
 		refError("invalid ingest body: %v", decodeErr(`{"deltas": [`)))
 	bad, _ := json.Marshal(ingestRequest{Deltas: []ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}})
-	_, _, verr := s.ingest([]ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}, false)
+	_, _, verr := s.coord.Ingest([]ingest.Delta{{Op: ingest.OpAddNode, Type: "<galaxy>", Name: "x"}}, false)
 	if verr == nil {
 		t.Fatal("unknown type ingested")
 	}

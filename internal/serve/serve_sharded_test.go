@@ -92,7 +92,7 @@ func TestShardedServeParity(t *testing.T) {
 	compare("epoch1")
 
 	// Identical ingest into both; the new generation must stay in
-	// lockstep (the coordinator fans out before the store publishes).
+	// lockstep (each coordinator builds the whole View before it publishes).
 	net := single.Snapshot().Corpus.Net
 	deltas := []ingest.Delta{
 		{Op: ingest.OpAddNode, Type: string(dblp.TypeAuthor), Name: "parity-author"},
@@ -128,7 +128,7 @@ func TestShardedServeParity(t *testing.T) {
 	if ir1.Epoch != 2 || ir1.Epoch != ir2.Epoch || ir1.Applied != ir2.Applied {
 		t.Fatalf("ingest responses diverged:\n%s\n%s", b1, b2)
 	}
-	if ep := sharded.Coordinator().Epoch(); ep != 2 {
+	if ep := sharded.Coordinator().View().Epoch; ep != 2 {
 		t.Fatalf("coordinator epoch %d after ingest, want 2", ep)
 	}
 	// A rejected batch is rejected identically and moves no epoch.
@@ -138,7 +138,7 @@ func TestShardedServeParity(t *testing.T) {
 	if c1 != 400 || c1 != c2 || b1 != b2 {
 		t.Fatalf("bad ingest: single %d %s / sharded %d %s", c1, b1, c2, b2)
 	}
-	if ep := sharded.Coordinator().Epoch(); ep != 2 {
+	if ep := sharded.Coordinator().View().Epoch; ep != 2 {
 		t.Fatalf("rejected batch moved coordinator epoch to %d", ep)
 	}
 	compare("epoch2")
@@ -221,7 +221,7 @@ func TestShardedServeParity(t *testing.T) {
 		c1 != 200 || c1 != c2 || rr1 != rr2 || rr1.Epoch != 3 || rr1.Seed != 11 {
 		t.Fatalf("rebuild: single %d %s / sharded %d %s", c1, b1, c2, b2)
 	}
-	if ep := sharded.Coordinator().Epoch(); ep != 3 {
+	if ep := sharded.Coordinator().View().Epoch; ep != 3 {
 		t.Fatalf("coordinator epoch %d after rebuild, want 3", ep)
 	}
 	compare("epoch3")

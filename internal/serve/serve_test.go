@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/hin"
 	"hinet/internal/pathsim"
@@ -27,7 +28,7 @@ func testConfig() ModelConfig {
 // resolveRef builds the reference PathSim index for a client path spec
 // ("" = the default path) over a snapshot's network: whole, through the
 // full commuting matrix, never through the shards.
-func resolveRef(snap *Snapshot, spec string) (*pathsim.Index, error) {
+func resolveRef(snap *cluster.View, spec string) (*pathsim.Index, error) {
 	path := pathAPVPA
 	if spec != "" {
 		var err error
@@ -39,7 +40,7 @@ func resolveRef(snap *Snapshot, spec string) (*pathsim.Index, error) {
 }
 
 // refIndex is resolveRef for specs that must resolve.
-func refIndex(t testing.TB, snap *Snapshot, spec string) *pathsim.Index {
+func refIndex(t testing.TB, snap *cluster.View, spec string) *pathsim.Index {
 	t.Helper()
 	ix, err := resolveRef(snap, spec)
 	if err != nil {

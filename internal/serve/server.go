@@ -16,9 +16,11 @@
 //     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
 //     meta-paths, planned and materialized on first use and answered
 //     from the View's memo afterwards;
-//   - a snapshot Store (snapshot.go) publishes each generation
-//     atomically — /v1/rank and /v1/clusters are answered from it, as is
-//     every name a response renders — so writes never block queries;
+//   - the cluster's View is the serving snapshot: the coordinator
+//     publishes each generation atomically, and a request loads the
+//     published View once and reads it throughout — /v1/rank and
+//     /v1/clusters are answered from it, as is every name a response
+//     renders — so writes never block queries;
 //   - a sharded LRU Cache (cache.go) answers hot queries from memory,
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
@@ -60,7 +62,6 @@ import (
 	"hinet/internal/chaos"
 	"hinet/internal/cluster"
 	"hinet/internal/dblp"
-	"hinet/internal/eval"
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
 	"hinet/internal/obs"
@@ -139,11 +140,10 @@ func (o Options) withDefaults() Options {
 // cacheShards is the result cache's lock striping.
 const cacheShards = 16
 
-// Server wires the cluster tier, store, cache, batcher and admission
+// Server wires the cluster tier, cache, batcher and admission
 // controller behind an http.Handler.
 type Server struct {
 	opts  Options
-	store Store
 	cache *Cache
 	batch *batcher
 	met   *metrics
@@ -192,8 +192,8 @@ func New(opts Options) *Server {
 	}
 	s.adm = newAdmission(opts.AdmissionFloor, opts.MaxConcurrent,
 		opts.SLOTargetP99, opts.ControlInterval, opts.BrownoutEnter, opts.BrownoutExit)
-	// The cluster builds the first generation once for all its shards and
-	// the store publishes that same generation. One shard owns the whole
+	// The cluster builds and publishes the first generation once for all
+	// its shards, before New returns. One shard owns the whole
 	// candidate range — bounds [0, 0], the last shard absorbing the type.
 	// More balance the scan work of the default index — the entries of
 	// its factor's transpose that a candidate's mids reach, which is by
@@ -210,10 +210,8 @@ func New(opts Options) *Server {
 		}
 		part = cluster.PartitionByNNZ(part.Of, full.Dim(), shards, full.RowNNZ)
 	}
-	if _, err := s.adopt(func() (err error) {
-		s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed)
-		return err
-	}); err != nil {
+	var err error
+	if s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed); err != nil {
 		panic("serve: boot: " + err.Error())
 	}
 	s.batch = newBatcher(opts.Chaos)
@@ -265,8 +263,8 @@ func New(opts Options) *Server {
 // Handler returns the HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Snapshot returns the live snapshot.
-func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
+// Snapshot returns the live snapshot: the cluster's published View.
+func (s *Server) Snapshot() *cluster.View { return s.coord.View() }
 
 // Start listens on opts.Addr (":0" picks a free port) and serves in a
 // background goroutine. It returns the bound address.
@@ -567,26 +565,22 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// live adapts a handler to the live snapshot: the handler reads its
-// View throughout — models, names and, for top-k, every shard's
-// range — so a write landing mid-request changes nothing it reads.
-func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, snap *Snapshot)) http.HandlerFunc {
+// live adapts a handler to the live snapshot: the handler loads the
+// published View once and reads it throughout — models, names and, for
+// top-k, every shard's range — so a write landing mid-request changes
+// nothing it reads.
+func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.View)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap := s.store.Current()
-		if snap == nil {
-			httpError(w, http.StatusServiceUnavailable, "no snapshot")
-			return
-		}
-		h(w, r, snap)
+		h(w, r, s.coord.View())
 	}
 }
 
 // topK is the shared cache→batcher query path, also driven directly by
-// the serving benchmarks. The query runs against kern — a snapshot's
-// View and a resolved path; the cache key carries the View's epoch and
-// the path, so neither a write nor a different path can ever serve a
-// stale or foreign answer. It returns the answer, the epoch it came
-// from, and whether it was a cache hit.
+// the serving benchmarks. The query runs against kern — a View and a
+// resolved path; the cache key carries the View's epoch and the path,
+// so neither a write nor a different path can ever serve a stale or
+// foreign answer. It returns the answer, the epoch it came from, and
+// whether it was a cache hit.
 //
 // A trace carried by ctx gets child spans under the caller's open span:
 // "cache" (noted hit/miss), then on a miss "batch" covering queue wait
@@ -626,21 +620,14 @@ func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim
 // the live generation's default (APVPA) index, scatter-gathered across
 // the shards.
 func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
-	snap := s.store.Current()
-	if snap == nil {
-		return nil, false, fmt.Errorf("no snapshot available")
-	}
-	pairs, _, hit, err = s.topK(ctx, topKKernel{snap.View, pathAPVPAKey, snap.IndexDim}, x, k)
+	v := s.coord.View()
+	pairs, _, hit, err = s.topK(ctx, topKKernel{v, pathAPVPAKey, v.IndexDim}, x, k)
 	return pairs, hit, err
 }
 
 // --- handlers --------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.store.Current() == nil {
-		httpError(w, http.StatusServiceUnavailable, "no snapshot")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
@@ -697,13 +684,13 @@ func (s *Server) writeLatency(w *jsonWriter) {
 	w.endObject()
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
 	tr := traceOf(w)
 	sp := tr.Start("collect")
 	q := r.URL.Query()
 	types := snap.Corpus.Net.Types()
 	slices.Sort(types)
-	es := snap.Engine().Stats()
+	es := snap.Corpus.Net.PathEngine().Stats()
 	cs := s.cache.Stats()
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()
@@ -775,7 +762,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *Snaps
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
@@ -821,7 +808,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *Snapsh
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
+func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
@@ -867,10 +854,10 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 		}
 		jw.endArray()
 		sp = tr.Next(sp, "score")
-		snap.nmiRankClus.once.Do(func() { snap.nmiRankClus.venue = nmiAligned(c.VenueArea, m.Assign) })
+		nmi := snap.RankClusNMI()
 		jw.key("epoch").integer(snap.Epoch)
 		jw.key("k").integer(int64(m.K))
-		jw.key("nmi").float(snap.nmiRankClus.venue)
+		jw.key("nmi").float(nmi)
 	case "netclus":
 		m := snap.NetClus
 		// Attribute indexes follow Corpus.Star: 0 author, 1 venue, 2 term.
@@ -884,14 +871,11 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 		}
 		jw.endArray()
 		sp = tr.Next(sp, "score")
-		snap.nmiNetClus.once.Do(func() {
-			snap.nmiNetClus.paper = nmiAligned(c.PaperArea, m.AssignCenter)
-			snap.nmiNetClus.venue = nmiAligned(c.VenueArea, m.AssignAttr(1))
-		})
+		paper, venue := snap.NetClusNMI()
 		jw.key("epoch").integer(snap.Epoch)
 		jw.key("k").integer(int64(m.K))
-		jw.key("nmi_paper").float(snap.nmiNetClus.paper)
-		jw.key("nmi_venue").float(snap.nmiNetClus.venue)
+		jw.key("nmi_paper").float(paper)
+		jw.key("nmi_venue").float(venue)
 	}
 	tr.Next(sp, "serialize")
 	jw.traceEcho(q, tr)
@@ -899,17 +883,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *Sn
 	jw.send(w, http.StatusOK)
 }
 
-// nmiAligned scores the overlap of a ground-truth labeling and a
-// cluster assignment. After an ingest that added objects, the
-// carried-over model is shorter than the padded ground truth (and a
-// refreshed model can be longer than an old snapshot's) — the overlap
-// is the population both labelings cover.
-func nmiAligned(truth, assign []int) float64 {
-	n := min(len(truth), len(assign))
-	return eval.NMI(truth[:n], assign[:n])
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapshot) {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
@@ -1013,7 +987,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *Snapsh
 		tr.Note("hit")
 		tr.End(sp2)
 		pairs, epoch, hit = cached, snap.Epoch, true
-	} else if pairs, epoch, hit, err = s.topK(ctx, topKKernel{snap.View, pathKey, dim}, x, k); err != nil {
+	} else if pairs, epoch, hit, err = s.topK(ctx, topKKernel{snap, pathKey, dim}, x, k); err != nil {
 		var ce *cluster.ClientError
 		switch {
 		case errors.As(err, &ce):
@@ -1097,7 +1071,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	sp = tr.Next(sp, "apply")
 	start := time.Now()
-	snap, sum, err := s.ingest(req.Deltas, req.RefreshModels)
+	v, sum, err := s.coord.Ingest(req.Deltas, req.RefreshModels)
 	if err != nil {
 		s.ing.rejected.Add(1)
 		httpError(w, http.StatusBadRequest, "%v", err) // the cluster rejected the batch
@@ -1116,8 +1090,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	jw.key("edges_removed").integer(int64(sum.EdgesRemoved))
 	jw.key("relations_touched").integer(int64(sum.Relations))
 	jw.endObject()
-	jw.key("build_seconds").float(snap.BuildTime.Seconds())
-	jw.key("epoch").integer(snap.Epoch)
+	jw.key("build_seconds").float(v.BuildTime.Seconds())
+	jw.key("epoch").integer(v.Epoch)
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)
@@ -1131,18 +1105,13 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	tr := traceOf(w)
 	sp := tr.Start("params")
 	q := r.URL.Query()
-	cur := s.store.Current()
-	def := s.opts.Seed + 1
-	if cur != nil {
-		def = cur.Seed + 1
-	}
-	seed, err := intParam(q, "seed", int(def))
+	seed, err := intParam(q, "seed", int(s.coord.View().Seed+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	sp = tr.Next(sp, "rebuild")
-	snap, err := s.rebuild(int64(seed))
+	v, err := s.coord.Rebuild(int64(seed))
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -1150,9 +1119,9 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	tr.Next(sp, "serialize")
 	jw := newJSONWriter()
 	jw.beginObject()
-	jw.key("build_seconds").float(snap.BuildTime.Seconds())
-	jw.key("epoch").integer(snap.Epoch)
-	jw.key("seed").integer(snap.Seed)
+	jw.key("build_seconds").float(v.BuildTime.Seconds())
+	jw.key("epoch").integer(v.Epoch)
+	jw.key("seed").integer(v.Seed)
 	jw.traceEcho(q, tr)
 	jw.endObject()
 	jw.send(w, http.StatusOK)

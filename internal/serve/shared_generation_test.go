@@ -1,15 +1,17 @@
 // A server builds one model generation per write, at any shard count:
-// the store's snapshot holds the cluster's View, the snapshot carries no
-// index of its own, and everything that reads the index's size or state
-// — stats, metrics, the brownout path — answers the same at one shard
-// and at three.
+// the snapshot is the cluster's View, it carries no full index, and
+// everything that reads the index's size or state — stats, metrics, the
+// brownout path — answers the same at one shard and at three.
 
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"runtime"
 	"slices"
@@ -21,6 +23,7 @@ import (
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
 	"hinet/internal/pathsim"
+	"hinet/internal/stats"
 )
 
 // ingestBody is a small valid batch against a server's current corpus.
@@ -47,13 +50,13 @@ func ingestBody(t *testing.T, s *Server, tag string) string {
 func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	t.Helper()
 	snap, coord := s.Snapshot(), s.Coordinator()
-	if snap.Epoch != epoch || coord.Epoch() != epoch || snap.View != coord.View() {
-		t.Fatalf("%s: store epoch %d, cluster epoch %d, want %d in one View", label, snap.Epoch, coord.Epoch(), epoch)
+	if snap.Epoch != epoch || coord.View().Epoch != epoch || snap != coord.View() {
+		t.Fatalf("%s: snapshot epoch %d, cluster epoch %d, want %d in one View", label, snap.Epoch, coord.View().Epoch, epoch)
 	}
 	if snap.Models.PathSim != nil {
 		t.Fatalf("%s: sharded snapshot carries a full index", label)
 	}
-	for i, st := range coord.Stats() {
+	for i, st := range coord.View().Stats() {
 		if st.Epoch != epoch {
 			t.Fatalf("%s: shard %d at epoch %d", label, i, st.Epoch)
 		}
@@ -131,7 +134,7 @@ func indexSize(t *testing.T, s *Server) (dim, nnz, metricNNZ, shardSum int) {
 }
 
 // TestShardedIndexSizeParity: with no full index to measure, the sharded
-// store reports the endpoint type's count and the sum of the shard
+// server reports the endpoint type's count and the sum of the shard
 // slices — the same numbers the unsharded index has, at every epoch.
 func TestShardedIndexSizeParity(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4})
@@ -235,4 +238,118 @@ func TestShardedLiveHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(single)
 	runtime.KeepAlive(sharded)
+}
+
+// TestScrapeReadsOneGeneration: every scrape renders one View, loaded
+// once, however fast writes publish beside it. In /metrics the snapshot,
+// cluster and shard epochs agree and the index nnz is its shards' sum;
+// /v1/stats reports one epoch at the top and in its cluster entry;
+// /v1/cluster/shards reports one epoch for itself and every shard.
+func TestScrapeReadsOneGeneration(t *testing.T) {
+	s := newTestServer(t, Options{Shards: 3, ControlInterval: -1})
+	get := func(target string) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d\n%s", target, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() { // back-to-back 3-paper ingests
+		rng := stats.NewRNG(11)
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			body, err := json.Marshal(map[string]any{"deltas": ingest.SamplePapers(s.Snapshot().Corpus, rng, 3)})
+			if err != nil {
+				done <- err
+				return
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				done <- fmt.Errorf("ingest: status %d: %s", rec.Code, rec.Body.String())
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	series := regexp.MustCompile(`(?m)^(hinet_snapshot_epoch|hinet_cluster_epoch|hinet_shard_epoch|hinet_pathsim_index_nnz|hinet_shard_nnz)(?:\{shard="\d+"\})? (\d+)$`)
+	for i := 0; i < 300; i++ {
+		var snapEpoch, clusterEpoch, indexNNZ, shardNNZ int64
+		var shardEpochs []int64
+		for _, m := range series.FindAllStringSubmatch(string(get("/metrics")), -1) {
+			n, err := strconv.ParseInt(m[2], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch m[1] {
+			case "hinet_snapshot_epoch":
+				snapEpoch = n
+			case "hinet_cluster_epoch":
+				clusterEpoch = n
+			case "hinet_shard_epoch":
+				shardEpochs = append(shardEpochs, n)
+			case "hinet_pathsim_index_nnz":
+				indexNNZ = n
+			case "hinet_shard_nnz":
+				shardNNZ += n
+			}
+		}
+		if len(shardEpochs) != 3 {
+			t.Fatalf("scrape %d: %d hinet_shard_epoch series, want 3", i, len(shardEpochs))
+		}
+		for _, e := range append(shardEpochs, clusterEpoch) {
+			if e != snapEpoch {
+				t.Fatalf("scrape %d: /metrics hinet_snapshot_epoch %d, cluster %d, shards %v: not one generation",
+					i, snapEpoch, clusterEpoch, shardEpochs)
+			}
+		}
+		if indexNNZ != shardNNZ {
+			t.Fatalf("scrape %d: /metrics hinet_pathsim_index_nnz %d, shards sum to %d", i, indexNNZ, shardNNZ)
+		}
+
+		var st struct {
+			Epoch   int64 `json:"epoch"`
+			Cluster struct {
+				Epoch int64 `json:"epoch"`
+			} `json:"cluster"`
+		}
+		if err := json.Unmarshal(get("/v1/stats"), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Epoch != st.Cluster.Epoch {
+			t.Fatalf("scrape %d: /v1/stats epoch %d, cluster.epoch %d", i, st.Epoch, st.Cluster.Epoch)
+		}
+
+		var sh struct {
+			Epoch  int64 `json:"epoch"`
+			Shards []struct {
+				Epoch int64 `json:"epoch"`
+			} `json:"shards"`
+		}
+		if err := json.Unmarshal(get("/v1/cluster/shards"), &sh); err != nil {
+			t.Fatal(err)
+		}
+		for j, shard := range sh.Shards {
+			if shard.Epoch != sh.Epoch {
+				t.Fatalf("scrape %d: /v1/cluster/shards epoch %d, shard %d at %d", i, sh.Epoch, j, shard.Epoch)
+			}
+		}
+	}
+	if e := s.Snapshot().Epoch; e < 2 {
+		t.Fatalf("no write published during the scrapes (epoch %d)", e)
+	}
 }

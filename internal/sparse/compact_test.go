@@ -194,7 +194,7 @@ func TestMulPatternEquivalence(t *testing.T) {
 
 		// Gram must equal Mul(Transpose()) bitwise on the upper triangle
 		// regardless of the pattern path taken.
-		g := m.Gram()
+		g := gramOf(m)
 		full := m.Mul(m.Transpose())
 		for r := 0; r < rows; r++ {
 			for c := r; c < rows; c++ {
@@ -312,7 +312,7 @@ func TestUnitFlagPropagation(t *testing.T) {
 		t.Fatal("RowNormalized permutation not unit")
 	}
 	// Products of 0/1 matrices with overlap produce counts ≥ 2.
-	if o := u.Gram(); o.Unit() {
+	if o := gramOf(u); o.Unit() {
 		t.Fatal("Gram with overlapping rows should not be unit")
 	}
 }

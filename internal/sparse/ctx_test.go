@@ -83,7 +83,7 @@ func TestMulCtxMatchesMul(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GramCtx: %v", err)
 	}
-	sameMatrix(t, "GramCtx", m.Gram(), g)
+	sameMatrix(t, "GramCtx", gramOf(m), g)
 }
 
 // TestMulCtxCancelled: a dead context aborts the product with its error

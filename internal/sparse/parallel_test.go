@@ -99,7 +99,7 @@ func TestParallelEquivalence(t *testing.T) {
 		serT := m.Transpose()
 		serNorm := m.RowNormalized()
 		serMul := m.Mul(b)
-		serGram := m.Gram()
+		serGram := gramOf(m)
 
 		for _, workers := range []int{2, 4, 7} {
 			withParallel(t, workers, func() {
@@ -108,7 +108,7 @@ func TestParallelEquivalence(t *testing.T) {
 				sameMatrix(t, "Transpose", m.Transpose(), serT)
 				sameMatrix(t, "RowNormalized", m.RowNormalized(), serNorm)
 				sameMatrix(t, "Mul", m.Mul(b), serMul)
-				sameMatrix(t, "Gram", m.Gram(), serGram)
+				sameMatrix(t, "Gram", gramOf(m), serGram)
 			})
 		}
 	}

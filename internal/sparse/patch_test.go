@@ -101,7 +101,7 @@ func TestPatchMatchesColdKernels(t *testing.T) {
 		}
 		cur := mutate(rng, h, 1+rng.Intn(4), grow, grow/2)
 
-		identical(t, "gram", patchedGram(t, h.Gram(), h, cur), cur.Gram())
+		identical(t, "gram", patchedGram(t, gramOf(h), h, cur), gramOf(cur))
 
 		// Planned product L·R with both operands edited.
 		right := randomCSR(rng, mid, 5+rng.Intn(20), 2)
@@ -126,9 +126,9 @@ func TestPatchSharesStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := randomMatrix(rng, 30, 6, 0.5, false)
 	cur := h.ApplyDelta([]Coord{{Row: 3, Col: int(h.colIdx[h.rowPtr[3]]), Val: 0.5}})
-	base := h.Gram()
+	base := gramOf(h)
 	got := patchedGram(t, base, h, cur)
-	identical(t, "value-only", got, cur.Gram())
+	identical(t, "value-only", got, gramOf(cur))
 	if &got.colIdx[0] != &base.colIdx[0] || &got.rowPtr[0] != &base.rowPtr[0] {
 		t.Fatal("a pattern-preserving patch must alias the base's rowPtr/colIdx")
 	}
@@ -199,7 +199,7 @@ func TestGatherRowsAndRowsTouching(t *testing.T) {
 func TestPatchCtxCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	h := randomCSR(rng, 200, 20, 4)
-	base := h.Gram()
+	base := gramOf(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	try := func() {

@@ -65,7 +65,7 @@ func TestGramDiagonalMatchesGram(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rows, cols := 1+rng.Intn(50), 1+rng.Intn(30)
 		h := randomMatrix(rng, rows, cols, 0.25, trial%2 == 0)
-		want := h.Gram().Diagonal()
+		want := gramOf(h).Diagonal()
 		got := h.GramDiagonal()
 		if len(want) != len(got) {
 			t.Fatalf("GramDiagonal length %d, want %d", len(got), len(want))

@@ -817,20 +817,15 @@ func (m *Matrix) gramBlockBounds(blocks int) []int {
 	return bounds
 }
 
-// Gram returns the Gram product G = M·Mᵀ. The result is symmetric by
+// GramCtx returns the Gram product G = M·Mᵀ. The result is symmetric by
 // construction: only the upper triangle is computed (halving the
 // multiply work versus Mul(Transpose())) and the strict-lower triangle
 // is mirrored from it, so G[i][j] and G[j][i] are the same float64.
 // This is the fused kernel the meta-path engine uses to evaluate a
 // symmetric path from its half-path product. Upper-triangle row blocks
-// run in parallel on the shared worker pool.
-func (m *Matrix) Gram() *Matrix {
-	out, _ := m.gram(nil)
-	return out
-}
-
-// GramCtx is Gram with cooperative cancellation, mirroring MulCtx: a
-// cancelled factorization returns ctx.Err() with a nil matrix.
+// run in parallel on the shared worker pool. Cancellation is
+// cooperative, mirroring MulCtx: a cancelled factorization returns
+// ctx.Err() with a nil matrix.
 func (m *Matrix) GramCtx(ctx context.Context) (*Matrix, error) {
 	done := ctxDone(ctx)
 	if done != nil && chanClosed(done) {
@@ -958,9 +953,9 @@ func (m *Matrix) ColSlice(lo, hi int) *Matrix {
 // values — without materializing the product. Each row's sum runs over
 // the stored entries in ascending-column order, exactly the
 // accumulation sequence the fused Gram kernel uses for its (i, i)
-// entries, so the result is bitwise identical to Gram().Diagonal().
-// The sharded tier uses this to hand every shard the full PathSim
-// denominator vector at O(nnz) cost.
+// entries, so the result is bitwise identical to the diagonal GramCtx
+// computes. The sharded tier uses this to hand every shard the full
+// PathSim denominator vector at O(nnz) cost.
 func (m *Matrix) GramDiagonal() []float64 {
 	d := make([]float64, m.rows)
 	for r := 0; r < m.rows; r++ {

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,13 @@ import (
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-10 }
+
+// gramOf is GramCtx under a context that is never cancelled, so it
+// cannot fail.
+func gramOf(m *Matrix) *Matrix {
+	g, _ := m.GramCtx(context.Background())
+	return g
+}
 
 func TestNewFromCoordsDedupAndAt(t *testing.T) {
 	m := NewFromCoords(3, 4, []Coord{
@@ -184,7 +192,7 @@ func TestGramMatchesMulTranspose(t *testing.T) {
 		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
 		d := randomDense(rng, rows, cols)
 		m := NewFromDense(d)
-		got := m.Gram()
+		got := gramOf(m)
 		want := m.Mul(m.Transpose())
 		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
 			t.Fatalf("trial %d: shape %dx%d/%d, want %dx%d/%d", trial,
@@ -205,10 +213,10 @@ func TestGramMatchesMulTranspose(t *testing.T) {
 		}
 	}
 	// Degenerate shapes.
-	if g := NewFromCoords(0, 0, nil).Gram(); g.Rows() != 0 || g.NNZ() != 0 {
+	if g := gramOf(NewFromCoords(0, 0, nil)); g.Rows() != 0 || g.NNZ() != 0 {
 		t.Fatal("empty Gram wrong")
 	}
-	if g := NewFromCoords(3, 2, nil).Gram(); g.Rows() != 3 || g.Cols() != 3 || g.NNZ() != 0 {
+	if g := gramOf(NewFromCoords(3, 2, nil)); g.Rows() != 3 || g.Cols() != 3 || g.NNZ() != 0 {
 		t.Fatal("all-zero Gram wrong")
 	}
 }
