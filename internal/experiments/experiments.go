@@ -229,7 +229,10 @@ func E3Scale(seed int64, authorCounts []int) []Row {
 }
 
 // E6PageRankHITS runs PageRank and HITS on a preferential-attachment
-// web-like graph and reports convergence and hub concentration.
+// web-like graph and reports convergence and hub concentration. HITS's
+// iterations are applications of A·Aᵀ — LOBPCG's steps and the closing
+// power rounds that test its answer — so they compare with PageRank's
+// at two mat-vecs to one.
 func E6PageRankHITS(seed int64, n int) []Row {
 	g := netgen.BarabasiAlbert(stats.NewRNG(seed), n, 3)
 	adj := g.Adjacency()

@@ -5,13 +5,15 @@
 // simple ranking and authority ranking.
 //
 // All iterations are hand-rolled over the CSR matrices in
-// internal/sparse — power iterations, and Chebyshev semi-iteration for
-// PageRank on an undirected graph; no external numeric library is used.
-// The matrix products and the element-wise/reduction loops of each
-// iteration run on sparse's shared parallel worker pool, so large
-// networks use every core while a graph too small to be worth a
-// hand-off (see sparse.SerialThreshold) iterates on the goroutine that
-// asked.
+// internal/sparse — power iterations, Chebyshev semi-iteration for
+// PageRank on an undirected graph, and LOBPCG with a 3×3 Jacobi
+// Rayleigh–Ritz for HITS; no external numeric library is used. The
+// matrix products (and PageRank's element-wise and reduction loops) run
+// on sparse's shared parallel worker pool, so large networks use every
+// core while a graph too small to be worth a hand-off (see
+// sparse.SerialThreshold) iterates on the goroutine that asked. HITS's
+// vector loops and dot products are serial, so its bits do not depend
+// on the schedule and a step allocates nothing.
 package rank
 
 import (
@@ -39,7 +41,7 @@ type Options struct {
 	// copied and L1-normalized; it is ignored when its length does not
 	// match the matrix or it has no positive mass, so callers can pass a
 	// stale vector unconditionally. HITS takes it as the initial hub
-	// vector (L2-normalized, same guard).
+	// vector (L2-normalized, same guard), LOBPCG's starting point.
 	Start []float64
 }
 
@@ -249,11 +251,20 @@ func (h HITSResult) TopAuthorities(k int) []int { return stats.TopK(h.Authority,
 // TopHubs returns the ids of the k highest-hub nodes, descending.
 func (h HITSResult) TopHubs(k int) []int { return stats.TopK(h.Hub, k) }
 
-// HITS computes hub and authority scores by the mutual-reinforcement
-// iteration a ← Aᵀh, h ← Aa with L2 normalization each round, from the
+// HITS computes hub and authority scores: the principal eigenvectors of
+// A·Aᵀ and Aᵀ·A, the fixed point of the mutual-reinforcement iteration
+// a ← Aᵀh, h ← Aa with L2 normalization each round. It starts from the
 // uniform hub vector or, warm, from opt.Start (a previous solution's
-// hubs: the principal eigenvector the iteration converges to does not
-// depend on where it starts).
+// hubs: the fixed point does not depend on where the iteration starts).
+//
+// The hubs are found by LOBPCG on B = A·Aᵀ (see lobpcg), which needs
+// about the square root of the power iteration's steps. Once its
+// residual is under Tolerance, ordinary rounds of the iteration above
+// finish the job, and the first whose L∞ step in the authority vector is
+// under Tolerance sets Converged — the test the power iteration stops
+// on. Iterations counts applications of B (one MulVecT and one MulVec
+// each): LOBPCG's steps and the closing rounds together, capped at
+// MaxIter.
 func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	opt = opt.withDefaults()
 	n := adj.Rows()
@@ -263,28 +274,173 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	if n == 0 {
 		return HITSResult{Converged: true}
 	}
-	a := make([]float64, n)
-	h := make([]float64, n)
+	a, h := make([]float64, n), make([]float64, n)
 	for i := range h {
 		h[i] = 1 / math.Sqrt(float64(n))
-		a[i] = h[i]
 	}
 	if len(opt.Start) == n && sparse.Norm2(opt.Start) > 0 {
 		copy(h, opt.Start)
 		normalize2(h)
 	}
-	prevA := make([]float64, n)
-	for it := 1; it <= opt.MaxIter; it++ {
+	bx, it := lobpcg(adj, h, a, opt.MaxIter, opt.Tolerance)
+	// The power step from LOBPCG's vector is already in hand: a = Aᵀh
+	// and Bh = A·a.
+	copy(h, bx)
+	normalize2(a)
+	normalize2(h)
+	prevA := bx
+	for ; it < opt.MaxIter; it++ {
 		copy(prevA, a)
 		adj.MulVecT(h, a) // authority from in-links
 		normalize2(a)
 		adj.MulVec(a, h) // hub from out-links
 		normalize2(h)
-		if sparse.MaxAbsDiff(prevA, a) < opt.Tolerance {
-			return HITSResult{Authority: a, Hub: h, Iterations: it, Converged: true}
+		if maxAbsDiff(prevA, a) < opt.Tolerance {
+			return HITSResult{Authority: a, Hub: h, Iterations: it + 1, Converged: true}
 		}
 	}
-	return HITSResult{Authority: a, Hub: h, Iterations: opt.MaxIter, Converged: false}
+	return HITSResult{Authority: a, Hub: h, Iterations: it, Converged: false}
+}
+
+// lobpcg runs single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001)
+// for the principal eigenvector of B = A·Aᵀ from the unit vector x,
+// until ‖Bx − λx‖ ≤ tol·λ (λ = xᵀBx) or maxIter applications of B. It
+// leaves the answer in x and its image Aᵀx in ax, and returns Bx and the
+// applications made.
+//
+// Beside x it keeps the residual r = Bx − λx and the previous search
+// direction p, each with its images Aᵀv and Bv. A step applies B once,
+// to r; the images of x and p follow by the same linear combinations
+// that make the new x and p, so they cost no application. p is
+// orthogonalized against x and r, so the Rayleigh–Ritz problem over
+// {x, r, p} is, after a diagonal scaling, the 3×3 symmetric
+// eigenproblem on [sᵢᵀ B sⱼ], solved by Jacobi (topRitz). Like a Krylov
+// method, it shrinks the error by about 1 − 2√δ a step, δ = 1 − λ₂/λ₁
+// the relative eigengap, where the power iteration shrinks it by 1 − δ.
+// The vectors are allocated once, so a step allocates nothing. The sign
+// of a Ritz vector is free: x comes back turned to a nonnegative sum,
+// the orientation of the Perron vector.
+func lobpcg(adj *sparse.Matrix, x, ax []float64, maxIter int, tol float64) (bx []float64, it int) {
+	n := len(x)
+	w := make([]float64, 7*n)
+	bx, r, ar, br, p, ap, bp := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:5*n], w[5*n:6*n], w[6*n:]
+	adj.MulVecT(x, ax)
+	adj.MulVec(ax, bx)
+	it = 1
+	pp0 := 0.0 // ‖p‖² before it is orthogonalized; 0 while there is no p
+	for ; it < maxIter; it++ {
+		// r is left unnormalized, and so is p: a diagonal scaling of the
+		// 3×3 problem stands in for three passes over the vectors.
+		lambda := sparse.Dot(x, bx)
+		rr := 0.0
+		for i := range r {
+			r[i] = bx[i] - lambda*x[i]
+			rr += r[i] * r[i]
+		}
+		if math.Sqrt(rr) <= tol*lambda {
+			break
+		}
+		adj.MulVecT(r, ar)
+		adj.MulVec(ar, br)
+		// g = [sᵢᵀ B sⱼ] over the unit basis x, r/‖r‖, p/‖p‖. Bx = λx + r,
+		// so xᵀBr = ‖r‖ and, with p ⊥ x, r, xᵀBp = 0: taken as exact,
+		// not summed, since λ·xᵀp — rounding times the largest
+		// eigenvalue — would swamp the coupling a converging step needs.
+		var g [3][3]float64
+		g[0][0], g[0][1], g[1][1] = lambda, math.Sqrt(rr), sparse.Dot(r, br)/rr
+		k, dr, dp := 2, 1/math.Sqrt(rr), 0.0
+		if pp0 > 0 {
+			// Orthogonalize p against x and r; drop it where it is all
+			// but in their span and what is left would be rounding.
+			cx, cr := sparse.Dot(x, p), sparse.Dot(r, p)/rr
+			pp := 0.0
+			for i := range p {
+				p[i] -= cx*x[i] + cr*r[i]
+				ap[i] -= cx*ax[i] + cr*ar[i]
+				bp[i] -= cx*bx[i] + cr*br[i]
+				pp += p[i] * p[i]
+			}
+			if pp > 1e-16*pp0 {
+				k, dp = 3, 1/math.Sqrt(pp)
+				g[1][2], g[2][2] = sparse.Dot(r, bp)*dr*dp, sparse.Dot(p, bp)*dp*dp
+			}
+		}
+		c := topRitz(g, k)
+		pp0 = c[1]*c[1] + c[2]*c[2]
+		// p ← c₁r + c₂p, then x ← c₀x + p, each with its images.
+		c1, c2 := c[1]*dr, c[2]*dp
+		xx := 0.0
+		for i := range x {
+			pi, api, bpi := c1*r[i]+c2*p[i], c1*ar[i]+c2*ap[i], c1*br[i]+c2*bp[i]
+			p[i], ap[i], bp[i] = pi, api, bpi
+			x[i], ax[i], bx[i] = c[0]*x[i]+pi, c[0]*ax[i]+api, c[0]*bx[i]+bpi
+			xx += x[i] * x[i]
+		}
+		scale(1/math.Sqrt(xx), x, ax, bx)
+	}
+	s := 0.0
+	for _, v := range x {
+		s += v
+	}
+	if s < 0 {
+		scale(-1, x, ax, bx)
+	}
+	return bx, it
+}
+
+// topRitz returns the unit eigenvector for the largest eigenvalue of the
+// symmetric k×k matrix g (k ≤ 3; the upper triangle is read), by cyclic
+// Jacobi rotations.
+func topRitz(g [3][3]float64, k int) [3]float64 {
+	var v [3][3]float64
+	for i := range k {
+		v[i][i] = 1
+		for j := i + 1; j < k; j++ {
+			g[j][i] = g[i][j]
+		}
+	}
+	for sweep := 0; sweep < 32; sweep++ {
+		rotated := false
+		for p := 0; p < k-1; p++ {
+			for q := p + 1; q < k; q++ {
+				gpq := g[p][q]
+				if math.Abs(gpq) <= 1e-18*(math.Abs(g[p][p])+math.Abs(g[q][q])) {
+					continue
+				}
+				rotated = true
+				// The rotation by t = tan φ that zeroes g[p][q].
+				theta := (g[q][q] - g[p][p]) / (2 * gpq)
+				t := 1 / (math.Abs(theta) + math.Hypot(theta, 1))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Hypot(t, 1)
+				s := t * c
+				g[p][p] -= t * gpq
+				g[q][q] += t * gpq
+				g[p][q], g[q][p] = 0, 0
+				for r := 0; r < k; r++ {
+					if r != p && r != q {
+						grp, grq := g[r][p], g[r][q]
+						g[r][p], g[r][q] = c*grp-s*grq, s*grp+c*grq
+						g[p][r], g[q][r] = g[r][p], g[r][q]
+					}
+					vrp, vrq := v[r][p], v[r][q]
+					v[r][p], v[r][q] = c*vrp-s*vrq, s*vrp+c*vrq
+				}
+			}
+		}
+		if !rotated {
+			break
+		}
+	}
+	j := 0
+	for i := 1; i < k; i++ {
+		if g[i][i] > g[j][j] {
+			j = i
+		}
+	}
+	return [3]float64{v[0][j], v[1][j], v[2][j]}
 }
 
 // BiRank is the result of ranking a bi-typed network: conditional rank
@@ -444,8 +600,28 @@ func normalize1(xs []float64) {
 	}
 }
 
+// normalize2, scale and maxAbsDiff are HITS's element-wise steps, kept
+// serial so that an iteration allocates nothing (the pool's helpers take
+// a closure).
 func normalize2(xs []float64) {
 	if n := sparse.Norm2(xs); n > 0 {
-		sparse.ScaleVec(1/n, xs)
+		scale(1/n, xs)
 	}
+}
+
+// scale multiplies every vs by f in place.
+func scale(f float64, vs ...[]float64) {
+	for _, v := range vs {
+		for i := range v {
+			v[i] *= f
+		}
+	}
+}
+
+func maxAbsDiff(a, b []float64) float64 {
+	m := 0.0
+	for i := range a {
+		m = max(m, math.Abs(a[i]-b[i]))
+	}
+	return m
 }

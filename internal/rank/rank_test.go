@@ -28,6 +28,19 @@ func starAdj(n int) *sparse.Matrix {
 	return sparse.NewFromCoords(n, n, entries)
 }
 
+// directed keeps each edge of an undirected graph from its later node.
+func directed(und *sparse.Matrix) *sparse.Matrix {
+	var arcs []sparse.Coord
+	for r := 0; r < und.Rows(); r++ {
+		und.Row(r, func(c int, v float64) {
+			if c < r {
+				arcs = append(arcs, sparse.Coord{Row: r, Col: c, Val: v})
+			}
+		})
+	}
+	return sparse.NewFromCoords(und.Rows(), und.Cols(), arcs)
+}
+
 func TestPageRankSumsToOne(t *testing.T) {
 	r := PageRank(starAdj(10), Options{})
 	if !r.Converged {
@@ -90,18 +103,7 @@ func TestPageRankFixedPointProperty(t *testing.T) {
 // each undirected edge kept from its later node — so the power
 // iteration is what runs.
 func TestPageRankFusedMatchesMaterialized(t *testing.T) {
-	rng := stats.NewRNG(7)
-	g := netgen.BarabasiAlbert(rng, 400, 3)
-	und := g.Adjacency()
-	var arcs []sparse.Coord
-	for r := 0; r < und.Rows(); r++ {
-		und.Row(r, func(c int, v float64) {
-			if c < r {
-				arcs = append(arcs, sparse.Coord{Row: r, Col: c, Val: v})
-			}
-		})
-	}
-	adj := sparse.NewFromCoords(und.Rows(), und.Cols(), arcs)
+	adj := directed(netgen.BarabasiAlbert(stats.NewRNG(7), 400, 3).Adjacency())
 	got := PageRank(adj, Options{})
 
 	// Reference: the original implementation shape.
@@ -213,13 +215,19 @@ func TestHITSNonNegativeUnitNorm(t *testing.T) {
 	rng := stats.NewRNG(3)
 	g := netgen.BarabasiAlbert(rng, 200, 2)
 	r := HITS(g.Adjacency(), Options{})
-	na := sparse.Norm2(r.Authority)
-	if math.Abs(na-1) > 1e-6 {
-		t.Errorf("authority norm = %v", na)
-	}
-	for _, v := range r.Authority {
-		if v < 0 {
-			t.Fatal("negative authority")
+	// LOBPCG leaves the sign of its vector open: only HITS's sign fix
+	// makes the hubs, and with them the authorities, nonnegative.
+	for _, v := range []struct {
+		name   string
+		scores []float64
+	}{{"authority", r.Authority}, {"hub", r.Hub}} {
+		if norm := sparse.Norm2(v.scores); math.Abs(norm-1) > 1e-6 {
+			t.Errorf("%s norm = %v", v.name, norm)
+		}
+		for _, s := range v.scores {
+			if s < 0 {
+				t.Fatalf("negative %s", v.name)
+			}
 		}
 	}
 }

@@ -241,6 +241,30 @@ func TestParallelMulVecTSteadyStateAllocs(t *testing.T) {
 	})
 }
 
+// TestSerialMatVecAllocatesNothing: a product too small to split runs
+// inline and allocates nothing, both ways, so an iterative caller's
+// step (HITS applies A·Aᵀ as a MulVecT then a MulVec) allocates nothing.
+func TestSerialMatVecAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	rng := rand.New(rand.NewSource(31))
+	const n = 800
+	m := randomCSR(rng, n, n, 10)
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	withKnobs(t, 2, 64<<10, func() {
+		if got := testing.AllocsPerRun(100, func() { m.MulVec(x, y) }); got != 0 {
+			t.Errorf("serial MulVec makes %.0f allocations per call", got)
+		}
+		if got := testing.AllocsPerRun(100, func() { m.MulVecT(x, y) }); got != 0 {
+			t.Errorf("serial MulVecT makes %.0f allocations per call", got)
+		}
+	})
+}
+
 // mulVecTBookkeeping is the allocation count of one two-block parallel
 // MulVecT at two workers apart from its accumulators: bounds, partial,
 // the closures, and for each of its two trips through the pool (the

@@ -291,46 +291,57 @@ func (m *Matrix) mulVecDispatch(x, inv, y []float64) []float64 {
 	} else if len(y) != m.rows {
 		panic("sparse: MulVec output length mismatch")
 	}
-	m.forRowBlocks(len(m.vals), func(lo, hi int) {
-		switch {
-		case m.unit && inv == nil:
-			// Pattern-only loop: all values are 1, skip the value array.
-			for r := lo; r < hi; r++ {
-				s := 0.0
-				for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-					s += x[m.colIdx[i]]
-				}
-				y[r] = s
-			}
-		case m.unit:
-			for r := lo; r < hi; r++ {
-				xi := inv[r]
-				s := 0.0
-				for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-					s += xi * x[m.colIdx[i]]
-				}
-				y[r] = s
-			}
-		case inv == nil:
-			for r := lo; r < hi; r++ {
-				s := 0.0
-				for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-					s += m.vals[i] * x[m.colIdx[i]]
-				}
-				y[r] = s
-			}
-		default:
-			for r := lo; r < hi; r++ {
-				xi := inv[r]
-				s := 0.0
-				for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-					s += (m.vals[i] * xi) * x[m.colIdx[i]]
-				}
-				y[r] = s
-			}
-		}
-	})
+	// The serial path calls the row loop directly: a closure handed to
+	// the pool escapes, and would cost an iterative caller one allocation
+	// per product.
+	if splitBlocks(m.rows, len(m.vals)) == 1 {
+		m.mulVecRange(x, inv, y, 0, m.rows)
+		return y
+	}
+	m.forRowBlocks(len(m.vals), func(lo, hi int) { m.mulVecRange(x, inv, y, lo, hi) })
 	return y
+}
+
+// mulVecRange computes rows [lo, hi) of M x (row-scaled by inv when
+// non-nil) into y.
+func (m *Matrix) mulVecRange(x, inv, y []float64, lo, hi int) {
+	switch {
+	case m.unit && inv == nil:
+		// Pattern-only loop: all values are 1, skip the value array.
+		for r := lo; r < hi; r++ {
+			s := 0.0
+			for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+				s += x[m.colIdx[i]]
+			}
+			y[r] = s
+		}
+	case m.unit:
+		for r := lo; r < hi; r++ {
+			xi := inv[r]
+			s := 0.0
+			for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+				s += xi * x[m.colIdx[i]]
+			}
+			y[r] = s
+		}
+	case inv == nil:
+		for r := lo; r < hi; r++ {
+			s := 0.0
+			for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+				s += m.vals[i] * x[m.colIdx[i]]
+			}
+			y[r] = s
+		}
+	default:
+		for r := lo; r < hi; r++ {
+			xi := inv[r]
+			s := 0.0
+			for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+				s += (m.vals[i] * xi) * x[m.colIdx[i]]
+			}
+			y[r] = s
+		}
+	}
 }
 
 // MulVecT computes y = Mᵀ x without materializing the transpose. The
