@@ -5,6 +5,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"slices"
@@ -80,5 +81,36 @@ func TestWriteCopiesWhatItTouches(t *testing.T) {
 		if tc.writeMax > 0 && write > tc.writeMax {
 			t.Errorf("%s: Clone + Apply allocate %d B per write, ceiling %d", tc.name, write, tc.writeMax)
 		}
+	}
+}
+
+// TestWriteTransposesNoRelation: the network keeps both orientations of
+// every relation, merged by each write, so the A-P-A patch's hᵀ and the
+// factor a reader asks for are the network's paper×author matrix itself
+// — pointer-equal, not a transpose the engine made and cached beside it.
+func TestWriteTransposesNoRelation(t *testing.T) {
+	spec := ModelSpec{SkipPathSim: true}
+	m := BuildModels(1, spec)
+	for i, batch := range benchBatches(t, m.Corpus, 3) {
+		next, _, err := IngestModels(m, batch, false, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := next.Corpus.Net
+		eng := net.PathEngine()
+		if st := eng.Stats(); st.Patches == 0 || st.Transposes != 0 {
+			t.Fatalf("write %d: %d patches, %d transposes: the A-P-A patch must run and transpose nothing", i, st.Patches, st.Transposes)
+		}
+		h, ht, err := net.CommutingFactorCtx(context.Background(), PathAPA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != net.Relation(dblp.TypeAuthor, dblp.TypePaper) || ht != net.Relation(dblp.TypePaper, dblp.TypeAuthor) {
+			t.Fatalf("write %d: the A-P-A factor is not the network's author×paper and paper×author matrices", i)
+		}
+		if st := eng.Stats(); st.Transposes != 0 {
+			t.Fatalf("write %d: the factor took %d transposes", i, st.Transposes)
+		}
+		m = next
 	}
 }

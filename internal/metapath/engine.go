@@ -460,9 +460,9 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 
 // FactorCtx returns the half-path factor of a Gram-eligible path: h, the
 // very product compute multiplies into M = h·hᵀ, and hᵀ, the reversed
-// half — each the cache entry of its own path, so of the two one is a
-// relation or a planned product (patched from its stale self after a
-// mutation) and the other its O(nnz) transpose. A caller that reads M
+// half — each the cache entry of its own path: two relations, each as
+// the source holds it, or a planned product (patched from its stale
+// self after a mutation) and its O(nnz) transpose. A caller that reads M
 // one row at a time needs nothing else: row x is Σ_mid h[x,mid]·hᵀ[mid,·],
 // and summed in ascending mid every entry has the bits the Gram kernel
 // stores (it accumulates the same terms in the same order; see
@@ -543,8 +543,13 @@ func gramEligible(path []string) bool {
 // its reverse share one materialization (the other is a transpose
 // away). Paths with an adjacent repeated type are not canonicalized —
 // reversal is only transpose-equivalent when every relation along the
-// path joins two distinct types.
+// path joins two distinct types — and neither is a single relation: the
+// source keeps both orientations (Relation's contract), so transposing
+// one would only duplicate the other.
 func canonicalize(path []string) (canon []string, reversed bool) {
+	if len(path) == 2 {
+		return path, false
+	}
 	for i := 0; i+1 < len(path); i++ {
 		if path[i] == path[i+1] {
 			return path, false

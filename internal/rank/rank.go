@@ -5,15 +5,15 @@
 // simple ranking and authority ranking.
 //
 // All iterations are hand-rolled over the CSR matrices in
-// internal/sparse — power iterations, Chebyshev semi-iteration for
-// PageRank on an undirected graph, and LOBPCG with a 3×3 Jacobi
-// Rayleigh–Ritz for HITS; no external numeric library is used. The
-// matrix products (and PageRank's element-wise and reduction loops) run
-// on sparse's shared parallel worker pool, so large networks use every
+// internal/sparse — power iterations, conjugate gradients for PageRank
+// on an undirected graph, and LOBPCG with a 3×3 Jacobi Rayleigh–Ritz for
+// HITS; no external numeric library is used. The matrix products (and
+// the power iteration's element-wise and reduction loops) run on
+// sparse's shared parallel worker pool, so large networks use every
 // core while a graph too small to be worth a hand-off (see
-// sparse.SerialThreshold) iterates on the goroutine that asked. HITS's
-// vector loops and dot products are serial, so its bits do not depend
-// on the schedule and a step allocates nothing.
+// sparse.SerialThreshold) iterates on the goroutine that asked. The
+// vector loops and dot products of CG and LOBPCG are serial, so their
+// bits do not depend on the schedule and a step allocates nothing.
 package rank
 
 import (
@@ -27,7 +27,7 @@ import (
 type Options struct {
 	Damping   float64 // PageRank damping factor d (default 0.85)
 	MaxIter   int     // iteration cap (default 100)
-	Tolerance float64 // L∞ convergence threshold (default 1e-9)
+	Tolerance float64 // convergence threshold (default 1e-9; see PageRank and HITS)
 
 	// Start warm-starts the iteration from a previous solution
 	// instead of the restart distribution. The fixed point is the same
@@ -37,7 +37,8 @@ type Options struct {
 	// fewer iterations, which is what the incremental ingestion path
 	// exploits (not always: the error of a warm start may sit on a
 	// slowly decaying mode that a cold start barely excites;
-	// docs/ARCHITECTURE.md has the measured spread). The vector is
+	// docs/ARCHITECTURE.md has the measured spread). On an undirected
+	// graph it is CG's starting point, scaled to fit. The vector is
 	// copied and L1-normalized; it is ignored when its length does not
 	// match the matrix or it has no positive mass, so callers can pass a
 	// stale vector unconditionally. HITS takes it as the initial hub
@@ -72,10 +73,16 @@ func (r Result) TopK(k int) []int { return stats.TopK(r.Scores, k) }
 // PageRank computes the stationary distribution of the damped random
 // walk on adj (a possibly weighted, directed adjacency matrix whose
 // rows are source nodes). Dangling rows redistribute uniformly. The
-// output sums to 1. A directed graph runs the power iteration; an
-// undirected one (adj symmetric, no negative weight) runs Chebyshev
-// semi-iteration toward the same fixed point, in fewer steps where the
-// walk mixes slowly.
+// output sums to 1.
+//
+// A directed graph (or a negative weight, or Damping ≥ 1) runs the power
+// iteration, which stops on an L∞ step under Tolerance. An undirected
+// one — adj symmetric, no negative weight — is a symmetric positive
+// definite linear solve, and runs conjugate gradients toward the same
+// fixed point in fewer steps (see cg); it stops on a residual bound,
+// ‖t − My‖∞ ≤ Tolerance·(1−d)·Σy, which holds the scores closer to the
+// fixed point than the power iteration's test does. Either way
+// Iterations counts mat-vecs.
 func PageRank(adj *sparse.Matrix, opt Options) Result {
 	return personalized(adj, nil, opt)
 }
@@ -103,11 +110,19 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 	// rows — kept as an ascending id list, so an iteration sums their
 	// mass without scanning every row — and get inv = 1 (left
 	// unnormalized, exactly like RowNormalized) while redistributing via
-	// the dangling mass.
+	// the dangling mass. The same sweep notes any negative weight: a
+	// symmetric graph with none is undirected, and runs CG (see cg).
 	inv := make([]float64, n)
 	var dangling []int
+	nonneg := true
 	for r := 0; r < n; r++ {
-		if s := adj.RowSum(r); s != 0 {
+		_, vals := adj.RowEntries(r)
+		s := 0.0
+		for _, v := range vals {
+			s += v
+			nonneg = nonneg && v >= 0
+		}
+		if s != 0 {
 			inv[r] = 1 / s
 		} else {
 			inv[r] = 1
@@ -140,25 +155,11 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 			sparse.ScaleVec(1/s, x)
 		}
 	}
-	next := make([]float64, n)
 	d := opt.Damping
-	// The update below is x ↦ Hx + c with H = d·(Pᵀ + tele·danglingᵀ).
-	// When the walk's spectrum is real and inside [lo, 1], H's lies in
-	// [α, β] = [d·lo, d], and Chebyshev semi-iteration (Golub & Varga)
-	// replaces x by prev + ω·(γ·(Hx + c) + (1−γ)·x − prev): γ centres
-	// [α, β] on zero with half-width σ, and the weights ω make step k's
-	// error the degree-k Chebyshev polynomial in H, which shrinks by
-	// σ/(1+√(1−σ²)) a step where the power iteration shrinks by d —
-	// 0.51 against 0.85 at lo = −½. The fixed point is the same.
-	low, accel := walkSpectrum(adj, inv)
-	accel = accel && d < 1
-	alpha := d * low
-	gamma, sigma := 2/(2-alpha-d), (d-alpha)/(2-alpha-d)
-	omega := 1.0
-	var prev []float64
-	if accel {
-		prev = append([]float64(nil), x...)
+	if d < 1 && nonneg && adj.Symmetric() {
+		return cg(adj, inv, tele, x, opt)
 	}
+	next := make([]float64, n)
 	for it := 1; it <= opt.MaxIter; it++ {
 		// next = d·(Pᵀx + danglingMass·tele) + (1-d)·tele, with
 		// P = diag(inv)·adj applied without materialization.
@@ -170,23 +171,13 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 			}
 			return s
 		})
-		switch {
-		case it == 2:
-			omega = 1 / (1 - sigma*sigma/2)
-		case it > 2:
-			omega = 1 / (1 - sigma*sigma*omega/4)
-		}
 		// One pass finishes the update and takes the L∞ step from x in the
 		// same sweep (a max is order-independent, so blocks change no bit).
 		step := sparse.ParReduceMax(n, n, func(lo, hi int) float64 {
 			m := 0.0
 			for i := lo; i < hi; i++ {
-				v := d*(next[i]+dm*tele[i]) + (1-d)*tele[i]
-				if accel {
-					v = prev[i] + omega*(gamma*v+(1-gamma)*x[i]-prev[i])
-				}
-				next[i] = v
-				if diff := math.Abs(x[i] - v); diff > m {
+				next[i] = d*(next[i]+dm*tele[i]) + (1-d)*tele[i]
+				if diff := math.Abs(x[i] - next[i]); diff > m {
 					m = diff
 				}
 			}
@@ -196,44 +187,84 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 			copy(x, next)
 			return Result{Scores: x, Iterations: it, Converged: true}
 		}
-		if accel {
-			prev, x, next = x, next, prev
-		} else {
-			x, next = next, x
-		}
+		x, next = next, x
 	}
 	return Result{Scores: x, Iterations: opt.MaxIter, Converged: false}
 }
 
-// walkSpectrum reports whether PageRank's iteration on adj has a real
-// spectrum and, if so, returns lo ≤ 0 such that [lo, 1] holds the
-// spectrum of Pᵀ + tele·danglingᵀ. The spectrum is real when adj is
-// symmetric with nonnegative weights — an undirected graph: the walk
-// D⁻¹·adj is then similar to the symmetric D^-½·adj·D^-½. A dangling
-// row of such a graph is also a zero column, so the teleport coupling
-// only adds eigenvalues in [0, 1]. lo comes from Gershgorin: row r's
-// disc is centred at a_rr/d_r with radius 1 − a_rr/d_r, so no
-// eigenvalue of the walk lies below 2·a_rr/d_r − 1.
-func walkSpectrum(adj *sparse.Matrix, inv []float64) (lo float64, ok bool) {
-	if !adj.Symmetric() {
-		return 0, false
-	}
-	for r := range inv {
-		cols, vals := adj.RowEntries(r)
-		diag := 0.0
-		for i, v := range vals {
-			if v < 0 {
-				return 0, false
-			}
-			if int(cols[i]) == r {
-				diag = v
-			}
+// cg solves PageRank on an undirected graph — adj symmetric with no
+// negative weight, d < 1 — as the linear system M·y = t, M = I − d·A·D⁻¹
+// (A = adj, D its row sums, t = tele), and returns x = y/Σy. Sending the
+// dangling mass along t, as the power iteration does, makes x exactly
+// its fixed point (Del Corso, Gullì & Romani 2005): a dangling row of a
+// symmetric graph is also a zero column, so Σ A·D⁻¹x is the non-dangling
+// mass and y/Σy satisfies x = d·(Pᵀx + danglingMass·t) + (1−d)·t. A
+// dangling row has inv = 1 and solves as yᵢ = tᵢ.
+//
+// M is self-adjoint and positive definite in the inner product
+// ⟨u, v⟩ = Σ uᵢvᵢ·invᵢ (D⁻¹ − d·D⁻¹AD⁻¹ is symmetric, and the walk's
+// eigenvalues lie in [−1, 1]), so conjugate gradients run on it as is,
+// with no square roots. A step costs one MulVecTNorm — the power
+// iteration's mat-vec — and two weighted dot products. Unlike a fixed
+// polynomial over a bound on the spectrum, CG adapts to the spectrum
+// the graph has. y arrives holding the start x̂ (L1-normalized) and is
+// scaled to y₀ = c·x̂ with the Galerkin c = ⟨x̂, t⟩ / ⟨x̂, Mx̂⟩, which
+// costs nothing: the first residual needs Mx̂ anyway. The run stops once ‖t − My‖∞ ≤
+// Tolerance·(1−d)·Σy. Iterations counts mat-vecs, the first included.
+// The vector loops are serial, so a step allocates nothing and the bits
+// do not depend on the schedule.
+func cg(adj *sparse.Matrix, inv, t, y []float64, opt Options) Result {
+	n, d := len(y), opt.Damping
+	w := make([]float64, 3*n)
+	r, p, q := w[:n], w[n:2*n], w[2*n:]
+	// q = M·p, returning ⟨u, M·p⟩.
+	apply := func(u, p []float64) float64 {
+		adj.MulVecTNorm(p, inv, q)
+		s := 0.0
+		for i := range q {
+			q[i] = p[i] - d*q[i]
+			s += u[i] * inv[i] * q[i]
 		}
-		if len(vals) > 0 {
-			lo = min(lo, 2*diag*inv[r]-1)
+		return s
+	}
+	xmx := apply(y, y)
+	c := 0.0
+	for i := range y {
+		c += y[i] * inv[i] * t[i]
+	}
+	c /= xmx
+	rr, rmax, sy := 0.0, 0.0, 0.0
+	for i := range y {
+		y[i] *= c
+		r[i] = t[i] - c*q[i]
+		p[i] = r[i]
+		rr += r[i] * r[i] * inv[i]
+		rmax = max(rmax, math.Abs(r[i]))
+		sy += y[i]
+	}
+	it := 1
+	for ; rmax > opt.Tolerance*(1-d)*sy; it++ {
+		if it == opt.MaxIter {
+			scale(1/sy, y)
+			return Result{Scores: y, Iterations: it, Converged: false}
+		}
+		alpha := rr / apply(p, p)
+		rr0 := rr
+		rr, rmax, sy = 0, 0, 0
+		for i := range y {
+			y[i] += alpha * p[i]
+			r[i] -= alpha * q[i]
+			rr += r[i] * r[i] * inv[i]
+			rmax = max(rmax, math.Abs(r[i]))
+			sy += y[i]
+		}
+		beta := rr / rr0
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
 		}
 	}
-	return lo, true
+	scale(1/sy, y)
+	return Result{Scores: y, Iterations: it, Converged: true}
 }
 
 // HITSResult carries the two HITS vectors.
