@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"hinet/internal/dblp"
+	"hinet/internal/sparse"
 )
 
 // TestWritesKeepCoauthorGraphSymmetric: PageRank takes CG steps only on
@@ -27,6 +29,45 @@ func TestWritesKeepCoauthorGraphSymmetric(t *testing.T) {
 			t.Fatalf("write %d: PageRank did not converge in %d iterations", i, next.PageRank.Iterations)
 		}
 		m = next
+	}
+}
+
+// provenSymmetric reads the flag a sparse.Matrix carries when the
+// package built it symmetric (a Gram product, or a patch of one that
+// keeps the mirror), and Symmetric answers from without a scan.
+func provenSymmetric(m *sparse.Matrix) bool {
+	return reflect.ValueOf(m).Elem().FieldByName("sym").Bool()
+}
+
+// TestWritesProveCoauthorGraphSymmetric: Symmetric answers from the
+// flag on the co-author graph, so the scan behind
+// TestWritesKeepCoauthorGraphSymmetric no longer looks at it; this test
+// does. Over 50 chained 3-paper writes at 800 and at 4 000 authors,
+// every write's graph carries the flag, and every stored entry equals
+// its mirror, read entry by entry.
+func TestWritesProveCoauthorGraphSymmetric(t *testing.T) {
+	for _, cfg := range []dblp.Config{{}, {AuthorsPerArea: 1000, Papers: 10_000}} {
+		spec := ModelSpec{Corpus: cfg, SkipPathSim: true}
+		m := BuildModels(1, spec)
+		for i, batch := range benchBatches(t, m.Corpus, 50) {
+			next, _, err := IngestModels(m, batch, false, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adj := next.Corpus.Net.CommutingMatrix(PathAPA)
+			if !provenSymmetric(adj) {
+				t.Fatalf("%d authors, write %d: the co-author graph lost its symmetry flag", adj.Rows(), i)
+			}
+			for r := 0; r < adj.Rows(); r++ {
+				cols, vals := adj.RowEntries(r)
+				for k, c := range cols {
+					if mirror := adj.At(int(c), r); mirror != vals[k] {
+						t.Fatalf("%d authors, write %d: entry (%d, %d) = %v, its mirror %v", adj.Rows(), i, r, c, vals[k], mirror)
+					}
+				}
+			}
+			m = next
+		}
 	}
 }
 

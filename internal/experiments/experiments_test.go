@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,22 @@ func TestE6Shape(t *testing.T) {
 	checkRows(t, rows)
 	if rows[0].Values[0] <= 0 || rows[0].Values[1] <= 0 {
 		t.Error("iteration counts must be positive")
+	}
+}
+
+// TestNetworkExperimentsReproducible: E6 and E9 grow their graphs from
+// the seed alone, so two calls print the same rows.
+func TestNetworkExperimentsReproducible(t *testing.T) {
+	for _, e := range []struct {
+		name string
+		run  func() []Row
+	}{
+		{"E6", func() []Row { return E6PageRankHITS(1, 3000) }},
+		{"E9", func() []Row { return E9NetStats(1) }},
+	} {
+		if a, b := e.run(), e.run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s differs between two calls at one seed:\n%v\n%v", e.name, a, b)
+		}
 	}
 }
 

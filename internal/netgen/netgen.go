@@ -15,6 +15,7 @@ package netgen
 
 import (
 	"fmt"
+	"slices"
 
 	"hinet/internal/graph"
 	"hinet/internal/hin"
@@ -98,15 +99,17 @@ func BarabasiAlbert(rng *stats.RNG, n, m int) *graph.Graph {
 			endpoints = append(endpoints, i, j)
 		}
 	}
+	// The targets are kept in draw order, so a seed fixes the graph.
+	chosen := make([]int, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := make(map[int]bool)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if t != v {
-				chosen[t] = true
+			if t != v && !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			g.AddEdge(v, t, 1)
 			endpoints = append(endpoints, v, t)
 		}

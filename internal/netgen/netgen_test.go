@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"slices"
 	"testing"
 
 	"hinet/internal/stats"
@@ -61,6 +62,21 @@ func TestBarabasiAlbertHubEmergence(t *testing.T) {
 	wantEdges := 3*2 + (2000-4)*3 // initial K4 (m+1 clique, m=3 → 6 edges) + growth
 	if g.M() != wantEdges {
 		t.Errorf("BA edges = %d, want %d", g.M(), wantEdges)
+	}
+}
+
+// TestBarabasiAlbertDeterministic: a seed fixes the graph. Each new
+// node's targets are kept in the order they were drawn, so the endpoint
+// list, and with it every later draw, is the same on every run.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	a := BarabasiAlbert(stats.NewRNG(1), 3000, 3).Adjacency()
+	b := BarabasiAlbert(stats.NewRNG(1), 3000, 3).Adjacency()
+	for r := 0; r < a.Rows(); r++ {
+		ac, av := a.RowEntries(r)
+		bc, bv := b.RowEntries(r)
+		if !slices.Equal(ac, bc) || !slices.Equal(av, bv) {
+			t.Fatalf("same-seed BA graphs differ in row %d: %v against %v", r, ac, bc)
+		}
 	}
 }
 

@@ -75,6 +75,69 @@ func TestLOBPCGMatchesPowerIteration(t *testing.T) {
 	}
 }
 
+// TestHITSOffPerronGate: a graph that fails the gate for B = A — here a
+// directed star, an even cycle (bipartite: −ρ is an eigenvalue, and A
+// alone does not pick HITS's answer) and the co-author graph with one
+// nonzero row's diagonal removed — gets exactly what LOBPCG on A·Aᵀ
+// gives, bit for bit and step for step, cold and warm.
+func TestHITSOffPerronGate(t *testing.T) {
+	var cycle []sparse.Coord
+	for i := 0; i < 12; i++ {
+		j := (i + 1) % 12
+		cycle = append(cycle, sparse.Coord{Row: i, Col: j, Val: 1}, sparse.Coord{Row: j, Col: i, Val: 1})
+	}
+	apa := coauthorGraph(t, dblp.Config{})
+	var holed []sparse.Coord
+	dropped := -1
+	for r := 0; r < apa.Rows(); r++ {
+		apa.Row(r, func(c int, v float64) {
+			if c == r && dropped < 0 && apa.RowNNZ(r) > 1 {
+				dropped = r
+				return
+			}
+			holed = append(holed, sparse.Coord{Row: r, Col: c, Val: v})
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		adj  *sparse.Matrix
+	}{
+		{"star", starAdj(10)},
+		{"even cycle", sparse.NewFromCoords(12, 12, cycle)},
+		{"co-author graph, one diagonal removed", sparse.NewFromCoords(apa.Rows(), apa.Cols(), holed)},
+	} {
+		n := tc.adj.Rows()
+		warm := make([]float64, n)
+		for i := range warm {
+			warm[i] = 1 + float64(i%7)
+		}
+		for _, start := range [][]float64{nil, warm} {
+			got := HITS(tc.adj, Options{Start: start})
+			h := make([]float64, n)
+			if start == nil {
+				for i := range h {
+					h[i] = 1 / math.Sqrt(float64(n))
+				}
+			} else {
+				copy(h, start)
+				normalize2(h)
+			}
+			want := hitsOnAAT(tc.adj, h, Options{}.withDefaults())
+			if got.Iterations != want.Iterations || got.Converged != want.Converged {
+				t.Fatalf("%s (start %v): %d steps, converged %v; LOBPCG on A·Aᵀ %d, %v",
+					tc.name, start != nil, got.Iterations, got.Converged, want.Iterations, want.Converged)
+			}
+			for i := range h {
+				if math.Float64bits(got.Hub[i]) != math.Float64bits(want.Hub[i]) ||
+					math.Float64bits(got.Authority[i]) != math.Float64bits(want.Authority[i]) {
+					t.Fatalf("%s (start %v): node %d hub %v authority %v, LOBPCG on A·Aᵀ %v and %v",
+						tc.name, start != nil, i, got.Hub[i], got.Authority[i], want.Hub[i], want.Authority[i])
+				}
+			}
+		}
+	}
+}
+
 // TestLOBPCGRepeatedEigenvalue: two identical disjoint components give
 // A·Aᵀ a repeated top eigenvalue, so the hubs are any unit vector of a
 // plane. Cold, and warm from a start that weighs the components

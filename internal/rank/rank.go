@@ -7,7 +7,10 @@
 // All iterations are hand-rolled over the CSR matrices in
 // internal/sparse — power iterations, conjugate gradients for PageRank
 // on an undirected graph, and LOBPCG with a 3×3 Jacobi Rayleigh–Ritz for
-// HITS; no external numeric library is used. The matrix products (and
+// HITS, on A·Aᵀ or, for a symmetric nonnegative graph with a positive
+// diagonal (the co-author graph), on A itself; no external numeric
+// library is used. On the co-author graph every step of either rank is
+// one row gather of A (MulVec). The matrix products (and
 // the power iteration's element-wise and reduction loops) run on
 // sparse's shared parallel worker pool, so large networks use every
 // core while a graph too small to be worth a hand-off (see
@@ -204,28 +207,34 @@ func personalized(adj *sparse.Matrix, restart []float64, opt Options) Result {
 // M is self-adjoint and positive definite in the inner product
 // ⟨u, v⟩ = Σ uᵢvᵢ·invᵢ (D⁻¹ − d·D⁻¹AD⁻¹ is symmetric, and the walk's
 // eigenvalues lie in [−1, 1]), so conjugate gradients run on it as is,
-// with no square roots. A step costs one MulVecTNorm — the power
-// iteration's mat-vec — and two weighted dot products. Unlike a fixed
-// polynomial over a bound on the spectrum, CG adapts to the spectrum
-// the graph has. y arrives holding the start x̂ (L1-normalized) and is
-// scaled to y₀ = c·x̂ with the Galerkin c = ⟨x̂, t⟩ / ⟨x̂, Mx̂⟩, which
-// costs nothing: the first residual needs Mx̂ anyway. The run stops once ‖t − My‖∞ ≤
+// with no square roots. A step costs one mat-vec and two weighted dot
+// products. The mat-vec is the row gather A·z, z = D⁻¹p, kept beside p
+// by the loop that updates it: A is symmetric, so A·D⁻¹ needs neither
+// the transpose nor the scatter form the power iteration's Pᵀx takes
+// (MulVecTNorm). Unlike a fixed polynomial over a bound on the
+// spectrum, CG adapts to the spectrum the graph has. y arrives holding
+// the start x̂ (L1-normalized) and is scaled to y₀ = c·x̂ with the
+// Galerkin c = ⟨x̂, t⟩ / ⟨x̂, Mx̂⟩, which costs nothing: the first
+// residual needs Mx̂ anyway. The run stops once ‖t − My‖∞ ≤
 // Tolerance·(1−d)·Σy. Iterations counts mat-vecs, the first included.
 // The vector loops are serial, so a step allocates nothing and the bits
 // do not depend on the schedule.
 func cg(adj *sparse.Matrix, inv, t, y []float64, opt Options) Result {
 	n, d := len(y), opt.Damping
-	w := make([]float64, 3*n)
-	r, p, q := w[:n], w[n:2*n], w[2*n:]
-	// q = M·p, returning ⟨u, M·p⟩.
+	w := make([]float64, 4*n)
+	r, p, q, z := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:]
+	// q = M·p given z = D⁻¹p, returning ⟨u, M·p⟩.
 	apply := func(u, p []float64) float64 {
-		adj.MulVecTNorm(p, inv, q)
+		adj.MulVec(z, q)
 		s := 0.0
 		for i := range q {
 			q[i] = p[i] - d*q[i]
 			s += u[i] * inv[i] * q[i]
 		}
 		return s
+	}
+	for i := range y {
+		z[i] = inv[i] * y[i]
 	}
 	xmx := apply(y, y)
 	c := 0.0
@@ -238,6 +247,7 @@ func cg(adj *sparse.Matrix, inv, t, y []float64, opt Options) Result {
 		y[i] *= c
 		r[i] = t[i] - c*q[i]
 		p[i] = r[i]
+		z[i] = inv[i] * p[i]
 		rr += r[i] * r[i] * inv[i]
 		rmax = max(rmax, math.Abs(r[i]))
 		sy += y[i]
@@ -261,6 +271,7 @@ func cg(adj *sparse.Matrix, inv, t, y []float64, opt Options) Result {
 		beta := rr / rr0
 		for i := range p {
 			p[i] = r[i] + beta*p[i]
+			z[i] = inv[i] * p[i]
 		}
 	}
 	scale(1/sy, y)
@@ -288,14 +299,25 @@ func (h HITSResult) TopHubs(k int) []int { return stats.TopK(h.Hub, k) }
 // uniform hub vector or, warm, from opt.Start (a previous solution's
 // hubs: the fixed point does not depend on where the iteration starts).
 //
-// The hubs are found by LOBPCG on B = A·Aᵀ (see lobpcg), which needs
-// about the square root of the power iteration's steps. Once its
-// residual is under Tolerance, ordinary rounds of the iteration above
-// finish the job, and the first whose L∞ step in the authority vector is
-// under Tolerance sets Converged — the test the power iteration stops
-// on. Iterations counts applications of B (one MulVecT and one MulVec
-// each): LOBPCG's steps and the closing rounds together, capped at
-// MaxIter.
+// The hubs are the top eigenvector of B, found by LOBPCG (see lobpcg),
+// which needs about the square root of the power iteration's steps. B
+// is A·Aᵀ, unless A is symmetric with no negative weight and a positive
+// diagonal on every nonzero row (the co-author graph: an author shares
+// every paper with themselves). Then A·Aᵀ = A², and by Perron–Frobenius
+// A's largest eigenvalue ρ is also its largest in magnitude: the
+// diagonal makes every component aperiodic, so every other eigenvalue
+// of a component lies strictly inside its Perron root, where a
+// bipartite component would also have −ρ. So A² and A have the same
+// top eigenvector, hubs and authorities are both that vector, and B is
+// A itself, one mat-vec a step. Once LOBPCG's residual is under
+// Tolerance, ordinary power rounds — a ← Aᵀh, h ← Aa, or x ← Ax when
+// B = A — finish the job, and the first whose L∞ step in the authority
+// vector is under Tolerance sets Converged: the test the power iteration
+// stops on. (On A the first round's Ax is LOBPCG's last image, so it
+// costs nothing.) Iterations counts applications of B (on A·Aᵀ one
+// MulVecT and one MulVec each, on A one MulVec): LOBPCG's steps and the
+// closing rounds together, capped at MaxIter. When B = A, Hub and
+// Authority are the same slice.
 func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	opt = opt.withDefaults()
 	n := adj.Rows()
@@ -305,7 +327,7 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	if n == 0 {
 		return HITSResult{Converged: true}
 	}
-	a, h := make([]float64, n), make([]float64, n)
+	h := make([]float64, n)
 	for i := range h {
 		h[i] = 1 / math.Sqrt(float64(n))
 	}
@@ -313,6 +335,33 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 		copy(h, opt.Start)
 		normalize2(h)
 	}
+	if perron(adj) {
+		return hitsOnA(adj, h, opt)
+	}
+	return hitsOnAAT(adj, h, opt)
+}
+
+// hitsOnA is HITS with B = A from the unit hub vector h: LOBPCG, then
+// power rounds x ← Ax. LOBPCG hands back Ax beside x, so the first
+// round's step costs no mat-vec.
+func hitsOnA(adj *sparse.Matrix, h []float64, opt Options) HITSResult {
+	ah, it := lobpcg(adj, h, nil, opt.MaxIter, opt.Tolerance)
+	for {
+		normalize2(ah)
+		step := maxAbsDiff(h, ah)
+		copy(h, ah)
+		if step < opt.Tolerance || it == opt.MaxIter {
+			return HITSResult{Authority: h, Hub: h, Iterations: it, Converged: step < opt.Tolerance}
+		}
+		adj.MulVec(h, ah)
+		it++
+	}
+}
+
+// hitsOnAAT is HITS with B = A·Aᵀ from the unit hub vector h: LOBPCG,
+// then power rounds a ← Aᵀh, h ← Aa.
+func hitsOnAAT(adj *sparse.Matrix, h []float64, opt Options) HITSResult {
+	a := make([]float64, len(h))
 	bx, it := lobpcg(adj, h, a, opt.MaxIter, opt.Tolerance)
 	// The power step from LOBPCG's vector is already in hand: a = Aᵀh
 	// and Bh = A·a.
@@ -333,17 +382,51 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 	return HITSResult{Authority: a, Hub: h, Iterations: it, Converged: false}
 }
 
+// perron reports whether HITS on adj may take B = A: no negative weight,
+// a positive diagonal on every nonzero row, and adj symmetric. The first
+// two cost one pass over the entries (a graph without self-loops fails
+// on its first nonzero row), the last nothing for a Gram product (see
+// sparse.Matrix.Symmetric).
+func perron(adj *sparse.Matrix) bool {
+	for r := 0; r < adj.Rows(); r++ {
+		idx, vals := adj.RowEntries(r)
+		diag := len(idx) == 0
+		for k, c := range idx {
+			if vals[k] < 0 {
+				return false
+			}
+			diag = diag || int(c) == r && vals[k] > 0
+		}
+		if !diag {
+			return false
+		}
+	}
+	return adj.Symmetric()
+}
+
+// applyB sets bv = B·v: bv = A·v when av is nil (B = A), else av = Aᵀv
+// and bv = A·av (B = A·Aᵀ).
+func applyB(adj *sparse.Matrix, v, av, bv []float64) {
+	if av == nil {
+		adj.MulVec(v, bv)
+		return
+	}
+	adj.MulVecT(v, av)
+	adj.MulVec(av, bv)
+}
+
 // lobpcg runs single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001)
-// for the principal eigenvector of B = A·Aᵀ from the unit vector x,
-// until ‖Bx − λx‖ ≤ tol·λ (λ = xᵀBx) or maxIter applications of B. It
-// leaves the answer in x and its image Aᵀx in ax, and returns Bx and the
-// applications made.
+// for the principal eigenvector of B from the unit vector x, until
+// ‖Bx − λx‖ ≤ tol·λ (λ = xᵀBx) or maxIter applications of B. B is A·Aᵀ
+// when ax is given and A when it is nil (see applyB). It leaves the
+// answer in x and, for A·Aᵀ, its image Aᵀx in ax, and returns Bx and
+// the applications made.
 //
 // Beside x it keeps the residual r = Bx − λx and the previous search
-// direction p, each with its images Aᵀv and Bv. A step applies B once,
-// to r; the images of x and p follow by the same linear combinations
-// that make the new x and p, so they cost no application. p is
-// orthogonalized against x and r, so the Rayleigh–Ritz problem over
+// direction p, each with its image Bv (and, for A·Aᵀ, Aᵀv). A step
+// applies B once, to r; the images of x and p follow by the same linear
+// combinations that make the new x and p, so they cost no application.
+// p is orthogonalized against x and r, so the Rayleigh–Ritz problem over
 // {x, r, p} is, after a diagonal scaling, the 3×3 symmetric
 // eigenproblem on [sᵢᵀ B sⱼ], solved by Jacobi (topRitz). Like a Krylov
 // method, it shrinks the error by about 1 − 2√δ a step, δ = 1 − λ₂/λ₁
@@ -353,10 +436,15 @@ func HITS(adj *sparse.Matrix, opt Options) HITSResult {
 // the orientation of the Perron vector.
 func lobpcg(adj *sparse.Matrix, x, ax []float64, maxIter int, tol float64) (bx []float64, it int) {
 	n := len(x)
-	w := make([]float64, 7*n)
-	bx, r, ar, br, p, ap, bp := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:5*n], w[5*n:6*n], w[6*n:]
-	adj.MulVecT(x, ax)
-	adj.MulVec(ax, bx)
+	var r, ar, br, p, ap, bp []float64
+	if ax == nil {
+		w := make([]float64, 5*n)
+		bx, r, br, p, bp = w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:]
+	} else {
+		w := make([]float64, 7*n)
+		bx, r, ar, br, p, ap, bp = w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:5*n], w[5*n:6*n], w[6*n:]
+	}
+	applyB(adj, x, ax, bx)
 	it = 1
 	pp0 := 0.0 // ‖p‖² before it is orthogonalized; 0 while there is no p
 	for ; it < maxIter; it++ {
@@ -371,8 +459,7 @@ func lobpcg(adj *sparse.Matrix, x, ax []float64, maxIter int, tol float64) (bx [
 		if math.Sqrt(rr) <= tol*lambda {
 			break
 		}
-		adj.MulVecT(r, ar)
-		adj.MulVec(ar, br)
+		applyB(adj, r, ar, br)
 		// g = [sᵢᵀ B sⱼ] over the unit basis x, r/‖r‖, p/‖p‖. Bx = λx + r,
 		// so xᵀBr = ‖r‖ and, with p ⊥ x, r, xᵀBp = 0: taken as exact,
 		// not summed, since λ·xᵀp — rounding times the largest
@@ -382,14 +469,17 @@ func lobpcg(adj *sparse.Matrix, x, ax []float64, maxIter int, tol float64) (bx [
 		k, dr, dp := 2, 1/math.Sqrt(rr), 0.0
 		if pp0 > 0 {
 			// Orthogonalize p against x and r; drop it where it is all
-			// but in their span and what is left would be rounding.
+			// but in their span and what is left would be rounding. (The
+			// Aᵀ images, when kept, follow in a loop of their own.)
 			cx, cr := sparse.Dot(x, p), sparse.Dot(r, p)/rr
 			pp := 0.0
 			for i := range p {
 				p[i] -= cx*x[i] + cr*r[i]
-				ap[i] -= cx*ax[i] + cr*ar[i]
 				bp[i] -= cx*bx[i] + cr*br[i]
 				pp += p[i] * p[i]
+			}
+			for i := range ap {
+				ap[i] -= cx*ax[i] + cr*ar[i]
 			}
 			if pp > 1e-16*pp0 {
 				k, dp = 3, 1/math.Sqrt(pp)
@@ -402,10 +492,14 @@ func lobpcg(adj *sparse.Matrix, x, ax []float64, maxIter int, tol float64) (bx [
 		c1, c2 := c[1]*dr, c[2]*dp
 		xx := 0.0
 		for i := range x {
-			pi, api, bpi := c1*r[i]+c2*p[i], c1*ar[i]+c2*ap[i], c1*br[i]+c2*bp[i]
-			p[i], ap[i], bp[i] = pi, api, bpi
-			x[i], ax[i], bx[i] = c[0]*x[i]+pi, c[0]*ax[i]+api, c[0]*bx[i]+bpi
+			pi, bpi := c1*r[i]+c2*p[i], c1*br[i]+c2*bp[i]
+			p[i], bp[i] = pi, bpi
+			x[i], bx[i] = c[0]*x[i]+pi, c[0]*bx[i]+bpi
 			xx += x[i] * x[i]
+		}
+		for i := range ap {
+			ap[i] = c1*ar[i] + c2*ap[i]
+			ax[i] = c[0]*ax[i] + ap[i]
 		}
 		scale(1/math.Sqrt(xx), x, ax, bx)
 	}

@@ -239,8 +239,10 @@ func (p *patcher) splice(idx []int32, vals []float64, cidx []int32, cvals []floa
 // others merged with their patched-column entries in one pass each —
 // and when no row's column pattern changed the result aliases the
 // receiver's colIdx (and rowPtr, unless rows were added) and only the
-// value array is fresh. A cancelled ctx returns ctx.Err() and a nil
-// matrix.
+// value array is fresh. The result is known symmetric, and Symmetric
+// answers without a scan, when the receiver is and the patch keeps it
+// so (see keepsSymmetry): the Gram patch the meta-path engine writes. A
+// cancelled ctx returns ctx.Err() and a nil matrix.
 func (m *Matrix) PatchCtx(ctx context.Context, patch Patch) (*Matrix, error) {
 	p := newPatcher(m, patch)
 	done := ctxDone(ctx)
@@ -292,7 +294,42 @@ func (m *Matrix) PatchCtx(ctx context.Context, patch Patch) (*Matrix, error) {
 		return nil, ctx.Err()
 	}
 	out.unit = allOnes(out.vals)
+	out.sym = m.sym && patch.keepsSymmetry()
 	return out, nil
+}
+
+// keepsSymmetry reports whether p, applied to a symmetric matrix, leaves
+// it symmetric: it is square, it patches exactly the columns of the rows
+// it replaces, ColBlock is RowBlockᵀ entry for entry, and the block where
+// dirty rows meet dirty columns is itself symmetric. Every entry outside
+// the dirty rows and columns is then the base's, and every entry of a
+// dirty row is mirrored in its column. The cost is the patch's, not the
+// matrix's: one pass over each block and a search per dirty×dirty entry.
+func (p Patch) keepsSymmetry() bool {
+	if p.Rows != p.Cols || !slices.Equal(p.PatchCols, p.Dirty) {
+		return false
+	}
+	if len(p.Dirty) == 0 {
+		return true
+	}
+	if !transposeOf(p.RowBlock, p.ColBlock) {
+		return false
+	}
+	for i, d := range p.Dirty {
+		idx, vals := p.RowBlock.RowEntries(i)
+		for k, c := range idx {
+			j, ok := slices.BinarySearch(p.Dirty, int(c))
+			if !ok {
+				continue
+			}
+			jdx, jvals := p.RowBlock.RowEntries(j)
+			at, ok := slices.BinarySearch(jdx, int32(d))
+			if !ok || jvals[at] != vals[k] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // patchJob is one PatchCtx call's shared state.

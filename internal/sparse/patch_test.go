@@ -210,3 +210,80 @@ func TestPatchCtxCancelled(t *testing.T) {
 	try()
 	withParallel(t, 4, try)
 }
+
+// TestSymmetryFlagIsProven: a matrix carries the symmetric flag only
+// where this package proves it — a Gram product, and a patch of a
+// flagged matrix that writes every dirty row's mirror into its column —
+// and never one that is not symmetric. Any other matrix, symmetric or
+// not, is left to Symmetric's scan.
+func TestSymmetryFlagIsProven(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	h := randomCSR(rng, 40, 12, 3)
+	g := gramOf(h)
+	if !g.sym || !transposeOf(g, g) {
+		t.Fatalf("a Gram product: flag %v, symmetric %v", g.sym, transposeOf(g, g))
+	}
+	var entries []Coord
+	for r := 0; r < g.rows; r++ {
+		g.Row(r, func(c int, v float64) { entries = append(entries, Coord{r, c, v}) })
+	}
+	coords := NewFromCoords(g.rows, g.cols, entries)
+	if coords.sym || !coords.Symmetric() {
+		t.Fatalf("the Gram product rebuilt from coordinates: flag %v, Symmetric %v; want false, true", coords.sym, coords.Symmetric())
+	}
+	for name, d := range map[string]*Matrix{
+		"Transpose": g.Transpose(), "Scale": g.Scale(1), "RowNormalized": g.RowNormalized(),
+		"ColSlice": g.ColSlice(0, g.cols), "ApplyDelta": g.ApplyDelta([]Coord{{0, 0, 1}}), "Grow": g.Grow(g.rows+1, g.cols+1),
+	} {
+		if d.sym {
+			t.Errorf("%s inherits the flag", name)
+		}
+	}
+
+	// The patches the meta-path engine writes keep the flag, and the
+	// matrix they give is symmetric.
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := randomCSR(rng, 20+rng.Intn(40), 4+rng.Intn(12), 3)
+		grow := int(seed % 3)
+		cur := mutate(rng, h, 1+rng.Intn(4), grow, grow/2)
+		if p := patchedGram(t, gramOf(h), h, cur); !p.sym || !transposeOf(p, p) {
+			t.Fatalf("seed %d: a patched Gram product: flag %v, symmetric %v", seed, p.sym, transposeOf(p, p))
+		}
+	}
+
+	// Hand-built patches the check must refuse.
+	cur := mutate(rand.New(rand.NewSource(12)), h, 3, 0, 0)
+	d := DirtyRows(h, cur)
+	if len(d) < 2 {
+		t.Fatalf("the fixture dirties %d rows, want at least two", len(d))
+	}
+	block := cur.GatherRows(d).Mul(cur.Transpose())
+	n := cur.rows
+	// One entry of the dirty×dirty part changed, in the row block and
+	// its transpose alike: ColBlock is RowBlockᵀ, yet row d[0] no longer
+	// mirrors row d[1].
+	skewed := block.ApplyDelta([]Coord{{0, d[1], 1}})
+	for _, tc := range []struct {
+		name string
+		base *Matrix
+		p    Patch
+	}{
+		{"unflagged base", coords, Patch{Rows: n, Cols: n, Dirty: d, RowBlock: block, PatchCols: d, ColBlock: block.Transpose()}},
+		{"ColBlock is not RowBlockᵀ", g, Patch{Rows: n, Cols: n, Dirty: d, RowBlock: block,
+			PatchCols: d, ColBlock: block.Transpose().ApplyDelta([]Coord{{n - 1, 0, 1}})}},
+		{"dirty×dirty part not symmetric", g, Patch{Rows: n, Cols: n, Dirty: d, RowBlock: skewed, PatchCols: d, ColBlock: skewed.Transpose()}},
+		{"PatchCols is not Dirty", g, Patch{Rows: n, Cols: n, Dirty: d, RowBlock: block,
+			PatchCols: d[:1], ColBlock: block.Transpose().ColSlice(0, 1)}},
+		{"rows only", g, Patch{Rows: n, Cols: n, Dirty: d, RowBlock: block}},
+	} {
+		m, err := tc.base.PatchCtx(ctx, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.sym {
+			t.Errorf("%s: the patched matrix carries the flag (symmetric: %v)", tc.name, transposeOf(m, m))
+		}
+	}
+}
