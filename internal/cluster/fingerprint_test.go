@@ -13,11 +13,19 @@ import (
 	"hinet/internal/sparse"
 )
 
+// matrixLineage names the sparse.Matrix fields that say where a matrix
+// came from in this process — its id, the id it was merged from, the
+// rows that merge changed, the claim on its arrays — not what it holds.
+// Ids come from a process-wide counter, so they depend on what ran
+// before.
+var matrixLineage = map[string]bool{"id": true, "from": true, "dirty": true, "claim": true}
+
 // hashValue folds v into h field by field, unexported fields included:
 // floats by their bits, slices by length and elements, pointers by
 // nil-ness and target. A network is hashed by what it holds — every
 // type's names in id order and every relation matrix in both
-// orientations — not by its caches and locks.
+// orientations — not by its caches and locks, and a matrix by its
+// entries, not its lineage.
 func hashValue(h hash.Hash64, v reflect.Value) {
 	word := func(x uint64) {
 		var b [8]byte
@@ -65,6 +73,9 @@ func hashValue(h hash.Hash64, v reflect.Value) {
 		hashValue(h, v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
+			if v.Type() == reflect.TypeFor[sparse.Matrix]() && matrixLineage[v.Type().Field(i).Name] {
+				continue
+			}
 			hashValue(h, v.Field(i))
 		}
 	default:

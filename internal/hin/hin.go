@@ -255,8 +255,9 @@ func (n *Network) AddObjects(t Type, names []string) (first int) {
 // their dimensions are stale (the engine keeps them as patch bases: a
 // row past the old dimension is a dirty row), and its other entries move
 // to the new epoch. It does not grow the cached relation matrices
-// touching t: cached does, where one is next read, so a batch adding
-// many objects pays Grow's row-pointer copy once per orientation.
+// touching t: the next merge into one does (ApplyEdgeDeltas), or cached
+// where one is read first, so a batch adding many objects grows each
+// orientation once.
 func (n *Network) typeGrew(t Type) {
 	n.engInvalidate(func(path []string) bool { return slices.Contains(path, string(t)) })
 }
@@ -383,24 +384,25 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 	n.relation[key] = n.relation[key].append(links...)
 	n.version++
 
-	// Merge into whichever orientations are materialized. Relation
-	// merges both log orientations, so the (dst, src) matrix sees the
-	// batch transposed.
+	// Merge into whichever orientations are materialized, at the types'
+	// current counts (the merge grows a matrix stored before objects
+	// were added). Relation merges both log orientations, so the
+	// (dst, src) matrix sees the batch transposed.
 	n.relMu.Lock()
-	if m, ok := n.cached(key); ok {
+	if m, ok := n.relCache[key]; ok {
 		coords := make([]sparse.Coord, len(deltas))
 		for i, d := range deltas {
 			coords[i] = sparse.Coord{Row: d.Src, Col: d.Dst, Val: d.W}
 		}
-		n.relCache[key] = m.ApplyDelta(coords)
+		n.relCache[key] = m.Extend(ns, nd, coords)
 	}
 	if rev := (relationKey{dst, src}); src != dst {
-		if m, ok := n.cached(rev); ok {
+		if m, ok := n.relCache[rev]; ok {
 			coords := make([]sparse.Coord, len(deltas))
 			for i, d := range deltas {
 				coords[i] = sparse.Coord{Row: d.Dst, Col: d.Src, Val: d.W}
 			}
-			n.relCache[rev] = m.ApplyDelta(coords)
+			n.relCache[rev] = m.Extend(nd, ns, coords)
 		}
 	}
 	n.relMu.Unlock()

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Coord is one nonzero entry used while assembling a matrix.
@@ -63,7 +64,23 @@ type Matrix struct {
 	// base's mirror (PatchCtx). Nothing else sets it and no derived
 	// matrix inherits it, so Symmetric can trust it without a scan.
 	sym bool
+
+	// id names the matrix among this process's builds and merges (0: a
+	// matrix made any other way). A merge result records the id it was
+	// merged from and, in dirty, the rows below that matrix's last whose
+	// pattern or value bits the merge changed — what DirtyRows answers
+	// without a scan. No pointer to the parent is kept.
+	id, from uint64
+	dirty    []int
+	// claim is shared by every merge result whose arrays are these: it
+	// holds the id of the one matrix that may append rows in place, past
+	// its own end and so past every other's (see Extend). Nil for a
+	// matrix that aliases arrays it does not own.
+	claim *atomic.Uint64
 }
+
+// lastID numbers matrices for the merge record and the append claim.
+var lastID atomic.Uint64
 
 // NewFromCoords builds a CSR matrix from coordinate triples. Duplicate
 // (row, col) entries are summed. Entries out of range panic, as do
@@ -108,6 +125,7 @@ func NewFromCoords(rows, cols int, entries []Coord) *Matrix {
 		colIdx: make([]int32, 0, len(sorted)),
 		vals:   make([]float64, 0, len(sorted)),
 		unit:   true,
+		id:     lastID.Add(1),
 	}
 	for i := 0; i < len(sorted); {
 		c := sorted[i]
