@@ -1,8 +1,9 @@
 // Row-incremental refresh of stale products. A stale entry remembers
 // the matrix it held and the operand matrices that matrix was computed
 // from. Its refresh fetches the current operands (refreshed the same
-// way, recursively), row-diffs each against the remembered one, and
-// recomputes only what the diff reaches:
+// way, recursively), row-diffs each against the remembered one
+// (sparse.DirtyRows, which reads a relation one merge newer off the
+// merge's own record), and recomputes only what the diff reaches:
 //
 //   - a planned product L·R: the rows of L' that are dirty or store an
 //     entry in a column that is a dirty row of R' — recomputed by the
