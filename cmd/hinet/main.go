@@ -13,7 +13,7 @@
 //	truth      truth discovery on conflicting claims
 //	pathsim    top-k peer search on a DBLP meta-path (-path A-P-V-P-A)
 //	dbnet      relational DB → information network conversion demo
-//	serve      online HTTP query server (snapshots, result cache, batched top-k)
+//	serve      online HTTP query server (snapshots, result cache, top-k)
 //	ingest     stream JSONL deltas into a corpus or a running server
 //	loadgen    deterministic load generator, trace record/replay, capacity sweep
 //
@@ -157,7 +157,7 @@ subcommands:
   truth      truth discovery on conflicting claims
   pathsim    top-k peer search on a DBLP meta-path [-path A-P-V-P-A]
   dbnet      relational DB -> information network conversion demo
-  serve      online HTTP query server (snapshots, result cache, batched top-k)
+  serve      online HTTP query server (snapshots, result cache, top-k)
              [-addr A] [-workers N] [-cache N] [-papers N] [-pprof]
              [-default-timeout D] [-max-concurrent N] [-admission-floor N]
              [-slo-target D] [-control-interval D]

@@ -11,7 +11,7 @@
 // techniques — RankClus, NetClus, PathSim, SimRank, LinkClus, SCAN,
 // CrossMine, CrossClus, DISTINCT, TruthFinder, network OLAP and
 // transductive classification. internal/serve layers an online query
-// service on top (model snapshots, result caching, micro-batched
+// service on top (model snapshots, result caching, scatter-gathered
 // top-k, arbitrary path= meta-path queries; run it with `hinet
 // serve`). Entry points are cmd/hinet, cmd/experiments and the
 // walkthroughs in examples/.

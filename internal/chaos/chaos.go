@@ -9,8 +9,8 @@
 //
 // The serving layer consumes an Injector through Options.Chaos
 // (internal/serve): request-path faults fire in the route wrapper
-// before admission, kernel delays fire in the batch leader just before
-// the BatchTopK call. All methods are nil-receiver-safe, so production
+// before admission, kernel delays fire on the request's goroutine just
+// before a top-k miss's View.TopK call. All methods are nil-receiver-safe, so production
 // code paths carry no conditionals beyond a pointer check.
 package chaos
 
@@ -29,10 +29,10 @@ type Config struct {
 	// jitter amplitudes.
 	Seed int64
 
-	// KernelDelay is added to every batched kernel dispatch — the knob
+	// KernelDelay is added to every top-k miss's kernel call — the knob
 	// that pins a test server's capacity to a known, machine-independent
 	// value. KernelJitter adds a deterministic pseudo-random extra in
-	// [0, KernelJitter) per dispatch.
+	// [0, KernelJitter) per call.
 	KernelDelay  time.Duration
 	KernelJitter time.Duration
 

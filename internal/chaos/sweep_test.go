@@ -21,7 +21,7 @@ import (
 
 // sweepServer boots a serving stack whose kernel cost is pinned by the
 // injector, so capacity is a property of the chaos config, not the
-// host: every batched top-k dispatch pays a deterministic 4ms.
+// host: every top-k miss's kernel call pays a deterministic 4ms.
 func sweepServer(t *testing.T) (*serve.Server, loadgen.Target, *chaos.Injector) {
 	t.Helper()
 	inj := chaos.New(chaos.Config{Seed: 7, KernelDelay: 4 * time.Millisecond})

@@ -28,20 +28,20 @@
 // every shard's range of each meta-path served from it — one index per
 // path, one diagonal, N cuts sharing W and Wᵀ. Every PathSim read is a View
 // method, so a read cannot miss its generation, and a superseded one is
-// freed when the last View holding it goes. TopK/BatchTopK scatter to
-// all shards — every shard scores its range of the query's row and
-// returns a local top-k — and the partials, each already sorted, merge
-// in the order the single-index scan selects by (pathsim.MergeTopK, a
-// k-way merge), which is what makes the merged answer bitwise-equal,
-// tie order included. A meta-path's ranges are built by Resolve, on the
+// freed when the last View holding it goes. TopK scatters to all
+// shards — every shard scores its range of the query's row and returns
+// a local top-k — and the partials, each already sorted, merge in the
+// order the single-index scan selects by (pathsim.MergeTopK, a k-way
+// merge), which is what makes the merged answer bitwise-equal, tie
+// order included. A meta-path's ranges are built by Resolve, on the
 // asking request's goroutine, before the first query over it.
 package cluster
 
 // ShardStats is one shard's observable state in the published View: its
 // epoch (the View's), partition geometry, the default-path index size
 // (pathsim.Index.NNZ over the shard's range: the skew signal), and load
-// counters — the PathSim reads (TopK, BatchTopK) the shard has taken
-// and is running; no other read reaches a shard.
+// counters — the PathSim reads (TopK) the shard has taken and is
+// running; no other read reaches a shard.
 type ShardStats struct {
 	ID       int    `json:"id"`
 	Epoch    int64  `json:"epoch"`

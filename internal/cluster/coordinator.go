@@ -266,41 +266,6 @@ func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []
 	return pairs, v.Epoch, nil
 }
 
-// BatchTopK is the batched scatter-gather: the whole query batch fans
-// out to every shard (each answering all queries over its own range, in
-// parallel internally), then each query's partials merge.
-func (v *View) BatchTopK(ctx context.Context, path string, xs []int, k int) ([][]pathsim.Pair, error) {
-	rs, err := v.ranges(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.FromContext(ctx)
-	partials := make([][][]pathsim.Pair, len(rs))
-	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
-		return sh.read(func() (err error) {
-			partials[i], err = rs[i].BatchTopKCtx(ctx, xs, k)
-			return err
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Next(sp, "merge")
-	out := partials[0] // one shard's partials are the answers
-	if len(rs) > 1 {
-		out = make([][]pathsim.Pair, len(xs))
-		parts := make([][]pathsim.Pair, len(rs))
-		for q := range xs {
-			for i := range rs {
-				parts[i] = partials[i][q]
-			}
-			out[q] = pathsim.MergeTopK(parts, k, nil)
-		}
-	}
-	tr.End(sp)
-	return out, nil
-}
-
 // defaultRanges builds every shard's range of the default path over net,
 // cut from one index over the whole author type. It runs as one job of a
 // write, so it cuts in turn rather than through scatter: a write is not

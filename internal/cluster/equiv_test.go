@@ -89,11 +89,8 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 	epoch := v.Epoch
 
 	for _, k := range []int{1, 10, dim} {
-		xs := make([]int, 12)
-		for i := range xs {
-			xs[i] = rng.Intn(dim)
-		}
-		for _, x := range xs[:6] {
+		for range 6 {
+			x := rng.Intn(dim)
 			got, ep, err := c.TopK(ctx, "", x, k)
 			if err != nil {
 				t.Fatalf("%s: TopK: %v", label, err)
@@ -102,17 +99,6 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, c *Coordinator, ref *Models,
 				t.Fatalf("%s: TopK answered at epoch %d, want %d", label, ep, epoch)
 			}
 			pairsEqual(t, full.TopK(x, k), got, fmt.Sprintf("%s TopK(x=%d,k=%d)", label, x, k))
-		}
-		batch, err := v.BatchTopK(ctx, "", xs, k)
-		if err != nil {
-			t.Fatalf("%s: BatchTopK: %v", label, err)
-		}
-		wantBatch, err := full.BatchTopKCtx(ctx, xs, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			pairsEqual(t, wantBatch[i], batch[i], fmt.Sprintf("%s BatchTopK[%d]", label, i))
 		}
 	}
 

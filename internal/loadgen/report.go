@@ -1,8 +1,7 @@
-// Reporting and capacity planning. The JSON report follows the same
-// conventions as cmd/benchjson's "hinet-bench/1" documents: a schema
+// Reporting and capacity planning. The JSON report carries a schema
 // tag, a context block (host facts + run parameters), and sorted
-// result entries, so downstream tooling can diff runs the same way it
-// diffs benchmark sweeps. The saturation sweep steps the offered rate
+// result entries, so downstream tooling can diff two runs entry by
+// entry. The saturation sweep steps the offered rate
 // geometrically and declares the knee at the first step that violates
 // the SLO — capacity is the last rate the server absorbed cleanly.
 
@@ -20,8 +19,7 @@ import (
 	"time"
 )
 
-// ReportSchema tags serving-load reports, versioned independently of
-// the micro-benchmark schema.
+// ReportSchema tags serving-load reports.
 const ReportSchema = "hinet-serve/1"
 
 // SLO is the service-level objective a run is judged against.

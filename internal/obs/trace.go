@@ -3,8 +3,8 @@
 // histograms, and a slow-query log.
 //
 // The serving tier (internal/serve) threads a Trace through every
-// request — admission wait, cache lookup, micro-batch coalescing,
-// meta-path resolution, kernel execution, serialization — and each
+// request — admission wait, meta-path resolution, cache lookup,
+// kernel execution, serialization — and each
 // finished span lands in a per-endpoint per-stage histogram. The same
 // Hist type backs the load generator's client-side measurements, so
 // client-observed and server-attributed latency are directly
@@ -319,9 +319,9 @@ func (t *Trace) Note(note string) {
 }
 
 // AddTimed records an already-measured child span of parent, ending
-// now and starting d earlier — how externally timed work (the batched
-// kernel call, measured by the batch's leader) is attributed to
-// the request's trace.
+// now and starting d earlier — how externally timed work (a shard's
+// part of a scatter, run on another goroutine) is attributed to the
+// request's trace.
 func (t *Trace) AddTimed(parent int, name string, d time.Duration) {
 	if t == nil || int(t.n) >= maxSpans {
 		return
@@ -435,7 +435,7 @@ func (t *Trace) Snapshot() *TraceJSON {
 type ctxKey struct{}
 
 // WithTrace returns a context carrying tr, for propagation into layers
-// that cannot see the request (snapshot resolution, the batcher).
+// that cannot see the request (snapshot resolution, the scatter).
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, tr)
 }

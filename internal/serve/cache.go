@@ -1,5 +1,5 @@
 // Sharded LRU result cache. Hot queries are answered straight from
-// memory without touching the batching queue or the index. Keys embed
+// memory without touching the index. Keys embed
 // the snapshot epoch (see Server.topK), so a snapshot swap leaves stale
 // entries unreachable; they age out of the LRU lists naturally instead
 // of requiring a flush. Sharding by key hash keeps lock contention flat

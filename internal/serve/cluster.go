@@ -20,16 +20,6 @@ import (
 	"hinet/internal/cluster"
 )
 
-// topKKernel is what the batcher dispatches a coalesced batch against:
-// one View.BatchTopK fan-out over a meta-path's range indexes in the
-// request's View. dim is the endpoint-type cardinality captured at
-// resolve time (the shards serve the View's own network).
-type topKKernel struct {
-	view *cluster.View
-	path string // resolved path string: batch-group, cache and View-memo key
-	dim  int
-}
-
 // Coordinator exposes the scatter-gather tier; tests and the CLI banner
 // reach shards through it.
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }

@@ -60,7 +60,7 @@ func (m *metrics) get(endpoint string) *endpointStats {
 // writeMetrics renders the Prometheus text exposition for /metrics:
 // snapshot identity, per-endpoint request counters and latency
 // histograms, per-stage duration histograms from the tracer, cache hit
-// rates, batching effectiveness, and process/pool runtime gauges. Every
+// rates, and process/pool runtime gauges. Every
 // generation value — the snapshot and hinet_cluster_*/hinet_shard_*
 // series alike — comes from one View, loaded once.
 func (s *Server) writeMetrics(w io.Writer) {
@@ -145,11 +145,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "hinet_brownouts_total %d\n", s.adm.brownouts.Load())
 	fmt.Fprintf(w, "hinet_degraded_responses_total %d\n", s.adm.degradedServed.Load())
 	fmt.Fprintf(w, "hinet_timeouts_total %d\n", s.adm.timeouts.Load())
-
-	fmt.Fprintf(w, "hinet_topk_batches_total %d\n", s.batch.batches.Load())
-	fmt.Fprintf(w, "hinet_topk_batched_queries_total %d\n", s.batch.queries.Load())
-	fmt.Fprintf(w, "hinet_topk_unique_queries_total %d\n", s.batch.unique.Load())
-	fmt.Fprintf(w, "hinet_topk_largest_batch %d\n", s.batch.largest.Load())
 
 	// Process and pool runtime gauges.
 	var ms runtime.MemStats

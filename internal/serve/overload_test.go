@@ -24,7 +24,7 @@ func slowChaos(kernel time.Duration) *chaos.Injector {
 
 // TestDeadlinePropagation: a request carrying timeout_ms shorter than
 // the kernel cost must come back 504 — the deadline is enforced through
-// admission → batcher → kernel dispatch, not just at the HTTP edge —
+// admission → kernel call, not just at the HTTP edge —
 // and be accounted in the timeouts counter.
 func TestDeadlinePropagation(t *testing.T) {
 	s := newTestServer(t, Options{ControlInterval: -1, Chaos: slowChaos(80 * time.Millisecond)})
@@ -189,9 +189,9 @@ func TestAIMDLimiter(t *testing.T) {
 
 // TestFloorHoldsNoLoneMiss: a squeezed limit admits fewer requests but
 // makes none of them slower. A lone uncached top-k miss at the floor —
-// one admitted heavy request, so nobody to share a batch with — costs
-// what it costs at the ceiling: nothing holds its batch open waiting
-// for a companion admission would not let in.
+// one admitted heavy request — costs what it costs at the ceiling:
+// nothing holds it back waiting for a companion admission would not
+// let in.
 func TestFloorHoldsNoLoneMiss(t *testing.T) {
 	s := newTestServer(t, Options{
 		MaxConcurrent: 8, SLOTargetP99: 10 * time.Millisecond, ControlInterval: -1,
@@ -226,7 +226,7 @@ func TestFloorHoldsNoLoneMiss(t *testing.T) {
 	floor := medianMiss()
 	t.Logf("median uncached miss: %v at the ceiling (%d), %v at the floor (%d)", ceiling, a.ceil, floor, a.floor)
 	if floor > ceiling+time.Millisecond {
-		t.Errorf("a lone miss takes %v at the floor against %v at the ceiling: it waited for a batch", floor, ceiling)
+		t.Errorf("a lone miss takes %v at the floor against %v at the ceiling: it waited for a companion", floor, ceiling)
 	}
 }
 
@@ -319,7 +319,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("second Shutdown took %v, want immediate", d)
 	}
-	// The batcher is gone: heavy queries fail with 503, not a hang.
+	// Misses are refused: heavy queries fail with 503, not a hang.
 	if code := get(t, s, "GET", "/v1/pathsim/topk?id=0&k=5", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown query = %d, want 503", code)
 	}
@@ -329,7 +329,7 @@ func TestShutdownIdempotent(t *testing.T) {
 // when a chaos-slowed kernel call is mid-flight.
 func TestShutdownBounded(t *testing.T) {
 	s := New(Options{Models: testConfig(), ControlInterval: -1, Chaos: slowChaos(300 * time.Millisecond)})
-	// Park a query in the batcher so a kernel dispatch is in flight.
+	// Park a query in its chaos delay so a kernel call is in flight.
 	go func() {
 		req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=5", nil)
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
@@ -346,16 +346,14 @@ func TestShutdownBounded(t *testing.T) {
 	if err == nil {
 		t.Log("shutdown finished inside the deadline (kernel completed first)")
 	}
-	// Let the in-flight batch (its leader is the blocked request) finish
-	// before the test returns.
+	// Let the in-flight miss finish before the test returns.
 	_ = s.Shutdown(context.Background())
 	time.Sleep(350 * time.Millisecond)
 }
 
-// TestClientDisconnectMidBatch: a client that vanishes while its query
-// is batched must not poison the shared batch result, leak its
-// admission slot, or wedge the batch its leader is running. Run under
-// -race in CI.
+// TestClientDisconnectMidBatch: a client that vanishes while its miss
+// is in its kernel delay must not poison the cached result or leak its
+// admission slot. Run under -race in CI.
 func TestClientDisconnectMidBatch(t *testing.T) {
 	s := newTestServer(t, Options{ControlInterval: -1, Chaos: slowChaos(40 * time.Millisecond)})
 
@@ -367,7 +365,7 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 		req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=5", nil).WithContext(ctx)
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	}()
-	time.Sleep(15 * time.Millisecond) // admitted, batched, kernel delayed
+	time.Sleep(15 * time.Millisecond) // admitted, kernel delayed
 	cancel()
 	wg.Wait()
 
@@ -380,7 +378,7 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 		t.Errorf("%d semaphore slots still held after disconnect", n)
 	}
 
-	// The same query answers correctly afterwards — the abandoned batch
+	// The same query answers correctly afterwards — the abandoned miss
 	// did not cache a partial or poisoned result.
 	req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=5", nil)
 	rec := httptest.NewRecorder()
@@ -394,57 +392,5 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 	}
 	if len(body.Results) == 0 {
 		t.Error("follow-up query returned no results")
-	}
-}
-
-// TestDisconnectedRiderDoesNotSinkCompanions: when two queries share a
-// batch and one client disconnects, the surviving rider still gets its
-// answer (the kernel is only abandoned when every rider is gone). The
-// riders queue behind held slots, so they share the next batch.
-func TestDisconnectedRiderDoesNotSinkCompanions(t *testing.T) {
-	s := newTestServer(t, Options{
-		CacheCapacity:   -1,
-		ControlInterval: -1,
-		Chaos:           slowChaos(40 * time.Millisecond),
-	})
-	wait := holdSlots(t, s)
-	defer wait()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=5", nil).WithContext(ctx)
-		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-	}()
-
-	var code int
-	var bodyBytes []byte
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=1&k=5", nil)
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		code = rec.Code
-		bodyBytes = rec.Body.Bytes()
-	}()
-	waitBatcher(t, s.batch, "both riders queued", func() bool { return len(s.batch.queue) == 2 })
-	waitBatcher(t, s.batch, "both riders in one batch", func() bool {
-		return len(s.batch.queue) == 0 && s.batch.free == s.batch.slots-1
-	})
-	cancel() // rider 1 vanishes
-	wg.Wait()
-
-	if code != 200 {
-		t.Fatalf("surviving rider got %d: %s", code, bodyBytes)
-	}
-	var body topKBody
-	if err := json.Unmarshal(bodyBytes, &body); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if len(body.Results) == 0 {
-		t.Error("surviving rider got an empty answer")
 	}
 }

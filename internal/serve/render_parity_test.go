@@ -218,12 +218,6 @@ func refStats(s *Server, snap *cluster.View) map[string]any {
 			"rejected":      s.ing.rejected.Load(),
 			"apply_seconds": time.Duration(s.ing.nanos.Load()).Seconds(),
 		},
-		"batch": map[string]uint64{
-			"batches": s.batch.batches.Load(),
-			"queries": s.batch.queries.Load(),
-			"unique":  s.batch.unique.Load(),
-			"largest": uint64(s.batch.largest.Load()),
-		},
 		"latency":            latency,
 		"cluster":            clusterStats,
 		"workers":            sparse.Parallelism(0),

@@ -407,7 +407,6 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"hinet_snapshot_epoch 1",
 		`hinet_http_requests_total{endpoint="/v1/pathsim/topk"} 1`,
-		"hinet_topk_batches_total 1",
 		"hinet_cache_misses_total 1",
 		"hinet_metapath_cache_hits_total",
 		"hinet_metapath_gram_products_total",

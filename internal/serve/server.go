@@ -24,9 +24,9 @@
 //   - a sharded LRU Cache (cache.go) answers hot queries from memory,
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
-//   - a micro-batching queue (batch.go) coalesces concurrent top-k
-//     queries into per-(generation, path) batched kernel calls that fan
-//     out over the shards and the shared sparse worker pool.
+//   - a top-k miss is one View.TopK call on the goroutine that asked
+//     (Server.topK): it scatters over the shards and merges, with no
+//     queue, dispatcher or batch in between.
 //
 // Every request is traced (internal/obs): the route wrapper mints one
 // span trace per request, handlers chain named stage spans through it,
@@ -140,12 +140,11 @@ func (o Options) withDefaults() Options {
 // cacheShards is the result cache's lock striping.
 const cacheShards = 16
 
-// Server wires the cluster tier, cache, batcher and admission
-// controller behind an http.Handler.
+// Server wires the cluster tier, cache and admission controller
+// behind an http.Handler.
 type Server struct {
 	opts  Options
 	cache *Cache
-	batch *batcher
 	met   *metrics
 	obs   *obs.Registry
 	ing   ingestStats
@@ -157,9 +156,12 @@ type Server struct {
 
 	coord *cluster.Coordinator // scatter-gather tier: every PathSim read and every write
 
+	closed   atomic.Bool // set by Shutdown: top-k misses fail with errShutdown
 	shutOnce sync.Once
 	shutErr  error
 }
+
+var errShutdown = errors.New("serve: server is shutting down")
 
 // ingestStats counts the ingestion write path (see /metrics and
 // /v1/stats).
@@ -172,7 +174,7 @@ type ingestStats struct {
 
 // New builds a server and materializes its first snapshot synchronously,
 // so the returned server is immediately healthy. Call Shutdown to stop
-// the admission controller and fail whatever the batcher still queues.
+// the admission controller and refuse further top-k misses.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	if opts.Workers > 0 {
@@ -214,7 +216,6 @@ func New(opts Options) *Server {
 	if s.coord, err = cluster.NewLocalCluster(shards, part, spec, nil, opts.Seed); err != nil {
 		panic("serve: boot: " + err.Error())
 	}
-	s.batch = newBatcher(opts.Chaos)
 	if opts.ControlInterval > 0 {
 		go s.controlLoop()
 	} else {
@@ -236,7 +237,7 @@ func New(opts Options) *Server {
 	s.obs.Family("/v1/rank").Declare("params", "rank", "render", "serialize")
 	s.obs.Family("/v1/clusters").Declare("params", "cluster", "score", "serialize")
 	s.obs.Family("/v1/pathsim/topk").Declare(
-		"admission", "params", "resolve", "query", "cache", "batch", "kernel", "render", "serialize")
+		"admission", "params", "resolve", "query", "cache", "kernel", "render", "serialize")
 	s.obs.Family("/v1/rebuild").Declare("admission", "params", "rebuild", "serialize")
 	s.obs.Family("/v1/ingest").Declare("admission", "decode", "apply", "serialize")
 
@@ -279,23 +280,19 @@ func (s *Server) Start() (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Shutdown drains in-flight HTTP requests, stops the admission
-// controller, fails the queued top-k followers and waits for the
-// batches in flight — every phase bounded by ctx's deadline, so a
-// wedged in-flight batch cannot hang the caller.
+// Shutdown drains in-flight HTTP requests (bounded by ctx's deadline),
+// stops the admission controller and refuses every later top-k miss
+// with errShutdown. A miss already past that check runs to its answer
+// on its own goroutine; there is nothing queued to fail or wait for.
 // Safe to call whether or not Start was used; idempotent: the second
 // and later calls are no-ops returning the first call's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
-		var err error
 		if s.hs != nil {
-			err = s.hs.Shutdown(ctx)
+			s.shutErr = s.hs.Shutdown(ctx)
 		}
 		s.adm.stop()
-		if berr := s.batch.stopCtx(ctx); err == nil {
-			err = berr
-		}
-		s.shutErr = err
+		s.closed.Store(true)
 	})
 	return s.shutErr
 }
@@ -359,7 +356,7 @@ func (s *Server) route(pattern, class string, h http.HandlerFunc) {
 		}
 		if heavy {
 			// Deadline propagation starts here: the ctx flows through
-			// admission → batcher → materialization → kernel dispatch.
+			// admission → materialization → kernel call.
 			if d := s.requestTimeout(r); d > 0 {
 				ctx, cancel := context.WithTimeout(r.Context(), d)
 				defer cancel()
@@ -575,53 +572,75 @@ func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.
 	}
 }
 
-// topK is the shared cache→batcher query path, also driven directly by
-// the serving benchmarks. The query runs against kern — a View and a
-// resolved path; the cache key carries the View's epoch and the path,
-// so neither a write nor a different path can ever serve a stale or
-// foreign answer. It returns the answer, the epoch it came from, and
-// whether it was a cache hit.
+// topK is the shared cache→kernel query path, also driven directly by
+// the serving benchmarks. The query runs against v's ranges of path, a
+// resolved path whose endpoint type has dim objects; the cache key
+// carries the View's epoch and the path, so neither a write nor a
+// different path can ever serve a stale or foreign answer. A miss is
+// one View.TopK call on the calling goroutine: misses on different
+// cores compute side by side and none waits for another. It returns the
+// answer, the epoch it came from, and whether it was a cache hit.
 //
 // A trace carried by ctx gets child spans under the caller's open span:
-// "cache" (noted hit/miss), then on a miss "batch" covering queue wait
-// plus compute, with a "kernel" child pinned to the batched kernel
-// call's wall time measured by the batch's leader.
-func (s *Server) topK(ctx context.Context, kern topKKernel, x, k int) ([]pathsim.Pair, int64, bool, error) {
+// "cache" (noted hit/miss), then on a miss "kernel".
+func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x, k int) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("cache")
-	key := cacheKey{kern.view.Epoch, kern.path, x, k}
+	key := cacheKey{v.Epoch, path, x, k}
 	if pairs, ok := s.cache.Get(key); ok {
 		tr.Note("hit")
 		tr.End(sp)
-		return pairs, kern.view.Epoch, true, nil
+		return pairs, v.Epoch, true, nil
 	}
 	tr.Note("miss")
-	sp = tr.Next(sp, "batch")
-	resp, err := s.batch.TopK(ctx, topKReq{x: x, k: k, kern: kern})
+	sp = tr.Next(sp, "kernel")
+	pairs, err := s.kernel(ctx, v, path, dim, x, k)
+	tr.End(sp)
 	if err != nil {
-		tr.End(sp)
 		return nil, 0, false, err
 	}
-	tr.AddTimed(sp, "kernel", resp.kernel)
-	tr.End(sp)
-	// Batch results alias one shared arena (pathsim.BatchTopKCtx); clone
-	// before caching so one retained entry cannot pin its whole batch's
-	// backing array for the cache entry's lifetime. Without a cache
-	// nothing outlives the request, and the arena's slice is the answer.
-	pairs := resp.pairs
-	if s.cache != nil {
-		pairs = slices.Clone(pairs)
-		s.cache.Put(key, pairs)
-	}
-	return pairs, kern.view.Epoch, false, nil
+	s.cache.Put(key, pairs) // View.TopK's answer is its own slice: nothing else holds it
+	return pairs, v.Epoch, false, nil
 }
 
-// TopK is the exported form of the cached, batched query path, against
-// the live generation's default (APVPA) index, scatter-gathered across
-// the shards.
+// kernel answers one top-k miss. A server shutting down refuses it, an
+// id outside the endpoint type fails it, and a context that is done —
+// also while a chaos kernel delay runs — abandons it before the call.
+// The call runs under kernelCtx, so its scatter stays off the request's
+// trace, whose "kernel" span times it whole.
+func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, x, k int) ([]pathsim.Pair, error) {
+	if s.closed.Load() {
+		return nil, errShutdown
+	}
+	if x < 0 || x >= dim {
+		return nil, fmt.Errorf("serve: id %d out of range [0,%d)", x, dim)
+	}
+	if d := s.opts.Chaos.KernelDelay(); d > 0 {
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return v.TopK(kernelCtx{ctx}, path, x, k)
+}
+
+// kernelCtx is the context a miss's kernel call runs under: done when
+// the request is, and carrying none of its values.
+type kernelCtx struct{ context.Context }
+
+func (kernelCtx) Value(any) any { return nil }
+
+// TopK is the exported form of the cached query path, against the live
+// generation's default (APVPA) index, scatter-gathered across the
+// shards.
 func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
 	v := s.coord.View()
-	pairs, _, hit, err = s.topK(ctx, topKKernel{v, pathAPVPAKey, v.IndexDim}, x, k)
+	pairs, _, hit, err = s.topK(ctx, v, pathAPVPAKey, v.IndexDim, x, k)
 	return pairs, hit, err
 }
 
@@ -710,12 +729,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *clust
 	jw.key("windowed_p99_us").float(float64(s.adm.windowedP99.Load()) / 1e3)
 	jw.endObject()
 	jw.key("admission_rejected").unsigned(s.rejAd.Load())
-	jw.key("batch").beginObject()
-	jw.key("batches").unsigned(s.batch.batches.Load())
-	jw.key("largest").unsigned(uint64(s.batch.largest.Load()))
-	jw.key("queries").unsigned(s.batch.queries.Load())
-	jw.key("unique").unsigned(s.batch.unique.Load())
-	jw.endObject()
 	jw.key("build_seconds").float(snap.BuildTime.Seconds())
 	jw.key("built_at").str(snap.BuiltAt.UTC().Format(time.RFC3339Nano))
 	jw.key("cache").beginObject() // CacheStats field order
@@ -905,8 +918,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
 	// Any parse/schema/symmetry problem is the client's, hence 400. The
 	// View builds every shard's range of a new path here, on this
-	// request's goroutine — never inside a batch's kernel call, where a
-	// cold build would stall every rider of the batch — and memoizes them,
+	// request's goroutine, before its kernel call — and memoizes them,
 	// so repeat queries pay one lookup (the resolve span's note
 	// says which way it went: prebuilt, cached, or built). A degraded
 	// server starts no materializations: a path not already built sheds.
@@ -987,7 +999,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 		tr.Note("hit")
 		tr.End(sp2)
 		pairs, epoch, hit = cached, snap.Epoch, true
-	} else if pairs, epoch, hit, err = s.topK(ctx, topKKernel{snap, pathKey, dim}, x, k); err != nil {
+	} else if pairs, epoch, hit, err = s.topK(ctx, snap, pathKey, dim, x, k); err != nil {
 		var ce *cluster.ClientError
 		switch {
 		case errors.As(err, &ce):
@@ -1005,7 +1017,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 		}
 		return
 	}
-	source := "batch"
+	source := "batch" // computed for this request, not read from the cache
 	if hit {
 		source = "cache"
 	}

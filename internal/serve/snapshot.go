@@ -24,7 +24,7 @@ import (
 var (
 	pathAPVPA    = cluster.PathAPVPA
 	pathAPA      = cluster.PathAPA
-	pathAPVPAKey = pathAPVPA.String() // the default path's batch-group and cache key
+	pathAPVPAKey = pathAPVPA.String() // the default path's cache key
 )
 
 // ModelConfig controls what a generation materializes.

@@ -250,7 +250,7 @@ func TestStatsLatencyShape(t *testing.T) {
 		}
 	}
 	topk := body.Latency["/v1/pathsim/topk"]
-	for _, stage := range []string{"admission", "params", "resolve", "query", "cache", "batch", "kernel", "render", "serialize"} {
+	for _, stage := range []string{"admission", "params", "resolve", "query", "cache", "kernel", "render", "serialize"} {
 		if _, ok := topk.Stages[stage]; !ok {
 			t.Errorf("topk latency missing stage %s", stage)
 		}
