@@ -6,11 +6,15 @@
 //	go test -bench=. -benchmem
 //
 // regenerates both the performance and the quality side of every
-// experiment. cmd/experiments prints the same tables in full.
+// experiment. cmd/experiments prints the same tables in full. Beside
+// them sit the sparse kernels timed serial against parallel and the
+// load generator's schedule synthesis, which the serving benchmark
+// does not reach. What the server runs — PathSim top-k, the cache,
+// the cluster tier, ingestion, PageRank, commuting matrices — is timed
+// once, by the ladder and workloads of `sh bench/run.sh`.
 package hinet_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -18,7 +22,6 @@ import (
 	"time"
 
 	"hinet/internal/classify"
-	"hinet/internal/cluster"
 	"hinet/internal/core"
 	"hinet/internal/crossmine"
 	"hinet/internal/dblp"
@@ -26,7 +29,6 @@ import (
 	"hinet/internal/experiments"
 	"hinet/internal/flickr"
 	"hinet/internal/hin"
-	"hinet/internal/ingest"
 	"hinet/internal/kmeans"
 	"hinet/internal/linkclus"
 	"hinet/internal/loadgen"
@@ -37,7 +39,6 @@ import (
 	"hinet/internal/rank"
 	"hinet/internal/relational"
 	"hinet/internal/scan"
-	"hinet/internal/serve"
 	"hinet/internal/simrank"
 	"hinet/internal/sparse"
 	"hinet/internal/spectral"
@@ -330,50 +331,6 @@ func BenchmarkE12PathSim(b *testing.B) {
 	report(b, experiments.E12PathSim(1))
 }
 
-// BenchmarkCommutingMatrix measures the meta-path engine against the
-// pre-engine baseline on the APVPA chain of the default synthetic DBLP
-// corpus — an asymmetric-size chain (≈800 authors × 2000 papers × 20
-// venues) where association order dominates cost:
-//
-//   - naive:   strict left-to-right product of Relation matrices (what
-//     hin.CommutingMatrix did before the engine existed);
-//   - planned: the engine on a cold cache each iteration — DP-chosen
-//     association order plus half-path Gram factorization;
-//   - cached:  the engine on a warm cache — a repeated path query is a
-//     canonical-key lookup.
-func BenchmarkCommutingMatrix(b *testing.B) {
-	c := dblp.Generate(stats.NewRNG(1), dblp.Config{})
-	path := hin.MetaPath{dblp.TypeAuthor, dblp.TypePaper, dblp.TypeVenue, dblp.TypePaper, dblp.TypeAuthor}
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := c.Net.Relation(path[0], path[1])
-			for j := 1; j < len(path)-1; j++ {
-				m = m.Mul(c.Net.Relation(path[j], path[j+1]))
-			}
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		eng := c.Net.PathEngine()
-		for i := 0; i < b.N; i++ {
-			eng.Reset()
-			if _, err := c.Net.CommutingMatrixE(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		if _, err := c.Net.CommutingMatrixE(path); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Net.CommutingMatrixE(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- E13: CrossMine ----------------------------------------------------
 
 func BenchmarkE13CrossMine(b *testing.B) {
@@ -652,302 +609,6 @@ func BenchmarkRowNormalized(b *testing.B) {
 			})
 		})
 	}
-}
-
-// --- top-k selection vs row population --------------------------------
-
-// topKIndexes builds the two row-shape regimes the selection must win
-// on: the APVPA index (venue-mediated — authors of an area form a
-// near-clique, so rows are dense) and the APA co-author index (rows
-// hold only direct collaborators, so they are sparse).
-func topKIndexes(b *testing.B) (dense, sparseIx *pathsim.Index) {
-	b.Helper()
-	c := dblp.Generate(stats.NewRNG(1), dblp.Config{})
-	dense = pathsim.NewIndex(c.Net, hin.MetaPath{
-		dblp.TypeAuthor, dblp.TypePaper, dblp.TypeVenue, dblp.TypePaper, dblp.TypeAuthor,
-	})
-	sparseIx = pathsim.NewIndex(c.Net, hin.MetaPath{
-		dblp.TypeAuthor, dblp.TypePaper, dblp.TypeAuthor,
-	})
-	return dense, sparseIx
-}
-
-// BenchmarkTopK measures single-query top-k selection at k well below
-// and near typical row populations, on dense and sparse rows. The
-// threshold selection is O(m + k·log k) per population-m row where a
-// full sort pays O(m·log m).
-func BenchmarkTopK(b *testing.B) {
-	dense, sparseIx := topKIndexes(b)
-	for _, tc := range []struct {
-		name string
-		ix   *pathsim.Index
-	}{{"dense-rows", dense}, {"sparse-rows", sparseIx}} {
-		n := tc.ix.Dim()
-		for _, k := range []int{10, 100} {
-			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
-				b.ReportMetric(float64(tc.ix.NNZ())/float64(n), "avgRowNNZ")
-				for i := 0; i < b.N; i++ {
-					tc.ix.TopK(i%n, k)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBatchTopK measures the bulk entry point (one query per
-// author): all results are carved from a single arena, so allocs/op
-// stays O(1) per batch regardless of batch size or row population.
-func BenchmarkBatchTopK(b *testing.B) {
-	dense, sparseIx := topKIndexes(b)
-	for _, tc := range []struct {
-		name string
-		ix   *pathsim.Index
-	}{{"dense-rows", dense}, {"sparse-rows", sparseIx}} {
-		queries := make([]int, tc.ix.Dim())
-		for i := range queries {
-			queries[i] = i
-		}
-		for _, k := range []int{10, 100} {
-			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := tc.ix.BatchTopKCtx(context.Background(), queries, k); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPageRankFused measures the fused PageRank path: "full" runs
-// the whole call (RowInvSums once, no row-stochastic matrix copy);
-// "iteration" isolates one steady-state power iteration, which with the
-// fused MulVecTNorm kernel allocates nothing.
-func BenchmarkPageRankFused(b *testing.B) {
-	g := netgen.BarabasiAlbert(stats.NewRNG(1), 3000, 3)
-	adj := g.Adjacency()
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rank.PageRank(adj, rank.Options{})
-		}
-	})
-	b.Run("iteration", func(b *testing.B) {
-		n := adj.Rows()
-		inv := adj.RowInvSums()
-		x := make([]float64, n)
-		next := make([]float64, n)
-		for i := range x {
-			x[i] = 1 / float64(n)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			adj.MulVecTNorm(x, inv, next)
-			x, next = next, x
-		}
-	})
-}
-
-// BenchmarkPathSimBatchTopK measures bulk similarity serving through
-// the parallel engine (one TopK per author over the APVPA index).
-func BenchmarkPathSimBatchTopK(b *testing.B) {
-	c := dblp.Generate(stats.NewRNG(1), dblp.Config{
-		VenuesPerArea: 3, AuthorsPerArea: 60, TermsPerArea: 40,
-		SharedTerms: 20, Papers: 800,
-	})
-	path := hin.MetaPath{dblp.TypeAuthor, dblp.TypePaper, dblp.TypeVenue, dblp.TypePaper, dblp.TypeAuthor}
-	ix := pathsim.NewIndex(c.Net, path)
-	// 10 query rounds over every author push the batch's work estimate
-	// past the serial threshold, so the parallel mode actually
-	// exercises the parallel fan-out rather than the serial fallback.
-	na := c.Net.Count(dblp.TypeAuthor)
-	queries := make([]int, 10*na)
-	for i := range queries {
-		queries[i] = i % na
-	}
-	benchModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.BatchTopKCtx(context.Background(), queries, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- serving layer: cold vs cached vs concurrent top-k ---------------
-
-// newBenchServer builds a serving stack over an 800-paper corpus.
-// cacheCap < 0 disables the result cache so every query pays the full
-// index scan.
-func newBenchServer(b *testing.B, cacheCap int) *serve.Server {
-	b.Helper()
-	srv := serve.New(serve.Options{
-		Seed:          1,
-		CacheCapacity: cacheCap,
-		Models: serve.ModelConfig{Corpus: dblp.Config{
-			VenuesPerArea: 3, AuthorsPerArea: 60, TermsPerArea: 40,
-			SharedTerms: 20, Papers: 800,
-		}},
-	})
-	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
-	return srv
-}
-
-// BenchmarkServeTopK serves the same hot query stream (an 8-id working
-// set, k=10) three ways: uncached sequential singles (every query pays
-// the full index scan), cache hits, and "batched" — concurrent uncached
-// clients, each miss one kernel call on its own goroutine, so misses on
-// different cores compute side by side. The sub-benchmark keeps its
-// name so benchmark filters stay stable. Cached must beat uncached.
-func BenchmarkServeTopK(b *testing.B) {
-	const hotSet = 8
-	ctx := context.Background()
-	b.Run("uncached", func(b *testing.B) {
-		srv := newBenchServer(b, -1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := srv.TopK(ctx, i%hotSet, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		srv := newBenchServer(b, 8192)
-		for x := 0; x < hotSet; x++ { // warm the working set
-			if _, _, err := srv.TopK(ctx, x, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := srv.TopK(ctx, i%hotSet, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		srv := newBenchServer(b, -1)
-		b.SetParallelism(32) // 32×GOMAXPROCS concurrent clients
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := rand.Int()
-			for pb.Next() {
-				if _, _, err := srv.TopK(ctx, i%hotSet, 10); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-	})
-}
-
-// --- Sharded scatter-gather tier -------------------------------------
-
-// BenchmarkClusterTopK measures the scatter-gather top-k path through
-// the in-process sharded coordinator at 1, 2, and 4 shards on the same
-// 800-paper corpus BenchmarkServeTopK uses. Each query scatters to all
-// shards (each scans only its nnz-balanced column slice of the APVPA
-// index) and the coordinator merges the partials; the single-shard rows
-// are the scatter-gather overhead baseline — one shard scans the whole
-// index, so any gap versus multi-shard rows is pure fan-out/merge cost.
-func BenchmarkClusterTopK(b *testing.B) {
-	ctx := context.Background()
-	spec := cluster.ModelSpec{Corpus: dblp.Config{
-		VenuesPerArea: 3, AuthorsPerArea: 60, TermsPerArea: 40,
-		SharedTerms: 20, Papers: 800,
-	}}
-	// One full index up front supplies the row-nnz weights the
-	// nnz-balanced partitioner needs (the same weights `hinet serve
-	// -shards N` reads off the store's snapshot).
-	full := cluster.BuildModels(1, spec)
-	path := cluster.PathAPVPA
-	dim := full.PathSim.Dim()
-	for _, shards := range []int{1, 2, 4} {
-		part := cluster.PartitionByNNZ(string(path[0]), dim, shards, full.PathSim.M.RowNNZ)
-		coord, err := cluster.NewLocalCluster(shards, part, spec, nil, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		view := coord.View()
-		for _, k := range []int{10, 100} {
-			b.Run(fmt.Sprintf("shards=%d/k=%d", shards, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := view.TopK(ctx, path.String(), i%dim, k); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Incremental ingestion & delta rebuild ---------------------------
-
-// BenchmarkDeltaApply measures the copy-on-write CSR delta merge
-// against the from-scratch rebuild it replaces: a 1% coordinate batch
-// merged into the large kernel matrix (≈1M nnz) versus rebuilding the
-// matrix from its full coordinate list. The acceptance target for the
-// ingestion subsystem is delta ≥ 5× faster than rebuild.
-func BenchmarkDeltaApply(b *testing.B) {
-	sc := kernelScales[2] // large-1M
-	rng := rand.New(rand.NewSource(int64(sc.n)))
-	coords := make([]sparse.Coord, 0, sc.n*sc.deg)
-	for r := 0; r < sc.n; r++ {
-		for j := 0; j < sc.deg; j++ {
-			coords = append(coords, sparse.Coord{Row: r, Col: rng.Intn(sc.n), Val: float64(1 + rng.Intn(4))})
-		}
-	}
-	m := sparse.NewFromCoords(sc.n, sc.n, coords)
-	delta := make([]sparse.Coord, len(coords)/100)
-	for i := range delta {
-		if i%2 == 0 {
-			// Half the batch perturbs existing entries.
-			e := coords[rng.Intn(len(coords))]
-			delta[i] = sparse.Coord{Row: e.Row, Col: e.Col, Val: 1}
-		} else {
-			delta[i] = sparse.Coord{Row: rng.Intn(sc.n), Col: rng.Intn(sc.n), Val: 1}
-		}
-	}
-	all := append(append([]sparse.Coord(nil), coords...), delta...)
-	b.Run("delta-1pct", func(b *testing.B) {
-		b.ReportMetric(float64(len(delta)), "delta-coords")
-		for i := 0; i < b.N; i++ {
-			m.ApplyDelta(delta)
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.NewFromCoords(sc.n, sc.n, all)
-		}
-	})
-}
-
-// BenchmarkIngest measures the serving layer's two paths to a new
-// generation on the default DBLP-scale corpus: cluster.IngestModels of
-// a 1% paper-arrival batch (copy-on-write clone, merged relations,
-// meta-path products patched from the previous generation's — or, past
-// a quarter of the rows dirty, rebuilt — warm-started PageRank and
-// HITS, carried-over cluster models) versus the full
-// cluster.BuildModels that POST /v1/rebuild runs.
-func BenchmarkIngest(b *testing.B) {
-	spec := cluster.ModelSpec{}
-	m := cluster.BuildModels(1, spec)
-	papers := m.Corpus.Net.Count(dblp.TypePaper)
-	batch := ingest.SamplePapers(m.Corpus, stats.NewRNG(77), papers/100)
-	b.Run(fmt.Sprintf("delta-%dpapers", papers/100), func(b *testing.B) {
-		b.ReportMetric(float64(len(batch)), "deltas")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if m, _, err = cluster.IngestModels(m, batch, false, spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cluster.BuildModels(int64(i+2), spec)
-		}
-	})
 }
 
 // --- Load generation -------------------------------------------------

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
@@ -225,69 +224,6 @@ func TestShardedServeParity(t *testing.T) {
 		t.Fatalf("coordinator epoch %d after rebuild, want 3", ep)
 	}
 	compare("epoch3")
-}
-
-// TestColdPathBuildOffDispatcher: the first query over a new meta-path
-// materializes it under its own request's resolve span, on that
-// request's goroutine — so default-path queries issued meanwhile are
-// answered while the build is still running, not queued behind it in
-// a batch.
-func TestColdPathBuildOffDispatcher(t *testing.T) {
-	s := newTestServer(t, Options{Seed: 1, Shards: 3, CacheCapacity: -1, ControlInterval: -1,
-		Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}}})
-	cold := make(chan *obs.TraceJSON, 1)
-	go func() {
-		var body struct {
-			Trace *obs.TraceJSON `json:"trace"`
-		}
-		code, out := do(t, s, "GET", "/v1/pathsim/topk?path=A-P-T-P-A&id=0&k=10&debug=1", "")
-		if err := json.Unmarshal([]byte(out), &body); code != 200 || err != nil || body.Trace == nil {
-			t.Errorf("cold path query = %d (%v): %s", code, err, out)
-			body.Trace = &obs.TraceJSON{}
-		}
-		cold <- body.Trace
-	}()
-	// Default-path queries, back to back, until the cold one is done.
-	type span struct{ from, to time.Time }
-	var quick []span
-	var tr *obs.TraceJSON
-	for i := 0; tr == nil; i++ {
-		from := time.Now()
-		if code := get(t, s, "GET", "/v1/pathsim/topk?id="+itoa(i%4000)+"&k=10", nil); code != 200 {
-			t.Fatalf("default path query = %d", code)
-		}
-		quick = append(quick, span{from, time.Now()})
-		select {
-		case tr = <-cold:
-		default:
-		}
-	}
-	begin, err := time.Parse(time.RFC3339Nano, tr.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range tr.Stages {
-		if sp.Stage != "resolve" {
-			continue
-		}
-		if sp.Note != "built" {
-			t.Fatalf("resolve note = %q, want built", sp.Note)
-		}
-		from := begin.Add(time.Duration(sp.StartUS * 1e3))
-		to := from.Add(time.Duration(sp.DurUS * 1e3))
-		during := 0
-		for _, q := range quick {
-			if !q.from.Before(from) && !q.to.After(to) {
-				during++
-			}
-		}
-		t.Logf("cold build took %.1f ms under resolve; %d default-path queries started and finished inside it", sp.DurUS/1e3, during)
-		if during < 3 {
-			t.Fatalf("%d default-path queries completed during the %.1f ms cold build, want >= 3: it blocked them", during, sp.DurUS/1e3)
-		}
-		return
-	}
-	t.Fatal("cold path trace has no resolve span")
 }
 
 var shardLoadCounters = regexp.MustCompile(`"queries": \d+|hinet_cluster_scatters_total \d+`)

@@ -2,13 +2,18 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hinet/internal/dblp"
+	"hinet/internal/obs"
 )
 
 // TestConcurrentTopKRace hammers the miss path from many
@@ -262,4 +267,73 @@ func TestTopKRacingShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("callers still blocked 5s after Shutdown returned")
 	}
+}
+
+// TestColdPathBuildOffDispatcher: the first query over a new meta-path
+// materializes it under its own request's resolve span, on that
+// request's goroutine — so default-path queries issued meanwhile are
+// answered while the build is still running, not queued behind it. At
+// one core that holds because the build's SpGEMM yields at its
+// row-block checkpoints, which a request's context enables: the cold
+// request carries a cancelable one, as net/http gives every request.
+func TestColdPathBuildOffDispatcher(t *testing.T) {
+	s := newTestServer(t, Options{Seed: 1, CacheCapacity: -1, ControlInterval: -1,
+		Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}}})
+	cold := make(chan *obs.TraceJSON, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		var body struct {
+			Trace *obs.TraceJSON `json:"trace"`
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/pathsim/topk?path=A-P-T-P-A&id=0&k=10&debug=1", nil).WithContext(ctx))
+		code, out := rec.Code, rec.Body.String()
+		if err := json.Unmarshal([]byte(out), &body); code != 200 || err != nil || body.Trace == nil {
+			t.Errorf("cold path query = %d (%v): %s", code, err, out)
+			body.Trace = &obs.TraceJSON{}
+		}
+		cold <- body.Trace
+	}()
+	// Default-path queries, back to back, until the cold one is done.
+	type span struct{ from, to time.Time }
+	var quick []span
+	var tr *obs.TraceJSON
+	for i := 0; tr == nil; i++ {
+		from := time.Now()
+		if code := get(t, s, "GET", "/v1/pathsim/topk?id="+itoa(i%4000)+"&k=10", nil); code != 200 {
+			t.Fatalf("default path query = %d", code)
+		}
+		quick = append(quick, span{from, time.Now()})
+		select {
+		case tr = <-cold:
+		default:
+		}
+	}
+	begin, err := time.Parse(time.RFC3339Nano, tr.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Stages {
+		if sp.Stage != "resolve" {
+			continue
+		}
+		if sp.Note != "built" {
+			t.Fatalf("resolve note = %q, want built", sp.Note)
+		}
+		from := begin.Add(time.Duration(sp.StartUS * 1e3))
+		to := from.Add(time.Duration(sp.DurUS * 1e3))
+		during := 0
+		for _, q := range quick {
+			if !q.from.Before(from) && !q.to.After(to) {
+				during++
+			}
+		}
+		t.Logf("cold build took %.1f ms under resolve; %d default-path queries started and finished inside it", sp.DurUS/1e3, during)
+		if during < 3 {
+			t.Fatalf("%d default-path queries completed during the %.1f ms cold build, want >= 3: it blocked them", during, sp.DurUS/1e3)
+		}
+		return
+	}
+	t.Fatal("cold path trace has no resolve span")
 }

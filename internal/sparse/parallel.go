@@ -454,6 +454,19 @@ func chanClosed(done <-chan struct{}) bool {
 	}
 }
 
+// checkpoint is a SpGEMM row-block checkpoint under a cancelable ctx:
+// it reports whether done is closed and, if not, yields the processor.
+// A product built for a request (a cold path= index) then shares one
+// core with the reads beside it instead of holding it until async
+// preemption; products without a ctx (a write's) never get here.
+func checkpoint(done <-chan struct{}) bool {
+	if chanClosed(done) {
+		return true
+	}
+	runtime.Gosched()
+	return false
+}
+
 // ParRangeCtx is ParRange with cooperative cancellation: ctx is polled
 // before each block, and once it is done the remaining blocks are
 // skipped. Blocks already dispatched still run to completion — bodies

@@ -640,7 +640,7 @@ func (m *Matrix) mulRange(b *Matrix, lo, hi int, done <-chan struct{}) mulPart {
 		// poll never shows up in kernel profiles. A cancelled call
 		// returns a truncated part; the dispatcher (mul) detects the
 		// closed channel and discards every part before assembly.
-		if done != nil && (r-lo)&63 == 63 && chanClosed(done) {
+		if done != nil && (r-lo)&63 == 63 && checkpoint(done) {
 			break
 		}
 		touched = touched[:0]
@@ -802,7 +802,7 @@ func (m *Matrix) gramRange(t *Matrix, lo, hi int, done <-chan struct{}) mulPart 
 	for r := lo; r < hi; r++ {
 		// Same cancellation checkpoint as mulRange: truncated parts are
 		// discarded by gram before assembly.
-		if done != nil && (r-lo)&63 == 63 && chanClosed(done) {
+		if done != nil && (r-lo)&63 == 63 && checkpoint(done) {
 			break
 		}
 		touched = touched[:0]
