@@ -164,4 +164,18 @@ func TestWriteProm(t *testing.T) {
 	if strings.Contains(out, "{,") || strings.Contains(out, "{}") {
 		t.Fatalf("stray label separators in unlabeled exposition:\n%s", out)
 	}
+
+	// A scrape between Observe's bucket add and its count add: the
+	// buckets already hold an observation the total does not. +Inf and
+	// _count must still be at least the last finite bucket.
+	torn := NewHist()
+	torn.Observe(time.Millisecond)
+	torn.counts[histBuckets-1].Add(1) // an Observe that has not reached n yet
+	var tb bytes.Buffer
+	torn.WriteProm(&tb, "z_seconds", "")
+	lines := strings.Split(strings.TrimSpace(tb.String()), "\n")
+	last, inf, count := lines[histOctaves-1], lines[histOctaves], lines[histOctaves+2]
+	if !strings.HasSuffix(last, "} 2") || inf != `z_seconds_bucket{le="+Inf"} 2` || count != "z_seconds_count 2" {
+		t.Fatalf("torn scrape breaks the cumulative rule:\n%s\n%s\n%s", last, inf, count)
+	}
 }

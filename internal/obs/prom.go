@@ -24,9 +24,9 @@ var promBounds = func() [histOctaves]float64 {
 
 // WriteProm renders the histogram as one Prometheus histogram series:
 // cumulative <name>_bucket lines per octave bound plus +Inf, then
-// <name>_sum (seconds) and <name>_count. labels is the inner label
-// list without braces (e.g. `endpoint="/v1/rank"`); empty means no
-// labels.
+// <name>_sum (seconds) and <name>_count (equal to +Inf). labels is the
+// inner label list without braces (e.g. `endpoint="/v1/rank"`); empty
+// means no labels.
 func (h *Hist) WriteProm(w io.Writer, name, labels string) {
 	sep := ""
 	if labels != "" {
@@ -40,15 +40,17 @@ func (h *Hist) WriteProm(w io.Writer, name, labels string) {
 		}
 		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatBound(promBounds[o]), cum)
 	}
-	total := h.n.Load()
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, total)
+	// +Inf and _count are the buckets just read, not h.n: Observe adds
+	// to a bucket before it adds to n, so a scrape between the two adds
+	// would print +Inf below the last finite bucket.
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
 	if labels == "" {
 		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum().Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", name, total)
+		fmt.Fprintf(w, "%s_count %d\n", name, cum)
 		return
 	}
 	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.Sum().Seconds())
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, total)
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
 }
 
 // formatBound renders a bound the way %g would, used for both the

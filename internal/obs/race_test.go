@@ -13,10 +13,9 @@ import (
 // -race (the CI race job includes this package); the assertions
 // themselves are sanity floors, the race detector is the real check.
 func TestConcurrentTraceAndScrape(t *testing.T) {
-	reg := NewRegistry(Options{Recent: 16, Slowest: 8})
-	for _, ep := range []string{"/a", "/b"} {
-		reg.Family(ep).Declare("parse", "work", "serialize")
-	}
+	stages := []string{"parse", "work", "serialize"}
+	reg := NewRegistry(Endpoint{"/a", stages}, Endpoint{"/b", stages})
+	reg.log = newSlowlog(16, 8)
 
 	const writers, perWriter = 8, 300
 	var wWG, sWG sync.WaitGroup
@@ -31,7 +30,7 @@ func TestConcurrentTraceAndScrape(t *testing.T) {
 				ep = "/b"
 			}
 			for i := 0; i < perWriter; i++ {
-				tr := reg.StartTrace(ep)
+				tr := reg.Family(ep).StartTrace()
 				sp := tr.Start("parse")
 				sp = tr.Next(sp, "work")
 				tr.Note("hit")

@@ -7,7 +7,7 @@ import (
 
 // finish runs one trace of exactly dur under the fake clock.
 func finish(reg *Registry, clk *fakeClock, endpoint string, dur time.Duration, status int) {
-	tr := reg.StartTrace(endpoint)
+	tr := reg.Family(endpoint).StartTrace()
 	clk.advance(dur)
 	tr.Finish(status)
 }
@@ -18,7 +18,7 @@ func finish(reg *Registry, clk *fakeClock, endpoint string, dur time.Duration, s
 // listings come back sorted (newest first, slowest first).
 func TestSlowlogEvictionOrder(t *testing.T) {
 	clk := newFakeClock()
-	reg := regWith(clk, 4, 3)
+	reg := regWith(clk, 4, 3, Endpoint{Name: "/x"})
 
 	durs := []time.Duration{
 		50 * time.Millisecond,
@@ -90,7 +90,7 @@ func TestSlowlogEvictionOrder(t *testing.T) {
 // listed stably.
 func TestSlowlogTies(t *testing.T) {
 	clk := newFakeClock()
-	reg := regWith(clk, 8, 2)
+	reg := regWith(clk, 8, 2, Endpoint{Name: "/a"}, Endpoint{Name: "/b"}, Endpoint{Name: "/c"})
 	finish(reg, clk, "/a", 10*time.Millisecond, 200)
 	finish(reg, clk, "/b", 10*time.Millisecond, 200)
 	finish(reg, clk, "/c", 10*time.Millisecond, 200)

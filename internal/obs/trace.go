@@ -2,14 +2,18 @@
 // tracer with context propagation, lock-free log-bucketed latency
 // histograms, and a slow-query log.
 //
-// The serving tier (internal/serve) threads a Trace through every
-// request — admission wait, meta-path resolution, cache lookup,
-// kernel execution, serialization — and each
-// finished span lands in a per-endpoint per-stage histogram. The same
-// Hist type backs the load generator's client-side measurements, so
+// The serving tier (internal/serve) hands NewRegistry its endpoints and
+// their stage plans once, at boot: each endpoint gets a Family that
+// owns its request count, error count and latency histogram, plus one
+// histogram per planned stage. Nothing is created afterwards, so the
+// registry needs no lock and the /metrics series set cannot drift. A
+// Trace is threaded through every request — admission wait, meta-path
+// resolution, cache lookup, kernel execution, serialization — and each
+// finished span lands in its family's stage histogram. The same Hist
+// type backs the load generator's client-side measurements, so
 // client-observed and server-attributed latency are directly
-// comparable. Completed traces are retained in fixed-size rings (the N
-// most recent and the N slowest, see Slowlog) and served as JSON span
+// comparable. Completed traces are retained in fixed-size rings (the
+// most recent and the slowest, see Slowlog) and served as JSON span
 // trees at /v1/debug/slowlog.
 //
 // The design optimizes the hot path: one heap allocation per trace
@@ -21,7 +25,8 @@ package obs
 import (
 	"context"
 	"slices"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,87 +39,68 @@ const maxSpans = 24
 // parented to the deepest tracked ancestor.
 const maxDepth = 8
 
-// Options configures a Registry.
-type Options struct {
-	Clock   func() time.Time // injected clock (default time.Now; tests pin it)
-	Recent  int              // most-recent completed traces retained (default 64)
-	Slowest int              // slowest completed traces retained (default 32)
+// The slowlog's ring sizes: the most recent and the slowest completed
+// traces retained.
+const (
+	keepRecent  = 64
+	keepSlowest = 32
+)
+
+// Endpoint is one served endpoint and its stage plan: the span names
+// its handler opens that are aggregated into histograms. Spans whose
+// name is not in the plan are kept in the trace tree only.
+type Endpoint struct {
+	Name   string
+	Stages []string
 }
 
-// Registry owns the per-endpoint stage histogram families and the
-// slowlog, and mints traces. A nil *Registry is valid: StartTrace
-// returns a nil *Trace whose methods all no-op.
+// Registry owns the per-endpoint families and the slowlog, and mints
+// traces. Its family set is fixed by NewRegistry. A nil *Registry is
+// valid: its families are nil, and a nil Family mints nil traces whose
+// methods all no-op.
 type Registry struct {
 	clock func() time.Time
 	log   *Slowlog
-
-	mu   sync.RWMutex
-	fams map[string]*Family
+	fams  []*Family // sorted by endpoint name
 }
 
-// NewRegistry builds a registry. Families are declared up front (see
-// Family.Declare) so the exported metric series set is fixed at boot.
-func NewRegistry(opts Options) *Registry {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
+// NewRegistry builds a registry with one family per endpoint, each
+// with an empty histogram per planned stage.
+func NewRegistry(endpoints ...Endpoint) *Registry {
+	r := &Registry{clock: time.Now, log: newSlowlog(keepRecent, keepSlowest)}
+	for _, e := range endpoints {
+		names := slices.Clone(e.Stages)
+		slices.Sort(names)
+		f := &Family{reg: r, name: e.Name, lat: NewHist(), names: slices.Compact(names), stages: make(map[string]*Hist)}
+		for _, s := range f.names {
+			f.stages[s] = NewHist()
+		}
+		r.fams = append(r.fams, f)
 	}
-	if opts.Recent <= 0 {
-		opts.Recent = 64
-	}
-	if opts.Slowest <= 0 {
-		opts.Slowest = 32
-	}
-	return &Registry{
-		clock: opts.Clock,
-		log:   newSlowlog(opts.Recent, opts.Slowest),
-		fams:  make(map[string]*Family),
-	}
+	slices.SortFunc(r.fams, func(a, b *Family) int { return strings.Compare(a.name, b.name) })
+	return r
 }
 
-// Family returns the stage-histogram family for an endpoint, creating
-// it if needed. Call at boot, then Declare the endpoint's stage names;
-// stages are never created lazily, so the /metrics series set cannot
-// drift between scrapes.
+// Family returns the family of an endpoint, or nil if NewRegistry was
+// not given it.
 func (r *Registry) Family(endpoint string) *Family {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	f := r.fams[endpoint]
-	r.mu.RUnlock()
-	if f != nil {
-		return f
+	i, ok := slices.BinarySearchFunc(r.fams, endpoint, func(f *Family, e string) int { return strings.Compare(f.name, e) })
+	if !ok {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f = r.fams[endpoint]; f == nil {
-		f = &Family{name: endpoint, stages: make(map[string]*Hist)}
-		r.fams[endpoint] = f
-	}
-	return f
+	return r.fams[i]
 }
 
-// Families returns the declared families sorted by endpoint name.
+// Families returns the families sorted by endpoint name. The slice is
+// the registry's own; do not modify it.
 func (r *Registry) Families() []*Family {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	out := make([]*Family, 0, len(r.fams))
-	for _, f := range r.fams {
-		out = append(out, f)
-	}
-	r.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *Family) int {
-		switch {
-		case a.name < b.name:
-			return -1
-		case a.name > b.name:
-			return 1
-		}
-		return 0
-	})
-	return out
+	return r.fams
 }
 
 // Log returns the registry's slowlog (nil on a nil registry).
@@ -125,74 +111,67 @@ func (r *Registry) Log() *Slowlog {
 	return r.log
 }
 
-// StartTrace begins a trace for one request against an endpoint. The
-// returned trace is not safe for concurrent use by multiple goroutines
-// (one request, one goroutine owns it until Finish); after Finish it is
-// immutable and may be read from anywhere.
-func (r *Registry) StartTrace(endpoint string) *Trace {
-	if r == nil {
-		return nil
-	}
-	return &Trace{
-		reg:      r,
-		fam:      r.Family(endpoint),
-		endpoint: endpoint,
-		begin:    r.clock(),
-	}
-}
-
-// Family is the per-endpoint set of stage histograms.
+// Family is one endpoint's instruments: its request count, error count
+// (status ≥ 400) and request-latency histogram, fed by Observe, and its
+// stage histograms, fed by the traces it mints.
 type Family struct {
-	name string
-
-	mu     sync.RWMutex
-	stages map[string]*Hist
+	reg      *Registry
+	name     string
+	requests atomic.Uint64
+	errors   atomic.Uint64
+	lat      *Hist
+	names    []string // stage names, sorted
+	stages   map[string]*Hist
 }
 
 // Name returns the endpoint the family belongs to.
 func (f *Family) Name() string { return f.name }
 
-// Declare registers stage names, creating an empty histogram for each.
-// Call once at boot; spans whose name was never declared are kept in
-// the trace tree but not aggregated into any histogram.
-func (f *Family) Declare(stages ...string) *Family {
-	if f == nil {
-		return nil
+// Observe counts one finished request with its status and latency.
+func (f *Family) Observe(status int, d time.Duration) {
+	f.requests.Add(1)
+	if status >= 400 {
+		f.errors.Add(1)
 	}
-	f.mu.Lock()
-	for _, s := range stages {
-		if f.stages[s] == nil {
-			f.stages[s] = NewHist()
-		}
-	}
-	f.mu.Unlock()
-	return f
+	f.lat.Observe(d)
 }
 
-// Stage returns the histogram for a declared stage, or nil.
+// Requests returns the number of requests observed.
+func (f *Family) Requests() uint64 { return f.requests.Load() }
+
+// Errors returns the number of requests observed with status ≥ 400.
+func (f *Family) Errors() uint64 { return f.errors.Load() }
+
+// Latency returns the request-latency histogram.
+func (f *Family) Latency() *Hist { return f.lat }
+
+// Stage returns the histogram of a planned stage, or nil.
 func (f *Family) Stage(name string) *Hist {
 	if f == nil {
 		return nil
 	}
-	f.mu.RLock()
-	h := f.stages[name]
-	f.mu.RUnlock()
-	return h
+	return f.stages[name]
 }
 
-// Stages returns the declared stage names, sorted.
+// Stages returns the planned stage names, sorted. The slice is the
+// family's own; do not modify it.
 func (f *Family) Stages() []string {
 	if f == nil {
 		return nil
 	}
-	f.mu.RLock()
-	out := make([]string, 0, len(f.stages))
-	for s := range f.stages {
-		out = append(out, s)
+	return f.names
+}
+
+// StartTrace begins a trace for one request against the family's
+// endpoint (nil on a nil family). The returned trace is not safe for
+// concurrent use by multiple goroutines (one request, one goroutine
+// owns it until Finish); after Finish it is immutable and may be read
+// from anywhere.
+func (f *Family) StartTrace() *Trace {
+	if f == nil {
+		return nil
 	}
-	f.mu.RUnlock()
-	slices.Sort(out)
-	return out
+	return &Trace{fam: f, begin: f.reg.clock()}
 }
 
 // spanRec is one span, stored inline in the trace. Offsets are
@@ -209,22 +188,20 @@ type spanRec struct {
 // receiver (tracing disabled). The struct is sized so a whole trace is
 // a single heap allocation.
 type Trace struct {
-	reg      *Registry
-	fam      *Family
-	endpoint string
-	begin    time.Time
-	status   int
-	total    int64  // ns, set at Finish
-	seq      uint64 // slowlog insertion order, stamped by the slowlog
-	n        int16  // spans recorded
-	depth    int16  // open-span stack depth
-	stack    [maxDepth]int16
-	spans    [maxSpans]spanRec
+	fam    *Family // the endpoint's family; its registry keeps the clock and slowlog
+	begin  time.Time
+	status int
+	total  int64  // ns, set at Finish
+	seq    uint64 // slowlog insertion order, stamped by the slowlog
+	n      int16  // spans recorded
+	depth  int16  // open-span stack depth
+	stack  [maxDepth]int16
+	spans  [maxSpans]spanRec
 }
 
 // since returns nanoseconds since the trace began.
 func (t *Trace) since() int64 {
-	return int64(t.reg.clock().Sub(t.begin))
+	return int64(t.fam.reg.clock().Sub(t.begin))
 }
 
 // Endpoint returns the endpoint the trace was started for.
@@ -232,7 +209,7 @@ func (t *Trace) Endpoint() string {
 	if t == nil {
 		return ""
 	}
-	return t.endpoint
+	return t.fam.name
 }
 
 // Status returns the HTTP status recorded at Finish (0 before).
@@ -356,17 +333,13 @@ func (t *Trace) Finish(status int) time.Duration {
 		}
 	}
 	t.depth = 0
-	if t.fam != nil {
-		for i := 0; i < int(t.n); i++ {
-			sp := &t.spans[i]
-			if h := t.fam.Stage(sp.name); h != nil {
-				h.Observe(time.Duration(sp.end - sp.start))
-			}
+	for i := 0; i < int(t.n); i++ {
+		sp := &t.spans[i]
+		if h := t.fam.stages[sp.name]; h != nil {
+			h.Observe(time.Duration(sp.end - sp.start))
 		}
 	}
-	if t.reg != nil && t.reg.log != nil {
-		t.reg.log.insert(t)
-	}
+	t.fam.reg.log.insert(t)
 	return time.Duration(now)
 }
 
@@ -403,7 +376,7 @@ func (t *Trace) Snapshot() *TraceJSON {
 		total = now
 	}
 	out := &TraceJSON{
-		Endpoint: t.endpoint,
+		Endpoint: t.fam.name,
 		Status:   t.status,
 		Start:    t.begin.UTC().Format(time.RFC3339Nano),
 		DurUS:    float64(total) / 1e3,

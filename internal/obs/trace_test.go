@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -16,8 +17,13 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func ms(n float64) float64                   { return n * 1000 } // µs helper
-func regWith(clk *fakeClock, ro, so int) *Registry {
-	return NewRegistry(Options{Clock: clk.now, Recent: ro, Slowest: so})
+// regWith builds a registry over eps whose clock is clk and whose
+// slowlog keeps ro recent and so slowest traces.
+func regWith(clk *fakeClock, ro, so int, eps ...Endpoint) *Registry {
+	r := NewRegistry(eps...)
+	r.clock = clk.now
+	r.log = newSlowlog(ro, so)
+	return r
 }
 
 // TestSpanTreeDeterministic drives one trace under a pinned clock and
@@ -25,10 +31,9 @@ func regWith(clk *fakeClock, ro, so int) *Registry {
 // durations.
 func TestSpanTreeDeterministic(t *testing.T) {
 	clk := newFakeClock()
-	reg := regWith(clk, 4, 4)
-	reg.Family("/x").Declare("a", "b", "c", "k")
+	reg := regWith(clk, 4, 4, Endpoint{"/x", []string{"a", "b", "c", "k"}})
 
-	tr := reg.StartTrace("/x")
+	tr := reg.Family("/x").StartTrace()
 	clk.advance(1 * time.Millisecond)
 	a := tr.Start("a")
 	clk.advance(1 * time.Millisecond)
@@ -102,7 +107,7 @@ func TestSpanTreeDeterministic(t *testing.T) {
 // without panicking — this is the "tracing disabled" mode.
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
-	tr := reg.StartTrace("/x")
+	tr := reg.Family("/x").StartTrace()
 	if tr != nil {
 		t.Fatal("nil registry minted a trace")
 	}
@@ -131,8 +136,8 @@ func TestNilSafety(t *testing.T) {
 // TestSpanOverflow: a trace past maxSpans stays valid and truncated.
 func TestSpanOverflow(t *testing.T) {
 	clk := newFakeClock()
-	reg := regWith(clk, 4, 4)
-	tr := reg.StartTrace("/x")
+	reg := regWith(clk, 4, 4, Endpoint{Name: "/x"})
+	tr := reg.Family("/x").StartTrace()
 	for i := 0; i < maxSpans+10; i++ {
 		clk.advance(time.Microsecond)
 		id := tr.Start("s")
@@ -148,8 +153,8 @@ func TestSpanOverflow(t *testing.T) {
 // TestContextPropagation: WithTrace/FromContext round-trip, and a bare
 // context yields a usable nil trace.
 func TestContextPropagation(t *testing.T) {
-	reg := regWith(newFakeClock(), 4, 4)
-	tr := reg.StartTrace("/x")
+	reg := regWith(newFakeClock(), 4, 4, Endpoint{Name: "/x"})
+	tr := reg.Family("/x").StartTrace()
 	ctx := WithTrace(context.Background(), tr)
 	if got := FromContext(ctx); got != tr {
 		t.Fatal("trace lost in context round-trip")
@@ -163,10 +168,9 @@ func TestContextPropagation(t *testing.T) {
 // TestTraceAllocs pins the hot-path cost: one heap allocation per
 // trace lifecycle (the Trace itself; spans are inline).
 func TestTraceAllocs(t *testing.T) {
-	reg := NewRegistry(Options{Recent: 8, Slowest: 8})
-	reg.Family("/x").Declare("a", "b")
+	fam := NewRegistry(Endpoint{"/x", []string{"a", "b"}}).Family("/x")
 	allocs := testing.AllocsPerRun(200, func() {
-		tr := reg.StartTrace("/x")
+		tr := fam.StartTrace()
 		sp := tr.Start("a")
 		sp = tr.Next(sp, "b")
 		tr.End(sp)
@@ -174,5 +178,31 @@ func TestTraceAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("trace lifecycle costs %.1f allocs, want ≤ 1", allocs)
+	}
+}
+
+// TestRegistryFixedAtBoot: NewRegistry sorts the families and each
+// family's stages once, knows no endpoint it was not given, and a
+// family counts its requests, its errors (status ≥ 400) and their
+// latency whether or not a trace ran.
+func TestRegistryFixedAtBoot(t *testing.T) {
+	reg := NewRegistry(Endpoint{"/b", []string{"z", "a", "m"}}, Endpoint{Name: "/a"})
+	fams := reg.Families()
+	if len(fams) != 2 || fams[0].Name() != "/a" || fams[1].Name() != "/b" {
+		t.Fatalf("families = %v, want [/a /b]", fams)
+	}
+	if got := fams[1].Stages(); !slices.Equal(got, []string{"a", "m", "z"}) {
+		t.Fatalf("stages = %v, want [a m z]", got)
+	}
+	if reg.Family("/nope") != nil || reg.Family("/nope").StartTrace() != nil {
+		t.Fatal("an endpoint not given to NewRegistry has a family")
+	}
+	f := reg.Family("/a")
+	f.Observe(200, time.Millisecond)
+	f.Observe(404, 2*time.Millisecond)
+	f.Observe(503, 3*time.Millisecond)
+	if f.Requests() != 3 || f.Errors() != 2 || f.Latency().Count() != 3 || f.Latency().Max() != 3*time.Millisecond {
+		t.Fatalf("requests=%d errors=%d latency count=%d max=%v, want 3, 2, 3, 3ms",
+			f.Requests(), f.Errors(), f.Latency().Count(), f.Latency().Max())
 	}
 }

@@ -110,6 +110,44 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsTrailingData: an ingest body is one JSON object. A
+// second object or garbage after it is a 400 that applies nothing and
+// counts as rejected; trailing whitespace is accepted.
+func TestIngestRejectsTrailingData(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	epoch := srv.Snapshot().Epoch
+	batch := func(paper string) string {
+		b, err := json.Marshal(map[string]any{"deltas": []ingest.Delta{{Op: ingest.OpAddNode, Type: "paper", Name: paper}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		return rec.Code
+	}
+	for _, body := range []string{batch("zz-1") + batch("zz-2"), batch("zz-1") + " trailing-garbage", batch("zz-1") + "\n{}"} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("body %q: %d, want 400", body, code)
+		}
+	}
+	snap := srv.Snapshot()
+	if snap.Epoch != epoch || snap.Corpus.Net.Lookup(dblp.TypePaper, "zz-1") >= 0 {
+		t.Fatalf("a rejected body was applied: epoch %d (was %d)", snap.Epoch, epoch)
+	}
+	if got := srv.ing.rejected.Load(); got != 3 {
+		t.Errorf("ingest rejected = %d, want 3", got)
+	}
+	if code := post(batch("zz-1") + " \n\t"); code != http.StatusOK {
+		t.Fatalf("one object and whitespace: %d, want 200", code)
+	}
+	if srv.Snapshot().Corpus.Net.Lookup(dblp.TypePaper, "zz-1") < 0 {
+		t.Fatal("the accepted batch was not applied")
+	}
+}
+
 // TestIngestEquivalentToRebuild is the serving-level equivalence
 // check: a generation chain that ingests delta batches ends with the
 // same network matrices and (within tolerance) the same PageRank as

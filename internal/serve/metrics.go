@@ -1,10 +1,11 @@
-// Per-endpoint serving counters and the /metrics exposition. The
-// registry's endpoint set is fixed at construction, so the hot path is
-// pure atomics — no locks, no map writes. Exposition is Prometheus
-// text format assembled by hand (the repo is stdlib-only); the series
-// set is fixed at boot — endpoint families, stage histograms and
-// gauges are all pre-declared — so the metric name sequence never
-// varies between scrapes (pinned by TestMetricsDeterministicOrder).
+// The /metrics exposition. The per-endpoint request counters, latency
+// and stage histograms are the obs registry's families, built from the
+// endpoint table in New, so the hot path is pure atomics — no locks, no
+// map writes. Exposition is Prometheus text format assembled by hand
+// (the repo is stdlib-only); the series set is fixed at boot —
+// families, their stages and the gauges are all known before the first
+// request — so the metric name sequence never varies between scrapes
+// (pinned by TestMetricsDeterministicOrder).
 
 package serve
 
@@ -13,49 +14,10 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
-	"hinet/internal/obs"
 	"hinet/internal/sparse"
 )
-
-// endpointStats counts one endpoint's traffic. Latency goes into a
-// shared obs histogram, so /metrics can report a real Prometheus
-// histogram (buckets + sum + count) instead of a lossy mean.
-type endpointStats struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	lat      *obs.Hist
-}
-
-func (e *endpointStats) observe(code int, d time.Duration) {
-	e.requests.Add(1)
-	if code >= 400 {
-		e.errors.Add(1)
-	}
-	e.lat.Observe(d)
-}
-
-// metrics is the fixed per-endpoint registry.
-type metrics struct {
-	endpoints map[string]*endpointStats
-}
-
-func newMetrics(endpoints ...string) *metrics {
-	m := &metrics{endpoints: make(map[string]*endpointStats, len(endpoints))}
-	for _, e := range endpoints {
-		m.endpoints[e] = &endpointStats{lat: obs.NewHist()}
-	}
-	return m
-}
-
-func (m *metrics) get(endpoint string) *endpointStats {
-	if st, ok := m.endpoints[endpoint]; ok {
-		return st
-	}
-	panic("serve: endpoint not registered: " + endpoint)
-}
 
 // writeMetrics renders the Prometheus text exposition for /metrics:
 // snapshot identity, per-endpoint request counters and latency
@@ -93,25 +55,20 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "hinet_metapath_patched_rows_total %d\n", es.PatchedRows)
 	fmt.Fprintf(w, "hinet_metapath_patch_seconds_total %g\n", es.PatchTime.Seconds())
 
-	names := make([]string, 0, len(s.met.endpoints))
-	for e := range s.met.endpoints {
-		names = append(names, e)
-	}
-	slices.Sort(names)
-	for _, e := range names {
-		st := s.met.endpoints[e]
-		fmt.Fprintf(w, "hinet_http_requests_total{endpoint=%q} %d\n", e, st.requests.Load())
-		fmt.Fprintf(w, "hinet_http_errors_total{endpoint=%q} %d\n", e, st.errors.Load())
+	// One family per endpoint, sorted by endpoint, each with its stages
+	// sorted — all fixed at boot, so this block's series set is too.
+	fams := s.obs.Families()
+	for _, f := range fams {
+		fmt.Fprintf(w, "hinet_http_requests_total{endpoint=%q} %d\n", f.Name(), f.Requests())
+		fmt.Fprintf(w, "hinet_http_errors_total{endpoint=%q} %d\n", f.Name(), f.Errors())
 	}
 	// Request-duration histograms follow the counters so the flat
-	// counter block stays easy to eyeball.
-	for _, e := range names {
-		s.met.endpoints[e].lat.WriteProm(w, "hinet_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", e))
+	// counter block stays easy to eyeball, then the per-stage duration
+	// histograms from the span tracer.
+	for _, f := range fams {
+		f.Latency().WriteProm(w, "hinet_request_duration_seconds", fmt.Sprintf("endpoint=%q", f.Name()))
 	}
-	// Per-stage duration histograms from the span tracer. Families and
-	// stages are declared at boot, so this block's series set is fixed.
-	for _, f := range s.obs.Families() {
+	for _, f := range fams {
 		for _, stage := range f.Stages() {
 			f.Stage(stage).WriteProm(w, "hinet_stage_duration_seconds",
 				fmt.Sprintf("endpoint=%q,stage=%q", f.Name(), stage))

@@ -236,7 +236,7 @@ func TestFloorHoldsNoLoneMiss(t *testing.T) {
 func TestBrownout(t *testing.T) {
 	s := newTestServer(t, Options{
 		MaxConcurrent: 4, SLOTargetP99: 10 * time.Millisecond, ControlInterval: -1,
-		BrownoutEnter: 2, BrownoutExit: 2, BrownoutK: 5,
+		BrownoutEnter: 2, BrownoutExit: 2,
 	})
 
 	// Prime the cache so degraded mode has something to answer from.
@@ -258,7 +258,7 @@ func TestBrownout(t *testing.T) {
 	}
 
 	// Cached answer still serves, annotated, with k truncated to
-	// BrownoutK (k=50 hits the same cache entry as the k=5 prime).
+	// brownoutK (k=50 hits the same cache entry as the k=5 prime).
 	req := httptest.NewRequest("GET", "/v1/pathsim/topk?id=0&k=50", nil)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)

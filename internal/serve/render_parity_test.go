@@ -172,7 +172,7 @@ func refStats(s *Server, snap *cluster.View) map[string]any {
 	}
 	latency := make(map[string]any)
 	for _, f := range s.obs.Families() {
-		entry := quant(s.met.get(f.Name()).lat)
+		entry := quant(f.Latency())
 		stages := make(map[string]any)
 		for _, stage := range f.Stages() {
 			stages[stage] = quant(f.Stage(stage))
@@ -396,7 +396,7 @@ func TestRenderParityDegradedAndShed(t *testing.T) {
 	}
 	s.adm.degraded.Store(true)
 
-	// A cached answer serves, truncated to BrownoutK and annotated.
+	// A cached answer serves, truncated to brownoutK and annotated.
 	target := "/v1/pathsim/topk?id=0&k=50"
 	ref := refTopK(snap, ix.Path[0], ix.Path.String(), 0, 5, "cache", ix.TopK(0, 5))
 	ref["degraded"] = true
@@ -582,7 +582,7 @@ func TestUnencodableScoreIs500(t *testing.T) {
 		want := refError("encoding response: unsupported number %s", strconv.FormatFloat(score, 'g', -1, 64))
 		expect(t, serveBody(t, s, "GET", target, ""), target, http.StatusInternalServerError, want)
 	}
-	if got := s.met.get("/v1/pathsim/topk").errors.Load(); got != 3 {
+	if got := s.obs.Family("/v1/pathsim/topk").Errors(); got != 3 {
 		t.Errorf("endpoint error counter = %d, want 3", got)
 	}
 }

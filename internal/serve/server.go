@@ -28,9 +28,11 @@
 //     (Server.topK): it scatters over the shards and merges, with no
 //     queue, dispatcher or batch in between.
 //
-// Every request is traced (internal/obs): the route wrapper mints one
-// span trace per request, handlers chain named stage spans through it,
-// and Finish feeds per-endpoint-per-stage histograms (/metrics,
+// Every request is counted and traced (internal/obs): New states each
+// endpoint once, in one table, and builds one obs family per endpoint
+// from it. The route wrapper counts every request in its family and
+// mints one span trace per request, handlers chain named stage spans
+// through it, and Finish feeds the family's stage histograms (/metrics,
 // /v1/stats) plus the slow-query log (/v1/debug/slowlog). Appending
 // debug=1 to any query echoes the request's own span tree in the
 // response.
@@ -47,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -98,7 +101,6 @@ type Options struct {
 	ControlInterval time.Duration // controller tick (default 100ms; < 0 disables the controller)
 	BrownoutEnter   int           // consecutive over-target ticks before brownout (default 5)
 	BrownoutExit    int           // consecutive healthy ticks before recovery (default 10)
-	BrownoutK       int           // top-k truncation during brownout (default 5)
 
 	Chaos *chaos.Injector // deterministic fault injection (tests; nil in production)
 
@@ -131,22 +133,21 @@ func (o Options) withDefaults() Options {
 	if o.BrownoutExit == 0 {
 		o.BrownoutExit = 10
 	}
-	if o.BrownoutK == 0 {
-		o.BrownoutK = 5
-	}
 	return o
 }
 
 // cacheShards is the result cache's lock striping.
 const cacheShards = 16
 
+// brownoutK is the top-k truncation during brownout.
+const brownoutK = 5
+
 // Server wires the cluster tier, cache and admission controller
 // behind an http.Handler.
 type Server struct {
 	opts  Options
 	cache *Cache
-	met   *metrics
-	obs   *obs.Registry
+	obs   *obs.Registry // one family per endpoint: request counters, latency and stage histograms
 	ing   ingestStats
 	adm   *admission
 	rejAd atomic.Uint64 // heavy requests rejected at admission
@@ -189,7 +190,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:  opts,
 		cache: NewCache(opts.CacheCapacity, cacheShards),
-		obs:   obs.NewRegistry(obs.Options{}),
 		mux:   http.NewServeMux(),
 	}
 	s.adm = newAdmission(opts.AdmissionFloor, opts.MaxConcurrent,
@@ -221,36 +221,36 @@ func New(opts Options) *Server {
 	} else {
 		close(s.adm.done) // no controller goroutine to wait for at shutdown
 	}
-	s.met = newMetrics(
-		"/healthz", "/metrics", "/v1/stats", "/v1/rank", "/v1/clusters",
-		"/v1/pathsim/topk", "/v1/rebuild", "/v1/ingest", "/v1/debug/slowlog",
-		"/v1/cluster/shards",
-	)
-	// Every endpoint's trace family and stage plan is declared here, at
-	// boot, so the /metrics and /v1/stats series sets are fixed for the
-	// process lifetime and the request path never mutates registry maps.
-	for e := range s.met.endpoints {
-		s.obs.Family(e)
+	// Each served endpoint is stated once, here: its pattern, admission
+	// class, handler and stage plan (the span names its handler opens
+	// that get a histogram). The registry is built from this table, so
+	// the /metrics and /v1/stats series sets are fixed for the process
+	// lifetime and no request creates anything in it.
+	endpoints := []struct {
+		pattern, class string
+		h              http.HandlerFunc
+		stages         []string
+	}{
+		{"/healthz", classCritical, s.handleHealthz, nil},
+		{"/metrics", classCritical, s.handleMetrics, nil},
+		{"/v1/stats", classCheap, s.live(s.handleStats), []string{"collect", "serialize"}},
+		{"/v1/rank", classCheap, s.live(s.handleRank), []string{"params", "rank", "render", "serialize"}},
+		{"/v1/clusters", classCheap, s.live(s.handleClusters), []string{"params", "cluster", "score", "serialize"}},
+		{"/v1/pathsim/topk", classQuery, s.live(s.handleTopK),
+			[]string{"admission", "params", "resolve", "query", "cache", "kernel", "render", "serialize"}},
+		{"/v1/rebuild", classWrite, s.handleRebuild, []string{"admission", "params", "rebuild", "serialize"}},
+		{"/v1/ingest", classWrite, s.handleIngest, []string{"admission", "decode", "apply", "serialize"}},
+		{"/v1/debug/slowlog", classCheap, s.handleSlowlog, nil},
+		{"/v1/cluster/shards", classCheap, s.handleClusterShards, []string{"collect", "serialize"}},
 	}
-	s.obs.Family("/v1/stats").Declare("collect", "serialize")
-	s.obs.Family("/v1/cluster/shards").Declare("collect", "serialize")
-	s.obs.Family("/v1/rank").Declare("params", "rank", "render", "serialize")
-	s.obs.Family("/v1/clusters").Declare("params", "cluster", "score", "serialize")
-	s.obs.Family("/v1/pathsim/topk").Declare(
-		"admission", "params", "resolve", "query", "cache", "kernel", "render", "serialize")
-	s.obs.Family("/v1/rebuild").Declare("admission", "params", "rebuild", "serialize")
-	s.obs.Family("/v1/ingest").Declare("admission", "decode", "apply", "serialize")
-
-	s.route("/healthz", classCritical, s.handleHealthz)
-	s.route("/metrics", classCritical, s.handleMetrics)
-	s.route("/v1/stats", classCheap, s.live(s.handleStats))
-	s.route("/v1/rank", classCheap, s.live(s.handleRank))
-	s.route("/v1/clusters", classCheap, s.live(s.handleClusters))
-	s.route("/v1/pathsim/topk", classQuery, s.live(s.handleTopK))
-	s.route("/v1/rebuild", classWrite, s.handleRebuild)
-	s.route("/v1/ingest", classWrite, s.handleIngest)
-	s.route("/v1/debug/slowlog", classCheap, s.handleSlowlog)
-	s.route("/v1/cluster/shards", classCheap, s.handleClusterShards)
+	plans := make([]obs.Endpoint, len(endpoints))
+	for i, e := range endpoints {
+		plans[i] = obs.Endpoint{Name: e.pattern, Stages: e.stages}
+	}
+	s.obs = obs.NewRegistry(plans...)
+	for _, e := range endpoints {
+		s.route(s.obs.Family(e.pattern), e.class, e.h)
+	}
 	if opts.Pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -317,24 +317,24 @@ func (s *Server) controlLoop() {
 // drive the control loop deterministically with ControlInterval < 0).
 func (s *Server) controlStep() { s.adm.step(sparse.QueueDepth()) }
 
-// route registers an instrumented handler: each request gets a span
-// trace (unless Options.NoTrace) carried in the statusRecorder, and the
-// wrapper finishes it — closing any span the handler left open, feeding
-// the stage histograms and the slowlog — before recording the endpoint
-// counters. Heavy endpoints (classQuery, classWrite) additionally get
-// their per-request deadline installed (timeout_ms or DefaultTimeout),
-// pass through the admission limiter under an "admission" span, and —
-// when admitted and successful — feed the controller's latency signal.
-func (s *Server) route(pattern, class string, h http.HandlerFunc) {
-	st := s.met.get(pattern)
+// route registers an instrumented handler for fam's endpoint: each
+// request gets a span trace (unless Options.NoTrace) carried in the
+// statusRecorder, and the wrapper finishes it — closing any span the
+// handler left open, feeding the stage histograms and the slowlog —
+// before counting the request in fam, traced or not. Heavy endpoints
+// (classQuery, classWrite) additionally get their per-request deadline
+// installed (timeout_ms or DefaultTimeout), pass through the admission
+// limiter under an "admission" span, and — when admitted and
+// successful — feed the controller's latency signal.
+func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
 	heavy := class == classQuery || class == classWrite
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc(fam.Name(), func(w http.ResponseWriter, r *http.Request) {
 		var start time.Time
 		var tr *obs.Trace
 		if s.opts.NoTrace {
 			start = time.Now()
 		} else {
-			tr = s.obs.StartTrace(pattern)
+			tr = fam.StartTrace()
 		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK, tr: tr}
 		admitted := false
@@ -343,7 +343,7 @@ func (s *Server) route(pattern, class string, h http.HandlerFunc) {
 			if tr == nil {
 				d = time.Since(start)
 			}
-			st.observe(rec.code, d)
+			fam.Observe(rec.code, d)
 			if rec.code == http.StatusGatewayTimeout {
 				s.adm.timeouts.Add(1)
 			}
@@ -676,7 +676,7 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeLatency renders the request and stage latency quantiles of
-// /v1/stats. The key set is static — every endpoint and every declared
+// /v1/stats. The key set is static — every endpoint and every planned
 // stage is always present, populated or not — so the response shape
 // never depends on which requests happened to arrive first (the replay
 // harness digests response shapes). Families and Stages come sorted.
@@ -690,7 +690,7 @@ func (s *Server) writeLatency(w *jsonWriter) {
 	w.beginObject()
 	for _, f := range s.obs.Families() {
 		w.key(f.Name()).beginObject()
-		quant(s.met.get(f.Name()).lat)
+		quant(f.Latency())
 		w.key("stages").beginObject()
 		for _, stage := range f.Stages() {
 			w.key(stage).beginObject()
@@ -912,8 +912,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 	// Brownout: truncate k and answer from already-materialized state
 	// only — no index builds, no kernel dispatches (cache misses shed).
 	degraded := s.adm.Degraded()
-	if degraded && k > s.opts.BrownoutK {
-		k = s.opts.BrownoutK
+	if degraded && k > brownoutK {
+		k = brownoutK
 	}
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
 	// Any parse/schema/symmetry problem is the client's, hence 400. The
@@ -1074,6 +1074,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		s.ing.rejected.Add(1)
 		httpError(w, http.StatusBadRequest, "invalid ingest body: %v", err)
+		return
+	}
+	// The body is one object: only whitespace may follow it. A second
+	// value or trailing garbage would otherwise be dropped unread.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		s.ing.rejected.Add(1)
+		httpError(w, http.StatusBadRequest, "invalid ingest body: data after the JSON object")
 		return
 	}
 	if len(req.Deltas) == 0 {

@@ -161,7 +161,7 @@ func TestShardedIndexSizeParity(t *testing.T) {
 // a sharded server used to shed for want of a snapshot-side path memo.
 func TestShardedBrownoutParity(t *testing.T) {
 	opts := Options{Seed: 4, MaxConcurrent: 4, SLOTargetP99: 10 * time.Millisecond,
-		ControlInterval: -1, BrownoutEnter: 2, BrownoutExit: 2, BrownoutK: 5}
+		ControlInterval: -1, BrownoutEnter: 2, BrownoutExit: 2}
 	single := newTestServer(t, opts)
 	opts.Shards = 3
 	sharded := newTestServer(t, opts)

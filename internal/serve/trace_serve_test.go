@@ -267,3 +267,45 @@ func TestStatsLatencyShape(t *testing.T) {
 
 // ANYStat absorbs one quantile row without pinning its field set.
 type ANYStat map[string]float64
+
+// TestUntracedServerCounts: with NoTrace the route wrapper starts no
+// trace, yet the endpoint's family still counts every request, its
+// errors and its latency; only the stage histograms stay empty.
+func TestUntracedServerCounts(t *testing.T) {
+	s := newTestServer(t, Options{Seed: 5, NoTrace: true})
+	const n = 5
+	for i := 0; i < n-1; i++ {
+		if code := get(t, s, "GET", "/v1/rank?top=3", nil); code != 200 {
+			t.Fatalf("rank = %d", code)
+		}
+	}
+	if code := get(t, s, "GET", "/v1/rank?top=-1", nil); code != http.StatusBadRequest {
+		t.Fatalf("rank top=-1 = %d, want 400", code)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	series := map[string]string{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok {
+			series[name] = val
+		}
+	}
+	for name, want := range map[string]string{
+		`hinet_http_requests_total{endpoint="/v1/rank"}`:            itoa(n),
+		`hinet_http_errors_total{endpoint="/v1/rank"}`:              "1",
+		`hinet_request_duration_seconds_count{endpoint="/v1/rank"}`: itoa(n),
+	} {
+		if series[name] != want {
+			t.Errorf("%s = %q, want %s", name, series[name], want)
+		}
+	}
+	for _, stage := range []string{"params", "rank", "render", "serialize"} {
+		name := `hinet_stage_duration_seconds_count{endpoint="/v1/rank",stage="` + stage + `"}`
+		if series[name] != "0" {
+			t.Errorf("%s = %q, want 0 on an untraced server", name, series[name])
+		}
+	}
+	if got := len(s.obs.Log().Recent()); got != 0 {
+		t.Errorf("untraced server logged %d traces", got)
+	}
+}
