@@ -10,7 +10,8 @@
 //
 // With no -server URL the harness boots an in-process server from the
 // same -seed/-papers, which is also how the record/replay golden test
-// runs in CI. Reports land in -out as JSON (schema hinet-serve/1).
+// runs in CI; -pprof exposes its profiles, so a load run is profiled in
+// one command. Reports land in -out as JSON (schema hinet-serve/1).
 package main
 
 import (
@@ -55,6 +56,31 @@ type loadgenFlags struct {
 	scheduleOnly    string
 	honorRetryAfter bool
 	shards          int
+	addr            string // -addr when given on the command line, else ""
+	pprof           bool
+}
+
+// loadgenServeOptions configures the in-process server a run without
+// -server boots: the schedule's seed and corpus size, and -pprof. It
+// listens on -addr only when that was given; otherwise on a free
+// loopback port.
+func loadgenServeOptions(f loadgenFlags) serve.Options {
+	opts := serve.Options{
+		Addr:          "127.0.0.1:0",
+		Seed:          f.seed,
+		Models:        serve.ModelConfig{K: f.k},
+		CacheCapacity: f.cacheCap,
+		Workers:       f.workers,
+		Shards:        f.shards,
+		Pprof:         f.pprof,
+	}
+	if f.addr != "" {
+		opts.Addr = f.addr
+	}
+	if f.papers > 0 {
+		opts.Models.Corpus.Papers = f.papers
+	}
+	return opts
 }
 
 func runLoadgen(f loadgenFlags) {
@@ -127,17 +153,7 @@ func runLoadgen(f loadgenFlags) {
 	if f.server != "" {
 		target = loadgen.NewTarget(f.server)
 	} else {
-		opts := serve.Options{
-			Addr:          "127.0.0.1:0",
-			Seed:          f.seed,
-			Models:        serve.ModelConfig{K: f.k},
-			CacheCapacity: f.cacheCap,
-			Workers:       f.workers,
-			Shards:        f.shards,
-		}
-		if f.papers > 0 {
-			opts.Models.Corpus.Papers = f.papers
-		}
+		opts := loadgenServeOptions(f)
 		if f.shards > 1 {
 			fmt.Printf("booting in-process server (seed %d, %d shards)...\n", f.seed, f.shards)
 		} else {
@@ -147,6 +163,9 @@ func runLoadgen(f loadgenFlags) {
 		bound, err := s.Start()
 		if err != nil {
 			fail(err)
+		}
+		if f.pprof {
+			fmt.Printf("profiles at http://%s/debug/pprof/\n", bound)
 		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -61,11 +61,11 @@ func main() {
 	seed := fs.Int64("seed", 1, "RNG seed")
 	k := fs.Int("k", 4, "clusters")
 	topN := fs.Int("top", 5, "top items to print")
-	addr := fs.String("addr", ":8080", "serve: listen address (\":0\" picks a free port)")
+	addr := fs.String("addr", ":8080", "serve/loadgen: listen address (\":0\" picks a free port; loadgen's in-process server uses it only when given)")
 	workers := fs.Int("workers", 0, "serve: sparse pool worker cap (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 4096, "serve: result cache entries (-1 disables)")
 	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
-	pprofFlag := fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof/")
+	pprofFlag := fs.Bool("pprof", false, "serve/loadgen: expose net/http/pprof under /debug/pprof/")
 	shards := fs.Int("shards", 0, "serve/loadgen: scatter-gather serving tier over N in-process shards (0/1 = unsharded)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
@@ -127,8 +127,16 @@ func main() {
 	case "ingest":
 		runIngest(*seed, *emit, *file, *server, *refresh, *papers)
 	case "loadgen":
+		// -addr's default belongs to serve: loadgen takes it only when given.
+		lgAddr := ""
+		fs.Visit(func(fl *flag.Flag) {
+			if fl.Name == "addr" {
+				lgAddr = *addr
+			}
+		})
 		runLoadgen(loadgenFlags{
 			seed: *seed, k: *k, papers: *papers, workers: *workers,
+			addr: lgAddr, pprof: *pprofFlag,
 			cacheCap: *cacheCap, server: *server,
 			arrival: *arrival, rate: *rate, duration: *duration,
 			concurrency: *concurrency, requests: *requests, mix: *mix,
@@ -167,7 +175,7 @@ subcommands:
   loadgen    deterministic load generator, trace record/replay, capacity sweep
              [-arrival poisson|closed|bursty] [-rate R] [-duration D] [-mix SPEC]
              [-record F | -replay F | -schedule-only F] [-sweep] [-out F] [-strict]
-             [-honor-retry-after] [-shards N]
+             [-honor-retry-after] [-shards N] [-addr A] [-pprof]
 `)
 }
 

@@ -377,6 +377,30 @@ func TestRenderParityTopK(t *testing.T) {
 	expect(t, serveBody(t, s, "GET", target, ""), target, 404, refError("unknown %s %q", dblp.TypeAuthor, "no\tbody <&>  "))
 }
 
+// TestRenderParityTies: ties sit side by side in a ranked list, and the
+// writer copies a repeated score's bytes instead of formatting it again.
+// On the default corpus this key's top 100 is mostly ties; the share is
+// asserted so the case keeps exercising the repeats if the corpus moves.
+func TestRenderParityTies(t *testing.T) {
+	s := newTestServer(t, Options{Seed: 4, ControlInterval: -1, Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 200, Papers: 2000}}})
+	snap := s.Snapshot()
+	ix := mustIndex(t, snap, "")
+	const x, k = 654, 100
+	pairs := ix.TopK(x, k)
+	ties := 0
+	for i := 1; i < len(pairs); i++ {
+		if math.Float64bits(pairs[i].Score) == math.Float64bits(pairs[i-1].Score) {
+			ties++
+		}
+	}
+	if len(pairs) != k || 2*ties < k {
+		t.Fatalf("id %d: %d rows, %d the same score as the row before; want %d rows, at least half repeats", x, len(pairs), ties, k)
+	}
+	target := fmt.Sprintf("/v1/pathsim/topk?id=%d&k=%d", x, k)
+	expect(t, serveBody(t, s, "GET", target, ""), target, 200, refTopK(snap, ix.Path[0], ix.Path.String(), x, k, "batch", pairs))
+	expect(t, serveBody(t, s, "GET", target, ""), target, 200, refTopK(snap, ix.Path[0], ix.Path.String(), x, k, "cache", pairs))
+}
+
 // pathErr is the error the snapshot's resolver reports for a bad spec.
 func pathErr(t *testing.T, snap *cluster.View, spec string) error {
 	t.Helper()

@@ -505,42 +505,6 @@ func traceOf(w http.ResponseWriter) *obs.Trace {
 	return nil
 }
 
-// traceEcho writes the request's own span tree as the "trace" member
-// when the client asked for it with debug=1 — call it where "trace"
-// sorts among the body's keys. The trace is still open — the serialize
-// span is rendered up to "now" — which is exactly what the client can
-// observe from inside the request.
-func (w *jsonWriter) traceEcho(q url.Values, tr *obs.Trace) {
-	if tr != nil && q.Get("debug") == "1" {
-		w.key("trace").value(tr.Snapshot())
-	}
-}
-
-// scored writes one (id, name, score) row of a ranked answer, as an
-// element of the open array. A hundred of these are most of a top-k
-// body, so the row is appended from its fixed layout — the three keys
-// are literals — not member by member through key.
-func (w *jsonWriter) scored(id int, name string, score float64) {
-	w.element()
-	w.buf = append(w.buf, '{')
-	w.depth++
-	w.newline()
-	w.buf = append(w.buf, `"id": `...)
-	w.buf = strconv.AppendInt(w.buf, int64(id), 10)
-	w.buf = append(w.buf, ',')
-	w.newline()
-	w.buf = append(w.buf, `"name": `...)
-	w.buf = appendJSONString(w.buf, name)
-	w.buf = append(w.buf, ',')
-	w.newline()
-	w.buf = append(w.buf, `"score": `...)
-	w.afterKey = true
-	w.float(score)
-	w.depth--
-	w.newline()
-	w.buf = append(w.buf, '}')
-}
-
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	jw := newJSONWriter()
 	jw.errorBody(fmt.Sprintf(format, args...))
