@@ -55,7 +55,6 @@ type loadgenFlags struct {
 	strict          bool
 	scheduleOnly    string
 	honorRetryAfter bool
-	shards          int
 	addr            string // -addr when given on the command line, else ""
 	pprof           bool
 }
@@ -71,7 +70,6 @@ func loadgenServeOptions(f loadgenFlags) serve.Options {
 		Models:        serve.ModelConfig{K: f.k},
 		CacheCapacity: f.cacheCap,
 		Workers:       f.workers,
-		Shards:        f.shards,
 		Pprof:         f.pprof,
 	}
 	if f.addr != "" {
@@ -154,11 +152,7 @@ func runLoadgen(f loadgenFlags) {
 		target = loadgen.NewTarget(f.server)
 	} else {
 		opts := loadgenServeOptions(f)
-		if f.shards > 1 {
-			fmt.Printf("booting in-process server (seed %d, %d shards)...\n", f.seed, f.shards)
-		} else {
-			fmt.Printf("booting in-process server (seed %d)...\n", f.seed)
-		}
+		fmt.Printf("booting in-process server (seed %d)...\n", f.seed)
 		s := serve.New(opts)
 		bound, err := s.Start()
 		if err != nil {

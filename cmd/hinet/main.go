@@ -66,7 +66,6 @@ func main() {
 	cacheCap := fs.Int("cache", 4096, "serve: result cache entries (-1 disables)")
 	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
 	pprofFlag := fs.Bool("pprof", false, "serve/loadgen: expose net/http/pprof under /debug/pprof/")
-	shards := fs.Int("shards", 0, "serve/loadgen: scatter-gather serving tier over N in-process shards (0/1 = unsharded)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
 	admissionFloor := fs.Int("admission-floor", 0, "serve: lowest concurrency the adaptive limiter may reach (0 = default)")
@@ -122,7 +121,6 @@ func main() {
 			pprof: *pprofFlag, defaultTimeout: *defaultTimeout,
 			maxConcurrent: *maxConcurrent, admissionFloor: *admissionFloor,
 			sloTarget: *sloTarget, controlInterval: *controlInterval,
-			shards: *shards,
 		})
 	case "ingest":
 		runIngest(*seed, *emit, *file, *server, *refresh, *papers)
@@ -144,7 +142,6 @@ func main() {
 			out: *out, sweep: *sweep, sweepSteps: *sweepSteps,
 			stepDuration: *stepDuration, sloP99: *sloP99, sloErrors: *sloErrors,
 			strict: *strict, scheduleOnly: *scheduleOnly, honorRetryAfter: *honorRetryAfter,
-			shards: *shards,
 		})
 	default:
 		fmt.Fprintf(os.Stderr, "hinet: unknown subcommand %q\n", cmd)
@@ -169,13 +166,12 @@ subcommands:
              [-addr A] [-workers N] [-cache N] [-papers N] [-pprof]
              [-default-timeout D] [-max-concurrent N] [-admission-floor N]
              [-slo-target D] [-control-interval D]
-             [-shards N]
   ingest     stream JSONL deltas into a corpus or a running server
              [-emit N] [-file F|-] [-server URL] [-refresh-models] [-papers N]
   loadgen    deterministic load generator, trace record/replay, capacity sweep
              [-arrival poisson|closed|bursty] [-rate R] [-duration D] [-mix SPEC]
              [-record F | -replay F | -schedule-only F] [-sweep] [-out F] [-strict]
-             [-honor-retry-after] [-shards N] [-addr A] [-pprof]
+             [-honor-retry-after] [-addr A] [-pprof]
 `)
 }
 
@@ -276,7 +272,6 @@ type serveFlags struct {
 	admissionFloor  int
 	sloTarget       time.Duration
 	controlInterval time.Duration
-	shards          int
 }
 
 func runServe(f serveFlags) {
@@ -292,7 +287,6 @@ func runServe(f serveFlags) {
 		AdmissionFloor:  f.admissionFloor,
 		SLOTargetP99:    f.sloTarget,
 		ControlInterval: f.controlInterval,
-		Shards:          f.shards,
 	}
 	if f.papers > 0 {
 		opts.Models.Corpus.Papers = f.papers
@@ -304,10 +298,6 @@ func runServe(f serveFlags) {
 	fmt.Printf("snapshot epoch %d built in %s (%d authors, pathsim nnz %d)\n",
 		snap.Epoch, snap.BuildTime.Round(time.Millisecond),
 		snap.IndexDim, snap.IndexNNZ)
-	if c := s.Coordinator(); c.Shards() > 1 {
-		fmt.Printf("sharded tier: %d shards, partition %v (skew %.2f)\n",
-			c.Shards(), c.Partition().Bounds, snap.Skew())
-	}
 	bound, err := s.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hinet serve: %v\n", err)

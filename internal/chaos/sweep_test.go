@@ -24,7 +24,7 @@ import (
 // host: every top-k miss's kernel call pays a deterministic 4ms.
 func sweepServer(t *testing.T) (*serve.Server, loadgen.Target, *chaos.Injector) {
 	t.Helper()
-	inj := chaos.New(chaos.Config{Seed: 7, KernelDelay: 4 * time.Millisecond})
+	inj := chaos.New(chaos.Config{KernelDelay: 4 * time.Millisecond})
 	s := serve.New(serve.Options{
 		Seed: 1,
 		Models: serve.ModelConfig{Corpus: dblp.Config{
@@ -159,7 +159,7 @@ func TestOverloadSweep(t *testing.T) {
 // TestErrorBurstsSurfaceAndRecover: injected 500 bursts show up as
 // request failures without wedging admission — slots always come back.
 func TestErrorBurstsSurfaceAndRecover(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 3, ErrorEvery: 4, ErrorBurst: 1})
+	inj := chaos.New(chaos.Config{ErrorEvery: 4, ErrorBurst: 1})
 	s := serve.New(serve.Options{
 		Seed: 1,
 		Models: serve.ModelConfig{Corpus: dblp.Config{

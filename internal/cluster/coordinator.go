@@ -1,8 +1,8 @@
-// The scatter-gather coordinator: applies each write once — the models
-// and every shard's range of the default path built side by side — and
-// publishes one View per write; fans a View's PathSim reads out to every
-// shard's range and merges the partial top-k answers under the same
-// strict total order the single-index scan uses.
+// The coordinator: applies each write once — the models and every
+// shard's range of the default path built side by side — and publishes
+// one View per write; fans a View's PathSim reads out to every shard's
+// range and merges the partial top-k answers under the same strict
+// total order the single-index scan uses.
 
 package cluster
 
@@ -16,20 +16,16 @@ import (
 	"hinet/internal/eval"
 	"hinet/internal/hin"
 	"hinet/internal/ingest"
-	"hinet/internal/obs"
 	"hinet/internal/pathsim"
 )
 
 // Coordinator routes queries across one partition's shards.
 type Coordinator struct {
-	part   Partition
 	spec   ModelSpec // SkipPathSim set: the cluster never materializes the similarity index
 	shards []*LocalShard
-	spans  []string // "shard<i>": per-shard trace span names
 
-	mu       sync.Mutex // serializes writes
-	view     atomic.Pointer[View]
-	scatters atomic.Uint64 // scatter-gather fan-outs issued
+	mu   sync.Mutex // serializes writes
+	view atomic.Pointer[View]
 }
 
 // View is one published generation and the serving snapshot: what a
@@ -67,18 +63,17 @@ type nmiMemo struct {
 
 // NewLocalCluster builds n in-process shards over the partition,
 // materializes their first generation from seed, and returns the
-// coordinator — the `hinet serve -shards N` construction path. The
-// fourth parameter is ignored: bench/ still passes it a nil; the next
-// [benchmark] PR drops that argument and this parameter together.
+// coordinator — what serve.New boots. The fourth parameter is ignored:
+// bench/ still passes it a nil; the next [benchmark] PR drops that
+// argument and this parameter together.
 func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (*Coordinator, error) {
 	if part.Shards() != n {
 		return nil, fmt.Errorf("cluster: partition has %d ranges for %d shards", part.Shards(), n)
 	}
 	spec.SkipPathSim = true
-	c := &Coordinator{part: part, spec: spec, shards: make([]*LocalShard, n), spans: make([]string, n)}
+	c := &Coordinator{spec: spec, shards: make([]*LocalShard, n)}
 	for i := range c.shards {
 		c.shards[i] = &LocalShard{id: i, part: part}
-		c.spans[i] = fmt.Sprintf("shard%d", i)
 	}
 	if _, err := c.Rebuild(seed); err != nil {
 		return nil, err
@@ -86,68 +81,36 @@ func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (
 	return c, nil
 }
 
-// Shards returns the shard count.
-func (c *Coordinator) Shards() int { return len(c.shards) }
-
 // View returns the published View.
 func (c *Coordinator) View() *View { return c.view.Load() }
 
-// Partition returns the fixed candidate partition.
-func (c *Coordinator) Partition() Partition { return c.part }
-
-// Scatters returns the number of fan-out reads issued.
-func (c *Coordinator) Scatters() uint64 { return c.scatters.Load() }
-
-// scatter runs fn against every shard concurrently under a "scatter"
-// span of tr, adding one timed child span per shard after the gather
-// (obs.Trace is not concurrent-safe). The last shard runs on the
-// calling goroutine, so a fan-out costs one goroutine fewer than it has
-// shards; a one-shard cluster has nothing to fan out and runs fn
-// inline, with no gather bookkeeping. On success the scatter span is
-// returned still open, for the caller to chain its merge span onto. The
-// first shard's error wins and closes the span; partial results are
-// discarded on error.
-func (c *Coordinator) scatter(tr *obs.Trace, fn func(i int, sh *LocalShard) error) (int, error) {
-	c.scatters.Add(1)
-	sp := tr.Start("scatter")
-	if len(c.shards) == 1 {
-		start := time.Now()
-		err := fn(0, c.shards[0])
-		tr.AddTimed(sp, c.spans[0], time.Since(start))
-		if err != nil {
-			tr.End(sp)
-		}
-		return sp, err
-	}
-	durs := make([]time.Duration, len(c.shards))
-	errs := make([]error, len(c.shards))
-	run := func(i int) {
-		start := time.Now()
-		errs[i] = fn(i, c.shards[i])
-		durs[i] = time.Since(start)
-	}
+// scatter runs fn against every shard concurrently and returns the
+// first shard's error; partial results are the caller's to discard. The
+// last shard runs on the calling goroutine, so a fan-out costs one
+// goroutine fewer than it has shards, and a one-shard cluster runs fn
+// inline.
+func (c *Coordinator) scatter(fn func(i int, sh *LocalShard) error) error {
 	last := len(c.shards) - 1
+	if last == 0 {
+		return fn(0, c.shards[0])
+	}
+	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i := 0; i < last; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			run(i)
+			errs[i] = fn(i, c.shards[i])
 		}(i)
 	}
-	run(last)
+	errs[last] = fn(last, c.shards[last])
 	wg.Wait()
-	var first error
-	for i, err := range errs {
-		tr.AddTimed(sp, c.spans[i], durs[i])
-		if first == nil {
-			first = err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	if first != nil {
-		tr.End(sp)
-	}
-	return sp, first
+	return nil
 }
 
 // Resolve makes a meta-path servable in v and reports whether v already
@@ -202,15 +165,13 @@ func (v *View) build(ctx context.Context, path hin.MetaPath) ([]*pathsim.Index, 
 		return nil, &ClientError{Err: err}
 	}
 	rs := make([]*pathsim.Index, len(v.c.shards))
-	tr := obs.FromContext(ctx)
-	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) (err error) {
+	err = v.c.scatter(func(i int, sh *LocalShard) (err error) {
 		rs[i], err = sh.cut(full)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr.End(sp)
 	if v.npaths.Load() >= maxPathIndexes {
 		return rs, nil
 	}
@@ -240,21 +201,12 @@ func (v *View) TopK(ctx context.Context, path string, x, k int) ([]pathsim.Pair,
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.FromContext(ctx)
 	partials := make([][]pathsim.Pair, len(rs))
-	sp, err := v.c.scatter(tr, func(i int, sh *LocalShard) error {
-		return sh.read(func() error {
-			partials[i] = rs[i].TopK(x, k)
-			return nil
-		})
+	_ = v.c.scatter(func(i int, _ *LocalShard) error { // a range read cannot fail
+		partials[i] = rs[i].TopK(x, k)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Next(sp, "merge")
-	merged := pathsim.MergeTopK(partials, k, nil)
-	tr.End(sp)
-	return merged, nil
+	return pathsim.MergeTopK(partials, k, nil), nil
 }
 
 // TopK is View().TopK, with the epoch it answered at.
@@ -268,8 +220,7 @@ func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []
 
 // defaultRanges builds every shard's range of the default path over net,
 // cut from one index over the whole author type. It runs as one job of a
-// write, so it cuts in turn rather than through scatter: a write is not
-// a read fan-out, and hinet_cluster_scatters_total counts only those.
+// write, so it cuts in turn rather than through scatter.
 func (c *Coordinator) defaultRanges(net *hin.Network) ([]*pathsim.Index, error) {
 	full, err := pathsim.NewRangeIndexCtx(context.Background(), net, PathAPVPA, 0, net.Count(PathAPVPA[0]))
 	if err != nil {
@@ -336,34 +287,6 @@ func (c *Coordinator) Rebuild(seed int64) (*View, error) {
 		return m, ingest.Summary{}, err
 	})
 	return v, err
-}
-
-// Stats returns every shard's stats in v, in shard order — the
-// partition skew view (/v1/cluster/shards, hinet_shard_* metrics). The
-// epoch and geometry are v's; the load counters are the shards' own.
-func (v *View) Stats() []ShardStats {
-	out := make([]ShardStats, len(v.def))
-	for i, sh := range v.c.shards {
-		def := v.def[i]
-		out[i] = ShardStats{ID: sh.id, Epoch: v.Epoch, Lo: def.Lo(), Hi: def.Hi(), Rows: def.Rows(), NNZ: def.NNZ(),
-			Inflight: sh.inflight.Load(), Queries: sh.queries.Load()}
-	}
-	return out
-}
-
-// Skew summarizes v's partition imbalance across shards: the ratio of
-// the largest to the mean per-shard nnz (1.0 = perfectly balanced; 0
-// when the index is empty).
-func (v *View) Skew() float64 {
-	maxNNZ := 0
-	for _, r := range v.def {
-		maxNNZ = max(maxNNZ, r.NNZ())
-	}
-	if v.IndexNNZ == 0 {
-		return 0
-	}
-	mean := float64(v.IndexNNZ) / float64(len(v.def))
-	return float64(maxNNZ) / mean
 }
 
 // RankClusNMI returns the RankClus venue clustering's NMI against the

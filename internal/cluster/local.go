@@ -1,15 +1,12 @@
 // LocalShard: one in-process shard — a candidate range, not a replica.
 // It owns the rule that places its range [Lo, Hi) of a meta-path's
-// endpoint type (boundsFor) and the load counters of the PathSim reads
-// it answers. The models and the range indexes belong to the
+// endpoint type (boundsFor). The models and the range indexes belong to the
 // coordinator and its Views: each write is applied once, and a View
 // cuts every shard's range of a path from one index over the whole type.
 
 package cluster
 
 import (
-	"sync/atomic"
-
 	"hinet/internal/hin"
 	"hinet/internal/pathsim"
 )
@@ -26,9 +23,6 @@ const maxPathIndexes = 64
 type LocalShard struct {
 	id   int
 	part Partition
-
-	inflight atomic.Int64
-	queries  atomic.Uint64
 }
 
 // boundsFor resolves the shard's owned candidate range for a path
@@ -51,13 +45,4 @@ func (sh *LocalShard) cut(full *pathsim.Index) (*pathsim.Index, error) {
 		return full, nil
 	}
 	return full.Range(lo, hi)
-}
-
-// read runs fn counted in and out of the shard's load counters: one
-// PathSim read of its range.
-func (sh *LocalShard) read(fn func() error) error {
-	sh.inflight.Add(1)
-	defer sh.inflight.Add(-1)
-	sh.queries.Add(1)
-	return fn()
 }

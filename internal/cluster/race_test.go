@@ -1,7 +1,7 @@
 // Concurrency suite (run under -race in CI): scatter-gather reads and
-// ingests proceed concurrently while the coordinator's and every shard's
-// epoch stay monotone, reads only ever see fully published generations,
-// and the final epoch accounts exactly for the writes that succeeded.
+// ingests proceed concurrently while the published epoch stays
+// monotone, reads only ever see fully published generations, and the
+// final epoch accounts exactly for the writes that succeeded.
 
 package cluster
 
@@ -48,16 +48,11 @@ func TestClusterRace(t *testing.T) {
 		t.Errorf(format, args...)
 	}
 
-	// Epoch monotonicity watchers: the coordinator and every shard as
-	// Stats reports it (the View's).
+	// Epoch monotonicity watcher: the published View's.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		last := c.View().Epoch
-		lastShard := make([]int64, shards)
-		for i, st := range c.View().Stats() {
-			lastShard[i] = st.Epoch
-		}
 		for {
 			select {
 			case <-stop:
@@ -69,14 +64,6 @@ func TestClusterRace(t *testing.T) {
 				return
 			} else {
 				last = e
-			}
-			for i, st := range c.View().Stats() {
-				if e := st.Epoch; e < lastShard[i] {
-					fail("shard %d epoch went backwards: %d -> %d", i, lastShard[i], e)
-					return
-				} else {
-					lastShard[i] = e
-				}
 			}
 		}
 	}()
@@ -154,16 +141,10 @@ func TestClusterRace(t *testing.T) {
 		return
 	}
 
-	// Exact final-epoch accounting: boot(1) + every accepted write, on
-	// the coordinator and every shard.
+	// Exact final-epoch accounting: boot(1) + every accepted write.
 	want := int64(writes + 1)
 	if c.View().Epoch != want {
 		t.Fatalf("final coordinator epoch %d, want %d", c.View().Epoch, want)
-	}
-	for i, st := range c.View().Stats() {
-		if st.Epoch != want {
-			t.Fatalf("final shard %d epoch %d, want %d", i, st.Epoch, want)
-		}
 	}
 	// And the final state is bitwise the single-process one.
 	rng := rand.New(rand.NewSource(9))

@@ -709,28 +709,23 @@ func fromMetaPath(p MetaPath) []string {
 // product is evaluated by the meta-path engine — planned association
 // order, Gram factorization of symmetric paths, cached intermediates —
 // so repeated or overlapping paths cost far less than their naive
-// products. It panics on malformed paths; CommutingMatrixE returns an
+// products. It panics on malformed paths; CommutingMatrixCtx returns an
 // error instead.
 func (n *Network) CommutingMatrix(p MetaPath) *sparse.Matrix {
-	m, err := n.CommutingMatrixE(p)
+	m, err := n.CommutingMatrixCtx(context.Background(), p)
 	if err != nil {
 		panic("hin: " + err.Error())
 	}
 	return m
 }
 
-// CommutingMatrixE is the non-panicking CommutingMatrix: malformed
+// CommutingMatrixCtx is the non-panicking CommutingMatrix: malformed
 // paths (too short, unknown types, missing schema relations) come back
 // as errors, which is what the serving layer needs to turn client input
-// into 400s rather than crashes.
-func (n *Network) CommutingMatrixE(p MetaPath) (*sparse.Matrix, error) {
-	return n.PathEngine().Commute(fromMetaPath(p))
-}
-
-// CommutingMatrixCtx is CommutingMatrixE with cooperative cancellation
-// threaded into the engine's materialization (see
-// metapath.Engine.CommuteCtx): a cancelled ctx stops the product chain
-// at its next row-block checkpoint and returns ctx.Err().
+// into 400s rather than crashes. Cancellation is threaded into the
+// engine's materialization (see metapath.Engine.CommuteCtx): a
+// cancelled ctx stops the product chain at its next row-block
+// checkpoint and returns ctx.Err().
 func (n *Network) CommutingMatrixCtx(ctx context.Context, p MetaPath) (*sparse.Matrix, error) {
 	return n.PathEngine().CommuteCtx(ctx, fromMetaPath(p))
 }
@@ -753,7 +748,7 @@ func (n *Network) Projection(p MetaPath) (*graph.Graph, error) {
 	if len(p) == 0 || !p.Symmetric() || p[0] != p[len(p)-1] {
 		return nil, fmt.Errorf("projection requires a symmetric meta path, got %q", p.String())
 	}
-	m, err := n.CommutingMatrixE(p)
+	m, err := n.CommutingMatrixCtx(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}

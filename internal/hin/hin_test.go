@@ -1,6 +1,7 @@
 package hin
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -265,17 +266,17 @@ func TestProjectionRequiresSymmetry(t *testing.T) {
 	}
 }
 
-// TestErrorVariants pins the non-panicking boundary: every …E variant
-// returns descriptive errors for the inputs the wrappers panic on.
+// TestErrorVariants pins the non-panicking boundary: every …E or …Ctx
+// variant returns descriptive errors for the inputs the wrappers panic on.
 func TestErrorVariants(t *testing.T) {
 	n := tinyDBLP()
-	if _, err := n.CommutingMatrixE(MetaPath{"author"}); err == nil {
+	if _, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author"}); err == nil {
 		t.Error("short path accepted")
 	}
-	if _, err := n.CommutingMatrixE(MetaPath{"author", "nosuch"}); err == nil {
+	if _, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "nosuch"}); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if _, err := n.CommutingMatrixE(MetaPath{"author", "venue"}); err == nil {
+	if _, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "venue"}); err == nil {
 		t.Error("schema-less hop accepted")
 	}
 	if _, err := n.Projection(MetaPath{"author", "paper", "venue"}); err == nil {
@@ -287,7 +288,7 @@ func TestErrorVariants(t *testing.T) {
 	if _, err := n.StarE("paper", "author", "term"); err == nil {
 		t.Error("missing star relation accepted")
 	}
-	m, err := n.CommutingMatrixE(MetaPath{"author", "paper", "author"})
+	m, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "paper", "author"})
 	if err != nil || m.At(0, 1) != 1 {
 		t.Fatalf("valid path: %v, %v", m, err)
 	}

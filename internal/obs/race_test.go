@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentTraceAndScrape hammers the registry from tracer
@@ -29,12 +28,12 @@ func TestConcurrentTraceAndScrape(t *testing.T) {
 			if w%2 == 1 {
 				ep = "/b"
 			}
-			for i := 0; i < perWriter; i++ {
+			for range perWriter {
 				tr := reg.Family(ep).StartTrace()
 				sp := tr.Start("parse")
 				sp = tr.Next(sp, "work")
 				tr.Note("hit")
-				tr.AddTimed(sp, "kernel", time.Duration(i)*time.Nanosecond)
+				tr.End(tr.Start("kernel"))
 				sp = tr.Next(sp, "serialize")
 				tr.End(sp)
 				tr.Finish(200)

@@ -295,27 +295,6 @@ func (t *Trace) Note(note string) {
 	t.spans[t.stack[t.depth-1]].note = note
 }
 
-// AddTimed records an already-measured child span of parent, ending
-// now and starting d earlier — how externally timed work (a shard's
-// part of a scatter, run on another goroutine) is attributed to the
-// request's trace.
-func (t *Trace) AddTimed(parent int, name string, d time.Duration) {
-	if t == nil || int(t.n) >= maxSpans {
-		return
-	}
-	now := t.since()
-	start := now - int64(d)
-	if start < 0 {
-		start = 0
-	}
-	p := int16(-1)
-	if parent >= 0 && parent < int(t.n) {
-		p = int16(parent)
-	}
-	t.spans[t.n] = spanRec{name: name, start: start, end: now, parent: p}
-	t.n++
-}
-
 // Finish completes the trace: closes any still-open spans at the final
 // timestamp, records every span's duration into the endpoint's stage
 // histograms, inserts the trace into the slowlog, and returns the
@@ -408,7 +387,7 @@ func (t *Trace) Snapshot() *TraceJSON {
 type ctxKey struct{}
 
 // WithTrace returns a context carrying tr, for propagation into layers
-// that cannot see the request (snapshot resolution, the scatter).
+// that cannot see the request (the top-k query path).
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, tr)
 }

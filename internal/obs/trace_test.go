@@ -42,10 +42,12 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	clk.advance(1 * time.Millisecond)
 	tr.End(b)
 	clk.advance(1 * time.Millisecond)
-	c := tr.Next(a, "c")
+	tr.Next(a, "c")
 	clk.advance(1 * time.Millisecond)
-	tr.AddTimed(c, "k", 500*time.Microsecond)
-	clk.advance(1 * time.Millisecond)
+	k := tr.Start("k")
+	clk.advance(500 * time.Microsecond)
+	tr.End(k)
+	clk.advance(500 * time.Microsecond)
 	total := tr.Finish(200)
 
 	if total != 6*time.Millisecond {
@@ -85,8 +87,8 @@ func TestSpanTreeDeterministic(t *testing.T) {
 		t.Fatalf("c children = %+v, want [k]", rc.Children)
 	}
 	rk := rc.Children[0]
-	if rk.Stage != "k" || rk.DurUS != 500 || rk.StartUS != ms(4.5) {
-		t.Errorf("span k = %+v, want start 4500 dur 500", rk)
+	if rk.Stage != "k" || rk.DurUS != 500 || rk.StartUS != ms(5) {
+		t.Errorf("span k = %+v, want start 5000 dur 500", rk)
 	}
 
 	// Every closed span landed in its declared stage histogram.
@@ -117,7 +119,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp = tr.Next(sp, "b")
 	tr.Note("n")
-	tr.AddTimed(sp, "k", time.Millisecond)
 	tr.End(sp)
 	if d := tr.Finish(200); d != 0 {
 		t.Fatalf("nil Finish = %v", d)

@@ -333,7 +333,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 				// Read as the handlers do: through the snapshot's View,
 				// however many writes overtake the read.
 				err := func() error {
-					pairs, epoch, _, err := srv.topK(context.Background(), snap, pathAPVPAKey, snap.IndexDim, x, 5)
+					pairs, epoch, _, err := srv.topK(context.Background(), snap, pathAPVPAKey, snap.IndexDim, x, 5, false)
 					if err != nil {
 						return err
 					}
@@ -367,7 +367,7 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 
 	// Quiesced: the live snapshot answers for itself.
 	snap := srv.Snapshot()
-	pairs, _, _, err := srv.topK(context.Background(), snap, pathAPVPAKey, snap.IndexDim, 0, 5)
+	pairs, _, _, err := srv.topK(context.Background(), snap, pathAPVPAKey, snap.IndexDim, 0, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, x := range []int{0, 5, want.Dim() / 2, want.Dim() - 1} {
-					got, epoch, _, err := srv.topK(ctx, snap, path.String(), want.Dim(), x, 20)
+					got, epoch, _, err := srv.topK(ctx, snap, path.String(), want.Dim(), x, 20, false)
 					if err != nil || epoch != snap.Epoch || !samePairs(got, want.TopK(x, 20)) {
 						t.Fatalf("path %s, id %d: %v at epoch %d (%v), cold build at epoch %d: %v",
 							path, x, got, epoch, err, snap.Epoch, want.TopK(x, 20))

@@ -22,9 +22,8 @@ import (
 // writeMetrics renders the Prometheus text exposition for /metrics:
 // snapshot identity, per-endpoint request counters and latency
 // histograms, per-stage duration histograms from the tracer, cache hit
-// rates, and process/pool runtime gauges. Every
-// generation value — the snapshot and hinet_cluster_*/hinet_shard_*
-// series alike — comes from one View, loaded once.
+// rates, and process/pool runtime gauges. Every generation value comes
+// from one View, loaded once.
 func (s *Server) writeMetrics(w io.Writer) {
 	v := s.coord.View()
 	fmt.Fprintf(w, "hinet_snapshot_epoch %d\n", v.Epoch)
@@ -115,9 +114,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	hits, misses := sparse.SpgemmPoolStats()
 	fmt.Fprintf(w, "hinet_spgemm_scratch_hits_total %d\n", hits)
 	fmt.Fprintf(w, "hinet_spgemm_scratch_misses_total %d\n", misses)
-
-	// Sharded tier series (emitted only when the server is sharded).
-	s.writeClusterMetrics(w, v)
 }
 
 // AdmissionState is a point-in-time copy of the overload-protection

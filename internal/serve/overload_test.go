@@ -19,7 +19,7 @@ import (
 // deadline and disconnect tests are deterministic rather than racing
 // the real (microsecond-scale) kernel on the tiny test corpus.
 func slowChaos(kernel time.Duration) *chaos.Injector {
-	return chaos.New(chaos.Config{Seed: 1, KernelDelay: kernel})
+	return chaos.New(chaos.Config{KernelDelay: kernel})
 }
 
 // TestDeadlinePropagation: a request carrying timeout_ms shorter than

@@ -180,15 +180,6 @@ func refStats(s *Server, snap *cluster.View) map[string]any {
 		entry["stages"] = stages
 		latency[f.Name()] = entry
 	}
-	clusterStats := map[string]any{
-		"shards": 1, "epoch": snap.Epoch, "skew": 1.0, "scatters": uint64(0),
-	}
-	if s.coord.Shards() > 1 {
-		clusterStats = map[string]any{
-			"shards": s.coord.Shards(), "epoch": snap.Epoch,
-			"skew": snap.Skew(), "scatters": s.coord.Scatters(),
-		}
-	}
 	objects := map[string]int{}
 	for _, t := range snap.Corpus.Net.Types() {
 		objects[string(t)] = snap.Corpus.Net.Count(t)
@@ -219,7 +210,6 @@ func refStats(s *Server, snap *cluster.View) map[string]any {
 			"apply_seconds": time.Duration(s.ing.nanos.Load()).Seconds(),
 		},
 		"latency":            latency,
-		"cluster":            clusterStats,
 		"workers":            sparse.Parallelism(0),
 		"max_concurrent":     cap(s.adm.sem),
 		"admission_rejected": s.rejAd.Load(),
@@ -237,24 +227,6 @@ func refStats(s *Server, snap *cluster.View) map[string]any {
 			"degraded_responses": s.adm.degradedServed.Load(),
 			"timeouts":           s.adm.timeouts.Load(),
 		},
-	}
-}
-
-func refClusterShards(s *Server) map[string]any {
-	v := s.coord.View()
-	stats := v.Stats()
-	shards := make([]map[string]any, len(stats))
-	for i, st := range stats {
-		shards[i] = map[string]any{
-			"id": st.ID, "epoch": st.Epoch, "lo": st.Lo, "hi": st.Hi,
-			"rows": st.Rows, "nnz": st.NNZ, "inflight": st.Inflight, "queries": st.Queries,
-		}
-	}
-	return map[string]any{
-		"shards":    shards,
-		"epoch":     v.Epoch,
-		"partition": s.coord.Partition().Bounds,
-		"skew":      v.Skew(),
 	}
 }
 
@@ -462,7 +434,7 @@ func TestRenderParityDeadlineAndFaults(t *testing.T) {
 	target := "/v1/pathsim/topk?id=0&k=5&timeout_ms=15"
 	expect(t, serveBody(t, slow, "GET", target, ""), target, 504, refError("deadline exceeded: %v", context.DeadlineExceeded))
 
-	faulty := newTestServer(t, Options{ControlInterval: -1, Chaos: chaos.New(chaos.Config{Seed: 1, ErrorEvery: 1, ErrorBurst: 1})})
+	faulty := newTestServer(t, Options{ControlInterval: -1, Chaos: chaos.New(chaos.Config{ErrorEvery: 1, ErrorBurst: 1})})
 	expect(t, serveBody(t, faulty, "GET", "/v1/pathsim/topk?id=0", ""), "injected fault", 500, refError("chaos: injected fault"))
 }
 
@@ -495,8 +467,11 @@ func TestRenderParityRankClustersStats(t *testing.T) {
 	} {
 		expect(t, serveBody(t, s, "GET", target, ""), target, 400, ref)
 	}
-	expect(t, serveBody(t, s, "GET", "/v1/cluster/shards", ""), "/v1/cluster/shards", 404,
-		refError("server is not sharded (start with -shards N)"))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cluster/shards", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/v1/cluster/shards = %d, want the mux's 404", rec.Code)
+	}
 
 	// The stats and slowlog references are taken just before the request:
 	// a request's own counters and trace land only after it is answered.
@@ -560,7 +535,7 @@ func decodeErr(body string) error {
 // TestRenderParitySharded: a 3-shard server renders the same bytes —
 // checked against references built from a same-seed unsharded snapshot
 // (the sharded snapshot keeps no index of its own) — and its own
-// /v1/stats "cluster" section and /v1/cluster/shards view.
+// /v1/stats.
 func TestRenderParitySharded(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4, ControlInterval: -1})
 	s := newTestServer(t, Options{Seed: 4, Shards: 3, ControlInterval: -1})
@@ -586,10 +561,6 @@ func TestRenderParitySharded(t *testing.T) {
 	}
 	for _, target := range []string{"/v1/stats", "/v1/stats?debug=1"} {
 		want := refStats(s, snap)
-		expect(t, serveBody(t, s, "GET", target, ""), target, 200, want)
-	}
-	for _, target := range []string{"/v1/cluster/shards", "/v1/cluster/shards?debug=1"} {
-		want := refClusterShards(s)
 		expect(t, serveBody(t, s, "GET", target, ""), target, 200, want)
 	}
 }

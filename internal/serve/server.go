@@ -5,14 +5,11 @@
 //
 // Four pieces cooperate:
 //
-//   - the cluster tier (internal/cluster, glued in by cluster.go) is the
-//     one kernel and write surface: a scatter-gather coordinator over
-//     max(1, Options.Shards) in-process shards builds each immutable
-//     generation once — PageRank/HITS vectors, RankClus and NetClus
-//     cluster models, the default PathSim index as per-shard candidate
-//     ranges — and the shards answer top-k reads from the ranges; an
-//     unsharded server is the one-shard case of the same path. Each
-//     generation carries its network's meta-path engine
+//   - internal/cluster is the one kernel and write surface: its
+//     coordinator builds each immutable generation once — PageRank/HITS
+//     vectors, RankClus and NetClus cluster models, the default PathSim
+//     index — and publishes it as a View, which answers top-k reads.
+//     Each generation carries its network's meta-path engine
 //     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
 //     meta-paths, planned and materialized on first use and answered
 //     from the View's memo afterwards;
@@ -25,8 +22,7 @@
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
 //   - a top-k miss is one View.TopK call on the goroutine that asked
-//     (Server.topK): it scatters over the shards and merges, with no
-//     queue, dispatcher or batch in between.
+//     (Server.topK), with no queue, dispatcher or batch in between.
 //
 // Every request is counted and traced (internal/obs): New states each
 // endpoint once, in one table, and builds one obs family per endpoint
@@ -38,9 +34,8 @@
 // response.
 //
 // Endpoints: /healthz, /metrics, /v1/stats, /v1/rank, /v1/clusters,
-// /v1/pathsim/topk, /v1/cluster/shards, POST /v1/rebuild, POST
-// /v1/ingest, and /v1/debug/slowlog (plus /debug/pprof/* when
-// Options.Pprof is set).
+// /v1/pathsim/topk, POST /v1/rebuild, POST /v1/ingest, and
+// /v1/debug/slowlog (plus /debug/pprof/* when Options.Pprof is set).
 // See docs/ARCHITECTURE.md ("One serving path") and the README quickstart.
 package serve
 
@@ -79,10 +74,11 @@ type Options struct {
 	Seed   int64       // seed of the startup snapshot (default 1)
 	Models ModelConfig // snapshot contents (corpus size, cluster count)
 
-	// Cluster tier (internal/cluster): the PathSim candidate space is
-	// partitioned over max(1, Shards) in-process shards behind a
-	// scatter-gather coordinator; answers are bitwise-identical at any
-	// count.
+	// Shards splits the PathSim candidate space over max(1, Shards)
+	// in-process ranges; answers are bitwise-identical at any count.
+	// Only bench/'s sharded3 workload sets it, and no flag or endpoint
+	// exposes it. ROADMAP item 4 removes it, with the partitioner in New,
+	// once item 1(a) has retired that workload.
 	Shards int
 
 	CacheCapacity int           // result cache entries; 0 = 4096, < 0 disables
@@ -142,7 +138,7 @@ const cacheShards = 16
 // brownoutK is the top-k truncation during brownout.
 const brownoutK = 5
 
-// Server wires the cluster tier, cache and admission controller
+// Server wires the cluster's Views, cache and admission controller
 // behind an http.Handler.
 type Server struct {
 	opts  Options
@@ -155,7 +151,7 @@ type Server struct {
 	hs    *http.Server
 	ln    net.Listener
 
-	coord *cluster.Coordinator // scatter-gather tier: every PathSim read and every write
+	coord *cluster.Coordinator // every write; publishes the View every read loads
 
 	closed   atomic.Bool // set by Shutdown: top-k misses fail with errShutdown
 	shutOnce sync.Once
@@ -163,6 +159,9 @@ type Server struct {
 }
 
 var errShutdown = errors.New("serve: server is shutting down")
+
+// errCacheOnly is a cache-only topK's miss: a browned-out handler sheds it.
+var errCacheOnly = errors.New("serve: cache-only miss")
 
 // ingestStats counts the ingestion write path (see /metrics and
 // /v1/stats).
@@ -241,7 +240,6 @@ func New(opts Options) *Server {
 		{"/v1/rebuild", classWrite, s.handleRebuild, []string{"admission", "params", "rebuild", "serialize"}},
 		{"/v1/ingest", classWrite, s.handleIngest, []string{"admission", "decode", "apply", "serialize"}},
 		{"/v1/debug/slowlog", classCheap, s.handleSlowlog, nil},
-		{"/v1/cluster/shards", classCheap, s.handleClusterShards, []string{"collect", "serialize"}},
 	}
 	plans := make([]obs.Endpoint, len(endpoints))
 	for i, e := range endpoints {
@@ -362,15 +360,10 @@ func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
 				defer cancel()
 				r = r.WithContext(ctx)
 			}
-			if fail, delay := s.opts.Chaos.RequestFault(); fail || delay > 0 {
-				if delay > 0 {
-					time.Sleep(delay)
-				}
-				if fail {
-					httpError(rec, http.StatusInternalServerError, "chaos: injected fault")
-					finish()
-					return
-				}
+			if s.opts.Chaos.RequestFault() {
+				httpError(rec, http.StatusInternalServerError, "chaos: injected fault")
+				finish()
+				return
 			}
 			ad := tr.Start("admission")
 			release, code, msg := s.admit(r, class)
@@ -528,7 +521,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 
 // live adapts a handler to the live snapshot: the handler loads the
 // published View once and reads it throughout — models, names and, for
-// top-k, every shard's range — so a write landing mid-request changes
+// top-k, the path's index — so a write landing mid-request changes
 // nothing it reads.
 func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.View)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -543,11 +536,12 @@ func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.
 // different path can ever serve a stale or foreign answer. A miss is
 // one View.TopK call on the calling goroutine: misses on different
 // cores compute side by side and none waits for another. It returns the
-// answer, the epoch it came from, and whether it was a cache hit.
+// answer, the epoch it came from, and whether it was a cache hit. A
+// cacheOnly miss reaches no kernel: it fails with errCacheOnly.
 //
 // A trace carried by ctx gets child spans under the caller's open span:
 // "cache" (noted hit/miss), then on a miss "kernel".
-func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x, k int) ([]pathsim.Pair, int64, bool, error) {
+func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x, k int, cacheOnly bool) ([]pathsim.Pair, int64, bool, error) {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("cache")
 	key := cacheKey{v.Epoch, path, x, k}
@@ -557,6 +551,10 @@ func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x,
 		return pairs, v.Epoch, true, nil
 	}
 	tr.Note("miss")
+	if cacheOnly {
+		tr.End(sp)
+		return nil, 0, false, errCacheOnly
+	}
 	sp = tr.Next(sp, "kernel")
 	pairs, err := s.kernel(ctx, v, path, dim, x, k)
 	tr.End(sp)
@@ -570,8 +568,6 @@ func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x,
 // kernel answers one top-k miss. A server shutting down refuses it, an
 // id outside the endpoint type fails it, and a context that is done —
 // also while a chaos kernel delay runs — abandons it before the call.
-// The call runs under kernelCtx, so its scatter stays off the request's
-// trace, whose "kernel" span times it whole.
 func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, x, k int) ([]pathsim.Pair, error) {
 	if s.closed.Load() {
 		return nil, errShutdown
@@ -590,21 +586,14 @@ func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return v.TopK(kernelCtx{ctx}, path, x, k)
+	return v.TopK(ctx, path, x, k)
 }
 
-// kernelCtx is the context a miss's kernel call runs under: done when
-// the request is, and carrying none of its values.
-type kernelCtx struct{ context.Context }
-
-func (kernelCtx) Value(any) any { return nil }
-
 // TopK is the exported form of the cached query path, against the live
-// generation's default (APVPA) index, scatter-gathered across the
-// shards.
+// generation's default (APVPA) index.
 func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
 	v := s.coord.View()
-	pairs, _, hit, err = s.topK(ctx, v, pathAPVPAKey, v.IndexDim, x, k)
+	pairs, _, hit, err = s.topK(ctx, v, pathAPVPAKey, v.IndexDim, x, k, false)
 	return pairs, hit, err
 }
 
@@ -701,8 +690,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *clust
 	jw.key("entries").integer(int64(cs.Entries))
 	jw.key("shards").integer(int64(cs.Shards))
 	jw.endObject()
-	jw.key("cluster")
-	s.writeClusterStats(jw, snap)
 	jw.key("epoch").integer(snap.Epoch)
 	jw.key("ingest").beginObject()
 	jw.key("apply_seconds").float(time.Duration(s.ing.nanos.Load()).Seconds())
@@ -881,9 +868,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 	}
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
 	// Any parse/schema/symmetry problem is the client's, hence 400. The
-	// View builds every shard's range of a new path here, on this
-	// request's goroutine, before its kernel call — and memoizes them,
-	// so repeat queries pay one lookup (the resolve span's note
+	// View builds a new path's index here, on this request's goroutine,
+	// before its kernel call — and memoizes it, so repeat queries pay one lookup (the resolve span's note
 	// says which way it went: prebuilt, cached, or built). A degraded
 	// server starts no materializations: a path not already built sheds.
 	sp = tr.Next(sp, "resolve")
@@ -945,27 +931,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 		return
 	}
 	sp = tr.Next(sp, "query")
-	var pairs []pathsim.Pair
-	var epoch int64
-	var hit bool
-	if degraded {
-		// Cache-only: a hit serves (annotated), a miss sheds — the
-		// brownout's whole point is that no query reaches the kernels.
-		sp2 := tr.Start("cache")
-		cached, ok := s.cache.Get(cacheKey{snap.Epoch, pathKey, x, k})
-		if !ok {
-			tr.Note("miss")
-			tr.End(sp2)
-			s.adm.shedFor(classQuery)
-			s.shed(w, classQuery)
-			return
-		}
-		tr.Note("hit")
-		tr.End(sp2)
-		pairs, epoch, hit = cached, snap.Epoch, true
-	} else if pairs, epoch, hit, err = s.topK(ctx, snap, pathKey, dim, x, k); err != nil {
+	// A degraded server answers from the cache only: a hit serves
+	// (annotated), a miss sheds — the brownout's whole point is that no
+	// query reaches the kernels.
+	pairs, epoch, hit, err := s.topK(ctx, snap, pathKey, dim, x, k, degraded)
+	if err != nil {
 		var ce *cluster.ClientError
 		switch {
+		case errors.Is(err, errCacheOnly):
+			s.adm.shedFor(classQuery)
+			s.shed(w, classQuery)
 		case errors.As(err, &ce):
 			// The View rejected the query's meta-path after all (it was
 			// resolved above, so only past the View's memo cap).

@@ -14,15 +14,12 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 	"time"
 
-	"hinet/internal/cluster"
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
-	"hinet/internal/pathsim"
 	"hinet/internal/stats"
 )
 
@@ -45,21 +42,15 @@ func ingestBody(t *testing.T, s *Server, tag string) string {
 }
 
 // requireOneGeneration fails unless the snapshot holds the cluster's
-// View, at the given epoch, with no full index, and every shard reports
-// that epoch.
+// View, at the given epoch, with no full index.
 func requireOneGeneration(t *testing.T, s *Server, epoch int64, label string) {
 	t.Helper()
-	snap, coord := s.Snapshot(), s.Coordinator()
-	if snap.Epoch != epoch || coord.View().Epoch != epoch || snap != coord.View() {
-		t.Fatalf("%s: snapshot epoch %d, cluster epoch %d, want %d in one View", label, snap.Epoch, coord.View().Epoch, epoch)
+	snap, v := s.Snapshot(), s.coord.View()
+	if snap.Epoch != epoch || v.Epoch != epoch || snap != v {
+		t.Fatalf("%s: snapshot epoch %d, cluster epoch %d, want %d in one View", label, snap.Epoch, v.Epoch, epoch)
 	}
 	if snap.Models.PathSim != nil {
 		t.Fatalf("%s: sharded snapshot carries a full index", label)
-	}
-	for i, st := range coord.View().Stats() {
-		if st.Epoch != epoch {
-			t.Fatalf("%s: shard %d at epoch %d", label, i, st.Epoch)
-		}
 	}
 }
 
@@ -67,18 +58,6 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4})
 	sharded := newTestServer(t, Options{Seed: 4, Shards: 3})
 	requireOneGeneration(t, sharded, 1, "boot")
-
-	// Read balance: the bounds partition the scan work of the served
-	// index over the same seed.
-	net := single.Snapshot().Corpus.Net
-	full, err := pathsim.NewRangeIndexCtx(context.Background(), net, pathAPVPA, 0, net.Count(dblp.TypeAuthor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cluster.PartitionByNNZ(string(dblp.TypeAuthor), full.Dim(), 3, full.RowNNZ)
-	if got := sharded.Coordinator().Partition(); got.Of != want.Of || !slices.Equal(got.Bounds, want.Bounds) {
-		t.Fatalf("partition %v, want %v", got, want)
-	}
 
 	body := ingestBody(t, sharded, "a")
 	for _, s := range []*Server{single, sharded} {
@@ -110,10 +89,10 @@ func TestShardedServerSharesOneGeneration(t *testing.T) {
 	requireOneGeneration(t, sharded, 4, "rebuild")
 }
 
-var metricLine = regexp.MustCompile(`(?m)^(hinet_pathsim_index_nnz|hinet_shard_nnz\{shard="\d+"\}) (\d+)$`)
+var metricLine = regexp.MustCompile(`(?m)^hinet_pathsim_index_nnz (\d+)$`)
 
 // indexSize reads the default index's size off /v1/stats and /metrics.
-func indexSize(t *testing.T, s *Server) (dim, nnz, metricNNZ, shardSum int) {
+func indexSize(t *testing.T, s *Server) (dim, nnz, metricNNZ int) {
 	t.Helper()
 	var st struct {
 		PathSim struct{ Dim, NNZ int } `json:"pathsim"`
@@ -122,29 +101,24 @@ func indexSize(t *testing.T, s *Server) (dim, nnz, metricNNZ, shardSum int) {
 		t.Fatalf("/v1/stats = %d", code)
 	}
 	_, metrics := do(t, s, "GET", "/metrics", "")
-	for _, m := range metricLine.FindAllStringSubmatch(metrics, -1) {
-		v, _ := strconv.Atoi(m[2])
-		if m[1] == "hinet_pathsim_index_nnz" {
-			metricNNZ = v
-		} else {
-			shardSum += v
-		}
+	if m := metricLine.FindStringSubmatch(metrics); m != nil {
+		metricNNZ, _ = strconv.Atoi(m[1])
 	}
-	return st.PathSim.Dim, st.PathSim.NNZ, metricNNZ, shardSum
+	return st.PathSim.Dim, st.PathSim.NNZ, metricNNZ
 }
 
 // TestShardedIndexSizeParity: with no full index to measure, the sharded
-// server reports the endpoint type's count and the sum of the shard
-// slices — the same numbers the unsharded index has, at every epoch.
+// server reports the endpoint type's count and the sum of the View's
+// ranges — the same numbers the unsharded index has, at every epoch.
 func TestShardedIndexSizeParity(t *testing.T) {
 	single := newTestServer(t, Options{Seed: 4})
 	sharded := newTestServer(t, Options{Seed: 4, Shards: 3})
 	for epoch := 1; epoch <= 2; epoch++ {
-		dim1, nnz1, met1, _ := indexSize(t, single)
-		dim3, nnz3, met3, sum3 := indexSize(t, sharded)
-		if dim1 == 0 || nnz1 == 0 || dim3 != dim1 || nnz3 != nnz1 || met1 != nnz1 || met3 != nnz1 || sum3 != nnz1 {
-			t.Fatalf("epoch %d: unsharded dim %d nnz %d metric %d; sharded dim %d nnz %d metric %d shard sum %d",
-				epoch, dim1, nnz1, met1, dim3, nnz3, met3, sum3)
+		dim1, nnz1, met1 := indexSize(t, single)
+		dim3, nnz3, met3 := indexSize(t, sharded)
+		if dim1 == 0 || nnz1 == 0 || dim3 != dim1 || nnz3 != nnz1 || met1 != nnz1 || met3 != nnz1 {
+			t.Fatalf("epoch %d: unsharded dim %d nnz %d metric %d; sharded dim %d nnz %d metric %d",
+				epoch, dim1, nnz1, met1, dim3, nnz3, met3)
 		}
 		body := ingestBody(t, single, fmt.Sprint(epoch))
 		for _, s := range []*Server{single, sharded} {
@@ -241,10 +215,10 @@ func TestShardedLiveHeap(t *testing.T) {
 }
 
 // TestScrapeReadsOneGeneration: every scrape renders one View, loaded
-// once, however fast writes publish beside it. In /metrics the snapshot,
-// cluster and shard epochs agree and the index nnz is its shards' sum;
-// /v1/stats reports one epoch at the top and in its cluster entry;
-// /v1/cluster/shards reports one epoch for itself and every shard.
+// once, however fast writes publish beside it. Each write adds three
+// papers, so a generation's paper count follows from its epoch: in
+// /metrics and in /v1/stats the epoch and the paper count must be one
+// generation's.
 func TestScrapeReadsOneGeneration(t *testing.T) {
 	s := newTestServer(t, Options{Shards: 3, ControlInterval: -1})
 	get := func(target string) []byte {
@@ -255,6 +229,9 @@ func TestScrapeReadsOneGeneration(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
+	const perWrite = 3
+	base := int64(s.Snapshot().Corpus.Net.Count(dblp.TypePaper))
+	papersAt := func(epoch int64) int64 { return base + perWrite*(epoch-1) }
 
 	stop, done := make(chan struct{}), make(chan error, 1)
 	go func() { // back-to-back 3-paper ingests
@@ -266,7 +243,7 @@ func TestScrapeReadsOneGeneration(t *testing.T) {
 				return
 			default:
 			}
-			body, err := json.Marshal(map[string]any{"deltas": ingest.SamplePapers(s.Snapshot().Corpus, rng, 3)})
+			body, err := json.Marshal(map[string]any{"deltas": ingest.SamplePapers(s.Snapshot().Corpus, rng, perWrite)})
 			if err != nil {
 				done <- err
 				return
@@ -286,67 +263,33 @@ func TestScrapeReadsOneGeneration(t *testing.T) {
 		}
 	}()
 
-	series := regexp.MustCompile(`(?m)^(hinet_snapshot_epoch|hinet_cluster_epoch|hinet_shard_epoch|hinet_pathsim_index_nnz|hinet_shard_nnz)(?:\{shard="\d+"\})? (\d+)$`)
+	series := regexp.MustCompile(`(?m)^(hinet_snapshot_epoch|hinet_snapshot_objects\{type="paper"\}) (\d+)$`)
 	for i := 0; i < 300; i++ {
-		var snapEpoch, clusterEpoch, indexNNZ, shardNNZ int64
-		var shardEpochs []int64
+		var epoch, papers int64
 		for _, m := range series.FindAllStringSubmatch(string(get("/metrics")), -1) {
 			n, err := strconv.ParseInt(m[2], 10, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch m[1] {
-			case "hinet_snapshot_epoch":
-				snapEpoch = n
-			case "hinet_cluster_epoch":
-				clusterEpoch = n
-			case "hinet_shard_epoch":
-				shardEpochs = append(shardEpochs, n)
-			case "hinet_pathsim_index_nnz":
-				indexNNZ = n
-			case "hinet_shard_nnz":
-				shardNNZ += n
+			if m[1] == "hinet_snapshot_epoch" {
+				epoch = n
+			} else {
+				papers = n
 			}
 		}
-		if len(shardEpochs) != 3 {
-			t.Fatalf("scrape %d: %d hinet_shard_epoch series, want 3", i, len(shardEpochs))
-		}
-		for _, e := range append(shardEpochs, clusterEpoch) {
-			if e != snapEpoch {
-				t.Fatalf("scrape %d: /metrics hinet_snapshot_epoch %d, cluster %d, shards %v: not one generation",
-					i, snapEpoch, clusterEpoch, shardEpochs)
-			}
-		}
-		if indexNNZ != shardNNZ {
-			t.Fatalf("scrape %d: /metrics hinet_pathsim_index_nnz %d, shards sum to %d", i, indexNNZ, shardNNZ)
+		if epoch < 1 || papers != papersAt(epoch) {
+			t.Fatalf("scrape %d: /metrics epoch %d with %d papers, want %d: not one generation", i, epoch, papers, papersAt(epoch))
 		}
 
 		var st struct {
-			Epoch   int64 `json:"epoch"`
-			Cluster struct {
-				Epoch int64 `json:"epoch"`
-			} `json:"cluster"`
+			Epoch   int64            `json:"epoch"`
+			Objects map[string]int64 `json:"objects"`
 		}
 		if err := json.Unmarshal(get("/v1/stats"), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.Epoch != st.Cluster.Epoch {
-			t.Fatalf("scrape %d: /v1/stats epoch %d, cluster.epoch %d", i, st.Epoch, st.Cluster.Epoch)
-		}
-
-		var sh struct {
-			Epoch  int64 `json:"epoch"`
-			Shards []struct {
-				Epoch int64 `json:"epoch"`
-			} `json:"shards"`
-		}
-		if err := json.Unmarshal(get("/v1/cluster/shards"), &sh); err != nil {
-			t.Fatal(err)
-		}
-		for j, shard := range sh.Shards {
-			if shard.Epoch != sh.Epoch {
-				t.Fatalf("scrape %d: /v1/cluster/shards epoch %d, shard %d at %d", i, sh.Epoch, j, shard.Epoch)
-			}
+		if got := st.Objects[string(dblp.TypePaper)]; st.Epoch < 1 || got != papersAt(st.Epoch) {
+			t.Fatalf("scrape %d: /v1/stats epoch %d with %d papers, want %d: not one generation", i, st.Epoch, got, papersAt(st.Epoch))
 		}
 	}
 	if e := s.Snapshot().Epoch; e < 2 {

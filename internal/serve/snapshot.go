@@ -1,8 +1,7 @@
 // What a generation is built from: the meta-paths the server serves by
 // default and the model configuration. The generation itself is the
 // cluster's View (internal/cluster) — the corpus (names, ground truth),
-// ranking vectors, cluster models and every shard's range of the
-// similarity index. A request loads the published View once and reads
+// ranking vectors, cluster models and the similarity index. A request loads the published View once and reads
 // it throughout, so it reads one generation whatever writes land
 // meanwhile; a write builds a whole new View off to the side and the
 // coordinator publishes it, so a write never blocks or corrupts
