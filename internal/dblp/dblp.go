@@ -305,8 +305,13 @@ func otherArea(rng *stats.RNG, k, area int) int {
 
 // Star returns the NetClus star-schema view (paper center; author,
 // venue, term attributes — year excluded, matching the NetClus setup).
+// Every corpus links papers to all three, so a missing relation panics.
 func (c *Corpus) Star() *hin.Star {
-	return c.Net.Star(TypePaper, TypeAuthor, TypeVenue, TypeTerm)
+	s, err := c.Net.Star(TypePaper, TypeAuthor, TypeVenue, TypeTerm)
+	if err != nil {
+		panic("dblp: " + err.Error())
+	}
+	return s
 }
 
 // VenueAuthorBipartite returns the RankClus view: the venue×author

@@ -546,21 +546,10 @@ type Star struct {
 }
 
 // Star extracts the star-schema view centered on center; attrs lists the
-// attribute types in presentation order. It panics if a relation is
-// entirely absent, since the star schema requires every attribute type to
-// touch the center. StarE is the non-panicking form for untrusted input.
-func (n *Network) Star(center Type, attrs ...Type) *Star {
-	s, err := n.StarE(center, attrs...)
-	if err != nil {
-		panic("hin: " + err.Error())
-	}
-	return s
-}
-
-// StarE extracts the star-schema view, returning an error (instead of
-// panicking like Star) when an attribute type has no relation to the
-// center.
-func (n *Network) StarE(center Type, attrs ...Type) (*Star, error) {
+// attribute types in presentation order. It returns an error if a
+// relation is entirely absent, since the star schema requires every
+// attribute type to touch the center.
+func (n *Network) Star(center Type, attrs ...Type) (*Star, error) {
 	s := &Star{Center: center, Attributes: append([]Type(nil), attrs...)}
 	for _, a := range attrs {
 		if !n.HasRelation(center, a) {

@@ -3,6 +3,7 @@ package hin
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -194,7 +195,10 @@ func TestBipartiteView(t *testing.T) {
 
 func TestStarView(t *testing.T) {
 	n := tinyDBLP()
-	s := n.Star("paper", "author", "venue")
+	s, err := n.Star("paper", "author", "venue")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Center != "paper" || len(s.Rel) != 2 {
 		t.Fatal("star structure wrong")
 	}
@@ -206,14 +210,12 @@ func TestStarView(t *testing.T) {
 	}
 }
 
-func TestStarMissingRelationPanics(t *testing.T) {
+func TestStarMissingRelationErrors(t *testing.T) {
 	n := tinyDBLP()
-	defer func() {
-		if recover() == nil {
-			t.Error("missing star relation should panic")
-		}
-	}()
-	n.Star("paper", "author", "term")
+	s, err := n.Star("paper", "author", "term")
+	if s != nil || err == nil || !strings.Contains(err.Error(), "paper-term") {
+		t.Errorf("missing star relation = %v, %v; want an error naming paper-term", s, err)
+	}
 }
 
 func TestMetaPathString(t *testing.T) {
@@ -266,8 +268,8 @@ func TestProjectionRequiresSymmetry(t *testing.T) {
 	}
 }
 
-// TestErrorVariants pins the non-panicking boundary: every …E or …Ctx
-// variant returns descriptive errors for the inputs the wrappers panic on.
+// TestErrorVariants pins the non-panicking boundary: every …Ctx variant
+// returns descriptive errors for the inputs the wrappers panic on.
 func TestErrorVariants(t *testing.T) {
 	n := tinyDBLP()
 	if _, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author"}); err == nil {
@@ -284,9 +286,6 @@ func TestErrorVariants(t *testing.T) {
 	}
 	if _, err := n.Projection(nil); err == nil {
 		t.Error("empty projection accepted")
-	}
-	if _, err := n.StarE("paper", "author", "term"); err == nil {
-		t.Error("missing star relation accepted")
 	}
 	m, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "paper", "author"})
 	if err != nil || m.At(0, 1) != 1 {

@@ -14,7 +14,7 @@ func TestCommuteCtxMatchesCommute(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	src := randomSource(rng)
 	path := randomWalkPath(rng, src, 3)
-	want, err := New(src).Commute(path)
+	want, err := New(src).CommuteCtx(context.Background(), path)
 	if err != nil {
 		t.Fatalf("Commute: %v", err)
 	}

@@ -282,23 +282,18 @@ func (e *Engine) Validate(path []string) error {
 	return nil
 }
 
-// Commute returns the commuting matrix of the meta-path: the product of
-// relation matrices along it, evaluated in planned order with Gram
+// CommuteCtx returns the commuting matrix of the meta-path: the product
+// of relation matrices along it, evaluated in planned order with Gram
 // factorization and sub-path reuse. The result must not be mutated (it
 // may be shared with other callers through the cache — sparse matrices
 // are immutable by convention).
-func (e *Engine) Commute(path []string) (*sparse.Matrix, error) {
-	return e.CommuteCtx(context.Background(), path)
-}
-
-// CommuteCtx is Commute with cooperative cancellation threaded through
-// the whole materialization chain: the planner recursion, the cached
-// singleflight waits, and the SpGEMM kernels themselves (MulCtx /
-// GramCtx row-block checkpoints). On cancellation it returns ctx.Err();
-// a cancelled in-flight computation withdraws its cache entry, so
-// waiters with live contexts simply retry and recompute — a dead
-// caller can never poison the cache. With a non-cancelable ctx it is
-// exactly Commute.
+//
+// Cancellation is cooperative through the whole materialization chain:
+// the planner recursion, the cached singleflight waits, and the SpGEMM
+// kernels themselves (MulCtx / GramCtx row-block checkpoints). On
+// cancellation it returns ctx.Err(); a cancelled in-flight computation
+// withdraws its cache entry, so waiters with live contexts simply retry
+// and recompute — a dead caller can never poison the cache.
 func (e *Engine) CommuteCtx(ctx context.Context, path []string) (*sparse.Matrix, error) {
 	if err := e.Validate(path); err != nil {
 		return nil, err

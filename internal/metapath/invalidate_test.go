@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -33,11 +34,11 @@ func pathHasPair(path []string, a, b string) bool {
 func TestInvalidateDropsOnlyMatchingPaths(t *testing.T) {
 	src := invalSource()
 	e := New(src)
-	apa, err := e.Commute([]string{"A", "P", "A"})
+	apa, err := e.CommuteCtx(context.Background(), []string{"A", "P", "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pvp, err := e.Commute([]string{"P", "V", "P"})
+	pvp, err := e.CommuteCtx(context.Background(), []string{"P", "V", "P"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestInvalidateDropsOnlyMatchingPaths(t *testing.T) {
 	}
 
 	hits0 := e.Stats().Hits
-	again, _ := e.Commute([]string{"A", "P", "A"})
+	again, _ := e.CommuteCtx(context.Background(), []string{"A", "P", "A"})
 	if again != apa {
 		t.Fatal("A-P-A should still be served from cache after a P-V invalidation")
 	}
@@ -59,7 +60,7 @@ func TestInvalidateDropsOnlyMatchingPaths(t *testing.T) {
 	}
 
 	miss0 := e.Stats().Misses
-	pvp2, _ := e.Commute([]string{"P", "V", "P"})
+	pvp2, _ := e.CommuteCtx(context.Background(), []string{"P", "V", "P"})
 	if pvp2 == pvp {
 		t.Fatal("P-V-P must be rematerialized after invalidation")
 	}
@@ -70,7 +71,7 @@ func TestInvalidateDropsOnlyMatchingPaths(t *testing.T) {
 	// SyncEpoch with the post-invalidation epoch must not wipe the
 	// survivors (this is the contract the HIN layer relies on).
 	e.SyncEpoch(5)
-	if again2, _ := e.Commute([]string{"A", "P", "A"}); again2 != apa {
+	if again2, _ := e.CommuteCtx(context.Background(), []string{"A", "P", "A"}); again2 != apa {
 		t.Fatal("SyncEpoch at the current epoch must keep surviving entries")
 	}
 }
@@ -78,7 +79,7 @@ func TestInvalidateDropsOnlyMatchingPaths(t *testing.T) {
 func TestInvalidateByType(t *testing.T) {
 	src := invalSource()
 	e := New(src)
-	if _, err := e.Commute([]string{"A", "P", "V", "P", "A"}); err != nil {
+	if _, err := e.CommuteCtx(context.Background(), []string{"A", "P", "V", "P", "A"}); err != nil {
 		t.Fatal(err)
 	}
 	entries0 := e.Stats().Entries
@@ -100,7 +101,7 @@ func TestInvalidateByType(t *testing.T) {
 func TestCloneForCarriesCompletedEntries(t *testing.T) {
 	src := invalSource()
 	e := New(src)
-	apa, err := e.Commute([]string{"A", "P", "A"})
+	apa, err := e.CommuteCtx(context.Background(), []string{"A", "P", "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCloneForCarriesCompletedEntries(t *testing.T) {
 		t.Fatalf("clone entries = %d, want %d", clone.Stats().Entries, e.Stats().Entries)
 	}
 	// The clone serves the shared immutable matrix without recomputing.
-	got, err := clone.Commute([]string{"A", "P", "A"})
+	got, err := clone.CommuteCtx(context.Background(), []string{"A", "P", "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCloneForCarriesCompletedEntries(t *testing.T) {
 	}
 	// Invalidating the clone must not disturb the parent.
 	clone.Invalidate(10, func([]string) bool { return true })
-	if again, _ := e.Commute([]string{"A", "P", "A"}); again != apa {
+	if again, _ := e.CommuteCtx(context.Background(), []string{"A", "P", "A"}); again != apa {
 		t.Fatal("parent cache must be unaffected by clone invalidation")
 	}
 }

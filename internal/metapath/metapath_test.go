@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -136,7 +137,7 @@ func TestCommuteMatchesNaiveRandomized(t *testing.T) {
 		e := New(src)
 		for trial := 0; trial < 6; trial++ {
 			path := randomWalkPath(rng, src, 1+rng.Intn(4))
-			got, err := e.Commute(path)
+			got, err := e.CommuteCtx(context.Background(), path)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, path, err)
 			}
@@ -148,7 +149,7 @@ func TestCommuteMatchesNaiveRandomized(t *testing.T) {
 			for i := len(path) - 2; i >= 0; i-- {
 				sym = append(sym, path[i])
 			}
-			got, err = e.Commute(sym)
+			got, err = e.CommuteCtx(context.Background(), sym)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, sym, err)
 			}
@@ -159,7 +160,7 @@ func TestCommuteMatchesNaiveRandomized(t *testing.T) {
 			for i, ty := range path {
 				rev[len(path)-1-i] = ty
 			}
-			got, err = e.Commute(rev)
+			got, err = e.CommuteCtx(context.Background(), rev)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, rev, err)
 			}
@@ -195,7 +196,7 @@ func TestValidateErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Fatalf("Validate(%v) = %v, want %q", tc.path, err, tc.frag)
 		}
-		if _, err := e.Commute(tc.path); err == nil {
+		if _, err := e.CommuteCtx(context.Background(), tc.path); err == nil {
 			t.Fatalf("Commute(%v) accepted invalid path", tc.path)
 		}
 	}
@@ -259,13 +260,13 @@ func TestCacheReuseAndCanonicalization(t *testing.T) {
 	apv := []string{"author", "paper", "venue"}
 	vpa := []string{"venue", "paper", "author"}
 
-	m1, _ := e.Commute(apv)
+	m1, _ := e.CommuteCtx(context.Background(), apv)
 	st := e.Stats()
 	if st.Misses == 0 || st.Entries == 0 {
 		t.Fatalf("cold stats: %+v", st)
 	}
 	misses := st.Misses
-	m2, _ := e.Commute(apv)
+	m2, _ := e.CommuteCtx(context.Background(), apv)
 	if m2 != m1 {
 		t.Fatal("repeat Commute did not return the cached matrix")
 	}
@@ -276,7 +277,7 @@ func TestCacheReuseAndCanonicalization(t *testing.T) {
 	// Reverse orientation: derived by transpose, not recomputed.
 	products := st.Products
 	grams := st.Grams
-	mr, _ := e.Commute(vpa)
+	mr, _ := e.CommuteCtx(context.Background(), vpa)
 	st = e.Stats()
 	if st.Products != products || st.Grams != grams {
 		t.Fatalf("reverse recomputed a product: %+v", st)
@@ -288,7 +289,7 @@ func TestCacheReuseAndCanonicalization(t *testing.T) {
 
 	// Symmetric APVPA: its half is the cached APV — no new leaf misses
 	// for the half, one Gram product.
-	if _, err := e.Commute([]string{"author", "paper", "venue", "paper", "author"}); err != nil {
+	if _, err := e.CommuteCtx(context.Background(), []string{"author", "paper", "venue", "paper", "author"}); err != nil {
 		t.Fatal(err)
 	}
 	if st = e.Stats(); st.Grams != grams+1 {
@@ -300,7 +301,7 @@ func TestCacheReuseAndCanonicalization(t *testing.T) {
 // the cache, a moved epoch drops it.
 func TestSyncEpochInvalidates(t *testing.T) {
 	e := New(fixedSource())
-	if _, err := e.Commute([]string{"author", "paper", "venue"}); err != nil {
+	if _, err := e.CommuteCtx(context.Background(), []string{"author", "paper", "venue"}); err != nil {
 		t.Fatal(err)
 	}
 	e.SyncEpoch(0) // unchanged epoch: cache survives
@@ -328,7 +329,7 @@ func TestConcurrentCommuteSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := e.Commute(path)
+			m, err := e.CommuteCtx(context.Background(), path)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -386,7 +387,7 @@ func TestPlan(t *testing.T) {
 	if p2.Gram {
 		t.Fatal("homogeneous-hop palindrome Gram-factored")
 	}
-	got, err := e2.Commute(pp)
+	got, err := e2.CommuteCtx(context.Background(), pp)
 	if err != nil {
 		t.Fatal(err)
 	}

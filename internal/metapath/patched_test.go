@@ -179,7 +179,7 @@ func identical(got, want *sparse.Matrix) string {
 func (w *world) ranges(t *testing.T) [][2]int {
 	dim := w.net.Count(tA)
 	if w.cuts == nil {
-		m, err := w.net.PathEngine().Commute(pathAPVPA)
+		m, err := w.net.PathEngine().CommuteCtx(context.Background(), pathAPVPA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func (w *world) check(t *testing.T, label string, resetLive bool) {
 	live := w.net.PathEngine()
 	got := make([]*sparse.Matrix, len(watched))
 	for i, p := range watched {
-		m, err := live.Commute(p)
+		m, err := live.CommuteCtx(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v: %v", label, p, err)
 		}
@@ -258,7 +258,7 @@ func (w *world) check(t *testing.T, label string, resetLive bool) {
 	cold := coldNet.PathEngine()
 	cold.Reset()
 	for i, p := range watched {
-		want, err := cold.Commute(p)
+		want, err := cold.CommuteCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func planChain(dims []int, nnz []float64) chainDP {
 // Plan describes how the engine would evaluate a path: the association
 // order, whether the top level is a Gram factorization, and the
 // planner's flop estimates for the chosen and the naive left-to-right
-// orders. It exists for tests, benchmarks and observability — Commute
+// orders. It exists for tests, benchmarks and observability — CommuteCtx
 // does not need a Plan in hand to run.
 type Plan struct {
 	Path       []string
@@ -94,7 +94,7 @@ type Plan struct {
 
 // Plan compiles a path without materializing it beyond its leaf
 // relations (which it needs for nnz estimates, and which land in the
-// cache for the eventual Commute).
+// cache for the eventual CommuteCtx).
 func (e *Engine) Plan(path []string) (*Plan, error) {
 	if err := e.Validate(path); err != nil {
 		return nil, err

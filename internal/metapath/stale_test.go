@@ -72,7 +72,7 @@ func editPV(e *Engine, s *hookSource, epoch int64, n int) {
 // coldCommute is the oracle: a fresh engine over the same source.
 func coldCommute(t *testing.T, s Source, path []string) *sparse.Matrix {
 	t.Helper()
-	m, err := New(s).Commute(path)
+	m, err := New(s).CommuteCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func sameBits(t *testing.T, label string, got, want *sparse.Matrix) {
 func TestStaleRefreshSingleflight(t *testing.T) {
 	s := staleSource()
 	e := New(s)
-	if _, err := e.Commute(staleAPVPA); err != nil {
+	if _, err := e.CommuteCtx(context.Background(), staleAPVPA); err != nil {
 		t.Fatal(err)
 	}
-	apa, err := e.Commute(staleAPA)
+	apa, err := e.CommuteCtx(context.Background(), staleAPA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStaleRefreshSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			clean[i], _ = e.Commute(staleAPA)
+			clean[i], _ = e.CommuteCtx(context.Background(), staleAPA)
 		}(i)
 	}
 	wg.Wait()
@@ -157,7 +157,7 @@ func TestStaleRefreshSingleflight(t *testing.T) {
 func TestFailedRefreshKeepsBase(t *testing.T) {
 	s := staleSource()
 	e := New(s)
-	if _, err := e.Commute(staleAPVPA); err != nil {
+	if _, err := e.CommuteCtx(context.Background(), staleAPVPA); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,11 +189,11 @@ func TestFailedRefreshKeepsBase(t *testing.T) {
 				t.Fatal("the source's panic must reach the caller")
 			}
 		}()
-		e.Commute(staleAPVPA)
+		e.CommuteCtx(context.Background(), staleAPVPA)
 	}()
 	s.setHook(nil)
 	before = e.Stats()
-	if m, err = e.Commute(staleAPVPA); err != nil {
+	if m, err = e.CommuteCtx(context.Background(), staleAPVPA); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.Stats().Patches - before.Patches; d != 2 {
@@ -235,7 +235,7 @@ func TestStaleBasesCountTowardBound(t *testing.T) {
 		t.Fatalf("engine holds %d entries after 300 distinct keys, want the bound %d", n, maxEntries)
 	}
 	editPV(e, s, 1, 5)
-	apa, err := e.Commute(staleAPA) // untouched by the edit: stays fresh
+	apa, err := e.CommuteCtx(context.Background(), staleAPA) // untouched by the edit: stays fresh
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +247,14 @@ func TestStaleBasesCountTowardBound(t *testing.T) {
 	for i := 300; i < 700; i++ {
 		slice(i)
 	}
-	if again, _ := e.Commute(staleAPA); again != apa {
+	if again, _ := e.CommuteCtx(context.Background(), staleAPA); again != apa {
 		t.Fatal("a fresh entry was evicted to make room; only stale bases may be")
 	}
 	if got := e.Stats().Entries; got != held() || got != maxEntries {
 		t.Fatalf("%d fresh of %d held: every stale base should have been displaced", got, held())
 	}
 	// Full of fresh entries: still answered, not retained.
-	m, err := e.Commute([]string{"V", "P", "V"})
+	m, err := e.CommuteCtx(context.Background(), []string{"V", "P", "V"})
 	if err != nil || m == nil {
 		t.Fatalf("Commute on a full cache = (%v, %v)", m, err)
 	}

@@ -210,7 +210,10 @@ func TestEmptyStar(t *testing.T) {
 	n.AddObject("author", "a")
 	n.AddObject("paper", "p") // one paper, then remove? build degenerate 1-paper star
 	n.AddLink("paper", 0, "author", 0, 1)
-	star := n.Star("paper", "author")
+	star, err := n.Star("paper", "author")
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := Run(stats.NewRNG(21), star, Options{K: 2, MaxIter: 3})
 	if len(m.AssignCenter) != 1 {
 		t.Error("single-paper star should still fit")

@@ -1,6 +1,6 @@
 // Package obs is the observability layer: an allocation-lean span
-// tracer with context propagation, lock-free log-bucketed latency
-// histograms, and a slow-query log.
+// tracer, lock-free log-bucketed latency histograms, and a slow-query
+// log.
 //
 // The serving tier (internal/serve) hands NewRegistry its endpoints and
 // their stage plans once, at boot: each endpoint gets a Family that
@@ -23,7 +23,6 @@
 package obs
 
 import (
-	"context"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -381,20 +380,4 @@ func (t *Trace) Snapshot() *TraceJSON {
 		}
 	}
 	return out
-}
-
-// ctxKey is the private context key for trace propagation.
-type ctxKey struct{}
-
-// WithTrace returns a context carrying tr, for propagation into layers
-// that cannot see the request (the top-k query path).
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, tr)
-}
-
-// FromContext returns the trace carried by ctx, or nil — always safe
-// to call methods on the result.
-func FromContext(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"slices"
 	"testing"
 	"time"
@@ -149,21 +148,6 @@ func TestSpanOverflow(t *testing.T) {
 	if len(js.Stages) != maxSpans {
 		t.Fatalf("rendered %d spans, want %d", len(js.Stages), maxSpans)
 	}
-}
-
-// TestContextPropagation: WithTrace/FromContext round-trip, and a bare
-// context yields a usable nil trace.
-func TestContextPropagation(t *testing.T) {
-	reg := regWith(newFakeClock(), 4, 4, Endpoint{Name: "/x"})
-	tr := reg.Family("/x").StartTrace()
-	ctx := WithTrace(context.Background(), tr)
-	if got := FromContext(ctx); got != tr {
-		t.Fatal("trace lost in context round-trip")
-	}
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatal("empty context produced a trace")
-	}
-	FromContext(context.Background()).Note("ok") // must not panic
 }
 
 // TestTraceAllocs pins the hot-path cost: one heap allocation per

@@ -248,8 +248,8 @@ func TestHandlerAllocBudget(t *testing.T) {
 	a10, b10 := measure(10)
 	a100, b100 := measure(100)
 	t.Logf("k=10: %.1f allocs, %.0f B/req; k=100: %.1f allocs, %.0f B/req", a10, b10, a100, b100)
-	if a10 > 15 || a100 > 15 {
-		t.Errorf("allocs/req = %.1f (k=10), %.1f (k=100); budget 15 (was 76 / 82)", a10, a100)
+	if a10 > 13 || a100 > 13 {
+		t.Errorf("allocs/req = %.1f (k=10), %.1f (k=100); budget 13 (was 76 / 82)", a10, a100)
 	}
 	if b10 > 3<<10 || b100 > 5<<10 {
 		t.Errorf("B/req = %.0f (k=10), %.0f (k=100); budget 3 KiB / 5 KiB (was 9 / 12 KiB)", b10, b100)

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"hinet/internal/cluster"
 	"hinet/internal/sparse"
 )
 
@@ -23,9 +24,8 @@ import (
 // snapshot identity, per-endpoint request counters and latency
 // histograms, per-stage duration histograms from the tracer, cache hit
 // rates, and process/pool runtime gauges. Every generation value comes
-// from one View, loaded once.
-func (s *Server) writeMetrics(w io.Writer) {
-	v := s.coord.View()
+// from v, the one View the route wrapper loaded for the scrape.
+func (s *Server) writeMetrics(w io.Writer, v *cluster.View) {
 	fmt.Fprintf(w, "hinet_snapshot_epoch %d\n", v.Epoch)
 	fmt.Fprintf(w, "hinet_snapshot_seed %d\n", v.Seed)
 	fmt.Fprintf(w, "hinet_snapshot_build_seconds %g\n", v.BuildTime.Seconds())

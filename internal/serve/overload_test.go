@@ -65,7 +65,8 @@ func TestDefaultTimeout(t *testing.T) {
 
 // TestRequestTimeoutClamps: a timeout_ms whose nanoseconds overflow an
 // int64 asks for the longest deadline there is, not a wrapped one
-// (18446744073710 ms wraps to 448 384 ns).
+// (18446744073710 ms wraps to 448 384 ns), and an escaped key counts
+// like every other parameter's, since the deadline reads the parsed query.
 func TestRequestTimeoutClamps(t *testing.T) {
 	s := &Server{opts: Options{DefaultTimeout: time.Second}}
 	longest := time.Duration(math.MaxInt64/time.Millisecond) * time.Millisecond
@@ -74,6 +75,7 @@ func TestRequestTimeoutClamps(t *testing.T) {
 		want  time.Duration
 	}{
 		{"timeout_ms=15", 15 * time.Millisecond},
+		{"timeout%5Fms=15", 15 * time.Millisecond},
 		{"timeout_ms=9223372036854", 9223372036854 * time.Millisecond}, // the longest that fits
 		{"timeout_ms=9223372036855", longest},
 		{"timeout_ms=18446744073710", longest},
@@ -82,7 +84,7 @@ func TestRequestTimeoutClamps(t *testing.T) {
 		{"timeout_ms=-5", time.Second},
 		{"", time.Second},
 	} {
-		if got := s.requestTimeout(httptest.NewRequest("GET", "/v1/pathsim/topk?"+tc.query, nil)); got != tc.want {
+		if got := s.requestTimeout(httptest.NewRequest("GET", "/v1/pathsim/topk?"+tc.query, nil).URL.Query()); got != tc.want {
 			t.Errorf("%q: deadline %v, want %v", tc.query, got, tc.want)
 		}
 	}

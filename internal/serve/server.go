@@ -26,12 +26,13 @@
 //
 // Every request is counted and traced (internal/obs): New states each
 // endpoint once, in one table, and builds one obs family per endpoint
-// from it. The route wrapper counts every request in its family and
-// mints one span trace per request, handlers chain named stage spans
-// through it, and Finish feeds the family's stage histograms (/metrics,
-// /v1/stats) plus the slow-query log (/v1/debug/slowlog). Appending
-// debug=1 to any query echoes the request's own span tree in the
-// response.
+// from it. The route wrapper counts every request in its family, mints
+// one span trace per request, parses the query once and loads the View
+// once, and hands all three to the handler as arguments; handlers chain
+// named stage spans through the trace, and Finish feeds the family's
+// stage histograms (/metrics, /v1/stats) plus the slow-query log
+// (/v1/debug/slowlog). Appending debug=1 to any query echoes the
+// request's own span tree in the response.
 //
 // Endpoints: /healthz, /metrics, /v1/stats, /v1/rank, /v1/clusters,
 // /v1/pathsim/topk, POST /v1/rebuild, POST /v1/ingest, and
@@ -52,7 +53,6 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,15 +227,15 @@ func New(opts Options) *Server {
 	// lifetime and no request creates anything in it.
 	endpoints := []struct {
 		pattern, class string
-		h              http.HandlerFunc
+		h              handler
 		stages         []string
 	}{
 		{"/healthz", classCritical, s.handleHealthz, nil},
 		{"/metrics", classCritical, s.handleMetrics, nil},
-		{"/v1/stats", classCheap, s.live(s.handleStats), []string{"collect", "serialize"}},
-		{"/v1/rank", classCheap, s.live(s.handleRank), []string{"params", "rank", "render", "serialize"}},
-		{"/v1/clusters", classCheap, s.live(s.handleClusters), []string{"params", "cluster", "score", "serialize"}},
-		{"/v1/pathsim/topk", classQuery, s.live(s.handleTopK),
+		{"/v1/stats", classCheap, s.handleStats, []string{"collect", "serialize"}},
+		{"/v1/rank", classCheap, s.handleRank, []string{"params", "rank", "render", "serialize"}},
+		{"/v1/clusters", classCheap, s.handleClusters, []string{"params", "cluster", "score", "serialize"}},
+		{"/v1/pathsim/topk", classQuery, s.handleTopK,
 			[]string{"admission", "params", "resolve", "query", "cache", "kernel", "render", "serialize"}},
 		{"/v1/rebuild", classWrite, s.handleRebuild, []string{"admission", "params", "rebuild", "serialize"}},
 		{"/v1/ingest", classWrite, s.handleIngest, []string{"admission", "decode", "apply", "serialize"}},
@@ -315,18 +315,30 @@ func (s *Server) controlLoop() {
 // drive the control loop deterministically with ControlInterval < 0).
 func (s *Server) controlStep() { s.adm.step(sparse.QueueDepth()) }
 
+// A handler answers one request from what the route wrapper made for
+// it: the query, parsed once; the published View, loaded once and read
+// throughout — models, names and, for top-k, the path's index — so a
+// write landing mid-request changes nothing it reads; and the request's
+// trace (nil when tracing is off, which the whole obs API tolerates).
+type handler func(w http.ResponseWriter, r *http.Request, q url.Values, v *cluster.View, tr *obs.Trace)
+
 // route registers an instrumented handler for fam's endpoint: each
-// request gets a span trace (unless Options.NoTrace) carried in the
-// statusRecorder, and the wrapper finishes it — closing any span the
-// handler left open, feeding the stage histograms and the slowlog —
-// before counting the request in fam, traced or not. Heavy endpoints
-// (classQuery, classWrite) additionally get their per-request deadline
-// installed (timeout_ms or DefaultTimeout), pass through the admission
-// limiter under an "admission" span, and — when admitted and
-// successful — feed the controller's latency signal.
-func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
+// request gets a span trace (unless Options.NoTrace), and the wrapper
+// finishes it — closing any span the handler left open, feeding the
+// stage histograms and the slowlog — before counting the request in
+// fam, traced or not. Heavy endpoints (classQuery, classWrite)
+// additionally get their per-request deadline installed (timeout_ms or
+// DefaultTimeout), pass through the admission limiter under an
+// "admission" span, and — when admitted and successful — feed the
+// controller's latency signal. The View is loaded after admission, so a
+// queued request reads the generation current when it runs.
+func (s *Server) route(fam *obs.Family, class string, h handler) {
 	heavy := class == classQuery || class == classWrite
 	s.mux.HandleFunc(fam.Name(), func(w http.ResponseWriter, r *http.Request) {
+		// The one parse of the query. Like net/http's parse of the URL it
+		// is reading the request, so it runs before the trace starts and
+		// no stage times it.
+		q := r.URL.Query()
 		var start time.Time
 		var tr *obs.Trace
 		if s.opts.NoTrace {
@@ -334,7 +346,7 @@ func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
 		} else {
 			tr = fam.StartTrace()
 		}
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK, tr: tr}
+		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		admitted := false
 		finish := func() {
 			d := tr.Finish(rec.code)
@@ -355,7 +367,7 @@ func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
 		if heavy {
 			// Deadline propagation starts here: the ctx flows through
 			// admission → materialization → kernel call.
-			if d := s.requestTimeout(r); d > 0 {
+			if d := s.requestTimeout(q); d > 0 {
 				ctx, cancel := context.WithTimeout(r.Context(), d)
 				defer cancel()
 				r = r.WithContext(ctx)
@@ -380,22 +392,19 @@ func (s *Server) route(fam *obs.Family, class string, h http.HandlerFunc) {
 			admitted = true
 			defer release()
 		}
-		h(rec, r)
+		h(rec, r, q, s.coord.View(), tr)
 		finish()
 	})
 }
 
-// requestTimeout resolves the request's deadline: an explicit
-// timeout_ms query parameter wins, otherwise Options.DefaultTimeout
-// (0 = none). A timeout_ms past the longest representable deadline asks
-// for that one rather than wrapping. The RawQuery substring probe keeps
-// the common no-timeout-configured path completely allocation-free.
-func (s *Server) requestTimeout(r *http.Request) time.Duration {
-	if strings.Contains(r.URL.RawQuery, "timeout_ms") {
-		if v := r.URL.Query().Get("timeout_ms"); v != "" {
-			if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-				return min(time.Duration(ms), math.MaxInt64/time.Millisecond) * time.Millisecond
-			}
+// requestTimeout resolves the request's deadline from its parsed query:
+// an explicit timeout_ms wins, otherwise Options.DefaultTimeout (0 =
+// none). A timeout_ms past the longest representable deadline asks for
+// that one rather than wrapping.
+func (s *Server) requestTimeout(q url.Values) time.Duration {
+	if v := q.Get("timeout_ms"); v != "" {
+		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
+			return min(time.Duration(ms), math.MaxInt64/time.Millisecond) * time.Millisecond
 		}
 	}
 	return s.opts.DefaultTimeout
@@ -480,22 +489,11 @@ func (s *Server) shed(w http.ResponseWriter, class string) {
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
-	tr   *obs.Trace // this request's trace (nil when tracing is off)
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// traceOf recovers the request's trace from the writer the route
-// wrapper installed. Handlers invoked outside route (none today) just
-// get nil, which the whole obs API tolerates.
-func traceOf(w http.ResponseWriter) *obs.Trace {
-	if rec, ok := w.(*statusRecorder); ok {
-		return rec.tr
-	}
-	return nil
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -504,9 +502,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	jw.send(w, code)
 }
 
-// intParam parses an integer query parameter with a default. Handlers
-// parse the URL query once and pass the values in (url.Query re-parses
-// and re-allocates on every call).
+// intParam parses an integer query parameter with a default from the
+// query the route wrapper parsed.
 func intParam(q url.Values, name string, def int) (int, error) {
 	v := q.Get(name)
 	if v == "" {
@@ -519,16 +516,6 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// live adapts a handler to the live snapshot: the handler loads the
-// published View once and reads it throughout — models, names and, for
-// top-k, the path's index — so a write landing mid-request changes
-// nothing it reads.
-func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.View)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h(w, r, s.coord.View())
-	}
-}
-
 // topK is the shared cache→kernel query path, also driven directly by
 // the serving benchmarks. The query runs against v's ranges of path, a
 // resolved path whose endpoint type has dim objects; the cache key
@@ -539,10 +526,9 @@ func (s *Server) live(h func(w http.ResponseWriter, r *http.Request, v *cluster.
 // answer, the epoch it came from, and whether it was a cache hit. A
 // cacheOnly miss reaches no kernel: it fails with errCacheOnly.
 //
-// A trace carried by ctx gets child spans under the caller's open span:
-// "cache" (noted hit/miss), then on a miss "kernel".
-func (s *Server) topK(ctx context.Context, v *cluster.View, path string, dim, x, k int, cacheOnly bool) ([]pathsim.Pair, int64, bool, error) {
-	tr := obs.FromContext(ctx)
+// A non-nil tr gets child spans under the caller's open span: "cache"
+// (noted hit/miss), then on a miss "kernel".
+func (s *Server) topK(ctx context.Context, tr *obs.Trace, v *cluster.View, path string, dim, x, k int, cacheOnly bool) ([]pathsim.Pair, int64, bool, error) {
 	sp := tr.Start("cache")
 	key := cacheKey{v.Epoch, path, x, k}
 	if pairs, ok := s.cache.Get(key); ok {
@@ -589,29 +575,29 @@ func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, 
 	return v.TopK(ctx, path, x, k)
 }
 
-// TopK is the exported form of the cached query path, against the live
-// generation's default (APVPA) index.
+// TopK is the exported form of the cached query path, untraced, against
+// the live generation's default (APVPA) index.
 func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
 	v := s.coord.View()
-	pairs, _, hit, err = s.topK(ctx, v, pathAPVPAKey, v.IndexDim, x, k, false)
+	pairs, _, hit, err = s.topK(ctx, nil, v, pathAPVPAKey, v.IndexDim, x, k, false)
 	return pairs, hit, err
 }
 
 // --- handlers --------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ url.Values, _ *cluster.View, _ *obs.Trace) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, _ url.Values, v *cluster.View, _ *obs.Trace) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writeMetrics(w)
+	s.writeMetrics(w, v)
 }
 
 // handleSlowlog serves the trace retention buffers: the N slowest
 // completed requests since boot and the N most recent, as span trees.
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request, _ url.Values, _ *cluster.View, _ *obs.Trace) {
 	log := s.obs.Log()
 	render := func(traces []*obs.Trace) []*obs.TraceJSON {
 		out := make([]*obs.TraceJSON, len(traces))
@@ -656,10 +642,8 @@ func (s *Server) writeLatency(w *jsonWriter) {
 	w.endObject()
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
-	tr := traceOf(w)
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, q url.Values, snap *cluster.View, tr *obs.Trace) {
 	sp := tr.Start("collect")
-	q := r.URL.Query()
 	types := snap.Corpus.Net.Types()
 	slices.Sort(types)
 	es := snap.Corpus.Net.PathEngine().Stats()
@@ -726,10 +710,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, snap *clust
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
-	tr := traceOf(w)
+func (s *Server) handleRank(w http.ResponseWriter, _ *http.Request, q url.Values, snap *cluster.View, tr *obs.Trace) {
 	sp := tr.Start("params")
-	q := r.URL.Query()
 	top, err := intParam(q, "top", 10)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
@@ -772,10 +754,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, snap *cluste
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
-	tr := traceOf(w)
+func (s *Server) handleClusters(w http.ResponseWriter, _ *http.Request, q url.Values, snap *cluster.View, tr *obs.Trace) {
 	sp := tr.Start("params")
-	q := r.URL.Query()
 	top, err := intParam(q, "top", 5)
 	if err != nil || top < 0 {
 		httpError(w, http.StatusBadRequest, "top must be a non-negative integer")
@@ -847,14 +827,9 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, snap *cl
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluster.View) {
-	tr := traceOf(w)
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, q url.Values, snap *cluster.View, tr *obs.Trace) {
 	sp := tr.Start("params")
-	q := r.URL.Query()
 	ctx := r.Context()
-	if tr != nil {
-		ctx = obs.WithTrace(ctx, tr)
-	}
 	k, err := intParam(q, "k", 10)
 	if err != nil || k < 1 {
 		httpError(w, http.StatusBadRequest, "k must be a positive integer")
@@ -934,7 +909,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, snap *cluste
 	// A degraded server answers from the cache only: a hit serves
 	// (annotated), a miss sheds — the brownout's whole point is that no
 	// query reaches the kernels.
-	pairs, epoch, hit, err := s.topK(ctx, snap, pathKey, dim, x, k, degraded)
+	pairs, epoch, hit, err := s.topK(ctx, tr, snap, pathKey, dim, x, k, degraded)
 	if err != nil {
 		var ce *cluster.ClientError
 		switch {
@@ -999,14 +974,12 @@ type ingestRequest struct {
 // server's memory with one request.
 const maxIngestBody = 16 << 20
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, q url.Values, _ *cluster.View, tr *obs.Trace) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "ingest requires POST")
 		return
 	}
-	tr := traceOf(w)
 	sp := tr.Start("decode")
-	q := r.URL.Query()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	dec.DisallowUnknownFields()
 	var req ingestRequest
@@ -1055,15 +1028,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	jw.send(w, http.StatusOK)
 }
 
-func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request, q url.Values, cur *cluster.View, tr *obs.Trace) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "rebuild requires POST")
 		return
 	}
-	tr := traceOf(w)
 	sp := tr.Start("params")
-	q := r.URL.Query()
-	seed, err := intParam(q, "seed", int(s.coord.View().Seed+1))
+	seed, err := intParam(q, "seed", int(cur.Seed+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

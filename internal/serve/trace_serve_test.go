@@ -125,9 +125,8 @@ func TestTraceStageNames(t *testing.T) {
 }
 
 // TestTraceAllocDelta pins the tracing overhead on the hot (cache-hit)
-// query path: at most 2 heap allocations per request over the untraced
-// baseline — one for the Trace itself, one for the context node that
-// carries it into the query path.
+// query path: the Trace itself is the one heap allocation tracing adds
+// to a request — the handler gets it as an argument and passes it on.
 func TestTraceAllocDelta(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -148,8 +147,9 @@ func TestTraceAllocDelta(t *testing.T) {
 	}
 	base := run(true)
 	traced := run(false)
-	if delta := traced - base; delta > 2.5 {
-		t.Fatalf("tracing adds %.1f allocs/request (traced %.1f, base %.1f), want <= 2", delta, traced, base)
+	t.Logf("traced %.1f allocs/request, untraced %.1f", traced, base)
+	if delta := traced - base; delta > 1.5 {
+		t.Fatalf("tracing adds %.1f allocs/request (traced %.1f, base %.1f), want <= 1", delta, traced, base)
 	}
 }
 
