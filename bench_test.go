@@ -15,6 +15,7 @@
 package hinet_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -92,7 +93,7 @@ func BenchmarkE2RankClusAccuracy(b *testing.B) {
 	b.Run("spectral-baseline", func(b *testing.B) {
 		var nmi float64
 		for i := 0; i < b.N; i++ {
-			xx := bip.W.Mul(bip.W.Transpose())
+			xx, _ := bip.W.MulCtx(context.Background(), bip.W.Transpose())
 			a := spectral.ClusterMatrix(stats.NewRNG(3), xx, 3, spectral.Options{}).Assign
 			nmi = eval.NMI(res.TruthX, a)
 		}
@@ -578,7 +579,7 @@ func BenchmarkMulSparse(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			benchModes(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m.Mul(m)
+					m.MulCtx(context.Background(), m)
 				}
 			})
 		})

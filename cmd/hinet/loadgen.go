@@ -67,16 +67,13 @@ func loadgenServeOptions(f loadgenFlags) serve.Options {
 	opts := serve.Options{
 		Addr:          "127.0.0.1:0",
 		Seed:          f.seed,
-		Models:        serve.ModelConfig{K: f.k},
+		Models:        serve.ModelConfig{Corpus: corpusConfig(f.papers), K: f.k},
 		CacheCapacity: f.cacheCap,
 		Workers:       f.workers,
 		Pprof:         f.pprof,
 	}
 	if f.addr != "" {
 		opts.Addr = f.addr
-	}
-	if f.papers > 0 {
-		opts.Models.Corpus.Papers = f.papers
 	}
 	return opts
 }
@@ -111,10 +108,7 @@ func runLoadgen(f loadgenFlags) {
 	// The keyspace comes from a locally generated same-seed corpus — the
 	// `hinet ingest` convention: object names resolve identically on any
 	// server built from the same seed and size.
-	dcfg := dblp.Config{}
-	if f.papers > 0 {
-		dcfg.Papers = f.papers
-	}
+	dcfg := corpusConfig(f.papers)
 
 	var tr *loadgen.Trace
 	if f.replay != "" {

@@ -28,6 +28,11 @@ func TestLoadgenServeOptions(t *testing.T) {
 	if opts := loadgenServeOptions(loadgenFlags{}); opts.Addr != "127.0.0.1:0" || opts.Pprof {
 		t.Errorf("no flags: Addr %q, Pprof %v; want 127.0.0.1:0 and false", opts.Addr, opts.Pprof)
 	}
+	// -papers scales the authors with the papers: 10 000 papers is the
+	// benchmark's 4 000-author corpus.
+	if c := loadgenServeOptions(loadgenFlags{papers: 10_000}).Models.Corpus; c.Papers != 10_000 || c.AuthorsPerArea != 1_000 {
+		t.Errorf("-papers 10000: %d papers, %d authors an area; want 10000 and 1000", c.Papers, c.AuthorsPerArea)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -64,7 +64,7 @@ func main() {
 	addr := fs.String("addr", ":8080", "serve/loadgen: listen address (\":0\" picks a free port; loadgen's in-process server uses it only when given)")
 	workers := fs.Int("workers", 0, "serve: sparse pool worker cap (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 4096, "serve: result cache entries (-1 disables)")
-	papers := fs.Int("papers", 0, "serve: corpus size in papers (0 = library default)")
+	papers := fs.Int("papers", 0, "serve/loadgen/ingest: corpus size in papers, one author an area per ten (0 = library default)")
 	pprofFlag := fs.Bool("pprof", false, "serve/loadgen: expose net/http/pprof under /debug/pprof/")
 	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
@@ -175,6 +175,18 @@ subcommands:
 `)
 }
 
+// corpusConfig is the corpus every command builds at -papers N: N
+// papers and one author an area per ten of them, the ratio of the
+// library default (2 000 papers, 200 authors an area) and of the
+// benchmark's 4 000-author corpus (10 000 papers). 0 is the library
+// default.
+func corpusConfig(papers int) dblp.Config {
+	if papers <= 0 {
+		return dblp.Config{}
+	}
+	return dblp.Config{Papers: papers, AuthorsPerArea: max(1, papers/10)}
+}
+
 // runIngest has three modes, matched to the incremental-ingestion
 // walkthrough in docs/OPERATIONS.md:
 //
@@ -186,10 +198,7 @@ subcommands:
 // emitted batches reference objects by name, so they apply cleanly to
 // any server built from the same seed/config.
 func runIngest(seed int64, emit int, file, server string, refresh bool, papers int) {
-	cfg := dblp.Config{}
-	if papers > 0 {
-		cfg.Papers = papers
-	}
+	cfg := corpusConfig(papers)
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "hinet ingest: %v\n", err)
 		os.Exit(1)
@@ -278,7 +287,7 @@ func runServe(f serveFlags) {
 	opts := serve.Options{
 		Addr:            f.addr,
 		Seed:            f.seed,
-		Models:          serve.ModelConfig{K: f.k},
+		Models:          serve.ModelConfig{Corpus: corpusConfig(f.papers), K: f.k},
 		CacheCapacity:   f.cacheCap,
 		Workers:         f.workers,
 		Pprof:           f.pprof,
@@ -287,9 +296,6 @@ func runServe(f serveFlags) {
 		AdmissionFloor:  f.admissionFloor,
 		SLOTargetP99:    f.sloTarget,
 		ControlInterval: f.controlInterval,
-	}
-	if f.papers > 0 {
-		opts.Models.Corpus.Papers = f.papers
 	}
 	seed := f.seed
 	fmt.Printf("building snapshot (seed %d)...\n", seed)

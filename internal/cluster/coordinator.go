@@ -1,8 +1,9 @@
 // The coordinator: applies each write once — the models and every
 // shard's range of the default path built side by side — and publishes
-// one View per write; fans a View's PathSim reads out to every shard's
-// range and merges the partial top-k answers under the same strict
-// total order the single-index scan uses.
+// one View per write. A View resolves a meta-path spec to its Ranges
+// once; the Ranges fan a PathSim read out to every shard's range and
+// merge the partial top-k answers under the same strict total order the
+// single-index scan uses.
 
 package cluster
 
@@ -47,8 +48,8 @@ type View struct {
 	IndexDim, IndexNNZ int
 
 	c      *Coordinator
-	def    []*pathsim.Index // def[i] is shard i's range of the default path, built with the write
-	paths  sync.Map         // resolved path string → []*pathsim.Index, one range per shard
+	def    *Ranges  // the default path's, built with the write
+	paths  sync.Map // canonical path string → *Ranges
 	npaths atomic.Int32
 
 	nmiRankClus, nmiNetClus nmiMemo
@@ -84,26 +85,26 @@ func NewLocalCluster(n int, part Partition, spec ModelSpec, _ any, seed int64) (
 // View returns the published View.
 func (c *Coordinator) View() *View { return c.view.Load() }
 
-// scatter runs fn against every shard concurrently and returns the
-// first shard's error; partial results are the caller's to discard. The
-// last shard runs on the calling goroutine, so a fan-out costs one
-// goroutine fewer than it has shards, and a one-shard cluster runs fn
-// inline.
-func (c *Coordinator) scatter(fn func(i int, sh *LocalShard) error) error {
-	last := len(c.shards) - 1
+// scatter runs fn(i) for every i in [0, n) concurrently — one per
+// shard — and returns the first error by index; partial results are the
+// caller's to discard. The last runs on the calling goroutine, so a
+// fan-out costs one goroutine fewer than it has shards, and a one-shard
+// cluster runs fn inline.
+func scatter(n int, fn func(i int) error) error {
+	last := n - 1
 	if last == 0 {
-		return fn(0, c.shards[0])
+		return fn(0)
 	}
-	errs := make([]error, len(c.shards))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < last; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(i, c.shards[i])
+			errs[i] = fn(i)
 		}(i)
 	}
-	errs[last] = fn(last, c.shards[last])
+	errs[last] = fn(last)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -113,126 +114,127 @@ func (c *Coordinator) scatter(fn func(i int, sh *LocalShard) error) error {
 	return nil
 }
 
-// Resolve makes a meta-path servable in v and reports whether v already
-// held its ranges. When it does not and build is set, they are built
-// now, on the caller's goroutine (View.build) — the cold build of a path
-// never runs inside a later query's scatter, where it would stall
-// whoever dispatches kernels. Without build nothing is materialized: the
-// answer says whether queries over the path would find it built.
-func (v *View) Resolve(ctx context.Context, path string, build bool) (bool, error) {
-	rs, p, err := v.held(path)
-	if rs != nil || err != nil || !build {
-		return rs != nil, err
-	}
-	_, err = v.build(ctx, p)
-	return false, err
+// Ranges is one meta-path as a View serves it: its canonical spelling
+// and every shard's candidate range of its index, in shard order. It is
+// what View.Resolve hands back, and it answers the path's top-k reads
+// with no further lookup.
+type Ranges struct {
+	Key string // the path's canonical spelling (hin.MetaPath.String); read-only
+	rs  []*pathsim.Index
 }
 
-// held returns v's memoized ranges of a path spec (empty = the default
-// path, built with the write), or nil and the parsed path to build them
-// from. The memo is keyed by resolved path string, so a spec already in
-// that spelling — what the serving layer sends — costs one lookup.
-func (v *View) held(spec string) ([]*pathsim.Index, hin.MetaPath, error) {
+// Endpoint returns the path's endpoint type: what its queries and its
+// candidates are objects of.
+func (r *Ranges) Endpoint() hin.Type { return r.rs[0].Path[0] }
+
+// Dim returns the endpoint type's object count: the valid query ids
+// are [0, Dim).
+func (r *Ranges) Dim() int { return r.rs[0].Dim() }
+
+// TopK scatter-gathers a top-k query: every shard scores its candidate
+// range of x's row, and the partials merge under the single-index order
+// (pathsim.MergeTopK), yielding an answer bitwise-identical to a
+// single-process index of the path. An x outside [0, Dim) has none.
+func (r *Ranges) TopK(x, k int) []pathsim.Pair {
+	partials := make([][]pathsim.Pair, len(r.rs))
+	_ = scatter(len(r.rs), func(i int) error { // a range read cannot fail
+		partials[i] = r.rs[i].TopK(x, k)
+		return nil
+	})
+	return pathsim.MergeTopK(partials, k, nil)
+}
+
+// Resolve is the one reader of a path spec: it parses and validates
+// spec (empty = the default path, built with the write) and returns v's
+// ranges of it, and whether v already held them. When v does not and
+// build is set, they are built now, on the caller's goroutine — the cold
+// build of a path never runs inside a query's scatter, where it would
+// stall whoever dispatches kernels. Without build nothing is
+// materialized, and a path v does not hold comes back nil. An error is
+// the spec's (it names no symmetric path of v's schema) unless ctx is
+// done.
+//
+// The memo is keyed by canonical spelling, so a spec already in that
+// spelling costs one lookup and no parse.
+func (v *View) Resolve(ctx context.Context, spec string, build bool) (r *Ranges, held bool, err error) {
 	if spec == "" {
-		return v.def, nil, nil
+		return v.def, true, nil
 	}
-	if rs, ok := v.paths.Load(spec); ok {
-		return rs.([]*pathsim.Index), nil, nil
+	if got, ok := v.paths.Load(spec); ok {
+		return got.(*Ranges), true, nil
 	}
 	path, err := v.Corpus.Net.ParseMetaPath(spec)
 	if err == nil {
 		err = pathsim.ValidatePath(path)
 	}
 	if err != nil {
-		return nil, nil, &ClientError{Err: err}
+		return nil, false, err
 	}
-	if rs, ok := v.paths.Load(path.String()); ok {
-		return rs.([]*pathsim.Index), nil, nil
+	key := path.String()
+	if got, ok := v.paths.Load(key); ok {
+		return got.(*Ranges), true, nil
 	}
-	return nil, path, nil
+	if !build {
+		return nil, false, nil
+	}
+	r, err = v.build(ctx, path, key)
+	return r, false, err
 }
 
 // build materializes every shard's range of path over v's network: the
 // index over the whole endpoint type once — one diagonal — then each
-// shard's cut of it, fanned out like a read. The ranges are memoized up
-// to maxPathIndexes per View.
-func (v *View) build(ctx context.Context, path hin.MetaPath) ([]*pathsim.Index, error) {
+// shard's cut of it, fanned out like a read. The ranges are memoized
+// under key up to maxPathIndexes per View.
+func (v *View) build(ctx context.Context, path hin.MetaPath, key string) (*Ranges, error) {
 	full, err := pathsim.NewRangeIndexCtx(ctx, v.Corpus.Net, path, 0, v.Corpus.Net.Count(path[0]))
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, &ClientError{Err: err}
+		return nil, err
 	}
-	rs := make([]*pathsim.Index, len(v.c.shards))
-	err = v.c.scatter(func(i int, sh *LocalShard) (err error) {
-		rs[i], err = sh.cut(full)
+	r := &Ranges{Key: key, rs: make([]*pathsim.Index, len(v.c.shards))}
+	err = scatter(len(r.rs), func(i int) (err error) {
+		r.rs[i], err = v.c.shards[i].cut(full)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	if v.npaths.Load() >= maxPathIndexes {
-		return rs, nil
+		return r, nil
 	}
-	got, loaded := v.paths.LoadOrStore(path.String(), rs)
+	got, loaded := v.paths.LoadOrStore(key, r)
 	if !loaded {
 		v.npaths.Add(1)
 	}
-	return got.([]*pathsim.Index), nil
+	return got.(*Ranges), nil
 }
 
-// ranges returns every shard's range of a path spec in v, memoized or
-// built now.
-func (v *View) ranges(ctx context.Context, spec string) ([]*pathsim.Index, error) {
-	rs, path, err := v.held(spec)
-	if rs != nil || err != nil {
-		return rs, err
-	}
-	return v.build(ctx, path)
-}
-
-// TopK scatter-gathers a top-k query: every shard scores its candidate
-// range of the query's row, and the partials merge under the
-// single-index order (pathsim.MergeTopK), yielding an answer
-// bitwise-identical to a single-process index of v's generation.
-func (v *View) TopK(ctx context.Context, path string, x, k int) ([]pathsim.Pair, error) {
-	rs, err := v.ranges(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	partials := make([][]pathsim.Pair, len(rs))
-	_ = v.c.scatter(func(i int, _ *LocalShard) error { // a range read cannot fail
-		partials[i] = rs[i].TopK(x, k)
-		return nil
-	})
-	return pathsim.MergeTopK(partials, k, nil), nil
-}
-
-// TopK is View().TopK, with the epoch it answered at.
+// TopK answers a top-k query over the published View: Resolve, building
+// the path if it must, then the ranges' TopK. It returns the epoch it
+// answered at.
 func (c *Coordinator) TopK(ctx context.Context, path string, x, k int) (pairs []pathsim.Pair, epoch int64, err error) {
 	v := c.view.Load()
-	if pairs, err = v.TopK(ctx, path, x, k); err != nil {
+	r, _, err := v.Resolve(ctx, path, true)
+	if err != nil {
 		return nil, 0, err
 	}
-	return pairs, v.Epoch, nil
+	return r.TopK(x, k), v.Epoch, nil
 }
 
 // defaultRanges builds every shard's range of the default path over net,
 // cut from one index over the whole author type. It runs as one job of a
 // write, so it cuts in turn rather than through scatter.
-func (c *Coordinator) defaultRanges(net *hin.Network) ([]*pathsim.Index, error) {
+func (c *Coordinator) defaultRanges(net *hin.Network) (*Ranges, error) {
 	full, err := pathsim.NewRangeIndexCtx(context.Background(), net, PathAPVPA, 0, net.Count(PathAPVPA[0]))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: default index: %w", err)
 	}
-	rs := make([]*pathsim.Index, len(c.shards))
+	r := &Ranges{Key: PathAPVPA.String(), rs: make([]*pathsim.Index, len(c.shards))}
 	for i, sh := range c.shards {
-		if rs[i], err = sh.cut(full); err != nil {
+		if r.rs[i], err = sh.cut(full); err != nil {
 			return nil, err
 		}
 	}
-	return rs, nil
+	return r, nil
 }
 
 // write builds and publishes one generation on top of the published
@@ -252,7 +254,7 @@ func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network
 	if cur := c.view.Load(); cur != nil {
 		prev, epoch = cur.Models, cur.Epoch+1
 	}
-	var def []*pathsim.Index
+	var def *Ranges
 	m, sum, err := build(prev, append(beside, func(net *hin.Network) (err error) {
 		def, err = c.defaultRanges(net)
 		return err
@@ -261,10 +263,10 @@ func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network
 		return nil, sum, err
 	}
 	v := &View{Epoch: epoch, BuiltAt: start, Models: m, IndexDim: m.Corpus.Net.Count(PathAPVPA[0]), c: c, def: def}
-	for _, r := range def {
+	for _, r := range def.rs {
 		v.IndexNNZ += r.NNZ()
 	}
-	v.paths.Store(PathAPVPA.String(), def)
+	v.paths.Store(def.Key, def)
 	v.npaths.Store(1)
 	v.BuildTime = time.Since(start)
 	c.view.Store(v)

@@ -177,10 +177,11 @@ func TestShardedEquivalence(t *testing.T) {
 				checkEquivalence(t, rng, c, ref2, label+" epoch2")
 				// The View taken before the write still answers at epoch 1.
 				x := rng.Intn(dim)
-				old, err := prev.TopK(context.Background(), "", x, 10)
+				def, _, err := prev.Resolve(context.Background(), "", false)
 				if err != nil || prev.Epoch != 1 {
 					t.Fatalf("%s: epoch-%d View: %v", label, prev.Epoch, err)
 				}
+				old := def.TopK(x, 10)
 				pairsEqual(t, ref.PathSim.TopK(x, 10), old, label+" View of epoch 1")
 			}
 		}

@@ -12,11 +12,12 @@ import (
 )
 
 // maxPathIndexes bounds a View's memoized meta-paths: an adversarial
-// stream of distinct paths cannot grow memory without bound (beyond the
-// cap, a path's ranges are rebuilt per request — correct, just uncached;
-// the half-path factors behind them live in the network's meta-path
-// engine, which has the matching maxEntries cap, so such a rebuild is
-// one pass over a factor).
+// stream of distinct paths cannot grow memory without bound. Beyond the
+// cap, Resolve builds a path's ranges for each request that asks and
+// hands them to that request alone — built once per request, correct,
+// just uncached; the half-path factors behind them live in the
+// network's meta-path engine, which has the matching maxEntries cap, so
+// such a build is one pass over a factor.
 const maxPathIndexes = 64
 
 // LocalShard is one in-process shard of a NewLocalCluster.

@@ -174,7 +174,7 @@ func TestWriteBitsIndependentOfSchedule(t *testing.T) {
 					t.Helper()
 					sameRanks(t, label, v.Models, want)
 					for i, sh := range c.shards {
-						sameRange(t, fmt.Sprintf("%s, shard %d default range", label, i), v.def[i], wantRange(sh))
+						sameRange(t, fmt.Sprintf("%s, shard %d default range", label, i), v.def.rs[i], wantRange(sh))
 					}
 				}
 				check(label, c.View())
@@ -249,7 +249,7 @@ func TestFailedJobFailsTheWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRanks(t, fmt.Sprintf("%d workers: after the failures", workers), c.View().Models, want)
-		if _, err := c.View().TopK(ctx, "", 0, 5); err != nil {
+		if _, _, err := c.TopK(ctx, "", 0, 5); err != nil {
 			t.Fatalf("%d workers: read after the failures: %v", workers, err)
 		}
 	}

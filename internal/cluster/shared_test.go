@@ -23,7 +23,7 @@ func requirePublished(t *testing.T, c *Coordinator, label string) {
 		t.Fatalf("%s: the published generation carries a full index", label)
 	}
 	lo := 0
-	for i, ix := range v.def {
+	for i, ix := range v.def.rs {
 		if ix.Lo() != lo {
 			t.Fatalf("%s: shard %d's range starts at %d, want %d", label, i, ix.Lo(), lo)
 		}

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -184,7 +185,7 @@ func E2Accuracy(seed int64) []Row {
 // spectralBaseline clusters target objects by N-cut on the X–X graph
 // induced by shared attribute neighbors (W·Wᵀ).
 func spectralBaseline(seed int64, b *hin.Bipartite, k int) []int {
-	xx := b.W.Mul(b.W.Transpose())
+	xx, _ := b.W.MulCtx(context.Background(), b.W.Transpose()) // never cancelled: cannot fail
 	return spectral.ClusterMatrix(stats.NewRNG(seed), xx, k, spectral.Options{}).Assign
 }
 
@@ -271,7 +272,7 @@ func E7SimRank(seed int64) []Row {
 	res := netgen.BiTyped(stats.NewRNG(seed), cfg)
 	w := res.Net.Relation(res.X, res.Y)
 	sr := simrank.Bipartite(w, simrank.Options{MaxIter: 7}).SX
-	cc := w.Mul(w.Transpose()) // co-citation counts
+	cc, _ := w.MulCtx(context.Background(), w.Transpose()) // co-citation counts; never cancelled: cannot fail
 
 	nnAcc := func(simOf func(a, b int) float64) float64 {
 		hit := 0

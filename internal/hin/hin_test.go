@@ -356,7 +356,7 @@ func TestCommutingMatrixMatchesNaive(t *testing.T) {
 	for _, p := range paths {
 		naive := n.Relation(p[0], p[1])
 		for i := 1; i < len(p)-1; i++ {
-			naive = naive.Mul(n.Relation(p[i], p[i+1]))
+			naive, _ = naive.MulCtx(context.Background(), n.Relation(p[i], p[i+1]))
 		}
 		got := n.CommutingMatrix(p)
 		if got.Rows() != naive.Rows() || got.Cols() != naive.Cols() || got.NNZ() != naive.NNZ() {

@@ -101,7 +101,7 @@ func randomWalkPath(rng *rand.Rand, s *mapSource, rels int) []string {
 func naiveCommute(s Source, path []string) *sparse.Matrix {
 	m := s.Relation(path[0], path[1])
 	for i := 1; i+1 < len(path); i++ {
-		m = m.Mul(s.Relation(path[i], path[i+1]))
+		m, _ = m.MulCtx(context.Background(), s.Relation(path[i], path[i+1]))
 	}
 	return m
 }

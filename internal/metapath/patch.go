@@ -7,7 +7,7 @@
 //
 //   - a planned product L·R: the rows of L' that are dirty or store an
 //     entry in a column that is a dirty row of R' — recomputed by the
-//     ordinary Mul kernel over just those rows;
+//     ordinary MulCtx kernel over just those rows;
 //   - a Gram product H·Hᵀ with dirty rows D: the |D|×n block
 //     H'[D,:]·H'ᵀ, written into rows D and mirrored into columns D.
 //

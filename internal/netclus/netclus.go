@@ -28,6 +28,7 @@
 package netclus
 
 import (
+	"context"
 	"math"
 
 	"hinet/internal/hin"
@@ -385,7 +386,7 @@ func conditionalRanks(star *hin.Star, assign []int, k int, opt Options) [][][]fl
 				sub0 := restrictRows(star.Rel[0], members[c])
 				sub1 := restrictRows(star.Rel[1], members[c])
 				// attr0 × attr1 composite within the cluster.
-				comp := sub0.Transpose().Mul(sub1)
+				comp, _ := sub0.Transpose().MulCtx(context.Background(), sub1) // never cancelled: cannot fail
 				br := rank.AuthorityRanking(comp, nil, rank.AuthorityOptions{})
 				copy(out[0][c], br.X)
 				copy(out[1][c], br.Y)

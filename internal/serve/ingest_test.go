@@ -333,12 +333,10 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 				// Read as the handlers do: through the snapshot's View,
 				// however many writes overtake the read.
 				err := func() error {
-					pairs, epoch, _, err := srv.topK(context.Background(), nil, snap, pathAPVPAKey, snap.IndexDim, x, 5, false)
+					def, _, _ := snap.Resolve(context.Background(), "", false)
+					pairs, _, err := srv.topK(context.Background(), nil, snap, def, x, 5, false)
 					if err != nil {
 						return err
-					}
-					if epoch != snap.Epoch {
-						return fmt.Errorf("answer epoch %d for snapshot epoch %d", epoch, snap.Epoch)
 					}
 					// The served answer must equal the snapshot's own index
 					// answer — a stale cache entry from another epoch would
@@ -367,7 +365,8 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 
 	// Quiesced: the live snapshot answers for itself.
 	snap := srv.Snapshot()
-	pairs, _, _, err := srv.topK(context.Background(), nil, snap, pathAPVPAKey, snap.IndexDim, 0, 5, false)
+	def, _, _ := snap.Resolve(context.Background(), "", false)
+	pairs, _, err := srv.topK(context.Background(), nil, snap, def, 0, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,24 +576,25 @@ func TestReadHoldsItsGeneration(t *testing.T) {
 			}
 			ctx := context.Background()
 			for _, name := range []string{"", "A-P-T-P-A"} {
-				path := pathAPVPA
+				path := cluster.PathAPVPA
 				if name != "" {
 					if path, err = ref.Corpus.Net.ParseMetaPath(name); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := snap.Resolve(ctx, path.String(), true); err != nil {
-						t.Fatalf("path %s: resolve at epoch %d: %v", path, snap.Epoch, err)
-					}
+				}
+				p, _, err := snap.Resolve(ctx, name, true)
+				if err != nil {
+					t.Fatalf("path %s: resolve at epoch %d: %v", path, snap.Epoch, err)
 				}
 				want, err := pathsim.NewIndexE(ref.Corpus.Net, path)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, x := range []int{0, 5, want.Dim() / 2, want.Dim() - 1} {
-					got, epoch, _, err := srv.topK(ctx, nil, snap, path.String(), want.Dim(), x, 20, false)
-					if err != nil || epoch != snap.Epoch || !samePairs(got, want.TopK(x, 20)) {
-						t.Fatalf("path %s, id %d: %v at epoch %d (%v), cold build at epoch %d: %v",
-							path, x, got, epoch, err, snap.Epoch, want.TopK(x, 20))
+					got, _, err := srv.topK(ctx, nil, snap, p, x, 20, false)
+					if err != nil || !samePairs(got, want.TopK(x, 20)) {
+						t.Fatalf("path %s, id %d: %v (%v), cold build at epoch %d: %v",
+							path, x, got, err, snap.Epoch, want.TopK(x, 20))
 					}
 				}
 			}

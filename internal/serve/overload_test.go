@@ -290,6 +290,11 @@ func TestBrownout(t *testing.T) {
 	if code := get(t, s, "GET", "/v1/pathsim/topk?id=0&k=5&path=A-P-A", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("degraded unbuilt path = %d, want 503", code)
 	}
+	// So does a path that does not parse: a degraded server sheds what
+	// it has not built before it judges the spec.
+	if code := get(t, s, "GET", "/v1/pathsim/topk?id=0&k=5&path=A-P-X", nil); code != http.StatusServiceUnavailable {
+		t.Errorf("degraded invalid path = %d, want 503", code)
+	}
 	// Writes shed outright during a brownout.
 	if code := get(t, s, "POST", "/v1/rebuild", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("degraded write = %d, want 503", code)

@@ -572,7 +572,7 @@ func TestRenderParitySharded(t *testing.T) {
 func TestUnencodableScoreIs500(t *testing.T) {
 	s := newTestServer(t, Options{Seed: 4, ControlInterval: -1})
 	for x, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		s.cache.Put(cacheKey{s.Snapshot().Epoch, pathAPVPA.String(), x, 3}, []pathsim.Pair{{ID: 1, Score: 0.5}, {ID: 2, Score: score}})
+		s.cache.Put(cacheKey{s.Snapshot().Epoch, cluster.PathAPVPA.String(), x, 3}, []pathsim.Pair{{ID: 1, Score: 0.5}, {ID: 2, Score: score}})
 		target := fmt.Sprintf("/v1/pathsim/topk?id=%d&k=3", x)
 		want := refError("encoding response: unsupported number %s", strconv.FormatFloat(score, 'g', -1, 64))
 		expect(t, serveBody(t, s, "GET", target, ""), target, http.StatusInternalServerError, want)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +30,7 @@ func testConfig() ModelConfig {
 // ("" = the default path) over a snapshot's network: whole, through the
 // full commuting matrix, never through the shards.
 func resolveRef(snap *cluster.View, spec string) (*pathsim.Index, error) {
-	path := pathAPVPA
+	path := cluster.PathAPVPA
 	if spec != "" {
 		var err error
 		if path, err = snap.Corpus.Net.ParseMetaPath(spec); err != nil {
@@ -120,7 +121,7 @@ func TestTopKMatchesLibrary(t *testing.T) {
 	const seed = 7
 	s := newTestServer(t, Options{Seed: seed})
 	c := dblp.Generate(stats.NewRNG(seed), testConfig().Corpus)
-	ix := pathsim.NewIndex(c.Net, pathAPVPA)
+	ix := pathsim.NewIndex(c.Net, cluster.PathAPVPA)
 
 	for _, x := range []int{0, 5, 17, 63} {
 		var body topKBody
@@ -246,6 +247,50 @@ func TestTopKInvalidPaths(t *testing.T) {
 	// The server must still answer after all that hostile input.
 	if code := get(t, s, "GET", "/v1/pathsim/topk?id=0&k=3", nil); code != 200 {
 		t.Fatalf("server unhealthy after invalid paths: %d", code)
+	}
+}
+
+// TestPastCapPathBuiltOnce fills the View's path memo — the default
+// path plus 63 resolved ones make maxPathIndexes — and then asks for a
+// 64th: the View builds its ranges for that request alone. They must
+// answer what a fresh server answers, and be built once per request:
+// two meta-path engine lookups (the half-path factor and its
+// transpose), not a second build inside the kernel.
+func TestPastCapPathBuiltOnce(t *testing.T) {
+	opts := Options{CacheCapacity: -1}
+	s := newTestServer(t, opts)
+	types := []string{"author", "venue", "term", "year"}
+	var paths []string
+	for _, a := range types {
+		for _, b := range types {
+			for _, c := range types {
+				paths = append(paths, fmt.Sprintf("%s-paper-%s-paper-%s-paper-%s-paper-%s", a, b, c, b, a))
+			}
+		}
+	}
+	target := func(path string) string { return "/v1/pathsim/topk?k=5&id=1&path=" + path }
+	for _, path := range paths {
+		if code := get(t, s, "GET", target(path), nil); code != 200 {
+			t.Fatalf("%s: code %d", path, code)
+		}
+	}
+	last := target(paths[len(paths)-1])
+	body := func(s *Server) string {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", last, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: code %d", last, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	eng := s.Snapshot().Corpus.Net.PathEngine()
+	before := eng.Stats().Hits
+	got := body(s)
+	if n := eng.Stats().Hits - before; n != 2 {
+		t.Errorf("a past-cap path= request made %d meta-path engine lookups, want 2: its ranges are built once", n)
+	}
+	if want := body(newTestServer(t, opts)); got != want {
+		t.Errorf("past-cap body differs from a fresh server's:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -12,7 +12,9 @@
 //     Each generation carries its network's meta-path engine
 //     (internal/metapath), so /v1/pathsim/topk serves arbitrary path=
 //     meta-paths, planned and materialized on first use and answered
-//     from the View's memo afterwards;
+//     from the View's memo afterwards. The View's Resolve is the one
+//     reader of a path= spec: this package never parses a meta-path,
+//     it queries the cluster.Ranges Resolve hands back;
 //   - the cluster's View is the serving snapshot: the coordinator
 //     publishes each generation atomically, and a request loads the
 //     published View once and reads it throughout — /v1/rank and
@@ -21,7 +23,7 @@
 //   - a sharded LRU Cache (cache.go) answers hot queries from memory,
 //     keyed by (snapshot epoch, path, query) so a swap invalidates
 //     implicitly;
-//   - a top-k miss is one View.TopK call on the goroutine that asked
+//   - a top-k miss is one Ranges.TopK call on the goroutine that asked
 //     (Server.topK), with no queue, dispatcher or batch in between.
 //
 // Every request is counted and traced (internal/obs): New states each
@@ -202,10 +204,10 @@ func New(opts Options) *Server {
 	// throwaway corpus of the same seed: the partition is part of the
 	// cluster's identity, fixed before its first generation is built.
 	spec, shards := opts.Models.spec(), max(1, opts.Shards)
-	part := cluster.Partition{Of: string(pathAPVPA[0]), Bounds: []int{0, 0}}
+	part := cluster.Partition{Of: string(cluster.PathAPVPA[0]), Bounds: []int{0, 0}}
 	if shards > 1 {
 		net := dblp.Generate(stats.NewRNG(opts.Seed), spec.Corpus).Net
-		full, err := pathsim.NewRangeIndexCtx(context.Background(), net, pathAPVPA, 0, net.Count(pathAPVPA[0]))
+		full, err := pathsim.NewRangeIndexCtx(context.Background(), net, cluster.PathAPVPA, 0, net.Count(cluster.PathAPVPA[0]))
 		if err != nil {
 			panic("serve: boot: " + err.Error())
 		}
@@ -517,48 +519,48 @@ func intParam(q url.Values, name string, def int) (int, error) {
 }
 
 // topK is the shared cache→kernel query path, also driven directly by
-// the serving benchmarks. The query runs against v's ranges of path, a
-// resolved path whose endpoint type has dim objects; the cache key
-// carries the View's epoch and the path, so neither a write nor a
-// different path can ever serve a stale or foreign answer. A miss is
-// one View.TopK call on the calling goroutine: misses on different
-// cores compute side by side and none waits for another. It returns the
-// answer, the epoch it came from, and whether it was a cache hit. A
+// the serving benchmarks. The query runs against p, v's ranges of one
+// path; the cache key carries the View's epoch and the path's key, so
+// neither a write nor a different path can ever serve a stale or
+// foreign answer. A miss is one p.TopK call on the calling goroutine:
+// misses on different cores compute side by side and none waits for
+// another. It returns the answer and whether it was a cache hit. A
 // cacheOnly miss reaches no kernel: it fails with errCacheOnly.
 //
 // A non-nil tr gets child spans under the caller's open span: "cache"
 // (noted hit/miss), then on a miss "kernel".
-func (s *Server) topK(ctx context.Context, tr *obs.Trace, v *cluster.View, path string, dim, x, k int, cacheOnly bool) ([]pathsim.Pair, int64, bool, error) {
+func (s *Server) topK(ctx context.Context, tr *obs.Trace, v *cluster.View, p *cluster.Ranges, x, k int, cacheOnly bool) ([]pathsim.Pair, bool, error) {
 	sp := tr.Start("cache")
-	key := cacheKey{v.Epoch, path, x, k}
+	key := cacheKey{v.Epoch, p.Key, x, k}
 	if pairs, ok := s.cache.Get(key); ok {
 		tr.Note("hit")
 		tr.End(sp)
-		return pairs, v.Epoch, true, nil
+		return pairs, true, nil
 	}
 	tr.Note("miss")
 	if cacheOnly {
 		tr.End(sp)
-		return nil, 0, false, errCacheOnly
+		return nil, false, errCacheOnly
 	}
 	sp = tr.Next(sp, "kernel")
-	pairs, err := s.kernel(ctx, v, path, dim, x, k)
+	pairs, err := s.kernel(ctx, p, x, k)
 	tr.End(sp)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, false, err
 	}
-	s.cache.Put(key, pairs) // View.TopK's answer is its own slice: nothing else holds it
-	return pairs, v.Epoch, false, nil
+	s.cache.Put(key, pairs) // Ranges.TopK's answer is its own slice: nothing else holds it
+	return pairs, false, nil
 }
 
-// kernel answers one top-k miss. A server shutting down refuses it, an
-// id outside the endpoint type fails it, and a context that is done —
-// also while a chaos kernel delay runs — abandons it before the call.
-func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, x, k int) ([]pathsim.Pair, error) {
+// kernel answers one top-k miss from p. A server shutting down refuses
+// it, an id outside the endpoint type fails it, and a context that is
+// done — also while a chaos kernel delay runs — abandons it before the
+// call.
+func (s *Server) kernel(ctx context.Context, p *cluster.Ranges, x, k int) ([]pathsim.Pair, error) {
 	if s.closed.Load() {
 		return nil, errShutdown
 	}
-	if x < 0 || x >= dim {
+	if dim := p.Dim(); x < 0 || x >= dim {
 		return nil, fmt.Errorf("serve: id %d out of range [0,%d)", x, dim)
 	}
 	if d := s.opts.Chaos.KernelDelay(); d > 0 {
@@ -572,15 +574,15 @@ func (s *Server) kernel(ctx context.Context, v *cluster.View, path string, dim, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return v.TopK(ctx, path, x, k)
+	return p.TopK(x, k), nil
 }
 
 // TopK is the exported form of the cached query path, untraced, against
 // the live generation's default (APVPA) index.
 func (s *Server) TopK(ctx context.Context, x, k int) (pairs []pathsim.Pair, hit bool, err error) {
 	v := s.coord.View()
-	pairs, _, hit, err = s.topK(ctx, nil, v, pathAPVPAKey, v.IndexDim, x, k, false)
-	return pairs, hit, err
+	def, _, _ := v.Resolve(ctx, "", false) // the default path: always held, never an error
+	return s.topK(ctx, nil, v, def, x, k, false)
 }
 
 // --- handlers --------------------------------------------------------
@@ -842,48 +844,40 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, q url.Values
 		k = brownoutK
 	}
 	// path= selects the meta-path; empty keeps the prebuilt APVPA index.
-	// Any parse/schema/symmetry problem is the client's, hence 400. The
-	// View builds a new path's index here, on this request's goroutine,
-	// before its kernel call — and memoizes it, so repeat queries pay one lookup (the resolve span's note
-	// says which way it went: prebuilt, cached, or built). A degraded
-	// server starts no materializations: a path not already built sheds.
+	// The View reads the spec — a parse, schema or symmetry problem is
+	// the client's, hence 400 — and hands back the path's ranges,
+	// building a new path's index here, on this request's goroutine,
+	// before its kernel call (the resolve span's note says which way it
+	// went: prebuilt, cached, or built). A degraded server starts no
+	// materializations: a path not already built sheds, before its spec
+	// is judged.
 	sp = tr.Next(sp, "resolve")
-	pathKey, endpoint := pathAPVPAKey, pathAPVPA[0]
-	if spec := q.Get("path"); spec == "" {
+	spec := q.Get("path")
+	p, held, err := snap.Resolve(ctx, spec, !degraded)
+	switch {
+	case degraded && !held:
+		tr.Note("degraded-shed")
+		s.adm.shedFor(classQuery)
+		s.shed(w, classQuery)
+		return
+	case err != nil && ctx.Err() != nil:
+		tr.Note("deadline")
+		httpError(w, http.StatusGatewayTimeout, "deadline exceeded while resolving path: %v", ctx.Err())
+		return
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "invalid path: %v", err)
+		return
+	case spec == "":
 		tr.Note("prebuilt")
-	} else {
-		held := false
-		path, err := snap.Corpus.Net.ParseMetaPath(spec)
-		if err == nil {
-			err = pathsim.ValidatePath(path)
-		}
-		if err == nil {
-			pathKey, endpoint = path.String(), path[0]
-			held, err = snap.Resolve(ctx, pathKey, !degraded)
-		}
-		switch {
-		case degraded && !held:
-			tr.Note("degraded-shed")
-			s.adm.shedFor(classQuery)
-			s.shed(w, classQuery)
-			return
-		case err != nil && ctx.Err() != nil:
-			tr.Note("deadline")
-			httpError(w, http.StatusGatewayTimeout, "deadline exceeded while resolving path: %v", ctx.Err())
-			return
-		case err != nil:
-			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
-			return
-		case held:
-			tr.Note("cached")
-		default:
-			tr.Note("built")
-		}
+	case held:
+		tr.Note("cached")
+	default:
+		tr.Note("built")
 	}
-	dim := snap.Corpus.Net.Count(endpoint)
 	// The queried objects live at the path's endpoint type (author for
 	// the default APVPA). name= (author= kept as an alias) looks an
 	// object up by name within that type.
+	endpoint, dim := p.Endpoint(), p.Dim()
 	x := -1
 	name := q.Get("name")
 	if name == "" {
@@ -909,17 +903,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, q url.Values
 	// A degraded server answers from the cache only: a hit serves
 	// (annotated), a miss sheds — the brownout's whole point is that no
 	// query reaches the kernels.
-	pairs, epoch, hit, err := s.topK(ctx, tr, snap, pathKey, dim, x, k, degraded)
+	pairs, hit, err := s.topK(ctx, tr, snap, p, x, k, degraded)
 	if err != nil {
-		var ce *cluster.ClientError
 		switch {
 		case errors.Is(err, errCacheOnly):
 			s.adm.shedFor(classQuery)
 			s.shed(w, classQuery)
-		case errors.As(err, &ce):
-			// The View rejected the query's meta-path after all (it was
-			// resolved above, so only past the View's memo cap).
-			httpError(w, http.StatusBadRequest, "invalid path: %v", err)
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// Partial-work accounting: the trace's open spans show the
 			// stage the deadline landed in; the note marks it for the
@@ -942,9 +931,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, q url.Values
 		s.adm.degradedServed.Add(1)
 		jw.key("degraded").boolean(true)
 	}
-	jw.key("epoch").integer(epoch)
+	jw.key("epoch").integer(snap.Epoch)
 	jw.key("k").integer(int64(k))
-	jw.key("path").str(pathKey)
+	jw.key("path").str(p.Key)
 	names := snap.Corpus.Net.Names(endpoint)
 	jw.key("query").beginObject()
 	jw.key("id").integer(int64(x))

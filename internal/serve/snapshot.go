@@ -1,5 +1,5 @@
-// What a generation is built from: the meta-paths the server serves by
-// default and the model configuration. The generation itself is the
+// What a generation is built from: the model configuration, and the
+// meta-path /v1/rank names as its graph. The generation itself is the
 // cluster's View (internal/cluster) — the corpus (names, ground truth),
 // ranking vectors, cluster models and the similarity index. A request loads the published View once and reads
 // it throughout, so it reads one generation whatever writes land
@@ -16,15 +16,10 @@ import (
 	"hinet/internal/dblp"
 )
 
-// Meta paths materialized at generation build time: APVPA (shared-venue
-// peers, the default PathSim index) and APA (co-authorship, the square
-// graph PageRank and HITS run on). These alias internal/cluster's,
-// where the model recipe lives.
-var (
-	pathAPVPA    = cluster.PathAPVPA
-	pathAPA      = cluster.PathAPA
-	pathAPVPAKey = pathAPVPA.String() // the default path's cache key
-)
+// pathAPA is co-authorship, the square graph PageRank and HITS run on
+// (/v1/rank's "graph"). It aliases internal/cluster's, where the model
+// recipe lives.
+var pathAPA = cluster.PathAPA
 
 // ModelConfig controls what a generation materializes.
 type ModelConfig struct {

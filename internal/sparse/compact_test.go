@@ -179,7 +179,7 @@ func TestMulPatternEquivalence(t *testing.T) {
 		want := refMul(m, b)
 
 		check := func(mode string) {
-			got := m.Mul(b)
+			got := mulOf(m, b)
 			if got.Rows() != rows || got.Cols() != cols {
 				t.Fatalf("%s: wrong shape", mode)
 			}
@@ -195,7 +195,7 @@ func TestMulPatternEquivalence(t *testing.T) {
 		// Gram must equal Mul(Transpose()) bitwise on the upper triangle
 		// regardless of the pattern path taken.
 		g := gramOf(m)
-		full := m.Mul(m.Transpose())
+		full := mulOf(m, m.Transpose())
 		for r := 0; r < rows; r++ {
 			for c := r; c < rows; c++ {
 				if math.Float64bits(g.At(r, c)) != math.Float64bits(full.At(r, c)) {
@@ -358,7 +358,7 @@ func TestSpgemmScratchReuse(t *testing.T) {
 		m := randomPattern(rng, rows, mid, 3, round%2 == 0)
 		b := randomPattern(rng, mid, cols, 3, round%3 == 0)
 		want := refMul(m, b)
-		d := m.Mul(b).Dense()
+		d := mulOf(m, b).Dense()
 		for r := range want {
 			bitwiseVec(t, "pooled Mul", d[r], want[r])
 		}

@@ -67,13 +67,16 @@ func TestParRangeCtxMidCancel(t *testing.T) {
 	})
 }
 
-// TestMulCtxMatchesMul: the cancellable product is the same product.
+// TestMulCtxMatchesMul: a product that polls a live context is the
+// product computed with nothing to poll.
 func TestMulCtxMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomCSR(rng, 120, 90, 6)
 	b := randomCSR(rng, 90, 70, 5)
-	want := m.Mul(b)
-	got, err := m.MulCtx(context.Background(), b)
+	want := mulOf(m, b)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := m.MulCtx(ctx, b)
 	if err != nil {
 		t.Fatalf("MulCtx: %v", err)
 	}

@@ -147,7 +147,7 @@ func splitBlocks(n, work int) int {
 
 // scratchBlocks is the rule for the kernels whose every block carries a
 // cols-sized dense accumulator or counter array (MulVecT, Transpose,
-// Mul, Gram): one block per worker — more would multiply scratch
+// MulCtx, GramCtx): one block per worker — more would multiply scratch
 // residency, zeroing and the combine without improving balance — and
 // none at all unless the work dominates that dimension-proportional
 // overhead (wide, hollow matrices — e.g. per-cluster row restrictions

@@ -98,7 +98,7 @@ func TestParallelEquivalence(t *testing.T) {
 		serMulVecT := m.MulVecT(xt, nil)
 		serT := m.Transpose()
 		serNorm := m.RowNormalized()
-		serMul := m.Mul(b)
+		serMul := mulOf(m, b)
 		serGram := gramOf(m)
 
 		for _, workers := range []int{2, 4, 7} {
@@ -107,7 +107,7 @@ func TestParallelEquivalence(t *testing.T) {
 				maxDiffVec(t, "MulVecT", m.MulVecT(xt, nil), serMulVecT)
 				sameMatrix(t, "Transpose", m.Transpose(), serT)
 				sameMatrix(t, "RowNormalized", m.RowNormalized(), serNorm)
-				sameMatrix(t, "Mul", m.Mul(b), serMul)
+				sameMatrix(t, "Mul", mulOf(m, b), serMul)
 				sameMatrix(t, "Gram", gramOf(m), serGram)
 			})
 		}
@@ -137,7 +137,7 @@ func TestParallelEquivalenceEmptyAndZero(t *testing.T) {
 				t.Fatal("zero matrix MulVecT nonzero")
 			}
 		}
-		if p := zero.Mul(NewFromCoords(7, 3, nil)); p.NNZ() != 0 || p.Rows() != 5 || p.Cols() != 3 {
+		if p := mulOf(zero, NewFromCoords(7, 3, nil)); p.NNZ() != 0 || p.Rows() != 5 || p.Cols() != 3 {
 			t.Fatal("zero Mul wrong")
 		}
 		if n := zero.RowNormalized(); n.NNZ() != 0 {
@@ -273,7 +273,7 @@ func TestParallelRace(t *testing.T) {
 					m.MulVecT(xt, nil)
 					m.Transpose()
 					m.RowNormalized()
-					m.Mul(b)
+					mulOf(m, b)
 				}
 			}()
 		}

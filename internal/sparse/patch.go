@@ -6,7 +6,7 @@
 // operand rows — read off the merge's own record when the operand is
 // one merge from the matrix the product was computed from, by a row
 // scan otherwise — GatherRows/RowsTouching assemble the small
-// sub-problem the ordinary Mul kernel recomputes, and PatchCtx splices
+// sub-problem the ordinary MulCtx kernel recomputes, and PatchCtx splices
 // the result into a copy of the previous product: it finds the rows the
 // patch rewrites, splices only those, and moves every run of rows
 // between them in one copy, row-block parallel on the shared pool,
@@ -100,7 +100,7 @@ func (m *Matrix) RowsTouching(cols []int) []int {
 }
 
 // GatherRows returns the len(rows)×Cols matrix whose row i is the
-// receiver's row rows[i]. Feeding it to Mul recomputes exactly those
+// receiver's row rows[i]. Feeding it to MulCtx recomputes exactly those
 // rows of a product: the kernels accumulate row by row, so the result
 // rows are bitwise identical to the matching rows of the full product.
 func (m *Matrix) GatherRows(rows []int) *Matrix {

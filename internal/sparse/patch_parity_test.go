@@ -196,7 +196,7 @@ func TestPatchCtxMatchesRowLoop(t *testing.T) {
 			cur = h.ApplyDelta([]Coord{{Row: 0, Col: 0, Val: 1}})
 		}
 		d := DirtyRows(h, cur)
-		block := cur.GatherRows(d).Mul(cur.Transpose())
+		block := mulOf(cur.GatherRows(d), cur.Transpose())
 		check(t, "gram", gramOf(h), Patch{Rows: cur.rows, Cols: cur.rows, Dirty: d, RowBlock: block, PatchCols: d, ColBlock: block.Transpose()})
 	}
 	for seed := int64(0); seed < 80; seed++ {

@@ -77,7 +77,7 @@ func union(a, b []int) []int {
 func patchedGram(t *testing.T, old, h, cur *Matrix) *Matrix {
 	t.Helper()
 	d := DirtyRows(h, cur)
-	block := cur.GatherRows(d).Mul(cur.Transpose())
+	block := mulOf(cur.GatherRows(d), cur.Transpose())
 	m, err := old.PatchCtx(context.Background(), Patch{Rows: cur.rows, Cols: cur.rows,
 		Dirty: d, RowBlock: block, PatchCols: d, ColBlock: block.Transpose()})
 	if err != nil {
@@ -107,12 +107,12 @@ func TestPatchMatchesColdKernels(t *testing.T) {
 		right := randomCSR(rng, mid, 5+rng.Intn(20), 2)
 		curRight := mutate(rng, right, rng.Intn(3), cur.cols-mid, grow)
 		d := union(DirtyRows(h, cur), cur.RowsTouching(DirtyRows(right, curRight)))
-		got, err := h.Mul(right).PatchCtx(context.Background(), Patch{Rows: cur.rows, Cols: curRight.cols,
-			Dirty: d, RowBlock: cur.GatherRows(d).Mul(curRight)})
+		got, err := mulOf(h, right).PatchCtx(context.Background(), Patch{Rows: cur.rows, Cols: curRight.cols,
+			Dirty: d, RowBlock: mulOf(cur.GatherRows(d), curRight)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		identical(t, "product", got, cur.Mul(curRight))
+		identical(t, "product", got, mulOf(cur, curRight))
 	}
 	for seed := int64(0); seed < 60; seed++ {
 		run(t, seed)
@@ -183,7 +183,7 @@ func TestGatherRowsAndRowsTouching(t *testing.T) {
 	if want := [][]float64{{4, 0, 0}, {1, 0, 2}}; !slices.EqualFunc(g.Dense(), want, slices.Equal[[]float64]) {
 		t.Fatalf("GatherRows = %v", g.Dense())
 	}
-	if empty := m.GatherRows(nil); empty.rows != 0 || empty.cols != 3 || empty.Mul(m.Transpose()).rows != 0 {
+	if empty := m.GatherRows(nil); empty.rows != 0 || empty.cols != 3 || mulOf(empty, m.Transpose()).rows != 0 {
 		t.Fatal("gathering no rows must give a 0×cols matrix the kernels accept")
 	}
 	if rows := m.RowsTouching([]int{0}); !slices.Equal(rows, []int{0, 3}) {
@@ -259,7 +259,7 @@ func TestSymmetryFlagIsProven(t *testing.T) {
 	if len(d) < 2 {
 		t.Fatalf("the fixture dirties %d rows, want at least two", len(d))
 	}
-	block := cur.GatherRows(d).Mul(cur.Transpose())
+	block := mulOf(cur.GatherRows(d), cur.Transpose())
 	n := cur.rows
 	// One entry of the dirty×dirty part changed, in the row block and
 	// its transpose alike: ColBlock is RowBlockᵀ, yet row d[0] no longer

@@ -708,18 +708,12 @@ func (part *mulPart) emit(touched []int32, acc []float64, stamp []int, mark, spa
 	}
 }
 
-// Mul returns the sparse product M·B. Dimensions must agree. Row blocks
-// of the output are computed independently on the worker pool and
-// stitched together in row order.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	out, _ := m.mul(b, nil)
-	return out
-}
-
-// MulCtx is Mul with cooperative cancellation: row-block loops poll
-// ctx, and a cancelled product stops burning CPU (already-dispatched
-// blocks finish their current 64-row stride) and returns ctx.Err()
-// with a nil matrix. With a non-cancelable ctx it is exactly Mul.
+// MulCtx returns the sparse product M·B. Dimensions must agree. Row
+// blocks of the output are computed independently on the worker pool
+// and stitched together in row order. Row-block loops poll ctx: a
+// cancelled product stops burning CPU (already-dispatched blocks finish
+// their current 64-row stride) and returns ctx.Err() with a nil matrix.
+// Under a context that is never cancelled it cannot fail.
 func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
 	done := ctxDone(ctx)
 	if done != nil && chanClosed(done) {
@@ -734,7 +728,7 @@ func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
 
 func (m *Matrix) mul(b *Matrix, done <-chan struct{}) (*Matrix, bool) {
 	if m.cols != b.rows {
-		panic("sparse: Mul dimension mismatch")
+		panic("sparse: MulCtx dimension mismatch")
 	}
 	out := &Matrix{rows: m.rows, cols: b.cols, rowPtr: make([]int, m.rows+1)}
 	// Estimated flops: every nonzero of M expands into one of B's rows.
@@ -876,7 +870,7 @@ func (m *Matrix) gramBlockBounds(blocks int) []int {
 
 // GramCtx returns the Gram product G = M·Mᵀ. The result is symmetric by
 // construction: only the upper triangle is computed (halving the
-// multiply work versus Mul(Transpose())) and the strict-lower triangle
+// multiply work versus MulCtx(Transpose())) and the strict-lower triangle
 // is mirrored from it, so G[i][j] and G[j][i] are the same float64, and
 // Symmetric says so without a scan. This is the fused kernel the
 // meta-path engine uses to evaluate a symmetric path from its half-path
@@ -910,7 +904,7 @@ func (m *Matrix) gram(done <-chan struct{}) (*Matrix, bool) {
 		parts = []mulPart{m.gramRange(t, 0, m.rows, done)}
 		bounds = []int{0, m.rows}
 	} else {
-		// Each block carries rows-sized dense scratch, like Mul's, and
+		// Each block carries rows-sized dense scratch, like MulCtx's, and
 		// they are balanced by triangle work rather than raw nnz.
 		bounds = m.gramBlockBounds(blocks)
 		parts = make([]mulPart, blocks)

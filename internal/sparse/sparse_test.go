@@ -17,6 +17,13 @@ func gramOf(m *Matrix) *Matrix {
 	return g
 }
 
+// mulOf is MulCtx under a context that is never cancelled, so it cannot
+// fail.
+func mulOf(a, b *Matrix) *Matrix {
+	p, _ := a.MulCtx(context.Background(), b)
+	return p
+}
+
 func TestNewFromCoordsDedupAndAt(t *testing.T) {
 	m := NewFromCoords(3, 4, []Coord{
 		{0, 1, 2}, {0, 1, 3}, {2, 3, 1}, {1, 0, -1}, {2, 0, 0},
@@ -152,7 +159,7 @@ func TestMulAgainstDense(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		a := randomDense(rng, 1+rng.Intn(6), 1+rng.Intn(6))
 		b := randomDense(rng, len(a[0]), 1+rng.Intn(6))
-		got := NewFromDense(a).Mul(NewFromDense(b)).Dense()
+		got := mulOf(NewFromDense(a), NewFromDense(b)).Dense()
 		for r := range a {
 			for c := range b[0] {
 				want := 0.0
@@ -174,7 +181,7 @@ func TestMulResultSizedExactly(t *testing.T) {
 	a, b := randomCSR(rng, 300, 200, 6), randomCSR(rng, 200, 250, 6)
 	check := func(label string) {
 		t.Helper()
-		m := a.Mul(b)
+		m := mulOf(a, b)
 		if m.NNZ() == 0 || cap(m.colIdx) != len(m.colIdx) || cap(m.vals) != len(m.vals) {
 			t.Fatalf("%s Mul: %d entries in arrays of cap %d and %d", label, m.NNZ(), cap(m.colIdx), cap(m.vals))
 		}
@@ -193,7 +200,7 @@ func TestGramMatchesMulTranspose(t *testing.T) {
 		d := randomDense(rng, rows, cols)
 		m := NewFromDense(d)
 		got := gramOf(m)
-		want := m.Mul(m.Transpose())
+		want := mulOf(m, m.Transpose())
 		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
 			t.Fatalf("trial %d: shape %dx%d/%d, want %dx%d/%d", trial,
 				got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
@@ -276,10 +283,10 @@ func TestSymmetricAgainstDense(t *testing.T) {
 func TestMulDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Mul with mismatched dims should panic")
+			t.Error("MulCtx with mismatched dims should panic")
 		}
 	}()
-	NewFromDense([][]float64{{1}}).Mul(NewFromDense([][]float64{{1, 2}, {3, 4}}))
+	mulOf(NewFromDense([][]float64{{1}}), NewFromDense([][]float64{{1, 2}, {3, 4}}))
 }
 
 func TestScaleAndSums(t *testing.T) {
@@ -351,8 +358,8 @@ func TestMulTransposeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := NewFromDense(randomDense(rng, 1+rng.Intn(6), 1+rng.Intn(6)))
 		b := NewFromDense(randomDense(rng, a.Cols(), 1+rng.Intn(6)))
-		lhs := a.Mul(b).Transpose().Dense()
-		rhs := b.Transpose().Mul(a.Transpose()).Dense()
+		lhs := mulOf(a, b).Transpose().Dense()
+		rhs := mulOf(b.Transpose(), a.Transpose()).Dense()
 		for r := range lhs {
 			for c := range lhs[r] {
 				if !almostEq(lhs[r][c], rhs[r][c]) {
