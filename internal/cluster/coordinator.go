@@ -154,8 +154,9 @@ func (r *Ranges) TopK(x, k int) []pathsim.Pair {
 // the spec's (it names no symmetric path of v's schema) unless ctx is
 // done.
 //
-// The memo is keyed by canonical spelling, so a spec already in that
-// spelling costs one lookup and no parse.
+// The memo is keyed by spelling: the canonical one, and each other
+// spelling a held path was asked in, so a spelling asked before costs
+// one lookup and no parse. Every key counts toward maxPathIndexes.
 func (v *View) Resolve(ctx context.Context, spec string, build bool) (r *Ranges, held bool, err error) {
 	if spec == "" {
 		return v.def, true, nil
@@ -171,20 +172,41 @@ func (v *View) Resolve(ctx context.Context, spec string, build bool) (r *Ranges,
 		return nil, false, err
 	}
 	key := path.String()
-	if got, ok := v.paths.Load(key); ok {
-		return got.(*Ranges), true, nil
-	}
-	if !build {
+	got, held := v.paths.Load(key)
+	switch {
+	case held:
+		r = got.(*Ranges)
+	case !build:
 		return nil, false, nil
+	default:
+		if r, err = v.build(ctx, path, key); err != nil {
+			return nil, false, err
+		}
 	}
-	r, err = v.build(ctx, path, key)
-	return r, false, err
+	if spec != key {
+		r = v.memo(spec, r)
+	}
+	return r, held, nil
+}
+
+// memo stores r under the spelling name, unless the memo is full, and
+// returns what name then maps to: r, or the ranges a concurrent request
+// stored first.
+func (v *View) memo(name string, r *Ranges) *Ranges {
+	if v.npaths.Load() >= maxPathIndexes {
+		return r
+	}
+	got, loaded := v.paths.LoadOrStore(name, r)
+	if !loaded {
+		v.npaths.Add(1)
+	}
+	return got.(*Ranges)
 }
 
 // build materializes every shard's range of path over v's network: the
 // index over the whole endpoint type once — one diagonal — then each
 // shard's cut of it, fanned out like a read. The ranges are memoized
-// under key up to maxPathIndexes per View.
+// under key while the memo has room.
 func (v *View) build(ctx context.Context, path hin.MetaPath, key string) (*Ranges, error) {
 	full, err := pathsim.NewRangeIndexCtx(ctx, v.Corpus.Net, path, 0, v.Corpus.Net.Count(path[0]))
 	if err != nil {
@@ -198,14 +220,7 @@ func (v *View) build(ctx context.Context, path hin.MetaPath, key string) (*Range
 	if err != nil {
 		return nil, err
 	}
-	if v.npaths.Load() >= maxPathIndexes {
-		return r, nil
-	}
-	got, loaded := v.paths.LoadOrStore(key, r)
-	if !loaded {
-		v.npaths.Add(1)
-	}
-	return got.(*Ranges), nil
+	return v.memo(key, r), nil
 }
 
 // TopK answers a top-k query over the published View: Resolve, building

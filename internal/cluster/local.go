@@ -11,8 +11,10 @@ import (
 	"hinet/internal/pathsim"
 )
 
-// maxPathIndexes bounds a View's memoized meta-paths: an adversarial
-// stream of distinct paths cannot grow memory without bound. Beyond the
+// maxPathIndexes bounds a View's path memo — canonical spellings and the
+// other spellings held paths were asked in, each one key — so an
+// adversarial stream of distinct paths or spellings cannot grow memory
+// without bound. Beyond the
 // cap, Resolve builds a path's ranges for each request that asks and
 // hands them to that request alone — built once per request, correct,
 // just uncached; the half-path factors behind them live in the

@@ -1,12 +1,15 @@
 package dblp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
+	"hinet/internal/graph"
 	"hinet/internal/sparse"
 	"hinet/internal/stats"
 )
@@ -14,10 +17,8 @@ import (
 // fingerprint is an FNV-1a hash of everything a generated corpus is: the
 // types in registration order, every type's names in id order, the
 // ground-truth labels, every relation matrix's bits in both orientations,
-// and every relation's link log in order as each object sees it — the
-// homogeneous view appends a relation's links to both endpoints'
-// adjacency lists in log order, so an object's neighbours of one type are
-// its links of that relation in the order they were logged.
+// and every object's homogeneous-view neighbours, sorted by id, with
+// their weights' bits.
 func fingerprint(c *Corpus) uint64 {
 	h := fnv.New64a()
 	word := func(v uint64) { writeWord(h, v) }
@@ -39,8 +40,6 @@ func fingerprint(c *Corpus) uint64 {
 		}
 	}
 	for _, e := range net.SchemaEdges() {
-		word(uint64(net.LinkCount(e[0], e[1])))
-		word(uint64(net.LinkCount(e[1], e[0])))
 		for _, m := range [2]*sparse.Matrix{net.Relation(e[0], e[1]), net.Relation(e[1], e[0])} {
 			word(uint64(m.Rows()))
 			word(uint64(m.Cols()))
@@ -54,20 +53,20 @@ func fingerprint(c *Corpus) uint64 {
 			}
 		}
 	}
-	g, offset := net.Homogeneous()
-	for _, t := range types {
-		for id := 0; id < net.Count(t); id++ {
-			for _, u := range types {
-				lo, hi := offset[u], offset[u]+net.Count(u)
-				for _, e := range g.Neighbors(offset[t] + id) {
-					if e.To >= lo && e.To < hi {
-						word(uint64(e.To - lo))
-						word(math.Float64bits(e.Weight))
-					}
-				}
-				word(math.MaxUint64)
+	g, _ := net.Homogeneous()
+	for u := 0; u < g.N(); u++ {
+		nbrs := slices.Clone(g.Neighbors(u))
+		slices.SortFunc(nbrs, func(a, b graph.Edge) int {
+			if c := cmp.Compare(a.To, b.To); c != 0 {
+				return c
 			}
+			return cmp.Compare(math.Float64bits(a.Weight), math.Float64bits(b.Weight))
+		})
+		for _, e := range nbrs {
+			word(uint64(e.To))
+			word(math.Float64bits(e.Weight))
 		}
+		word(math.MaxUint64)
 	}
 	return h.Sum64()
 }
@@ -79,7 +78,7 @@ func writeWord(h hash.Hash64, v uint64) {
 }
 
 // TestGenerateFingerprint: the generator's output is pinned bit for bit —
-// names, ids, labels, link logs and relation matrices — at the default
+// names, ids, labels, relation matrices and the homogeneous view — at the default
 // corpus and at the 4 000-author serving corpus, so a faster way of
 // building the same network can show it is the same network.
 func TestGenerateFingerprint(t *testing.T) {
@@ -89,8 +88,8 @@ func TestGenerateFingerprint(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{"default", 1, Config{}, 0xc0438cdbb7c75739},
-		{"4000 authors", 1, Config{AuthorsPerArea: 1000, Papers: 10_000}, 0x894098f14e6076b},
+		{"default", 1, Config{}, 0x4559c93cc2acd096},
+		{"4000 authors", 1, Config{AuthorsPerArea: 1000, Papers: 10_000}, 0xa96e8b2c34ee1cb0},
 	} {
 		if got := fingerprint(Generate(stats.NewRNG(tc.seed), tc.cfg)); got != tc.want {
 			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)

@@ -1,6 +1,7 @@
 package flickr
 
 import (
+	"reflect"
 	"testing"
 
 	"hinet/internal/stats"
@@ -70,7 +71,7 @@ func TestUsersJoinGroups(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a := Generate(stats.NewRNG(5), Config{Photos: 150})
 	b := Generate(stats.NewRNG(5), Config{Photos: 150})
-	if a.Net.LinkCount(TypePhoto, TypeTag) != b.Net.LinkCount(TypePhoto, TypeTag) {
+	if !reflect.DeepEqual(a.Net.Relation(TypePhoto, TypeTag).Dense(), b.Net.Relation(TypePhoto, TypeTag).Dense()) {
 		t.Error("same-seed corpora differ")
 	}
 	for i := range a.PhotoCat {

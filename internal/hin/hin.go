@@ -43,8 +43,51 @@ type link struct {
 	w        float64
 }
 
+// relationKey names a relation by its two types in canonical order
+// (src ≤ dst), as SchemaEdges lists it.
 type relationKey struct {
 	src, dst Type
+}
+
+// orient returns the canonical key of the a-b relation and the index, in
+// relation.links and relation.m, of the a×b orientation: 0 when a ≤ b,
+// else 1.
+func orient(a, b Type) (relationKey, int) {
+	if b < a {
+		return relationKey{b, a}, 1
+	}
+	return relationKey{a, b}, 0
+}
+
+// relation is one relation's stored form. Until it is first read it is
+// its links, in the order logged: links[0] those logged key.src→key.dst,
+// links[1] those logged the other way round. A read folds them into the
+// matrix of the orientation it asks for, m[0] (key.src × key.dst) or
+// m[1] (its transpose), and from then on the matrices are the relation:
+// a merge (ApplyEdgeDeltas) goes straight into every matrix present, and
+// an AddLink waits in links for the next read to merge it in. The other
+// orientation is built, when first read, as a transpose. A self relation
+// (key.src == key.dst) uses links[0] and m[0] only.
+type relation struct {
+	links [2]list[link]
+	m     [2]*sparse.Matrix
+}
+
+// pending reports whether links are waiting for the next read.
+func (r *relation) pending() bool { return len(r.links[0].s)+len(r.links[1].s) > 0 }
+
+// coords returns the pending links as entries of orientation o: those
+// logged that way, then those logged the other way, swapped.
+func (r *relation) coords(o int) []sparse.Coord {
+	fwd, rev := r.links[o].s, r.links[1-o].s
+	entries := make([]sparse.Coord, 0, len(fwd)+len(rev))
+	for _, l := range fwd {
+		entries = append(entries, sparse.Coord{Row: l.src, Col: l.dst, Val: l.w})
+	}
+	for _, l := range rev {
+		entries = append(entries, sparse.Coord{Row: l.dst, Col: l.src, Val: l.w})
+	}
+	return entries
 }
 
 // list is an append-only sequence whose copies share one backing array.
@@ -136,43 +179,43 @@ func (x *nameIndex) clone() *nameIndex {
 
 // Network is a heterogeneous information network. Objects of each type
 // are dense integers 0..Count(t)-1 with optional names; links are typed
-// and weighted. Link insertion order is preserved per relation.
+// and weighted, and a relation is stored once: as its links until it is
+// first read, as its matrices after (see relation).
 //
 // Concurrency: any number of goroutines may query a network
 // concurrently (Relation, CommutingMatrix, lookups, ...). Mutations
 // (AddObject, AddLink, ApplyEdgeDeltas, ...) are single-writer and
 // must not run concurrently with queries — the serving layer gets
 // both by mutating a copy-on-write Clone and swapping it in atomically.
-// A clone shares the name lists and link logs (list) and the name index's
-// base (nameIndex) with its parent; what it adds lands past the parent's
-// lengths or in its own overlay, where no query of the parent looks.
+// A clone shares the name lists, pending links (list), matrices and the
+// name index's base (nameIndex) with its parent; what it adds lands past
+// the parent's lengths, in its own overlay or in new matrices, where no
+// query of the parent looks.
 type Network struct {
-	types    []Type
-	names    map[Type]list[string]
-	index    map[Type]*nameIndex
-	relation map[relationKey]list[link]
+	types []Type
+	names map[Type]list[string]
+	index map[Type]*nameIndex
 
 	// version counts structural mutations; the meta-path engine's
 	// materialization cache moves epochs with it, so a network edit
 	// after a CommutingMatrix call can never serve stale products.
-	// Mutations invalidate selectively: only cached matrices and
-	// engine entries that read the touched relation (or a relation of
-	// a grown type) are withdrawn, and a withdrawn engine entry stays
-	// as the patch base of its own refresh.
+	// Mutations invalidate selectively: only engine entries that read
+	// the touched relation (or a relation of a grown type) are
+	// withdrawn, and a withdrawn engine entry stays as the patch base of
+	// its own refresh.
 	version int64
 	engMu   sync.Mutex
 	eng     *metapath.Engine
 
-	// relCache memoizes Relation's materialized adjacency matrices per
-	// orientation. Matrices are immutable, so cached values are shared
-	// freely; ApplyEdgeDeltas keeps them warm by merging deltas instead
-	// of rebuilding, and after AddObject an entry is grown, not dropped,
-	// where it is next read (cached). building maps each orientation
-	// being built to a channel closed once its matrix is cached, so
-	// concurrent queries for one orientation build it once; relBuilds
-	// counts the builds.
+	// rels holds one record per relation that has a link, keyed
+	// canonically; a clone has records of its own. A read folds a
+	// record's pending links into its matrices, under relMu, and after
+	// AddObject a matrix is grown, not dropped, where it is next read.
+	// building maps each relation being folded to a channel closed once
+	// the fold is stored, so concurrent queries of one relation fold it
+	// once; relBuilds counts the folds.
 	relMu     sync.Mutex
-	relCache  map[relationKey]*sparse.Matrix
+	rels      map[relationKey]*relation
 	building  map[relationKey]chan struct{}
 	relBuilds int
 }
@@ -180,10 +223,9 @@ type Network struct {
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		names:    make(map[Type]list[string]),
-		index:    make(map[Type]*nameIndex),
-		relation: make(map[relationKey]list[link]),
-		relCache: make(map[relationKey]*sparse.Matrix),
+		names: make(map[Type]list[string]),
+		index: make(map[Type]*nameIndex),
+		rels:  make(map[relationKey]*relation),
 	}
 }
 
@@ -196,7 +238,7 @@ func (n *Network) AddType(t Type) {
 	n.types = append(n.types, t)
 	n.names[t] = list[string]{}
 	n.index[t] = &nameIndex{base: &nameBase{ids: make(map[string]int)}}
-	// A new type has no links, so no cached matrix or product can be
+	// A new type has no links, so no matrix or product can be
 	// stale — move the engine's epoch without dropping anything.
 	n.engInvalidate(func([]string) bool { return false })
 }
@@ -254,36 +296,11 @@ func (n *Network) AddObjects(t Type, names []string) (first int) {
 // meta-path products whose path mentions t are invalidated, since
 // their dimensions are stale (the engine keeps them as patch bases: a
 // row past the old dimension is a dirty row), and its other entries move
-// to the new epoch. It does not grow the cached relation matrices
-// touching t: the next merge into one does (ApplyEdgeDeltas), or cached
-// where one is read first, so a batch adding many objects grows each
-// orientation once.
+// to the new epoch. It does not grow the relation matrices touching t:
+// the next merge into one does (ApplyEdgeDeltas), or Relation where one
+// is read first, so a batch adding many objects grows each matrix once.
 func (n *Network) typeGrew(t Type) {
 	n.engInvalidate(func(path []string) bool { return slices.Contains(path, string(t)) })
-}
-
-// cached returns the memoized (src, dst) matrix at the types' current
-// counts, growing it first if objects were added since it was stored (its
-// entries are unchanged — a fresh object has no links). relMu is held.
-func (n *Network) cached(key relationKey) (*sparse.Matrix, bool) {
-	m, ok := n.relCache[key]
-	if rows, cols := n.Count(key.src), n.Count(key.dst); ok && (m.Rows() != rows || m.Cols() != cols) {
-		m = m.Grow(rows, cols)
-		n.relCache[key] = m
-	}
-	return m, ok
-}
-
-// relationChanged reconciles the caches after links between a and b
-// changed in a way not already merged into the cached matrices: both
-// cached orientations are dropped, and every cached meta-path product
-// that traverses the a-b relation is invalidated.
-func (n *Network) relationChanged(a, b Type) {
-	n.relMu.Lock()
-	delete(n.relCache, relationKey{a, b})
-	delete(n.relCache, relationKey{b, a})
-	n.relMu.Unlock()
-	n.engInvalidate(func(path []string) bool { return pathHasPair(path, string(a), string(b)) })
 }
 
 // pathHasPair reports whether the path traverses the a-b relation in
@@ -337,35 +354,51 @@ func (n *Network) Lookup(t Type, name string) int {
 
 // AddLink records a weighted link between (src type, srcID) and
 // (dst type, dstID). Links are conceptually undirected between the two
-// types; they are stored under the (src, dst) orientation and exposed
-// symmetrically by Relation.
+// types; Relation exposes them in either orientation. A link to a
+// relation already read waits, with any others logged since, for the
+// relation's next read, which merges them into its matrices.
 func (n *Network) AddLink(src Type, srcID int, dst Type, dstID int, w float64) {
 	if srcID < 0 || srcID >= n.Count(src) || dstID < 0 || dstID >= n.Count(dst) {
 		panic(fmt.Sprintf("hin: link (%s,%d)-(%s,%d) out of range", src, srcID, dst, dstID))
 	}
 	n.version++
-	n.relation[relationKey{src, dst}] = n.relation[relationKey{src, dst}].append(link{srcID, dstID, w})
-	n.relationChanged(src, dst)
+	key, o := orient(src, dst)
+	n.relMu.Lock()
+	r := n.record(key)
+	r.links[o] = r.links[o].append(link{srcID, dstID, w})
+	n.relMu.Unlock()
+	n.engInvalidate(func(path []string) bool { return pathHasPair(path, string(src), string(dst)) })
+}
+
+// record returns key's relation, creating it empty. relMu is held.
+func (n *Network) record(key relationKey) *relation {
+	r := n.rels[key]
+	if r == nil {
+		r = new(relation)
+		n.rels[key] = r
+	}
+	return r
 }
 
 // EdgeDelta is one signed weight adjustment between two objects of a
 // relation: positive adds link weight, negative removes it. A pair
 // whose total weight reaches exactly zero drops out of the relation
-// matrix entirely, matching a from-scratch rebuild of the link log.
+// matrix entirely, matching a from-scratch build from the same links.
 type EdgeDelta struct {
 	Src, Dst int
 	W        float64
 }
 
 // ApplyEdgeDeltas applies a batch of edge deltas to the (src, dst)
-// relation: the deltas are appended to the link log (so a from-scratch
-// rebuild replays to the identical network) and merged into any cached
-// relation matrices via the sparse copy-on-write delta kernel —
-// O(batch + touched rows) instead of an O(links) rebuild. Cached
-// meta-path products that traverse the relation are invalidated — the
-// engine refreshes each, when next asked, by recomputing only the rows
-// the batch reached — and all others survive. Endpoints out of range
-// return an error before anything is modified.
+// relation. A relation that has been read merges the batch into each of
+// its matrices via the sparse copy-on-write delta kernel — O(batch +
+// touched rows) instead of an O(links) rebuild — and keeps no other
+// record of it; one not read yet appends the batch to its pending links,
+// for its first read to build from. Cached meta-path products that
+// traverse the relation are invalidated — the engine refreshes each,
+// when next asked, by recomputing only the rows the batch reached — and
+// all others survive. Endpoints out of range return an error before
+// anything is modified.
 func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 	if len(deltas) == 0 {
 		return nil
@@ -376,34 +409,23 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 			return fmt.Errorf("hin: delta (%s,%d)-(%s,%d) out of range", src, d.Src, dst, d.Dst)
 		}
 	}
-	key := relationKey{src, dst}
+	n.version++
 	links := make([]link, len(deltas))
 	for i, d := range deltas {
 		links[i] = link{d.Src, d.Dst, d.W}
 	}
-	n.relation[key] = n.relation[key].append(links...)
-	n.version++
-
-	// Merge into whichever orientations are materialized, at the types'
-	// current counts (the merge grows a matrix stored before objects
-	// were added). Relation merges both log orientations, so the
-	// (dst, src) matrix sees the batch transposed.
+	key, o := orient(src, dst)
 	n.relMu.Lock()
-	if m, ok := n.relCache[key]; ok {
-		coords := make([]sparse.Coord, len(deltas))
-		for i, d := range deltas {
-			coords[i] = sparse.Coord{Row: d.Src, Col: d.Dst, Val: d.W}
-		}
-		n.relCache[key] = m.Extend(ns, nd, coords)
-	}
-	if rev := (relationKey{dst, src}); src != dst {
-		if m, ok := n.relCache[rev]; ok {
-			coords := make([]sparse.Coord, len(deltas))
-			for i, d := range deltas {
-				coords[i] = sparse.Coord{Row: d.Dst, Col: d.Src, Val: d.W}
-			}
-			n.relCache[rev] = m.Extend(nd, ns, coords)
-		}
+	r := n.record(key)
+	if r.m == [2]*sparse.Matrix{} {
+		r.links[o] = r.links[o].append(links...)
+	} else {
+		// The batch as a relation of its own, merged into the matrices at
+		// the types' current counts (the merge grows a matrix stored
+		// before objects were added).
+		var batch relation
+		batch.links[o].s = links
+		r.m = batch.merged(r.m, o, ns, nd)
 	}
 	n.relMu.Unlock()
 
@@ -413,31 +435,41 @@ func (n *Network) ApplyEdgeDeltas(src, dst Type, deltas []EdgeDelta) error {
 	return nil
 }
 
-// LinkCount returns the number of stored links in the (src, dst)
-// orientation (reverse-orientation links are counted by their own key).
-func (n *Network) LinkCount(src, dst Type) int {
-	return len(n.relation[relationKey{src, dst}].s)
-}
-
-// HasRelation reports whether any links exist between the two types in
-// either orientation.
+// HasRelation reports whether a link has been recorded between the two
+// types, in either orientation — even one whose weight has since
+// cancelled to zero.
 func (n *Network) HasRelation(a, b Type) bool {
-	return n.LinkCount(a, b) > 0 || n.LinkCount(b, a) > 0
+	key, _ := orient(a, b)
+	_, ok := n.rels[key]
+	return ok
 }
 
 // Relation returns the weighted adjacency matrix W with W[i][j] = total
 // link weight between object i of type src and object j of type dst,
-// merging links stored in either orientation. The matrix is immutable
-// and memoized: repeated calls return the same (shared) matrix until a
-// mutation touching the relation invalidates it, and ApplyEdgeDeltas
-// keeps it warm by merging instead of rebuilding. Concurrent first calls
-// for one orientation build it once: the first builds, the others wait
-// for its matrix.
+// merging links recorded in either orientation; two types with no link
+// between them read as an empty matrix. The matrix is immutable and
+// shared: repeated calls return the same matrix until a mutation
+// touching the relation replaces it. The first read of a relation builds
+// its matrix from its links and drops them; a later read merges in the
+// links AddLink logged since, and the first read of the other
+// orientation transposes a matrix already built. Concurrent reads that
+// must do such work do it once: the first does, the others wait for its
+// matrix.
 func (n *Network) Relation(src, dst Type) *sparse.Matrix {
-	key := relationKey{src, dst}
+	key, o := orient(src, dst)
+	rows, cols := n.Count(src), n.Count(dst)
 	n.relMu.Lock()
+	r := n.rels[key]
 	for {
-		if m, ok := n.cached(key); ok {
+		if r == nil {
+			n.relMu.Unlock()
+			return sparse.NewFromCoords(rows, cols, nil)
+		}
+		if m := r.m[o]; m != nil && !r.pending() {
+			if m.Rows() != rows || m.Cols() != cols {
+				m = m.Grow(rows, cols)
+				r.m[o] = m
+			}
 			n.relMu.Unlock()
 			return m
 		}
@@ -454,58 +486,65 @@ func (n *Network) Relation(src, dst Type) *sparse.Matrix {
 		n.building = make(map[relationKey]chan struct{})
 	}
 	n.building[key] = done
+	was := *r
 	n.relMu.Unlock()
-	var m *sparse.Matrix
+	var folded [2]*sparse.Matrix
 	defer func() {
-		// On a panic nothing is cached, and a waiter builds it itself.
+		// On a panic nothing is stored, and a waiter folds it itself.
 		n.relMu.Lock()
-		if m != nil {
-			n.relCache[key] = m
+		if folded[o] != nil {
+			r.links, r.m = [2]list[link]{}, folded
 			n.relBuilds++
 		}
 		delete(n.building, key)
 		n.relMu.Unlock()
 		close(done)
 	}()
-	m = n.buildRelation(src, dst)
+	folded = was.fold(o, rows, cols)
+	return folded[o]
+}
+
+// fold returns r's matrices with its pending links merged in and
+// orientation o present, at rows×cols; r is not modified. A first build
+// is one NewFromCoords over the links, those logged in orientation o
+// first; a later fold merges them into each matrix (Extend).
+func (r *relation) fold(o, rows, cols int) [2]*sparse.Matrix {
+	m := r.m
+	switch {
+	case !r.pending():
+	case m == [2]*sparse.Matrix{}:
+		m[o] = sparse.NewFromCoords(rows, cols, r.coords(o))
+	default:
+		m = r.merged(m, o, rows, cols)
+	}
+	if m[o] == nil {
+		m[1-o] = m[1-o].Grow(cols, rows)
+		m[o] = m[1-o].Transpose()
+	}
 	return m
 }
 
-// buildRelation materializes the (src, dst) adjacency from the link
-// log — the cold path behind Relation's cache.
-func (n *Network) buildRelation(src, dst Type) *sparse.Matrix {
-	fwd := n.relation[relationKey{src, dst}].s
-	var rev []link
-	if src != dst {
-		rev = n.relation[relationKey{dst, src}].s
+// merged returns m with r's links merged into each matrix present
+// (Extend); rows×cols are orientation o's dimensions.
+func (r *relation) merged(m [2]*sparse.Matrix, o, rows, cols int) [2]*sparse.Matrix {
+	for i, mi := range m {
+		switch {
+		case mi == nil:
+		case i == o:
+			m[i] = mi.Extend(rows, cols, r.coords(i))
+		default:
+			m[i] = mi.Extend(cols, rows, r.coords(i))
+		}
 	}
-	entries := make([]sparse.Coord, 0, len(fwd)+len(rev))
-	for _, l := range fwd {
-		entries = append(entries, sparse.Coord{Row: l.src, Col: l.dst, Val: l.w})
-	}
-	for _, l := range rev {
-		entries = append(entries, sparse.Coord{Row: l.dst, Col: l.src, Val: l.w})
-	}
-	return sparse.NewFromCoords(n.Count(src), n.Count(dst), entries)
+	return m
 }
 
 // SchemaEdges lists the type pairs that have at least one link, each pair
 // once in a canonical order (useful to print the network schema).
 func (n *Network) SchemaEdges() [][2]Type {
-	seen := make(map[[2]Type]bool)
-	for k, ls := range n.relation {
-		if len(ls.s) == 0 {
-			continue
-		}
-		a, b := k.src, k.dst
-		if b < a {
-			a, b = b, a
-		}
-		seen[[2]Type{a, b}] = true
-	}
-	out := make([][2]Type, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+	out := make([][2]Type, 0, len(n.rels))
+	for k := range n.rels {
+		out = append(out, [2]Type{k.src, k.dst})
 	}
 	slices.SortFunc(out, func(a, b [2]Type) int {
 		if c := cmp.Compare(a[0], b[0]); c != 0 {
@@ -610,15 +649,16 @@ func (s netSource) HasRelation(a, b string) bool { return s.n.HasRelation(Type(a
 func (s netSource) Relation(a, b string) *sparse.Matrix { return s.n.Relation(Type(a), Type(b)) }
 
 // Clone returns a copy-on-write clone of the network for incremental
-// delta chains: the clone shares the parent's name lists, link logs,
-// name-index bases, cached relation matrices and completed meta-path
+// delta chains: the clone shares the parent's name lists, pending links,
+// name-index bases, relation matrices and completed meta-path
 // materializations, so cloning costs O(types + relations + names added
 // since the index bases were frozen), not O(objects + links). Mutating
 // the clone never changes what the parent serves: the first clone to
 // append to a shared list writes past the parent's length in place and
 // every other copy of it copies out (list), new names go to the clone's
-// own index overlay (nameIndex), matrices are immutable, and the engine
-// cache is copied entry-by-entry.
+// own index overlay (nameIndex), the clone's relation records are its
+// own and their matrices immutable, and the engine cache is copied
+// entry-by-entry.
 //
 // The intended discipline is a single-writer chain (the serving
 // layer's ingest path): clone the live network, apply a delta batch to
@@ -626,17 +666,20 @@ func (s netSource) Relation(a, b string) *sparse.Matrix { return s.n.Relation(Ty
 // against the parent remain safe throughout.
 func (n *Network) Clone() *Network {
 	c := &Network{
-		types:    append([]Type(nil), n.types...),
-		names:    maps.Clone(n.names),
-		index:    make(map[Type]*nameIndex, len(n.index)),
-		relation: maps.Clone(n.relation),
-		version:  n.version,
+		types:   append([]Type(nil), n.types...),
+		names:   maps.Clone(n.names),
+		index:   make(map[Type]*nameIndex, len(n.index)),
+		rels:    make(map[relationKey]*relation, len(n.rels)),
+		version: n.version,
 	}
 	for t, x := range n.index {
 		c.index[t] = x.clone()
 	}
 	n.relMu.Lock()
-	c.relCache = maps.Clone(n.relCache)
+	for k, r := range n.rels {
+		own := *r
+		c.rels[k] = &own
+	}
 	n.relMu.Unlock()
 	n.engMu.Lock()
 	eng := n.eng
@@ -755,9 +798,11 @@ func (n *Network) Projection(p MetaPath) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Homogeneous converts the whole network into one untyped directed graph
-// whose nodes are all objects of all types (ordered by type registration
-// then id). It returns the graph and the per-type offset map. This is the
+// Homogeneous converts the whole network into one untyped undirected
+// graph whose nodes are all objects of all types (ordered by type
+// registration then id), with one edge per linked pair weighted by the
+// pair's total link weight, added relation by relation in SchemaEdges
+// order. It returns the graph and the per-type offset map. This is the
 // "database as one gigantic network" view from the tutorial's
 // introduction, and also feeds the homogeneous baselines.
 func (n *Network) Homogeneous() (*graph.Graph, map[Type]int) {
@@ -773,13 +818,15 @@ func (n *Network) Homogeneous() (*graph.Graph, map[Type]int) {
 			g.SetLabel(offset[t]+id, string(t)+":"+n.Name(t, id))
 		}
 	}
-	for k, ls := range n.relation {
-		for _, l := range ls.s {
-			u := offset[k.src] + l.src
-			v := offset[k.dst] + l.dst
-			if u != v {
-				g.AddEdge(u, v, l.w)
-			}
+	for _, e := range n.SchemaEdges() {
+		m := n.Relation(e[0], e[1])
+		a, b := offset[e[0]], offset[e[1]]
+		for r := 0; r < m.Rows(); r++ {
+			m.Row(r, func(c int, w float64) {
+				if a+r != b+c {
+					g.AddEdge(a+r, b+c, w)
+				}
+			})
 		}
 	}
 	return g, offset

@@ -127,11 +127,12 @@ func (s *selection) add(id int, score float64) {
 //
 //  1. With more than k candidates, quickselect finds the threshold t,
 //     the k-th best score, over the flat score copy.
-//  2. One pass over the candidates in id order keeps every score above
-//     t, and of the scores equal to t the first k − (count above t).
-//     Candidates ascend in id, so those are the ties with the lowest
-//     ids: the kept set is the top k under (score desc, id asc).
-//  3. The ≤ k survivors, still in id order, are sorted by score
+//  2. One pass over the candidates in id order places every score above
+//     t first, and after them, of the scores equal to t, the first
+//     k − (count above t). Candidates ascend in id, so those are the
+//     ties with the lowest ids, already in their final order: the kept
+//     set is the top k under (score desc, id asc).
+//  3. The survivors above t, still in id order, are sorted by score
 //     descending with a stable sort — equal scores stay in id order.
 //
 // With at most k candidates there is nothing to select and step 3 runs
@@ -144,24 +145,27 @@ func (s *selection) topK(k int, dst []Pair) []Pair {
 	if n := min(k, len(s.cand)+len(s.nans)); cap(out) < n {
 		out = make([]Pair, 0, n)
 	}
-	if len(s.cand) <= k {
+	sorted := len(s.cand)
+	if sorted <= k {
 		out = append(out, s.cand...)
 	} else {
 		t, above := kthLargest(s.keys, k)
-		ties := k - above
+		out, sorted = out[:k], above
+		hi, tie := 0, above
 		for _, p := range s.cand {
 			if p.Score > t {
-				out = append(out, p)
-			} else if p.Score == t && ties > 0 {
-				out = append(out, p)
-				ties--
+				out[hi] = p
+				hi++
+			} else if p.Score == t && tie < k {
+				out[tie] = p
+				tie++
 			}
 		}
 	}
-	if cap(s.tmp) < len(out) {
-		s.tmp = make([]Pair, max(len(out), 2*cap(s.tmp)))
+	if cap(s.tmp) < sorted {
+		s.tmp = make([]Pair, max(sorted, 2*cap(s.tmp)))
 	}
-	sortByScore(out, s.tmp[:len(out)])
+	sortByScore(out[:sorted], s.tmp[:sorted])
 	if free := k - len(out); free > 0 {
 		out = append(out, s.nans[:min(free, len(s.nans))]...)
 	}

@@ -130,8 +130,8 @@ func TestNetworkConversion(t *testing.T) {
 		t.Fatal("object counts wrong")
 	}
 	// FK links: 3 emp→dept links.
-	if n.LinkCount("emp", "dept") != 3 {
-		t.Errorf("emp-dept links = %d", n.LinkCount("emp", "dept"))
+	if m := n.Relation("emp", "dept"); m.NNZ() != 3 || m.Sum() != 3 {
+		t.Errorf("emp-dept: %d entries weighing %v, want 3 links", m.NNZ(), m.Sum())
 	}
 	// Value objects for dept.name.
 	if n.Count(hin.Type("dept.name")) != 2 {

@@ -294,6 +294,36 @@ func TestPastCapPathBuiltOnce(t *testing.T) {
 	}
 }
 
+// TestPathSpellingsAllocateAlike: the View memoizes a spelling of a path
+// it was asked in beside the canonical one, so a cached answer to
+// path=A-P-T-P-A costs what one to author-paper-term-paper-author costs:
+// neither parses the spec again.
+func TestPathSpellingsAllocateAlike(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	s := newTestServer(t, Options{Seed: 5, NoTrace: true})
+	allocs := func(path string) float64 {
+		target := "/v1/pathsim/topk?id=3&k=5&path=" + path
+		hit := func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != 200 {
+				t.Fatalf("%s: code %d", path, rec.Code)
+			}
+		}
+		hit() // the build, then the answer into the result cache
+		hit()
+		return testing.AllocsPerRun(100, hit)
+	}
+	canonical := allocs("author-paper-term-paper-author")
+	for _, spelling := range []string{"A-P-T-P-A", "a-p-t-p-a", "Author-Paper-Term-Paper-Author"} {
+		if got := allocs(spelling); got > canonical {
+			t.Errorf("a cached path=%s read allocates %.0f times, the canonical spelling %.0f: the spelling is parsed again", spelling, got, canonical)
+		}
+	}
+}
+
 // TestTopKOutOfRangeRegression pins the pathsim fix: an id valid for
 // the default author index but out of range for a smaller per-path
 // index must 400 (it used to panic in diag[x] before the Dim check and
