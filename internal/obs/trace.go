@@ -170,7 +170,12 @@ func (f *Family) StartTrace() *Trace {
 	if f == nil {
 		return nil
 	}
-	return &Trace{fam: f, begin: f.reg.clock()}
+	// The clock starts once the trace exists: allocating and zeroing
+	// its ~1.5 KiB span array is tracing's own cost, not the request's,
+	// and right after a snapshot build it can take microseconds.
+	t := &Trace{fam: f}
+	t.begin = f.reg.clock()
+	return t
 }
 
 // spanRec is one span, stored inline in the trace. Offsets are
