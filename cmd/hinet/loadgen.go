@@ -27,88 +27,64 @@ import (
 	"hinet/internal/stats"
 )
 
-// loadgenFlags carries the loadgen-specific flag values out of main's
-// shared FlagSet.
+// loadgenFlags holds what loadgen's own flags set: the schedule, run
+// and SLO options they bind into, and the values that pick the mode.
 type loadgenFlags struct {
-	seed            int64
-	k               int
-	papers          int
-	workers         int
-	cacheCap        int
-	server          string
-	arrival         string
-	rate            float64
-	duration        time.Duration
-	concurrency     int
-	requests        int
-	mix             string
-	zipf            float64
-	paths           string
-	record          string
-	replay          string
-	out             string
-	sweep           bool
-	sweepSteps      int
-	stepDuration    time.Duration
-	sloP99          time.Duration
-	sloErrors       float64
-	strict          bool
-	scheduleOnly    string
-	honorRetryAfter bool
-	addr            string // -addr when given on the command line, else ""
-	pprof           bool
+	cfg                               loadgen.Config
+	run                               loadgen.RunOptions
+	slo                               loadgen.SLO
+	server, mix, paths                string
+	record, replay, out, scheduleOnly string
+	sweep, strict                     bool
+	sweepSteps                        int
+	stepDuration                      time.Duration
 }
 
 // loadgenServeOptions configures the in-process server a run without
-// -server boots: the schedule's seed and corpus size, and -pprof. It
-// listens on -addr only when that was given; otherwise on a free
-// loopback port.
-func loadgenServeOptions(f loadgenFlags) serve.Options {
-	opts := serve.Options{
-		Addr:          "127.0.0.1:0",
-		Seed:          f.seed,
-		Models:        serve.ModelConfig{Corpus: corpusConfig(f.papers), K: f.k},
-		CacheCapacity: f.cacheCap,
-		Workers:       f.workers,
-		Pprof:         f.pprof,
-	}
-	if f.addr != "" {
-		opts.Addr = f.addr
+// -server boots from serve's flags: the seed, corpus, -k, cache,
+// workers and -pprof. It listens on -addr only when that was given;
+// otherwise on a free loopback port.
+func loadgenServeOptions(so serve.Options, addrGiven bool) serve.Options {
+	opts := serve.Options{Addr: "127.0.0.1:0", Seed: so.Seed, Models: so.Models,
+		CacheCapacity: so.CacheCapacity, Workers: so.Workers, Pprof: so.Pprof}
+	if addrGiven {
+		opts.Addr = so.Addr
 	}
 	return opts
 }
 
-func runLoadgen(f loadgenFlags) {
+// runLoadgen runs loadgen's mode; so configures the in-process server
+// booted when there is no -server.
+func runLoadgen(f loadgenFlags, so serve.Options) {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "hinet loadgen: %v\n", err)
 		os.Exit(1)
 	}
 
-	cfg := loadgen.Config{
-		Seed:     f.seed,
-		Arrival:  f.arrival,
-		Rate:     f.rate,
-		Duration: f.duration,
-		Requests: f.requests,
-		ZipfS:    f.zipf,
-	}
 	if f.mix != "" {
 		m, err := loadgen.ParseMix(f.mix)
 		if err != nil {
 			fail(err)
 		}
-		cfg.Mix = m
+		f.cfg.Mix = m
 	}
 	if f.paths != "" {
 		for _, p := range strings.Split(f.paths, ",") {
-			cfg.Paths = append(cfg.Paths, strings.TrimSpace(p))
+			f.cfg.Paths = append(f.cfg.Paths, strings.TrimSpace(p))
 		}
 	}
 
 	// The keyspace comes from a locally generated same-seed corpus — the
 	// `hinet ingest` convention: object names resolve identically on any
-	// server built from the same seed and size.
-	dcfg := corpusConfig(f.papers)
+	// server built from the same seed and size. A generated schedule and
+	// a sweep both draw from it; a replay alone needs none.
+	var ks *loadgen.Keyspace
+	if f.replay == "" || f.sweep {
+		var err error
+		if ks, err = loadgen.NewKeyspace(dblp.Generate(stats.NewRNG(f.cfg.Seed), so.Models.Corpus), f.cfg.Paths); err != nil {
+			fail(err)
+		}
+	}
 
 	var tr *loadgen.Trace
 	if f.replay != "" {
@@ -123,12 +99,8 @@ func runLoadgen(f loadgenFlags) {
 		}
 		fmt.Printf("replaying %d events from %s\n", len(tr.Events), f.replay)
 	} else {
-		ks, err := loadgen.NewKeyspace(dblp.Generate(stats.NewRNG(f.seed), dcfg), cfg.Paths)
-		if err != nil {
-			fail(err)
-		}
-		tr, err = loadgen.Generate(cfg, ks)
-		if err != nil {
+		var err error
+		if tr, err = loadgen.Generate(f.cfg, ks); err != nil {
 			fail(err)
 		}
 		if f.scheduleOnly != "" {
@@ -145,14 +117,13 @@ func runLoadgen(f loadgenFlags) {
 	if f.server != "" {
 		target = loadgen.NewTarget(f.server)
 	} else {
-		opts := loadgenServeOptions(f)
-		fmt.Printf("booting in-process server (seed %d)...\n", f.seed)
-		s := serve.New(opts)
+		fmt.Printf("booting in-process server (seed %d)...\n", so.Seed)
+		s := serve.New(so)
 		bound, err := s.Start()
 		if err != nil {
 			fail(err)
 		}
-		if f.pprof {
+		if so.Pprof {
 			fmt.Printf("profiles at http://%s/debug/pprof/\n", bound)
 		}
 		defer func() {
@@ -163,33 +134,25 @@ func runLoadgen(f loadgenFlags) {
 		target = loadgen.NewTarget("http://" + bound)
 	}
 
-	slo := loadgen.DefaultSLO()
-	if f.sloP99 > 0 {
-		slo.P99 = f.sloP99
+	slo, def := f.slo, loadgen.DefaultSLO()
+	if slo.P99 <= 0 {
+		slo.P99 = def.P99
 	}
-	if f.sloErrors > 0 {
-		slo.MaxErrorRate = f.sloErrors
+	if slo.MaxErrorRate <= 0 {
+		slo.MaxErrorRate = def.MaxErrorRate
 	}
 
-	ropts := loadgen.RunOptions{
-		Concurrency:     f.concurrency,
-		Record:          f.record != "",
-		CheckDigests:    f.replay != "",
-		HonorRetryAfter: f.honorRetryAfter,
+	f.run.Record = f.record != ""
+	f.run.CheckDigests = f.replay != ""
+	if f.cfg.Arrival == loadgen.ArrivalClosed && f.run.Concurrency == 0 {
+		f.run.Concurrency = 8
 	}
-	if f.arrival == loadgen.ArrivalClosed && ropts.Concurrency == 0 {
-		ropts.Concurrency = 8
-	}
-	if f.replay != "" && ropts.Concurrency == 0 {
+	if f.replay != "" && f.run.Concurrency == 0 {
 		// Replays are sequential by default: the recorded digests assume
 		// the recorded ingest/query interleaving.
-		ropts.Concurrency = 1
+		f.run.Concurrency = 1
 	}
-
-	res, err := loadgen.Run(target, tr.Events, ropts)
-	if err != nil {
-		fail(err)
-	}
+	res := loadgen.Run(target, tr.Events, f.run)
 
 	if f.record != "" {
 		tr.Header.Concurrency = 1
@@ -199,12 +162,12 @@ func runLoadgen(f loadgenFlags) {
 		fmt.Printf("recorded %d events (status+digest) to %s\n", len(tr.Events), f.record)
 	}
 
-	report := loadgen.BuildReport(cfg, res, slo)
+	report := loadgen.BuildReport(f.cfg, res, slo)
 
 	if f.sweep {
 		fmt.Printf("saturation sweep: %d steps of %s, doubling from %g rps\n",
-			f.sweepSteps, f.stepDuration, cfg.Rate)
-		sw, err := loadgen.RunSweep(target, cfg, mustKeyspace(f, dcfg, cfg.Paths), slo,
+			f.sweepSteps, f.stepDuration, f.cfg.Rate)
+		sw, err := loadgen.RunSweep(target, f.cfg, ks, slo,
 			f.sweepSteps, f.stepDuration, func(st loadgen.SweepStep) {
 				verdict := "pass"
 				if !st.Pass {
@@ -251,15 +214,6 @@ func runLoadgen(f loadgenFlags) {
 			fail(fmt.Errorf("strict: %d replay mismatches (first: %s)", res.Mismatches, firstDetail(res)))
 		}
 	}
-}
-
-func mustKeyspace(f loadgenFlags, dcfg dblp.Config, paths []string) *loadgen.Keyspace {
-	ks, err := loadgen.NewKeyspace(dblp.Generate(stats.NewRNG(f.seed), dcfg), paths)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hinet loadgen: %v\n", err)
-		os.Exit(1)
-	}
-	return ks
 }
 
 func firstDetail(res *loadgen.RunResult) string {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"testing"
+	"time"
 
 	"hinet/internal/serve"
 )
@@ -23,14 +24,18 @@ func TestCacheHitText(t *testing.T) {
 }
 
 // The in-process server takes -pprof, and -addr when it was given; with
-// no -addr it listens on a free loopback port, not serve's :8080.
+// no -addr it listens on a free loopback port, not serve's :8080. It
+// takes none of serve's admission options.
 func TestLoadgenServeOptions(t *testing.T) {
-	if opts := loadgenServeOptions(loadgenFlags{}); opts.Addr != "127.0.0.1:0" || opts.Pprof {
-		t.Errorf("no flags: Addr %q, Pprof %v; want 127.0.0.1:0 and false", opts.Addr, opts.Pprof)
+	flags := serve.Options{Addr: ":8080", MaxConcurrent: 3, SLOTargetP99: time.Second}
+	if opts := loadgenServeOptions(flags, false); opts.Addr != "127.0.0.1:0" || opts.Pprof ||
+		opts.MaxConcurrent != 0 || opts.SLOTargetP99 != 0 {
+		t.Errorf("no flags: %+v; want Addr 127.0.0.1:0 and nothing else set", opts)
 	}
 	// -papers scales the authors with the papers: 10 000 papers is the
 	// benchmark's 4 000-author corpus.
-	if c := loadgenServeOptions(loadgenFlags{papers: 10_000}).Models.Corpus; c.Papers != 10_000 || c.AuthorsPerArea != 1_000 {
+	flags.Models.Corpus = corpusConfig(10_000)
+	if c := loadgenServeOptions(flags, false).Models.Corpus; c.Papers != 10_000 || c.AuthorsPerArea != 1_000 {
 		t.Errorf("-papers 10000: %d papers, %d authors an area; want 10000 and 1000", c.Papers, c.AuthorsPerArea)
 	}
 
@@ -40,7 +45,7 @@ func TestLoadgenServeOptions(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	s := serve.New(loadgenServeOptions(loadgenFlags{addr: addr, pprof: true}))
+	s := serve.New(loadgenServeOptions(serve.Options{Addr: addr, Pprof: true}, true))
 	defer s.Shutdown(context.Background())
 	bound, err := s.Start()
 	if err != nil {

@@ -58,91 +58,79 @@ func main() {
 	}
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "RNG seed")
-	k := fs.Int("k", 4, "clusters")
+	// Each flag binds into the option it sets. serve's options also
+	// configure loadgen's in-process server; -seed and -k reach every
+	// command through them.
+	var so serve.Options
+	var lg loadgenFlags
+	fs.Int64Var(&so.Seed, "seed", 1, "RNG seed")
+	fs.IntVar(&so.Models.K, "k", 4, "clusters")
 	topN := fs.Int("top", 5, "top items to print")
-	addr := fs.String("addr", ":8080", "serve/loadgen: listen address (\":0\" picks a free port; loadgen's in-process server uses it only when given)")
-	workers := fs.Int("workers", 0, "serve: sparse pool worker cap (0 = GOMAXPROCS)")
-	cacheCap := fs.Int("cache", 4096, "serve: result cache entries (-1 disables)")
+	fs.StringVar(&so.Addr, "addr", ":8080", "serve/loadgen: listen address (\":0\" picks a free port; loadgen's in-process server uses it only when given)")
+	fs.IntVar(&so.Workers, "workers", 0, "serve: sparse pool worker cap (0 = GOMAXPROCS)")
+	fs.IntVar(&so.CacheCapacity, "cache", 4096, "serve: result cache entries (-1 disables)")
 	papers := fs.Int("papers", 0, "serve/loadgen/ingest: corpus size in papers, one author an area per ten (0 = library default)")
-	pprofFlag := fs.Bool("pprof", false, "serve/loadgen: expose net/http/pprof under /debug/pprof/")
-	defaultTimeout := fs.Duration("default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
-	admissionFloor := fs.Int("admission-floor", 0, "serve: lowest concurrency the adaptive limiter may reach (0 = default)")
-	sloTarget := fs.Duration("slo-target", 0, "serve: admitted-query p99 target driving the adaptive limiter (0 = default 150ms)")
-	controlInterval := fs.Duration("control-interval", 0, "serve: admission controller tick (0 = default 100ms, negative disables)")
+	fs.BoolVar(&so.Pprof, "pprof", false, "serve/loadgen: expose net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&so.DefaultTimeout, "default-timeout", 0, "serve: per-request deadline when the client sends no ?timeout_ms (0 = none)")
+	fs.IntVar(&so.MaxConcurrent, "max-concurrent", 0, "serve: admission ceiling for heavy queries (0 = library default)")
+	fs.IntVar(&so.AdmissionFloor, "admission-floor", 0, "serve: lowest concurrency the adaptive limiter may reach (0 = default)")
+	fs.DurationVar(&so.SLOTargetP99, "slo-target", 0, "serve: admitted-query p99 target driving the adaptive limiter (0 = default 150ms)")
+	fs.DurationVar(&so.ControlInterval, "control-interval", 0, "serve: admission controller tick (0 = default 100ms, negative disables)")
 	pathSpec := fs.String("path", "A-P-V-P-A", "pathsim: symmetric meta-path over the DBLP schema (e.g. A-P-A)")
 	emit := fs.Int("emit", 0, "ingest: emit N sample paper-arrival deltas as JSONL to stdout and exit")
 	file := fs.String("file", "", "ingest: JSONL delta file to apply (\"-\" reads stdin)")
-	server := fs.String("server", "", "ingest/loadgen: target a running hinet serve (e.g. http://localhost:8080)")
+	fs.StringVar(&lg.server, "server", "", "ingest/loadgen: target a running hinet serve (e.g. http://localhost:8080)")
 	refresh := fs.Bool("refresh-models", false, "ingest: ask the server to recompute clustering models")
-	arrival := fs.String("arrival", "poisson", "loadgen: arrival process (poisson|closed|bursty)")
-	rate := fs.Float64("rate", 200, "loadgen: open-loop mean arrivals/s")
-	duration := fs.Duration("duration", 10*time.Second, "loadgen: schedule horizon")
-	concurrency := fs.Int("concurrency", 0, "loadgen: closed-loop workers (0 = open-loop from offsets)")
-	requests := fs.Int("requests", 0, "loadgen: closed-loop request count (0 = rate x duration)")
-	mix := fs.String("mix", "", "loadgen: cohort weights, e.g. pathsim=60,rank=20,clusters=5,ingest=5,stats=10")
-	zipf := fs.Float64("zipf", 1.1, "loadgen: key-popularity skew exponent (s > 1)")
-	lgPaths := fs.String("paths", "", "loadgen: comma-separated pathsim path= variants (empty entry = prebuilt index)")
-	record := fs.String("record", "", "loadgen: run sequentially and record status+digests to FILE")
-	replay := fs.String("replay", "", "loadgen: replay a recorded trace FILE with digest checks")
-	out := fs.String("out", "", "loadgen: write the JSON report (schema hinet-serve/1) to FILE")
-	sweep := fs.Bool("sweep", false, "loadgen: stepped-rate saturation sweep; report the SLO knee")
-	sweepSteps := fs.Int("sweep-steps", 5, "loadgen: max sweep steps (rate doubles per step)")
-	stepDuration := fs.Duration("step-duration", 5*time.Second, "loadgen: duration of each sweep step")
-	sloP99 := fs.Duration("slo-p99", 0, "loadgen: p99 latency SLO (0 = default 250ms)")
-	sloErrors := fs.Float64("slo-errors", 0, "loadgen: max error-rate SLO in [0,1] (0 = default 0.01)")
-	strict := fs.Bool("strict", false, "loadgen: exit nonzero on any error, mismatch or empty run")
-	honorRetryAfter := fs.Bool("honor-retry-after", false, "loadgen: closed-loop workers back off per 503 Retry-After hints")
-	scheduleOnly := fs.String("schedule-only", "", "loadgen: write the generated schedule to FILE and exit")
+	fs.StringVar(&lg.cfg.Arrival, "arrival", "poisson", "loadgen: arrival process (poisson|closed|bursty)")
+	fs.Float64Var(&lg.cfg.Rate, "rate", 200, "loadgen: open-loop mean arrivals/s")
+	fs.DurationVar(&lg.cfg.Duration, "duration", 10*time.Second, "loadgen: schedule horizon")
+	fs.IntVar(&lg.run.Concurrency, "concurrency", 0, "loadgen: closed-loop workers (0 = open-loop from offsets)")
+	fs.IntVar(&lg.cfg.Requests, "requests", 0, "loadgen: closed-loop request count (0 = rate x duration)")
+	fs.StringVar(&lg.mix, "mix", "", "loadgen: cohort weights, e.g. pathsim=60,rank=20,clusters=5,ingest=5,stats=10")
+	fs.Float64Var(&lg.cfg.ZipfS, "zipf", 1.1, "loadgen: key-popularity skew exponent (s > 1)")
+	fs.StringVar(&lg.paths, "paths", "", "loadgen: comma-separated pathsim path= variants (empty entry = prebuilt index)")
+	fs.StringVar(&lg.record, "record", "", "loadgen: run sequentially and record status+digests to FILE")
+	fs.StringVar(&lg.replay, "replay", "", "loadgen: replay a recorded trace FILE with digest checks")
+	fs.StringVar(&lg.out, "out", "", "loadgen: write the JSON report (schema hinet-serve/1) to FILE")
+	fs.BoolVar(&lg.sweep, "sweep", false, "loadgen: stepped-rate saturation sweep; report the SLO knee")
+	fs.IntVar(&lg.sweepSteps, "sweep-steps", 5, "loadgen: max sweep steps (rate doubles per step)")
+	fs.DurationVar(&lg.stepDuration, "step-duration", 5*time.Second, "loadgen: duration of each sweep step")
+	fs.DurationVar(&lg.slo.P99, "slo-p99", 0, "loadgen: p99 latency SLO (0 = default 250ms)")
+	fs.Float64Var(&lg.slo.MaxErrorRate, "slo-errors", 0, "loadgen: max error-rate SLO in [0,1] (0 = default 0.01)")
+	fs.BoolVar(&lg.strict, "strict", false, "loadgen: exit nonzero on any error, mismatch or empty run")
+	fs.BoolVar(&lg.run.HonorRetryAfter, "honor-retry-after", false, "loadgen: closed-loop workers back off per 503 Retry-After hints")
+	fs.StringVar(&lg.scheduleOnly, "schedule-only", "", "loadgen: write the generated schedule to FILE and exit")
 	_ = fs.Parse(os.Args[2:])
+	so.Models.Corpus = corpusConfig(*papers)
+	seed, k := so.Seed, so.Models.K
 
 	switch cmd {
 	case "rankclus":
-		runRankClus(*seed, *k, *topN)
+		runRankClus(seed, k, *topN)
 	case "netclus":
-		runNetClus(*seed, *k, *topN)
+		runNetClus(seed, k, *topN)
 	case "pagerank":
-		runPageRank(*seed, *topN)
+		runPageRank(seed, *topN)
 	case "scan":
-		runSCAN(*seed)
+		runSCAN(seed)
 	case "stats":
-		runStats(*seed)
+		runStats(seed)
 	case "truth":
-		runTruth(*seed)
+		runTruth(seed)
 	case "pathsim":
-		runPathSim(*seed, *topN, *pathSpec)
+		runPathSim(seed, *topN, *pathSpec)
 	case "dbnet":
-		runDBNet(*seed)
+		runDBNet(seed)
 	case "serve":
-		runServe(serveFlags{
-			seed: *seed, k: *k, addr: *addr, workers: *workers,
-			cacheCap: *cacheCap, papers: *papers,
-			pprof: *pprofFlag, defaultTimeout: *defaultTimeout,
-			maxConcurrent: *maxConcurrent, admissionFloor: *admissionFloor,
-			sloTarget: *sloTarget, controlInterval: *controlInterval,
-		})
+		runServe(so)
 	case "ingest":
-		runIngest(*seed, *emit, *file, *server, *refresh, *papers)
+		runIngest(seed, *emit, *file, lg.server, *refresh, *papers)
 	case "loadgen":
 		// -addr's default belongs to serve: loadgen takes it only when given.
-		lgAddr := ""
-		fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "addr" {
-				lgAddr = *addr
-			}
-		})
-		runLoadgen(loadgenFlags{
-			seed: *seed, k: *k, papers: *papers, workers: *workers,
-			addr: lgAddr, pprof: *pprofFlag,
-			cacheCap: *cacheCap, server: *server,
-			arrival: *arrival, rate: *rate, duration: *duration,
-			concurrency: *concurrency, requests: *requests, mix: *mix,
-			zipf: *zipf, paths: *lgPaths, record: *record, replay: *replay,
-			out: *out, sweep: *sweep, sweepSteps: *sweepSteps,
-			stepDuration: *stepDuration, sloP99: *sloP99, sloErrors: *sloErrors,
-			strict: *strict, scheduleOnly: *scheduleOnly, honorRetryAfter: *honorRetryAfter,
-		})
+		addrGiven := false
+		fs.Visit(func(fl *flag.Flag) { addrGiven = addrGiven || fl.Name == "addr" })
+		lg.cfg.Seed = seed
+		runLoadgen(lg, loadgenServeOptions(so, addrGiven))
 	default:
 		fmt.Fprintf(os.Stderr, "hinet: unknown subcommand %q\n", cmd)
 		usage()
@@ -266,39 +254,8 @@ func runIngest(seed int64, emit int, file, server string, refresh bool, papers i
 	}
 }
 
-// serveFlags carries the serve-specific flag values out of main's
-// shared FlagSet.
-type serveFlags struct {
-	seed            int64
-	k               int
-	addr            string
-	workers         int
-	cacheCap        int
-	papers          int
-	pprof           bool
-	defaultTimeout  time.Duration
-	maxConcurrent   int
-	admissionFloor  int
-	sloTarget       time.Duration
-	controlInterval time.Duration
-}
-
-func runServe(f serveFlags) {
-	opts := serve.Options{
-		Addr:            f.addr,
-		Seed:            f.seed,
-		Models:          serve.ModelConfig{Corpus: corpusConfig(f.papers), K: f.k},
-		CacheCapacity:   f.cacheCap,
-		Workers:         f.workers,
-		Pprof:           f.pprof,
-		DefaultTimeout:  f.defaultTimeout,
-		MaxConcurrent:   f.maxConcurrent,
-		AdmissionFloor:  f.admissionFloor,
-		SLOTargetP99:    f.sloTarget,
-		ControlInterval: f.controlInterval,
-	}
-	seed := f.seed
-	fmt.Printf("building snapshot (seed %d)...\n", seed)
+func runServe(opts serve.Options) {
+	fmt.Printf("building snapshot (seed %d)...\n", opts.Seed)
 	s := serve.New(opts)
 	snap := s.Snapshot()
 	fmt.Printf("snapshot epoch %d built in %s (%d authors, pathsim nnz %d)\n",

@@ -84,10 +84,7 @@ func TestOverloadSweep(t *testing.T) {
 
 	// Phase 1 — calibrate: a modest closed-loop fleet measures what the
 	// chaos-pinned server can actually deliver.
-	cal, err := loadgen.Run(target, topkEvents(300, 7, 0), loadgen.RunOptions{Concurrency: 6})
-	if err != nil {
-		t.Fatalf("calibration run: %v", err)
-	}
+	cal := loadgen.Run(target, topkEvents(300, 7, 0), loadgen.RunOptions{Concurrency: 6})
 	capacity := float64(cal.Admitted.Count()) / cal.Duration.Seconds()
 	if capacity <= 0 {
 		t.Fatalf("calibration measured no goodput: %+v", cal)
@@ -101,10 +98,7 @@ func TestOverloadSweep(t *testing.T) {
 	// open-loop overload signal).
 	rate := 4 * capacity
 	n := int(rate * 1.5) // ~1.5s of arrivals
-	over, err := loadgen.Run(target, topkEvents(n, 9, rate), loadgen.RunOptions{MaxInFlight: 128})
-	if err != nil {
-		t.Fatalf("overload run: %v", err)
-	}
+	over := loadgen.Run(target, topkEvents(n, 9, rate), loadgen.RunOptions{MaxInFlight: 128})
 	goodput := float64(over.Admitted.Count()) / over.Duration.Seconds()
 	t.Logf("overload: offered %.0f q/s, goodput %.0f q/s, shed %d (server) + %d (client cap), timeouts %d, admitted p99 %v",
 		rate, goodput, over.ShedServer, over.Shed, over.Timeouts, over.Admitted.Quantile(0.99))
@@ -142,10 +136,7 @@ func TestOverloadSweep(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	post, err := loadgen.Run(target, topkEvents(40, 11, 0), loadgen.RunOptions{Concurrency: 2})
-	if err != nil {
-		t.Fatalf("recovery run: %v", err)
-	}
+	post := loadgen.Run(target, topkEvents(40, 11, 0), loadgen.RunOptions{Concurrency: 2})
 	if post.Admitted.Count() != 40 || post.Errors != 0 {
 		t.Errorf("post-recovery: %d/40 admitted, %d errors", post.Admitted.Count(), post.Errors)
 	}
@@ -181,10 +172,7 @@ func TestErrorBurstsSurfaceAndRecover(t *testing.T) {
 	}()
 	target := loadgen.NewTarget("http://" + addr)
 
-	res, err := loadgen.Run(target, topkEvents(40, 5, 0), loadgen.RunOptions{Concurrency: 4})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	res := loadgen.Run(target, topkEvents(40, 5, 0), loadgen.RunOptions{Concurrency: 4})
 	// Calls 0 of every 4-cycle fail: exactly 10 of 40.
 	if res.Errors != 10 {
 		t.Errorf("errors = %d, want exactly 10 (deterministic burst pattern)", res.Errors)

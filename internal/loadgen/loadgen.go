@@ -17,8 +17,9 @@
 //     JSONL trace; a sequential recorded run captures per-request
 //     status and a stable response digest, and replaying the trace
 //     against a server turns wire-format drift into test failures;
-//   - measurement (hist.go, run.go, report.go): per-cohort latency
-//     histograms (p50/p90/p99/p999), error rates, cache-hit rates
+//   - measurement (run.go, report.go): per-cohort latency histograms
+//     (obs.Hist; p50/p90/p99/p999), one outcome tally per cohort that
+//     the run's counts sum, error rates, cache-hit rates
 //     scraped from /metrics, a stepped-rate saturation sweep that
 //     locates the throughput knee against an SLO, and a
 //     machine-readable BENCH_SERVE.json report.

@@ -79,10 +79,7 @@ func TestHonorRetryAfterClosedLoop(t *testing.T) {
 	target := NewTarget(ts.URL)
 
 	start := time.Now()
-	res, err := Run(target, events, RunOptions{Concurrency: 1, HonorRetryAfter: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := Run(target, events, RunOptions{Concurrency: 1, HonorRetryAfter: true})
 	elapsed := time.Since(start)
 	if res.ShedServer != 4 {
 		t.Fatalf("ShedServer = %d, want 4", res.ShedServer)
@@ -98,14 +95,84 @@ func TestHonorRetryAfterClosedLoop(t *testing.T) {
 
 	hits.Store(0)
 	start = time.Now()
-	res, err = Run(target, events, RunOptions{Concurrency: 1})
-	if err != nil {
-		t.Fatalf("Run (no honor): %v", err)
-	}
+	res = Run(target, events, RunOptions{Concurrency: 1})
 	if got := time.Since(start); got > 150*time.Millisecond {
 		t.Errorf("run without HonorRetryAfter took %v; sheds should not stall it", got)
 	}
 	if res.ShedServer != 4 {
 		t.Errorf("ShedServer = %d without honoring, want 4 (counting is independent)", res.ShedServer)
+	}
+}
+
+// TestRecordCountsErrors: a recorded run applies the error rule before
+// it records the status, so recording against a failing server reports
+// the failures instead of writing them into the trace as expected.
+func TestRecordCountsErrors(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	for _, record := range []bool{false, true} {
+		events := []Event{{Cohort: "a", Path: "/", ExpectStatus: 200}, {Cohort: "b", Path: "/", ExpectStatus: 200}}
+		res := Run(NewTarget(ts.URL), events, RunOptions{Record: record})
+		if res.Requests != 2 || res.Errors != 2 {
+			t.Errorf("record %v: %d requests, %d errors; want 2 and 2", record, res.Requests, res.Errors)
+		}
+	}
+}
+
+// TestRunCountsAreCohortSums: on a run with client sheds, 503s, 504s,
+// 500s, brownouts and mismatches spread over three cohorts, every run
+// counter is the sum of its cohorts' counters, and each kind occurred.
+func TestRunCountsAreCohortSums(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/hold":
+			time.Sleep(250 * time.Millisecond)
+		case "/503":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case "/504":
+			w.WriteHeader(http.StatusGatewayTimeout)
+		case "/500":
+			w.WriteHeader(http.StatusInternalServerError)
+		case "/degraded":
+			w.Write([]byte(`{"degraded":true}`))
+		}
+	}))
+	defer ts.Close()
+
+	ms := func(n int64) int64 { return n * 1000 }
+	events := []Event{
+		// Three holds fill MaxInFlight, so the arrival after them is shed.
+		{OffsetUS: 0, Cohort: "a", Path: "/hold"},
+		{OffsetUS: 0, Cohort: "b", Path: "/hold"},
+		{OffsetUS: 0, Cohort: "c", Path: "/hold"},
+		{OffsetUS: ms(1), Cohort: "b", Path: "/shed"},
+		// Each of the rest finishes long before the next arrives.
+		{OffsetUS: ms(500), Cohort: "a", Path: "/503", ExpectStatus: 503},
+		{OffsetUS: ms(520), Cohort: "b", Path: "/503"},
+		{OffsetUS: ms(540), Cohort: "c", Path: "/504"},
+		{OffsetUS: ms(560), Cohort: "a", Path: "/500"},
+		{OffsetUS: ms(580), Cohort: "c", Path: "/degraded"},
+		{OffsetUS: ms(600), Cohort: "b", Path: "/ok", ExpectStatus: 200, Digest: "not-the-digest"},
+	}
+	res := Run(NewTarget(ts.URL), events, RunOptions{MaxInFlight: 3, CheckDigests: true})
+
+	var sum counts
+	var hist, admitted uint64
+	for _, c := range res.Cohorts {
+		sum.add(c.counts)
+		hist += c.Hist.Count()
+		admitted += c.Admitted.Count()
+	}
+	if res.counts != sum {
+		t.Errorf("run counts %+v, cohorts sum to %+v", res.counts, sum)
+	}
+	if hist != res.Hist.Count() || admitted != res.Admitted.Count() {
+		t.Errorf("histograms: run %d/%d, cohorts %d/%d", res.Hist.Count(), res.Admitted.Count(), hist, admitted)
+	}
+	want := counts{Requests: 9, Errors: 3, Mismatches: 1, Shed: 1, ShedServer: 2, Timeouts: 1, Degraded: 1}
+	if res.counts != want {
+		t.Errorf("run counts %+v, want %+v", res.counts, want)
 	}
 }

@@ -42,7 +42,7 @@ func DefaultSLO() SLO {
 // error-rate bound — folding either into the latency signal would let a
 // server "pass" p99 by shedding, or fail it for refusing promptly.
 func (s SLO) Check(res *RunResult) string {
-	h := res.Overall
+	h := res.Hist
 	if res.Admitted != nil && res.Admitted.Count() > 0 {
 		h = res.Admitted
 	}
@@ -58,14 +58,8 @@ func (s SLO) Check(res *RunResult) string {
 // EndpointReport is the per-cohort slice of a report. Latencies are in
 // microseconds to keep the JSON integral and diff-friendly.
 type EndpointReport struct {
-	Cohort        string  `json:"cohort"`
-	Requests      uint64  `json:"requests"`
-	Errors        uint64  `json:"errors"`
-	Mismatches    uint64  `json:"mismatches,omitempty"`
-	Shed          uint64  `json:"shed,omitempty"`
-	ShedServer    uint64  `json:"shed_server,omitempty"`
-	Timeouts      uint64  `json:"timeouts,omitempty"`
-	Degraded      uint64  `json:"degraded,omitempty"`
+	Cohort string `json:"cohort"`
+	counts
 	MeanUS        int64   `json:"mean_us"`
 	P50US         int64   `json:"p50_us"`
 	P90US         int64   `json:"p90_us"`
@@ -78,27 +72,21 @@ type EndpointReport struct {
 
 // Report is the JSON document for a single measured run.
 type Report struct {
-	Schema        string            `json:"schema"`
-	Context       map[string]string `json:"context"`
-	Requests      uint64            `json:"requests"`
-	Errors        uint64            `json:"errors"`
-	Mismatch      uint64            `json:"mismatches,omitempty"`
-	Shed          uint64            `json:"shed,omitempty"`
-	ShedServer    uint64            `json:"shed_server,omitempty"`
-	Timeouts      uint64            `json:"timeouts,omitempty"`
-	Degraded      uint64            `json:"degraded,omitempty"`
-	DurationS     float64           `json:"duration_s"`
-	RPS           float64           `json:"throughput_rps"`
-	ErrorRate     float64           `json:"error_rate"`
-	P50US         int64             `json:"p50_us"`
-	P99US         int64             `json:"p99_us"`
-	AdmittedP99US int64             `json:"admitted_p99_us,omitempty"`
-	CacheHit      float64           `json:"cache_hit_rate"`
-	SLO           map[string]any    `json:"slo"`
-	Verdict       string            `json:"verdict"` // "pass" | violation text
-	Endpoints     []EndpointReport  `json:"endpoints"`
-	Stages        []StageLatency    `json:"server_stages,omitempty"`
-	Sweep         *SweepReport      `json:"sweep,omitempty"`
+	Schema  string            `json:"schema"`
+	Context map[string]string `json:"context"`
+	counts
+	DurationS     float64          `json:"duration_s"`
+	RPS           float64          `json:"throughput_rps"`
+	ErrorRate     float64          `json:"error_rate"`
+	P50US         int64            `json:"p50_us"`
+	P99US         int64            `json:"p99_us"`
+	AdmittedP99US int64            `json:"admitted_p99_us,omitempty"`
+	CacheHit      float64          `json:"cache_hit_rate"`
+	SLO           map[string]any   `json:"slo"`
+	Verdict       string           `json:"verdict"` // "pass" | violation text
+	Endpoints     []EndpointReport `json:"endpoints"`
+	Stages        []StageLatency   `json:"server_stages,omitempty"`
+	Sweep         *SweepReport     `json:"sweep,omitempty"`
 }
 
 // us rounds a duration to integral microseconds for report fields.
@@ -110,38 +98,22 @@ func endpointReports(res *RunResult) []EndpointReport {
 	out := make([]EndpointReport, 0, len(res.Cohorts))
 	for name, c := range res.Cohorts {
 		er := EndpointReport{
-			Cohort:     name,
-			Requests:   c.Requests,
-			Errors:     c.Errors,
-			Mismatches: c.Mismatches,
-			Shed:       c.Shed,
-			ShedServer: c.ShedServer,
-			Timeouts:   c.Timeouts,
-			Degraded:   c.Degraded,
-			MeanUS:     us(c.Hist.Mean()),
-			P50US:      us(c.Hist.Quantile(0.50)),
-			P90US:      us(c.Hist.Quantile(0.90)),
-			P99US:      us(c.Hist.Quantile(0.99)),
-			P999US:     us(c.Hist.Quantile(0.999)),
-			MaxUS:      us(c.Hist.Max()),
+			Cohort:    name,
+			counts:    c.counts,
+			MeanUS:    us(c.Hist.Mean()),
+			P50US:     us(c.Hist.Quantile(0.50)),
+			P90US:     us(c.Hist.Quantile(0.90)),
+			P99US:     us(c.Hist.Quantile(0.99)),
+			P999US:    us(c.Hist.Quantile(0.999)),
+			MaxUS:     us(c.Hist.Max()),
+			ErrorRate: c.ErrorRate(),
 		}
 		if c.Admitted != nil && c.Admitted.Count() > 0 {
 			er.AdmittedP99US = us(c.Admitted.Quantile(0.99))
 		}
-		if total := c.Requests + c.Shed; total > 0 {
-			er.ErrorRate = float64(c.Errors+c.Shed) / float64(total)
-		}
 		out = append(out, er)
 	}
-	slices.SortFunc(out, func(a, b EndpointReport) int {
-		if a.Cohort < b.Cohort {
-			return -1
-		}
-		if a.Cohort > b.Cohort {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, func(a, b EndpointReport) int { return cmp.Compare(a.Cohort, b.Cohort) })
 	return out
 }
 
@@ -268,19 +240,13 @@ func BuildReport(cfg Config, res *RunResult, slo SLO) *Report {
 			"duration": cfg.Duration.String(),
 			"zipf_s":   fmt.Sprintf("%g", cfg.ZipfS),
 		},
-		Requests:   res.Requests,
-		Errors:     res.Errors,
-		Mismatch:   res.Mismatches,
-		Shed:       res.Shed,
-		ShedServer: res.ShedServer,
-		Timeouts:   res.Timeouts,
-		Degraded:   res.Degraded,
-		DurationS:  res.Duration.Seconds(),
-		RPS:        res.ThroughputRPS(),
-		ErrorRate:  res.ErrorRate(),
-		P50US:      us(res.Overall.Quantile(0.50)),
-		P99US:      us(res.Overall.Quantile(0.99)),
-		CacheHit:   cacheHitRate(res.MetricsBefore, res.MetricsAfter),
+		counts:    res.counts,
+		DurationS: res.Duration.Seconds(),
+		RPS:       res.ThroughputRPS(),
+		ErrorRate: res.ErrorRate(),
+		P50US:     us(res.Hist.Quantile(0.50)),
+		P99US:     us(res.Hist.Quantile(0.99)),
+		CacheHit:  cacheHitRate(res.MetricsBefore, res.MetricsAfter),
 		SLO: map[string]any{
 			"p99_us":         us(slo.P99),
 			"max_error_rate": slo.MaxErrorRate,
@@ -329,8 +295,8 @@ func evalStep(target float64, res *RunResult, slo SLO) SweepStep {
 	return SweepStep{
 		TargetRPS:   target,
 		AchievedRPS: res.ThroughputRPS(),
-		P50US:       us(res.Overall.Quantile(0.50)),
-		P99US:       us(res.Overall.Quantile(0.99)),
+		P50US:       us(res.Hist.Quantile(0.50)),
+		P99US:       us(res.Hist.Quantile(0.99)),
 		ErrorRate:   res.ErrorRate(),
 		Shed:        res.Shed,
 		Pass:        violation == "",
@@ -380,11 +346,7 @@ func RunSweep(t Target, cfg Config, ks *Keyspace, slo SLO, maxSteps int, stepDur
 		if err != nil {
 			return nil, err
 		}
-		res, err := Run(t, tr.Events, RunOptions{})
-		if err != nil {
-			return nil, err
-		}
-		step := evalStep(rate, res, slo)
+		step := evalStep(rate, Run(t, tr.Events, RunOptions{}), slo)
 		sw.Steps = append(sw.Steps, step)
 		if progress != nil {
 			progress(step)

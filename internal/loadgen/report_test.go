@@ -1,8 +1,13 @@
 package loadgen
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"testing"
+	"time"
+
+	"hinet/internal/obs"
 )
 
 // stageSeries fabricates one stage histogram series in scrape-map form:
@@ -52,5 +57,84 @@ func TestStageLatencies(t *testing.T) {
 
 	if s := stageLatencies(nil, nil); s != nil && len(s) != 0 {
 		t.Fatalf("nil scrapes produced stages: %+v", s)
+	}
+}
+
+const reportGoldenPath = "testdata/report_golden.json"
+
+// hist returns a histogram holding one observation per latency, in µs.
+func hist(us ...int) *obs.Hist {
+	h := obs.NewHist()
+	for _, u := range us {
+		h.Observe(time.Duration(u) * time.Microsecond)
+	}
+	return h
+}
+
+// fabricatedRun is a run of three cohorts with every outcome counted at
+// least once; the run's counts are its cohorts' sums, as Run makes them.
+func fabricatedRun() *RunResult {
+	ps := &CohortResult{Hist: hist(80, 95, 110, 130, 400, 900, 2500, 6000), Admitted: hist(80, 95, 110, 130, 400)}
+	ps.Requests, ps.Errors, ps.Mismatches, ps.ShedServer, ps.Degraded = 8, 1, 1, 2, 1
+	ing := &CohortResult{Hist: hist(700, 950, 30000), Admitted: hist(700, 950)}
+	ing.Requests, ing.Shed, ing.Timeouts = 3, 1, 1
+	st := &CohortResult{Hist: hist(250, 300), Admitted: obs.NewHist()}
+	st.Requests = 2
+	res := &RunResult{Duration: 2500 * time.Millisecond,
+		Cohorts: map[string]*CohortResult{CohortPathSim: ps, CohortIngest: ing, CohortStats: st}}
+	res.Hist = hist(80, 95, 110, 130, 400, 900, 2500, 6000, 700, 950, 30000, 250, 300)
+	res.Admitted = hist(80, 95, 110, 130, 400, 700, 950)
+	for _, c := range res.Cohorts {
+		res.Requests += c.Requests
+		res.Errors += c.Errors
+		res.Mismatches += c.Mismatches
+		res.Shed += c.Shed
+		res.ShedServer += c.ShedServer
+		res.Timeouts += c.Timeouts
+		res.Degraded += c.Degraded
+	}
+	bounds := []float64{0.0001, 0.001, 0.01}
+	res.MetricsBefore = map[string]float64{"hinet_cache_hits_total": 10, "hinet_cache_misses_total": 4}
+	res.MetricsAfter = map[string]float64{"hinet_cache_hits_total": 16, "hinet_cache_misses_total": 6}
+	stageSeries(res.MetricsBefore, "/v1/pathsim/topk", "kernel", bounds, []float64{1, 2, 2}, 2)
+	stageSeries(res.MetricsAfter, "/v1/pathsim/topk", "kernel", bounds, []float64{5, 9, 10}, 10)
+	stageSeries(res.MetricsAfter, "/v1/ingest", "apply", bounds, []float64{0, 2, 3}, 3)
+	return res
+}
+
+// TestReportGolden pins BuildReport's JSON byte for byte over a
+// fabricated run with endpoints, server stages and a sweep. The context
+// block (host facts) is left out. Regenerate with
+// `go test ./internal/loadgen -run TestReportGolden -update`.
+func TestReportGolden(t *testing.T) {
+	rep := BuildReport(goldenConfig(), fabricatedRun(), DefaultSLO())
+	rep.Context = nil
+	loose := SLO{P99: 5 * time.Millisecond, MaxErrorRate: 0.3}
+	sw := &SweepReport{}
+	for i, rate := range []float64{50, 100, 200} {
+		r := fabricatedRun()
+		r.Duration = time.Duration(i+1) * time.Second
+		sw.Steps = append(sw.Steps, evalStep(rate, r, loose))
+		loose.P99 /= 4 // the third step's admitted p99 breaks it
+	}
+	sw.KneeRPS, sw.CapacityRPS = findKnee(sw.Steps)
+	rep.Sweep = sw
+
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(reportGoldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(reportGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden report (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report JSON differs from %s:\n%s", reportGoldenPath, buf.Bytes())
 	}
 }

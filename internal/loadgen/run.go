@@ -59,11 +59,10 @@ type RunOptions struct {
 	Record bool
 	// HonorRetryAfter makes closed-loop workers back off after a 503:
 	// the worker sleeps for the server's retry_after_ms hint (or the
-	// Retry-After header) before taking its next event, capped at
-	// RetryAfterCap (default 1s). Open-loop runs ignore it — an
-	// open-loop harness models clients that do not cooperate.
+	// Retry-After header), capped at one second, before taking its
+	// next event. Open-loop runs ignore it — an open-loop harness
+	// models clients that do not cooperate.
 	HonorRetryAfter bool
-	RetryAfterCap   time.Duration
 	// Observer, when set, sees every completed request: the worker index
 	// (-1 open-loop), the event, the status (0 = transport error) and
 	// the response body. Must be safe for concurrent calls across
@@ -71,32 +70,53 @@ type RunOptions struct {
 	Observer func(worker int, ev *Event, status int, body []byte)
 }
 
-// CohortResult aggregates one cohort's outcomes.
-type CohortResult struct {
-	Requests   uint64    // completed requests (sheds excluded)
-	Errors     uint64    // transport errors + unexpected >= 400 statuses
-	Mismatches uint64    // status/digest deviations from the recorded trace
-	Shed       uint64    // open-loop arrivals dropped at the in-flight cap
-	ShedServer uint64    // 503s: requests the server shed under overload
-	Timeouts   uint64    // 504s: requests that ran out of deadline server-side
-	Degraded   uint64    // 2xx responses annotated "degraded": true (brownout)
-	Hist       *obs.Hist // all completed requests, sheds and timeouts included
-	Admitted   *obs.Hist // successful (2xx) requests only — the goodput latency
+// retryAfterCap bounds an honored backoff hint.
+const retryAfterCap = time.Second
+
+// counts is one tally of outcomes, a cohort's or a whole run's. Report
+// and EndpointReport embed it, so its fields are their JSON keys.
+type counts struct {
+	Requests   uint64 `json:"requests"`              // completed requests (sheds excluded)
+	Errors     uint64 `json:"errors"`                // transport errors + unexpected >= 400 statuses
+	Mismatches uint64 `json:"mismatches,omitempty"`  // status/digest deviations from the recorded trace
+	Shed       uint64 `json:"shed,omitempty"`        // open-loop arrivals dropped at the in-flight cap
+	ShedServer uint64 `json:"shed_server,omitempty"` // 503s: requests the server shed under overload
+	Timeouts   uint64 `json:"timeouts,omitempty"`    // 504s: requests that ran out of deadline server-side
+	Degraded   uint64 `json:"degraded,omitempty"`    // 2xx responses annotated "degraded": true (brownout)
 }
 
-// RunResult is the measurement of one schedule execution.
+// ErrorRate returns (errors + shed) over scheduled arrivals.
+func (c counts) ErrorRate() float64 {
+	total := c.Requests + c.Shed
+	if total == 0 {
+		return 0
+	}
+	return float64(c.Errors+c.Shed) / float64(total)
+}
+
+func (c *counts) add(o counts) {
+	c.Requests += o.Requests
+	c.Errors += o.Errors
+	c.Mismatches += o.Mismatches
+	c.Shed += o.Shed
+	c.ShedServer += o.ShedServer
+	c.Timeouts += o.Timeouts
+	c.Degraded += o.Degraded
+}
+
+// CohortResult is one cohort's measurement.
+type CohortResult struct {
+	counts
+	Hist     *obs.Hist // all completed requests, sheds and timeouts included
+	Admitted *obs.Hist // successful (2xx) requests only — the goodput latency
+}
+
+// RunResult is the measurement of one schedule execution. Its counts
+// are the sums of its cohorts'; its histograms see every request.
 type RunResult struct {
-	Duration   time.Duration
-	Requests   uint64
-	Errors     uint64
-	Mismatches uint64
-	Shed       uint64
-	ShedServer uint64 // server-side 503 sheds (see CohortResult)
-	Timeouts   uint64 // server-side 504 deadline expirations
-	Degraded   uint64 // brownout-annotated 2xx responses
-	Overall    *obs.Hist
-	Admitted   *obs.Hist // successful (2xx) requests only
-	Cohorts    map[string]*CohortResult
+	CohortResult
+	Duration time.Duration
+	Cohorts  map[string]*CohortResult
 	// MetricsBefore/MetricsAfter are /metrics scrapes bracketing the
 	// run (nil when the target exposes none); report.go derives cache
 	// hit rates from the deltas.
@@ -104,15 +124,6 @@ type RunResult struct {
 	// MismatchDetails carries the first few mismatch descriptions for
 	// actionable failure output.
 	MismatchDetails []string
-}
-
-// ErrorRate returns (errors + shed) over scheduled arrivals.
-func (r *RunResult) ErrorRate() float64 {
-	total := r.Requests + r.Shed
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Errors+r.Shed) / float64(total)
 }
 
 // ThroughputRPS returns completed requests per second of run time.
@@ -127,85 +138,66 @@ func (r *RunResult) ThroughputRPS() float64 {
 type runState struct {
 	target   Target
 	opts     RunOptions
-	overall  *obs.Hist
+	hist     *obs.Hist // the run's, observed beside each cohort's
 	admitted *obs.Hist
-	cohorts  map[string]*cohortCounters
-
-	requests, errors, mismatches, shed     atomic.Uint64
-	shedServer, timeouts, degradedResponse atomic.Uint64
+	cohorts  map[string]*tally
 
 	mu     sync.Mutex
 	detail []string
 }
 
-type cohortCounters struct {
-	requests, errors, mismatches, shed     atomic.Uint64
-	shedServer, timeouts, degradedResponse atomic.Uint64
-	hist                                   *obs.Hist
-	admitted                               *obs.Hist
+// tally is one cohort's live counts: the only place an outcome is
+// counted.
+type tally struct {
+	requests, errors, mismatches, shed atomic.Uint64
+	shedServer, timeouts, degraded     atomic.Uint64
+	hist, admitted                     *obs.Hist
+}
+
+func (t *tally) result() *CohortResult {
+	return &CohortResult{counts: counts{
+		Requests:   t.requests.Load(),
+		Errors:     t.errors.Load(),
+		Mismatches: t.mismatches.Load(),
+		Shed:       t.shed.Load(),
+		ShedServer: t.shedServer.Load(),
+		Timeouts:   t.timeouts.Load(),
+		Degraded:   t.degraded.Load(),
+	}, Hist: t.hist, Admitted: t.admitted}
 }
 
 // Run executes the events of a trace against the target and returns the
 // measurement. Events are not mutated unless opts.Record is set.
-func Run(t Target, events []Event, opts RunOptions) (*RunResult, error) {
+func Run(t Target, events []Event, opts RunOptions) *RunResult {
 	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = 1024
 	}
 	if opts.Record {
 		opts.Concurrency = 1
 	}
-	if opts.RetryAfterCap == 0 {
-		opts.RetryAfterCap = time.Second
-	}
-	st := &runState{target: t, opts: opts, overall: obs.NewHist(), admitted: obs.NewHist(), cohorts: map[string]*cohortCounters{}}
+	st := &runState{target: t, opts: opts, hist: obs.NewHist(), admitted: obs.NewHist(), cohorts: map[string]*tally{}}
 	for i := range events {
-		if _, ok := st.cohorts[events[i].Cohort]; !ok {
-			st.cohorts[events[i].Cohort] = &cohortCounters{hist: obs.NewHist(), admitted: obs.NewHist()}
+		if st.cohorts[events[i].Cohort] == nil {
+			st.cohorts[events[i].Cohort] = &tally{hist: obs.NewHist(), admitted: obs.NewHist()}
 		}
 	}
 
-	before, _ := ScrapeMetrics(t)
+	before := scrapeMetrics(t)
 	start := time.Now()
 	if opts.Concurrency > 0 {
 		runClosed(st, events)
 	} else {
 		runOpen(st, events)
 	}
-	elapsed := time.Since(start)
-	after, _ := ScrapeMetrics(t)
-
-	res := &RunResult{
-		Duration:      elapsed,
-		Requests:      st.requests.Load(),
-		Errors:        st.errors.Load(),
-		Mismatches:    st.mismatches.Load(),
-		Shed:          st.shed.Load(),
-		ShedServer:    st.shedServer.Load(),
-		Timeouts:      st.timeouts.Load(),
-		Degraded:      st.degradedResponse.Load(),
-		Overall:       st.overall,
-		Admitted:      st.admitted,
-		Cohorts:       make(map[string]*CohortResult, len(st.cohorts)),
-		MetricsBefore: before,
-		MetricsAfter:  after,
-	}
+	res := &RunResult{Duration: time.Since(start), Cohorts: make(map[string]*CohortResult, len(st.cohorts))}
+	res.MetricsBefore, res.MetricsAfter = before, scrapeMetrics(t)
+	res.Hist, res.Admitted = st.hist, st.admitted
 	for name, c := range st.cohorts {
-		res.Cohorts[name] = &CohortResult{
-			Requests:   c.requests.Load(),
-			Errors:     c.errors.Load(),
-			Mismatches: c.mismatches.Load(),
-			Shed:       c.shed.Load(),
-			ShedServer: c.shedServer.Load(),
-			Timeouts:   c.timeouts.Load(),
-			Degraded:   c.degradedResponse.Load(),
-			Hist:       c.hist,
-			Admitted:   c.admitted,
-		}
+		res.Cohorts[name] = c.result()
+		res.add(res.Cohorts[name].counts)
 	}
-	st.mu.Lock()
-	res.MismatchDetails = st.detail
-	st.mu.Unlock()
-	return res, nil
+	res.MismatchDetails = st.detail // every worker has returned
+	return res
 }
 
 // runClosed drains the schedule in order through a fixed worker fleet.
@@ -250,7 +242,6 @@ func runOpen(st *runState, events []Event) {
 				st.do(-1, ev)
 			}()
 		default:
-			st.shed.Add(1)
 			st.cohorts[ev.Cohort].shed.Add(1)
 		}
 	}
@@ -282,8 +273,9 @@ func (st *runState) do(worker int, ev *Event) time.Duration {
 	t0 := time.Now()
 	resp, err := st.target.Client.Do(req)
 	if err != nil {
-		c.hist.Observe(time.Since(t0))
-		st.overall.Observe(time.Since(t0))
+		lat := time.Since(t0)
+		c.hist.Observe(lat)
+		st.hist.Observe(lat)
 		st.fail(worker, ev, fmt.Sprintf("%s %s: %v", method, ev.Path, err))
 		return 0
 	}
@@ -291,44 +283,38 @@ func (st *runState) do(worker int, ev *Event) time.Duration {
 	resp.Body.Close()
 	lat := time.Since(t0)
 	c.hist.Observe(lat)
-	st.overall.Observe(lat)
-	st.requests.Add(1)
+	st.hist.Observe(lat)
 	c.requests.Add(1)
 
 	status := resp.StatusCode
 	var backoff time.Duration
 	switch {
 	case status == http.StatusServiceUnavailable:
-		st.shedServer.Add(1)
 		c.shedServer.Add(1)
-		backoff = retryAfter(resp, respBody, st.opts.RetryAfterCap)
+		backoff = retryAfter(resp, respBody, retryAfterCap)
 	case status == http.StatusGatewayTimeout:
-		st.timeouts.Add(1)
 		c.timeouts.Add(1)
 	case status < 400:
 		st.admitted.Observe(lat)
 		c.admitted.Observe(lat)
 		if bodyDegraded(respBody) {
-			st.degradedResponse.Add(1)
-			c.degradedResponse.Add(1)
+			c.degraded.Add(1)
 		}
+	}
+	// A recorded run counts errors like any other: the trace must not
+	// turn a failing answer into an expected one unnoticed.
+	if status >= 400 && (ev.ExpectStatus == 0 || status != ev.ExpectStatus) {
+		c.errors.Add(1)
 	}
 	if st.opts.Record {
 		ev.ExpectStatus = status
 		ev.Digest = Digest(ev.Cohort, status, respBody)
-	} else {
-		unexpected := status >= 400 && (ev.ExpectStatus == 0 || status != ev.ExpectStatus)
-		if unexpected {
-			st.errors.Add(1)
-			c.errors.Add(1)
-		}
-		if st.opts.CheckDigests {
-			if ev.ExpectStatus != 0 && status != ev.ExpectStatus {
-				st.mismatch(c, "%s %s: status %d, trace expects %d", method, ev.Path, status, ev.ExpectStatus)
-			} else if ev.Digest != "" {
-				if got := Digest(ev.Cohort, status, respBody); got != ev.Digest {
-					st.mismatch(c, "%s %s: digest %s, trace expects %s", method, ev.Path, got, ev.Digest)
-				}
+	} else if st.opts.CheckDigests {
+		if ev.ExpectStatus != 0 && status != ev.ExpectStatus {
+			st.mismatch(c, "%s %s: status %d, trace expects %d", method, ev.Path, status, ev.ExpectStatus)
+		} else if ev.Digest != "" {
+			if got := Digest(ev.Cohort, status, respBody); got != ev.Digest {
+				st.mismatch(c, "%s %s: digest %s, trace expects %s", method, ev.Path, got, ev.Digest)
 			}
 		}
 	}
@@ -370,9 +356,7 @@ func bodyDegraded(body []byte) bool {
 // fail records a transport-level failure (no HTTP status).
 func (st *runState) fail(worker int, ev *Event, msg string) {
 	c := st.cohorts[ev.Cohort]
-	st.requests.Add(1)
 	c.requests.Add(1)
-	st.errors.Add(1)
 	c.errors.Add(1)
 	st.note(msg)
 	if st.opts.Observer != nil {
@@ -380,8 +364,7 @@ func (st *runState) fail(worker int, ev *Event, msg string) {
 	}
 }
 
-func (st *runState) mismatch(c *cohortCounters, format string, args ...any) {
-	st.mismatches.Add(1)
+func (st *runState) mismatch(c *tally, format string, args ...any) {
 	c.mismatches.Add(1)
 	st.note(fmt.Sprintf(format, args...))
 }
@@ -395,21 +378,17 @@ func (st *runState) note(msg string) {
 	st.mu.Unlock()
 }
 
-// ScrapeMetrics fetches and parses the target's Prometheus text
-// exposition into a flat name{labels} → value map. A target without
-// /metrics returns an error (callers treat the scrape as optional).
-func ScrapeMetrics(t Target) (map[string]float64, error) {
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(t.BaseURL + "/metrics")
+// scrapeMetrics fetches and parses the target's Prometheus text
+// exposition into a flat name{labels} → value map; nil when the target
+// has no /metrics (the report then leaves out what it derives from it).
+func scrapeMetrics(t Target) map[string]float64 {
+	resp, err := t.Client.Get(t.BaseURL + "/metrics")
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: /metrics returned %s", resp.Status)
+		return nil
 	}
 	out := map[string]float64{}
 	sc := bufio.NewScanner(io.LimitReader(resp.Body, 4<<20))
@@ -422,11 +401,9 @@ func ScrapeMetrics(t Target) (map[string]float64, error) {
 		if !ok {
 			continue
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
+		if f, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
+			out[name] = f
 		}
-		out[name] = f
 	}
-	return out, sc.Err()
+	return out
 }

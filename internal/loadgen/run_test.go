@@ -39,18 +39,15 @@ func TestRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	res, err := Run(target, tr.Events, RunOptions{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := Run(target, tr.Events, RunOptions{})
 	if res.Requests == 0 {
 		t.Fatal("no requests completed")
 	}
 	if res.Errors > 0 {
 		t.Fatalf("%d errors: %v", res.Errors, res.MismatchDetails)
 	}
-	if res.Overall.Count() != res.Requests {
-		t.Fatalf("histogram count %d != requests %d", res.Overall.Count(), res.Requests)
+	if res.Hist.Count() != res.Requests {
+		t.Fatalf("histogram count %d != requests %d", res.Hist.Count(), res.Requests)
 	}
 	if res.ThroughputRPS() <= 0 {
 		t.Fatal("zero throughput")
@@ -102,9 +99,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	rec := startTestServer(t, serve.Options{})
-	if _, err := Run(rec, tr.Events, RunOptions{Record: true}); err != nil {
-		t.Fatalf("record run: %v", err)
-	}
+	Run(rec, tr.Events, RunOptions{Record: true})
 	for i, ev := range tr.Events {
 		if ev.ExpectStatus == 0 || ev.Digest == "" {
 			t.Fatalf("event %d not recorded: %+v", i, ev)
@@ -123,10 +118,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	rep := startTestServer(t, serve.Options{})
-	res, err := Run(rep, parsed.Events, RunOptions{Concurrency: 1, CheckDigests: true})
-	if err != nil {
-		t.Fatalf("replay run: %v", err)
-	}
+	res := Run(rep, parsed.Events, RunOptions{Concurrency: 1, CheckDigests: true})
 	if res.Mismatches > 0 || res.Errors > 0 {
 		t.Fatalf("replay diverged: %d mismatches %d errors: %v",
 			res.Mismatches, res.Errors, res.MismatchDetails)
@@ -149,9 +141,7 @@ func TestGoldenReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		if _, err := Run(target, tr.Events, RunOptions{Record: true}); err != nil {
-			t.Fatalf("record run: %v", err)
-		}
+		Run(target, tr.Events, RunOptions{Record: true})
 		tr.Header.Concurrency = 1
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -182,10 +172,7 @@ func TestGoldenReplay(t *testing.T) {
 	if len(tr.Events) == 0 {
 		t.Fatal("golden trace is empty")
 	}
-	res, err := Run(target, tr.Events, RunOptions{Concurrency: 1, CheckDigests: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := Run(target, tr.Events, RunOptions{Concurrency: 1, CheckDigests: true})
 	if res.Errors > 0 || res.Mismatches > 0 {
 		t.Fatalf("golden replay diverged: %d errors %d mismatches: %v",
 			res.Errors, res.Mismatches, res.MismatchDetails)
@@ -214,10 +201,7 @@ func TestGoldenShardedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTrace: %v", err)
 	}
-	res, err := Run(target, tr.Events, RunOptions{Concurrency: 1, CheckDigests: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := Run(target, tr.Events, RunOptions{Concurrency: 1, CheckDigests: true})
 	if res.Errors > 0 || res.Mismatches > 0 {
 		t.Fatalf("sharded golden replay diverged: %d errors %d mismatches: %v",
 			res.Errors, res.Mismatches, res.MismatchDetails)
