@@ -4,9 +4,11 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"hinet/internal/loadgen"
 	"hinet/internal/serve"
 )
 
@@ -61,5 +63,19 @@ func TestLoadgenServeOptions(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /debug/pprof/cmdline = %d, want 200", resp.StatusCode)
+	}
+}
+
+// A strict run that fails on an unexpected status reports the request
+// and the status as its first detail, not "no detail captured".
+func TestStrictDetailNamesStatus(t *testing.T) {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	defer ts.Close()
+	res := loadgen.Run(loadgen.NewTarget(ts.URL), []loadgen.Event{{Cohort: "rank", Path: "/v1/rank?top=3"}}, loadgen.RunOptions{})
+	if res.Errors != 1 {
+		t.Fatalf("%d errors, want 1", res.Errors)
+	}
+	if got, want := firstDetail(res), "GET /v1/rank?top=3: status 404"; got != want {
+		t.Errorf("first detail %q, want %q", got, want)
 	}
 }

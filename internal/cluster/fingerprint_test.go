@@ -92,7 +92,7 @@ func hashValue(h hash.Hash64, v reflect.Value) {
 func TestBuildModelsFingerprint(t *testing.T) {
 	defer sparse.Parallelism(sparse.Parallelism(0))
 	sparse.Parallelism(2)
-	const want = 0xa07c79473e9453b
+	const want = 0xc52e42372e001dab
 	h := fnv.New64a()
 	hashValue(h, reflect.ValueOf(BuildModels(1, ModelSpec{})))
 	if got := h.Sum64(); got != want {

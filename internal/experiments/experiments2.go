@@ -83,10 +83,10 @@ func E5NetClusRanking(seed int64) []Row {
 	m := netclus.Run(stats.NewRNG(seed+1), c.Star(), netclus.Options{K: k, Restarts: 5})
 
 	var rows []Row
+	va := m.AssignAttr(1)
 	for cl := 0; cl < k; cl++ {
-		// Dominant area by venue posterior votes.
+		// Dominant area by venue label votes.
 		votes := map[int]int{}
-		va := m.AssignAttr(1)
 		for v, a := range va {
 			if a == cl {
 				votes[c.VenueArea[v]]++

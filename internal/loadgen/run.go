@@ -121,8 +121,9 @@ type RunResult struct {
 	// run (nil when the target exposes none); report.go derives cache
 	// hit rates from the deltas.
 	MetricsBefore, MetricsAfter map[string]float64
-	// MismatchDetails carries the first few mismatch descriptions for
-	// actionable failure output.
+	// MismatchDetails carries the first few failure descriptions (a
+	// transport error, an unexpected status, a mismatch) for actionable
+	// failure output.
 	MismatchDetails []string
 }
 
@@ -305,6 +306,7 @@ func (st *runState) do(worker int, ev *Event) time.Duration {
 	// turn a failing answer into an expected one unnoticed.
 	if status >= 400 && (ev.ExpectStatus == 0 || status != ev.ExpectStatus) {
 		c.errors.Add(1)
+		st.note(fmt.Sprintf("%s %s: status %d", method, ev.Path, status))
 	}
 	if st.opts.Record {
 		ev.ExpectStatus = status

@@ -25,6 +25,11 @@
 // Attribute objects receive posteriors by propagating the center
 // posteriors across their links, which is how the DBLP case study
 // labels authors and venues with research areas.
+//
+// A fitted Model keeps the fit's results: the hard clusters of centers
+// and attribute objects, the rank distributions, the prior and the
+// likelihood. The soft posteriors are the fit's scratch; each attribute
+// object's label is their argmax, taken once when the fit ends.
 package netclus
 
 import (
@@ -67,10 +72,14 @@ func (o Options) withDefaults() Options {
 type Model struct {
 	K int
 
-	// AssignCenter[d] is the hard cluster of center object d;
-	// PosteriorCenter[d] the soft K-dim membership (sums to 1).
-	AssignCenter    []int
-	PosteriorCenter [][]float64
+	// AssignCenter[d] is the hard cluster of center object d: the argmax
+	// of its posterior in the last EM pass (with reseedEmpty's moves).
+	AssignCenter []int
+
+	// attrAssign[t][o] is the hard cluster of attribute object o of type
+	// t: the argmax of the posterior it gets from the final center
+	// posteriors across its links, normalized. Read through AssignAttr.
+	attrAssign [][]int
 
 	// RankDist[t][k] is p(o | attribute-type t, cluster k) over the
 	// objects of attribute type t (sums to 1).
@@ -78,10 +87,6 @@ type Model struct {
 
 	// Background[t] is the global rank distribution of type t.
 	Background [][]float64
-
-	// AttrPosterior[t][o] is the K-dim posterior of attribute object o,
-	// propagated from the centers it links.
-	AttrPosterior [][][]float64
 
 	// Prior is the cluster prior p(k) from the final EM pass.
 	Prior []float64
@@ -91,36 +96,46 @@ type Model struct {
 	Converged     bool
 }
 
-// AssignAttr returns hard cluster labels for attribute type t.
-func (m *Model) AssignAttr(t int) []int {
-	out := make([]int, len(m.AttrPosterior[t]))
-	for o, p := range m.AttrPosterior[t] {
-		out[o] = stats.ArgMax(p)
-	}
-	return out
-}
+// AssignAttr returns hard cluster labels for attribute type t. The
+// slice is the model's own: callers read it and do not modify it.
+func (m *Model) AssignAttr(t int) []int { return m.attrAssign[t] }
 
 // TopAttr returns the n top-ranked objects of attribute type t in
 // cluster k.
 func (m *Model) TopAttr(t, k, n int) []int { return stats.TopK(m.RankDist[t][k], n) }
 
+// fit is one restart's Model beside the soft posteriors it was fitted
+// from, each row-major with K entries an object: the last EM pass's
+// center posteriors, and the attribute posteriors propagated from them.
+// Run returns the Model and drops the rest.
+type fit struct {
+	*Model
+	post     []float64   // post[d*K+c] = p(c | d)
+	attrPost [][]float64 // attrPost[t][o*K+c], normalized over c
+}
+
 // Run fits NetClus to a star-schema network.
 func Run(rng *stats.RNG, star *hin.Star, opt Options) *Model {
+	return run(rng, star, opt).Model
+}
+
+// run is Run with the chosen restart's posteriors still attached.
+func run(rng *stats.RNG, star *hin.Star, opt Options) *fit {
 	opt = opt.withDefaults()
 	if opt.K < 2 {
 		panic("netclus: K must be >= 2")
 	}
-	var best *Model
+	var best *fit
 	for r := 0; r < opt.Restarts; r++ {
-		m := runOnce(rng, star, opt)
-		if best == nil || m.LogLikelihood > best.LogLikelihood {
-			best = m
+		f := runOnce(rng, star, opt)
+		if best == nil || f.LogLikelihood > best.LogLikelihood {
+			best = f
 		}
 	}
 	return best
 }
 
-func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
+func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *fit {
 	k := opt.K
 	nd := 0
 	if len(star.Rel) > 0 {
@@ -130,7 +145,7 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 	m := &Model{K: k}
 	if nd == 0 {
 		m.Converged = true
-		return m
+		return &fit{Model: m}
 	}
 
 	// Background distributions: global simple rank per attribute type.
@@ -147,10 +162,7 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 	for i := range prior {
 		prior[i] = 1 / float64(k)
 	}
-	post := make([][]float64, nd)
-	for d := range post {
-		post[d] = make([]float64, k)
-	}
+	post := make([]float64, nd*k)
 	prev := make([]int, nd)
 	s := newScorer(star, k)
 
@@ -172,7 +184,7 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 			newPrior := make([]float64, k)
 			for d := 0; d < nd; d++ {
 				for c := 0; c < k; c++ {
-					newPrior[c] += post[d][c]
+					newPrior[c] += post[d*k+c]
 				}
 			}
 			for c := 0; c < k; c++ {
@@ -182,7 +194,7 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 
 		// Step 3: hard reassignment.
 		for d := 0; d < nd; d++ {
-			assign[d] = stats.ArgMax(post[d])
+			assign[d] = stats.ArgMax(post[d*k:][:k])
 		}
 		reseedEmpty(rng, assign, k, nd)
 
@@ -193,36 +205,37 @@ func runOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 		}
 	}
 
-	// Final ranking pass + likelihood + attribute posteriors.
+	// Final ranking pass + likelihood + attribute labels.
 	m.RankDist = conditionalRanks(star, assign, k, opt)
 	m.AssignCenter = assign
-	m.PosteriorCenter = post
 	m.Prior = prior
 	s.fill(m.RankDist, m.Background, opt.LambdaB)
 	s.setPrior(prior)
 	m.LogLikelihood = s.logLikelihood()
 
-	m.AttrPosterior = make([][][]float64, nt)
-	for t := 0; t < nt; t++ {
-		no := star.Rel[t].Cols()
-		m.AttrPosterior[t] = make([][]float64, no)
-		for o := 0; o < no; o++ {
-			m.AttrPosterior[t][o] = make([]float64, k)
-		}
+	f := &fit{Model: m, post: post, attrPost: make([][]float64, nt)}
+	m.attrAssign = make([][]int, nt)
+	for t, rel := range star.Rel {
+		ap := make([]float64, rel.Cols()*k)
 		for d := 0; d < nd; d++ {
-			cols, vals := star.Rel[t].RowEntries(d)
+			cols, vals := rel.RowEntries(d)
+			pd := post[d*k:][:k]
 			for i, o := range cols {
-				w, ap := vals[i], m.AttrPosterior[t][o]
-				for c := 0; c < k; c++ {
-					ap[c] += w * post[d][c]
+				w, row := vals[i], ap[int(o)*k:][:k]
+				for c := range row {
+					row[c] += w * pd[c]
 				}
 			}
 		}
-		for o := 0; o < no; o++ {
-			stats.Normalize(m.AttrPosterior[t][o])
+		labels := make([]int, rel.Cols())
+		for o := range labels {
+			row := ap[o*k:][:k]
+			stats.Normalize(row)
+			labels[o] = stats.ArgMax(row)
 		}
+		f.attrPost[t], m.attrAssign[t] = ap, labels
 	}
-	return m
+	return f
 }
 
 // expWork prices one math.Exp or math.Log, with LogSumExp's loop around
@@ -313,15 +326,17 @@ func (s *scorer) score(d int, lp []float64) {
 }
 
 // posteriors is the E-step: every center object's posterior over the
-// clusters, post[d][c] = p(c | d), from the table and the log prior.
-func (s *scorer) posteriors(post [][]float64) {
-	sparse.ParRange(len(post), s.work, func(lo, hi int) {
-		lp := make([]float64, s.k)
+// clusters, post[d*k+c] = p(c | d), from the table and the log prior.
+func (s *scorer) posteriors(post []float64) {
+	k := s.k
+	sparse.ParRange(len(post)/k, s.work, func(lo, hi int) {
+		lp := make([]float64, k)
 		for d := lo; d < hi; d++ {
 			s.score(d, lp)
 			lse := stats.LogSumExp(lp)
+			pd := post[d*k:][:k]
 			for c := range lp {
-				post[d][c] = math.Exp(lp[c] - lse)
+				pd[c] = math.Exp(lp[c] - lse)
 			}
 		}
 	})

@@ -44,9 +44,9 @@ func TestNetClusVenueAndAuthorPosteriors(t *testing.T) {
 
 func TestPosteriorRowsNormalized(t *testing.T) {
 	c := corpus(5)
-	m := Run(stats.NewRNG(6), c.Star(), Options{K: 4})
-	for d, p := range m.PosteriorCenter {
-		s := 0.0
+	f := run(stats.NewRNG(6), c.Star(), Options{K: 4})
+	for d := range f.AssignCenter {
+		p, s := f.post[d*f.K:][:f.K], 0.0
 		for _, v := range p {
 			if v < 0 {
 				t.Fatalf("negative posterior for paper %d", d)
@@ -57,9 +57,9 @@ func TestPosteriorRowsNormalized(t *testing.T) {
 			t.Fatalf("paper %d posterior sums to %v", d, s)
 		}
 	}
-	for t2 := range m.AttrPosterior {
-		for o, p := range m.AttrPosterior[t2] {
-			s := 0.0
+	for t2, ap := range f.attrPost {
+		for o := 0; o < len(ap)/f.K; o++ {
+			p, s := ap[o*f.K:][:f.K], 0.0
 			for _, v := range p {
 				s += v
 			}
@@ -186,17 +186,17 @@ func BenchmarkEStepCrossover(b *testing.B) {
 		c := dblp.Generate(stats.NewRNG(1), cfg.c)
 		star, k := c.Star(), c.Areas()
 		opt := Options{K: k}.withDefaults()
-		m := runOnce(stats.NewRNG(2), star, opt)
+		f := runOnce(stats.NewRNG(2), star, opt)
 		s := newScorer(star, k)
-		s.fill(m.RankDist, m.Background, opt.LambdaB)
-		s.setPrior(m.Prior)
+		s.fill(f.RankDist, f.Background, opt.LambdaB)
+		s.setPrior(f.Prior)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/work=%dk/workers=%d", cfg.name, s.work>>10, workers), func(b *testing.B) {
 				withKnobs(workers, s.work/2, func() {
-					s.posteriors(m.PosteriorCenter)
+					s.posteriors(f.post)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						s.posteriors(m.PosteriorCenter)
+						s.posteriors(f.post)
 					}
 				})
 			})

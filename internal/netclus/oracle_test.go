@@ -12,14 +12,14 @@ import (
 	"hinet/internal/stats"
 )
 
-// oracleRun is Run over oracleRunOnce.
-func oracleRun(rng *stats.RNG, star *hin.Star, opt Options) *Model {
+// oracleRun is run over oracleRunOnce.
+func oracleRun(rng *stats.RNG, star *hin.Star, opt Options) *fit {
 	opt = opt.withDefaults()
-	var best *Model
+	var best *fit
 	for r := 0; r < opt.Restarts; r++ {
-		m := oracleRunOnce(rng, star, opt)
-		if best == nil || m.LogLikelihood > best.LogLikelihood {
-			best = m
+		f := oracleRunOnce(rng, star, opt)
+		if best == nil || f.LogLikelihood > best.LogLikelihood {
+			best = f
 		}
 	}
 	return best
@@ -30,8 +30,10 @@ func oracleRun(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 // probability per link and cluster in every pass, through a closure
 // per entry. It shares emWork with runOnce, so the likelihood's block
 // sum is cut the same way at every worker count: what it pins is the
-// arithmetic, not the grain.
-func oracleRunOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
+// arithmetic, not the grain. It keeps a slice per object's posterior,
+// as runOnce did, and flattens them into the fit at the end; each
+// attribute label is the argmax of its object's posterior.
+func oracleRunOnce(rng *stats.RNG, star *hin.Star, opt Options) *fit {
 	k := opt.K
 	nd := 0
 	if len(star.Rel) > 0 {
@@ -41,7 +43,7 @@ func oracleRunOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 	m := &Model{K: k}
 	if nd == 0 {
 		m.Converged = true
-		return m
+		return &fit{Model: m}
 	}
 	m.Background = make([][]float64, nt)
 	for t := 0; t < nt; t++ {
@@ -109,7 +111,6 @@ func oracleRunOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 
 	m.RankDist = conditionalRanks(star, assign, k, opt)
 	m.AssignCenter = assign
-	m.PosteriorCenter = post
 	m.Prior = prior
 	m.LogLikelihood = sparse.ParReduce(nd, work, func(lo, hi int) float64 {
 		ll := 0.0
@@ -130,25 +131,38 @@ func oracleRunOnce(rng *stats.RNG, star *hin.Star, opt Options) *Model {
 		}
 		return ll
 	})
-	m.AttrPosterior = make([][][]float64, nt)
+	f := &fit{Model: m, post: flatten(post), attrPost: make([][]float64, nt)}
+	m.attrAssign = make([][]int, nt)
 	for t := 0; t < nt; t++ {
 		no := star.Rel[t].Cols()
-		m.AttrPosterior[t] = make([][]float64, no)
+		attrPost := make([][]float64, no)
 		for o := 0; o < no; o++ {
-			m.AttrPosterior[t][o] = make([]float64, k)
+			attrPost[o] = make([]float64, k)
 		}
 		for d := 0; d < nd; d++ {
 			star.Rel[t].Row(d, func(o int, w float64) {
 				for c := 0; c < k; c++ {
-					m.AttrPosterior[t][o][c] += w * post[d][c]
+					attrPost[o][c] += w * post[d][c]
 				}
 			})
 		}
+		m.attrAssign[t] = make([]int, no)
 		for o := 0; o < no; o++ {
-			stats.Normalize(m.AttrPosterior[t][o])
+			stats.Normalize(attrPost[o])
+			m.attrAssign[t][o] = stats.ArgMax(attrPost[o])
 		}
+		f.attrPost[t] = flatten(attrPost)
 	}
-	return m
+	return f
+}
+
+// flatten lays rows end to end.
+func flatten(rows [][]float64) []float64 {
+	var out []float64
+	for _, r := range rows {
+		out = append(out, r...)
+	}
+	return out
 }
 
 // randomStar is a seeded star of nd centers over attribute types of the
@@ -175,8 +189,9 @@ func randomStar(seed int64, nd int, sizes []int, linked, empty float64) *hin.Sta
 	return star
 }
 
-// TestRunMatchesOracle holds Run to the per-link-math.Log E-step bit for
-// bit in every Model field, on the default corpus and on stars built
+// TestRunMatchesOracle holds run to the per-link-math.Log E-step bit for
+// bit in every Model field and in the center and attribute posteriors
+// the fit ends with, on the default corpus and on stars built
 // to reach its edges, at one worker, at the default and with every
 // splittable pass forced through the pool.
 func TestRunMatchesOracle(t *testing.T) {
@@ -214,8 +229,8 @@ func TestRunMatchesOracle(t *testing.T) {
 			t.Run(c.name+"/"+s.name, func(t *testing.T) {
 				withKnobs(s.workers, s.splitAll, func() {
 					want := oracleRun(stats.NewRNG(42), c.star, c.opt)
-					got := Run(stats.NewRNG(42), c.star, c.opt)
-					if diff := modelDiff(got, want); diff != "" {
+					got := run(stats.NewRNG(42), c.star, c.opt)
+					if diff := fitDiff(got, want); diff != "" {
 						t.Fatalf("Run differs from the per-link-log oracle: %s", diff)
 					}
 				})
@@ -237,18 +252,22 @@ func withKnobs(workers, threshold int, f func()) {
 	f()
 }
 
-// modelDiff names the first field where got and want differ in any bit.
-func modelDiff(got, want *Model) string {
+// fitDiff names the first field where got and want differ in any bit:
+// a Model field, a posterior or an attribute label.
+func fitDiff(got, want *fit) string {
 	if got.K != want.K || got.Iterations != want.Iterations || got.Converged != want.Converged {
 		return fmt.Sprintf("K/Iterations/Converged %d/%d/%v, want %d/%d/%v",
 			got.K, got.Iterations, got.Converged, want.K, want.Iterations, want.Converged)
 	}
-	if len(got.AssignCenter) != len(want.AssignCenter) {
-		return "AssignCenter length"
+	if d := labelDiff(got.AssignCenter, want.AssignCenter); d != "" {
+		return "AssignCenter" + d
 	}
-	for d := range want.AssignCenter {
-		if got.AssignCenter[d] != want.AssignCenter[d] {
-			return fmt.Sprintf("AssignCenter[%d] = %d, want %d", d, got.AssignCenter[d], want.AssignCenter[d])
+	if len(got.attrAssign) != len(want.attrAssign) {
+		return "attrAssign length"
+	}
+	for t := range want.attrAssign {
+		if d := labelDiff(got.attrAssign[t], want.attrAssign[t]); d != "" {
+			return fmt.Sprintf("attrAssign[%d]%s", t, d)
 		}
 	}
 	if math.Float64bits(got.LogLikelihood) != math.Float64bits(want.LogLikelihood) {
@@ -257,31 +276,38 @@ func modelDiff(got, want *Model) string {
 	if d := vecDiff(got.Prior, want.Prior); d != "" {
 		return "Prior" + d
 	}
+	if d := vecDiff(got.post, want.post); d != "" {
+		return "post" + d
+	}
 	for _, f := range []struct {
 		name      string
 		got, want [][]float64
 	}{
-		{"PosteriorCenter", got.PosteriorCenter, want.PosteriorCenter},
 		{"Background", got.Background, want.Background},
+		{"attrPost", got.attrPost, want.attrPost},
 	} {
 		if d := matDiff(f.got, f.want); d != "" {
 			return f.name + d
 		}
 	}
-	for _, f := range []struct {
-		name      string
-		got, want [][][]float64
-	}{
-		{"RankDist", got.RankDist, want.RankDist},
-		{"AttrPosterior", got.AttrPosterior, want.AttrPosterior},
-	} {
-		if len(f.got) != len(f.want) {
-			return f.name + " length"
+	if len(got.RankDist) != len(want.RankDist) {
+		return "RankDist length"
+	}
+	for t := range want.RankDist {
+		if d := matDiff(got.RankDist[t], want.RankDist[t]); d != "" {
+			return fmt.Sprintf("RankDist[%d]%s", t, d)
 		}
-		for t := range f.want {
-			if d := matDiff(f.got[t], f.want[t]); d != "" {
-				return fmt.Sprintf("%s[%d]%s", f.name, t, d)
-			}
+	}
+	return ""
+}
+
+func labelDiff(got, want []int) string {
+	if len(got) != len(want) {
+		return " length"
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 	return ""

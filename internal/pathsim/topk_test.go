@@ -7,11 +7,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"hinet/internal/dblp"
 	"hinet/internal/hin"
 	"hinet/internal/sparse"
+	"hinet/internal/stats"
 )
 
 // refTopK is the original implementation: collect every candidate of
@@ -186,5 +190,42 @@ func TestBatchTopKSteadyStateAllocs(t *testing.T) {
 		if allocs > 4 {
 			t.Errorf("%s: BatchTopK allocates %.0f times per batch, want ≤ 4", name, allocs)
 		}
+	}
+}
+
+// scaleSink keeps BenchmarkTopKScale's answers live.
+var scaleSink []Pair
+
+// BenchmarkTopKScale times the plain scan the server answers a top-k
+// miss with: k = 100 over A-P-V-P-A, in factor form over all authors, on
+// seed-1 corpora at 800, 4 000 and 16 000 authors (-papers N brings N/10
+// authors an area, as in the server). Queries walk a seeded uniform
+// draw of authors; each is timed alone, and the per-query p50 and p95
+// are reported beside the mean.
+//
+//	GOMAXPROCS=2 go test -run xxx -bench BenchmarkTopKScale -benchtime 20000x ./internal/pathsim
+func BenchmarkTopKScale(b *testing.B) {
+	for _, perArea := range []int{200, 1000, 4000} {
+		c := dblp.Generate(stats.NewRNG(1), dblp.Config{AuthorsPerArea: perArea, Papers: 10 * perArea})
+		authors := c.Net.Count(dblp.TypeAuthor)
+		ix, err := NewRangeIndexCtx(context.Background(), c.Net, apvpa, 0, authors)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("authors=%d", authors), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			times := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range times {
+				x := rng.Intn(authors)
+				start := time.Now()
+				scaleSink = ix.TopK(x, 100)
+				times[i] = time.Since(start)
+			}
+			b.StopTimer()
+			slices.Sort(times)
+			b.ReportMetric(float64(times[len(times)/2])/1e3, "p50-us")
+			b.ReportMetric(float64(times[len(times)*95/100])/1e3, "p95-us")
+		})
 	}
 }
