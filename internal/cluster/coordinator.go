@@ -48,9 +48,9 @@ type View struct {
 	IndexDim, IndexNNZ int
 
 	c      *Coordinator
-	def    *Ranges  // the default path's, built with the write
-	paths  sync.Map // canonical path string → *Ranges
-	npaths atomic.Int32
+	def    *Ranges    // the default path's, built with the write
+	paths  sync.Map   // path spelling → *Ranges
+	memoMu sync.Mutex // serializes memo stores (reads are lock-free)
 
 	nmiRankClus, nmiNetClus nmiMemo
 }
@@ -156,7 +156,12 @@ func (r *Ranges) TopK(x, k int) []pathsim.Pair {
 //
 // The memo is keyed by spelling: the canonical one, and each other
 // spelling a held path was asked in, so a spelling asked before costs
-// one lookup and no parse. Every key counts toward maxPathIndexes.
+// one lookup and no parse. What it pins — each key, each held path's
+// diagonal and ranges — is charged to the network's meta-path engine,
+// the one byte account of the generation (metapath.Engine.Charge), and
+// a path that does not fit is built once per request, for that request
+// alone. A path whose products could exceed the budget is refused: an
+// error, like a malformed spec.
 func (v *View) Resolve(ctx context.Context, spec string, build bool) (r *Ranges, held bool, err error) {
 	if spec == "" {
 		return v.def, true, nil
@@ -183,30 +188,49 @@ func (v *View) Resolve(ctx context.Context, spec string, build bool) (r *Ranges,
 			return nil, false, err
 		}
 	}
-	if spec != key {
-		r = v.memo(spec, r)
+	// Another spelling is memoized only beside its canonical key: alone
+	// it would pin ranges the account does not hold.
+	if got, ok := v.paths.Load(key); spec != key && ok && got == r {
+		r = v.memo(spec, r, 0)
 	}
 	return r, held, nil
 }
 
-// memo stores r under the spelling name, unless the memo is full, and
-// returns what name then maps to: r, or the ranges a concurrent request
-// stored first.
-func (v *View) memo(name string, r *Ranges) *Ranges {
-	if v.npaths.Load() >= maxPathIndexes {
-		return r
+// memoOverhead is what a memo key costs beside its spelling: its
+// sync.Map node, or a built path's Ranges and index structs (one a
+// shard, plus the Ranges).
+const memoOverhead = 128
+
+// memo stores r under the spelling name if the engine's account takes
+// name and n more bytes, and returns what name then maps to: r, or the
+// ranges a concurrent request stored first.
+func (v *View) memo(name string, r *Ranges, n int64) *Ranges {
+	v.memoMu.Lock()
+	defer v.memoMu.Unlock()
+	if got, ok := v.paths.Load(name); ok {
+		return got.(*Ranges)
 	}
-	got, loaded := v.paths.LoadOrStore(name, r)
-	if !loaded {
-		v.npaths.Add(1)
+	path := make([]string, len(r.rs[0].Path))
+	for i, t := range r.rs[0].Path {
+		path[i] = string(t)
 	}
-	return got.(*Ranges)
+	if v.Corpus.Net.PathEngine().Charge(path, int64(len(name))+memoOverhead+n) {
+		v.paths.Store(name, r)
+	}
+	return r
+}
+
+// memoBuilt stores a built path's ranges under its canonical key,
+// charging what they pin beside the engine's factor: the diagonal and
+// an index struct a shard.
+func (v *View) memoBuilt(r *Ranges) *Ranges {
+	return v.memo(r.Key, r, 8*int64(r.Dim())+memoOverhead*int64(len(r.rs)))
 }
 
 // build materializes every shard's range of path over v's network: the
 // index over the whole endpoint type once — one diagonal — then each
 // shard's cut of it, fanned out like a read. The ranges are memoized
-// under key while the memo has room.
+// under key if the account takes them.
 func (v *View) build(ctx context.Context, path hin.MetaPath, key string) (*Ranges, error) {
 	full, err := pathsim.NewRangeIndexCtx(ctx, v.Corpus.Net, path, 0, v.Corpus.Net.Count(path[0]))
 	if err != nil {
@@ -220,7 +244,7 @@ func (v *View) build(ctx context.Context, path hin.MetaPath, key string) (*Range
 	if err != nil {
 		return nil, err
 	}
-	return v.memo(key, r), nil
+	return v.memoBuilt(r), nil
 }
 
 // TopK answers a top-k query over the published View: Resolve, building
@@ -281,8 +305,7 @@ func (c *Coordinator) write(build func(prev *Models, beside ...func(*hin.Network
 	for _, r := range def.rs {
 		v.IndexNNZ += r.NNZ()
 	}
-	v.paths.Store(def.Key, def)
-	v.npaths.Store(1)
+	v.memoBuilt(def)
 	v.BuildTime = time.Since(start)
 	c.view.Store(v)
 	return v, sum, nil

@@ -11,16 +11,11 @@ import (
 	"hinet/internal/pathsim"
 )
 
-// maxPathIndexes bounds a View's path memo — canonical spellings and the
-// other spellings held paths were asked in, each one key — so an
-// adversarial stream of distinct paths or spellings cannot grow memory
-// without bound. Beyond the
-// cap, Resolve builds a path's ranges for each request that asks and
-// hands them to that request alone — built once per request, correct,
-// just uncached; the half-path factors behind them live in the
-// network's meta-path engine, which has the matching maxEntries cap, so
-// such a build is one pass over a factor.
-const maxPathIndexes = 64
+// A View's path memo is bounded in bytes, not keys: what it pins is
+// charged to the network's meta-path engine, the generation's one byte
+// account (View.Resolve). Past the budget, Resolve builds a path's
+// ranges for each request that asks and hands them to that request
+// alone — built once per request, correct, just uncached.
 
 // LocalShard is one in-process shard of a NewLocalCluster.
 type LocalShard struct {

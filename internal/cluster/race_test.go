@@ -15,7 +15,6 @@ import (
 
 	"hinet/internal/dblp"
 	"hinet/internal/ingest"
-	"hinet/internal/pathsim"
 )
 
 func raceSpec() ModelSpec {
@@ -97,7 +96,7 @@ func TestClusterRace(t *testing.T) {
 				}
 				// Sanity on the merged answer: sorted, deduped, in range.
 				for i, p := range pairs {
-					if p.ID < 0 || (i > 0 && pathsim.ComparePairs(pairs[i-1], p) >= 0) {
+					if p.ID < 0 || (i > 0 && !(pairs[i-1].Score > p.Score || pairs[i-1].Score == p.Score && pairs[i-1].ID < p.ID)) {
 						fail("reader: merged answer out of order at %d", i)
 						return
 					}

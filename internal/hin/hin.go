@@ -9,7 +9,7 @@
 //
 //   - Relation(src, dst): the weighted src×dst adjacency matrix,
 //   - Bipartite(x, y): the bi-typed sub-network RankClus works on,
-//   - Projection(path): the homogeneous graph induced by a meta-path
+//   - CommutingMatrix(path): the product of relations along a meta-path
 //     (e.g. co-authorship = A–P–A), and
 //   - Star(center): the star-schema view NetClus works on.
 package hin
@@ -648,6 +648,27 @@ func (s netSource) HasRelation(a, b string) bool { return s.n.HasRelation(Type(a
 
 func (s netSource) Relation(a, b string) *sparse.Matrix { return s.n.Relation(Type(a), Type(b)) }
 
+// RelationBytes sizes each relation as the CSR matrix of its canonical
+// orientation: 8 bytes a row and 12 an entry, an entry being one of the
+// matrix's, or a pending link (which may yet merge with another). It
+// reads no relation, so it builds none.
+func (s netSource) RelationBytes() int64 {
+	n := s.n
+	n.relMu.Lock()
+	defer n.relMu.Unlock()
+	var total int64
+	for key, r := range n.rels {
+		entries := len(r.links[0].s) + len(r.links[1].s)
+		if m := r.m[0]; m != nil {
+			entries += m.NNZ()
+		} else if m := r.m[1]; m != nil {
+			entries += m.NNZ()
+		}
+		total += 8*int64(n.Count(key.src)+1) + 12*int64(entries)
+	}
+	return total
+}
+
 // Clone returns a copy-on-write clone of the network for incremental
 // delta chains: the clone shares the parent's name lists, pending links,
 // name-index bases, relation matrices and completed meta-path
@@ -772,11 +793,11 @@ func (n *Network) CommutingFactorCtx(ctx context.Context, p MetaPath) (w, wt *sp
 	return n.PathEngine().FactorCtx(ctx, fromMetaPath(p))
 }
 
-// Projection builds the homogeneous weighted graph on type p[0] induced
+// projection builds the homogeneous weighted graph on type p[0] induced
 // by a symmetric meta-path: nodes are the objects of p[0]; edge weights
 // are the off-diagonal entries of the commuting matrix. Labels carry the
 // object names. An asymmetric or invalid path is an error.
-func (n *Network) Projection(p MetaPath) (*graph.Graph, error) {
+func (n *Network) projection(p MetaPath) (*graph.Graph, error) {
 	if len(p) == 0 || !p.Symmetric() || p[0] != p[len(p)-1] {
 		return nil, fmt.Errorf("projection requires a symmetric meta path, got %q", p.String())
 	}

@@ -247,7 +247,7 @@ func TestCommutingMatrixCoauthor(t *testing.T) {
 
 func TestProjectionGraph(t *testing.T) {
 	n := tinyDBLP()
-	g, err := n.Projection(MetaPath{"author", "paper", "author"})
+	g, err := n.projection(MetaPath{"author", "paper", "author"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestProjectionGraph(t *testing.T) {
 
 func TestProjectionRequiresSymmetry(t *testing.T) {
 	n := tinyDBLP()
-	if g, err := n.Projection(MetaPath{"author", "paper", "venue"}); err == nil || g != nil {
+	if g, err := n.projection(MetaPath{"author", "paper", "venue"}); err == nil || g != nil {
 		t.Errorf("asymmetric projection = %v, %v; want an error", g, err)
 	}
 }
@@ -282,10 +282,10 @@ func TestErrorVariants(t *testing.T) {
 	if _, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "venue"}); err == nil {
 		t.Error("schema-less hop accepted")
 	}
-	if _, err := n.Projection(MetaPath{"author", "paper", "venue"}); err == nil {
+	if _, err := n.projection(MetaPath{"author", "paper", "venue"}); err == nil {
 		t.Error("asymmetric projection accepted")
 	}
-	if _, err := n.Projection(nil); err == nil {
+	if _, err := n.projection(nil); err == nil {
 		t.Error("empty projection accepted")
 	}
 	m, err := n.CommutingMatrixCtx(context.Background(), MetaPath{"author", "paper", "author"})

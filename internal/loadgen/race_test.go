@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hinet/internal/chaos"
 	"hinet/internal/serve"
 )
 
@@ -34,6 +35,9 @@ func TestSaturationRace(t *testing.T) {
 		MaxConcurrent: 1,
 		AdmissionWait: -1, // fail fast: saturation must answer, not queue
 		CacheCapacity: 64, // small enough that evictions keep some queries uncached
+		// A miss holds the one slot across a timer wait, a scheduling
+		// point: on one core, too, other workers run while it is taken.
+		Chaos: chaos.New(chaos.Config{KernelDelay: 2 * time.Millisecond}),
 	})
 
 	ks := testKeyspace(t, nil)

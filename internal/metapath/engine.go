@@ -57,13 +57,11 @@ type Source interface {
 	// relies on Relation(a, b) being the exact transpose of
 	// Relation(b, a) whenever a != b.
 	Relation(a, b string) *sparse.Matrix
+	// RelationBytes returns what the source's relations take as CSR
+	// matrices, one orientation each, without building any: the base
+	// the engine's byte budget is a multiple of (budget.go).
+	RelationBytes() int64
 }
-
-// maxEntries bounds the materialization cache, stale patch bases
-// included. Beyond it a new path first evicts a stale base and, with
-// none left, is still answered but not retained, so a server fed
-// adversarial path streams cannot grow memory without bound.
-const maxEntries = 256
 
 // entry is one cached materialization. ready is closed once m is set,
 // so concurrent askers of the same path share a single computation
@@ -86,6 +84,7 @@ type entry struct {
 	split int               // a planned product's split point
 	stale bool              // invalidated: m is a patch base, not an answer
 	base  *entry            // while in flight: the stale entry this one replaces
+	size  int64             // what it is charged while kept (budget.go); 0 in flight
 }
 
 // closedReady is the pre-closed channel entries adopted by CloneFor
@@ -100,6 +99,7 @@ var closedReady = func() chan struct{} {
 type Stats struct {
 	Epoch       int64 // cache generation (the owning network's version)
 	Entries     int   // materialized matrices currently cached (stale patch bases not counted)
+	Bytes       int64 // the byte account: every entry kept, stale bases included, and what Charge counted
 	Hits        uint64
 	Misses      uint64
 	Products    uint64        // sparse products issued (planned splits)
@@ -127,6 +127,10 @@ type Engine struct {
 	mu      sync.Mutex
 	epoch   int64
 	entries map[string]*entry
+	// The byte account (budget.go): kept is what the entries in the map
+	// are charged, charged what Charge counted; budget is derived from
+	// the source when first needed at an epoch (0 until then).
+	kept, charged, budget int64
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -159,8 +163,8 @@ func New(src Source) *Engine {
 func (e *Engine) SyncEpoch(v int64) {
 	e.mu.Lock()
 	if v != e.epoch {
-		e.epoch = v
-		e.entries = make(map[string]*entry)
+		e.epoch, e.budget = v, 0
+		e.entries, e.kept = make(map[string]*entry), 0
 	}
 	e.mu.Unlock()
 }
@@ -178,7 +182,7 @@ func (e *Engine) SyncEpoch(v int64) {
 // safe because owners never mutate concurrently with queries.
 func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 	e.mu.Lock()
-	e.epoch = v
+	e.epoch, e.budget = v, 0
 	for k, ent := range e.entries {
 		if !drop(ent.path) {
 			continue
@@ -189,7 +193,7 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 		default:
 			if ent.base != nil {
 				ent.base.stale = true
-				e.entries[k] = ent.base
+				e.put(k, ent.base)
 			} else {
 				delete(e.entries, k)
 			}
@@ -206,7 +210,7 @@ func (e *Engine) Invalidate(v int64, drop func(path []string) bool) {
 // they are immutable — so cloning is O(entries). This is how a
 // copy-on-write network clone (hin.Network.Clone) carries the warm
 // materialization cache into its new generation; counters start at
-// zero.
+// zero; the account carries what the adopted entries cost.
 func (e *Engine) CloneFor(src Source, v int64) *Engine {
 	ne := New(src)
 	ne.epoch = v
@@ -214,8 +218,8 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 	for k, ent := range e.entries {
 		select {
 		case <-ent.ready:
-			if !ent.stale {
-				ne.entries[k] = &entry{ready: closedReady, path: ent.path, m: ent.m, ops: ent.ops, split: ent.split}
+			if !ent.stale && ent.size > 0 {
+				ne.put(k, &entry{ready: closedReady, path: ent.path, m: ent.m, ops: ent.ops, split: ent.split, size: ent.size})
 			}
 		default:
 		}
@@ -230,14 +234,14 @@ func (e *Engine) CloneFor(src Source, v int64) *Engine {
 // differential tests use it as the oracle for patched products).
 func (e *Engine) Reset() {
 	e.mu.Lock()
-	e.entries = make(map[string]*entry)
+	e.entries, e.kept = make(map[string]*entry), 0
 	e.mu.Unlock()
 }
 
 // Stats returns the current counter values.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	epoch, entries := e.epoch, 0
+	epoch, entries, bytes := e.epoch, 0, e.kept+e.charged
 	for _, ent := range e.entries {
 		if !ent.stale {
 			entries++
@@ -247,6 +251,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Epoch:       epoch,
 		Entries:     entries,
+		Bytes:       bytes,
 		Hits:        e.hits.Load(),
 		Misses:      e.misses.Load(),
 		Products:    e.products.Load(),
@@ -294,24 +299,31 @@ func (e *Engine) Validate(path []string) error {
 // cancellation it returns ctx.Err(); a cancelled in-flight computation
 // withdraws its cache entry, so waiters with live contexts simply retry
 // and recompute — a dead caller can never poison the cache.
+//
+// It never refuses a path for its size: a product past the byte budget
+// is answered, just not kept (budget.go).
 func (e *Engine) CommuteCtx(ctx context.Context, path []string) (*sparse.Matrix, error) {
 	if err := e.Validate(path); err != nil {
 		return nil, err
 	}
-	return e.matrix(ctx, path)
+	return e.matrix(ctx, path, false)
 }
 
-// matrix materializes a validated path through the cache.
-func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, error) {
+// matrix materializes a validated path through the cache. With refuse,
+// a product whose size bound exceeds the budget is an error instead.
+func (e *Engine) matrix(ctx context.Context, path []string, refuse bool) (*sparse.Matrix, error) {
+	compute := func(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+		return e.compute(ctx, ent, base, refuse)
+	}
 	canon, rev := canonicalize(path)
 	if !rev {
-		return e.cached(ctx, join(path), path, e.compute)
+		return e.cached(ctx, join(path), path, compute)
 	}
 	// Reversed orientation: materialize the canonical orientation, then
 	// derive this one by a cheap O(nnz) transpose — also cached, so
 	// repeated reverse queries are pure lookups.
 	return e.cached(ctx, join(path), path, func(ctx context.Context, _, _ *entry) (*sparse.Matrix, error) {
-		m, err := e.cached(ctx, join(canon), canon, e.compute)
+		m, err := e.cached(ctx, join(canon), canon, compute)
 		if err != nil {
 			return nil, err
 		}
@@ -323,9 +335,9 @@ func (e *Engine) matrix(ctx context.Context, path []string) (*sparse.Matrix, err
 // cached runs compute under a singleflight entry for key. compute
 // receives the entry being filled (to record what the result was
 // computed from) and, when the key held a stale entry, that entry as
-// its patch base. When the cache is full of fresh entries, the value
-// is computed but not retained. A waiter whose ctx dies while another
-// goroutine computes abandons the wait (the computation itself keeps
+// its patch base. A value that does not fit the byte budget is
+// answered but not retained (Engine.keep). A waiter whose ctx dies
+// while another goroutine computes abandons the wait (the computation itself keeps
 // running for the live callers); a computing goroutine that fails —
 // panic or cancellation — withdraws its entry, putting the stale base
 // back if it had one, so later callers retry from the same place.
@@ -353,25 +365,25 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, compute 
 	}
 	e.misses.Add(1)
 	ent := &entry{ready: make(chan struct{}), path: path, base: base}
-	if base == nil && len(e.entries) >= maxEntries && !e.evictStale() {
-		e.mu.Unlock()
-		return compute(ctx, ent, nil)
-	}
-	e.entries[key] = ent
+	e.put(key, ent)
 	e.mu.Unlock()
+	var limit int64
 	defer func() {
 		e.mu.Lock()
-		if ent.m == nil && e.entries[key] == ent {
+		switch {
+		case e.entries[key] != ent:
+			// Withdrawn by a concurrent Invalidate or epoch move.
+		case ent.m != nil:
+			e.keep(key, ent, limit)
+		case base != nil:
 			// compute panicked or was cancelled: step aside so later calls
 			// retry, and release waiters (they observe the nil and
 			// recompute). The pointer check keeps a concurrent Invalidate
 			// + re-register under the same key from losing the fresh
 			// entry.
-			if base != nil {
-				e.entries[key] = base
-			} else {
-				delete(e.entries, key)
-			}
+			e.put(key, base)
+		default:
+			delete(e.entries, key)
 		}
 		ent.base = nil // a completed entry must not pin the matrix it replaced
 		e.mu.Unlock()
@@ -381,20 +393,9 @@ func (e *Engine) cached(ctx context.Context, key string, path []string, compute 
 	if err != nil {
 		return nil, err
 	}
+	limit = e.limit()
 	ent.m = m
 	return m, nil
-}
-
-// evictStale drops one stale patch base to make room for a new path,
-// reporting whether there was one. Callers hold mu.
-func (e *Engine) evictStale() bool {
-	for k, ent := range e.entries {
-		if ent.stale {
-			delete(e.entries, k)
-			return true
-		}
-	}
-	return false
 }
 
 // halfOf returns the first half of a Gram-eligible path: the H of
@@ -411,16 +412,26 @@ func halfOf(path []string) []string {
 // stale sub-chain is refreshed the same way before its consumer is.
 // With a base, the product is patched from it when the operand diff is
 // small (patch.go); either route produces the same bits.
-func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix, error) {
+func (e *Engine) compute(ctx context.Context, ent, base *entry, refuse bool) (*sparse.Matrix, error) {
 	path := ent.path
 	rels := len(path) - 1
 	if rels == 1 {
 		return e.src.Relation(path[0], path[1]), nil
 	}
 	if gramEligible(path) {
-		h, err := e.matrix(ctx, halfOf(path))
+		h, err := e.matrix(ctx, halfOf(path), refuse)
 		if err != nil {
 			return nil, err
+		}
+		if refuse {
+			// hᵀ through the cache: a reader of the factor asks for it next.
+			ht, err := e.matrix(ctx, reverseOf(halfOf(path)), true)
+			if err != nil {
+				return nil, err
+			}
+			if err := e.fits(path, int64(h.Rows()), productBound(h, ht)); err != nil {
+				return nil, err
+			}
 		}
 		ent.ops[0] = h
 		e.grams.Add(1)
@@ -435,13 +446,18 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 	if err != nil {
 		return nil, err
 	}
-	left, err := e.matrix(ctx, path[:k+2:k+2])
+	left, err := e.matrix(ctx, path[:k+2:k+2], refuse)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.matrix(ctx, path[k+1:])
+	right, err := e.matrix(ctx, path[k+1:], refuse)
 	if err != nil {
 		return nil, err
+	}
+	if refuse {
+		if err := e.fits(path, int64(left.Rows()), productBound(left, right)); err != nil {
+			return nil, err
+		}
 	}
 	ent.ops, ent.split = [2]*sparse.Matrix{left, right}, k
 	e.products.Add(1)
@@ -462,6 +478,11 @@ func (e *Engine) compute(ctx context.Context, ent, base *entry) (*sparse.Matrix,
 // and summed in ascending mid every entry has the bits the Gram kernel
 // stores (it accumulates the same terms in the same order; see
 // patch.go). Both are nil for a path that is not Gram-eligible.
+//
+// This is the route a client's path takes, so it refuses what CommuteCtx
+// only declines to keep: a product whose size bound exceeds the byte
+// budget is an error, returned before the product is multiplied
+// (budget.go).
 func (e *Engine) FactorCtx(ctx context.Context, path []string) (h, ht *sparse.Matrix, err error) {
 	if err := e.Validate(path); err != nil {
 		return nil, nil, err
@@ -470,10 +491,10 @@ func (e *Engine) FactorCtx(ctx context.Context, path []string) (h, ht *sparse.Ma
 		return nil, nil, nil
 	}
 	half := halfOf(path)
-	if h, err = e.matrix(ctx, half); err != nil {
+	if h, err = e.matrix(ctx, half, true); err != nil {
 		return nil, nil, err
 	}
-	if ht, err = e.matrix(ctx, reverseOf(half)); err != nil {
+	if ht, err = e.matrix(ctx, reverseOf(half), true); err != nil {
 		return nil, nil, err
 	}
 	return h, ht, nil
@@ -501,7 +522,7 @@ func (e *Engine) leafStats(ctx context.Context, path []string) (dims []int, nnz 
 		dims[i] = e.src.Count(t)
 	}
 	for i := 0; i < rels; i++ {
-		leaf, err := e.matrix(ctx, path[i:i+2:i+2])
+		leaf, err := e.matrix(ctx, path[i:i+2:i+2], false)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -42,6 +42,14 @@ func (s *mapSource) Relation(a, b string) *sparse.Matrix {
 	return sparse.NewFromCoords(s.counts[a], s.counts[b], nil)
 }
 
+func (s *mapSource) RelationBytes() int64 {
+	var n int64
+	for _, m := range s.rels {
+		n += matrixBytes(int64(m.Rows()), int64(m.NNZ()))
+	}
+	return n
+}
+
 func (s *mapSource) addRel(rng *rand.Rand, a, b string, links int) {
 	var entries []sparse.Coord
 	for i := 0; i < links; i++ {

@@ -84,7 +84,7 @@ func (e *Engine) patchGram(ctx context.Context, base *entry, h *sparse.Matrix) (
 	}
 	// hᵀ through the cache, under the reversed half's own entry: a reader
 	// of the factor (FactorCtx) asks for the same matrix next.
-	ht, err := e.matrix(ctx, reverseOf(halfOf(base.path)))
+	ht, err := e.matrix(ctx, reverseOf(halfOf(base.path)), false)
 	if err != nil {
 		return nil, err
 	}

@@ -202,21 +202,19 @@ func TestFailedRefreshKeepsBase(t *testing.T) {
 	sameBits(t, "after panic", m, coldCommute(t, s, staleAPVPA))
 }
 
-// TestStaleBasesCountTowardBound: fresh entries plus stale bases never
-// exceed maxEntries; a new path evicts a stale base to get in, and with
-// only fresh entries left is answered without being retained.
+// TestStaleBasesCountTowardBound: the byte account — fresh entries and
+// stale bases together — never exceeds the budget and always equals a
+// recount; a new path evicts stale bases to get in, and with none left
+// is answered without being retained. Fresh entries are never evicted.
 func TestStaleBasesCountTowardBound(t *testing.T) {
 	s := staleSource()
 	e := New(s)
-	held := func() int {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.entries)
-	}
+	limit := e.limit()
 	// Walks over the A-P-V schema give hundreds of cheap distinct keys:
-	// from P the i-th walk steps to A or V as the bits of i say.
+	// from P the i-th walk steps to A or V as the bits of i say. It
+	// reports whether the walk's own entry was kept.
 	ctx := context.Background()
-	slice := func(i int) {
+	slice := func(i int) bool {
 		path := []string{"A"}
 		for b := i + 1<<10; b > 1; b >>= 1 {
 			path = append(path, "P", "AV"[b&1:b&1+1])
@@ -224,41 +222,51 @@ func TestStaleBasesCountTowardBound(t *testing.T) {
 		if _, err := e.CommuteCtx(ctx, path); err != nil {
 			t.Fatal(err)
 		}
-		if n := held(); n > maxEntries {
-			t.Fatalf("engine holds %d entries, bound is %d", n, maxEntries)
+		if b := e.Stats().Bytes; b > limit || b != recount(e) {
+			t.Fatalf("account %d, recount %d, budget %d", b, recount(e), limit)
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, kept := e.entries[join(path)]
+		return kept
+	}
+	dropped := 0
+	for i := 0; i < 300; i++ {
+		if !slice(i) {
+			dropped++
 		}
 	}
-	for i := 0; i < 300; i++ {
-		slice(i)
-	}
-	if n := held(); n != maxEntries {
-		t.Fatalf("engine holds %d entries after 300 distinct keys, want the bound %d", n, maxEntries)
+	if dropped == 0 {
+		t.Fatalf("300 distinct paths all kept in a %d-byte budget: the budget does not bind", limit)
 	}
 	editPV(e, s, 1, 5)
-	apa, err := e.CommuteCtx(context.Background(), staleAPA) // untouched by the edit: stays fresh
+	apa, err := e.CommuteCtx(ctx, staleAPA) // untouched by the edit: stays fresh
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := e.Stats().Entries
-	if fresh == 0 || fresh >= maxEntries/2 {
-		t.Fatalf("%d fresh entries after invalidating every slice", fresh)
+	stale := func() int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		n := 0
+		for _, ent := range e.entries {
+			if ent.stale {
+				n++
+			}
+		}
+		return n
 	}
-	// New keys displace stale bases one for one.
+	if stale() == 0 {
+		t.Fatal("the edit left no stale base")
+	}
+	// New keys displace stale bases before one goes unkept.
 	for i := 300; i < 700; i++ {
-		slice(i)
+		if !slice(i) {
+			if n := stale(); n > 0 {
+				t.Fatalf("walk %d went unkept with %d stale bases left to evict", i, n)
+			}
+		}
 	}
-	if again, _ := e.CommuteCtx(context.Background(), staleAPA); again != apa {
+	if again, _ := e.CommuteCtx(ctx, staleAPA); again != apa {
 		t.Fatal("a fresh entry was evicted to make room; only stale bases may be")
-	}
-	if got := e.Stats().Entries; got != held() || got != maxEntries {
-		t.Fatalf("%d fresh of %d held: every stale base should have been displaced", got, held())
-	}
-	// Full of fresh entries: still answered, not retained.
-	m, err := e.CommuteCtx(context.Background(), []string{"V", "P", "V"})
-	if err != nil || m == nil {
-		t.Fatalf("Commute on a full cache = (%v, %v)", m, err)
-	}
-	if n := held(); n != maxEntries {
-		t.Fatalf("engine holds %d entries, bound is %d", n, maxEntries)
 	}
 }

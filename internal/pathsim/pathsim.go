@@ -421,7 +421,7 @@ func MergeTopK(parts [][]Pair, k int, dst []Pair) []Pair {
 	}
 	n := 0
 	for i, part := range parts {
-		if raceEnabled && !slices.IsSortedFunc(part, ComparePairs) {
+		if raceEnabled && !slices.IsSortedFunc(part, comparePairs) {
 			panic(fmt.Sprintf("pathsim: MergeTopK part %d is not in top-k order", i))
 		}
 		n += len(part)

@@ -28,12 +28,12 @@ func before(a, b Pair) bool {
 	return a.ID < b.ID
 }
 
-// ComparePairs is the top-k order as a three-way comparison (the shape
+// comparePairs is the top-k order as a three-way comparison (the shape
 // slices.SortFunc and slices.IsSortedFunc take): negative when a
 // precedes b. Every PathSim top-k list in the system is in this one
 // order, which is what lets MergeTopK reassemble per-shard partial
 // answers into the single-index answer bit for bit.
-func ComparePairs(a, b Pair) int {
+func comparePairs(a, b Pair) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c
 	}
@@ -122,7 +122,7 @@ func (s *selection) add(id int, score float64) {
 
 // topK writes the k best candidates, in top-k order, into dst's backing
 // array (allocating only when it is too small) — exactly the first k of
-// a full sort of the candidates under ComparePairs, in O(m + k·log k)
+// a full sort of the candidates under comparePairs, in O(m + k·log k)
 // for m candidates instead of the sort's O(m·log m):
 //
 //  1. With more than k candidates, quickselect finds the threshold t,

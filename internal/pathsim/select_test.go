@@ -1,5 +1,5 @@
 // Tests of the threshold selection and the k-way merge against one
-// oracle: a stable full sort under ComparePairs, cut to k.
+// oracle: a stable full sort under comparePairs, cut to k.
 package pathsim
 
 import (
@@ -15,10 +15,10 @@ import (
 )
 
 // sortedPrefix is the oracle: the first k of cands (given in ascending
-// id order) after a stable full sort under ComparePairs.
+// id order) after a stable full sort under comparePairs.
 func sortedPrefix(cands []Pair, k int) []Pair {
 	all := slices.Clone(cands)
-	slices.SortStableFunc(all, ComparePairs)
+	slices.SortStableFunc(all, comparePairs)
 	return all[:min(len(all), max(k, 0))]
 }
 
@@ -85,7 +85,7 @@ func fuzzScores(data []byte, shape, tiles uint8) []float64 {
 	for t := 0; t <= int(tiles%8); t++ {
 		scores = append(scores, one...)
 	}
-	byValue := func(a, b float64) int { return ComparePairs(Pair{Score: b}, Pair{Score: a}) }
+	byValue := func(a, b float64) int { return comparePairs(Pair{Score: b}, Pair{Score: a}) }
 	switch shape % 4 {
 	case 1:
 		slices.SortFunc(scores, byValue)
@@ -105,7 +105,7 @@ func fuzzScores(data []byte, shape, tiles uint8) []float64 {
 // selection never panics or hangs, is deterministic, fills a caller
 // buffer in place, and equals the oracle pair for pair, score bits
 // included. (With NaNs too: the order ranks them below every number, by
-// id, and ComparePairs sorts them there.)
+// id, and comparePairs sorts them there.)
 func FuzzTopKSelect(f *testing.F) {
 	// Named shapes (NaN mixes, signed-zero ties, all-equal, sorted either
 	// way, raw bit patterns) are in testdata/fuzz/FuzzTopKSelect.

@@ -286,13 +286,6 @@ type HITSResult struct {
 	Converged  bool
 }
 
-// TopAuthorities returns the ids of the k highest-authority nodes,
-// descending.
-func (h HITSResult) TopAuthorities(k int) []int { return stats.TopK(h.Authority, k) }
-
-// TopHubs returns the ids of the k highest-hub nodes, descending.
-func (h HITSResult) TopHubs(k int) []int { return stats.TopK(h.Hub, k) }
-
 // HITS computes hub and authority scores: the principal eigenvectors of
 // A·Aᵀ and Aᵀ·A, the fixed point of the mutual-reinforcement iteration
 // a ← Aᵀh, h ← Aa with L2 normalization each round. It starts from the

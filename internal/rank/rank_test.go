@@ -374,11 +374,11 @@ func TestResultTopKHelpers(t *testing.T) {
 		t.Errorf("TopK(-1) should clamp to empty, got %v", got)
 	}
 	h := HITSResult{Authority: []float64{0.9, 0.1}, Hub: []float64{0.1, 0.9}}
-	if got := h.TopAuthorities(1); got[0] != 0 {
-		t.Errorf("TopAuthorities = %v", got)
+	if got := stats.TopK(h.Authority, 1); got[0] != 0 {
+		t.Errorf("top authority = %v", got)
 	}
-	if got := h.TopHubs(1); got[0] != 1 {
-		t.Errorf("TopHubs = %v", got)
+	if got := stats.TopK(h.Hub, 1); got[0] != 1 {
+		t.Errorf("top hub = %v", got)
 	}
 }
 

@@ -379,7 +379,8 @@ func TestConcurrentIngestRebuildReads(t *testing.T) {
 // of stale patch bases: a product queried in one generation is patched,
 // not rebuilt, in the next; a product nobody asks for during a whole
 // generation is gone from the engine — and from the heap — after the
-// ingest that follows.
+// ingest that follows. The path is read in factor form, as the server
+// reads it: its commuting matrix at 800 authors is past the byte budget.
 func TestUnrefreshedBaseIsDropped(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap")
@@ -393,13 +394,22 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	// routes reports how many products a query of spec patched and how
-	// many Gram products it ran in all, on the live generation's engine.
-	routes := func(m *cluster.Models) (patched, grams uint64, ix *pathsim.Index) {
-		e := m.Corpus.Net.PathEngine()
+	// many planned products it ran in all, on the live generation's
+	// engine, and the bytes of the factor.
+	routes := func(m *cluster.Models) (patched, products uint64, factorBytes int64) {
+		net := m.Corpus.Net
+		e := net.PathEngine()
 		before := e.Stats()
-		ix = refIndex(t, &cluster.View{Models: m}, spec)
+		path, err := net.ParseMetaPath(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, wt, err := net.CommutingFactorCtx(context.Background(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		after := e.Stats()
-		return after.Patches - before.Patches, after.Grams - before.Grams, ix
+		return after.Patches - before.Patches, after.Products - before.Products, int64(w.NNZ()+wt.NNZ()) * 12
 	}
 	// Three ingests; with query set, spec is materialized before the
 	// first and again right after it, then never.
@@ -417,11 +427,11 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 			if query && i == 0 {
-				patched, _, ix := routes(st)
-				if patched < 2 { // the A-P-T product and its Gram
+				patched, _, bytes := routes(st)
+				if patched < 1 { // the A-P-T product
 					t.Fatalf("one ingest after a query, %s ran %d patches: its base was not kept", spec, patched)
 				}
-				indexBytes = int64(ix.NNZ()) * 12
+				indexBytes = bytes
 			}
 		}
 		return st
@@ -432,13 +442,13 @@ func TestUnrefreshedBaseIsDropped(t *testing.T) {
 	base = liveHeap()
 	queried := build(true)
 	queriedHeap := liveHeap() - base
-	t.Logf("live heap after 3 ingests: %.1f MiB never queried, %.1f MiB queried two generations ago (index %.1f MiB)",
+	t.Logf("live heap after 3 ingests: %.2f MiB never queried, %.2f MiB queried two generations ago (factor %.2f MiB)",
 		float64(plainHeap)/(1<<20), float64(queriedHeap)/(1<<20), float64(indexBytes)/(1<<20))
-	if queriedHeap-plainHeap > indexBytes/4 {
-		t.Fatalf("a product last queried two generations ago still holds %d bytes (its index is %d)", queriedHeap-plainHeap, indexBytes)
+	if queriedHeap-plainHeap > indexBytes/2 {
+		t.Fatalf("a product last queried two generations ago still holds %d bytes (its factor is %d)", queriedHeap-plainHeap, indexBytes)
 	}
-	if patched, grams, _ := routes(queried); patched != 0 || grams == 0 {
-		t.Fatalf("two generations on, %s ran %d patches over %d Gram products: the base should be gone and the build cold", spec, patched, grams)
+	if patched, products, _ := routes(queried); patched != 0 || products == 0 {
+		t.Fatalf("two generations on, %s ran %d patches over %d products: the base should be gone and the build cold", spec, patched, products)
 	}
 	runtime.KeepAlive(plain)
 }

@@ -233,17 +233,26 @@ func TestHandlerAllocBudget(t *testing.T) {
 		for _, req := range reqs[:20] { // warm the pools
 			serve(req)
 		}
-		rows = 0
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for _, req := range reqs {
-			serve(req)
+		// The best of three windows: a window whose request lands on a P
+		// with an empty sync.Pool (a goroutine moved, or a GC emptied the
+		// pool) pays for a buffer once; a cost every request pays shows
+		// in all three.
+		allocs, bytes = math.Inf(1), math.Inf(1)
+		for range 3 {
+			rows = 0
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, req := range reqs {
+				serve(req)
+			}
+			runtime.ReadMemStats(&m1)
+			if rows/n < 60*min(k, 100) {
+				t.Fatalf("k=%d: bodies average %d bytes — the corpus no longer fills k rows", k, rows/n)
+			}
+			allocs = min(allocs, float64(m1.Mallocs-m0.Mallocs)/n)
+			bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/n)
 		}
-		runtime.ReadMemStats(&m1)
-		if rows/n < 60*min(k, 100) {
-			t.Fatalf("k=%d: bodies average %d bytes — the corpus no longer fills k rows", k, rows/n)
-		}
-		return float64(m1.Mallocs-m0.Mallocs) / n, float64(m1.TotalAlloc-m0.TotalAlloc) / n
+		return allocs, bytes
 	}
 	a10, b10 := measure(10)
 	a100, b100 := measure(100)

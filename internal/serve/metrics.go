@@ -45,6 +45,7 @@ func (s *Server) writeMetrics(w io.Writer, v *cluster.View) {
 	fmt.Fprintf(w, "hinet_metapath_cache_hits_total %d\n", es.Hits)
 	fmt.Fprintf(w, "hinet_metapath_cache_misses_total %d\n", es.Misses)
 	fmt.Fprintf(w, "hinet_metapath_cache_entries %d\n", es.Entries)
+	fmt.Fprintf(w, "hinet_metapath_cache_bytes %d\n", es.Bytes)
 	fmt.Fprintf(w, "hinet_metapath_products_total %d\n", es.Products)
 	fmt.Fprintf(w, "hinet_metapath_gram_products_total %d\n", es.Grams)
 	fmt.Fprintf(w, "hinet_metapath_transposes_total %d\n", es.Transposes)

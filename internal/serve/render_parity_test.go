@@ -29,6 +29,7 @@ import (
 	"hinet/internal/obs"
 	"hinet/internal/pathsim"
 	"hinet/internal/sparse"
+	"hinet/internal/stats"
 )
 
 // refJSON is the reference encoder.
@@ -84,10 +85,10 @@ func refRank(snap *cluster.View, metric string, top int) map[string]any {
 		ids = snap.PageRank.TopK(top)
 	case "authority":
 		scores, iters, converged = snap.HITS.Authority, snap.HITS.Iterations, snap.HITS.Converged
-		ids = snap.HITS.TopAuthorities(top)
+		ids = stats.TopK(snap.HITS.Authority, top)
 	case "hub":
 		scores, iters, converged = snap.HITS.Hub, snap.HITS.Iterations, snap.HITS.Converged
-		ids = snap.HITS.TopHubs(top)
+		ids = stats.TopK(snap.HITS.Hub, top)
 	}
 	rows := make([]refRow, 0, len(ids))
 	for _, id := range ids {

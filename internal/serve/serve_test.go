@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,13 +253,14 @@ func TestTopKInvalidPaths(t *testing.T) {
 	}
 }
 
-// TestPastCapPathBuiltOnce fills the View's path memo — the default
-// path plus 63 resolved ones make maxPathIndexes — and then asks for a
-// 64th: the View builds its ranges for that request alone. They must
-// answer what a fresh server answers, and be built once per request:
-// two meta-path engine lookups (the half-path factor and its
-// transpose), not a second build inside the kernel.
-func TestPastCapPathBuiltOnce(t *testing.T) {
+// TestPastBudgetPathBuiltOnce fills the generation's byte budget with
+// the 64 nine-type paths of the test corpus — every one answers — and
+// then asks again for one that did not fit: the View builds its ranges
+// for that request alone. They must answer what a fresh server answers,
+// and be built once per request: the request makes the meta-path engine
+// lookups one factor build makes, not a second build's inside the
+// kernel.
+func TestPastBudgetPathBuiltOnce(t *testing.T) {
 	opts := Options{CacheCapacity: -1}
 	s := newTestServer(t, opts)
 	types := []string{"author", "venue", "term", "year"}
@@ -274,24 +278,115 @@ func TestPastCapPathBuiltOnce(t *testing.T) {
 			t.Fatalf("%s: code %d", path, code)
 		}
 	}
-	last := target(paths[len(paths)-1])
+	snap := s.Snapshot()
+	ctx := context.Background()
+	last := ""
+	for _, path := range paths {
+		if r, _, err := snap.Resolve(ctx, path, false); err == nil && r == nil {
+			last = path
+		}
+	}
+	if last == "" {
+		t.Fatal("all 64 paths are held: the budget did not fill")
+	}
 	body := func(s *Server) string {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", last, nil))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target(last), nil))
 		if rec.Code != 200 {
 			t.Fatalf("%s: code %d", last, rec.Code)
 		}
 		return rec.Body.String()
 	}
-	eng := s.Snapshot().Corpus.Net.PathEngine()
-	before := eng.Stats().Hits
+	eng := snap.Corpus.Net.PathEngine()
+	lookups := func() uint64 { st := eng.Stats(); return st.Hits + st.Misses }
+	before := lookups()
 	got := body(s)
-	if n := eng.Stats().Hits - before; n != 2 {
-		t.Errorf("a past-cap path= request made %d meta-path engine lookups, want 2: its ranges are built once", n)
+	served := lookups() - before
+	path, err := snap.Corpus.Net.ParseMetaPath(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = lookups()
+	if _, _, err := snap.Corpus.Net.CommutingFactorCtx(ctx, path); err != nil {
+		t.Fatal(err)
+	}
+	if one := lookups() - before; served != one {
+		t.Errorf("a past-budget path= request made %d meta-path engine lookups, one factor build makes %d: its ranges are built once", served, one)
 	}
 	if want := body(newTestServer(t, opts)); got != want {
-		t.Errorf("past-cap body differs from a fresh server's:\n got %s\nwant %s", got, want)
+		t.Errorf("past-budget body differs from a fresh server's:\n got %s\nwant %s", got, want)
 	}
+}
+
+// TestPathBudget: a 4 000-author server fed long and random meta-paths
+// answers each with 200, or refuses it with a 400 naming the product's
+// size bound; none is a 500, and the live heap stays within the boot
+// heap plus the byte budget plus slack. Without a budget, the three
+// fixed paths alone took the live heap from 4.8 to 701.6 MiB.
+func TestPathBudget(t *testing.T) {
+	base := liveHeapBytes()
+	s := newTestServer(t, Options{CacheCapacity: -1, NoTrace: true,
+		Models: ModelConfig{Corpus: dblp.Config{AuthorsPerArea: 1000, Papers: 10_000}}})
+	boot := liveHeapBytes() - base
+	paths := []string{"A-P-A-P-A-P-A", "A-P-T-P-A-P-T-P-A", "A-P-A-P-A-P-A-P-A-P-A"}
+	rng := rand.New(rand.NewSource(51))
+	ends := []string{"A", "V", "T", "Y"}
+	for len(paths) < 13 {
+		half := []string{ends[rng.Intn(4)]}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			half = append(half, "P", ends[rng.Intn(4)])
+		}
+		full := slices.Clone(half)
+		for i := len(half) - 2; i >= 0; i-- {
+			full = append(full, half[i])
+		}
+		paths = append(paths, strings.Join(full, "-"))
+	}
+	budget := int64(0)
+	refused := 0
+	for _, path := range paths {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/pathsim/topk?k=5&id=1&path="+path, nil))
+		switch rec.Code {
+		case 200:
+		case 400:
+			refused++
+			msg := rec.Body.String()
+			i := strings.Index(msg, "budget of ")
+			if !strings.Contains(msg, "could take up to") || i < 0 {
+				t.Fatalf("%s: a 400 that names no bound: %s", path, msg)
+			}
+			if _, err := fmt.Sscanf(msg[i:], "budget of %d bytes", &budget); err != nil {
+				t.Fatalf("%s: %v in %s", path, err, msg)
+			}
+		default:
+			t.Fatalf("%s: code %d: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no path was refused; A-P-A-P-A-P-A-P-A-P-A's half alone is past any budget here")
+	}
+	if raceEnabled {
+		return // race instrumentation inflates the heap
+	}
+	const slack = 4 << 20
+	live := liveHeapBytes() - base
+	t.Logf("boot %.1f MiB, after %d paths (%d refused) %.1f MiB, budget %.1f MiB",
+		float64(boot)/(1<<20), len(paths), refused, float64(live)/(1<<20), float64(budget)/(1<<20))
+	if live > boot+budget+slack {
+		t.Errorf("live heap %.1f MiB after the paths, over boot %.1f + budget %.1f + slack %.1f MiB",
+			float64(live)/(1<<20), float64(boot)/(1<<20), float64(budget)/(1<<20), float64(slack)/(1<<20))
+	}
+	runtime.KeepAlive(s)
+}
+
+// liveHeapBytes is HeapAlloc after two collections.
+func liveHeapBytes() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestPathSpellingsAllocateAlike: the View memoizes a spelling of a path

@@ -135,7 +135,7 @@ func TestPatternKernelEquivalence(t *testing.T) {
 		rows, cols := 1+rng.Intn(120), 1+rng.Intn(120)
 		unit := trial%2 == 0
 		m := randomPattern(rng, rows, cols, 4, unit)
-		if unit && m.NNZ() > 0 && !m.Unit() {
+		if unit && m.NNZ() > 0 && !m.unit {
 			t.Fatal("all-ones matrix not detected as unit")
 		}
 		x := make([]float64, cols)
@@ -228,11 +228,9 @@ func TestFusedNormEquivalence(t *testing.T) {
 		}
 
 		Parallelism(1)
-		bitwiseVec(t, "MulVecNorm/serial", m.MulVecNorm(x, inv, nil), norm.MulVec(x, nil))
 		bitwiseVec(t, "MulVecTNorm/serial", m.MulVecTNorm(xt, inv, nil), norm.MulVecT(xt, nil))
 
 		withParallel(t, 4, func() {
-			bitwiseVec(t, "MulVecNorm/parallel", m.MulVecNorm(x, inv, nil), norm.MulVec(x, nil))
 			bitwiseVec(t, "MulVecTNorm/parallel", m.MulVecTNorm(xt, inv, nil), norm.MulVecT(xt, nil))
 		})
 	}
@@ -264,7 +262,7 @@ func TestStructureSharing(t *testing.T) {
 	m := randomPattern(rng, 40, 30, 3, false)
 	before := append([]float64(nil), m.vals...)
 	for name, d := range map[string]*Matrix{
-		"Scale":         m.Scale(2.5),
+		"Scale":         m.scale(2.5),
 		"RowNormalized": m.RowNormalized(),
 	} {
 		if &d.rowPtr[0] != &m.rowPtr[0] {
@@ -289,30 +287,30 @@ func TestStructureSharing(t *testing.T) {
 func TestUnitFlagPropagation(t *testing.T) {
 	u := NewFromDense([][]float64{{1, 0, 1}, {0, 1, 0}})
 	w := NewFromDense([][]float64{{2, 0}, {0, 1}})
-	if !u.Unit() || w.Unit() {
+	if !u.unit || w.unit {
 		t.Fatal("unit detection wrong at construction")
 	}
-	if !u.Transpose().Unit() {
+	if !u.Transpose().unit {
 		t.Fatal("Transpose dropped the unit flag")
 	}
-	if u.Scale(2).Unit() {
+	if u.scale(2).unit {
 		t.Fatal("Scale(2) kept the unit flag")
 	}
-	if !u.Scale(1).Unit() {
+	if !u.scale(1).unit {
 		t.Fatal("Scale(1) dropped the unit flag")
 	}
 	// Duplicate entries summing to exactly 1 still count.
 	h := NewFromCoords(1, 1, []Coord{{0, 0, 0.5}, {0, 0, 0.5}})
-	if !h.Unit() {
+	if !h.unit {
 		t.Fatal("summed-to-one entry not detected as unit")
 	}
 	// A permutation matrix row-normalizes to itself: unit re-detected.
 	p := NewFromDense([][]float64{{0, 1}, {1, 0}})
-	if !p.RowNormalized().Unit() {
+	if !p.RowNormalized().unit {
 		t.Fatal("RowNormalized permutation not unit")
 	}
 	// Products of 0/1 matrices with overlap produce counts ≥ 2.
-	if o := gramOf(u); o.Unit() {
+	if o := gramOf(u); o.unit {
 		t.Fatal("Gram with overlapping rows should not be unit")
 	}
 }

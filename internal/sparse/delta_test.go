@@ -80,13 +80,13 @@ func TestApplyDeltaDuplicatesSumInOrder(t *testing.T) {
 
 func TestApplyDeltaUnitTracking(t *testing.T) {
 	m := NewFromCoords(2, 3, []Coord{{0, 0, 1}, {1, 2, 1}})
-	if !m.Unit() {
+	if !m.unit {
 		t.Fatal("base should be unit")
 	}
-	if n := m.ApplyDelta([]Coord{{0, 1, 1}}); !n.Unit() {
+	if n := m.ApplyDelta([]Coord{{0, 1, 1}}); !n.unit {
 		t.Fatal("all-ones delta result should stay unit")
 	}
-	if n := m.ApplyDelta([]Coord{{0, 1, 2}}); n.Unit() {
+	if n := m.ApplyDelta([]Coord{{0, 1, 2}}); n.unit {
 		t.Fatal("non-one insert must clear unit")
 	}
 }

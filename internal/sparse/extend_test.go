@@ -105,7 +105,7 @@ func TestExtendAppendsInPlace(t *testing.T) {
 	}
 	aliases := map[string]*Matrix{
 		"value-only": last.ApplyDelta([]Coord{{Row: r, Col: int(last.colIdx[last.rowPtr[r]]), Val: 1}}),
-		"Scale":      last.Scale(2),
+		"Scale":      last.scale(2),
 		"Grow":       parent.Grow(parent.rows+3, parent.cols),
 	}
 	for name, a := range aliases {

@@ -233,7 +233,7 @@ func TestSymmetryFlagIsProven(t *testing.T) {
 		t.Fatalf("the Gram product rebuilt from coordinates: flag %v, Symmetric %v; want false, true", coords.sym, coords.Symmetric())
 	}
 	for name, d := range map[string]*Matrix{
-		"Transpose": g.Transpose(), "Scale": g.Scale(1), "RowNormalized": g.RowNormalized(),
+		"Transpose": g.Transpose(), "Scale": g.scale(1), "RowNormalized": g.RowNormalized(),
 		"ColSlice": g.ColSlice(0, g.cols), "ApplyDelta": g.ApplyDelta([]Coord{{0, 0, 1}}), "Grow": g.Grow(g.rows+1, g.cols+1),
 	} {
 		if d.sym {

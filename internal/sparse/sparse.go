@@ -14,9 +14,9 @@
 // 2^31; construction rejects larger dimensions), all-ones value arrays —
 // the unweighted bipartite relations that dominate HIN workloads — are
 // detected once at assembly time and multiplied by pattern-only loops
-// that never touch the value array, and derived matrices (Scale,
+// that never touch the value array, and derived matrices (scale,
 // RowNormalized) alias the immutable rowPtr/colIdx structure instead of
-// deep-copying it. The fused MulVecNorm/MulVecTNorm kernels apply a
+// deep-copying it. The fused MulVecTNorm kernel applies a
 // row-normalization vector on the fly, so power iterations never
 // materialize a row-stochastic copy of their adjacency matrix.
 //
@@ -190,11 +190,6 @@ func (m *Matrix) Cols() int { return m.cols }
 // NNZ returns the number of stored nonzeros.
 func (m *Matrix) NNZ() int { return len(m.vals) }
 
-// Unit reports whether every stored value is exactly 1.0, the
-// unweighted-relation pattern the kernels exploit with value-skipping
-// loops.
-func (m *Matrix) Unit() bool { return m.unit }
-
 // Row invokes f(col, val) for every stored entry of row r.
 func (m *Matrix) Row(r int, f func(col int, val float64)) {
 	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
@@ -283,7 +278,7 @@ func transposeOf(a, b *Matrix) bool {
 // RowInvSums returns the inverse row sums: inv[r] = 1/RowSum(r), with
 // rows summing to zero mapped to 1 so that scaling by inv reproduces
 // RowNormalized's leave-zero-rows-alone contract. Feed the result to
-// MulVecNorm / MulVecTNorm to run row-stochastic iterations without
+// MulVecTNorm to run row-stochastic iterations without
 // materializing the normalized matrix.
 func (m *Matrix) RowInvSums() []float64 {
 	inv := make([]float64, m.rows)
@@ -303,21 +298,6 @@ func (m *Matrix) RowInvSums() []float64 {
 // accumulated by exactly one worker in the serial order, the result is
 // bitwise identical to the serial loop.
 func (m *Matrix) MulVec(x, y []float64) []float64 {
-	return m.mulVecDispatch(x, nil, y)
-}
-
-// MulVecNorm computes y = diag(inv)·M·x — a fused row-scaled mat-vec.
-// With inv = RowInvSums() this is exactly RowNormalized().MulVec(x, y)
-// (bitwise: each product term is (val·inv[r])·x[c] in the same order)
-// without ever materializing the normalized value array.
-func (m *Matrix) MulVecNorm(x, inv, y []float64) []float64 {
-	if len(inv) != m.rows {
-		panic("sparse: MulVecNorm inv length mismatch")
-	}
-	return m.mulVecDispatch(x, inv, y)
-}
-
-func (m *Matrix) mulVecDispatch(x, inv, y []float64) []float64 {
 	if len(x) != m.cols {
 		panic("sparse: MulVec dimension mismatch")
 	}
@@ -330,21 +310,20 @@ func (m *Matrix) mulVecDispatch(x, inv, y []float64) []float64 {
 	// the pool escapes, and would cost an iterative caller one allocation
 	// per product.
 	if splitBlocks(m.rows, len(m.vals)) == 1 {
-		m.mulVecRange(x, inv, y, 0, m.rows)
+		m.mulVecRange(x, y, 0, m.rows)
 		return y
 	}
-	m.forRowBlocks(len(m.vals), func(lo, hi int) { m.mulVecRange(x, inv, y, lo, hi) })
+	m.forRowBlocks(len(m.vals), func(lo, hi int) { m.mulVecRange(x, y, lo, hi) })
 	return y
 }
 
-// mulVecRange computes rows [lo, hi) of M x (row-scaled by inv when
-// non-nil) into y. The CSR arrays are read through locals and each row
-// is sliced once, so the inner loops reload nothing through the receiver
-// and bounds-check only x; the summation order is the plain row loop's.
-func (m *Matrix) mulVecRange(x, inv, y []float64, lo, hi int) {
+// mulVecRange computes rows [lo, hi) of M x into y. The CSR arrays are
+// read through locals and each row is sliced once, so the inner loops
+// reload nothing through the receiver and bounds-check only x; the
+// summation order is the plain row loop's.
+func (m *Matrix) mulVecRange(x, y []float64, lo, hi int) {
 	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
-	switch {
-	case m.unit && inv == nil:
+	if m.unit {
 		// Pattern-only loop: all values are 1, skip the value array.
 		for r := lo; r < hi; r++ {
 			s := 0.0
@@ -353,36 +332,16 @@ func (m *Matrix) mulVecRange(x, inv, y []float64, lo, hi int) {
 			}
 			y[r] = s
 		}
-	case m.unit:
-		for r := lo; r < hi; r++ {
-			xi := inv[r]
-			s := 0.0
-			for _, c := range colIdx[rowPtr[r]:rowPtr[r+1]] {
-				s += xi * x[c]
-			}
-			y[r] = s
+		return
+	}
+	for r := lo; r < hi; r++ {
+		rlo, rhi := rowPtr[r], rowPtr[r+1]
+		cs, vs := colIdx[rlo:rhi], vals[rlo:rhi]
+		s := 0.0
+		for i, c := range cs {
+			s += vs[i] * x[c]
 		}
-	case inv == nil:
-		for r := lo; r < hi; r++ {
-			rlo, rhi := rowPtr[r], rowPtr[r+1]
-			cs, vs := colIdx[rlo:rhi], vals[rlo:rhi]
-			s := 0.0
-			for i, c := range cs {
-				s += vs[i] * x[c]
-			}
-			y[r] = s
-		}
-	default:
-		for r := lo; r < hi; r++ {
-			rlo, rhi := rowPtr[r], rowPtr[r+1]
-			cs, vs := colIdx[rlo:rhi], vals[rlo:rhi]
-			xi := inv[r]
-			s := 0.0
-			for i, c := range cs {
-				s += (vs[i] * xi) * x[c]
-			}
-			y[r] = s
-		}
+		y[r] = s
 	}
 }
 
@@ -567,8 +526,8 @@ func (m *Matrix) transposeSerial(t *Matrix) {
 // matrix used by random-walk style rankings. The result aliases the
 // receiver's immutable rowPtr/colIdx structure — only the value array
 // is fresh. Each row is scaled by the reciprocal of its sum (one
-// division per row, and the same product the fused MulVecNorm /
-// MulVecTNorm kernels apply, keeping all normalization paths bitwise
+// division per row, and the same product the fused MulVecTNorm
+// kernel applies, keeping all normalization paths bitwise
 // consistent; entries can differ from per-entry division by ≤ 1 ulp).
 // Rows are normalized in parallel blocks; output is bitwise identical
 // to the serial loop. Iterative consumers can skip even the value copy
@@ -598,9 +557,9 @@ func (m *Matrix) RowNormalized() *Matrix {
 	return n
 }
 
-// Scale returns a copy of M with every entry multiplied by f. The
+// scale returns a copy of M with every entry multiplied by f. The
 // result aliases the receiver's immutable rowPtr/colIdx structure.
-func (m *Matrix) Scale(f float64) *Matrix {
+func (m *Matrix) scale(f float64) *Matrix {
 	n := &Matrix{
 		rows:   m.rows,
 		cols:   m.cols,

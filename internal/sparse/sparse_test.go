@@ -291,7 +291,7 @@ func TestMulDimensionPanic(t *testing.T) {
 
 func TestScaleAndSums(t *testing.T) {
 	m := NewFromDense([][]float64{{1, 2}, {3, 4}})
-	s := m.Scale(2)
+	s := m.scale(2)
 	if s.Sum() != 20 {
 		t.Errorf("scaled Sum = %v", s.Sum())
 	}
